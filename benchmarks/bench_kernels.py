@@ -36,7 +36,7 @@ from repro.attacks import BinarizedAttack
 from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.graph.sparse import egonet_features_sparse
 from repro.kernels import compiled_available, kernel_table
-from repro.oddball.surrogate import _scatter_pair_gradient
+from repro.oddball.surrogate import _group_pairs, _scatter_pair_gradient
 from repro.store import build_store
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_kernels.json"
@@ -66,6 +66,12 @@ def _random_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray
         np.minimum(rows, cols).astype(np.int64),
         np.maximum(rows, cols).astype(np.int64),
     )
+
+
+def _one_target_pairs(n: int, hub: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair joining ``hub`` to another node (one target's candidates)."""
+    others = np.delete(np.arange(n, dtype=np.int64), hub)
+    return np.minimum(others, hub), np.maximum(others, hub)
 
 
 def _row(kernel: str, shape: str, numpy_s: float, compiled_s: float) -> dict:
@@ -157,7 +163,9 @@ def _bench_scatter(csr, rows, cols, shape: str, seed: int) -> dict:
 
     table = kernel_table()
     start = time.perf_counter()
-    got = table.scatter_pair_gradient(csr, d_n, d_e, rows, cols)
+    got, _ = table.scatter_pair_gradient(
+        csr, d_n, d_e, _group_pairs(rows, cols, n)
+    )
     compiled_s = time.perf_counter() - start
 
     assert np.array_equal(expected, got)
@@ -234,10 +242,16 @@ def test_bench_kernel_micro_smoke(benchmark, small_store):
 
     def run():
         rows, cols = _random_pairs(csr.shape[0], 300, seed=3)
+        hub_rows, hub_cols = _one_target_pairs(
+            csr.shape[0], int(small_store.top_targets(1)[0])
+        )
         return [
             _bench_toggle_batch(csr, flip_count=300, seed=1),
             _bench_pair_values(csr, count=2000, seed=2),
             _bench_scatter(csr, rows, cols, "300 random pairs", seed=4),
+            _bench_scatter(
+                csr, hub_rows, hub_cols, "1 target hub, all partners", seed=5
+            ),
             _bench_triangle_counts(csr),
         ]
 
@@ -305,7 +319,8 @@ def run_kernel_bench(smoke: bool = False, output: "Path | None" = None) -> dict:
     )
     # Few-hub shape: every pair shares one of a handful of target hubs —
     # the target_incident regime the numpy mat-vec grouping was built for
-    # (its best case, so this speedup is the honest lower bound).
+    # (its best case, so this speedup is the honest lower bound).  With
+    # random partners the kernel takes its pull walk (partner rows).
     targets = store.top_targets(8)
     rng = np.random.default_rng(5)
     hub = np.repeat(np.asarray(targets, dtype=np.int64), incident_partners)
@@ -317,6 +332,16 @@ def run_kernel_bench(smoke: bool = False, output: "Path | None" = None) -> dict:
         _bench_scatter(
             csr, i_rows.astype(np.int64), i_cols.astype(np.int64),
             f"{i_rows.size} pairs, {len(targets)} target hubs", seed=6,
+        )
+    )
+    # One-target shape: target_incident candidates of a single target, so
+    # every other node is a partner and the kernel takes its push walk
+    # over the target's two-hop ball instead of n−1 partner rows.
+    o_rows, o_cols = _one_target_pairs(n, int(targets[0]))
+    rows.append(
+        _bench_scatter(
+            csr, o_rows, o_cols,
+            f"{o_rows.size} pairs, 1 target hub (all partners)", seed=7,
         )
     )
     rows.append(_bench_triangle_counts(csr))
@@ -371,11 +396,13 @@ def run_kernel_bench(smoke: bool = False, output: "Path | None" = None) -> dict:
             "Every row asserts bit-identical outputs between the numpy "
             "reference and the compiled backend before timing is recorded "
             "(features, gradients, flip sets). toggle_batch times apply + "
-            "full rollback. The two scatter shapes bracket the candidate "
+            "full rollback. The scatter shapes bracket the candidate "
             "regimes: spread hubs (adaptive/two_hop) is the compiled "
             "backend's headline win because the numpy path pays two O(m) "
-            "mat-vecs per distinct hub; few-hub target_incident is the "
-            "numpy path's best case and bounds the speedup from below."
+            "mat-vecs per distinct hub; few-hub target_incident with random "
+            "partners is the numpy path's best case and the kernel's pull "
+            "walk; one target with all n-1 partners is the kernel's push "
+            "walk over the target's two-hop ball."
         ),
     }
     output.parent.mkdir(parents=True, exist_ok=True)

@@ -65,20 +65,18 @@ void repro_place_rows_i64(long long *arena, long long *offs,
     const long long *dst_off, const long long *new_cap,
     const long long *src_node, long long nplace, const long long *indptr,
     const long long *indices);
-void repro_scatter_gradient_i32(const long long *indptr, const int *indices,
-    const double *data, const double *d_e, const long long *hubs,
-    const long long *partners, const long long *eff_off,
-    const long long *eff_len, const long long *aux_idx,
-    const double *aux_val, const long long *du, const long long *dv,
-    const double *dd, long long ndelta, long long npairs, double *work,
-    double *grad);
-void repro_scatter_gradient_i64(const long long *indptr,
+long long repro_scatter_gradient_i32(const long long *indptr,
+    const int *indices, const double *data, const double *d_e,
+    const long long *hubs, const long long *partners, long long npairs,
+    const long long *du, const long long *dv, const double *dd,
+    long long ndelta, long long n, long long *extra, double *work,
+    double *acc, double *grad);
+long long repro_scatter_gradient_i64(const long long *indptr,
     const long long *indices, const double *data, const double *d_e,
-    const long long *hubs, const long long *partners,
-    const long long *eff_off, const long long *eff_len,
-    const long long *aux_idx, const double *aux_val, const long long *du,
-    const long long *dv, const double *dd, long long ndelta,
-    long long npairs, double *work, double *grad);
+    const long long *hubs, const long long *partners, long long npairs,
+    const long long *du, const long long *dv, const double *dd,
+    long long ndelta, long long n, long long *extra, double *work,
+    double *acc, double *grad);
 """
 
 

@@ -12,14 +12,14 @@ numpy/Python reference implementations exactly:
   feature arrays (``IncrementalEgonetFeatures`` hot loop), driven through
   :class:`ToggleState`, the persistent arena that keeps override rows and
   cffi pointers alive across calls so a single flip costs one C call;
-- ``scatter_pair_gradient`` — the closed-form candidate-pair gradient,
-  call-compatible with ``repro.oddball.surrogate._scatter_pair_gradient``
-  including the Δ-overlay semantics.
+- ``scatter_pair_gradient`` — the closed-form candidate-pair gradient of
+  ``repro.oddball.surrogate._scatter_pair_gradient``, Δ-overlay
+  semantics included, over a precomputed hub grouping of the pairs.
 
 All integer feature updates are exact in float64, and the gradient kernel
-replicates the reference's summation order (see kernels.c), so results are
-expected to be bit-identical to the numpy oracle — the property the parity
-suites assert.
+adds the reference's nonzero terms in the reference's order (see
+kernels.c; this needs a symmetric CSR), so results are expected to be
+bit-identical to the numpy oracle — the property the parity suites assert.
 
 CSR inputs may be backed by read-only memory maps; this module never
 writes to them (``indptr`` is copied to int64 when needed, ``indices`` and
@@ -123,164 +123,60 @@ class CompiledKernels:
         csr,
         d_n: np.ndarray,
         d_e: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
+        groups,
         delta=(),
-    ) -> np.ndarray:
-        """Compiled mirror of ``surrogate._scatter_pair_gradient``.
+    ) -> "tuple[np.ndarray, int]":
+        """Compiled twin of ``surrogate._scatter_pair_gradient``.
 
-        Hub selection (more-frequent endpoint via occurrence counts) and
-        the Δ-overlay fold replicate the numpy reference; pairs are
-        grouped by hub with a stable argsort — like the reference — so
-        the kernel scatters each hub's effective row into its dense
-        workspace once per group, and per-pair sums run in ascending
-        column order to match the CSR mat-vec. See kernels.c for the
+        ``groups`` is the pairs' hub grouping from
+        ``surrogate._group_pairs`` (engines compute it once per candidate
+        set).  Returns ``(gradient, entries)``: the per-pair gradient in
+        the caller's pair order, and the number of CSR entries the kernel
+        walked.  Per hub group the kernel folds the Δ-overlay into the hub
+        row and picks the pull walk (each partner's row) or the push walk
+        (each row of the hub's two-hop ball), whichever is shorter.
+
+        ``csr`` must be bitwise symmetric (``A == Aᵀ``), as every engine
+        matrix is, and ``d_e`` finite: the push walk reads row ``c`` in
+        place of column ``c``, which is what makes both walks
+        bit-identical to the reference.  See kernels.c for the
         order-equivalence argument.
         """
         _require_sorted(csr)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        rows, cols = groups.rows, groups.cols
         gradient = d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
         if rows.size == 0:
-            return gradient
+            return gradient, 0
         n = csr.shape[0]
-        occurrences = (
-            np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
-        )
-        by_row = occurrences[rows] >= occurrences[cols]
-        order = np.argsort(np.where(by_row, rows, cols), kind="stable")
-        by_row = by_row[order]
-        rows_g, cols_g = rows[order], cols[order]
-        hubs = np.ascontiguousarray(np.where(by_row, rows_g, cols_g))
-        partners = np.ascontiguousarray(np.where(by_row, cols_g, rows_g))
-
         delta = list(delta)
-        eff_off = np.full(rows.size, -1, dtype=np.int64)
-        eff_len = np.zeros(rows.size, dtype=np.int64)
-        aux_idx = np.empty(0, dtype=np.int64)
-        aux_val = np.empty(0, dtype=np.float64)
-        if delta:
-            aux_idx, aux_val = self._fold_hub_rows(
-                csr, delta, hubs, eff_off, eff_len
-            )
-        if delta:
-            du = np.array([u for u, _, _ in delta], dtype=np.int64)
-            dv = np.array([v for _, v, _ in delta], dtype=np.int64)
-            dd = np.array([d for _, _, d in delta], dtype=np.float64)
-        else:
-            du = np.empty(0, dtype=np.int64)
-            dv = np.empty(0, dtype=np.int64)
-            dd = np.empty(0, dtype=np.float64)
+        du = np.array([u for u, _, _ in delta], dtype=np.int64)
+        dv = np.array([v for _, v, _ in delta], dtype=np.int64)
+        dd = np.array([d for _, _, d in delta], dtype=np.float64)
+        extra = np.empty(max(len(delta), 1), dtype=np.int64)
 
-        grad_grouped = np.ascontiguousarray(gradient[order])
+        grad_grouped = np.ascontiguousarray(gradient[groups.order])
         work = np.zeros(n, dtype=np.float64)  # kernel restores to zeros
+        acc = np.zeros(2 * n, dtype=np.float64)  # likewise
         ptr_ptr, idx_ptr, suffix, keep = self._csr_views(csr)
         data_ptr, data_keep = self._in_f64(csr.data)
         de_ptr, de_keep = self._in_f64(d_e)
-        hubs_ptr, hubs_keep = self._in_i64(hubs)
-        part_ptr, part_keep = self._in_i64(partners)
-        off_ptr, off_keep = self._in_i64(eff_off)
-        len_ptr, len_keep = self._in_i64(eff_len)
-        aidx_ptr, aidx_keep = self._in_i64(aux_idx)
-        aval_ptr, aval_keep = self._in_f64(aux_val)
+        hubs_ptr, hubs_keep = self._in_i64(groups.hubs)
+        part_ptr, part_keep = self._in_i64(groups.partners)
         du_ptr, du_keep = self._in_i64(du)
         dv_ptr, dv_keep = self._in_i64(dv)
         dd_ptr, dd_keep = self._in_f64(dd)
         fn = getattr(self._lib, f"repro_scatter_gradient_{suffix}")
-        fn(
+        entries = fn(
             ptr_ptr, idx_ptr, data_ptr, de_ptr, hubs_ptr, part_ptr,
-            off_ptr, len_ptr, aidx_ptr, aval_ptr, du_ptr, dv_ptr, dd_ptr,
-            len(delta), rows.size, self._out_f64(work),
+            rows.size, du_ptr, dv_ptr, dd_ptr, len(delta), n,
+            self._ffi.from_buffer("long long[]", extra, require_writable=True),
+            self._out_f64(work), self._out_f64(acc),
             self._out_f64(grad_grouped),
         )
-        del (keep, data_keep, de_keep, hubs_keep, part_keep, off_keep,
-             len_keep, aidx_keep, aval_keep, du_keep, dv_keep, dd_keep)
-        gradient[order] = grad_grouped
-        return gradient
-
-    @staticmethod
-    def _fold_hub_rows(csr, delta, hubs, eff_off, eff_len):
-        """Materialise Δ-folded effective rows for Δ-touched hubs.
-
-        For every hub that appears as a Δ endpoint, builds a sorted
-        (index, value) sparse row equal to the reference's dense
-        ``hub_row`` after the ``hub_row[other] += d`` fold (base CSR
-        values plus cumulative Δ adjustments, zero-valued entries kept so
-        the merge adds the same ±0.0 terms the mat-vec does).  Writes the
-        per-pair (offset, length) table in place and returns the
-        concatenated aux arrays.
-        """
-        touched = {}
-        for u, v, _ in delta:
-            touched.setdefault(int(u), None)
-            touched.setdefault(int(v), None)
-        indptr = csr.indptr
-        chunks_idx, chunks_val = [], []
-        offsets = {}
-        total = 0
-        for hub in touched:
-            start, stop = int(indptr[hub]), int(indptr[hub + 1])
-            base_idx = np.asarray(csr.indices[start:stop], dtype=np.int64)
-            base_val = np.asarray(csr.data[start:stop], dtype=np.float64)
-            adjust = {}
-            for u, v, d in delta:
-                if u == hub:
-                    other = int(v)
-                elif v == hub:
-                    other = int(u)
-                else:
-                    continue
-                adjust[other] = adjust.get(other, 0.0) + d
-            if adjust:
-                # Equivalent to np.setdiff1d(adjust keys, base_idx) but a
-                # binary search against the already-sorted base row instead
-                # of two sorts: adj_keys is sorted unique, so the filtered
-                # result is too.
-                adj_keys = np.fromiter(
-                    sorted(adjust), dtype=np.int64, count=len(adjust)
-                )
-                pos = np.searchsorted(base_idx, adj_keys)
-                present = np.zeros(adj_keys.size, dtype=bool)
-                inb = pos < base_idx.size
-                present[inb] = base_idx[pos[inb]] == adj_keys[inb]
-                extra = adj_keys[~present]
-                idx = np.concatenate([base_idx, extra])
-                val = np.concatenate(
-                    [base_val, np.zeros(extra.size, dtype=np.float64)]
-                )
-                order = np.argsort(idx, kind="stable")
-                idx, val = idx[order], val[order]
-                positions = np.searchsorted(idx, sorted(adjust))
-                for pos, key in zip(positions, sorted(adjust)):
-                    val[pos] += adjust[key]
-            else:
-                idx, val = base_idx, base_val
-            offsets[hub] = (total, idx.size)
-            chunks_idx.append(idx)
-            chunks_val.append(val)
-            total += idx.size
-        if offsets:
-            # Scatter the (offset, length) table onto the pair list with a
-            # sorted lookup — the pair list can be tens of thousands of
-            # entries while only the Δ-touched hubs (a handful) fold, so a
-            # per-pair Python loop would dominate the whole gradient call.
-            t_nodes = np.fromiter(offsets, dtype=np.int64, count=len(offsets))
-            t_entries = np.array(list(offsets.values()), dtype=np.int64)
-            order = np.argsort(t_nodes)
-            t_sorted = t_nodes[order]
-            pos = np.minimum(
-                np.searchsorted(t_sorted, hubs), t_sorted.size - 1
-            )
-            match = t_sorted[pos] == hubs
-            sel = order[pos[match]]
-            eff_off[match] = t_entries[sel, 0]
-            eff_len[match] = t_entries[sel, 1]
-        if chunks_idx:
-            return (
-                np.ascontiguousarray(np.concatenate(chunks_idx)),
-                np.ascontiguousarray(np.concatenate(chunks_val)),
-            )
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        del (keep, data_keep, de_keep, hubs_keep, part_keep, du_keep,
+             dv_keep, dd_keep)
+        gradient[groups.order] = grad_grouped
+        return gradient, int(entries)
 
 
 class ToggleState:

@@ -12,8 +12,10 @@
  *     memory maps) are only ever read — `const` enforces it at compile time;
  *   - feature updates are ±1-integer arithmetic in float64, so results are
  *     bit-identical to the pure-Python reference regardless of order;
- *   - the gradient kernel mirrors the numpy hub-mat-vec summation order
- *     term for term (see scatter_gradient below).
+ *   - the gradient kernel adds the same nonzero terms in the same order as
+ *     the numpy hub-mat-vec reference.  Its push walk reads row c in place
+ *     of column c, so it REQUIRES a bitwise-symmetric CSR (A == Aᵀ, which
+ *     every engine matrix is) and a finite d_e — see scatter_gradient.
  *
  * `long long` is used instead of <stdint.h> int64_t so the cffi cdef and
  * this file agree on the exact token (both are 8-byte integers on every
@@ -249,85 +251,165 @@ DEFINE_PLACE_ROWS(i64, i64)
 /* scatter_gradient: per-pair closed-form gradient over candidates     */
 /* ------------------------------------------------------------------ */
 
-/* The numpy reference (_scatter_pair_gradient) groups pairs by hub and, per
- * hub, runs two O(m) sparse mat-vecs against a densified hub row.  This
- * kernel amortises the hub row the same way: the wrapper sorts pairs by
- * hub (stable, like the reference's grouping argsort), and for each run of
- * pairs sharing a hub the hub's effective row is scattered ONCE into the
- * dense `work` array (caller-zeroed, size n), then each partner's CSR row
- * is walked against it in ascending column order — exactly the term
- * sequence of `csr @ hub_row`, zero-valued positions included, so the
- * float results are bit-identical to the reference.  The row is cleared
- * (same index walk) when the hub changes, so `work` returns to all-zeros.
+/* The numpy reference (_scatter_pair_gradient) groups pairs by hub h and,
+ * per hub, runs two O(m) sparse mat-vecs against the dense effective hub
+ * row x (base row of h, then `x[other] += d` for every Δ entry touching h,
+ * in overlay order).  For partner p it therefore sums, for ascending c,
  *
- * The hub's effective row is either its base CSR slice (eff_off[k] < 0) or
- * a wrapper-built (aux_idx, aux_val) slice with the Δ-overlay folded in,
- * mirroring `hub_row[v] += d`.  Overlay corrections for partners that are
- * themselves Δ endpoints are applied after the walk, in overlay order,
- * exactly like the reference's post-mat-vec fixups; `work[other]` IS the
- * effective hub row value the reference looks up.
+ *     cc += A[p,c] * x[c]          cw += A[p,c] * (x[c] * d_e[c])
  *
- * grad[k] arrives pre-filled with the dn/de endpoint terms and is
- * incremented with (d_e[hub] + d_e[partner]) * cc + cw. */
+ * over every stored c of row p, then adds the Δ fixups of p in overlay
+ * order.  The wrapper hands the pairs over already grouped by hub (stable,
+ * like the reference), and this kernel folds x into the dense `work`
+ * array once per group, then takes whichever of two walks visits fewer
+ * CSR entries:
+ *
+ *   - pull, cost Σ_{p in group} deg(p): walk each partner's row against
+ *     `work` — the reference's term sequence exactly;
+ *   - push, cost Σ_{c in row(h) ∪ Δ-added columns} deg(c): for each c of
+ *     x's support in ascending order, walk row c and add A[c,p]*x[c] and
+ *     A[c,p]*(x[c]*d_e[c]) into per-node accumulators `acc[2p]`,
+ *     `acc[2p+1]`, then read them off at the group's partners.
+ *
+ * Push is bit-identical to pull under two conditions:
+ *   - A == Aᵀ bitwise (structure and values).  Push reads row c where pull
+ *     reads column c of row p; with symmetry both see the same A[p,c], the
+ *     same nonzero terms, in the same ascending-c order.  Every engine CSR
+ *     (store, payload, flip-materialised, relaxed base + overlay) is
+ *     symmetric; a non-symmetric matrix gets a different, wrong answer;
+ *   - d_e is finite.  Pull's extra terms (c outside x's support) are
+ *     A[p,c]*0.0 = ±0.0.  Both accumulators start at +0.0 and round-to-
+ *     nearest addition never yields -0.0 unless both operands are -0.0, so
+ *     an accumulator is never -0.0 and adding ±0.0 leaves it unchanged.
+ *
+ * Both walks then share the Δ fixups and the final update, so
+ * grad[k] (pre-filled with the dn/de endpoint terms) gets
+ * (d_e[hub] + d_e[partner]) * cc + cw either way.  `work` and `acc` are
+ * caller-zeroed and returned to all-zeros: `work` by re-walking x's
+ * support, `acc` by a memset when 2·push > n and by re-walking the pushed
+ * rows otherwise.  `extra` is scratch for ndelta sorted Δ-added columns.
+ *
+ * Returns the number of CSR entries walked (Σ per group of min(push,
+ * pull); ties go to pull). */
+static void finish_pair(const double *d_e, const double *work,
+                        const i64 *du, const i64 *dv, const double *dd,
+                        i64 ndelta, i64 h, i64 p, double cc, double cw,
+                        double *grad_k) {
+    for (i64 t = 0; t < ndelta; t++) {
+        i64 other = -1;
+        if (du[t] == p) other = dv[t];
+        else if (dv[t] == p) other = du[t];
+        if (other < 0) continue;
+        double hv = work[other];
+        cc += dd[t] * hv;
+        cw += dd[t] * hv * d_e[other];
+    }
+    *grad_k += (d_e[h] + d_e[p]) * cc + cw;
+}
+
 #define DEFINE_SCATTER_GRADIENT(SUF, IDX)                                 \
-    static void set_hub_row_##SUF(                                        \
+    /* Walk x's support (row hs..he merged with the sorted extras) in     \
+     * ascending column order; accumulate into acc, or zero what an       \
+     * accumulating walk touched. */                                      \
+    static void push_walk_##SUF(                                          \
             const i64 *indptr, const IDX *indices, const double *data,    \
-            const i64 *aux_idx, const double *aux_val,                    \
-            i64 hub, i64 off, i64 len, double *work, double value_or) {   \
-        /* value_or < 0: restore zeros; otherwise scatter row values. */  \
-        if (off >= 0) {                                                   \
-            for (i64 j = 0; j < len; j++)                                 \
-                work[aux_idx[off + j]] =                                  \
-                    value_or < 0.0 ? 0.0 : aux_val[off + j];              \
-        } else {                                                          \
-            for (i64 j = indptr[hub]; j < indptr[hub + 1]; j++)           \
-                work[(i64)indices[j]] = value_or < 0.0 ? 0.0 : data[j];   \
+            const double *d_e, i64 hs, i64 he, const i64 *extra, i64 ne,  \
+            const double *work, double *acc, int clear) {                 \
+        i64 j = hs, x = 0;                                                \
+        while (j < he || x < ne) {                                        \
+            i64 c;                                                        \
+            if (x == ne || (j < he && (i64)indices[j] < extra[x]))        \
+                c = (i64)indices[j++];                                    \
+            else                                                          \
+                c = extra[x++];                                           \
+            if (clear) {                                                  \
+                for (i64 i = indptr[c]; i < indptr[c + 1]; i++) {         \
+                    i64 p = (i64)indices[i];                              \
+                    acc[2 * p] = 0.0;                                     \
+                    acc[2 * p + 1] = 0.0;                                 \
+                }                                                         \
+                continue;                                                 \
+            }                                                             \
+            double hv = work[c], hw = hv * d_e[c];                        \
+            for (i64 i = indptr[c]; i < indptr[c + 1]; i++) {             \
+                i64 p = (i64)indices[i];                                  \
+                acc[2 * p] += data[i] * hv;                               \
+                acc[2 * p + 1] += data[i] * hw;                           \
+            }                                                             \
         }                                                                 \
     }                                                                     \
                                                                           \
-    void repro_scatter_gradient_##SUF(                                    \
+    i64 repro_scatter_gradient_##SUF(                                     \
             const i64 *indptr, const IDX *indices, const double *data,    \
-            const double *d_e,                                            \
-            const i64 *hubs, const i64 *partners,                         \
-            const i64 *eff_off, const i64 *eff_len,                       \
-            const i64 *aux_idx, const double *aux_val,                    \
-            const i64 *du, const i64 *dv, const double *dd, i64 ndelta,   \
-            i64 npairs, double *work, double *grad) {                     \
-        i64 cur = -1, cur_off = -1, cur_len = 0;                          \
-        for (i64 k = 0; k < npairs; k++) {                                \
-            i64 h = hubs[k], p = partners[k];                             \
-            i64 off = eff_off[k];                                         \
-            if (h != cur) {                                               \
-                if (cur >= 0)                                             \
-                    set_hub_row_##SUF(indptr, indices, data, aux_idx,     \
-                                      aux_val, cur, cur_off, cur_len,     \
-                                      work, -1.0);                        \
-                set_hub_row_##SUF(indptr, indices, data, aux_idx,         \
-                                  aux_val, h, off, eff_len[k],            \
-                                  work, 1.0);                             \
-                cur = h; cur_off = off; cur_len = eff_len[k];             \
-            }                                                             \
-            double cc = 0.0, cw = 0.0;                                    \
-            for (i64 i = indptr[p]; i < indptr[p + 1]; i++) {             \
-                i64 c = (i64)indices[i];                                  \
-                double hv = work[c];                                      \
-                cc += data[i] * hv;                                       \
-                cw += data[i] * (hv * d_e[c]);                            \
-            }                                                             \
-            for (i64 t = 0; t < ndelta; t++) {                           \
-                i64 other = -1;                                           \
-                if (du[t] == p) other = dv[t];                            \
-                else if (dv[t] == p) other = du[t];                       \
+            const double *d_e, const i64 *hubs, const i64 *partners,      \
+            i64 npairs, const i64 *du, const i64 *dv, const double *dd,   \
+            i64 ndelta, i64 n, i64 *extra, double *work, double *acc,     \
+            double *grad) {                                               \
+        i64 walked = 0;                                                   \
+        for (i64 lo = 0, hi; lo < npairs; lo = hi) {                      \
+            i64 h = hubs[lo];                                             \
+            for (hi = lo + 1; hi < npairs && hubs[hi] == h; hi++) {}      \
+            i64 hs = indptr[h], he = indptr[h + 1], ne = 0;               \
+            for (i64 j = hs; j < he; j++)                                 \
+                work[(i64)indices[j]] = data[j];                          \
+            for (i64 t = 0; t < ndelta; t++) {                            \
+                i64 other = du[t] == h ? dv[t] : dv[t] == h ? du[t] : -1; \
                 if (other < 0) continue;                                  \
-                double hv = work[other];                                  \
-                cc += dd[t] * hv;                                         \
-                cw += dd[t] * hv * d_e[other];                            \
+                work[other] += dd[t];                                     \
+                i64 pos = lower_bound_##SUF(indices, hs, he, other);      \
+                if (pos < he && (i64)indices[pos] == other) continue;     \
+                i64 q = ne;                                               \
+                while (q > 0 && extra[q - 1] > other) q--;                \
+                if (q > 0 && extra[q - 1] == other) continue;             \
+                memmove(extra + q + 1, extra + q,                         \
+                        (size_t)(ne - q) * sizeof(i64));                  \
+                extra[q] = other;                                         \
+                ne++;                                                     \
             }                                                             \
-            grad[k] += (d_e[h] + d_e[p]) * cc + cw;                       \
+            i64 push = 0, pull = 0;                                       \
+            for (i64 j = hs; j < he; j++) {                               \
+                i64 c = (i64)indices[j];                                  \
+                push += indptr[c + 1] - indptr[c];                        \
+            }                                                             \
+            for (i64 x = 0; x < ne; x++)                                  \
+                push += indptr[extra[x] + 1] - indptr[extra[x]];          \
+            for (i64 k = lo; k < hi; k++)                                 \
+                pull += indptr[partners[k] + 1] - indptr[partners[k]];    \
+            if (push < pull) {                                            \
+                push_walk_##SUF(indptr, indices, data, d_e, hs, he,       \
+                                extra, ne, work, acc, 0);                 \
+                for (i64 k = lo; k < hi; k++) {                           \
+                    i64 p = partners[k];                                  \
+                    finish_pair(d_e, work, du, dv, dd, ndelta, h, p,      \
+                                acc[2 * p], acc[2 * p + 1], grad + k);    \
+                }                                                         \
+                if (2 * push > n)                                         \
+                    memset(acc, 0, (size_t)(2 * n) * sizeof(double));     \
+                else                                                      \
+                    push_walk_##SUF(indptr, indices, data, d_e, hs, he,   \
+                                    extra, ne, work, acc, 1);             \
+                walked += push;                                           \
+            } else {                                                      \
+                for (i64 k = lo; k < hi; k++) {                           \
+                    i64 p = partners[k];                                  \
+                    double cc = 0.0, cw = 0.0;                            \
+                    for (i64 i = indptr[p]; i < indptr[p + 1]; i++) {     \
+                        i64 c = (i64)indices[i];                          \
+                        double hv = work[c];                              \
+                        cc += data[i] * hv;                               \
+                        cw += data[i] * (hv * d_e[c]);                    \
+                    }                                                     \
+                    finish_pair(d_e, work, du, dv, dd, ndelta, h, p,      \
+                                cc, cw, grad + k);                        \
+                }                                                         \
+                walked += pull;                                           \
+            }                                                             \
+            for (i64 j = hs; j < he; j++)                                 \
+                work[(i64)indices[j]] = 0.0;                              \
+            for (i64 x = 0; x < ne; x++)                                  \
+                work[extra[x]] = 0.0;                                     \
         }                                                                 \
-        if (cur >= 0)                                                     \
-            set_hub_row_##SUF(indptr, indices, data, aux_idx, aux_val,    \
-                              cur, cur_off, cur_len, work, -1.0);         \
+        return walked;                                                    \
     }
 
 DEFINE_SCATTER_GRADIENT(i32, i32)

@@ -192,20 +192,10 @@ def surrogate_loss_from_features(
     returns bit-identical losses to :func:`surrogate_loss_numpy` on the
     materialised graph.
     """
-    if floor <= 0.0:
-        raise ValueError(f"floor must be positive to keep logs finite, got {floor}")
-    n_feature = np.asarray(n_feature, dtype=np.float64)
-    e_feature = np.asarray(e_feature, dtype=np.float64)
-    targets = _validate_targets(targets, n_feature.shape[0])
-    log_n = np.log(np.maximum(n_feature, floor))
-    log_e = np.log(np.maximum(e_feature, floor))
-    fit = _fit_power_law_numpy(log_n, log_e, ridge)
-    rho = fit.beta0 + fit.beta1 * log_n[targets]
-    residuals = e_feature[targets] - np.exp(rho)
-    squared = residuals * residuals
-    if weights is not None:
-        squared = squared * _validate_weights(weights, len(targets))
-    return float(squared.sum())
+    loss, _, _ = _loss_and_gradients(
+        n_feature, e_feature, targets, floor, ridge, weights, gradients=False
+    )
+    return loss
 
 
 def feature_gradients(
@@ -223,16 +213,35 @@ def feature_gradients(
     ``maximum`` (gradient halves exactly at the clamp floor), so the result
     matches the autograd path to round-off.
     """
+    _, d_n, d_e = _loss_and_gradients(
+        n_feature, e_feature, targets, floor, ridge, weights
+    )
+    return d_n, d_e
+
+
+def _loss_and_gradients(
+    n_feature: np.ndarray,
+    e_feature: np.ndarray,
+    targets: Sequence[int],
+    floor: float,
+    ridge: float,
+    weights: "Sequence[float] | None",
+    gradients: bool = True,
+) -> "tuple[float, np.ndarray | None, np.ndarray | None]":
+    """``(loss, ∂L/∂N, ∂L/∂E)`` from one validate/log/clamp/OLS pass.
+
+    The single numpy copy of the feature-space objective behind
+    :func:`surrogate_loss_from_features` and :func:`feature_gradients`;
+    engines that need both per step call it once.  With
+    ``gradients=False`` the two gradients are ``None`` and only the loss
+    is computed.
+    """
     if floor <= 0.0:
         raise ValueError(f"floor must be positive to keep logs finite, got {floor}")
     n_feature = np.asarray(n_feature, dtype=np.float64)
     e_feature = np.asarray(e_feature, dtype=np.float64)
     targets = _validate_targets(targets, n_feature.shape[0])
-    kappa = (
-        np.ones(len(targets))
-        if weights is None
-        else _validate_weights(weights, len(targets))
-    )
+    kappa = None if weights is None else _validate_weights(weights, len(targets))
     n = n_feature.shape[0]
     clamped_n = np.maximum(n_feature, floor)
     clamped_e = np.maximum(e_feature, floor)
@@ -248,6 +257,14 @@ def feature_gradients(
     rho = beta0 + beta1 * x[targets]
     exp_rho = np.exp(rho)
     residuals = e_feature[targets] - exp_rho
+    squared = residuals * residuals
+    if kappa is not None:
+        squared = squared * kappa
+    loss = float(squared.sum())
+    if not gradients:
+        return loss, None, None
+    if kappa is None:
+        kappa = np.ones(len(targets))
 
     d_residual = 2.0 * kappa * residuals
     d_rho = -d_residual * exp_rho
@@ -280,7 +297,7 @@ def feature_gradients(
     d_n = d_x * clamp_chain(n_feature, clamped_n)
     d_e = d_y * clamp_chain(e_feature, clamped_e)
     d_e[targets] += d_residual
-    return d_n, d_e
+    return loss, d_n, d_e
 
 
 def adjacency_gradient(
@@ -363,9 +380,12 @@ def _scatter_pair_gradient(
 ) -> np.ndarray:
     """Evaluate the pair gradient at each candidate, grouping by hub endpoint.
 
-    Pairs are grouped by their more-frequent endpoint; each group costs one
-    O(m) sparse mat-vec, so target-incident candidate sets need only |T|
-    passes over the edge list.
+    The pull-form parity oracle of the compiled ``scatter_gradient``
+    kernel.  Pairs are grouped by their more-frequent endpoint
+    (:func:`_group_pairs`); here each group costs two O(m) sparse
+    mat-vecs against the dense hub row, so target-incident candidate sets
+    need only |T| passes over the edge list.  (The compiled kernel walks
+    only the partners' rows or the hub's two-hop ball instead.)
 
     ``delta`` is an optional overlay of symmetric perturbations: each
     ``(u, v, d)`` entry means the evaluated adjacency is ``csr`` with
@@ -378,18 +398,13 @@ def _scatter_pair_gradient(
     if rows.size == 0:
         return gradient
     n = csr.shape[0]
-    occurrences = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
-    by_row = occurrences[rows] >= occurrences[cols]
-    keys = np.where(by_row, rows, cols)
-    others = np.where(by_row, cols, rows)
-    # One stable sort groups the pairs by hub; walking the group boundaries
-    # keeps the whole scatter at O(|C| log |C| + U·m) instead of re-scanning
-    # all |C| pairs once per hub.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    for group in np.split(order, boundaries):
-        hub = int(keys[group[0]])
+    groups = _group_pairs(rows, cols, n)
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(groups.hubs)) + 1, [rows.size])
+    )
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = groups.order[lo:hi]
+        hub = int(groups.hubs[lo])
         hub_row = np.zeros(n)
         start, stop = csr.indptr[hub], csr.indptr[hub + 1]
         hub_row[csr.indices[start:stop]] = csr.data[start:stop]
@@ -407,12 +422,43 @@ def _scatter_pair_gradient(
             common_counts[v] += d * hub_row[u]
             common_weighted[u] += d * hub_row[v] * d_e[v]
             common_weighted[v] += d * hub_row[u] * d_e[u]
-        partners = others[group]
+        partners = groups.partners[lo:hi]
         gradient[group] += (
             (d_e[hub] + d_e[partners]) * common_counts[partners]
             + common_weighted[partners]
         )
     return gradient
+
+
+class _PairGroups(NamedTuple):
+    """Canonical pairs sorted into groups that share a hub endpoint."""
+
+    rows: np.ndarray  # the pairs, in the caller's order
+    cols: np.ndarray
+    order: np.ndarray  # stable permutation listing the pairs hub by hub
+    hubs: np.ndarray  # hub of each pair, in grouped order
+    partners: np.ndarray  # other endpoint of each pair, in grouped order
+
+
+def _group_pairs(rows: np.ndarray, cols: np.ndarray, n: int) -> _PairGroups:
+    """Group pairs by hub: the endpoint that occurs in more pairs (row on ties).
+
+    One stable sort groups the pairs, so a scatter walks the group
+    boundaries at O(|C| log |C|) instead of re-scanning all |C| pairs once
+    per hub.  Both gradient-scatter backends use this grouping; the sparse
+    engine computes it once per candidate set.
+    """
+    occurrences = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    by_row = occurrences[rows] >= occurrences[cols]
+    order = np.argsort(np.where(by_row, rows, cols), kind="stable")
+    rows_g, cols_g, by_row = rows[order], cols[order], by_row[order]
+    return _PairGroups(
+        rows=rows,
+        cols=cols,
+        order=order,
+        hubs=np.where(by_row, rows_g, cols_g),
+        partners=np.where(by_row, cols_g, rows_g),
+    )
 
 
 class _OLSFit(NamedTuple):
@@ -434,8 +480,8 @@ class _OLSFit(NamedTuple):
 def _fit_power_law_numpy(log_n: np.ndarray, log_e: np.ndarray, ridge: float) -> _OLSFit:
     """Numpy mirror of :func:`fit_power_law_tensor` (same operation order).
 
-    This is the single numpy copy of the closed-form fit: both the feature-
-    space loss and :func:`feature_gradients` consume it, so the bit-for-bit
+    This is the single numpy copy of the closed-form fit: the feature-space
+    loss and gradients (:func:`_loss_and_gradients`) consume it, so the bit-for-bit
     agreement with the autograd path has exactly two expressions to keep in
     sync (this one and ``fit_power_law_tensor``), not three.
     """
@@ -1311,36 +1357,45 @@ class SparseSurrogateEngine(SurrogateEngine):
                          time.perf_counter_ns() - start_ns)
         return values
 
+    def _on_state_reset(self) -> None:
+        # The hub grouping depends only on the candidate pairs: computed
+        # here once, not on every gradient scatter.
+        self._groups = _group_pairs(self.rows, self.cols, self.n)
+
     def _scatter(
         self,
         csr,
         d_n: np.ndarray,
         d_e: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
+        groups: _PairGroups,
         delta=(),
     ) -> np.ndarray:
         """Gradient scatter through the selected kernel backend.
 
-        The compiled kernel replicates the numpy reference's hub grouping
-        and summation order, so both paths return bit-identical gradients
-        (asserted by the kernel parity suite); unsorted-index matrices
-        (never produced by the engine's own materialisations) fall back to
-        the reference path, which tolerates them.
+        The compiled kernel adds the numpy reference's nonzero terms in the
+        same order, so both paths return bit-identical gradients (asserted
+        by the kernel parity suite); unsorted-index matrices (never
+        produced by the engine's own materialisations) fall back to the
+        reference path, which tolerates them.  While tracing, the compiled
+        path also counts the CSR entries it walked
+        (``kernels.scatter_gradient.entries``).
         """
         tracer = _telemetry.active_tracer()
         start_ns = time.perf_counter_ns() if tracer is not None else 0
+        entries = None
         if self._kt is not None and csr.has_sorted_indices:
-            gradient = self._kt.scatter_pair_gradient(
-                csr, d_n, d_e, rows, cols, delta=delta
+            gradient, entries = self._kt.scatter_pair_gradient(
+                csr, d_n, d_e, groups, delta=delta
             )
         else:
             gradient = _scatter_pair_gradient(
-                csr, d_n, d_e, rows, cols, delta=delta
+                csr, d_n, d_e, groups.rows, groups.cols, delta=delta
             )
         if tracer is not None:
-            tracer.count("kernels.scatter_gradient", int(rows.size),
+            tracer.count("kernels.scatter_gradient", int(groups.rows.size),
                          time.perf_counter_ns() - start_ns)
+            if entries is not None:
+                tracer.count("kernels.scatter_gradient.entries", entries)
         return gradient
 
     def current_loss(self) -> float:
@@ -1372,17 +1427,13 @@ class SparseSurrogateEngine(SurrogateEngine):
         # a single Python->C crossing; numpy: the historical per-flip loop).
         features.flip_batch(pairs)
         n_feature, e_feature = features.features()
-        loss = surrogate_loss_from_features(
+        loss, d_n, d_e = _loss_and_gradients(
             n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
-        )
-        d_n, d_e = feature_gradients(
-            n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
+            self.floor, self.ridge, self._weights,
         )
         features.rollback(len(delta))
         pair_gradient = self._scatter(
-            base_csr, d_n, d_e, self.rows, self.cols, delta=delta
+            base_csr, d_n, d_e, self._groups, delta=delta
         )
         # Straight-through chain: ∂L/∂Ż = (∂L/∂A_uv + ∂L/∂A_vu) · direction.
         return loss, pair_gradient * self.flip_direction, flip_mask
@@ -1411,16 +1462,12 @@ class SparseSurrogateEngine(SurrogateEngine):
         n_feature = np.asarray(matrix.sum(axis=1)).ravel()
         two_paths = (matrix @ matrix).multiply(matrix)
         e_feature = n_feature + 0.5 * np.asarray(two_paths.sum(axis=1)).ravel()
-        loss = surrogate_loss_from_features(
+        loss, d_n, d_e = _loss_and_gradients(
             n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
+            self.floor, self.ridge, self._weights,
         )
-        d_n, d_e = feature_gradients(
-            n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
-        )
-        gradient = self._scatter(matrix, d_n, d_e, self.rows, self.cols)
-        return float(loss), gradient
+        gradient = self._scatter(matrix, d_n, d_e, self._groups)
+        return loss, gradient
 
     def candidate_gradient(self) -> np.ndarray:
         """Closed-form gradient scattered onto the candidate pairs only."""
@@ -1435,7 +1482,7 @@ class SparseSurrogateEngine(SurrogateEngine):
             n_feature, e_feature, self._targets,
             floor=self.floor, ridge=self.ridge, weights=self._weights,
         )
-        return self._scatter(base, d_n, d_e, self.rows, self.cols, delta=delta)
+        return self._scatter(base, d_n, d_e, self._groups, delta=delta)
 
     def pair_gradient(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Closed-form gradient scattered onto arbitrary canonical pairs."""
@@ -1447,7 +1494,9 @@ class SparseSurrogateEngine(SurrogateEngine):
             n_feature, e_feature, self._targets,
             floor=self.floor, ridge=self.ridge, weights=self._weights,
         )
-        return self._scatter(base, d_n, d_e, rows, cols, delta=delta)
+        return self._scatter(
+            base, d_n, d_e, _group_pairs(rows, cols, self.n), delta=delta
+        )
 
     def degrees(self) -> np.ndarray:
         """Maintained degree vector — an O(n) copy of the N feature.

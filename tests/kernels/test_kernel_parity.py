@@ -15,8 +15,10 @@ from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.graph.sparse import egonet_features_sparse, to_sparse
 from repro.kernels import compiled_available, kernel_table
+from repro.attacks import BinarizedAttack
 from repro.oddball.surrogate import (
     SurrogateEngine,
+    _group_pairs,
     _scatter_pair_gradient,
 )
 
@@ -178,8 +180,61 @@ class TestToggleBatchParity:
             assert ref.degree(node) == fast.degree(node)
 
 
+def _compiled_scatter(csr, d_n, d_e, rows, cols, delta=()):
+    """``(gradient, entries walked)`` from the compiled scatter kernel."""
+    groups = _group_pairs(rows, cols, csr.shape[0])
+    return kernel_table().scatter_pair_gradient(
+        csr, d_n, d_e, groups, delta=delta
+    )
+
+
+def _walks(csr, rows, cols, delta=()):
+    """The walk the kernel's cost rule picks for each hub group.
+
+    One ``(branch, cost)`` per group: ``"pull"`` walks the partners' rows
+    (Σ deg(p)), ``"push"`` walks the rows of the hub's Δ-folded row
+    support (Σ deg(c)); the shorter walk wins, ties go to pull.  A push
+    whose accumulators are cleared by re-walking (2·cost ≤ n) is reported
+    as ``"push-rewalk"``.
+    """
+    n = csr.shape[0]
+    degree = np.diff(csr.indptr)
+    groups = _group_pairs(rows, cols, n)
+    walks = []
+    for hub in dict.fromkeys(groups.hubs.tolist()):
+        support = set(csr.indices[csr.indptr[hub]:csr.indptr[hub + 1]].tolist())
+        support |= {v if u == hub else u for u, v, _ in delta if hub in (u, v)}
+        push = int(sum(degree[c] for c in support))
+        pull = int(degree[groups.partners[groups.hubs == hub]].sum())
+        if push >= pull:
+            walks.append(("pull", pull))
+        else:
+            walks.append(("push" if 2 * push > n else "push-rewalk", push))
+    return walks
+
+
+def _incident_pairs(hub, partners):
+    """Canonical pairs joining ``hub`` to each of ``partners``."""
+    partners = np.asarray([p for p in partners if p != hub], dtype=np.int64)
+    hubs = np.full(partners.size, hub, dtype=np.int64)
+    return np.minimum(hubs, partners), np.maximum(hubs, partners)
+
+
+def _with_index_dtype(csr, index_dtype):
+    csr = csr.copy()
+    csr.indices = csr.indices.astype(index_dtype)
+    csr.indptr = csr.indptr.astype(index_dtype)
+    return csr
+
+
 class TestScatterGradientParity:
-    """``scatter_gradient`` against ``_scatter_pair_gradient``."""
+    """``scatter_gradient`` against ``_scatter_pair_gradient``.
+
+    The kernel picks a pull or a push walk per hub group; the cases below
+    are built so that each walk (and both ways of clearing the push
+    accumulators) runs, which the walked-entry count returned by the
+    kernel confirms against :func:`_walks`.
+    """
 
     KERNEL = "scatter_gradient"
 
@@ -191,13 +246,41 @@ class TestScatterGradientParity:
         d_e = rng.standard_normal(n)
         return csr, d_n, d_e, rows.astype(np.int64), cols.astype(np.int64)
 
+    def _check(self, csr, d_n, d_e, rows, cols, delta=()):
+        """Assert bit-identity; return the walks the kernel took."""
+        expected = _scatter_pair_gradient(csr, d_n, d_e, rows, cols, delta=delta)
+        got, entries = _compiled_scatter(csr, d_n, d_e, rows, cols, delta)
+        assert np.array_equal(got, expected)
+        walks = _walks(csr, rows, cols, delta)
+        assert entries == sum(cost for _, cost in walks)
+        return {branch for branch, _ in walks}
+
+    def _mixed_pairs(self, csr, rng):
+        """A push group (top hub, all partners), two re-walk push groups
+        (the two lowest-degree hubs, 60 partners each) and random pairs
+        (pull groups).  Push groups share the accumulators, so one that
+        failed to clear them would corrupt the next."""
+        n = csr.shape[0]
+        degree = np.diff(csr.indptr)
+        top = int(np.argmax(degree))
+        lows = np.argsort(
+            np.where(degree > 0, degree, degree.max() + 1), kind="stable"
+        )[:2].tolist()
+        parts = [_incident_pairs(top, range(n))]
+        parts += [
+            _incident_pairs(low, rng.choice(n, size=60, replace=False))
+            for low in lows
+        ]
+        parts.append(_pairs(n, rng, count=300))
+        rows = np.concatenate([r for r, _ in parts]).astype(np.int64)
+        cols = np.concatenate([c for _, c in parts]).astype(np.int64)
+        return rows, cols, top, lows[0]
+
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(5)
         for graph in _graphs():
             csr, d_n, d_e, rows, cols = self._inputs(graph, rng)
-            expected = _scatter_pair_gradient(csr, d_n, d_e, rows, cols)
-            got = kernel_table().scatter_pair_gradient(csr, d_n, d_e, rows, cols)
-            assert np.array_equal(got, expected)
+            assert "pull" in self._check(csr, d_n, d_e, rows, cols)
 
     def test_matches_numpy_reference_with_delta_overlay(self):
         rng = np.random.default_rng(6)
@@ -208,25 +291,120 @@ class TestScatterGradientParity:
                 (int(rows[1]), int(cols[1]), -1.0),
                 (3, 7, 1.0),
             ]
-            expected = _scatter_pair_gradient(
-                csr, d_n, d_e, rows, cols, delta=delta
-            )
-            got = kernel_table().scatter_pair_gradient(
-                csr, d_n, d_e, rows, cols, delta=delta
-            )
-            assert np.array_equal(got, expected)
+            self._check(csr, d_n, d_e, rows, cols, delta)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_one_target_all_partners_pushes(self, index_dtype):
+        rng = np.random.default_rng(7)
+        for graph in _graphs():
+            csr = _with_index_dtype(to_sparse(graph), index_dtype)
+            n = csr.shape[0]
+            hub = int(np.argmax(np.diff(csr.indptr)))
+            rows, cols = _incident_pairs(hub, range(n))
+            d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+            assert self._check(csr, d_n, d_e, rows, cols) == {"push"}
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_mixed_push_and_pull_in_one_call(self, index_dtype):
+        rng = np.random.default_rng(8)
+        csr = _with_index_dtype(
+            to_sparse(barabasi_albert(400, 2, rng=3)), index_dtype
+        )
+        n = csr.shape[0]
+        rows, cols, _, _ = self._mixed_pairs(csr, rng)
+        d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+        assert self._check(csr, d_n, d_e, rows, cols) == {
+            "push", "push-rewalk", "pull"
+        }
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_delta_overlays_on_both_walks(self, index_dtype):
+        rng = np.random.default_rng(9)
+        csr = _with_index_dtype(
+            to_sparse(barabasi_albert(400, 2, rng=3)), index_dtype
+        )
+        n = csr.shape[0]
+        rows, cols, top, low = self._mixed_pairs(csr, rng)
+        d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+        adjacency = csr.toarray()
+        non_nbr, nbr = [], []
+        for hub in (top, low):
+            nbr.append(int(np.flatnonzero(adjacency[hub])[0]))
+            row = adjacency[hub].copy()
+            row[hub] = 1.0  # never pair a hub with itself
+            non_nbr.append(int(np.flatnonzero(row == 0)[-1]))
+        delta = [
+            (top, non_nbr[0], 1.0),    # new hub neighbour
+            (top, nbr[0], -1.0),       # delete a hub neighbour
+            (low, non_nbr[1], 1.0),
+            (low, nbr[1], -1.0),
+            (int(rows[-1]), int(cols[-1]), 1.0),  # partners only
+            (int(rows[-2]), int(cols[-2]), -1.0),
+            (top, non_nbr[0], 1.0),    # repeated: d accumulates
+            (int(rows[-1]), int(cols[-1]), -1.0),
+        ]
+        delta = [(min(u, v), max(u, v), d) for u, v, d in delta]
+        assert self._check(csr, d_n, d_e, rows, cols, delta) == {
+            "push", "push-rewalk", "pull"
+        }
+
+    def test_readonly_mmap_store_csr(self, store):
+        csr = store.csr()
+        assert not csr.indices.flags.writeable
+        rng = np.random.default_rng(10)
+        n = csr.shape[0]
+        rows, cols, top, _ = self._mixed_pairs(csr, rng)
+        d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+        other = int(csr.indices[csr.indptr[top]])
+        delta = [(min(top, other), max(top, other), -1.0)]
+        branches = self._check(csr, d_n, d_e, rows, cols, delta)
+        assert "pull" in branches and branches & {"push", "push-rewalk"}
 
     def test_empty_candidates(self):
         csr = to_sparse(_graphs()[0])
         n = csr.shape[0]
-        out = kernel_table().scatter_pair_gradient(
+        out, entries = _compiled_scatter(
             csr,
             np.zeros(n),
             np.zeros(n),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-        assert out.size == 0
+        assert out.size == 0 and entries == 0
+
+    def test_relaxed_step_on_push_walk(self):
+        """The fractional base + overlay matrix is symmetric, so the push
+        walk over it matches the numpy engine bit for bit."""
+        for graph in _graphs():
+            csr = to_sparse(graph)
+            n = csr.shape[0]
+            hub = int(np.argmax(np.diff(csr.indptr)))
+            rows, cols = _incident_pairs(hub, range(n))
+            engines = [
+                SurrogateEngine.create(
+                    csr, [hub], (rows, cols), backend="sparse", kernels=kernels
+                )
+                for kernels in ("numpy", "compiled")
+            ]
+            base = engines[0].edge_values
+            values = np.clip(
+                base + np.linspace(-0.4, 0.4, rows.size), 0.0, 1.0
+            )
+            loss_ref, grad_ref = engines[0].relaxed_step(values)
+            loss_fast, grad_fast = engines[1].relaxed_step(values)
+            assert loss_ref == loss_fast
+            assert np.array_equal(grad_ref, grad_fast)
+            # The matrix relaxed_step scatters over, as the engine builds it.
+            delta = np.concatenate([values - base] * 2)
+            overlay = sparse.coo_matrix(
+                (delta, (np.concatenate([rows, cols]),
+                         np.concatenate([cols, rows]))),
+                shape=(n, n),
+            )
+            matrix = (csr + overlay).tocsr()
+            assert matrix.has_sorted_indices
+            assert (matrix != matrix.T).nnz == 0
+            assert {b for b, _ in _walks(matrix, rows, cols)} == {"push"}
 
 
 class TestEngineKernelParity:
@@ -267,3 +445,18 @@ class TestEngineKernelParity:
             assert np.array_equal(
                 ref.candidate_gradient(), fast.candidate_gradient()
             )
+
+    def test_binarized_attack_on_store_graph(self, store):
+        """target_incident candidates put every node in one group per
+        target — the push walk's regime — on a memory-mapped store CSR."""
+        targets = store.top_targets(2)
+        results = [
+            BinarizedAttack(
+                iterations=10, lambdas=(0.2, 0.05), backend="sparse",
+                kernels=kernels,
+            ).attack(store, targets, 3, candidates="target_incident")
+            for kernels in ("numpy", "compiled")
+        ]
+        assert results[0].flips_by_budget == results[1].flips_by_budget
+        assert results[0].surrogate_by_budget == results[1].surrogate_by_budget
+        assert len(results[1].flips()) == 3

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.graph.generators import barabasi_albert
+from repro.graph.sparse import to_sparse
+from repro.kernels import compiled_available
+from repro.oddball.surrogate import SurrogateEngine
 from repro.telemetry import tracer as tracer_module
 from repro.utils.timing import Timer, timed
 
@@ -91,6 +95,34 @@ class TestCounters:
             "trace": counters[0]["trace"], "worker": "main",
             "count": 5, "total_ns": 1000,
         }]
+
+    @pytest.mark.skipif(not compiled_available(), reason="no compiled kernels")
+    def test_scatter_counts_walked_entries(self, tmp_path):
+        """The compiled scatter reports the CSR entries it walked: for one
+        target with every other node as partner, the cheaper of the
+        target's two-hop volume (push) and the partners' rows (pull)."""
+        graph = barabasi_albert(80, 3, rng=11)
+        n, hub = graph.number_of_nodes, 0
+        rows = np.zeros(n - 1, dtype=np.intp)
+        cols = np.arange(1, n, dtype=np.intp)
+        engine = SurrogateEngine.create(
+            graph, [hub], (rows, cols), backend="sparse", kernels="compiled"
+        )
+        telemetry.configure(tmp_path, worker="main")
+        engine.candidate_gradient()
+        telemetry.shutdown()
+        counters = {
+            e["name"]: e["count"]
+            for e in telemetry.load_trace_dir(tmp_path)
+            if e["kind"] == "counter"
+        }
+        csr = to_sparse(graph)
+        degree = np.diff(csr.indptr)
+        push = int(degree[csr.indices[csr.indptr[hub]:csr.indptr[hub + 1]]].sum())
+        pull = int(degree[1:].sum())
+        assert push < pull
+        assert counters["kernels.scatter_gradient.entries"] == push
+        assert counters["kernels.scatter_gradient"] == n - 1
 
     def test_close_flushes_pending_counters(self, tmp_path):
         telemetry.configure(tmp_path, worker="main")
