@@ -105,12 +105,11 @@ def main() -> None:
     #                          under a second where the dense engine is
     #                          infeasible (see benchmarks/results/
     #                          BENCH_binarized_scaling.json).
-    #    * backend="auto"    — the default: dense below 1500 nodes (keeps
-    #                          the exact historical behaviour), sparse for
-    #                          scipy-sparse inputs or larger graphs.  Sparse
-    #                          inputs stay sparse end-to-end — through the
-    #                          attack, the AttackResult and its poisoned()
-    #                          graphs.
+    #    * backend="auto"    — the default: the sparse engine at every
+    #                          graph size (backend="dense" stays available
+    #                          as the reference).  Sparse inputs stay
+    #                          sparse end-to-end — through the attack, the
+    #                          AttackResult and its poisoned() graphs.
     #
     #    The backends agree on losses bit-for-bit and on gradients to
     #    round-off (the engine-parity suite in tests/ asserts it), so

@@ -29,10 +29,9 @@ Implementation notes
   flips back — O(Σ deg + n + |C|) per iteration instead of O(n³), which is
   what makes the attack feasible on sparse 10k+-node graphs.  The whole
   λ-sweep reuses ONE engine instance; no adjacency is ever rebuilt between
-  iterates.  ``backend="auto"`` (default) picks dense below
-  :data:`~repro.oddball.surrogate.AUTO_SPARSE_NODE_THRESHOLD` nodes and
-  sparse above it or for scipy-sparse inputs (which then stay sparse
-  end-to-end, including in the :class:`AttackResult`).
+  iterates.  ``backend="auto"`` (default) is the sparse engine at every
+  graph size; scipy-sparse inputs stay sparse end-to-end, including in
+  the :class:`AttackResult`.
 * Alg. 1 lines 16–19 ("pick out Ż = min L satisfying ΣZ = −b"): during the
   optimisation we record every iterate's discrete flip set (validated
   against the no-singleton rule) together with its surrogate loss; the
@@ -119,8 +118,8 @@ class BinarizedAttack(StructuralAttack):
         (see the module docstring); disable to run textbook Alg. 1 PGD.
     backend:
         Surrogate engine backend: ``"dense"`` (exact historical autograd
-        path), ``"sparse"`` (incremental features + rollback, for large or
-        scipy-sparse graphs) or ``"auto"`` (pick by input size/type).
+        path, the test reference), ``"sparse"`` (incremental features +
+        rollback) or ``"auto"`` (the sparse engine).
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy (PRBCD): the
         random block's size cap (default:
@@ -185,9 +184,7 @@ class BinarizedAttack(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        backend = engine.backend if engine is not None else resolve_backend(
-            self.backend, graph
-        )
+        backend = engine.backend if engine is not None else resolve_backend(self.backend)
         adjacency = self._adjacency_of(graph, allow_sparse=(backend == "sparse"))
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)

@@ -822,7 +822,7 @@ class AttackCampaign:
         self.kernels = validate_kernels(kernels)
         store_backed = hasattr(graph, "adjacency_csr")
         self._original = _normalize_graph(graph)
-        self.backend = resolve_backend(backend, self._original)
+        self.backend = resolve_backend(backend)
         if store_backed and self.backend != "sparse":
             # The dense engine would densify the mmap — 63 GB at the full
             # Blogcatalog scale — so fail up front on BOTH execution paths

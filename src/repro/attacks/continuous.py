@@ -10,12 +10,15 @@ optimisation yields erratic attacks — the rounding step can map a good
 fractional solution to an arbitrarily bad discrete one.
 
 The PGD loop runs through a
-:class:`~repro.oddball.surrogate.SurrogateEngine`: the dense backend replays
-the historical autograd pipeline (frozen non-candidate entries + symmetric
-scatter of the relaxed variables) bit-for-bit, while the sparse backend
-evaluates the fractional graph as ``A0 + Δ`` in CSR form — weighted egonet
-features plus the closed-form gradient scattered onto the candidate pairs —
-so the relaxation also runs on graphs the dense path cannot hold in memory.
+:class:`~repro.oddball.surrogate.SurrogateEngine`.  The fractional graph is
+the clean graph with the candidate entries frozen at zero plus a symmetric
+scatter of the relaxed variables.  The dense backend (explicit
+``backend="dense"``, the test reference) differentiates it with autograd.
+The sparse backend (``"auto"``) computes weighted egonet features and the
+closed-form pair gradient: on a dense n×n array when the candidates fill
+at least half the matrix (the ``full`` strategy), where its loss is
+bit-identical to the dense backend's, and in CSR otherwise, so the
+relaxation also runs on graphs the dense path cannot hold in memory.
 """
 
 from __future__ import annotations
@@ -87,9 +90,7 @@ class ContinuousA(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        backend = engine.backend if engine is not None else resolve_backend(
-            self.backend, graph
-        )
+        backend = engine.backend if engine is not None else resolve_backend(self.backend)
         adjacency = self._adjacency_of(graph, allow_sparse=(backend == "sparse"))
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)

@@ -310,7 +310,7 @@ class ParallelCampaignExecutor:
 
         self._graph_store = graph if isinstance(graph, GraphStore) else None
         self._original = _normalize_graph(graph)
-        self.backend = resolve_backend(backend, self._original)
+        self.backend = resolve_backend(backend)
         if self._graph_store is not None and self.backend != "sparse":
             raise ValueError(
                 "store-backed campaigns are sparse-only; "

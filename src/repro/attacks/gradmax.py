@@ -9,10 +9,10 @@ structural attacks use.
 
 Two execution paths back the greedy loop:
 
-* the **legacy dense loop** (``candidates=None`` with a dense-resolved
-  backend) — the seed implementation: a full autograd backward pass over
-  all ``n²`` entries per step, O(n³) work, exact;
-* the **engine loop** (any ``candidates``, any sparse-resolved backend) —
+* the **legacy dense loop** (``candidates=None`` with ``backend="dense"``)
+  — the seed implementation: a full autograd backward pass over all
+  ``n²`` entries per step, O(n³) work, exact;
+* the **engine loop** (any ``candidates``, or the default backend) —
   the greedy search runs through the shared
   :class:`~repro.oddball.surrogate.SurrogateEngine`.  With the sparse
   backend, egonet features are maintained incrementally at O(deg) per flip
@@ -20,7 +20,8 @@ Two execution paths back the greedy loop:
   step costs O(m + |C|) instead of O(n³); with the dense backend the engine
   gathers the full autograd gradient at the candidate pairs (the reference
   the parity suite checks against).  With the ``full`` strategy the engine
-  reproduces the dense path's flips bit-for-bit (equivalence-tested); with
+  reproduces the dense path's flips bit-for-bit (equivalence-tested; both
+  loops break round-off ties alike, see :data:`TIE_RTOL`); with
   ``target_incident``/``two_hop`` it prunes the search Nettack-style.
   Sparse adjacency inputs are supported and never densified by this path.
 """
@@ -49,6 +50,19 @@ __all__ = ["GradMaxSearch"]
 
 _log = get_logger("attacks.gradmax")
 
+#: Relative gap below which two gradient magnitudes count as tied.  Pairs
+#: that are interchangeable in exact arithmetic get gradients that differ
+#: only in the last bits, and the dense and sparse engines sum them in
+#: different orders; far above that round-off, far below a real gap.
+TIE_RTOL = 1e-9
+
+
+def _first_best(magnitude: np.ndarray) -> int:
+    """Flat index of the first entry tied (within :data:`TIE_RTOL`) with
+    the largest, so round-off cannot decide between tied pairs."""
+    best = magnitude.max()
+    return int(np.argmax(magnitude >= best - TIE_RTOL * best))
+
 
 class GradMaxSearch(StructuralAttack):
     """Greedy structural attack driven by per-step adjacency gradients.
@@ -60,10 +74,10 @@ class GradMaxSearch(StructuralAttack):
         :mod:`repro.oddball.surrogate`); used consistently for both the
         gradients and the per-budget surrogate bookkeeping.
     backend:
-        Surrogate engine backend.  ``"auto"`` keeps the historical
-        behaviour: the legacy dense loop for small dense inputs without
-        ``candidates``, the sparse-incremental engine whenever a candidate
-        set is given, the graph is scipy-sparse, or it is large.
+        Surrogate engine backend.  ``"auto"`` (like ``"sparse"``) runs the
+        sparse-incremental engine, over every pair when no ``candidates``
+        are given; ``"dense"`` without ``candidates`` runs the legacy
+        dense loop.
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy (PRBCD random
         block with gradient resampling); part of the attack's campaign-job
@@ -105,19 +119,14 @@ class GradMaxSearch(StructuralAttack):
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         # An injected shared engine (campaign path) is retargeted in place
-        # and always drives the engine loop.  Otherwise: a candidate set
-        # always means the pruned engine; else fall back to the backend rule
-        # (sparse/large inputs get the engine over the full pair set, small
-        # dense inputs keep the legacy dense loop).
+        # and always drives the engine loop.  Otherwise only an explicit
+        # dense backend without candidates keeps the legacy dense loop.
         if engine is not None:
             return self._attack_engine(
                 graph, targets, budget, target_weights, candidates,
                 engine.backend, engine=engine,
             )
-        if candidates is not None and self.backend == "auto":
-            backend = "sparse"
-        else:
-            backend = resolve_backend(self.backend, graph)
+        backend = resolve_backend(self.backend)
         if candidates is None and backend == "dense":
             return self._attack_dense(graph, targets, budget, target_weights)
         return self._attack_engine(
@@ -158,7 +167,7 @@ class GradMaxSearch(StructuralAttack):
                 _log.debug("no valid flip left after %d steps", step)
                 break
             magnitude = np.where(valid, np.abs(gradient), -np.inf)
-            flat = int(np.argmax(magnitude))
+            flat = _first_best(magnitude)
             u, v = divmod(flat, n)
             pair = (u, v) if u < v else (v, u)
             new_value = 1.0 - current[u, v]
@@ -239,7 +248,7 @@ class GradMaxSearch(StructuralAttack):
                 _log.debug("no valid candidate flip left after %d steps", step)
                 break
             magnitude = np.where(valid, np.abs(gradient), -np.inf)
-            k = int(np.argmax(magnitude))
+            k = _first_best(magnitude)
             u, v = int(rows[k]), int(cols[k])
             engine.apply_flip(u, v)
             modified[k] = True

@@ -11,14 +11,14 @@ Each driver returns a JSON-serialisable payload and a formatted text block;
 the runner prints the text and optionally persists the payload.
 
 ``--backend {auto,dense,sparse}`` selects the surrogate engine for the
-attack-driven figures (fig4, fig5) and ``--candidates
+attack-driven figures (fig4, fig5); ``auto`` is the sparse engine and
+``dense`` the autograd reference.  ``--candidates
 {target_incident,two_hop,adaptive}`` optionally prunes their decision
-variables.  At large n use both: the sparse engine removes the O(n³)
-forward pass and the candidate strategy removes the O(n²) pair arrays —
-e.g.::
+variables.  At large n add a strategy: the sparse engine removes the
+O(n³) forward pass and the candidate strategy removes the O(n²) pair
+arrays — e.g.::
 
-    python -m repro.experiments.runner -e fig4 --backend sparse \
-        --candidates target_incident
+    python -m repro.experiments.runner -e fig4 --candidates target_incident
 
 ``--kernels {auto,numpy,compiled}`` sets the process-wide default for the
 hot-loop kernel backend (:mod:`repro.kernels`); flip sets are bit-identical

@@ -16,7 +16,6 @@ from repro.oddball.scores import (
     score_from_features,
 )
 from repro.oddball.surrogate import (
-    AUTO_SPARSE_NODE_THRESHOLD,
     SURROGATE_BACKENDS,
     DenseSurrogateEngine,
     SparseSurrogateEngine,
@@ -32,7 +31,6 @@ from repro.oddball.surrogate import (
 )
 
 __all__ = [
-    "AUTO_SPARSE_NODE_THRESHOLD",
     "DEFAULT_RIDGE",
     "DenseSurrogateEngine",
     "DetectionReport",

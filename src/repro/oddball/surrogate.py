@@ -30,27 +30,24 @@ interface the attacks drive their optimisation loops through.  Two
 interchangeable backends exist:
 
 * :class:`DenseSurrogateEngine` (``backend="dense"``) replays the exact
-  autograd op sequence the attacks historically used — it is the
-  *reference* implementation, bit-for-bit identical to the pre-engine
-  behaviour, but O(n³) per forward and O(n²) in memory;
-* :class:`SparseSurrogateEngine` (``backend="sparse"``) never materialises
-  a dense matrix: it maintains ``(N, E)`` with
+  autograd op sequence the attacks historically used.  It is the
+  *reference* the parity suites compare against — O(n³) per forward,
+  O(n²) in memory — and runs only when requested explicitly;
+* :class:`SparseSurrogateEngine` (``backend="sparse"``) maintains
+  ``(N, E)`` with
   :class:`~repro.graph.incremental.IncrementalEgonetFeatures`, evaluates
   each discrete iterate by *applying* its flip set (O(deg) per flip),
   scoring from features (O(n)) and *rolling the flips back*, and produces
   the straight-through gradient by scattering the closed-form per-pair
   derivatives onto the candidate set only.  BinarizedAttack's whole λ-sweep
-  runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration,
-  which is what makes the attack feasible on 10k+-node graphs.
+  runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration.
 
-``backend="auto"`` (the default everywhere) picks the sparse backend for
-scipy-sparse inputs and for graphs with at least
-:data:`AUTO_SPARSE_NODE_THRESHOLD` nodes, and the dense reference backend
-otherwise — so small dense call sites keep their historical bit-for-bit
-behaviour while large or sparse inputs transparently get the O(m) path.
-The backends agree to floating-point round-off (loss values are
-bit-identical; gradients differ only in summation order — see the
-engine-parity suite in ``tests/oddball/test_engine.py``).
+``backend="auto"`` (the default everywhere) always resolves to the sparse
+engine: one closed-form gradient algebra serves every graph size, and the
+autograd engine is kept as the test oracle.  The backends agree to
+floating-point round-off (loss values are bit-identical; gradients differ
+only in summation order — see the engine-parity suite in
+``tests/oddball/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -70,7 +67,6 @@ from repro.kernels import validate_kernels
 from repro.oddball.regression import DEFAULT_RIDGE, fit_power_law_tensor
 
 __all__ = [
-    "AUTO_SPARSE_NODE_THRESHOLD",
     "DenseSurrogateEngine",
     "EngineSpec",
     "SURROGATE_BACKENDS",
@@ -89,10 +85,6 @@ __all__ = [
 
 #: Recognised values of the ``backend`` argument threaded through the attacks.
 SURROGATE_BACKENDS = ("auto", "dense", "sparse")
-
-#: ``backend="auto"`` switches to the sparse-incremental engine at this many
-#: nodes (dense inputs below it keep the bit-for-bit dense reference path).
-AUTO_SPARSE_NODE_THRESHOLD = 1500
 
 
 def log_features(adjacency: Tensor, floor: float = 1.0) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -382,50 +374,68 @@ def _scatter_pair_gradient(
 
     The pull-form parity oracle of the compiled ``scatter_gradient``
     kernel.  Pairs are grouped by their more-frequent endpoint
-    (:func:`_group_pairs`); here each group costs two O(m) sparse
-    mat-vecs against the dense hub row, so target-incident candidate sets
-    need only |T| passes over the edge list.  (The compiled kernel walks
-    only the partners' rows or the hub's two-hop ball instead.)
+    (:func:`_group_pairs`).  The dense hub rows are stacked as the columns
+    of n×b blocks, ``b = max(1, (|C| + n) // n)``, so a block never holds
+    more floats than the candidate arrays plus one n-vector.  Each block
+    costs two O(m·b) sparse multi-vector products (``csr @ block`` and
+    ``csr @ (block · d_e)``): the flops of two O(m) mat-vecs per hub, in
+    ⌈hubs / b⌉ Python steps instead of one per hub.  scipy accumulates
+    each column of a multi-vector product in the order of the single
+    mat-vec, so the result is bit-identical to the per-hub form.  (The
+    compiled kernel walks only the partners' rows or the hub's two-hop
+    ball instead.)
 
     ``delta`` is an optional overlay of symmetric perturbations: each
     ``(u, v, d)`` entry means the evaluated adjacency is ``csr`` with
     ``A[u, v] = A[v, u] = csr[u, v] + d``.  The sparse engine uses it to
     evaluate the gradient at a transiently-flipped graph without rebuilding
-    the CSR — the overlay is folded into the hub rows and mat-vec results
-    in O(|delta|) extra work per hub.
+    the CSR — the overlay is folded into the hub rows and product results
+    in O(|delta|·b) extra work per block.
     """
     gradient = d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
     if rows.size == 0:
         return gradient
     n = csr.shape[0]
     groups = _group_pairs(rows, cols, n)
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(np.diff(groups.hubs)) + 1, [rows.size])
-    )
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        group = groups.order[lo:hi]
-        hub = int(groups.hubs[lo])
-        hub_row = np.zeros(n)
-        start, stop = csr.indptr[hub], csr.indptr[hub + 1]
-        hub_row[csr.indices[start:stop]] = csr.data[start:stop]
+    starts = np.flatnonzero(np.r_[True, np.diff(groups.hubs) != 0])
+    hubs = groups.hubs[starts]
+    # Position in ``hubs`` of each grouped pair's hub.
+    hub_index = np.repeat(np.arange(hubs.size), np.diff(np.r_[starts, rows.size]))
+    width = max(1, (rows.size + n) // n)
+    for first in range(0, hubs.size, width):
+        block_hubs = hubs[first:first + width]
+        columns = np.arange(block_hubs.size)
+        # Gather the hubs' CSR rows into the block's columns.
+        lo = csr.indptr[block_hubs]
+        lengths = csr.indptr[block_hubs + 1] - lo
+        entries = np.arange(lengths.sum()) + np.repeat(
+            lo - (np.cumsum(lengths) - lengths), lengths
+        )
+        block = np.zeros((n, block_hubs.size))
+        block[csr.indices[entries], np.repeat(columns, lengths)] = csr.data[entries]
+        column_of = dict(zip(block_hubs.tolist(), columns.tolist()))
         for u, v, d in delta:
-            if u == hub:
-                hub_row[v] += d
-            elif v == hub:
-                hub_row[u] += d
-        common_counts = csr @ hub_row
-        common_weighted = csr @ (hub_row * d_e)
-        # Fold the Δ part of (csr + Δ) @ x into the mat-vec results:
-        # (Δ x)[u] = d·x[v] and (Δ x)[v] = d·x[u] for each overlay entry.
+            if u in column_of:
+                block[v, column_of[u]] += d
+            if v in column_of:
+                block[u, column_of[v]] += d
+        common_counts = csr @ block
+        common_weighted = csr @ (block * d_e[:, None])
+        # Fold the Δ part of (csr + Δ) @ X into the product results:
+        # (Δ X)[u] = d·X[v] and (Δ X)[v] = d·X[u] for each overlay entry.
         for u, v, d in delta:
-            common_counts[u] += d * hub_row[v]
-            common_counts[v] += d * hub_row[u]
-            common_weighted[u] += d * hub_row[v] * d_e[v]
-            common_weighted[v] += d * hub_row[u] * d_e[u]
-        partners = groups.partners[lo:hi]
-        gradient[group] += (
-            (d_e[hub] + d_e[partners]) * common_counts[partners]
-            + common_weighted[partners]
+            common_counts[u] += d * block[v]
+            common_counts[v] += d * block[u]
+            common_weighted[u] += d * block[v] * d_e[v]
+            common_weighted[v] += d * block[u] * d_e[u]
+        pair_lo = starts[first]
+        pair_hi = starts[first + width] if first + width < hubs.size else rows.size
+        partners = groups.partners[pair_lo:pair_hi]
+        column = hub_index[pair_lo:pair_hi] - first
+        gradient[groups.order[pair_lo:pair_hi]] += (
+            (d_e[groups.hubs[pair_lo:pair_hi]] + d_e[partners])
+            * common_counts[partners, column]
+            + common_weighted[partners, column]
         )
     return gradient
 
@@ -547,25 +557,15 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def resolve_backend(backend: str, graph) -> str:
+def resolve_backend(backend: str) -> str:
     """Resolve a ``backend`` argument to ``"dense"`` or ``"sparse"``.
 
-    ``"auto"`` picks ``"sparse"`` for scipy-sparse inputs and for graphs
-    with at least :data:`AUTO_SPARSE_NODE_THRESHOLD` nodes; everything else
-    keeps the bit-for-bit dense reference path.  ``graph`` may be a dense
-    array, a scipy sparse matrix, or any object exposing ``shape`` or
-    ``number_of_nodes``.
+    ``"auto"`` is ``"sparse"`` whatever the graph: the closed-form engine
+    serves all graph sizes, and the dense autograd reference runs only
+    when requested explicitly.
     """
     validate_backend(backend)
-    if backend != "auto":
-        return backend
-    if _sparse.issparse(graph):
-        return "sparse"
-    if hasattr(graph, "shape"):
-        n = int(graph.shape[0])
-    else:
-        n = int(graph.number_of_nodes)
-    return "sparse" if n >= AUTO_SPARSE_NODE_THRESHOLD else "dense"
+    return "sparse" if backend == "auto" else backend
 
 
 class EngineSpec(NamedTuple):
@@ -632,12 +632,12 @@ class EngineSpec(NamedTuple):
     ) -> "EngineSpec":
         """Capture a graph (dense array or scipy sparse) as an engine spec.
 
-        ``backend="auto"`` is resolved against the graph here, once, so
-        every consumer of the spec agrees on the engine class.  ``kernels``
+        ``backend="auto"`` is resolved here, once, so every consumer of
+        the spec agrees on the engine class.  ``kernels``
         is carried as requested and resolved per worker (see the class
         docstring).
         """
-        resolved = resolve_backend(backend, graph)
+        resolved = resolve_backend(backend)
         validate_kernels(kernels)
         if _sparse.issparse(graph):
             csr = graph.tocsr()
@@ -789,7 +789,7 @@ class SurrogateEngine(abc.ABC):
         pair.  ``kernels`` selects the hot-kernel backend for the sparse
         engine's flip/score/gradient primitives (:mod:`repro.kernels`).
         """
-        resolved = resolve_backend(backend, graph)
+        resolved = resolve_backend(backend)
         engine_cls = DenseSurrogateEngine if resolved == "dense" else SparseSurrogateEngine
         return engine_cls(
             graph, targets, candidates, floor=floor, ridge=ridge, weights=weights,
@@ -1066,9 +1066,9 @@ class DenseSurrogateEngine(SurrogateEngine):
     Replays exactly the op sequence the attacks used before the engine
     existed, so its losses, gradients and flip decisions are bit-for-bit
     identical to the historical behaviour (the equivalence suite asserts
-    this).  O(n³) per forward, O(n²) memory — the right choice below
-    :data:`AUTO_SPARSE_NODE_THRESHOLD` nodes, and the oracle the sparse
-    backend is tested against.
+    this).  O(n³) per forward, O(n²) memory.  It is the oracle the sparse
+    backend is tested against and runs only for an explicit
+    ``backend="dense"``; ``"auto"`` never selects it.
     """
 
     backend = "dense"
@@ -1201,6 +1201,7 @@ class DenseSurrogateEngine(SurrogateEngine):
         """Toggle ``{u, v}`` transiently (O(1); undone by :meth:`pop_flips`)."""
         self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
         self._transient.append((u, v))
+        self._frozen = None
 
     def pop_flips(self, count: int) -> None:
         """Undo the last ``count`` transient flips exactly (O(1) each)."""
@@ -1211,6 +1212,7 @@ class DenseSurrogateEngine(SurrogateEngine):
         for _ in range(count):
             u, v = self._transient.pop()
             self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
+        self._frozen = None
 
     def apply_flip(self, u: int, v: int) -> None:
         """Toggle ``{u, v}`` permanently (logged for :meth:`restore`)."""
@@ -1218,6 +1220,7 @@ class DenseSurrogateEngine(SurrogateEngine):
             raise RuntimeError("cannot apply a permanent flip with transient flips pending")
         self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
         self._permanent.append((u, v))
+        self._frozen = None
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbour ids of ``u`` in the current graph."""
@@ -1361,6 +1364,7 @@ class SparseSurrogateEngine(SurrogateEngine):
         # The hub grouping depends only on the candidate pairs: computed
         # here once, not on every gradient scatter.
         self._groups = _group_pairs(self.rows, self.cols, self.n)
+        self._frozen = None
 
     def _scatter(
         self,
@@ -1439,35 +1443,93 @@ class SparseSurrogateEngine(SurrogateEngine):
         return loss, pair_gradient * self.flip_direction, flip_mask
 
     def relaxed_step(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """ContinuousA iterate on the fractional graph ``A0 + Δ``, in CSR."""
+        """ContinuousA iterate at the fractional graph: the current graph
+        with each candidate entry replaced by its entry of ``values``.
+
+        When the candidate overlay fills at least half the matrix
+        (``2·|C| ≥ n²/2``, e.g. the ``full`` strategy) the iterate is
+        evaluated on a dense n×n array.  At that fill the overlay's CSR
+        already takes as much memory as the array, and sparse-times-sparse
+        products on it cost several times a BLAS product.  Below it the
+        iterate is evaluated in CSR.
+        """
+        return self._relaxed_step(
+            values, dense=4 * self.rows.size >= self.n * self.n
+        )
+
+    def _relaxed_step(
+        self, values: np.ndarray, dense: bool
+    ) -> tuple[float, np.ndarray]:
+        """:meth:`relaxed_step` on the dense-array or the CSR branch."""
         values = np.asarray(values, dtype=np.float64)
-        base = self._features.adjacency_csr()
-        if self.rows.size:
-            delta = values - self._edge_values
+        rows, cols = self.rows, self.cols
+        frozen = self._frozen_base(dense)
+        # Weighted egonet features: N = row sums, E = N + ½ diag(A³); the
+        # validated binary kernel cannot be used on a fractional matrix.
+        if dense:
+            # The dense reference's frozen + scatter and its op order in
+            # egonet_features_tensor, so the loss is bit-identical to it.
+            matrix = frozen.copy()
+            matrix[rows, cols] = matrix[cols, rows] = values
+            n_feature = matrix.sum(axis=1)
+            two_paths = matrix @ matrix
+            e_feature = n_feature + 0.5 * (two_paths * matrix).sum(axis=1)
+        else:
             overlay = _sparse.coo_matrix(
                 (
-                    np.concatenate([delta, delta]),
-                    (
-                        np.concatenate([self.rows, self.cols]),
-                        np.concatenate([self.cols, self.rows]),
-                    ),
+                    np.concatenate([values, values]),
+                    (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
                 ),
                 shape=(self.n, self.n),
             )
-            matrix = (base + overlay).tocsr()
-        else:
-            matrix = base
-        # Weighted egonet features: N = row sums, E = N + ½ diag(A³); the
-        # validated binary kernel cannot be used on a fractional matrix.
-        n_feature = np.asarray(matrix.sum(axis=1)).ravel()
-        two_paths = (matrix @ matrix).multiply(matrix)
-        e_feature = n_feature + 0.5 * np.asarray(two_paths.sum(axis=1)).ravel()
+            matrix = (frozen + overlay).tocsr()
+            n_feature = np.asarray(matrix.sum(axis=1)).ravel()
+            two_paths = (matrix @ matrix).multiply(matrix)
+            e_feature = n_feature + 0.5 * np.asarray(two_paths.sum(axis=1)).ravel()
         loss, d_n, d_e = _loss_and_gradients(
             n_feature, e_feature, self._targets,
             self.floor, self.ridge, self._weights,
         )
-        gradient = self._scatter(matrix, d_n, d_e, self._groups)
+        if not dense:
+            return loss, self._scatter(matrix, d_n, d_e, self._groups)
+        # The pair gradient of adjacency_gradient, its common-neighbour
+        # sums read off A² and A·diag(∂L/∂E)·A.
+        weighted = (matrix * d_e) @ matrix
+        gradient = (
+            d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
+            + (d_e[rows] + d_e[cols]) * two_paths[rows, cols]
+            + weighted[rows, cols]
+        )
         return loss, gradient
+
+    def _frozen_base(self, dense: bool):
+        """The current graph with the candidate entries blanked, cached.
+
+        A dense array for the dense branch of :meth:`relaxed_step`, else a
+        CSR.  The cache is dropped with the candidate set
+        (:meth:`_on_state_reset`) and keyed on the feature engine's CSR,
+        which is a new object whenever the graph has changed.
+        """
+        base = self._features.adjacency_csr()
+        cached = self._frozen
+        if cached is not None and cached[0] is base and cached[1] == dense:
+            return cached[2]
+        n, rows, cols = self.n, self.rows, self.cols
+        base_rows = np.repeat(np.arange(n), np.diff(base.indptr))
+        if dense:
+            frozen = np.zeros((n, n))
+            frozen[base_rows, base.indices] = base.data
+            frozen[rows, cols] = frozen[cols, rows] = 0.0
+        else:
+            keys = (
+                np.minimum(base_rows, base.indices) * n
+                + np.maximum(base_rows, base.indices)
+            )
+            frozen = base.copy()
+            frozen.data[np.isin(keys, rows * n + cols)] = 0.0
+            frozen.eliminate_zeros()
+        self._frozen = (base, dense, frozen)
+        return frozen
 
     def candidate_gradient(self) -> np.ndarray:
         """Closed-form gradient scattered onto the candidate pairs only."""

@@ -6,6 +6,7 @@ Every sparse-side run executes under the :func:`forbid_densify` runtime guard,
 so "stays sparse" is enforced by a tripwire, not just asserted after the fact.
 """
 
+import numpy as np
 import pytest
 from scipy import sparse
 
@@ -18,6 +19,7 @@ from repro.attacks import (
     OddBallHeuristic,
     RandomAttack,
 )
+from repro.attacks.gradmax import _first_best
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.oddball.detector import OddBall
 
@@ -56,10 +58,10 @@ class TestBinarizedBackendParity:
                 fast.surrogate_by_budget[budget], rel=1e-9
             )
 
-    def test_auto_on_small_dense_graph_is_dense(self, graph_and_targets):
+    def test_auto_on_small_dense_graph_is_sparse(self, graph_and_targets):
         graph, targets = graph_and_targets
         result = BinarizedAttack(iterations=10).attack(graph, targets, budget=2)
-        assert result.metadata["backend"] == "dense"
+        assert result.metadata["backend"] == "sparse"
 
     def test_sparse_input_stays_sparse(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -155,12 +157,30 @@ class TestGradMaxBackendParity:
         """backend="sparse" + no candidates runs the engine over the full
         pair set and must reproduce the legacy dense loop's flips."""
         graph, targets = graph_and_targets
-        legacy = GradMaxSearch().attack(graph, targets, budget=5)
+        legacy = GradMaxSearch(backend="dense").attack(graph, targets, budget=5)
         with forbid_densify(context="gradmax full-pair parity"):
             fast = GradMaxSearch(backend="sparse").attack(graph, targets, budget=5)
         assert legacy.metadata["engine"] == "dense"
         assert fast.metadata["engine"] == "candidates"
         assert legacy.flips_by_budget == fast.flips_by_budget
+
+    @pytest.mark.parametrize("seed", [1, 17, 23])
+    def test_round_off_ties_pick_the_same_pair(self, seed):
+        """On these graphs a greedy step meets pairs whose gradients are
+        equal in exact arithmetic; the engines' round-off orders them
+        differently, and the tie rule must still pick the same flips."""
+        graph = erdos_renyi(40, 0.08, rng=seed)
+        targets = _targets(graph)
+        legacy = GradMaxSearch(backend="dense").attack(graph, targets, budget=8)
+        fast = GradMaxSearch(backend="sparse").attack(graph, targets, budget=8)
+        assert legacy.flips_by_budget == fast.flips_by_budget
+
+    def test_tie_rule_takes_first_of_tied_and_keeps_real_gaps(self):
+        magnitude = np.array([0.5, 2.0, np.nextafter(2.0, 3.0), -np.inf])
+        assert _first_best(magnitude) == 1
+        magnitude[1] = 2.0 * (1.0 - 1e-6)
+        assert _first_best(magnitude) == 2
+        assert _first_best(np.array([[0.0, 1.0], [1.0, 0.0]])) == 1
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

@@ -188,6 +188,36 @@ def _compiled_scatter(csr, d_n, d_e, rows, cols, delta=()):
     )
 
 
+def _per_hub_scatter(csr, d_n, d_e, rows, cols, delta=()):
+    """Per-hub form of ``_scatter_pair_gradient``: two O(m) mat-vecs
+    against each dense hub row, with the Δ overlay folded in per hub."""
+    gradient = d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
+    n = csr.shape[0]
+    groups = _group_pairs(rows, cols, n)
+    for hub in dict.fromkeys(groups.hubs.tolist()):
+        in_group = groups.hubs == hub
+        hub_row = np.zeros(n)
+        start, stop = csr.indptr[hub], csr.indptr[hub + 1]
+        hub_row[csr.indices[start:stop]] = csr.data[start:stop]
+        for u, v, d in delta:
+            if u == hub:
+                hub_row[v] += d
+            elif v == hub:
+                hub_row[u] += d
+        counts = csr @ hub_row
+        weighted = csr @ (hub_row * d_e)
+        for u, v, d in delta:
+            counts[u] += d * hub_row[v]
+            counts[v] += d * hub_row[u]
+            weighted[u] += d * hub_row[v] * d_e[v]
+            weighted[v] += d * hub_row[u] * d_e[u]
+        partners = groups.partners[in_group]
+        gradient[groups.order[in_group]] += (
+            (d_e[hub] + d_e[partners]) * counts[partners] + weighted[partners]
+        )
+    return gradient
+
+
 def _walks(csr, rows, cols, delta=()):
     """The walk the kernel's cost rule picks for each hub group.
 
@@ -247,8 +277,12 @@ class TestScatterGradientParity:
         return csr, d_n, d_e, rows.astype(np.int64), cols.astype(np.int64)
 
     def _check(self, csr, d_n, d_e, rows, cols, delta=()):
-        """Assert bit-identity; return the walks the kernel took."""
+        """Assert bit-identity of the kernel, the blocked numpy scatter and
+        the per-hub loop; return the walks the kernel took."""
         expected = _scatter_pair_gradient(csr, d_n, d_e, rows, cols, delta=delta)
+        assert np.array_equal(
+            expected, _per_hub_scatter(csr, d_n, d_e, rows, cols, delta)
+        )
         got, entries = _compiled_scatter(csr, d_n, d_e, rows, cols, delta)
         assert np.array_equal(got, expected)
         walks = _walks(csr, rows, cols, delta)
@@ -348,6 +382,37 @@ class TestScatterGradientParity:
             "push", "push-rewalk", "pull"
         }
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_numpy_blocks_with_delta_on_several_blocks(self, index_dtype):
+        """More hubs than one numpy block holds, with Δ entries on hubs in
+        different blocks (one entry joins two of them)."""
+        rng = np.random.default_rng(12)
+        csr = _with_index_dtype(
+            to_sparse(barabasi_albert(400, 2, rng=3)), index_dtype
+        )
+        n = csr.shape[0]
+        rows, cols = _pairs(n, rng, count=600)
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        hubs = list(dict.fromkeys(_group_pairs(rows, cols, n).hubs.tolist()))
+        width = max(1, (rows.size + n) // n)  # _scatter_pair_gradient's block
+        picked = [hubs[0], hubs[len(hubs) // 2], hubs[-1]]
+        assert len({hubs.index(h) // width for h in picked}) == 3
+        adjacency = csr.toarray()
+
+        def toggle(u, v):
+            u, v = min(u, v), max(u, v)
+            return (u, v, -1.0 if adjacency[u, v] else 1.0)
+
+        nbr = int(csr.indices[csr.indptr[picked[2]]])
+        delta = [
+            toggle(picked[0], picked[1]),
+            toggle(picked[2], nbr),
+            toggle(picked[1], (picked[1] + 7) % n),
+            toggle(picked[0], picked[1]),  # repeated: d accumulates
+        ]
+        d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+        self._check(csr, d_n, d_e, rows, cols, delta)
+
     def test_readonly_mmap_store_csr(self, store):
         csr = store.csr()
         assert not csr.indices.flags.writeable
@@ -394,14 +459,15 @@ class TestScatterGradientParity:
             loss_fast, grad_fast = engines[1].relaxed_step(values)
             assert loss_ref == loss_fast
             assert np.array_equal(grad_ref, grad_fast)
-            # The matrix relaxed_step scatters over, as the engine builds it.
-            delta = np.concatenate([values - base] * 2)
+            # The matrix relaxed_step scatters over, as the engine builds
+            # it on its CSR branch: the frozen base plus the values.
             overlay = sparse.coo_matrix(
-                (delta, (np.concatenate([rows, cols]),
-                         np.concatenate([cols, rows]))),
+                (np.concatenate([values, values]),
+                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                 shape=(n, n),
             )
-            matrix = (csr + overlay).tocsr()
+            frozen = engines[0]._frozen_base(dense=False)
+            matrix = (frozen + overlay).tocsr()
             assert matrix.has_sorted_indices
             assert (matrix != matrix.T).nnz == 0
             assert {b for b, _ in _walks(matrix, rows, cols)} == {"push"}
