@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.attacks import ParallelCampaignExecutor, grid_jobs
+from repro.attacks import SchedulingCampaignExecutor, grid_jobs
 from repro.kernels import compiled_available
 from repro.store import build_store
 
@@ -63,7 +63,7 @@ def _attack_jobs(attack, targets, *, candidates, **params):
 
 
 def _run_jobs(store, jobs) -> dict:
-    executor = ParallelCampaignExecutor(
+    executor = SchedulingCampaignExecutor(
         store, workers=_WORKERS, backend="sparse", kernels=_KERNELS
     )
     start = time.perf_counter()

@@ -40,10 +40,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 from scipy import sparse
 
-from repro.attacks import ParallelCampaignExecutor, grid_jobs
+from repro.attacks import SchedulingCampaignExecutor, grid_jobs
 from repro.store import build_store
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_store.json"
@@ -56,7 +55,7 @@ _FULL_NODES = 88_800  # the blogcatalog-full recipe's node count
 
 
 def _run_path(graph, jobs) -> dict:
-    executor = ParallelCampaignExecutor(graph, workers=_WORKERS, backend="sparse")
+    executor = SchedulingCampaignExecutor(graph, workers=_WORKERS, backend="sparse")
     start = time.perf_counter()
     result = executor.run(jobs)
     seconds = time.perf_counter() - start

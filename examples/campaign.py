@@ -113,13 +113,13 @@ def main() -> None:
     print(f"\nbest job: {best.job.attack} on target {list(best.job.targets)} "
           f"(tau {best.score_decrease:.1%}, flips {result.flips()})")
 
-    # 6. The same grid shards across worker processes (one engine per
-    #    worker) with bit-identical results — the multiplier for Fig. 4-
-    #    scale sweeps.  See benchmarks/bench_parallel_campaign.py and
+    # 6. The same grid drains on worker processes (one engine per worker,
+    #    jobs claimed from a shared lease queue) with bit-identical results
+    #    — the multiplier for Fig. 4-scale sweeps.  See
     #    `python -m repro.experiments.runner --workers N`.
-    from repro.attacks import ParallelCampaignExecutor
+    from repro.attacks import SchedulingCampaignExecutor
 
-    parallel = ParallelCampaignExecutor(graph, workers=2, backend="sparse").run(jobs)
+    parallel = SchedulingCampaignExecutor(graph, workers=2, backend="sparse").run(jobs)
     assert [o.flips for o in parallel] == [o.flips for o in sweep]
     print(f"parallel executor (2 workers): {len(parallel)} jobs, "
           f"flips identical to the serial campaign")

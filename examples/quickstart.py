@@ -151,13 +151,14 @@ def main() -> None:
         f"mean tau {sum(o.score_decrease for o in sweep) / len(sweep):.1%}"
     )
 
-    # 9. Parallel campaigns: shard the job grid across worker processes.
+    # 9. Parallel campaigns: drain the job grid on worker processes.
     #
-    #    ParallelCampaignExecutor gives every worker its own engine (rebuilt
-    #    once from a pickled EngineSpec) and a shard of the job queue;
-    #    results are bit-identical to the serial campaign, and checkpoints
-    #    resume across different worker counts.  build_campaign() is the
-    #    one-line switch:
+    #    SchedulingCampaignExecutor gives every worker its own engine
+    #    (rebuilt once from a pickled EngineSpec); workers claim jobs one
+    #    at a time from a shared lease queue, so a killed worker's jobs are
+    #    requeued.  Results are bit-identical to the serial campaign, and
+    #    checkpoints resume across different worker counts.
+    #    build_campaign() is the one-line switch:
     from repro.attacks import build_campaign
 
     parallel_sweep = build_campaign(graph, workers=2).run(jobs)
@@ -167,8 +168,8 @@ def main() -> None:
         "flips identical to the serial run"
     )
     #    See examples/campaign.py for the full multi-target λ-sweep
-    #    walkthrough, --workers / --campaign-checkpoint on the experiment
-    #    runner, and benchmarks/bench_parallel_campaign.py for scaling.
+    #    walkthrough and --workers / --campaign-checkpoint on the
+    #    experiment runner.
 
 
 if __name__ == "__main__":

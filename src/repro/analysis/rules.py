@@ -575,7 +575,7 @@ _PICKLABLE_CALL_NAMES = {
 class SpecPicklabilityRule(LintRule):
     """EngineSpec payloads must stick to declared picklable types.
 
-    Specs cross process boundaries (:mod:`repro.attacks.executor`
+    Specs cross process boundaries (:mod:`repro.attacks.scheduler`
     pickles one per worker); a lambda, generator, or arbitrary object in
     the payload fails at ``spawn`` time on the *worker*, far from the
     code that built it.  Payload expressions are restricted to constants,

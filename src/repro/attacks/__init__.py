@@ -15,7 +15,7 @@ from repro.attacks.campaign import (
     JobOutcome,
     grid_jobs,
 )
-from repro.attacks.executor import ParallelCampaignExecutor, build_campaign
+from repro.attacks.executor import build_campaign
 from repro.attacks.scheduler import SchedulingCampaignExecutor, WorkQueue
 from repro.attacks.candidates import (
     CANDIDATE_STRATEGIES,
@@ -58,7 +58,6 @@ __all__ = [
     "GradMaxSearch",
     "JobOutcome",
     "OddBallHeuristic",
-    "ParallelCampaignExecutor",
     "RandomAttack",
     "SchedulingCampaignExecutor",
     "StructuralAttack",

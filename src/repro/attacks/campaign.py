@@ -390,7 +390,7 @@ class CampaignResult:
     Beyond the outcomes themselves, a result carries the run's execution
     stats: ``worker_stats`` (per-worker cpu/wall seconds, job counts and
     peak ``max_rss_kb`` from the executor ``.stats`` sidecars; empty for
-    serial runs), and — for scheduler runs — ``dead_workers`` (workers
+    serial runs), and — for multi-worker runs — ``dead_workers`` (workers
     that exited abnormally but whose jobs the survivors recovered) and
     ``requeues`` (lease steals).  They are observability metadata, not
     outcome identity: parity assertions compare outcomes, and two runs of
@@ -895,7 +895,7 @@ class AttackCampaign:
         """Run ONE validated job on the shared engine and return its outcome.
 
         Unlike :meth:`run`, no checkpoint is read or written: the caller
-        owns durability.  The work-stealing scheduler's workers drain a
+        owns durability.  The multi-worker executor's workers drain a
         queue through this — claim a job, run it here under a lease
         heartbeat, append the outcome to their shard checkpoint, then mark
         the queue's done marker (in that order, so a crash between the two

@@ -1,29 +1,28 @@
-"""Work-stealing campaign scheduler: a shared queue with leases + heartbeats.
+"""Multi-worker campaign executor: a shared lease queue with heartbeats.
 
-:class:`~repro.attacks.executor.ParallelCampaignExecutor` splits a job grid
-round-robin into static shards.  That is optimal only when every job costs
-the same — and campaign grids are *not* uniform: a λ-sweep BinarizedAttack
-job runs orders of magnitude longer than a budget-2 GradMaxSearch job, and
-grid ordering stripes those costs onto workers systematically (a budgets ×
-targets sweep hands one worker every heaviest-budget job).  Static shards
-therefore leave W−1 workers idle while one drains the expensive stripe, and
-a worker that dies silently strands its whole shard until the parent fails
-the run.
+The paper's experiment grids are *independent* (target × budget × λ ×
+attack) jobs, and they are not uniform in cost: a λ-sweep BinarizedAttack
+job runs orders of magnitude longer than a budget-2 GradMaxSearch job.
+:class:`SchedulingCampaignExecutor` therefore drains a grid on N worker
+processes through a **shared queue** rather than fixed per-worker slices:
 
-This module replaces sharding with **queue draining**:
-
-* the parent publishes the pending jobs once into a shared
-  :class:`WorkQueue` directory (``jobs.jsonl`` + a ``leases/`` and ``done/``
-  marker tree);
-* each worker repeatedly **claims** the first job that is neither done nor
-  covered by a live lease.  A claim atomically writes a JSON lease file
-  (content-hashed job id, worker id, monotonic deadline) under a queue-wide
-  ``flock`` — the only coordination primitive, held for microseconds;
+* the parent captures the graph once as a picklable
+  :class:`~repro.oddball.surrogate.EngineSpec` and publishes the pending
+  jobs once into a :class:`WorkQueue` directory (``jobs.jsonl`` + a
+  ``leases/`` and ``done/`` marker tree);
+* each worker rebuilds one :class:`SurrogateEngine` from the spec, then
+  repeatedly **claims** the first job that is neither done nor covered by
+  a live lease.  A claim atomically writes a JSON lease file
+  (content-hashed job id, worker id, monotonic deadline) under a
+  queue-wide ``flock`` — the only coordination primitive, held for
+  microseconds;
 * while a job runs, a background :class:`LeaseHeartbeat` thread renews the
   lease every ``ttl / 3``, so a *live* slow worker never loses its claim;
 * a worker killed mid-job stops heartbeating, its lease **expires** after
   ``ttl``, and the next idle worker's claim pass requeues (steals) the job
-  — ``kill -9`` of any worker loses no work;
+  — ``kill -9`` of any worker loses no work.  A job that *raises* hands
+  its lease back at once (:meth:`WorkQueue.release`), so the failure
+  surfaces without waiting out the TTL;
 * completion is two durable steps in a fixed order: append the outcome to
   the worker's JSONL shard checkpoint (the standard
   :class:`~repro.attacks.campaign.CheckpointStore` format), *then* write the
@@ -31,12 +30,12 @@ This module replaces sharding with **queue draining**:
   job, which is why checkpoint merging dedupes by job content hash — the
   merged checkpoint keeps exactly one record either way.
 
-:class:`SchedulingCampaignExecutor` wraps the queue in the executor surface
-the rest of the stack already speaks: the same ``run(jobs) ->
-CampaignResult``, the same :class:`~repro.oddball.surrogate.EngineSpec`
-transport, the same per-worker shard checkpoints and merge path, so serial,
-statically-sharded and queue-drained runs all produce bit-identical results
-and resume each other's checkpoints.
+The parent merges the per-worker shards into the single-file checkpoint
+after the drain (and before raising, if jobs are missing — completed work
+is never lost).  Because jobs are keyed by :attr:`AttackJob.job_id`, merge,
+dedupe and resume are order-independent: a run interrupted mid-drain
+resumes under a *different* worker count, and the result is bit-identical
+to a serial :class:`AttackCampaign` run of the same grid.
 
 Scope: the queue coordinates processes on **one host** (monotonic clocks
 are comparable machine-wide, ``flock`` is a kernel lock).  Multi-host
@@ -48,8 +47,11 @@ semantics.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
+import sys
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -62,6 +64,11 @@ try:  # Unix-only stdlib module; the queue degrades to lock-free elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+try:  # Unix-only stdlib module; absent on Windows
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
+
 import numpy as np
 
 from repro import telemetry as _telemetry
@@ -69,13 +76,20 @@ from repro.attacks.campaign import (
     AttackCampaign,
     AttackJob,
     CampaignResult,
+    CheckpointStore,
     JobOutcome,
+    _normalize_graph,
+    checkpoint_aliases,
+    graph_fingerprint,
+    validate_jobs,
 )
-from repro.attacks.executor import (
-    ParallelCampaignExecutor,
-    _max_rss_kb,
+from repro.kernels import validate_kernels
+from repro.oddball.surrogate import (
+    EngineSpec,
+    SurrogateEngine,
+    resolve_backend,
+    validate_backend,
 )
-from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -187,8 +201,8 @@ class WorkQueue:
     inspected with ``cat`` mid-run and survives any crash — durable truth
     lives in the shard checkpoints, the queue only coordinates.
 
-    The claim scan is deterministic (queue order) so under equal load the
-    schedule approximates the static executor's; jobs a worker has seen
+    The claim scan is deterministic (queue order): workers take jobs in
+    the order the grid lists them, one at a time; jobs a worker has seen
     completed are cached, making repeated claims O(pending) rather than
     O(total).  All lease mutations happen under one queue-wide ``flock``
     held for the duration of a single scan/write — the kernel releases it
@@ -567,6 +581,18 @@ class LeaseHeartbeat:
             self._thread.join()
 
 
+def _max_rss_kb() -> int:
+    """This process's peak RSS in KiB (0 on platforms without getrusage).
+
+    ``ru_maxrss`` is KiB on Linux but *bytes* on macOS — normalised here so
+    every ``.stats`` sidecar speaks the same unit.
+    """
+    if resource is None:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak // 1024) if sys.platform == "darwin" else int(peak)
+
+
 def _scheduler_worker_main(
     spec: EngineSpec,
     queue_dir: str,
@@ -576,14 +602,12 @@ def _scheduler_worker_main(
     worker_index: int,
     telemetry: "dict | None" = None,
 ) -> None:
-    """Entry point of one scheduler worker: drain the shared queue.
+    """Entry point of one worker process: drain the shared queue.
 
-    Runs in the child.  One engine is built lazily on the first claim
-    (exactly the executor's spec round-trip), then every claimed job runs
-    through :meth:`AttackCampaign.run_job` under a lease heartbeat.  The
-    durability order is fixed: shard append **then** done marker — a crash
-    between the two requeues a job whose record already exists, and the
-    merge dedupes by job content hash.
+    Runs in the child.  ``telemetry`` is a :func:`repro.telemetry.worker_spec`
+    payload (or ``None``): the first thing the worker does is open its OWN
+    per-worker sink (or disable the fork-inherited tracer), so parent and
+    child never write one file and the merged trace stays one tree.
     """
     _telemetry.worker_configure(telemetry)
     try:
@@ -604,14 +628,27 @@ def _scheduler_worker_drain(
     lease_ttl: float,
     worker_index: int,
 ) -> None:
-    """The claim/run/complete loop of :func:`_scheduler_worker_main`."""
+    """The claim/run/complete loop of :func:`_scheduler_worker_main`.
+
+    One engine is built lazily on the first claim (``EngineSpec`` →
+    :meth:`SurrogateEngine.from_spec`), then every claimed job runs through
+    :meth:`AttackCampaign.run_job` under a lease heartbeat.  The durability
+    order is fixed: shard append **then** done marker — a crash between
+    the two requeues a job whose record already exists, and the merge
+    dedupes by job content hash.  A job that raises releases its lease
+    before the error propagates, so the surviving workers see it at once
+    instead of after the TTL.
+
+    A ``<shard>.stats`` sidecar records the worker's CPU and wall seconds,
+    peak RSS and queue counters; the parent collects these into
+    :attr:`SchedulingCampaignExecutor.last_worker_stats`.
+    """
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     queue = WorkQueue.open(
         queue_dir, worker=f"worker-{worker_index}-pid{os.getpid()}",
         lease_ttl=lease_ttl,
     )
-    graph = None
     campaign: "AttackCampaign | None" = None
     shard_store = None
     jobs_done = 0
@@ -622,26 +659,35 @@ def _scheduler_worker_drain(
                 break
             time.sleep(queue.poll_interval)
             continue
-        if campaign is None:
-            # Empty candidate set, exactly like the static executor: every
-            # job retargets with its own pairs, and ``None`` would
-            # materialise all n(n−1)/2 upper-triangle pairs.
-            empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-            graph = spec.to_graph()
-            engine = SurrogateEngine.from_spec(
-                spec, job.targets, candidates=empty, graph=graph
-            )
-            campaign = AttackCampaign(
-                graph,
-                backend=spec.backend,
-                kernels=spec.kernels,
-                checkpoint_path=shard_path,
-                compute_ranks=compute_ranks,
-                engine=engine,
-            )
-            shard_store = campaign.checkpoint_store()
-        with LeaseHeartbeat(queue, job.job_id):
-            outcome = campaign.run_job(job)
+        try:
+            if campaign is None:
+                # Empty candidate set, exactly like AttackCampaign's lazy
+                # construction: every job retargets with its own pairs, and
+                # ``None`` would materialise all n(n−1)/2 upper-triangle
+                # pairs — 50M entries at n = 10 000.
+                empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+                graph = spec.to_graph()  # materialised once: engine + campaign share it
+                engine = SurrogateEngine.from_spec(
+                    spec, job.targets, candidates=empty, graph=graph
+                )
+                campaign = AttackCampaign(
+                    graph,
+                    backend=spec.backend,
+                    # The spec carries the REQUESTED kernels flag (possibly
+                    # "auto"); the engine build above resolved it against
+                    # THIS host, and the campaign default keeps per-job
+                    # attack params consistent with it.
+                    kernels=spec.kernels,
+                    checkpoint_path=shard_path,
+                    compute_ranks=compute_ranks,
+                    engine=engine,
+                )
+                shard_store = campaign.checkpoint_store()
+            with LeaseHeartbeat(queue, job.job_id):
+                outcome = campaign.run_job(job)
+        except BaseException:
+            queue.release(job.job_id)  # hand it back now, not after a TTL
+            raise
         assert shard_store is not None
         shard_store.append(outcome)  # durable BEFORE the done marker
         queue.complete(job.job_id)
@@ -650,37 +696,89 @@ def _scheduler_worker_drain(
         "jobs": jobs_done,
         "cpu_seconds": time.process_time() - cpu_start,
         "wall_seconds": time.perf_counter() - wall_start,
+        # Peak resident set in KiB.  With the fork start method this
+        # includes pages inherited copy-on-write from the parent, so it is
+        # an honest "what this process kept mapped" number, not a
+        # private-bytes number.  0 where getrusage is unavailable.
         "max_rss_kb": _max_rss_kb(),
         **queue.stats(),
     }
     Path(shard_path + ".stats").write_text(json.dumps(stats) + "\n")
 
 
-class SchedulingCampaignExecutor(ParallelCampaignExecutor):
-    """Drain a campaign grid through a work-stealing queue of N workers.
+class SchedulingCampaignExecutor:
+    """Drain a campaign's job grid across N worker processes.
 
-    Same constructor surface and result/checkpoint semantics as
-    :class:`~repro.attacks.executor.ParallelCampaignExecutor` — bit-identical
-    outcomes, interoperable checkpoints, resume across worker counts — plus:
+    Workers claim jobs one at a time from a shared :class:`WorkQueue`, so a
+    cost-skewed grid (λ-sweep Binarized next to cheap GradMax jobs) keeps
+    every worker busy until the queue is dry.  A worker killed mid-job
+    (``kill -9`` included) stops heartbeating, its lease expires after
+    ``lease_ttl`` seconds and a surviving worker requeues the job.  The run
+    *succeeds* as long as every job completes — dead workers are reported
+    in :attr:`last_dead_workers` rather than failing a run whose work was
+    recovered.  Results are bit-identical to a serial
+    :class:`AttackCampaign` and the two resume each other's checkpoints.
 
-    * **load balancing**: workers claim jobs one at a time from a shared
-      :class:`WorkQueue`, so a cost-skewed grid (λ-sweep Binarized next to
-      cheap GradMax jobs) keeps every worker busy until the queue is dry
-      instead of idling behind the unluckiest static shard;
-    * **crash tolerance**: a worker killed mid-job (``kill -9`` included)
-      stops heartbeating, its lease expires after ``lease_ttl`` seconds and
-      a surviving worker requeues the job.  The run *succeeds* as long as
-      every job completes — dead workers are reported in
-      :attr:`last_dead_workers` rather than failing a run whose work was
-      recovered.
-
-    Parameters (beyond the parent's)
-    --------------------------------
+    Parameters
+    ----------
+    graph:
+        :class:`~repro.graph.graph.Graph`, dense adjacency array, scipy
+        sparse matrix — the same inputs :class:`AttackCampaign` takes — or
+        a :class:`~repro.store.GraphStore`: workers then receive a
+        ``store``-kind spec (a path, not arrays) and memory-map one shared
+        on-disk graph instead of each holding a CSR copy (sparse-only).
+    workers:
+        Worker process count (never more than the pending jobs).
+    backend:
+        Surrogate backend (``"auto"``/``"dense"``/``"sparse"``), resolved
+        once in the parent and baked into the :class:`EngineSpec` every
+        worker receives — all workers run the identical engine class.
+    kernels:
+        Hot-loop kernel backend (``"auto"``/``"numpy"``/``"compiled"``,
+        see :mod:`repro.kernels`).  Unlike ``backend`` it is shipped
+        **unresolved**: each worker resolves it against its own host at
+        engine-build time, so an ``"auto"`` fleet mixing hosts with and
+        without a C toolchain still produces bit-identical results, while
+        an explicit ``"compiled"`` is enforced on every worker.
+    checkpoint_path:
+        Optional JSONL checkpoint (same single-file format as the serial
+        campaign — the two are interchangeable run-over-run).  Worker
+        shards live next to it as ``<name>.shard<k>`` and are merged in
+        after every run; leftover shards from a killed run are merged
+        *before* the queue is published, which is what makes resume
+        independent of the original worker count.  Without a checkpoint
+        path, shards live in a temporary directory and only the in-memory
+        result survives.
+    compute_ranks:
+        Forwarded to every worker's campaign (per-target rank shifts).
     lease_ttl:
         Seconds a lease survives without a heartbeat renewal
         (``None`` → ``$REPRO_LEASE_TTL`` → 30).  Heartbeats fire every
         ``ttl / 3``, so the TTL bounds *requeue latency after a crash*,
         not job duration — long jobs are safe at any TTL.
+    telemetry:
+        Optional trace directory for the :mod:`repro.telemetry` layer.
+        The parent configures its tracer here (spec capture, drain and
+        merge become spans) and each worker opens its own per-worker sink
+        keyed by worker id, parented to the drain span — so the merged
+        trace directory reads as ONE tree.  ``None`` defers to
+        ``$REPRO_TELEMETRY``/earlier configuration; results are
+        bit-identical with telemetry on or off.
+
+    Workers start with ``fork`` where available (they inherit loaded
+    modules — no per-worker interpreter/import cost) and ``spawn``
+    elsewhere.
+
+    Example
+    -------
+    >>> from repro.graph import erdos_renyi
+    >>> from repro.attacks import grid_jobs
+    >>> graph = erdos_renyi(60, 0.1, rng=0)
+    >>> jobs = grid_jobs("gradmaxsearch", [[1], [2], [3]], budgets=[2],
+    ...                  candidates="target_incident")
+    >>> result = SchedulingCampaignExecutor(graph, workers=2).run(jobs)
+    >>> len(result) == 3
+    True
     """
 
     def __init__(
@@ -692,33 +790,65 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
         kernels: str = "auto",
         checkpoint_path=None,
         compute_ranks: bool = True,
-        mp_context: "str | None" = None,
         lease_ttl: "float | None" = None,
         telemetry: "str | None" = None,
     ):
-        super().__init__(
-            graph,
-            workers=workers,
-            backend=backend,
-            kernels=kernels,
-            checkpoint_path=checkpoint_path,
-            compute_ranks=compute_ranks,
-            mp_context=mp_context,
-            telemetry=telemetry,
+        validate_backend(backend)
+        if telemetry is not None:
+            _telemetry.configure(telemetry)
+        self.kernels = validate_kernels(kernels)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        # A GraphStore-backed executor ships a ``store``-kind EngineSpec (a
+        # path, not arrays): workers memory-map the one on-disk graph
+        # instead of each holding an unpickled CSR copy.
+        from repro.store import GraphStore
+
+        self._graph_store = graph if isinstance(graph, GraphStore) else None
+        self._original = _normalize_graph(graph)
+        self.backend = resolve_backend(backend)
+        if self._graph_store is not None and self.backend != "sparse":
+            raise ValueError(
+                "store-backed campaigns are sparse-only; "
+                f"got backend={backend!r}"
+            )
+        self.n = int(self._original.shape[0])
+        self.workers = int(workers)
+        self.checkpoint_path = (
+            None if checkpoint_path is None else Path(checkpoint_path)
         )
+        self.compute_ranks = compute_ranks
         self.lease_ttl = resolve_lease_ttl(lease_ttl)
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        self._fingerprint = graph_fingerprint(self._original, self.backend)
+        #: per-worker ``.stats`` dicts (``jobs``, ``cpu_seconds``,
+        #: ``wall_seconds``, ``max_rss_kb`` and the queue counters) from the
+        #: most recent :meth:`run` (empty if every job was resumed).  CPU
+        #: seconds are contention-free, so they remain the honest per-worker
+        #: cost signal even when workers outnumber cores.
+        self.last_worker_stats: "list[dict]" = []
         #: Names of workers that exited abnormally in the most recent
         #: :meth:`run` whose jobs were nevertheless recovered by the
         #: survivors (empty on a clean run).
         self.last_dead_workers: "list[str]" = []
         #: Total lease steals (requeues) across workers in the most recent
-        #: :meth:`run` — the crash-recovery/observability signal chaos
-        #: tests and the scheduler benchmark assert on.
+        #: :meth:`run` — the crash-recovery signal the chaos tests assert on.
         self.last_requeues: int = 0
 
     # ------------------------------------------------------------------ #
-    # Orchestration (replaces the parent's static sharding)
+    # Orchestration
     # ------------------------------------------------------------------ #
+    def run(self, jobs: Iterable[AttackJob]) -> CampaignResult:
+        """Execute the grid across workers; ordered, serial-identical result."""
+        jobs = validate_jobs(jobs, self.n)
+        if self.checkpoint_path is not None:
+            completed = self._merge_and_load()
+            return self._execute(jobs, completed, self.checkpoint_path.parent)
+        with tempfile.TemporaryDirectory(prefix="campaign-shards-") as scratch:
+            return self._execute(jobs, {}, Path(scratch))
+
     def _execute(
         self,
         jobs: "list[AttackJob]",
@@ -728,38 +858,26 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
         resumed = sum(1 for job in jobs if job.job_id in completed)
         if resumed:
             _log.info(
-                "resuming scheduled campaign: %d/%d jobs checkpointed",
+                "resuming campaign: %d/%d jobs checkpointed",
                 resumed, len(jobs),
             )
         start = time.perf_counter()
         pending = [job for job in jobs if job.job_id not in completed]
-        self.last_shards = []
         self.last_worker_stats = []
         self.last_dead_workers = []
         self.last_requeues = 0
-        drain_seconds = 0.0
         if pending:
             count = min(self.workers, len(pending))
             queue_dir = self._queue_dir(shard_dir)
             with _telemetry.span(
                 "executor.run", workers=count, jobs=len(jobs), resumed=resumed,
-                scheduler=True,
             ):
-                drain_seconds = self._drain_queue(
-                    pending, count, shard_dir, queue_dir
-                )
+                self._drain_queue(pending, count, shard_dir, queue_dir)
             self.last_worker_stats = self._collect_stats(shard_dir, count)
             self.last_requeues = sum(
                 int(stats.get("steals", 0)) for stats in self.last_worker_stats
             )
-            # Record who completed what BEFORE the merge deletes the shard
-            # files — the benchmark groups per-job timings by worker here.
-            self.last_shards = [
-                sorted(self._store(self._shard_path(shard_dir, index)).load())
-                for index in range(count)
-                if self._shard_path(shard_dir, index).exists()
-            ]
-            with _telemetry.span("executor.merge", shards=len(self.last_shards)):
+            with _telemetry.span("executor.merge", shards=count):
                 self._collect(shard_dir, into=completed)
             missing = [job for job in pending if job.job_id not in completed]
             if missing:
@@ -769,8 +887,9 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
                     else ""
                 )
                 raise RuntimeError(
-                    f"scheduled campaign finished with {len(missing)} jobs "
-                    f"unaccounted for{dead}; completed jobs "
+                    f"campaign finished with {len(missing)} jobs unaccounted "
+                    f"for{dead}, first missing: {missing[0].to_dict()!r}; "
+                    "completed jobs "
                     + (
                         "were checkpointed and a rerun will resume from them"
                         if self.checkpoint_path is not None
@@ -785,26 +904,16 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
                     self.last_dead_workers,
                 )
             shutil.rmtree(queue_dir, ignore_errors=True)
-        elapsed = time.perf_counter() - start
-        self.last_overhead_seconds = max(elapsed - drain_seconds, 0.0)
         return CampaignResult(
             outcomes=[completed[job.job_id] for job in jobs],
             backend=self.backend,
             n=self.n,
-            seconds=elapsed,
+            seconds=time.perf_counter() - start,
             resumed_jobs=resumed,
             worker_stats=list(self.last_worker_stats),
             dead_workers=tuple(self.last_dead_workers),
             requeues=self.last_requeues,
         )
-
-    def _queue_dir(self, shard_dir: Path) -> Path:
-        stem = (
-            self.checkpoint_path.name
-            if self.checkpoint_path is not None
-            else "campaign"
-        )
-        return shard_dir / f"{stem}.queue"
 
     def _drain_queue(
         self,
@@ -812,11 +921,10 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
         count: int,
         shard_dir: Path,
         queue_dir: Path,
-    ) -> float:
+    ) -> None:
         """Publish the queue, spawn ``count`` workers, join them.
 
-        Returns the drain wall seconds (queue publish to last join).  A
-        worker exiting abnormally does NOT raise here — the queue's whole
+        A worker exiting abnormally does NOT raise here — the queue's whole
         point is that survivors requeue its jobs; :meth:`_execute` only
         fails if jobs are actually missing afterwards.
         """
@@ -836,7 +944,6 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
         if queue_dir.exists():
             shutil.rmtree(queue_dir)
         WorkQueue.create(queue_dir, pending, lease_ttl=self.lease_ttl)
-        drain_start = time.perf_counter()
         processes = []
         with _telemetry.span("executor.drain", workers=count):
             for index in range(count):
@@ -876,4 +983,95 @@ class SchedulingCampaignExecutor(ParallelCampaignExecutor):
         self.last_dead_workers = [
             p.name for p in processes if p.exitcode != 0
         ]
-        return time.perf_counter() - drain_start
+
+    # ------------------------------------------------------------------ #
+    # Shard bookkeeping
+    # ------------------------------------------------------------------ #
+    def _stem(self) -> str:
+        return (
+            self.checkpoint_path.name
+            if self.checkpoint_path is not None
+            else "campaign"
+        )
+
+    def _queue_dir(self, shard_dir: Path) -> Path:
+        return shard_dir / f"{self._stem()}.queue"
+
+    def _shard_path(self, shard_dir: Path, index: int) -> Path:
+        return shard_dir / f"{self._stem()}.shard{index}"
+
+    def _store(self, path: Path) -> CheckpointStore:
+        return CheckpointStore(
+            path, self._fingerprint, self.backend, self.n,
+            aliases=checkpoint_aliases(self._original, self._fingerprint),
+        )
+
+    def _leftover_shards(self) -> "list[Path]":
+        # Literal prefix match, NOT a glob: a checkpoint named e.g.
+        # "fig4[ci].json" would turn glob metacharacters into a character
+        # class and silently miss every shard.
+        assert self.checkpoint_path is not None
+        parent = self.checkpoint_path.parent
+        if not parent.exists():
+            return []
+        prefix = self.checkpoint_path.name + ".shard"
+        return sorted(
+            path
+            for path in parent.iterdir()
+            if path.name.startswith(prefix) and not path.name.endswith(".stats")
+        )
+
+    def _collect_stats(self, shard_dir: Path, count: int) -> "list[dict]":
+        """Read (and remove) the per-worker ``.stats`` sidecars of this run."""
+        stats = []
+        for index in range(count):
+            path = Path(str(self._shard_path(shard_dir, index)) + ".stats")
+            if not path.exists():
+                continue
+            try:
+                payload = json.loads(path.read_text())
+            except json.JSONDecodeError:
+                payload = {}
+            payload["worker"] = index
+            stats.append(payload)
+            path.unlink()
+        return stats
+
+    def _merge_and_load(self) -> "dict[str, JobOutcome]":
+        """Fold any shard files into the main checkpoint, then load it.
+
+        Called before publishing the queue (folding in a killed run's
+        leftovers — the step that makes resume worker-count-independent)
+        and after every drain.  Merged shards are deleted; merging is
+        idempotent because outcomes are keyed by content-hashed job id.
+        """
+        assert self.checkpoint_path is not None
+        main = self._store(self.checkpoint_path)
+        # One parse of the main file, then O(1) appends per new shard
+        # outcome — merge_from would re-load the whole checkpoint per
+        # shard, which is O(W · file size) on big resumed campaigns.
+        outcomes = main.load()
+        for shard_path in self._leftover_shards():
+            for job_id, outcome in self._store(shard_path).load().items():
+                if job_id not in outcomes:
+                    main.append(outcome)
+                    outcomes[job_id] = outcome
+            shard_path.unlink()
+            stale_stats = Path(str(shard_path) + ".stats")
+            if stale_stats.exists():
+                stale_stats.unlink()
+        return outcomes
+
+    def _collect(self, shard_dir: Path, into: "dict[str, JobOutcome]") -> None:
+        """Merge this run's shards into the result dict (and main file)."""
+        if self.checkpoint_path is not None:
+            into.update(self._merge_and_load())
+            return
+        prefix = "campaign.shard"
+        shard_paths = sorted(
+            path
+            for path in shard_dir.iterdir()
+            if path.name.startswith(prefix) and not path.name.endswith(".stats")
+        )
+        for shard_path in shard_paths:
+            into.update(self._store(shard_path).load())

@@ -61,8 +61,6 @@ def run(
     block_seed: int = 0,
     campaign_checkpoint: "Path | str | None" = None,
     workers: int = 1,
-    scheduler: bool = False,
-    lease_ttl: "float | None" = None,
 ) -> dict:
     """Sweep every panel; returns per-panel series (mean over repeats).
 
@@ -83,15 +81,11 @@ def run(
     interrupted sweep resumes from the last completed job.
 
     ``workers > 1`` drains each panel's job grid through a
-    :class:`~repro.attacks.executor.ParallelCampaignExecutor` (one engine
-    per worker process, sharded job queue) — results are bit-identical to
-    the serial campaign, and checkpoints interoperate across worker
-    counts.
-
-    ``scheduler=True`` (with ``workers > 1``) swaps the static shards for
-    the work-stealing :class:`~repro.attacks.scheduler.SchedulingCampaignExecutor`
-    — same results, but the mixed-cost panel grids drain without idle
-    workers and a killed worker's jobs requeue after ``lease_ttl`` seconds.
+    :class:`~repro.attacks.scheduler.SchedulingCampaignExecutor` (one
+    engine per worker process, shared lease queue) — results are
+    bit-identical to the serial campaign, the mixed-cost panel grids drain
+    without idle workers, a killed worker's jobs are requeued, and
+    checkpoints interoperate across worker counts.
     """
     seeds = SeedSequenceFactory(seed)
     detector = OddBall()
@@ -137,7 +131,6 @@ def run(
         campaign = build_campaign(
             graph, backend=backend, checkpoint_path=checkpoint_path,
             compute_ranks=False, workers=workers,
-            scheduler=scheduler, lease_ttl=lease_ttl,
         )
         sweep = campaign.run(unique_jobs.values())
 

@@ -31,19 +31,15 @@ resumes from the last completed job::
     python -m repro.experiments.runner -e fig4 --scale paper \
         --campaign-checkpoint results/checkpoints/
 
-``--workers N`` shards the campaign-driven sweeps (fig4, table1) across N
-worker processes — one surrogate engine per worker, results bit-identical
-to the serial run, and checkpoints that resume across *different* worker
-counts::
+``--workers N`` drains the campaign-driven sweeps (fig4, table1) on N
+worker processes through the lease queue of :mod:`repro.attacks.scheduler`
+— one surrogate engine per worker, results bit-identical to the serial
+run, checkpoints that resume across *different* worker counts, and a
+killed worker's jobs requeued after the lease TTL (``$REPRO_LEASE_TTL``,
+default 30 s) instead of failing the sweep::
 
     python -m repro.experiments.runner -e fig4 --scale paper \
         --backend sparse --workers 4
-
-``--scheduler`` (with ``--workers N``) drains those sweeps through the
-work-stealing scheduler (:mod:`repro.attacks.scheduler`) instead of static
-round-robin shards: identical results, better wall-clock on cost-skewed
-grids, and a killed worker's jobs are requeued after ``--lease-ttl``
-seconds instead of failing the sweep.
 
 ``--telemetry DIR`` turns on :mod:`repro.telemetry` process-wide: the
 campaigns, executors, scheduler and kernels the drivers touch write a
@@ -107,13 +103,11 @@ def run_experiment(
     workers: int = 1,
     store_datasets: bool = False,
     store_cache: "Path | None" = None,
-    scheduler: bool = False,
-    lease_ttl: "float | None" = None,
 ) -> tuple[dict, str]:
     """Run one experiment; returns (payload, formatted text).
 
-    ``backend``, ``candidates``, ``campaign_checkpoint``, ``workers``,
-    ``scheduler``/``lease_ttl`` and the store flags are forwarded to
+    ``backend``, ``candidates``, ``campaign_checkpoint``, ``workers``
+    and the store flags are forwarded to
     drivers that accept them (the attack-driven figures;
     ``store_datasets`` currently extends table1 with memory-mapped
     paper-scale rows); the rest run unchanged.
@@ -134,9 +128,6 @@ def run_experiment(
         kwargs["campaign_checkpoint"] = campaign_checkpoint
     if "workers" in parameters and workers != 1:
         kwargs["workers"] = workers
-    if "scheduler" in parameters and scheduler:
-        kwargs["scheduler"] = scheduler
-        kwargs["lease_ttl"] = lease_ttl
     if "store_datasets" in parameters and store_datasets:
         kwargs["store_datasets"] = store_datasets
         kwargs["store_cache"] = store_cache
@@ -199,16 +190,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the campaign-driven sweeps "
                              "(1 = serial; results are identical either way)")
-    parser.add_argument("--scheduler", action="store_true",
-                        help="drain campaign jobs through the work-stealing "
-                             "scheduler instead of static round-robin shards "
-                             "(needs --workers > 1; results are identical, "
-                             "cost-skewed grids finish sooner and a killed "
-                             "worker's jobs are requeued)")
-    parser.add_argument("--lease-ttl", type=float, default=None,
-                        help="scheduler lease time-to-live in seconds "
-                             "(default: $REPRO_LEASE_TTL or 30; bounds how "
-                             "long a dead worker's jobs wait before requeue)")
     parser.add_argument("--store-datasets", action="store_true",
                         help="include the memory-mapped paper-scale *-full "
                              "datasets (table1; builds/reuses graph stores)")
@@ -265,8 +246,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 workers=args.workers,
                 store_datasets=args.store_datasets,
                 store_cache=args.store_cache,
-                scheduler=args.scheduler,
-                lease_ttl=args.lease_ttl,
             )
         print(text)
         print()

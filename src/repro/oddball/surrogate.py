@@ -572,8 +572,8 @@ class EngineSpec(NamedTuple):
     """Picklable recipe for rebuilding a :class:`SurrogateEngine`.
 
     The parallel campaign executor ships one spec to every worker process;
-    each worker calls :meth:`build` once and drains its whole job shard on
-    the resulting engine.  The payload is the *graph itself* (dense array
+    each worker calls :meth:`build` once and runs every job it claims from
+    the queue on the resulting engine.  The payload is the *graph itself* (dense array
     bytes or CSR component arrays) plus the scalar engine configuration —
     everything a child process needs, nothing it can recompute.
 

@@ -6,11 +6,10 @@ Usage::
     python -m repro.store info blogcatalog-full        # or a store path
     python -m repro.store recipe-hash blogcatalog-full --scale 0.02
     python -m repro.store campaign blogcatalog-full --budget 5 --workers 4
-    python -m repro.store campaign blogcatalog-full --workers 4 --scheduler
     python -m repro.store campaign blogcatalog-full --budget 5 \\
         --candidates block --block-size 65536 --block-seed 1
     python -m repro.store campaign blogcatalog-full --workers 4 \\
-        --scheduler --telemetry traces/run1
+        --telemetry traces/run1
 
 ``build`` constructs (or reopens, on a cache hit) the content-addressed
 store; ``info`` prints its manifest; ``recipe-hash`` prints only the digest
@@ -18,12 +17,11 @@ store; ``info`` prints its manifest; ``recipe-hash`` prints only the digest
 (``--attack``, default GradMaxSearch; ``--candidates`` picks the
 decision-variable strategy, with ``block`` the PRBCD random block that keeps
 memory O(block-size) on the *-full stores) over the top-scoring OddBall
-targets end-to-end through the parallel executor,
-with every worker opening the memory-mapped store via a ``store``-kind
-:class:`~repro.oddball.surrogate.EngineSpec` (``--scheduler`` swaps the
-static shards for the work-stealing queue of
-:mod:`repro.attacks.scheduler`; ``--lease-ttl`` bounds crash-requeue
-latency).
+targets end-to-end; with ``--workers N`` the lease queue of
+:mod:`repro.attacks.scheduler` drains the jobs, every worker opening the
+memory-mapped store via a ``store``-kind
+:class:`~repro.oddball.surrogate.EngineSpec` (``$REPRO_LEASE_TTL`` bounds
+crash-requeue latency).
 """
 
 from __future__ import annotations
@@ -148,9 +146,7 @@ def _cmd_campaign(args) -> int:
     )
     campaign = build_campaign(
         store, workers=args.workers, backend="sparse", kernels=args.kernels,
-        checkpoint_path=args.checkpoint,
-        scheduler=args.scheduler, lease_ttl=args.lease_ttl,
-        telemetry=args.telemetry,
+        checkpoint_path=args.checkpoint, telemetry=args.telemetry,
     )
     start = time.perf_counter()
     result = campaign.run(jobs)
@@ -232,14 +228,6 @@ def main(argv: "list[str] | None" = None) -> int:
                           default="auto",
                           help="hot-loop kernel backend (repro.kernels); "
                                "flips are identical either way")
-    campaign.add_argument("--scheduler", action="store_true",
-                          help="drain jobs through the work-stealing "
-                               "scheduler instead of static round-robin "
-                               "shards (same results; crash-requeue and "
-                               "no idle workers on skewed grids)")
-    campaign.add_argument("--lease-ttl", type=float, default=None,
-                          help="scheduler lease TTL in seconds (default: "
-                               "$REPRO_LEASE_TTL or 30)")
     campaign.add_argument("--telemetry", type=Path, default=None,
                           metavar="DIR",
                           help="write a structured trace (spans/events/"

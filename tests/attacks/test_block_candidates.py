@@ -367,7 +367,7 @@ class TestBlockBoundedMemory:
         """A 9× pair-count increase must not move worker RSS by more than a
         fixed margin — far below the hundreds of MB full-pair decision
         arrays would add at the larger scale."""
-        from repro.attacks import ParallelCampaignExecutor
+        from repro.attacks import SchedulingCampaignExecutor
         from repro.store import build_store
 
         peaks = {}
@@ -380,7 +380,7 @@ class TestBlockBoundedMemory:
                 "gradmaxsearch", [[int(t)] for t in targets], budgets=[2],
                 candidates="block", block_size=8192,
             )
-            executor = ParallelCampaignExecutor(store, workers=2)
+            executor = SchedulingCampaignExecutor(store, workers=2)
             executor.run(jobs)
             peaks[scale] = max(
                 s["max_rss_kb"] for s in executor.last_worker_stats

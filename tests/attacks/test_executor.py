@@ -1,10 +1,12 @@
-"""Executor semantics: sharding across processes is a wall-clock lever,
-never a semantics change.  A parallel run must be bit-identical to the
-serial :class:`AttackCampaign` on the same grid, checkpoints must
-interoperate between serial and parallel runs, and a run killed mid-shard
-must resume — with a *different* worker count — to the same result."""
+"""Executor semantics: draining a grid on worker processes is a wall-clock
+lever, never a semantics change.  A parallel run must be bit-identical to
+the serial :class:`AttackCampaign` on the same grid, checkpoints must
+interoperate between serial and parallel runs, a run killed mid-drain
+must resume — with a *different* worker count — to the same result, and a
+failed run must keep every job it completed."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from scipy import sparse
 from repro.attacks import (
     AttackCampaign,
     OddBallHeuristic,
-    ParallelCampaignExecutor,
     RandomAttack,
+    SchedulingCampaignExecutor,
+    WorkQueue,
     build_campaign,
     grid_jobs,
 )
-from repro.attacks.executor import _worker_main
 from repro.graph.generators import barabasi_albert
 from repro.oddball.detector import OddBall
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
@@ -43,7 +45,7 @@ class TestParallelSerialParity:
         csr = sparse.csr_matrix(graph.adjacency)
         jobs = sweep_jobs(targets, count=5)
         serial = AttackCampaign(csr).run(jobs)
-        parallel = ParallelCampaignExecutor(csr, workers=3).run(jobs)
+        parallel = SchedulingCampaignExecutor(csr, workers=3).run(jobs)
         assert parallel.backend == "sparse"
         assert_outcomes_identical(serial, parallel)
 
@@ -60,66 +62,66 @@ class TestParallelSerialParity:
         jobs += grid_jobs("oddball-heuristic", [[t] for t in targets[:3]],
                           budgets=[3], rng=3)
         serial = AttackCampaign(graph).run(jobs)
-        parallel = ParallelCampaignExecutor(graph, workers=3).run(jobs)
+        parallel = SchedulingCampaignExecutor(graph, workers=3).run(jobs)
         assert_outcomes_identical(serial, parallel)
 
     def test_more_workers_than_jobs(self, graph_and_targets, sweep_jobs):
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=2)
-        result = ParallelCampaignExecutor(graph, workers=6).run(jobs)
+        result = SchedulingCampaignExecutor(graph, workers=6).run(jobs)
         assert len(result) == 2
 
     def test_worker_observability(self, graph_and_targets, sweep_jobs):
+        """The run's per-worker stats land on the executor and, unchanged,
+        on the returned result."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=6)
-        executor = ParallelCampaignExecutor(graph, workers=3)
-        executor.run(jobs)
-        assert [len(s) for s in executor.last_shards] == [2, 2, 2]
+        executor = SchedulingCampaignExecutor(graph, workers=3)
+        result = executor.run(jobs)
         assert len(executor.last_worker_stats) == 3
+        assert sum(s["jobs"] for s in executor.last_worker_stats) == 6
         for stats in executor.last_worker_stats:
-            assert stats["jobs"] == 2
-            assert stats["cpu_seconds"] >= 0.0
-            assert stats["wall_seconds"] > 0.0
-        assert executor.last_overhead_seconds >= 0.0
+            assert stats["max_rss_kb"] > 0
+        assert result.worker_stats == executor.last_worker_stats
+        assert result.dead_workers == ()
+        assert result.requeues == executor.last_requeues == 0
 
     def test_build_campaign_switch(self, graph_and_targets):
         graph, _ = graph_and_targets
         assert isinstance(build_campaign(graph, workers=1), AttackCampaign)
         assert isinstance(
-            build_campaign(graph, workers=2), ParallelCampaignExecutor
+            build_campaign(graph, workers=2), SchedulingCampaignExecutor
         )
 
     def test_rejects_bad_worker_count(self, graph_and_targets):
         graph, _ = graph_and_targets
         with pytest.raises(ValueError, match="workers"):
-            ParallelCampaignExecutor(graph, workers=0)
+            SchedulingCampaignExecutor(graph, workers=0)
 
 
 class TestCheckpointInterop:
     def test_kill_and_resume_with_different_worker_count(
         self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical
     ):
-        """A parallel run killed mid-shard resumes under a new worker count.
+        """A parallel run killed mid-drain resumes under a new worker count.
 
-        The kill is simulated faithfully: two worker shards are drained
-        directly via the executor's worker entry point (as a killed
-        2-worker run would leave them — completed jobs in per-worker shard
-        files, never merged), then a fresh 3-worker executor must fold the
-        leftovers in, run only the remainder, and match a fresh serial run
-        bit-for-bit.
+        The kill is simulated faithfully: two worker shards are written in
+        the shard checkpoint format (as a killed 2-worker run would leave
+        them — completed jobs in per-worker shard files, never merged),
+        then a fresh 3-worker executor must fold the leftovers in, run only
+        the remainder, and match a fresh serial run bit-for-bit.
         """
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         fresh = AttackCampaign(graph).run(jobs)
 
         checkpoint = tmp_path / "campaign.jsonl"
-        spec = EngineSpec.from_graph(graph.adjacency, backend="auto")
-        _worker_main(spec, jobs[0:3], str(checkpoint) + ".shard0", True)
-        _worker_main(spec, jobs[3:5], str(checkpoint) + ".shard1", True)
+        AttackCampaign(graph, checkpoint_path=f"{checkpoint}.shard0").run(jobs[0:3])
+        AttackCampaign(graph, checkpoint_path=f"{checkpoint}.shard1").run(jobs[3:5])
         assert (tmp_path / "campaign.jsonl.shard0").exists()
         assert not checkpoint.exists()  # parent never merged: a true kill
 
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 5
@@ -134,12 +136,12 @@ class TestCheckpointInterop:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=4)
         checkpoint = tmp_path / "fig4[ci].json"
-        first = ParallelCampaignExecutor(
+        first = SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         assert len(first) == 4
         assert not list(tmp_path.glob("*.shard*"))
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 4
@@ -149,7 +151,7 @@ class TestCheckpointInterop:
         jobs = sweep_jobs(targets)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs[:4])
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             graph, workers=4, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 4
@@ -159,7 +161,7 @@ class TestCheckpointInterop:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         checkpoint = tmp_path / "campaign.jsonl"
-        ParallelCampaignExecutor(
+        SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
@@ -171,26 +173,26 @@ class TestCheckpointInterop:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         checkpoint = tmp_path / "campaign.jsonl"
-        ParallelCampaignExecutor(
+        SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
-        executor = ParallelCampaignExecutor(
+        executor = SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         )
         replay = executor.run(jobs)
         assert replay.resumed_jobs == 3
-        assert executor.last_shards == []
+        assert executor.last_worker_stats == []
 
     def test_checkpoint_rejects_different_graph(self, graph_and_targets, tmp_path, sweep_jobs):
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=2)
         checkpoint = tmp_path / "campaign.jsonl"
-        ParallelCampaignExecutor(
+        SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         other = barabasi_albert(90, 3, rng=99)
         with pytest.raises(ValueError, match="different"):
-            ParallelCampaignExecutor(
+            SchedulingCampaignExecutor(
                 other, workers=2, checkpoint_path=checkpoint
             ).run(sweep_jobs(OddBall().analyze(other).top_k(2).tolist(), count=2))
 
@@ -344,39 +346,77 @@ class TestBaselineEngineInjection:
 
 
 class TestWorkerFailure:
-    def test_dead_worker_raises_and_preserves_completed_jobs(
+    def test_dead_workers_raise_and_rerun_resumes_completed_jobs(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs, assert_outcomes_identical
     ):
-        """A worker that dies mid-shard fails the run loudly, but the jobs
-        it completed stay in the merged checkpoint for the next resume."""
+        """Workers that all die fail the run loudly, naming the missing
+        jobs, but the jobs they completed stay in the merged checkpoint
+        and a rerun resumes them."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=6)
         checkpoint = tmp_path / "campaign.jsonl"
 
-        import repro.attacks.executor as executor_module
+        import repro.attacks.scheduler as scheduler_module
 
-        real_worker = executor_module._worker_main
+        real_main = scheduler_module._scheduler_worker_main
 
-        def flaky_worker(spec, shard, shard_path, compute_ranks):
-            if shard_path.endswith(".shard1"):
-                raise SystemExit(1)  # dies before touching its shard
-            real_worker(spec, shard, shard_path, compute_ranks)
+        def one_job_main(spec, queue_dir, shard_path, compute_ranks,
+                         lease_ttl, worker_index, telemetry=None):
+            # Fork isolation: this rebinding exists only in the child.
+            real_complete = WorkQueue.complete
 
-        monkeypatch.setattr(executor_module, "_worker_main", flaky_worker)
-        with pytest.raises(RuntimeError, match="exited abnormally"):
-            ParallelCampaignExecutor(
+            def complete_then_die(self, job_id):
+                real_complete(self, job_id)
+                raise SystemExit(1)
+
+            WorkQueue.complete = complete_then_die
+            real_main(spec, queue_dir, shard_path, compute_ranks,
+                      lease_ttl, worker_index, telemetry)
+
+        monkeypatch.setattr(
+            scheduler_module, "_scheduler_worker_main", one_job_main
+        )
+        with pytest.raises(RuntimeError, match="4 jobs unaccounted.*first missing"):
+            SchedulingCampaignExecutor(
                 graph, workers=2, checkpoint_path=checkpoint
             ).run(jobs)
-        # worker 0's three jobs were merged into the main checkpoint
+        # each worker's one completed job was merged into the checkpoint
         completed = [
             json.loads(line)
             for line in checkpoint.read_text().splitlines()[1:]
         ]
-        assert len(completed) == 3
+        assert len(completed) == 2
         # an undamaged rerun resumes them and matches a fresh serial run
         monkeypatch.undo()
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
-        assert resumed.resumed_jobs == 3
+        assert resumed.resumed_jobs == 2
         assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)
+
+    def test_raising_job_releases_its_lease_instead_of_waiting_out_the_ttl(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs
+    ):
+        """A job that raises hands its lease back before its worker dies,
+        so the run fails at once rather than after a lease TTL per
+        surviving worker, with every other job checkpointed."""
+        graph, targets = graph_and_targets
+        jobs = sweep_jobs(targets, count=8)
+        poisoned = jobs[-1].job_id  # claimed last: every other job completes
+        real_run_job = AttackCampaign.run_job
+
+        def run_job(self, job):
+            if job.job_id == poisoned:
+                raise ValueError("poisoned job")
+            return real_run_job(self, job)
+
+        monkeypatch.setattr(AttackCampaign, "run_job", run_job)
+        checkpoint = tmp_path / "campaign.jsonl"
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="1 jobs unaccounted"):
+            SchedulingCampaignExecutor(
+                graph, workers=2, checkpoint_path=checkpoint, lease_ttl=30.0
+            ).run(jobs)
+        assert time.perf_counter() - start < 10.0  # well under the 30 s TTL
+        completed = checkpoint.read_text().splitlines()[1:]
+        assert len(completed) == len(jobs) - 1

@@ -1,9 +1,10 @@
-"""Scheduler semantics: work-stealing is a wall-clock/fault-tolerance
-lever, never a semantics change.  A queue-drained run must be bit-identical
-to the serial :class:`AttackCampaign`, checkpoints must interoperate with
-the serial campaign and the static executor, a SIGKILL'd worker's jobs must
-be requeued and recovered (chaos tests), and a job legitimately completed
-twice must keep exactly one record in the merged checkpoint."""
+"""Scheduler semantics: the lease queue is a wall-clock/fault-tolerance
+lever, never a semantics change.  Its claim/heartbeat/complete protocol
+must hand every job out exactly once under any interleaving, a SIGKILL'd
+worker's jobs must be requeued and recovered (chaos tests), and a job
+legitimately completed twice must keep exactly one record in the merged
+checkpoint.  A queue-drained run must also match the serial
+:class:`AttackCampaign` and resume from (or into) its checkpoints."""
 
 import json
 import multiprocessing
@@ -15,7 +16,6 @@ import pytest
 
 from repro.attacks import (
     AttackCampaign,
-    ParallelCampaignExecutor,
     SchedulingCampaignExecutor,
     WorkQueue,
     build_campaign,
@@ -213,13 +213,16 @@ class TestWorkQueue:
 class TestSchedulerSerialParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_identical_result_serial_vs_scheduler(self, graph_and_targets, backend, sweep_jobs, assert_outcomes_identical):
+        """The executor built directly (not via build_campaign), on two
+        workers, matches the serial campaign with no worker lost."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
-        serial = build_campaign(graph, backend=backend, workers=1).run(jobs)
-        scheduled = build_campaign(
-            graph, backend=backend, workers=4, scheduler=True
-        ).run(jobs)
+        serial = AttackCampaign(graph, backend=backend).run(jobs)
+        executor = SchedulingCampaignExecutor(graph, backend=backend, workers=2)
+        scheduled = executor.run(jobs)
         assert_outcomes_identical(serial, scheduled)
+        assert scheduled.backend == serial.backend
+        assert executor.last_dead_workers == []
 
     def test_mixed_cost_grid_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
         """λ-sweep Binarized jobs next to cheap GradMax jobs — the skew the
@@ -234,26 +237,29 @@ class TestSchedulerSerialParity:
         scheduled = SchedulingCampaignExecutor(graph, workers=3).run(jobs)
         assert_outcomes_identical(serial, scheduled)
 
-    def test_build_campaign_scheduler_switch(self, graph_and_targets):
+    def test_build_campaign_scheduler_switch(self, graph_and_targets, monkeypatch):
+        """build_campaign's multi-worker executor takes its lease TTL from
+        $REPRO_LEASE_TTL, the one TTL knob driver runs have."""
         graph, _ = graph_and_targets
-        executor = build_campaign(graph, workers=2, scheduler=True)
+        monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
+        executor = build_campaign(graph, workers=2)
         assert isinstance(executor, SchedulingCampaignExecutor)
-        assert isinstance(executor, ParallelCampaignExecutor)
-        static = build_campaign(graph, workers=2)
-        assert not isinstance(static, SchedulingCampaignExecutor)
+        assert executor.workers == 2
+        assert executor.lease_ttl == 7.5
 
     def test_worker_observability(self, graph_and_targets, sweep_jobs):
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=6)
         executor = SchedulingCampaignExecutor(graph, workers=3)
         executor.run(jobs)
-        assert sum(len(s) for s in executor.last_shards) == 6
+        assert len(executor.last_worker_stats) == 3
         assert sum(s["jobs"] for s in executor.last_worker_stats) == 6
         for stats in executor.last_worker_stats:
             assert stats["claims"] >= stats["jobs"]
             assert stats["completions"] == stats["jobs"]
+            assert stats["cpu_seconds"] >= 0.0
+            assert stats["wall_seconds"] > 0.0
         assert executor.last_dead_workers == []
-        assert executor.last_overhead_seconds >= 0.0
 
     def test_queue_dir_is_cleaned_up_after_the_run(
         self, graph_and_targets, tmp_path, sweep_jobs
@@ -270,27 +276,33 @@ class TestSchedulerSerialParity:
 
 class TestSchedulerCheckpointResume:
     def test_scheduler_resumes_serial_checkpoint(self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical):
+        """Only the pending jobs are published to the lease queue."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs[:4])
-        resumed = SchedulingCampaignExecutor(
+        executor = SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
-        ).run(jobs)
+        )
+        resumed = executor.run(jobs)
         assert resumed.resumed_jobs == 4
+        assert sum(s["jobs"] for s in executor.last_worker_stats) == len(jobs) - 4
         assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)
 
-    def test_serial_resumes_scheduler_checkpoint(self, graph_and_targets, tmp_path, sweep_jobs):
+    def test_serial_resumes_scheduler_checkpoint(self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical):
+        """A partial queue-drained checkpoint resumes serially to the
+        fresh result."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         checkpoint = tmp_path / "campaign.jsonl"
         SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
-        ).run(jobs)
+        ).run(jobs[:5])
         resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
-        assert resumed.resumed_jobs == len(jobs)
+        assert resumed.resumed_jobs == 5
+        assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)
 
-    def test_static_executor_resumes_scheduler_checkpoint(
+    def test_scheduler_resumes_partial_checkpoint_with_more_workers(
         self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical
     ):
         graph, targets = graph_and_targets
@@ -299,7 +311,7 @@ class TestSchedulerCheckpointResume:
         SchedulingCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs[:5])
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 5
@@ -308,6 +320,7 @@ class TestSchedulerCheckpointResume:
     def test_fully_checkpointed_run_spawns_no_workers(
         self, graph_and_targets, tmp_path, sweep_jobs
     ):
+        """A replay publishes no queue and reports no worker activity."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         checkpoint = tmp_path / "campaign.jsonl"
@@ -319,7 +332,9 @@ class TestSchedulerCheckpointResume:
         )
         replay = executor.run(jobs)
         assert replay.resumed_jobs == 3
-        assert executor.last_shards == []
+        assert replay.worker_stats == []
+        assert executor.last_requeues == 0
+        assert not (tmp_path / "campaign.jsonl.queue").exists()
 
 
 def _chaos_ttl():
@@ -345,7 +360,7 @@ class TestChaosKillMidLease:
         real_main = scheduler_module._scheduler_worker_main
 
         def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
-                          lease_ttl, worker_index):
+                          lease_ttl, worker_index, telemetry=None):
             if worker_index == 0:
                 # Fork isolation: this rebinding exists only in the child.
                 real_claim = WorkQueue.claim
@@ -358,7 +373,7 @@ class TestChaosKillMidLease:
 
                 WorkQueue.claim = claim_then_die
             real_main(spec, queue_dir, shard_path, compute_ranks,
-                      lease_ttl, worker_index)
+                      lease_ttl, worker_index, telemetry)
 
         monkeypatch.setattr(
             scheduler_module, "_scheduler_worker_main", kamikaze_main
@@ -389,14 +404,14 @@ class TestChaosKillMidLease:
         real_main = scheduler_module._scheduler_worker_main
 
         def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
-                          lease_ttl, worker_index):
+                          lease_ttl, worker_index, telemetry=None):
             if worker_index == 0:
                 def die_instead_of_completing(self, job_id):
                     os.kill(os.getpid(), signal.SIGKILL)
 
                 WorkQueue.complete = die_instead_of_completing
             real_main(spec, queue_dir, shard_path, compute_ranks,
-                      lease_ttl, worker_index)
+                      lease_ttl, worker_index, telemetry)
 
         monkeypatch.setattr(
             scheduler_module, "_scheduler_worker_main", kamikaze_main
@@ -430,7 +445,7 @@ class TestChaosKillMidLease:
         real_main = scheduler_module._scheduler_worker_main
 
         def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
-                          lease_ttl, worker_index):
+                          lease_ttl, worker_index, telemetry=None):
             if worker_index == 1:
                 real_claim = WorkQueue.claim
 
@@ -442,7 +457,7 @@ class TestChaosKillMidLease:
 
                 WorkQueue.claim = claim_then_die
             real_main(spec, queue_dir, shard_path, compute_ranks,
-                      lease_ttl, worker_index)
+                      lease_ttl, worker_index, telemetry)
 
         monkeypatch.setattr(
             scheduler_module, "_scheduler_worker_main", kamikaze_main

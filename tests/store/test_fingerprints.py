@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.attacks import AttackCampaign, ParallelCampaignExecutor, grid_jobs
+from repro.attacks import AttackCampaign, SchedulingCampaignExecutor, grid_jobs
 from repro.attacks.campaign import checkpoint_aliases, graph_fingerprint
 from repro.store import (
     ALIAS_TABLE_NAME,
@@ -158,7 +158,7 @@ class TestCrossBackingResume:
         AttackCampaign(
             store.detached_csr(), backend="sparse", checkpoint_path=checkpoint
         ).run(jobs[:3])
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             store, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 3

@@ -8,7 +8,7 @@ from scipy import sparse
 
 from repro.attacks import (
     AttackCampaign,
-    ParallelCampaignExecutor,
+    SchedulingCampaignExecutor,
     build_campaign,
 )
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
@@ -63,14 +63,14 @@ class TestStoreExecutorParity:
         jobs = sweep_jobs(store_targets, count=6)
         store_serial = build_campaign(store, workers=1).run(jobs)
         store_parallel = build_campaign(store, workers=4).run(jobs)
-        payload_parallel = ParallelCampaignExecutor(
+        payload_parallel = SchedulingCampaignExecutor(
             memory_graph, workers=4, backend="sparse"
         ).run(jobs)
         assert_outcomes_identical(store_serial, store_parallel)
         assert_outcomes_identical(store_parallel, payload_parallel)
 
     def test_worker_stats_record_rss(self, store, sweep_jobs, store_targets):
-        executor = ParallelCampaignExecutor(store, workers=2)
+        executor = SchedulingCampaignExecutor(store, workers=2)
         executor.run(sweep_jobs(store_targets, count=4))
         assert executor.last_worker_stats
         for stats in executor.last_worker_stats:
@@ -80,7 +80,7 @@ class TestStoreExecutorParity:
         jobs = sweep_jobs(store_targets, count=6)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(store, checkpoint_path=checkpoint).run(jobs[:2])
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             store, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         fresh = AttackCampaign(store).run(jobs)
@@ -89,7 +89,7 @@ class TestStoreExecutorParity:
 
     def test_dense_backend_rejected(self, store):
         with pytest.raises(ValueError, match="sparse-only"):
-            ParallelCampaignExecutor(store, workers=2, backend="dense")
+            SchedulingCampaignExecutor(store, workers=2, backend="dense")
 
 
 class TestShardTruncation:
@@ -99,7 +99,7 @@ class TestShardTruncation:
         torn job, warn, and still converge to the serial result."""
         jobs = sweep_jobs(store_targets, count=6)
         checkpoint = tmp_path / "campaign.jsonl"
-        executor = ParallelCampaignExecutor(
+        executor = SchedulingCampaignExecutor(
             store, workers=2, checkpoint_path=checkpoint
         )
         executor.run(jobs)
@@ -112,7 +112,7 @@ class TestShardTruncation:
         shard.write_text("\n".join([lines[0], lines[-2], torn]) + "\n")
         checkpoint.write_text("\n".join(lines[:-2]) + "\n")
 
-        resumed = ParallelCampaignExecutor(
+        resumed = SchedulingCampaignExecutor(
             store, workers=3, checkpoint_path=checkpoint
         ).run(jobs)
         fresh = AttackCampaign(store).run(jobs)
@@ -131,7 +131,7 @@ class TestFingerprintRoundTrip:
         shard merge rejects every completed job."""
         jobs = sweep_jobs(store_targets, count=4)
         checkpoint = tmp_path / "campaign.jsonl"
-        via_csr = ParallelCampaignExecutor(
+        via_csr = SchedulingCampaignExecutor(
             store.csr(), workers=2, backend="sparse", checkpoint_path=checkpoint
         ).run(jobs)
         fresh = AttackCampaign(store).run(jobs)

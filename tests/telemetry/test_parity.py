@@ -12,7 +12,7 @@ import pytest
 
 from repro import telemetry
 from repro.attacks.campaign import AttackCampaign, CampaignResult
-from repro.attacks.executor import ParallelCampaignExecutor
+from repro.attacks.scheduler import SchedulingCampaignExecutor
 from repro.kernels import kernel_table
 
 
@@ -57,8 +57,8 @@ class TestFlipParity:
     ):
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=4)
-        untraced = ParallelCampaignExecutor(graph, workers=2).run(jobs)
-        traced = ParallelCampaignExecutor(
+        untraced = SchedulingCampaignExecutor(graph, workers=2).run(jobs)
+        traced = SchedulingCampaignExecutor(
             graph, workers=2, telemetry=tmp_path / "trace"
         ).run(jobs)
         telemetry.shutdown()
