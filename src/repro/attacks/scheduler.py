@@ -79,7 +79,6 @@ from repro.attacks.campaign import (
     CheckpointStore,
     JobOutcome,
     _normalize_graph,
-    checkpoint_aliases,
     graph_fingerprint,
     validate_jobs,
 )
@@ -1001,10 +1000,7 @@ class SchedulingCampaignExecutor:
         return shard_dir / f"{self._stem()}.shard{index}"
 
     def _store(self, path: Path) -> CheckpointStore:
-        return CheckpointStore(
-            path, self._fingerprint, self.backend, self.n,
-            aliases=checkpoint_aliases(self._original, self._fingerprint),
-        )
+        return CheckpointStore(path, self._fingerprint, self.backend, self.n)
 
     def _leftover_shards(self) -> "list[Path]":
         # Literal prefix match, NOT a glob: a checkpoint named e.g.

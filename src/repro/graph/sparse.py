@@ -10,11 +10,14 @@ module provides scipy.sparse implementations of the two hot kernels:
 * egonet features ``(N, E)`` for every node, and
 * OddBall Eq. 3 scores,
 
-verified bit-for-bit against the dense implementations in the tests.
+verified bit-for-bit against the dense implementations in the tests, plus
+the canonical graph :func:`content_hash` every checkpoint fingerprint and
+store manifest is derived from.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -27,10 +30,52 @@ from repro.oddball.scores import score_from_features
 
 __all__ = [
     "SparseGraphView",
+    "content_hash",
     "egonet_features_sparse",
     "anomaly_scores_sparse",
+    "hash_edge_keys",
     "to_sparse",
 ]
+
+
+def hash_edge_keys(n: int, keys: np.ndarray) -> str:
+    """Content hash of an ``n``-node graph from its sorted edge keys.
+
+    ``keys`` are the ascending int64 upper-triangle keys ``u·n + v``
+    (u < v), one per undirected edge; the hash is sha1 over ``f"{n}:"``
+    followed by their little-endian bytes, fed through the buffer protocol
+    without a ``.tobytes()`` copy.  The streaming store builder calls this
+    on the key array it already holds; :func:`content_hash` derives the
+    same keys from an adjacency, so both sides agree by construction.
+    """
+    digest = hashlib.sha1(f"{int(n)}:".encode())
+    digest.update(np.ascontiguousarray(keys, dtype="<i8"))
+    return digest.hexdigest()
+
+
+def content_hash(adjacency) -> str:
+    """Canonical content hash of a binary symmetric adjacency.
+
+    Depends only on the node count and the edge set: a dense array, a CSR
+    with sorted or unsorted rows, and a :class:`~repro.store.GraphStore`
+    CSR of one graph all hash alike (see :func:`hash_edge_keys`).  Keys
+    come out of a row-major scan already sorted unless the CSR's rows are
+    not, in which case they are sorted here.  O(m) for a CSR, O(n²) for a
+    dense array.
+    """
+    n = int(adjacency.shape[0])
+    if sparse.issparse(adjacency):
+        csr = adjacency.tocsr()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+        cols = np.asarray(csr.indices, dtype=np.int64)
+        upper = (cols > rows) & (csr.data != 0)
+        keys = rows[upper] * n + cols[upper]
+        if not csr.has_sorted_indices:
+            keys.sort()
+    else:
+        rows, cols = np.nonzero(np.triu(np.asarray(adjacency), k=1))
+        keys = rows.astype(np.int64) * n + cols
+    return hash_edge_keys(n, keys)
 
 
 def to_sparse(graph: "Graph | np.ndarray | sparse.spmatrix") -> sparse.csr_matrix:

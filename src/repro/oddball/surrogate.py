@@ -595,12 +595,13 @@ class EngineSpec(NamedTuple):
     ridge : float
         Ridge term of the closed-form power-law fit.
     fingerprint : str or None
-        Graph-identity token (``_repro_fingerprint``) carried across the
-        spec round-trip.  A store-tagged CSR fingerprints its checkpoints
-        by this token; without re-applying it in :meth:`to_graph`, a
-        worker rebuilding from byte payload would derive a *different*
-        checkpoint fingerprint than its parent and every shard merge
-        would be rejected.
+        The graph's precomputed content hash
+        (:func:`repro.graph.sparse.content_hash`), carried across the spec
+        round-trip as the ``_repro_fingerprint`` token: a store's manifest
+        value for ``store`` specs, or the token of a captured CSR.  A
+        worker then names its checkpoints in O(1), and the name equals the
+        one it would get by hashing the arrays, so shard merges validate
+        either way.
     kernels : str
         The *requested* hot-kernel flag (``auto``/``numpy``/``compiled``
         — see :mod:`repro.kernels`).  Unlike ``backend``, this is
@@ -679,7 +680,7 @@ class EngineSpec(NamedTuple):
         return cls(
             backend="sparse", kind="store", payload=(str(store.path),),
             floor=float(floor), ridge=float(ridge),
-            fingerprint=f"graph-store:{store.digest}",
+            fingerprint=store.content_hash,
             kernels=validate_kernels(kernels),
         )
 
@@ -687,9 +688,9 @@ class EngineSpec(NamedTuple):
         """Materialise the graph payload (ndarray, ``csr_matrix``, or the
         memory-mapped CSR of a ``store``-kind spec).
 
-        A captured :attr:`fingerprint` token is re-applied to the sparse
-        result, so checkpoints a worker writes validate against the
-        parent's regardless of which side carried the graph as bytes.
+        A captured :attr:`fingerprint` is re-applied to the sparse result
+        as its ``_repro_fingerprint`` token, so the worker does not rehash
+        the graph to name its checkpoints.
         """
         if self.kind == "dense":
             return np.array(self.payload[0], copy=True)

@@ -28,27 +28,17 @@ from repro.store.builder import (
     store_recipe,
 )
 from repro.store.datasets import STORE_DATASET_NAMES, load_store_dataset
-from repro.store.fingerprints import (
-    ALIAS_TABLE_NAME,
-    alias_fingerprints,
-    alias_table_path,
-    record_alias_group,
-)
 from repro.store.graphstore import GraphStore, MANIFEST_VERSION, recipe_hash
 
 __all__ = [
-    "ALIAS_TABLE_NAME",
     "DEFAULT_CHUNK_EDGES",
     "GraphStore",
     "MANIFEST_VERSION",
     "STORE_DATASET_NAMES",
     "STORE_RECIPES",
-    "alias_fingerprints",
-    "alias_table_path",
     "build_store",
     "default_cache_dir",
     "load_store_dataset",
-    "record_alias_group",
     "recipe_hash",
     "store_recipe",
 ]

@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.graph.sparse import hash_edge_keys
 from repro.store.graphstore import (
     _DATA_DTYPE,
     MANIFEST_VERSION,
@@ -126,7 +127,9 @@ def store_recipe(
     nodes = max(int(round(base["nodes"] * scale)), 64)
     edges = max(int(round(base["edges"] * scale)), nodes)
     recipe = {
-        "version": 1,
+        # Tied to the manifest schema: a schema bump re-addresses every
+        # cache directory, so a reader never opens a store of another one.
+        "version": MANIFEST_VERSION,
         "name": key,
         "family": base["family"],
         "nodes": nodes,
@@ -164,12 +167,6 @@ def build_store(
         store = GraphStore.open(path)
         if store.digest == digest:
             _log.debug("store cache hit: %s", path)
-            if (path / "payload-fingerprint.json").exists():
-                # Cheap (sidecar hit): re-record the alias group in case
-                # the cache directory was copied without its table.  Cold
-                # stores skip it — computing the payload fingerprint would
-                # page the whole graph in on every cache hit.
-                store.register_fingerprint_aliases()
             return store
         raise ValueError(
             f"store directory {path} holds a different recipe "
@@ -199,6 +196,7 @@ def build_store(
         "planted": planted,
         "recipe": recipe,
         "recipe_hash": digest,
+        "content_hash": hash_edge_keys(recipe["nodes"], keys),
         "build_seconds": round(build_seconds, 3),
         "validated": True,
     }
@@ -212,12 +210,7 @@ def build_store(
         "built store %s: n=%d m=%d (%.2fs)",
         path, recipe["nodes"], keys.size, build_seconds,
     )
-    store = GraphStore.open(path)
-    # Record the token↔payload fingerprint equivalence while the arrays
-    # are page-hot from the build — checkpoints written against this store
-    # then resume payload-backed runs of the same graph and vice versa.
-    store.register_fingerprint_aliases()
-    return store
+    return GraphStore.open(path)
 
 
 # --------------------------------------------------------------------- #

@@ -14,10 +14,11 @@ A :class:`GraphStore` removes both: the graph lives on disk as raw
 little-endian CSR component files that are **memory-mapped read-only**
 (`np.memmap(mode="r")`), under a **content-addressed** directory whose name
 includes a hash of the build recipe, next to a JSON manifest recording the
-node/edge counts, array dtypes, the planted-anomaly ground truth and the
-recipe itself.  Opening a store is O(1); the OS pages CSR data in on demand
-and shares the pages between every process that maps the same files — N
-parallel workers pay for ONE copy of the graph, not N.
+node/edge counts, array dtypes, the planted-anomaly ground truth, the
+recipe itself and the graph's canonical content hash.  Opening a store is
+O(1); the OS pages CSR data in on demand and shares the pages between every
+process that maps the same files — N parallel workers pay for ONE copy of
+the graph, not N.
 
 Layout of one store directory (see ``docs/ARCHITECTURE.md`` §Storage
 layer)::
@@ -44,18 +45,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from repro import telemetry as _telemetry
+from repro.graph.sparse import content_hash
 
 __all__ = ["GraphStore", "MANIFEST_VERSION", "index_dtype", "recipe_hash"]
 
 #: Manifest schema version; bump on any incompatible layout change.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _DATA_DTYPE = np.float64
 
@@ -122,10 +123,11 @@ class GraphStore:
     def open(cls, path: "str | Path", verify: bool = False) -> "GraphStore":
         """Map an existing store directory.
 
-        Cheap structural sanity checks (manifest version, file sizes,
-        monotone ``indptr``) always run; ``verify=True`` additionally
-        re-validates the full adjacency contract (symmetric, binary, zero
-        diagonal, sorted rows) in O(m) — use it after copying a store
+        Cheap structural sanity checks (manifest version and
+        ``content_hash`` present, file sizes, monotone ``indptr``) always
+        run; ``verify=True`` additionally re-validates the full adjacency
+        contract (symmetric, binary, zero diagonal, sorted rows) and
+        recomputes the content hash in O(m) — use it after copying a store
         between machines.
         """
         path = Path(path)
@@ -141,6 +143,8 @@ class GraphStore:
                 f"store {path} has unsupported manifest version "
                 f"{manifest.get('version')!r} (this build reads {MANIFEST_VERSION})"
             )
+        if not isinstance(manifest.get("content_hash"), str):
+            raise ValueError(f"store {path}: manifest has no content_hash")
         store = cls(path, manifest)
         store._check_structure()
         if verify:
@@ -186,6 +190,11 @@ class GraphStore:
                 raise ValueError(
                     f"store {self.path}: row {row} indices are not sorted/unique"
                 )
+        if content_hash(matrix) != self.content_hash:
+            raise ValueError(
+                f"store {self.path}: adjacency does not match the manifest's "
+                "content_hash"
+            )
 
     # ------------------------------------------------------------------ #
     # Metadata
@@ -226,6 +235,16 @@ class GraphStore:
         return self.manifest["recipe_hash"]
 
     @property
+    def content_hash(self) -> str:
+        """The graph's canonical content hash, recorded at build time.
+
+        Equal to :func:`repro.graph.sparse.content_hash` of the adjacency
+        (``open(verify=True)`` re-checks it), and read from the manifest
+        in O(1).
+        """
+        return self.manifest["content_hash"]
+
+    @property
     def shape(self) -> tuple[int, int]:
         """Adjacency shape, for shape-dispatching callers (resolve_backend)."""
         n = self.number_of_nodes
@@ -250,9 +269,10 @@ class GraphStore:
         * ``_repro_validated`` — :func:`repro.graph.sparse.to_sparse`
           returns it as-is instead of copy-validating (the builder validated
           at write time; ``open(verify=True)`` re-checks), and
-        * ``_repro_fingerprint`` — :func:`repro.attacks.campaign.graph_fingerprint`
-          derives the checkpoint fingerprint from the recipe digest instead
-          of hashing 2·m entries,
+        * ``_repro_fingerprint`` — the manifest's :attr:`content_hash`, so
+          :func:`repro.attacks.campaign.graph_fingerprint` names this
+          graph in O(1), without paging in the mapped arrays, and gives
+          the same name as for any other backing of the graph,
 
         and ``has_sorted_indices`` is set so scipy never attempts an
         in-place sort of the read-only buffers.
@@ -264,10 +284,7 @@ class GraphStore:
             )
             matrix.has_sorted_indices = True
             matrix._repro_validated = True
-            matrix._repro_fingerprint = f"graph-store:{self.digest}"
-            # Lets the campaign layer find this store's fingerprint alias
-            # table (checkpoint_aliases) without a global registry.
-            matrix._repro_store_path = str(self.path)
+            matrix._repro_fingerprint = self.content_hash
             features = self.features()
             if features is not None:
                 # IncrementalEgonetFeatures picks these up and skips its
@@ -303,64 +320,14 @@ class GraphStore:
         The inverse of :meth:`csr` for comparison purposes: the payload-
         path benchmarks and the store parity tests feed this to the
         pipeline so it behaves exactly like a graph that never touched the
-        store subsystem (re-validated, re-fingerprinted by bytes, features
-        recomputed).
+        store subsystem (re-validated, content-hashed from its arrays,
+        features recomputed).
         """
         csr = self.csr()
         return sparse.csr_matrix(
             (np.array(csr.data), np.array(csr.indices), np.array(csr.indptr)),
             shape=csr.shape,
         )
-
-    def payload_fingerprint(self) -> str:
-        """The byte-derived fingerprint a payload-backed campaign computes.
-
-        :func:`~repro.attacks.campaign.graph_fingerprint` names this
-        store's CSR from its content-addressing token in O(1); the same
-        graph fed through :meth:`detached_csr` (or built without the store
-        subsystem at all) is named by hashing its coo arrays instead.  This
-        method computes that second name — the one O(m) pass is paid once
-        and cached in a ``payload-fingerprint.json`` sidecar inside the
-        store directory (a sidecar, not a manifest field, so existing
-        stores gain it without a manifest version bump).
-        """
-        sidecar = self.path / "payload-fingerprint.json"
-        try:
-            cached = json.loads(sidecar.read_text())
-            if cached.get("version") == 1:
-                return str(cached["fingerprint"])
-        except (FileNotFoundError, json.JSONDecodeError, KeyError):
-            pass
-        from repro.attacks.campaign import graph_fingerprint
-
-        fingerprint = graph_fingerprint(self.detached_csr(), "sparse")
-        tmp = self.path / f"payload-fingerprint.json.{os.getpid()}.tmp"
-        tmp.write_text(
-            json.dumps({"version": 1, "backend": "sparse",
-                        "fingerprint": fingerprint}) + "\n"
-        )
-        tmp.rename(sidecar)
-        return fingerprint
-
-    def register_fingerprint_aliases(self) -> frozenset:
-        """Record this store's token↔payload fingerprint equivalence.
-
-        Writes the alias group into the ``fingerprint-aliases.json`` table
-        of the cache directory holding this store (see
-        :mod:`repro.store.fingerprints`), so checkpoints written against
-        the store resume payload-backed runs of the same graph and vice
-        versa.  Called automatically at :func:`~repro.store.build_store`
-        time; idempotent.  Returns the recorded group.
-        """
-        from repro.attacks.campaign import graph_fingerprint
-        from repro.store.fingerprints import record_alias_group
-
-        token_fp = graph_fingerprint(self.csr(), "sparse")
-        payload_fp = self.payload_fingerprint()
-        group = frozenset({token_fp, payload_fp})
-        if len(group) > 1:
-            record_alias_group(group, cache_dir=self.path.parent)
-        return group
 
     def degrees(self) -> np.ndarray:
         """Per-node degree vector, O(n) from ``indptr`` (no row scan)."""

@@ -172,6 +172,61 @@ class TestCampaignResume:
         with pytest.raises(ValueError, match="different"):
             AttackCampaign(other, checkpoint_path=checkpoint).run(jobs)
 
+    @pytest.mark.parametrize("first, second", [("dense", "csr"), ("csr", "dense")])
+    def test_dense_and_csr_backings_resume_each_other(
+        self, graph_and_targets, tmp_path, first, second
+    ):
+        """The checkpoint names the graph by its content hash, not by the
+        bytes of whichever container carried it."""
+        graph, targets = graph_and_targets
+        adjacency = np.array(graph.adjacency_view)
+        backings = {"dense": adjacency, "csr": sparse.csr_matrix(adjacency)}
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:2]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(backings[first], checkpoint_path=checkpoint).run(jobs)
+        resumed = AttackCampaign(
+            backings[second], checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == len(jobs)
+
+    def test_row_reversed_csr_resumes_sorted_csr_checkpoint(
+        self, graph_and_targets, tmp_path
+    ):
+        graph, targets = graph_and_targets
+        ordered = sparse.csr_matrix(np.array(graph.adjacency_view))
+        indices = np.array(ordered.indices)
+        for row in range(ordered.shape[0]):
+            start, stop = ordered.indptr[row], ordered.indptr[row + 1]
+            indices[start:stop] = indices[start:stop][::-1]
+        reordered = sparse.csr_matrix(
+            (ordered.data.copy(), indices, ordered.indptr.copy()),
+            shape=ordered.shape,
+        )
+        assert not reordered.has_sorted_indices
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:2]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(ordered, checkpoint_path=checkpoint).run(jobs)
+        resumed = AttackCampaign(reordered, checkpoint_path=checkpoint).run(jobs)
+        assert resumed.resumed_jobs == len(jobs)
+
+    def test_version_1_header_is_unsupported(self, graph_and_targets, tmp_path):
+        """Version-1 headers named store graphs by recipe, not content: they
+        fail loudly instead of being matched against a content hash."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[targets[0]]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        header, *records = checkpoint.read_text().splitlines()
+        header = json.loads(header)
+        assert header["version"] == 2
+        header["version"] = 1
+        checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ValueError, match="unsupported version 1"):
+            AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+
     def test_duplicate_jobs_rejected(self, graph_and_targets):
         graph, targets = graph_and_targets
         job = AttackJob.make("gradmaxsearch", [targets[0]], 2)

@@ -6,7 +6,13 @@ from scipy import sparse
 
 from repro.graph.features import egonet_features
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.graph.sparse import anomaly_scores_sparse, egonet_features_sparse, to_sparse
+from repro.graph.sparse import (
+    anomaly_scores_sparse,
+    content_hash,
+    egonet_features_sparse,
+    hash_edge_keys,
+    to_sparse,
+)
 from repro.oddball.scores import anomaly_scores
 
 
@@ -123,3 +129,44 @@ class TestExplicitZeros:
         nnz_before = matrix.nnz
         to_sparse(matrix)
         assert matrix.nnz == nnz_before
+
+
+class TestContentHash:
+    """One hash per graph: the container and its index order never matter,
+    the edge set and node count always do."""
+
+    def test_matches_the_sorted_key_hash(self, small_er_graph):
+        dense = small_er_graph.adjacency
+        n = dense.shape[0]
+        u, v = np.nonzero(np.triu(dense, k=1))
+        assert content_hash(dense) == hash_edge_keys(n, u * n + v)
+
+    def test_container_independent(self, small_er_graph):
+        dense = small_er_graph.adjacency
+        rows, cols = np.nonzero(dense)
+        u, v = map(int, np.argwhere(np.triu(dense == 0, k=1))[0])
+        with_zeros = sparse.csr_matrix(  # stored explicit zeros are not edges
+            (
+                np.r_[dense[rows, cols], 0.0, 0.0],
+                (np.r_[rows, u, v], np.r_[cols, v, u]),
+            ),
+            shape=dense.shape,
+        )
+        assert with_zeros.nnz == rows.size + 2
+        hashes = {
+            content_hash(dense),
+            content_hash(sparse.csr_matrix(dense)),
+            content_hash(sparse.coo_matrix(dense)),
+            content_hash(with_zeros),
+        }
+        assert len(hashes) == 1
+
+    def test_node_count_and_edges_matter(self, small_er_graph):
+        dense = small_er_graph.adjacency
+        padded = np.zeros((dense.shape[0] + 1,) * 2)
+        padded[:-1, :-1] = dense  # one isolated node more
+        assert content_hash(padded) != content_hash(dense)
+        u, v = map(int, np.argwhere(np.triu(dense, k=1))[0])
+        flipped = dense.copy()
+        flipped[u, v] = flipped[v, u] = 0.0
+        assert content_hash(flipped) != content_hash(dense)

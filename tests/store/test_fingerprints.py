@@ -1,26 +1,21 @@
-"""Fingerprint alias table: a store-backed campaign and a payload-backed
-campaign of the *same graph* carry different checkpoint fingerprints (O(1)
-content-address token vs hashed coo arrays); the alias table recorded at
-build time makes their checkpoints resume each other in both directions."""
+"""One content hash per graph: a store CSR, its detached payload, the dense
+array and a row-reordered CSR of one graph share one checkpoint fingerprint,
+so their checkpoints resume each other with no environment set, while a
+graph one edge away is still refused."""
 
-import json
-
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.attacks import AttackCampaign, SchedulingCampaignExecutor, grid_jobs
-from repro.attacks.campaign import checkpoint_aliases, graph_fingerprint
-from repro.store import (
-    ALIAS_TABLE_NAME,
-    alias_fingerprints,
-    alias_table_path,
-    build_store,
-    record_alias_group,
-)
+from repro.attacks.campaign import graph_fingerprint
+from repro.graph.sparse import content_hash
+from repro.store import GraphStore, build_store
 
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("alias-store-cache")
+    cache = tmp_path_factory.mktemp("fingerprint-store-cache")
     return build_store("blogcatalog", cache_dir=cache, scale=0.25, seed=5)
 
 
@@ -31,100 +26,69 @@ def _sweep_jobs(store, count=5, budget=2):
     )
 
 
-class TestAliasTable:
-    def test_record_and_lookup(self, tmp_path):
-        record_alias_group({"fp-a", "fp-b"}, cache_dir=tmp_path)
-        assert alias_fingerprints("fp-a", cache_dir=tmp_path) == {"fp-b"}
-        assert alias_fingerprints("fp-b", cache_dir=tmp_path) == {"fp-a"}
-        assert alias_fingerprints("fp-c", cache_dir=tmp_path) == frozenset()
-
-    def test_intersecting_groups_union_merge(self, tmp_path):
-        record_alias_group({"fp-a", "fp-b"}, cache_dir=tmp_path)
-        record_alias_group({"fp-b", "fp-c"}, cache_dir=tmp_path)
-        assert alias_fingerprints("fp-a", cache_dir=tmp_path) == {"fp-b", "fp-c"}
-        table = json.loads(alias_table_path(tmp_path).read_text())
-        assert table["version"] == 1
-        assert table["groups"] == [["fp-a", "fp-b", "fp-c"]]
-
-    def test_disjoint_groups_stay_separate(self, tmp_path):
-        record_alias_group({"fp-a", "fp-b"}, cache_dir=tmp_path)
-        record_alias_group({"fp-x", "fp-y"}, cache_dir=tmp_path)
-        assert alias_fingerprints("fp-a", cache_dir=tmp_path) == {"fp-b"}
-        assert alias_fingerprints("fp-x", cache_dir=tmp_path) == {"fp-y"}
-
-    def test_recording_is_idempotent(self, tmp_path):
-        record_alias_group({"fp-a", "fp-b"}, cache_dir=tmp_path)
-        before = alias_table_path(tmp_path).read_text()
-        record_alias_group({"fp-b", "fp-a"}, cache_dir=tmp_path)
-        assert alias_table_path(tmp_path).read_text() == before
-
-    def test_fewer_than_two_distinct_fingerprints_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="two distinct"):
-            record_alias_group({"fp-a", "fp-a"}, cache_dir=tmp_path)
-
-    def test_corrupt_table_is_ignored_not_fatal(self, tmp_path):
-        path = alias_table_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"version": 1, "groups": [["fp-a",')  # torn write
-        assert alias_fingerprints("fp-a", cache_dir=tmp_path) == frozenset()
-        # recording over the wreck heals the table
-        record_alias_group({"fp-a", "fp-b"}, cache_dir=tmp_path)
-        assert alias_fingerprints("fp-a", cache_dir=tmp_path) == {"fp-b"}
-
-    def test_unsupported_version_is_ignored(self, tmp_path):
-        path = alias_table_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"version": 99, "groups": [["a", "b"]]}))
-        assert alias_fingerprints("a", cache_dir=tmp_path) == frozenset()
-
-    def test_default_cache_dir_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(tmp_path))
-        record_alias_group({"fp-a", "fp-b"})
-        assert (tmp_path / ALIAS_TABLE_NAME).exists()
-        assert alias_fingerprints("fp-a") == {"fp-b"}
+def _row_reversed(csr):
+    """The same CSR with every row's indices stored in descending order."""
+    indices = np.array(csr.indices)
+    for row in range(csr.shape[0]):
+        start, stop = csr.indptr[row], csr.indptr[row + 1]
+        indices[start:stop] = indices[start:stop][::-1]
+    return sparse.csr_matrix(
+        (np.array(csr.data), indices, np.array(csr.indptr)), shape=csr.shape
+    )
 
 
-class TestStoreRegistration:
-    def test_build_store_records_token_payload_group(self, store):
-        table = store.path.parent / ALIAS_TABLE_NAME
-        assert table.exists()
-        token_fp = graph_fingerprint(store.csr(), "sparse")
-        payload_fp = store.payload_fingerprint()
-        assert token_fp != payload_fp  # the whole reason the table exists
-        assert alias_fingerprints(
-            token_fp, cache_dir=store.path.parent
-        ) == {payload_fp}
+def _one_edge_flipped(csr):
+    """A copy of the graph with the pair ``(0, n - 1)`` toggled."""
+    lil = csr.tolil()
+    last = csr.shape[0] - 1
+    lil[0, last] = lil[last, 0] = 1.0 - lil[0, last]
+    return lil.tocsr()
 
-    def test_payload_fingerprint_is_cached_in_a_sidecar(self, store):
-        sidecar = store.path / "payload-fingerprint.json"
-        first = store.payload_fingerprint()
-        assert sidecar.exists()
-        assert json.loads(sidecar.read_text())["fingerprint"] == first
-        assert store.payload_fingerprint() == first  # cache hit path
-        assert first == graph_fingerprint(store.detached_csr(), "sparse")
 
-    def test_checkpoint_aliases_for_tagged_store_matrix(self, store):
-        token_csr = store.csr()  # tagged with _repro_store_path
-        token_fp = graph_fingerprint(token_csr, "sparse")
-        assert checkpoint_aliases(token_csr, token_fp) == {
-            store.payload_fingerprint()
+class TestContentHash:
+    def test_manifest_records_the_content_hash(self, store):
+        assert store.manifest["content_hash"] == content_hash(store.detached_csr())
+
+    def test_every_backing_shares_one_fingerprint(self, monkeypatch, store):
+        monkeypatch.delenv("REPRO_STORE_CACHE", raising=False)
+        payload = store.detached_csr()
+        reversed_rows = _row_reversed(payload)
+        assert not reversed_rows.has_sorted_indices
+        fingerprints = {
+            graph_fingerprint(store.csr(), "sparse"),
+            graph_fingerprint(payload, "sparse"),
+            graph_fingerprint(payload.toarray(), "sparse"),
+            graph_fingerprint(reversed_rows, "sparse"),
         }
+        assert len(fingerprints) == 1
 
-    def test_checkpoint_aliases_for_untagged_payload_matrix(
-        self, store, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(store.path.parent))
-        payload = store.detached_csr()  # no store tags at all
-        payload_fp = graph_fingerprint(payload, "sparse")
-        token_fp = graph_fingerprint(store.csr(), "sparse")
-        assert checkpoint_aliases(payload, payload_fp) == {token_fp}
+    def test_backend_changes_the_fingerprint(self, store):
+        payload = store.detached_csr()
+        assert graph_fingerprint(payload, "sparse") != graph_fingerprint(
+            payload, "dense"
+        )
+
+    def test_store_fingerprint_reads_no_mapped_array(self, store):
+        """The store CSR is named from its manifest token alone: with its
+        mapped arrays swapped for objects that fail on any read, it still
+        fingerprints, and to the same name as the payload."""
+
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"fingerprinting read a mapped array ({name})")
+
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("fingerprinting read a mapped array")
+
+        csr = GraphStore.open(store.path).csr()
+        csr.indices = csr.indptr = csr.data = Unreadable()
+        assert graph_fingerprint(csr, "sparse") == graph_fingerprint(
+            store.detached_csr(), "sparse"
+        )
 
 
 class TestCrossBackingResume:
-    def test_payload_campaign_resumes_store_checkpoint(
-        self, store, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(store.path.parent))
+    def test_payload_campaign_resumes_store_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(
@@ -135,10 +99,7 @@ class TestCrossBackingResume:
         ).run(jobs)
         assert resumed.resumed_jobs == len(jobs)
 
-    def test_store_campaign_resumes_payload_checkpoint(
-        self, store, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(store.path.parent))
+    def test_store_campaign_resumes_payload_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(
@@ -149,10 +110,7 @@ class TestCrossBackingResume:
         ).run(jobs)
         assert resumed.resumed_jobs == len(jobs)
 
-    def test_store_executor_resumes_payload_checkpoint(
-        self, store, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(store.path.parent))
+    def test_store_executor_resumes_payload_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(
@@ -163,25 +121,14 @@ class TestCrossBackingResume:
         ).run(jobs)
         assert resumed.resumed_jobs == 3
 
-    def test_without_the_table_resume_still_refuses(
-        self, store, tmp_path, monkeypatch
-    ):
-        """The table is an affordance, not load-bearing: removing it
-        restores the strict pre-alias behaviour instead of mis-resuming."""
-        monkeypatch.setenv("REPRO_STORE_CACHE", str(tmp_path / "empty-cache"))
+    def test_one_flipped_edge_still_refuses_resume(self, store, tmp_path):
         jobs = _sweep_jobs(store, count=2)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(
             store.csr(), backend="sparse", checkpoint_path=checkpoint
         ).run(jobs)
-        table = store.path.parent / ALIAS_TABLE_NAME
-        saved = table.read_text()
-        table.unlink()
-        try:
-            with pytest.raises(ValueError, match="different"):
-                AttackCampaign(
-                    store.detached_csr(), backend="sparse",
-                    checkpoint_path=checkpoint,
-                ).run(jobs)
-        finally:
-            table.write_text(saved)
+        with pytest.raises(ValueError, match="different"):
+            AttackCampaign(
+                _one_edge_flipped(store.detached_csr()), backend="sparse",
+                checkpoint_path=checkpoint,
+            ).run(jobs)

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.graph.sparse import egonet_features_sparse, to_sparse
+from repro.graph.sparse import content_hash, egonet_features_sparse, to_sparse
 from repro.store import (
     GraphStore,
+    MANIFEST_VERSION,
     STORE_RECIPES,
     build_store,
     recipe_hash,
@@ -25,10 +26,12 @@ def store(tmp_path_factory):
 class TestBuild:
     def test_manifest_fields(self, store):
         manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["version"] == 1
+        assert manifest["version"] == MANIFEST_VERSION == 2
+        assert manifest["recipe"]["version"] == MANIFEST_VERSION
         assert manifest["n_nodes"] == store.number_of_nodes
         assert manifest["nnz"] == 2 * store.number_of_edges
         assert manifest["recipe_hash"] == store.digest
+        assert manifest["content_hash"] == content_hash(store.detached_csr())
         assert manifest["recipe"]["seed"] == 7
         assert set(manifest["planted"]) == {"cliques", "stars"}
         assert manifest["planted"]["cliques"]  # ground truth survives
@@ -86,32 +89,54 @@ class TestBuild:
             GraphStore.open(partial)
 
 
+def _clone_with_manifest(store, tmp_path, **fields):
+    """Copy ``store`` into ``tmp_path`` with manifest ``fields`` overridden
+    (``None`` deletes a field)."""
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    for item in store.path.iterdir():
+        (clone / item.name).write_bytes(item.read_bytes())
+    manifest = json.loads((clone / "manifest.json").read_text())
+    for key, value in fields.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    (clone / "manifest.json").write_text(json.dumps(manifest))
+    return clone
+
+
 class TestOpen:
     def test_open_verify_passes(self, store):
         GraphStore.open(store.path, verify=True)
 
     def test_version_guard(self, store, tmp_path):
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        for item in store.path.iterdir():
-            (clone / item.name).write_bytes(item.read_bytes())
-        manifest = json.loads((clone / "manifest.json").read_text())
-        manifest["version"] = 99
-        (clone / "manifest.json").write_text(json.dumps(manifest))
+        clone = _clone_with_manifest(store, tmp_path, version=99)
         with pytest.raises(ValueError, match="unsupported manifest version"):
             GraphStore.open(clone)
 
+    def test_version_1_manifest_rejected(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path, version=1, content_hash=None)
+        with pytest.raises(ValueError, match="unsupported manifest version 1"):
+            GraphStore.open(clone)
+
+    def test_missing_content_hash_rejected(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path, content_hash=None)
+        with pytest.raises(ValueError, match="no content_hash"):
+            GraphStore.open(clone)
+
+    def test_verify_rejects_edited_content_hash(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path, content_hash="0" * 40)
+        GraphStore.open(clone)  # the cheap checks do not hash the arrays
+        with pytest.raises(ValueError, match="content_hash"):
+            GraphStore.open(clone, verify=True)
+
     def test_structure_guard(self, store, tmp_path):
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        for item in store.path.iterdir():
-            (clone / item.name).write_bytes(item.read_bytes())
-        manifest = json.loads((clone / "manifest.json").read_text())
-        manifest["nnz"] += 2  # lie about the entry count
+        # lie about the entry count
+        clone = _clone_with_manifest(store, tmp_path, nnz=store.nnz + 2)
         for name in ("indices.bin", "data.bin"):
             grown = clone / name
             grown.write_bytes(grown.read_bytes() + b"\x00" * 16)
-        (clone / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="indptr ends"):
             GraphStore.open(clone)
 
@@ -139,7 +164,7 @@ class TestMmapDiscipline:
                 assert np.all(np.diff(segment) > 0)
 
     def test_fingerprint_token(self, store):
-        assert store.csr()._repro_fingerprint == f"graph-store:{store.digest}"
+        assert store.csr()._repro_fingerprint == store.manifest["content_hash"]
 
 
 class TestGraphQueries:

@@ -143,6 +143,6 @@ class TestFingerprintRoundTrip:
     def test_spec_round_trip_preserves_token(self, store):
         spec = EngineSpec.from_graph(store.csr(), backend="sparse")
         assert spec.kind == "csr"
-        assert spec.fingerprint == f"graph-store:{store.digest}"
+        assert spec.fingerprint == store.content_hash
         rebuilt = spec.to_graph()
         assert rebuilt._repro_fingerprint == spec.fingerprint
