@@ -173,7 +173,8 @@ def _bench_scatter(csr, rows, cols, shape: str, seed: int) -> dict:
 
 
 def _bench_triangle_counts(csr) -> dict:
-    """Clean-feature triangle term: blocked spgemm vs one C merge pass."""
+    """Clean-feature triangle term: the forward count, as oriented sparse
+    products (numpy) vs one C pass over the out-lists (compiled)."""
     start = time.perf_counter()
     n_np, e_np = egonet_features_sparse(csr, kernels="numpy")
     numpy_s = time.perf_counter() - start

@@ -114,9 +114,8 @@ class IncrementalEgonetFeatures:
         precomputed = getattr(csr, "_repro_egonet_features", None)
         if precomputed is not None:
             # A GraphStore CSR ships its clean (N, E) precomputed at build
-            # time; copying the 2 × n vectors replaces the O(Σ deg²)
-            # triangle pass — the difference between an O(n) and a
-            # minutes-long engine construction at full Blogcatalog scale.
+            # time; copying the 2 × n vectors replaces the triangle pass,
+            # so engine construction stays O(n).
             n_feature, e_feature = precomputed
         else:
             n_feature, e_feature = egonet_features_sparse(csr)

@@ -122,68 +122,73 @@ def to_sparse(graph: "Graph | np.ndarray | sparse.spmatrix") -> sparse.csr_matri
     return matrix
 
 
-#: Intermediate-product entries allowed per row block of the chunked
-#: triangle computation (~a few hundred MB of scipy spgemm scratch).
-_TRIANGLE_FILL_BUDGET = 20_000_000
-
-
 def egonet_features_sparse(
     adjacency, kernels: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, E) for every node using sparse arithmetic.
 
-    ``N_i = Σ_j A_ij`` and ``E_i = N_i + ½ diag(A³)``; the triangle term is
-    the row-sum of ``(A @ A) ⊙ A``, evaluated without densifying — the
-    elementwise mask keeps only entries where an edge exists.
-
-    With the compiled kernel backend (``kernels``, see
-    :mod:`repro.kernels`) the triangle term is one C pass of sorted-row
-    intersections — no sparse-product scratch at all.  The numpy path
-    computes the product in **row blocks of bounded fill**: scipy
-    materialises the full ``A[R] @ A`` before the mask, and its fill —
-    exactly ``Σ_{u∈R} Σ_{v∈Γ(u)} deg(v)``, known up front from one
-    ``A @ deg`` mat-vec — reaches gigabytes on heavy-tailed graphs (a
-    Blogcatalog-scale hub's row alone contributes millions of entries).
-    Each row's result is independent, so blocking changes peak memory
-    only.  Triangle counts are integers, so both paths return features
-    bit-identical to the one-shot product (the equivalence tests pin this
-    against the dense kernel and across kernel backends).
+    ``N_i = Σ_j A_ij`` and ``E_i = N_i + ½ diag(A³)``.  The triangle term
+    is the forward count (Schank & Wagner 2005): every edge is oriented
+    from the lower to the higher ``(degree, id)`` endpoint, which caps
+    each out-degree at ``√(2m)`` however large the hubs are, and each
+    triangle is found once, on its lowest-ranked oriented edge, and
+    credited to all three corners.  With the compiled kernel backend
+    (``kernels``, see :mod:`repro.kernels`) that is one C pass over the
+    out-lists; the numpy path forms the same orientation as a CSR ``O``
+    and reads the corners off two sparse products (see
+    :func:`_oriented_triangle_counts`).  Triangle counts are integers, so
+    both paths return features bit-identical to the ``(A @ A) ⊙ A``
+    product (the equivalence tests pin this against the dense kernel and
+    across kernel backends).
     """
     from repro.kernels import kernel_table, resolve_kernels
 
     matrix = to_sparse(adjacency)
-    n = matrix.shape[0]
     n_feature = np.asarray(matrix.sum(axis=1)).ravel()
     tracer = _telemetry.active_tracer()
     start_ns = time.perf_counter_ns() if tracer is not None else 0
-    if resolve_kernels(kernels) == "compiled" and matrix.has_sorted_indices:
+    if resolve_kernels(kernels) == "compiled":
         triangles = kernel_table().triangle_counts(matrix)
-        if tracer is not None:
-            tracer.count("kernels.triangle_counts", 1,
-                         time.perf_counter_ns() - start_ns)
-        return n_feature, n_feature + 0.5 * triangles
-    triangles = np.empty(n, dtype=np.float64)
-    # cumulative projected fill per row prefix; block boundaries are one
-    # searchsorted each, so chunking adds O(m + n log n) bookkeeping total
-    cumulative_fill = np.cumsum(matrix @ n_feature)
-    start = 0
-    while start < n:
-        already = cumulative_fill[start - 1] if start else 0.0
-        stop = int(
-            np.searchsorted(
-                cumulative_fill, already + _TRIANGLE_FILL_BUDGET, side="right"
-            )
-        )
-        stop = min(max(stop, start + 1), n)
-        block = matrix[start:stop]
-        two_paths = (block @ matrix).multiply(block)
-        triangles[start:stop] = np.asarray(two_paths.sum(axis=1)).ravel()
-        start = stop
+    else:
+        triangles = _oriented_triangle_counts(matrix)
     if tracer is not None:
         tracer.count("kernels.triangle_counts", 1,
                      time.perf_counter_ns() - start_ns)
-    e_feature = n_feature + 0.5 * triangles
-    return n_feature, e_feature
+    return n_feature, n_feature + 0.5 * triangles
+
+
+def _oriented_triangle_counts(matrix) -> np.ndarray:
+    """``diag(A³)`` by the forward count, with sparse products only.
+
+    ``O`` orients every edge from the lower to the higher ``(degree, id)``
+    endpoint.  A triangle whose corners rank ``u < v < w`` is one entry
+    ``(u, w)`` of ``(O @ O) ⊙ O`` and one entry ``(v, w)`` of
+    ``(Oᵀ @ O) ⊙ O``; the three per-corner bincounts credit ``u``, ``w``
+    and ``v``.  Both products' fill is bounded by out-degrees, at most
+    ``√(2m)`` each.
+    """
+    n = matrix.shape[0]
+    degree = np.diff(matrix.indptr)
+    rows = np.repeat(np.arange(n), degree)
+    cols = matrix.indices
+    forward = (degree[cols] > degree[rows]) | (
+        (degree[cols] == degree[rows]) & (cols > rows)
+    )
+    # int32 entries halve the products' memory; an entry counts the
+    # two-step paths between two nodes, so it stays below n
+    oriented = sparse.csr_matrix(
+        (np.ones(int(forward.sum()), dtype=np.int32),
+         (rows[forward], cols[forward])),
+        shape=(n, n),
+    )
+    outer = (oriented @ oriented).multiply(oriented).tocoo()
+    middle = (oriented.T @ oriented).multiply(oriented).tocoo()
+    corners = (
+        np.bincount(outer.row, outer.data, minlength=n)
+        + np.bincount(outer.col, outer.data, minlength=n)
+        + np.bincount(middle.row, middle.data, minlength=n)
+    )
+    return 2.0 * corners
 
 
 def anomaly_scores_sparse(adjacency) -> np.ndarray:

@@ -43,10 +43,13 @@ void repro_pair_values_i32(const long long *indptr, const int *indices,
 void repro_pair_values_i64(const long long *indptr, const long long *indices,
     const long long *rows, const long long *cols, long long npairs,
     double *out);
-void repro_triangle_counts_i32(const long long *indptr, const int *indices,
-    long long n, double *out);
-void repro_triangle_counts_i64(const long long *indptr,
-    const long long *indices, long long n, double *out);
+long long repro_triangle_counts_i32(const long long *indptr,
+    const int *indices, long long n, long long *out_ptr, int *out_idx,
+    long long cap, long long *tri, long long *mark, double *out);
+long long repro_triangle_counts_i64(const long long *indptr,
+    const long long *indices, long long n, long long *out_ptr,
+    long long *out_idx, long long cap, long long *tri, long long *mark,
+    double *out);
 long long repro_toggle_batch(long long *arena, const long long *offs,
     long long *lens, const long long *caps, const long long *slot_u,
     const long long *slot_v, const long long *node_u,

@@ -7,7 +7,9 @@ numpy/Python reference implementations exactly:
 - ``pair_values``       — batch edge membership against a base CSR
   (:meth:`IncrementalEgonetFeatures.is_edge` / engine ``_pair_values``);
 - ``triangle_counts``   — per-node diag(A^3), the triangle term of
-  :func:`repro.graph.sparse.egonet_features_sparse`;
+  :func:`repro.graph.sparse.egonet_features_sparse`, by the forward count
+  (edges oriented by ``(degree, id)``, each triangle found once and
+  credited to its three corners; the wrapper allocates the scratch);
 - ``toggle_batch`` / ``toggle_one`` — apply edge flips to the (N, E)
   feature arrays (``IncrementalEgonetFeatures`` hot loop), driven through
   :class:`ToggleState`, the persistent arena that keeps override rows and
@@ -66,6 +68,10 @@ class CompiledKernels:
             raise ValueError("output array must be contiguous float64")
         return self._ffi.from_buffer("double[]", arr, require_writable=True)
 
+    def _scratch(self, ctype, arr):
+        """Writable ``ctype`` view of a caller-allocated scratch array."""
+        return self._ffi.from_buffer(ctype, arr, require_writable=True)
+
     def _csr_views(self, csr):
         """Return (indptr_ptr, indices_ptr, suffix, keepalive) for a CSR."""
         indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
@@ -103,14 +109,32 @@ class CompiledKernels:
         return out
 
     def triangle_counts(self, csr) -> np.ndarray:
-        """``diag(A^3)`` per node — twice the triangle count at each node."""
-        _require_sorted(csr)
+        """``diag(A^3)`` per node — twice the triangle count at each node.
+
+        The forward count of kernels.c: edges oriented by ``(degree, id)``,
+        out-lists intersected once per oriented edge, so rows need not be
+        sorted.  ``csr`` must be symmetric.  The scratch is allocated
+        here, the out-lists sized for ``nnz / 2`` oriented edges.
+        """
         n = csr.shape[0]
         out = np.empty(n, dtype=np.float64)
         ptr_ptr, idx_ptr, suffix, keep = self._csr_views(csr)
+        indptr, indices = keep
+        out_ptr = np.empty(n + 1, dtype=np.int64)
+        out_idx = np.empty(int(indptr[-1]) // 2, dtype=indices.dtype)
+        tri = np.empty(n, dtype=np.int64)
+        mark = np.empty(n, dtype=np.int64)
+        idx_type = "int[]" if suffix == "i32" else "long long[]"
         fn = getattr(self._lib, f"repro_triangle_counts_{suffix}")
-        fn(ptr_ptr, idx_ptr, n, self._out_f64(out))
+        rc = fn(
+            ptr_ptr, idx_ptr, n, self._scratch("long long[]", out_ptr),
+            self._scratch(idx_type, out_idx), out_idx.size,
+            self._scratch("long long[]", tri),
+            self._scratch("long long[]", mark), self._out_f64(out),
+        )
         del keep
+        if rc != 0:
+            raise ValueError("triangle_counts requires a symmetric CSR")
         return out
 
     def toggle_state(self, base_csr, n_feat, e_feat, registry) -> "ToggleState":

@@ -43,37 +43,6 @@ typedef int i32;
 DEFINE_LOWER_BOUND(i32, i32)
 DEFINE_LOWER_BOUND(i64, i64)
 
-/* Count of common elements of two sorted index arrays.  Walks the shorter
- * array with galloping binary search when the lengths are lopsided (hub
- * rows on heavy-tailed graphs), plain merge otherwise. */
-#define DEFINE_INTERSECT_COUNT(SUF, IDX)                                  \
-    static i64 intersect_count_##SUF(                                     \
-            const IDX *a, i64 la, const IDX *b, i64 lb) {                 \
-        if (la > lb) {                                                    \
-            const IDX *t = a; a = b; b = t;                               \
-            i64 tl = la; la = lb; lb = tl;                                \
-        }                                                                 \
-        i64 count = 0;                                                    \
-        if (lb > 32 * la) {                                               \
-            i64 lo = 0;                                                   \
-            for (i64 i = 0; i < la; i++) {                                \
-                lo = lower_bound_##SUF(b, lo, lb, (i64)a[i]);             \
-                if (lo < lb && (i64)b[lo] == (i64)a[i]) { count++; lo++; }\
-            }                                                             \
-            return count;                                                 \
-        }                                                                 \
-        i64 i = 0, j = 0;                                                 \
-        while (i < la && j < lb) {                                        \
-            if ((i64)a[i] < (i64)b[j]) i++;                               \
-            else if ((i64)a[i] > (i64)b[j]) j++;                          \
-            else { count++; i++; j++; }                                   \
-        }                                                                 \
-        return count;                                                     \
-    }
-
-DEFINE_INTERSECT_COUNT(i32, i32)
-DEFINE_INTERSECT_COUNT(i64, i64)
-
 /* ------------------------------------------------------------------ */
 /* pair_values: batch edge-membership reads against a base CSR         */
 /* ------------------------------------------------------------------ */
@@ -96,20 +65,57 @@ DEFINE_PAIR_VALUES(i64, i64)
 /* triangle_counts: diag(A^3) per node, for egonet E features          */
 /* ------------------------------------------------------------------ */
 
+/* The forward algorithm (Schank & Wagner 2005; Latapy 2008).  Orient
+ * every edge from the lower to the higher (degree, id) endpoint, so each
+ * node's out-degree is at most sqrt(2m).  A triangle whose corners rank
+ * u < v < w is then found exactly once: as w in out(u) ∩ out(v), on the
+ * oriented edge u→v.  The intersection marks out(u) in `mark` once per u
+ * and scans out(v) against it, so no row needs to be sorted.  Each find
+ * credits all three corners in `tri`, and out[u] = 2·tri[u] is
+ * diag(A^3)[u] — integers, exact in float64.
+ *
+ * The caller allocates the scratch: `out_ptr` (n + 1), `out_idx` (`cap`
+ * entries, nnz/2 for a symmetric CSR), `tri` and `mark` (n each).
+ * Returns 0, or -1 if the out-lists overflow `cap`, which only a
+ * non-symmetric CSR can cause. */
 #define DEFINE_TRIANGLE_COUNTS(SUF, IDX)                                  \
-    void repro_triangle_counts_##SUF(                                     \
-            const i64 *indptr, const IDX *indices, i64 n, double *out) {  \
+    i64 repro_triangle_counts_##SUF(                                      \
+            const i64 *indptr, const IDX *indices, i64 n,                 \
+            i64 *out_ptr, IDX *out_idx, i64 cap, i64 *tri, i64 *mark,     \
+            double *out) {                                                \
+        i64 fill = 0;                                                     \
+        out_ptr[0] = 0;                                                   \
         for (i64 u = 0; u < n; u++) {                                     \
-            i64 s = indptr[u], e = indptr[u + 1];                         \
-            i64 t = 0;                                                    \
-            for (i64 p = s; p < e; p++) {                                 \
+            i64 du = indptr[u + 1] - indptr[u];                           \
+            for (i64 p = indptr[u]; p < indptr[u + 1]; p++) {             \
                 i64 v = (i64)indices[p];                                  \
-                t += intersect_count_##SUF(                               \
-                    indices + s, e - s,                                   \
-                    indices + indptr[v], indptr[v + 1] - indptr[v]);      \
+                i64 dv = indptr[v + 1] - indptr[v];                       \
+                if (dv > du || (dv == du && v > u)) {                     \
+                    if (fill == cap) return -1;                           \
+                    out_idx[fill++] = indices[p];                         \
+                }                                                         \
             }                                                             \
-            out[u] = (double)t;                                           \
+            out_ptr[u + 1] = fill;                                        \
+            tri[u] = 0;                                                   \
+            mark[u] = -1;                                                 \
         }                                                                 \
+        for (i64 u = 0; u < n; u++) {                                     \
+            i64 us = out_ptr[u], ue = out_ptr[u + 1];                     \
+            for (i64 p = us; p < ue; p++)                                 \
+                mark[(i64)out_idx[p]] = u;                                \
+            for (i64 p = us; p < ue; p++) {                               \
+                i64 v = (i64)out_idx[p], c = 0;                           \
+                for (i64 q = out_ptr[v]; q < out_ptr[v + 1]; q++) {       \
+                    i64 w = (i64)out_idx[q];                              \
+                    if (mark[w] == u) { tri[w]++; c++; }                  \
+                }                                                         \
+                tri[u] += c;                                              \
+                tri[v] += c;                                              \
+            }                                                             \
+        }                                                                 \
+        for (i64 u = 0; u < n; u++)                                       \
+            out[u] = (double)(2 * tri[u]);                                \
+        return 0;                                                         \
     }
 
 DEFINE_TRIANGLE_COUNTS(i32, i32)

@@ -180,9 +180,12 @@ def build_store(
     with _telemetry.span(
         "store.build", name=recipe["name"], nodes=int(recipe["nodes"])
     ):
-        keys, planted = _generate_edge_keys(recipe)
-        nnz = _write_csr(path, recipe["nodes"], keys)
-        _write_features(path, recipe["nodes"], nnz)
+        with _telemetry.span("store.build.edge_keys"):
+            keys, planted = _generate_edge_keys(recipe)
+        with _telemetry.span("store.build.write_csr"):
+            nnz = _write_csr(path, recipe["nodes"], keys)
+        with _telemetry.span("store.build.features"):
+            _write_features(path, recipe["nodes"], nnz)
     build_seconds = time.perf_counter() - start
 
     manifest = {
@@ -253,11 +256,10 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
         v = _sample_endpoints(rng, n, chunk, weights_cdf)
         mask = u != v
         u, v = u[mask], v[mask]
-        new = np.unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
-        novel = new[~np.isin(new, keys, assume_unique=True)]
+        new = _sorted_unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
         # Truncating the (sorted) novel keys keeps the edge count landing
         # on the target deterministically, whatever the chunk overlap was.
-        keys = np.union1d(keys, novel[: core_target - keys.size])
+        keys = _merge_novel(keys, new, limit=core_target - keys.size)
     # checked after the loop (not for/else): the target may be reached by
     # the final round's draws
     if keys.size < core_target:
@@ -266,8 +268,32 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
         )
 
     if planted_keys.size:
-        keys = np.union1d(keys, planted_keys)
+        keys = _merge_novel(keys, planted_keys)
     return keys, planted
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 key array: one sort and a neighbour mask."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _merge_novel(
+    keys: np.ndarray, new: np.ndarray, limit: "int | None" = None
+) -> np.ndarray:
+    """Union of sorted unique ``keys`` with the first ``limit`` novel ``new`` keys.
+
+    ``new`` is sorted and unique too.  One ``searchsorted`` both tests
+    membership and gives each novel key its insertion point, so the
+    union is a single ``np.insert`` — no re-deduplication of ``keys``.
+    """
+    pos = np.searchsorted(keys, new)
+    novel = np.ones(new.size, dtype=bool)
+    inside = pos < keys.size
+    novel[inside] = keys[pos[inside]] != new[inside]
+    return np.insert(keys, pos[novel][:limit], new[novel][:limit])
 
 
 def _sample_endpoints(rng, n: int, count: int, cdf: "np.ndarray | None") -> np.ndarray:
@@ -282,7 +308,7 @@ def _ring_keys(n: int) -> np.ndarray:
     nodes = np.arange(n, dtype=np.int64)
     nxt = (nodes + 1) % n
     keys = np.minimum(nodes, nxt) * n + np.maximum(nodes, nxt)
-    return np.unique(keys)
+    return _sorted_unique(keys)
 
 
 def _plant_anomaly_keys(
@@ -333,7 +359,7 @@ def _plant_anomaly_keys(
         "cliques": sorted(int(c) for c in mid),
         "stars": sorted(int(s) for s in tail),
     }
-    all_keys = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+    all_keys = _sorted_unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
     return all_keys, planted
 
 
@@ -396,13 +422,13 @@ def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
 def _write_features(path: Path, n: int, nnz: int) -> None:
     """Precompute and persist the clean egonet features ``(N, E)``.
 
-    The triangle term of ``E`` costs O(Σ_v deg(v)²) — minutes at the full
-    Blogcatalog scale with its multi-thousand-degree hubs.  Paying it once
-    at build time (through the fill-bounded chunked kernel of
-    :func:`repro.graph.sparse.egonet_features_sparse`, which also re-
-    validates the freshly written adjacency) and shipping the 2 × n result
-    in the store turns every engine construction from the dominant cost of
-    a worker into an O(n) memmap read.
+    The triangle term of ``E`` is the forward count of
+    :func:`repro.graph.sparse.egonet_features_sparse` (which also re-
+    validates the freshly written adjacency): edges oriented by
+    ``(degree, id)``, so its work is bounded by out-degrees, not by the
+    multi-thousand-degree hubs.  Paying it once at build time and
+    shipping the 2 × n result in the store makes every engine
+    construction an O(n) memmap read.
     """
     from scipy import sparse
 

@@ -50,9 +50,8 @@ def _resolve_store(args, build: bool = True):
     """Open ``args.name`` as a path, or build/open it as a recipe name.
 
     With ``build=False`` a recipe name whose store is not in the cache
-    raises instead of triggering a (potentially minutes-long) build — the
-    read-only ``info`` command uses this so it never builds as a side
-    effect.
+    raises instead of triggering a build — the read-only ``info`` command
+    uses this so it never builds as a side effect.
     """
     from repro.store import GraphStore, build_store
     from repro.store.datasets import STORE_DATASET_NAMES, load_store_dataset

@@ -51,7 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import telemetry as _telemetry
-from repro.graph.sparse import content_hash
+from repro.graph.sparse import content_hash, egonet_features_sparse
 
 __all__ = ["GraphStore", "MANIFEST_VERSION", "index_dtype", "recipe_hash"]
 
@@ -126,9 +126,10 @@ class GraphStore:
         Cheap structural sanity checks (manifest version and
         ``content_hash`` present, file sizes, monotone ``indptr``) always
         run; ``verify=True`` additionally re-validates the full adjacency
-        contract (symmetric, binary, zero diagonal, sorted rows) and
-        recomputes the content hash in O(m) — use it after copying a store
-        between machines.
+        contract (symmetric, binary, zero diagonal, sorted rows),
+        recomputes the content hash in O(m) and recomputes the clean
+        ``(N, E)`` features against ``features.bin`` — use it after
+        copying a store between machines.
         """
         path = Path(path)
         manifest_path = path / "manifest.json"
@@ -172,10 +173,11 @@ class GraphStore:
             raise ValueError(f"store {self.path}: indptr is not monotone")
 
     def _verify_adjacency(self) -> None:
-        """Full O(m) re-validation of the adjacency contract."""
+        """Full O(m) re-validation of the adjacency and its features."""
+        indptr = np.asarray(self._indptr)
+        indices = np.asarray(self._indices)
         matrix = sparse.csr_matrix(
-            (np.asarray(self._data), np.asarray(self._indices),
-             np.asarray(self._indptr)),
+            (np.asarray(self._data), indices, indptr),
             shape=(self.number_of_nodes, self.number_of_nodes),
         )
         if matrix.nnz and not np.all(matrix.data == 1.0):
@@ -184,17 +186,31 @@ class GraphStore:
             raise ValueError(f"store {self.path}: adjacency has diagonal entries")
         if (matrix != matrix.T).nnz != 0:
             raise ValueError(f"store {self.path}: adjacency is not symmetric")
-        for row in range(self.number_of_nodes):
-            row_indices = self._indices[self._indptr[row] : self._indptr[row + 1]]
-            if row_indices.size and np.any(np.diff(row_indices) <= 0):
-                raise ValueError(
-                    f"store {self.path}: row {row} indices are not sorted/unique"
-                )
+        # every step inside a row must rise; the steps across row starts
+        # are the only ones allowed to fall
+        rising = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        if not rising.all():
+            row = int(np.searchsorted(indptr, np.argmin(rising), side="right")) - 1
+            raise ValueError(
+                f"store {self.path}: row {row} indices are not sorted/unique"
+            )
         if content_hash(matrix) != self.content_hash:
             raise ValueError(
                 f"store {self.path}: adjacency does not match the manifest's "
                 "content_hash"
             )
+        features = self.features()
+        if features is not None:
+            matrix._repro_validated = True  # checked above
+            n_feature, e_feature = egonet_features_sparse(matrix)
+            if not (np.array_equal(features[0], n_feature)
+                    and np.array_equal(features[1], e_feature)):
+                raise ValueError(
+                    f"store {self.path}: features.bin does not match the "
+                    "adjacency's egonet features"
+                )
 
     # ------------------------------------------------------------------ #
     # Metadata
@@ -347,8 +363,6 @@ class GraphStore:
 
         features = self.features()
         if features is None:
-            from repro.graph.sparse import egonet_features_sparse
-
             features = egonet_features_sparse(self.csr())
         n_feature = np.asarray(features[0])
         e_feature = np.asarray(features[1])

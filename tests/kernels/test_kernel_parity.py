@@ -13,7 +13,11 @@ from scipy import sparse
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.incremental import IncrementalEgonetFeatures
-from repro.graph.sparse import egonet_features_sparse, to_sparse
+from repro.graph.sparse import (
+    _oriented_triangle_counts,
+    egonet_features_sparse,
+    to_sparse,
+)
 from repro.kernels import compiled_available, kernel_table
 from repro.attacks import BinarizedAttack
 from repro.oddball.surrogate import (
@@ -81,26 +85,64 @@ class TestPairValuesParity:
             )
 
 
+def _triangle_cases():
+    """Named symmetric CSRs for the triangle counts, degree ties included."""
+    def from_edges(n, edges):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+
+    clique = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    circulant = [(i, (i + k) % 12) for i in range(12) for k in (1, 2)]
+    petersen = ([(i, (i + 1) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    return {
+        "ba": to_sparse(_graphs()[0]),
+        "er": to_sparse(_graphs()[1]),
+        "clique": from_edges(7, clique),
+        "two-cliques": from_edges(14, clique + [(i + 7, j + 7) for i, j in clique]),
+        "circulant": from_edges(12, circulant),  # 4-regular, triangles
+        "petersen": from_edges(10, petersen),  # 3-regular, triangle-free
+        "isolated": from_edges(9, [(1, 2), (2, 4), (1, 4), (4, 7)]),
+        "edgeless": from_edges(5, []),
+    }
+
+
+def _oracle(csr):
+    return np.asarray(((csr @ csr).multiply(csr)).sum(axis=1)).ravel()
+
+
+def _with_index_dtype(csr, dtype):
+    csr = csr.copy()
+    csr.indices = csr.indices.astype(dtype)
+    csr.indptr = csr.indptr.astype(dtype)
+    return csr
+
+
 class TestTriangleCountsParity:
     """``triangle_counts`` against the scipy spgemm triangle term."""
 
     KERNEL = "triangle_counts"
 
-    def test_matches_sparse_product(self):
-        for graph in _graphs():
-            csr = to_sparse(graph)
-            expected = np.asarray(
-                ((csr @ csr).multiply(csr)).sum(axis=1)
-            ).ravel()
-            got = kernel_table().triangle_counts(csr)
-            assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", sorted(_triangle_cases()))
+    def test_matches_sparse_product(self, case, index_dtype):
+        csr = _with_index_dtype(_triangle_cases()[case], index_dtype)
+        expected = _oracle(csr)
+        compiled = kernel_table().triangle_counts(csr)
+        assert compiled.dtype == np.float64
+        assert np.array_equal(compiled, expected)
+        assert np.array_equal(_oriented_triangle_counts(csr), expected)
 
-    def test_egonet_features_sparse_agrees_across_kernels(self):
-        for graph in _graphs():
-            n_np, e_np = egonet_features_sparse(graph, kernels="numpy")
-            n_c, e_c = egonet_features_sparse(graph, kernels="compiled")
-            assert np.array_equal(n_np, n_c)
-            assert np.array_equal(e_np, e_c)
+    @pytest.mark.parametrize("case", sorted(_triangle_cases()))
+    def test_egonet_features_sparse_agrees_across_kernels(self, case):
+        csr = _triangle_cases()[case]
+        n_np, e_np = egonet_features_sparse(csr, kernels="numpy")
+        n_c, e_c = egonet_features_sparse(csr, kernels="compiled")
+        assert np.array_equal(n_np, n_c)
+        assert np.array_equal(e_np, e_c)
 
     def test_triangle_free_graph_is_zero(self):
         star = sparse.csr_matrix(
@@ -110,6 +152,44 @@ class TestTriangleCountsParity:
         assert np.array_equal(
             kernel_table().triangle_counts(to_sparse(star)), np.zeros(4)
         )
+
+    def test_regular_and_clique_counts(self):
+        cases = _triangle_cases()
+        # K7: every node closes C(6, 2) = 15 triangles, diag(A³) = 30
+        assert np.array_equal(kernel_table().triangle_counts(cases["clique"]),
+                              np.full(7, 30.0))
+        # C12(1, 2): each node sits in 3 triangles
+        assert np.array_equal(kernel_table().triangle_counts(cases["circulant"]),
+                              np.full(12, 6.0))
+        assert not kernel_table().triangle_counts(cases["petersen"]).any()
+
+    def test_read_only_memmap_store(self, store):
+        csr = store.csr()
+        assert not csr.indices.flags.writeable  # the mapped store file
+        expected = _oracle(store.detached_csr())
+        assert np.array_equal(kernel_table().triangle_counts(csr), expected)
+        assert np.array_equal(_oriented_triangle_counts(csr), expected)
+        n_feature, e_feature = store.features()
+        assert np.array_equal(e_feature, n_feature + 0.5 * expected)
+
+    def test_unsorted_rows_are_counted(self):
+        csr = to_sparse(_graphs()[0]).copy()
+        rng = np.random.default_rng(5)
+        for row in range(csr.shape[0]):
+            lo, hi = csr.indptr[row], csr.indptr[row + 1]
+            csr.indices[lo:hi] = rng.permutation(csr.indices[lo:hi])
+        csr.has_sorted_indices = False
+        expected = _oracle(to_sparse(_graphs()[0]))
+        assert np.array_equal(kernel_table().triangle_counts(csr), expected)
+
+    def test_non_symmetric_csr_rejected(self):
+        # every row points at the next two ids: all degrees tie at 2, and
+        # 7 of the 10 entries orient forward, past the nnz/2 scratch
+        rows = np.repeat(np.arange(5), 2)
+        cols = (rows + np.tile([1, 2], 5)) % 5
+        csr = sparse.csr_matrix((np.ones(10), (rows, cols)), shape=(5, 5))
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel_table().triangle_counts(csr)
 
 
 class TestToggleBatchParity:

@@ -131,6 +131,30 @@ class TestOpen:
         with pytest.raises(ValueError, match="content_hash"):
             GraphStore.open(clone, verify=True)
 
+    def test_verify_rejects_a_corrupted_feature(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path)
+        raw = np.memmap(clone / "features.bin", dtype=np.uint64,
+                        mode="r+", shape=(2, store.number_of_nodes))
+        raw[1, store.number_of_nodes // 2] ^= 1  # last mantissa bit of one E
+        raw.flush()
+        del raw
+        GraphStore.open(clone)  # the cheap checks do not read features.bin
+        with pytest.raises(ValueError, match="features.bin"):
+            GraphStore.open(clone, verify=True)
+
+    def test_verify_rejects_an_unsorted_row(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path)
+        indptr = np.fromfile(clone / "indptr.bin", dtype=store.csr().indptr.dtype)
+        row = int(np.flatnonzero(np.diff(indptr) >= 2)[-1])
+        indices = np.memmap(clone / "indices.bin", dtype=store.csr().indices.dtype,
+                            mode="r+", shape=(store.nnz,))
+        start = int(indptr[row])
+        indices[start:start + 2] = indices[start:start + 2][::-1].copy()
+        indices.flush()
+        del indices
+        with pytest.raises(ValueError, match=f"row {row} indices are not sorted"):
+            GraphStore.open(clone, verify=True)
+
     def test_structure_guard(self, store, tmp_path):
         # lie about the entry count
         clone = _clone_with_manifest(store, tmp_path, nnz=store.nnz + 2)

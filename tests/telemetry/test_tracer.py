@@ -59,6 +59,33 @@ class TestSpans:
         assert by_name["timed"]["dur_ns"] == 50
 
 
+class TestStoreBuildSpans:
+    def test_build_phases_nest_under_store_build(self, tmp_path):
+        from repro.store import build_store
+
+        telemetry.configure(tmp_path / "trace", worker="main")
+        build_store("blogcatalog", cache_dir=tmp_path / "stores", scale=0.2)
+        telemetry.shutdown()
+        records = telemetry.load_trace_dir(tmp_path / "trace")
+        spans = _spans(records)
+        (build,) = [s for s in spans if s["name"] == "store.build"]
+        phases = sorted(
+            (s for s in spans if s["parent"] == build["span"]),
+            key=lambda s: s["start_ns"],
+        )
+        assert [s["name"] for s in phases] == [
+            "store.build.edge_keys",
+            "store.build.write_csr",
+            "store.build.features",
+        ]
+        assert sum(s["dur_ns"] for s in phases) <= build["dur_ns"]
+        # the triangle count reports through its kernel counter
+        assert any(
+            r["kind"] == "counter" and r["name"] == "kernels.triangle_counts"
+            for r in records
+        )
+
+
 class TestAttributePurity:
     def test_numpy_scalar_rejected(self, tmp_path):
         telemetry.configure(tmp_path, worker="main")
