@@ -78,7 +78,13 @@ Candidate pairs are canonical (``u < v``), unique and lexicographically
 sorted, so ``full`` enumerates pairs in exactly the order of
 ``np.triu_indices(n, k=1)`` — the seed ordering — which is what makes the
 candidate-set ``full`` path reproduce the legacy full-pair attacks
-bit-for-bit.
+bit-for-bit.  Equivalently, a set is the ascending array of its int64 pair
+keys ``u·n + v``, and every set operation here (deduplication, membership,
+union) runs on those keys through the sort-based helpers
+:func:`~repro.graph.sparse.sorted_unique`,
+:func:`~repro.graph.sparse.key_positions` and
+:func:`~repro.graph.sparse.merge_novel`, which the store builder shares —
+never through numpy's ``unique``/``union1d``/``setdiff1d``.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.graph.graph import Graph
+from repro.graph.sparse import key_positions, merge_novel, sorted_unique
 
 __all__ = [
     "AdaptiveCandidateSet",
@@ -299,9 +306,9 @@ class CandidateSet:
     def target_incident(cls, n: int, targets: Sequence[int]) -> "CandidateSet":
         """Pairs with at least one endpoint in ``targets``.
 
-        Built vectorised (|T|·n index arithmetic + one ``np.unique``) — at
-        campaign scale this runs once per job, so the Python tuple
-        comprehension it replaces was a measurable per-job fixed cost.
+        Built vectorised: |T|·n index arithmetic and one
+        :func:`~repro.graph.sparse.sorted_unique`.  At campaign scale this
+        runs once per job, as part of every job's fixed cost.
         """
         target_list = sorted({int(t) for t in targets})
         if not target_list:
@@ -312,7 +319,7 @@ class CandidateSet:
         others = np.arange(n, dtype=np.intp)
         rows = np.minimum(t[:, None], others[None, :]).ravel()
         cols = np.maximum(t[:, None], others[None, :]).ravel()
-        keys = np.unique(rows * n + cols)  # sorts + dedupes; drops nothing else
+        keys = sorted_unique(rows * n + cols)  # sorts + dedupes; drops nothing else
         keys = keys[keys // n != keys % n]  # remove the diagonal (v == t) keys
         return cls(
             n=n,
@@ -546,9 +553,14 @@ class AdaptiveCandidateSet(CandidateSet):
     def refresh(self, flips: "Sequence[Edge]", engine=None) -> "CandidateSet":
         """Grow the ball with the endpoints of ``flips``; returns a new set.
 
-        O(Σ_{w new} deg(w) + |C| log |C|) per call (plus one engine
+        Each new endpoint ``w`` (in ascending order) pools the keys of its
+        pairs with ``Γ(w) ∪ ball`` and then joins the ball.  The pool is
+        deduplicated by one sort, its members already in the set are
+        dropped by one binary search, and the admitted keys are inserted
+        into the sorted set in one pass: O(Σ_{w new} (deg(w) + |ball|)
+        log + |C|) per call, with no hash dedupe (plus one engine
         ``pair_gradient`` evaluation over the pool under the gradient
-        policy); ``self`` is returned unchanged when no flip endpoint is
+        policy).  ``self`` is returned unchanged when no flip endpoint is
         new.  The result is always a superset of the current set (the
         invariant :meth:`CandidateSet.remap_positions` relies on).
         """
@@ -562,48 +574,34 @@ class AdaptiveCandidateSet(CandidateSet):
                 "adaptive candidate refresh needs a surrogate engine for "
                 "neighbour lookups"
             )
-        ball = set(self.ball)
-        additions: set[Edge] = set()
+        n = self.n
+        ball = np.fromiter(self.ball, dtype=np.intp, count=len(self.ball))
+        chunks = []
         for w in new_nodes:
-            partners = set(int(x) for x in engine.neighbors(w)) | ball
-            partners.discard(w)
-            additions.update((w, x) if w < x else (x, w) for x in partners)
-            ball.add(w)
-        old_keys = self.rows * self.n + self.cols
-        if additions:
-            add_keys = np.fromiter(
-                (u * self.n + v for u, v in additions),
-                dtype=np.intp,
-                count=len(additions),
-            )
-            add_keys = np.setdiff1d(add_keys, old_keys, assume_unique=False)
-            if self.growth == "gradient":
-                add_keys = self._rank_by_gradient(add_keys, engine)
-            keys = np.union1d(old_keys, add_keys)
-        else:
-            keys = old_keys
-        _telemetry.count("candidates.admissions", int(keys.size - old_keys.size))
+            partners = np.concatenate((engine.neighbors(w), ball))
+            partners = partners[partners != w]
+            chunks.append(np.minimum(partners, w) * n + np.maximum(partners, w))
+            ball = np.append(ball, w)
+        pool = sorted_unique(np.concatenate(chunks))
+        old_keys = self.rows * n + self.cols
+        positions, novel = key_positions(old_keys, pool)
+        positions, pool = positions[novel], pool[novel]
+        _telemetry.count("candidates.pool", int(pool.size))
+        if self.growth == "gradient" and pool.size > self.admit_cap:
+            # the admitted slice, back in key order for the sorted insert
+            admitted = np.sort(_gradient_order(n, pool, engine)[: self.admit_cap])
+            positions, pool = positions[admitted], pool[admitted]
+        keys = np.insert(old_keys, positions, pool)
+        _telemetry.count("candidates.admissions", int(pool.size))
         return AdaptiveCandidateSet(
-            n=self.n,
-            rows=(keys // self.n).astype(np.intp),
-            cols=(keys % self.n).astype(np.intp),
+            n=n,
+            rows=(keys // n).astype(np.intp),
+            cols=(keys % n).astype(np.intp),
             strategy=self.strategy,
-            ball=frozenset(ball),
+            ball=self.ball.union(new_nodes),
             growth=self.growth,
             admit_cap=self.admit_cap,
         )
-
-    def _rank_by_gradient(self, add_keys: np.ndarray, engine) -> np.ndarray:
-        """The top-|∂L/∂A| slice of the admission pool (gradient policy).
-
-        The engine evaluates its closed-form gradient at the *candidate*
-        pool pairs — pairs that are not yet decision variables — and only
-        the ``admit_cap`` strongest predicted movers are admitted.
-        """
-        if add_keys.size <= self.admit_cap:
-            return add_keys
-        order = _gradient_order(self.n, add_keys, engine)
-        return add_keys[order[: self.admit_cap]]
 
 
 def _gradient_order(n: int, keys: np.ndarray, engine) -> np.ndarray:
@@ -634,7 +632,7 @@ def _sample_pair_keys(n: int, count: int, seed: int, draw: int) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     total = n * (n - 1) // 2
     rng = np.random.default_rng([int(seed), int(draw)])
-    ranks = np.unique(rng.integers(0, total, size=count, dtype=np.int64))
+    ranks = sorted_unique(rng.integers(0, total, size=count, dtype=np.int64))
     # Invert the triangular rank: row i owns ranks [S(i), S(i+1)) where
     # S(i) = i·n − i(i+1)/2.  The float solve of the quadratic is within
     # ±1 of the true row; the two fix-up loops each run at most twice.
@@ -755,21 +753,18 @@ class BlockCandidateSet(CandidateSet):
         keys = self.rows * self.n + self.cols
         keep = min(self.block_size // 2, keys.size)
         order = _gradient_order(self.n, keys, engine)
-        kept = keys[order[:keep]]
+        kept = np.sort(keys[order[:keep]])
         if flipped:
             flip_keys = np.fromiter(
                 (u * self.n + v for u, v in flipped),
                 dtype=np.intp,
                 count=len(flipped),
             )
-            kept = np.union1d(kept, flip_keys)
-        else:
-            kept = np.sort(kept)
+            kept = merge_novel(kept, sorted_unique(flip_keys))
         refill = self.block_size - kept.size
         if refill > 0:
             fresh = _sample_pair_keys(self.n, refill, self.seed, self.draw + 1)
-            fresh = np.setdiff1d(fresh, kept, assume_unique=True)
-            new_keys = np.union1d(kept, fresh[:refill])
+            new_keys = merge_novel(kept, fresh, limit=refill)
         else:
             new_keys = kept
         # Flipped pairs are a subset of the current block (never evicted),

@@ -12,7 +12,9 @@ module provides scipy.sparse implementations of the two hot kernels:
 
 verified bit-for-bit against the dense implementations in the tests, plus
 the canonical graph :func:`content_hash` every checkpoint fingerprint and
-store manifest is derived from.
+store manifest is derived from, and the sorted-key set algebra
+(:func:`sorted_unique`, :func:`key_positions`, :func:`merge_novel`) that
+the store builder and the candidate sets share.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ __all__ = [
     "egonet_features_sparse",
     "anomaly_scores_sparse",
     "hash_edge_keys",
+    "key_positions",
+    "merge_novel",
+    "sorted_unique",
     "to_sparse",
 ]
 
@@ -51,6 +56,53 @@ def hash_edge_keys(n: int, keys: np.ndarray) -> str:
     digest = hashlib.sha1(f"{int(n)}:".encode())
     digest.update(np.ascontiguousarray(keys, dtype="<i8"))
     return digest.hexdigest()
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer key array.
+
+    The same result as ``np.unique(keys)`` from one sort and a neighbour
+    mask.  numpy's ``np.unique`` (and ``union1d``/``setdiff1d``, which call
+    it) may take a hash-based path that costs more than the sort on int64
+    pair keys.  Returns a new array; an empty input gives an empty output.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def key_positions(
+    keys: np.ndarray, new: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Insertion points of ``new`` in ``keys``, and which ``new`` keys are absent.
+
+    ``keys`` is sorted and unique.  One ``searchsorted`` gives each ``new``
+    key its insertion point; the key is novel unless ``keys`` holds it
+    there.  Returns ``(positions, novel)``: ``np.insert(keys,
+    positions[novel], new[novel])`` is the union when ``new`` is sorted
+    and unique, and any sorted subset of the novel keys may be inserted
+    the same way.
+    """
+    positions = np.searchsorted(keys, new)
+    novel = np.ones(new.size, dtype=bool)
+    inside = positions < keys.size
+    novel[inside] = keys[positions[inside]] != new[inside]
+    return positions, novel
+
+
+def merge_novel(
+    keys: np.ndarray, new: np.ndarray, limit: "int | None" = None
+) -> np.ndarray:
+    """Union of sorted unique ``keys`` with the first ``limit`` novel ``new`` keys.
+
+    ``new`` is sorted and unique too; ``limit=None`` admits every novel
+    key, ``limit=0`` none.  Membership and insertion points come from one
+    :func:`key_positions` call, so the union is a single ``np.insert`` with
+    no re-deduplication of ``keys``: O(|keys| + |new| log |keys|).
+    """
+    positions, novel = key_positions(keys, new)
+    return np.insert(keys, positions[novel][:limit], new[novel][:limit])
 
 
 def content_hash(adjacency) -> str:

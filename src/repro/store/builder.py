@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.graph.sparse import hash_edge_keys
+from repro.graph.sparse import hash_edge_keys, merge_novel, sorted_unique
 from repro.store.graphstore import (
     _DATA_DTYPE,
     MANIFEST_VERSION,
@@ -256,10 +256,10 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
         v = _sample_endpoints(rng, n, chunk, weights_cdf)
         mask = u != v
         u, v = u[mask], v[mask]
-        new = _sorted_unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
+        new = sorted_unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
         # Truncating the (sorted) novel keys keeps the edge count landing
         # on the target deterministically, whatever the chunk overlap was.
-        keys = _merge_novel(keys, new, limit=core_target - keys.size)
+        keys = merge_novel(keys, new, limit=core_target - keys.size)
     # checked after the loop (not for/else): the target may be reached by
     # the final round's draws
     if keys.size < core_target:
@@ -268,32 +268,8 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
         )
 
     if planted_keys.size:
-        keys = _merge_novel(keys, planted_keys)
+        keys = merge_novel(keys, planted_keys)
     return keys, planted
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int64 key array: one sort and a neighbour mask."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
-def _merge_novel(
-    keys: np.ndarray, new: np.ndarray, limit: "int | None" = None
-) -> np.ndarray:
-    """Union of sorted unique ``keys`` with the first ``limit`` novel ``new`` keys.
-
-    ``new`` is sorted and unique too.  One ``searchsorted`` both tests
-    membership and gives each novel key its insertion point, so the
-    union is a single ``np.insert`` — no re-deduplication of ``keys``.
-    """
-    pos = np.searchsorted(keys, new)
-    novel = np.ones(new.size, dtype=bool)
-    inside = pos < keys.size
-    novel[inside] = keys[pos[inside]] != new[inside]
-    return np.insert(keys, pos[novel][:limit], new[novel][:limit])
 
 
 def _sample_endpoints(rng, n: int, count: int, cdf: "np.ndarray | None") -> np.ndarray:
@@ -308,7 +284,7 @@ def _ring_keys(n: int) -> np.ndarray:
     nodes = np.arange(n, dtype=np.int64)
     nxt = (nodes + 1) % n
     keys = np.minimum(nodes, nxt) * n + np.maximum(nodes, nxt)
-    return _sorted_unique(keys)
+    return sorted_unique(keys)
 
 
 def _plant_anomaly_keys(
@@ -359,7 +335,7 @@ def _plant_anomaly_keys(
         "cliques": sorted(int(c) for c in mid),
         "stars": sorted(int(s) for s in tail),
     }
-    all_keys = _sorted_unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+    all_keys = sorted_unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
     return all_keys, planted
 
 

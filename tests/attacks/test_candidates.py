@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.attacks.candidates import CANDIDATE_STRATEGIES, CandidateSet
+from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.graph import Graph
 
 
@@ -258,3 +259,203 @@ class TestGradientGrowth:
             sparse_engine.pair_gradient(rows, cols),
             rtol=1e-9, atol=1e-12,
         )
+
+
+def _reference_adaptive_refresh(candidate_set, flips, engine):
+    """The set-of-tuples refresh the sorted-key one replaced, in plain Python.
+
+    Returns the grown set's pair list and ball.  The gradient policy ranks
+    the pool by (−|∂L/∂A|, key) and admits the first ``admit_cap``.
+    """
+    n = candidate_set.n
+    new_nodes = sorted(
+        {int(w) for pair in flips for w in pair} - candidate_set.ball
+    )
+    existing = set(candidate_set.pairs())
+    if not new_nodes:
+        return sorted(existing), candidate_set.ball
+    ball = set(candidate_set.ball)
+    additions = set()
+    for w in new_nodes:
+        partners = set(int(x) for x in engine.neighbors(w)) | ball
+        partners.discard(w)
+        additions.update((w, x) if w < x else (x, w) for x in partners)
+        ball.add(w)
+    pool = sorted(additions - existing)
+    if candidate_set.growth == "gradient" and len(pool) > candidate_set.admit_cap:
+        rows = np.array([u for u, _ in pool], dtype=np.intp)
+        cols = np.array([v for _, v in pool], dtype=np.intp)
+        magnitude = np.abs(engine.pair_gradient(rows, cols)).tolist()
+        ranked = sorted(
+            range(len(pool)),
+            key=lambda k: (-magnitude[k], pool[k][0] * n + pool[k][1]),
+        )
+        pool = [pool[k] for k in ranked[: candidate_set.admit_cap]]
+    return sorted(existing | set(pool)), frozenset(ball)
+
+
+class TestAdaptiveRefreshOracle:
+    """The sorted-key adaptive refresh admits exactly what the set-of-tuples
+    reference admits, on random graphs, for both growth policies and both
+    engine backends."""
+
+    GRAPHS = {
+        "ba": lambda seed: barabasi_albert(150, 6, rng=seed),
+        "er": lambda seed: erdos_renyi(120, 0.08, rng=seed),
+    }
+
+    def _start(self, graph, targets, growth, backend, admit_cap):
+        from repro.attacks.candidates import AdaptiveCandidateSet
+        from repro.oddball.surrogate import SurrogateEngine
+
+        candidate_set = AdaptiveCandidateSet.start(
+            graph.number_of_nodes, targets, growth=growth, admit_cap=admit_cap
+        )
+        engine = SurrogateEngine.create(
+            graph.adjacency_view, targets,
+            (candidate_set.rows, candidate_set.cols), backend=backend,
+        )
+        return candidate_set, engine
+
+    def _check(self, candidate_set, flips, engine):
+        expected_pairs, expected_ball = _reference_adaptive_refresh(
+            candidate_set, flips, engine
+        )
+        grown = candidate_set.refresh(flips, engine)
+        assert grown.pairs() == expected_pairs
+        assert grown.ball == expected_ball
+        assert type(grown.ball) is frozenset
+        assert (grown.growth, grown.admit_cap, grown.strategy) == (
+            candidate_set.growth, candidate_set.admit_cap, candidate_set.strategy
+        )
+        return grown
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("growth", ["adjacency", "gradient"])
+    @pytest.mark.parametrize("kind", ["ba", "er"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_landed_lists_match_reference(self, kind, seed, growth, backend):
+        graph = self.GRAPHS[kind](seed)
+        n = graph.number_of_nodes
+        rng = np.random.default_rng(seed)
+        targets = sorted(int(t) for t in rng.choice(n, 2, replace=False))
+        current, engine = self._start(graph, targets, growth, backend, admit_cap=8)
+        for _ in range(4):
+            a, b, c, d = (int(x) for x in rng.choice(n, 4, replace=False))
+            landed_lists = [
+                [(a, b), (c, d)],          # two flips, four new endpoints
+                [(a, c), (a, d)],          # a repeated endpoint
+                [(targets[0], b)],         # one endpoint already in the ball
+                [],                        # an iterate that landed nothing
+                [(targets[0], targets[1])],  # every endpoint in the ball
+            ]
+            for landed in landed_lists:
+                for u, v in landed:
+                    engine.apply_flip(u, v)
+                grown = self._check(current, landed, engine)
+                if not landed or set(np.ravel(landed)) <= current.ball:
+                    assert grown is current
+                else:
+                    engine.set_candidates(grown)
+                current = grown
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("growth", ["adjacency", "gradient"])
+    def test_hub_and_leaf_entrants(self, growth, backend):
+        graph = self.GRAPHS["ba"](4)
+        degrees = graph.adjacency.sum(axis=1)
+        order = np.argsort(-degrees, kind="stable")
+        hub, leaf = int(order[0]), int(order[-1])
+        targets = [t for t in (int(x) for x in order[40:]) if t != leaf][:2]
+        candidate_set, engine = self._start(graph, targets, growth, backend, admit_cap=16)
+        # the hub's pool exceeds the cap; the leaf's stays below it
+        assert degrees[hub] > 16 + len(targets)
+        assert degrees[leaf] + len(targets) + 1 < 16
+        engine.apply_flip(targets[0], leaf)
+        after_leaf = self._check(candidate_set, [(targets[0], leaf)], engine)
+        added = len(after_leaf) - len(candidate_set)
+        assert 0 < added < 16
+        engine.apply_flip(targets[1], hub)
+        after_hub = self._check(after_leaf, [(targets[1], hub)], engine)
+        added = len(after_hub) - len(after_leaf)
+        assert added == 16 if growth == "gradient" else added > 16
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_pool_at_the_cap_boundary(self, backend):
+        from repro.attacks.candidates import AdaptiveCandidateSet
+
+        graph = self.GRAPHS["er"](5)
+        targets, flip = [3, 40], (3, 77)
+        candidate_set, engine = self._start(graph, targets, "adjacency", backend, 1)
+        engine.apply_flip(*flip)
+        pool = len(candidate_set.refresh([flip], engine)) - len(candidate_set)
+        assert pool > 2
+        for cap in (pool - 1, pool, pool + 1):
+            capped = AdaptiveCandidateSet.start(
+                graph.number_of_nodes, targets, growth="gradient", admit_cap=cap
+            )
+            grown = self._check(capped, [flip], engine)
+            assert len(grown) - len(capped) == min(cap, pool)
+
+
+def _reference_block_keys(n, count, seed, draw):
+    """``count`` sampled pair keys via ``np.unique`` and ``np.triu_indices``."""
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng([seed, draw])
+    ranks = np.unique(rng.integers(0, total, size=count, dtype=np.int64))
+    rows, cols = np.triu_indices(n, k=1)
+    return rows[ranks].astype(np.int64) * n + cols[ranks]
+
+
+def _reference_block_refresh(block, flips, engine):
+    """The ``union1d``/``setdiff1d`` block refresh, as (keys, flipped)."""
+    n = block.n
+    flipped = set(block.flipped)
+    for u, v in flips:
+        flipped.add((min(u, v), max(u, v)))
+    keys = block.rows * n + block.cols
+    magnitude = np.abs(engine.pair_gradient(block.rows, block.cols))
+    kept = keys[np.lexsort((keys, -magnitude))[: min(block.block_size // 2, keys.size)]]
+    if flipped:
+        kept = np.union1d(kept, [u * n + v for u, v in flipped])
+    else:
+        kept = np.sort(kept)
+    refill = block.block_size - kept.size
+    if refill > 0:
+        fresh = _reference_block_keys(n, refill, block.seed, block.draw + 1)
+        fresh = np.setdiff1d(fresh, kept, assume_unique=True)
+        kept = np.union1d(kept, fresh[:refill])
+    return kept, frozenset(flipped)
+
+
+class TestBlockRefreshOracle:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_five_draws_match_reference(self, seed, backend):
+        from repro.attacks.candidates import BlockCandidateSet
+        from repro.oddball.surrogate import SurrogateEngine
+
+        graph = erdos_renyi(90, 0.08, rng=seed)
+        n, targets = graph.number_of_nodes, [2, 11]
+        block = BlockCandidateSet.start(n, block_size=300, seed=seed)
+        np.testing.assert_array_equal(
+            block.rows * n + block.cols, _reference_block_keys(n, 300, seed, 0)
+        )
+        engine = SurrogateEngine.create(
+            graph.adjacency_view, targets, (block.rows, block.cols), backend=backend
+        )
+        rng = np.random.default_rng(seed)
+        for step in range(5):
+            # flips are block members: none, one, then two per refresh
+            picks = rng.choice(len(block), step % 3, replace=False)
+            flips = [(int(block.rows[k]), int(block.cols[k])) for k in picks]
+            for u, v in flips:
+                engine.apply_flip(u, v)
+            expected_keys, expected_flipped = _reference_block_refresh(
+                block, flips, engine
+            )
+            block = block.refresh(flips, engine)
+            np.testing.assert_array_equal(block.rows * n + block.cols, expected_keys)
+            assert block.flipped == expected_flipped
+            assert block.draw == step + 1
+            engine.set_candidates(block)

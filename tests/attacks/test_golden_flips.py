@@ -1,0 +1,101 @@
+"""Golden flips: adaptive and block candidate refreshes are pinned, byte for byte.
+
+Each case is an attack, a candidate strategy and a single target on the
+10k ``blogcatalog-full`` store recipe (seed 7), run at budget 5.  Two
+digests are pinned per case:
+
+* the flips, as a sha256 over their JSON list;
+* the refresh trail, a sha256 over the int64 pair keys of every set a
+  ``refresh`` returned, in call order.
+
+Single-target flips at budget 5 land on target-incident pairs, so the
+trail is what catches a drift in which pairs a refresh admits or evicts.
+The BinarizedAttack cases refresh with multi-flip and empty ``landed``
+lists.  Both digests must hold under either kernel backend.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.attacks import BinarizedAttack, GradMaxSearch
+from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
+from repro.kernels import compiled_available
+from repro.store import build_store
+
+ATTACKS = {
+    "gradmaxsearch": GradMaxSearch,
+    "binarizedattack": lambda: BinarizedAttack(iterations=20),
+    "gradmaxsearch-block": lambda: GradMaxSearch(block_size=64),
+}
+
+GOLDEN = {
+    ("gradmaxsearch", "adaptive", 1844): (
+        "c435b09bbee753a4beb39a53c9a0b9e4", "84e2377473db9a3295c08f55d5d045ba"),
+    ("gradmaxsearch", "adaptive", 113): (
+        "8fb8059c8e8e718af81710de44669396", "562944904cad4850a585468d59e7420e"),
+    ("gradmaxsearch", "adaptive", 9721): (
+        "57317dcf78fc8e7e297e537c9f277527", "3f1595e47e282805d89719e390a5bb21"),
+    ("gradmaxsearch", "adaptive_gradient", 1844): (
+        "c435b09bbee753a4beb39a53c9a0b9e4", "037cd07dc5b619128a9157fe09f14d26"),
+    ("gradmaxsearch", "adaptive_gradient", 113): (
+        "8fb8059c8e8e718af81710de44669396", "2c7f291f22aac5366aeda5306b9bb25e"),
+    ("gradmaxsearch", "adaptive_gradient", 9721): (
+        "57317dcf78fc8e7e297e537c9f277527", "8278427c443edacc650a9fa89fda696c"),
+    ("binarizedattack", "adaptive_gradient", 1844): (
+        "c435b09bbee753a4beb39a53c9a0b9e4", "bc02dbb0346013e48c28401e80575ab1"),
+    ("binarizedattack", "adaptive_gradient", 113): (
+        "8fb8059c8e8e718af81710de44669396", "c05efa949ef74207aa7707f190ce29af"),
+    ("binarizedattack", "adaptive_gradient", 9721): (
+        "57317dcf78fc8e7e297e537c9f277527", "b116d89edc0bde8c0c5df0baf2a8d14d"),
+    ("gradmaxsearch-block", "block", 1844): (
+        "c43623e07308cf449f25030c4435c4e0", "2706f2ff6c04eca105d31e18f21fdb23"),
+    ("gradmaxsearch-block", "block", 113): (
+        "7b7b6bc153a904fb700dac735f7a2667", "d398669c62189ea22797f37991b26c89"),
+    ("gradmaxsearch-block", "block", 9721): (
+        "0726c192aa01cdf101fcb12b262df77c", "59af866567e4e7f17269659a721f778e"),
+}
+
+KERNELS = [
+    "numpy",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not compiled_available(), reason="compiled backend unavailable")),
+]
+
+
+@pytest.fixture(scope="module")
+def payload(tmp_path_factory):
+    store = build_store(
+        "blogcatalog-full", cache_dir=tmp_path_factory.mktemp("stores"),
+        scale=10_000 / 88_800, seed=7,
+    )
+    return store.detached_csr()
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case))
+)
+def test_flips_and_refresh_trail_are_pinned(case, kernels, payload, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    attack_name, strategy, target = case
+    trail = hashlib.sha256()
+    for cls in (AdaptiveCandidateSet, BlockCandidateSet):
+        original = cls.refresh
+
+        def recording(self, flips, engine=None, _original=original):
+            refreshed = _original(self, flips, engine)
+            keys = refreshed.rows * refreshed.n + refreshed.cols
+            trail.update(np.ascontiguousarray(keys, dtype="<i8"))
+            return refreshed
+
+        monkeypatch.setattr(cls, "refresh", recording)
+
+    result = ATTACKS[attack_name]().attack(
+        payload, [target], budget=5, candidates=strategy
+    )
+    flips = [[int(u), int(v)] for u, v in result.flips()]
+    flip_digest = hashlib.sha256(json.dumps(flips).encode()).hexdigest()[:32]
+    assert (flip_digest, trail.hexdigest()[:32]) == GOLDEN[case]

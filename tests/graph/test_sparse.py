@@ -11,6 +11,9 @@ from repro.graph.sparse import (
     content_hash,
     egonet_features_sparse,
     hash_edge_keys,
+    key_positions,
+    merge_novel,
+    sorted_unique,
     to_sparse,
 )
 from repro.oddball.scores import anomaly_scores
@@ -170,3 +173,71 @@ class TestContentHash:
         flipped = dense.copy()
         flipped[u, v] = flipped[v, u] = 0.0
         assert content_hash(flipped) != content_hash(dense)
+
+
+class TestSortedKeyAlgebra:
+    """sorted_unique / key_positions / merge_novel against numpy's set ops."""
+
+    EMPTY = np.empty(0, dtype=np.int64)
+
+    def test_sorted_unique_matches_np_unique(self):
+        rng = np.random.default_rng(0)
+        for size in (0, 1, 2, 50, 1000):
+            keys = rng.integers(0, 40, size=size, dtype=np.int64)
+            result = sorted_unique(keys)
+            np.testing.assert_array_equal(result, np.unique(keys))
+            assert result.dtype == np.int64
+        keys = np.array([3, 1, 3], dtype=np.int64)
+        sorted_unique(keys)
+        np.testing.assert_array_equal(keys, [3, 1, 3])  # input untouched
+
+    def test_key_positions_empty_inputs(self):
+        positions, novel = key_positions(self.EMPTY, np.array([4, 9], dtype=np.int64))
+        np.testing.assert_array_equal(positions, [0, 0])
+        np.testing.assert_array_equal(novel, [True, True])
+        positions, novel = key_positions(np.array([1, 5], dtype=np.int64), self.EMPTY)
+        assert positions.size == 0 and novel.size == 0
+
+    def test_key_positions_flags_members(self):
+        keys = np.array([2, 5, 9], dtype=np.int64)
+        positions, novel = key_positions(keys, np.array([0, 2, 6, 9, 12], dtype=np.int64))
+        np.testing.assert_array_equal(positions, [0, 0, 2, 2, 3])
+        np.testing.assert_array_equal(novel, [True, False, True, False, True])
+
+    def test_merge_novel_empty_inputs(self):
+        new = np.array([1, 4], dtype=np.int64)
+        np.testing.assert_array_equal(merge_novel(self.EMPTY, new), new)
+        keys = np.array([2, 3], dtype=np.int64)
+        np.testing.assert_array_equal(merge_novel(keys, self.EMPTY), keys)
+        assert merge_novel(self.EMPTY, self.EMPTY).size == 0
+
+    def test_merge_novel_limit_zero_admits_nothing(self):
+        keys = np.array([2, 3], dtype=np.int64)
+        result = merge_novel(keys, np.array([0, 7], dtype=np.int64), limit=0)
+        np.testing.assert_array_equal(result, keys)
+
+    def test_merge_novel_all_present(self):
+        keys = np.array([2, 3, 8, 11], dtype=np.int64)
+        result = merge_novel(keys, np.array([3, 11], dtype=np.int64), limit=1)
+        np.testing.assert_array_equal(result, keys)
+
+    def test_merge_novel_none_present(self):
+        keys = np.array([2, 3, 8], dtype=np.int64)
+        new = np.array([0, 5, 9, 20], dtype=np.int64)
+        np.testing.assert_array_equal(merge_novel(keys, new), [0, 2, 3, 5, 8, 9, 20])
+        # the limit takes the smallest novel keys first
+        np.testing.assert_array_equal(merge_novel(keys, new, limit=2), [0, 2, 3, 5, 8])
+
+    def test_merge_novel_matches_union1d_setdiff1d(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            keys = np.unique(rng.integers(0, 60, size=rng.integers(0, 30)))
+            new = np.unique(rng.integers(0, 60, size=rng.integers(0, 30)))
+            limit = int(rng.integers(0, 12))
+            fresh = np.setdiff1d(new, keys, assume_unique=True)
+            np.testing.assert_array_equal(
+                merge_novel(keys, new), np.union1d(keys, new)
+            )
+            np.testing.assert_array_equal(
+                merge_novel(keys, new, limit=limit), np.union1d(keys, fresh[:limit])
+            )

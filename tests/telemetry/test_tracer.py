@@ -151,6 +151,27 @@ class TestCounters:
         assert counters["kernels.scatter_gradient.entries"] == push
         assert counters["kernels.scatter_gradient"] == n - 1
 
+    def test_adaptive_refresh_counts_its_pool(self, tmp_path):
+        """An adaptive-gradient refresh counts its novel pool before the
+        admission cap; the cap admits at most that many pairs."""
+        from repro.attacks import GradMaxSearch
+
+        graph = barabasi_albert(300, 8, rng=3)
+        telemetry.configure(tmp_path, worker="main")
+        with telemetry.span("root"):
+            GradMaxSearch(backend="sparse").attack(
+                graph, [5], budget=4, candidates="adaptive_gradient"
+            )
+        telemetry.shutdown()
+        counters = {
+            e["name"]: e["count"]
+            for e in telemetry.load_trace_dir(tmp_path)
+            if e["kind"] == "counter"
+        }
+        assert counters["candidates.pool"] >= counters["candidates.admissions"] > 0
+        # hub entrants pool more pairs than one refresh may admit
+        assert counters["candidates.pool"] > counters["candidates.admissions"]
+
     def test_close_flushes_pending_counters(self, tmp_path):
         telemetry.configure(tmp_path, worker="main")
         telemetry.count("loose", 1, 10)
