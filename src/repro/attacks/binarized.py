@@ -353,6 +353,7 @@ class BinarizedAttack(StructuralAttack):
         """Per-budget best recorded solution (Alg. 1 lines 16-19)."""
         flips_by_budget: dict[int, list[Edge]] = {}
         surrogate_by_budget: dict[int, float] = {}
+        order = None  # final Ż ranking, sorted once on the first fallback
         for b in range(budget + 1):
             eligible = [c for c in recorded if c.size <= b]
             best = min(eligible, key=lambda c: (c.surrogate, c.size))
@@ -360,8 +361,13 @@ class BinarizedAttack(StructuralAttack):
             if not chosen and b > 0 and final_zdot is not None:
                 # Fallback: top-b pairs by final Ż (only reached when no
                 # iterate produced a usable flip set).
-                order = np.argsort(-final_zdot, kind="stable")[: 4 * b]
-                ranked = [(int(rows[k]), int(cols[k])) for k in order if final_zdot[k] > 0.0]
+                if order is None:
+                    order = np.argsort(-final_zdot, kind="stable")
+                ranked = [
+                    (int(rows[k]), int(cols[k]))
+                    for k in order[: 4 * b]
+                    if final_zdot[k] > 0.0
+                ]
                 chosen = filter_valid_flips_engine(engine, ranked, limit=b)
                 if chosen:
                     candidate_loss = engine.score_flips(chosen)

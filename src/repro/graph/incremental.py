@@ -211,6 +211,20 @@ class IncrementalEgonetFeatures:
             return row
         return set(self._ts.row(row).tolist())
 
+    def sorted_neighbors(self, u: int) -> np.ndarray:
+        """``u``'s neighbour ids as a fresh sorted ``intp`` array.
+
+        The array twin of :meth:`neighbors`: a copy of the base CSR row or
+        of the compiled arena row (both kept sorted), or the sorted numpy
+        override set — no Python-level sort.
+        """
+        row = self._rows.get(u)
+        if row is None:
+            return self._base_row(u).astype(np.intp)
+        if isinstance(row, set):
+            return np.sort(np.fromiter(row, dtype=np.intp, count=len(row)))
+        return self._ts.row(row).astype(np.intp)
+
     def common_neighbors(self, u: int, v: int) -> "set[int]":
         """``Γ(u) ∩ Γ(v)`` (never contains ``u`` or ``v`` — no self-loops)."""
         a, b = self.neighbors(u), self.neighbors(v)
@@ -229,6 +243,17 @@ class IncrementalEgonetFeatures:
     def flips(self) -> list[Edge]:
         """Every flip applied so far, in order (canonical pairs)."""
         return list(self._flips)
+
+    @property
+    def version(self) -> int:
+        """Identifier of the current graph state (read-only).
+
+        Every flip moves to a fresh version and every rollback restores the
+        version it undoes, so along any flip/rollback path equal versions
+        mean identical graphs.  The CSR cache keys on it, and so do the
+        surrogate engine's objective and iterate memos.
+        """
+        return self._version
 
     @property
     def depth(self) -> int:

@@ -40,7 +40,12 @@ interchangeable backends exist:
   scoring from features (O(n)) and *rolling the flips back*, and produces
   the straight-through gradient by scattering the closed-form per-pair
   derivatives onto the candidate set only.  BinarizedAttack's whole λ-sweep
-  runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration.
+  runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration,
+  and at O(|C|) for an iterate whose flip set repeats one of the last
+  :data:`ITERATE_MEMO_SIZE` evaluated at the same graph state.  The
+  objective ``(loss, ∂L/∂N, ∂L/∂E)`` is memoised per graph version, so
+  ``current_loss``, ``candidate_gradient`` and ``pair_gradient`` at one
+  state share one evaluation.
 
 ``backend="auto"`` (the default everywhere) always resolves to the sparse
 engine: one closed-form gradient algebra serves every graph size, and the
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import abc
 import time
+from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,6 +91,10 @@ __all__ = [
 
 #: Recognised values of the ``backend`` argument threaded through the attacks.
 SURROGATE_BACKENDS = ("auto", "dense", "sparse")
+
+#: Evaluated BinarizedAttack iterates a sparse engine remembers (an LRU of
+#: ``(loss, pair gradient)`` keyed on graph version and flip set).
+ITERATE_MEMO_SIZE = 8
 
 
 def log_features(adjacency: Tensor, floor: float = 1.0) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -1310,6 +1320,9 @@ class SparseSurrogateEngine(SurrogateEngine):
         # only record of which stack entries are *transient* (pushed, not
         # yet popped) — engine_spec() refuses to export around them.
         self._transient_count = 0
+        #: ``(version, loss, ∂L/∂N, ∂L/∂E)`` of the last objective evaluated
+        #: (gradients ``None`` when only the loss was asked for).
+        self._objective_memo: "tuple | None" = None
         super().__init__(
             self._features.n, targets, candidates,
             floor=floor, ridge=ridge, weights=weights, kernels=kernels,
@@ -1366,6 +1379,46 @@ class SparseSurrogateEngine(SurrogateEngine):
         # here once, not on every gradient scatter.
         self._groups = _group_pairs(self.rows, self.cols, self.n)
         self._frozen = None
+        # Iterates are keyed on candidate indices and priced with
+        # ``flip_direction``; both change only here.
+        self._iterates: "OrderedDict[tuple[int, bytes], tuple]" = OrderedDict()
+
+    def retarget(
+        self,
+        targets: Sequence[int],
+        candidates=None,
+        *,
+        floor: "float | None" = None,
+        weights: "Sequence[float] | None" = None,
+    ) -> None:
+        # Targets, floor and weights enter the objective: drop its memo.
+        self._objective_memo = None
+        super().retarget(targets, candidates, floor=floor, weights=weights)
+
+    def _objective(
+        self, gradients: bool = True
+    ) -> "tuple[float, np.ndarray | None, np.ndarray | None]":
+        """``(loss, ∂L/∂N, ∂L/∂E)`` of the current graph, memoised per version.
+
+        The feature version identifies the graph, so a repeat call at the
+        same state (``current_loss``, ``candidate_gradient`` and
+        ``pair_gradient`` all ask once per greedy step) reuses one
+        evaluation.  A loss-only entry is upgraded when gradients are
+        requested.  The gradient arrays are shared; callers only read them.
+        """
+        version = self._features.version
+        memo = self._objective_memo
+        if memo is not None and memo[0] == version and (
+            memo[2] is not None or not gradients
+        ):
+            return memo[1], memo[2], memo[3]
+        n_feature, e_feature = self._features.features()
+        loss, d_n, d_e = _loss_and_gradients(
+            n_feature, e_feature, self._targets,
+            self.floor, self.ridge, self._weights, gradients=gradients,
+        )
+        self._objective_memo = (version, loss, d_n, d_e)
+        return loss, d_n, d_e
 
     def _scatter(
         self,
@@ -1405,42 +1458,54 @@ class SparseSurrogateEngine(SurrogateEngine):
 
     def current_loss(self) -> float:
         """Surrogate from the maintained features, in O(n)."""
-        n_feature, e_feature = self._features.features()
-        return surrogate_loss_from_features(
-            n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
-        )
+        return self._objective(gradients=False)[0]
 
     def binarized_step(
         self, zdot_values: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """One BinarizedAttack iterate at O(Σ deg + n + |C|): apply the
-        iterate's flips, score from features, scatter the closed-form
-        straight-through gradient, roll the flips back."""
+        """One BinarizedAttack iterate: apply the iterate's flips, score
+        from features, scatter the closed-form straight-through gradient,
+        roll the flips back — O(Σ deg + n + |C|).
+
+        The forward pass sees only the flip set, not Ż, so the result is
+        memoised on ``(graph version, flip set)`` in an LRU of
+        :data:`ITERATE_MEMO_SIZE` entries: an iterate whose flip set
+        repeats at the same graph state costs O(|C|).  Transient probes in
+        between (``push_flip``/``pop_flips``) restore the version and keep
+        the memo valid.
+        """
         zdot_values = np.asarray(zdot_values, dtype=np.float64)
         # binarized(2Ż − 1) = +1 ⇔ Ż >= 0.5 (binarized(0) = +1, Eq. 7).
         flip_mask = zdot_values >= 0.5
         flipped = np.flatnonzero(flip_mask)
         features = self._features
-        base_csr = features.adjacency_csr()  # materialised BEFORE the flips
-        pairs = [(int(self.rows[k]), int(self.cols[k])) for k in flipped]
-        delta: list[tuple[int, int, float]] = [
-            (u, v, float(self.flip_direction[k]))
-            for (u, v), k in zip(pairs, flipped)
-        ]
-        # One batched call applies the whole iterate's flip set (compiled:
-        # a single Python->C crossing; numpy: the historical per-flip loop).
-        features.flip_batch(pairs)
-        n_feature, e_feature = features.features()
-        loss, d_n, d_e = _loss_and_gradients(
-            n_feature, e_feature, self._targets,
-            self.floor, self.ridge, self._weights,
-        )
-        features.rollback(len(delta))
-        pair_gradient = self._scatter(
-            base_csr, d_n, d_e, self._groups, delta=delta
-        )
+        key = (features.version, flipped.tobytes())
+        cached = self._iterates.get(key)
+        if cached is not None:
+            self._iterates.move_to_end(key)
+            _telemetry.count("oddball.binarized_step.reused")
+            loss, pair_gradient = cached
+        else:
+            base_csr = features.adjacency_csr()  # materialised BEFORE the flips
+            pairs = [(int(self.rows[k]), int(self.cols[k])) for k in flipped]
+            delta: list[tuple[int, int, float]] = [
+                (u, v, float(self.flip_direction[k]))
+                for (u, v), k in zip(pairs, flipped)
+            ]
+            # One batched call applies the whole iterate's flip set
+            # (compiled: a single Python->C crossing; numpy: the historical
+            # per-flip loop).
+            features.flip_batch(pairs)
+            loss, d_n, d_e = self._objective()
+            features.rollback(len(delta))
+            pair_gradient = self._scatter(
+                base_csr, d_n, d_e, self._groups, delta=delta
+            )
+            self._iterates[key] = (loss, pair_gradient)
+            if len(self._iterates) > ITERATE_MEMO_SIZE:
+                self._iterates.popitem(last=False)
         # Straight-through chain: ∂L/∂Ż = (∂L/∂A_uv + ∂L/∂A_vu) · direction.
+        # The product is a fresh array, so no caller aliases the memo.
         return loss, pair_gradient * self.flip_direction, flip_mask
 
     def relaxed_step(self, values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -1538,25 +1603,15 @@ class SparseSurrogateEngine(SurrogateEngine):
         # supply exact (N, E) for the current graph, and the few flips not
         # yet folded into the CSR ride along as a Δ-overlay in the scatter —
         # a greedy attack's per-step gradient does no CSR rebuild at all.
-        features = self._features
-        base, delta = features.csr_with_delta()
-        n_feature, e_feature = features.features()
-        d_n, d_e = feature_gradients(
-            n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
-        )
+        base, delta = self._features.csr_with_delta()
+        _, d_n, d_e = self._objective()
         return self._scatter(base, d_n, d_e, self._groups, delta=delta)
 
     def pair_gradient(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Closed-form gradient scattered onto arbitrary canonical pairs."""
         rows, cols = _candidate_arrays((rows, cols))
-        features = self._features
-        base, delta = features.csr_with_delta()
-        n_feature, e_feature = features.features()
-        d_n, d_e = feature_gradients(
-            n_feature, e_feature, self._targets,
-            floor=self.floor, ridge=self.ridge, weights=self._weights,
-        )
+        base, delta = self._features.csr_with_delta()
+        _, d_n, d_e = self._objective()
         return self._scatter(
             base, d_n, d_e, _group_pairs(rows, cols, self.n), delta=delta
         )
@@ -1600,8 +1655,7 @@ class SparseSurrogateEngine(SurrogateEngine):
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbour ids of ``u`` in the current graph."""
-        neigh = self._features.neighbors(int(u))
-        return np.fromiter(sorted(neigh), dtype=np.intp, count=len(neigh))
+        return self._features.sorted_neighbors(int(u))
 
     def node_features(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact maintained egonet features ``(N, E)``, in O(1)."""

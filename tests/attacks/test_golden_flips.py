@@ -12,6 +12,11 @@ Single-target flips at budget 5 land on target-incident pairs, so the
 trail is what catches a drift in which pairs a refresh admits or evicts.
 The BinarizedAttack cases refresh with multi-flip and empty ``landed``
 lists.  Both digests must hold under either kernel backend.
+
+BinarizedAttack is also pinned on the two static strategies where its PGD
+iterates repeat a flip set: ``target_incident`` on the same 10k recipe,
+and ``full`` on three ci-scale Fig. 4 graphs.  Those cases pin the flips
+at every budget and the per-budget surrogate losses, bit for bit.
 """
 
 import hashlib
@@ -22,8 +27,12 @@ import pytest
 
 from repro.attacks import BinarizedAttack, GradMaxSearch
 from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
+from repro.experiments import common
+from repro.experiments.config import CI
 from repro.kernels import compiled_available
+from repro.oddball.detector import OddBall
 from repro.store import build_store
+from repro.utils.rng import SeedSequenceFactory
 
 ATTACKS = {
     "gradmaxsearch": GradMaxSearch,
@@ -56,6 +65,23 @@ GOLDEN = {
         "7b7b6bc153a904fb700dac735f7a2667", "d398669c62189ea22797f37991b26c89"),
     ("gradmaxsearch-block", "block", 9721): (
         "0726c192aa01cdf101fcb12b262df77c", "59af866567e4e7f17269659a721f778e"),
+}
+
+#: BinarizedAttack on a static strategy: (strategy, graph, target) ->
+#: (digest of the flips at every budget, digest of the per-budget losses).
+GOLDEN_BINARIZED = {
+    ("target_incident", "store-10k", 1844): (
+        "33e766d7c60aa53f4d57c8a402f3fc86", "259262950fe1a49abd72a4e038a6802d"),
+    ("target_incident", "store-10k", 113): (
+        "46bcf94ec2fd3551279e8710ad022405", "c162a267a1539783ce391e724d16102d"),
+    ("target_incident", "store-10k", 9721): (
+        "55b374ecec7cc459f073b25037305469", "60833629df7dcfb7cce47390e5671de0"),
+    ("full", "er", None): (
+        "0b8c481024efb320768339926fa3b8c9", "ee8642bb742370fe4c563527e51962e2"),
+    ("full", "ba", None): (
+        "3f511cf47c432784ad1cae9cc5e787ef", "26607733b78cf03ae4baaa53a2f0ae60"),
+    ("full", "blogcatalog", None): (
+        "81b0e3e1e83ac70491557b5e7576ac48", "defb4f639f00846534b3e7f841f87cba"),
 }
 
 KERNELS = [
@@ -99,3 +125,46 @@ def test_flips_and_refresh_trail_are_pinned(case, kernels, payload, monkeypatch)
     flips = [[int(u), int(v)] for u, v in result.flips()]
     flip_digest = hashlib.sha256(json.dumps(flips).encode()).hexdigest()[:32]
     assert (flip_digest, trail.hexdigest()[:32]) == GOLDEN[case]
+
+
+def _binarized_digests(result) -> "tuple[str, str]":
+    flips = {
+        str(budget): [[int(u), int(v)] for u, v in pairs]
+        for budget, pairs in sorted(result.flips_by_budget.items())
+    }
+    losses = np.array(
+        [result.surrogate_by_budget[b] for b in sorted(result.surrogate_by_budget)],
+        dtype="<f8",
+    )
+    return (
+        hashlib.sha256(json.dumps(flips, sort_keys=True).encode()).hexdigest()[:32],
+        hashlib.sha256(losses.tobytes()).hexdigest()[:32],
+    )
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+@pytest.mark.parametrize(
+    "case", list(GOLDEN_BINARIZED), ids=lambda case: "-".join(map(str, case))
+)
+def test_binarized_static_strategies_are_pinned(case, kernels, payload, monkeypatch):
+    """Store cases run budget 5 with 20 iterations per λ on one target;
+    Fig. 4 cases run the ci preset's attack on three targets sampled with
+    ``default_rng(1)``, at the panel's largest budget."""
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    strategy, graph_name, target = case
+    if graph_name == "store-10k":
+        result = BinarizedAttack(iterations=20).attack(
+            payload, [target], budget=5, candidates=strategy
+        )
+    else:
+        graph = common.load_experiment_graph(
+            graph_name, CI, SeedSequenceFactory(7)
+        ).graph
+        targets = common.sample_targets(
+            OddBall().analyze(graph), 3, np.random.default_rng(1)
+        )
+        budget = CI.budgets_for(graph.number_of_edges)[-1]
+        result = BinarizedAttack(iterations=CI.attack_iterations).attack(
+            graph, targets, budget=budget, candidates=strategy
+        )
+    assert _binarized_digests(result) == GOLDEN_BINARIZED[case]

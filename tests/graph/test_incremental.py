@@ -158,6 +158,20 @@ class TestStructureQueries:
         for u, v in [(0, 1), (2, 9), (4, 17)]:
             assert len(engine.common_neighbors(u, v)) == int(squared[u, v])
 
+    @pytest.mark.parametrize("kernels", ["numpy", "auto"])
+    def test_sorted_neighbors_is_the_sorted_set(self, small_ba_graph, kernels):
+        """Untouched rows (base CSR) and flipped rows (override set or
+        compiled arena row) alike come back as fresh sorted intp arrays."""
+        engine = IncrementalEgonetFeatures(small_ba_graph, kernels=kernels)
+        for u, v in [(0, 1), (0, 7), (3, 9), (0, 1)]:
+            engine.flip(u, v)
+        for u in range(small_ba_graph.number_of_nodes):
+            row = engine.sorted_neighbors(u)
+            assert row.dtype == np.intp
+            assert row.tolist() == sorted(engine.neighbors(u))
+            row[:] = -1
+            assert engine.sorted_neighbors(u).tolist() == sorted(engine.neighbors(u))
+
     def test_edge_values_vector(self, small_er_graph):
         adjacency = small_er_graph.adjacency
         engine = IncrementalEgonetFeatures(small_er_graph)

@@ -1,0 +1,315 @@
+"""Hypothesis state machine over the sparse engine's lifecycle and memos.
+
+One :class:`~repro.oddball.surrogate.SparseSurrogateEngine` is driven
+through random sequences of ``binarized_step``, ``push_flip``/
+``pop_flips``, ``apply_flip``, ``checkpoint``/``restore``,
+``set_candidates`` and ``retarget``.  A dense 0/1 array models the graph
+the engine should hold.  After every ``binarized_step``, ``current_loss``
+and ``candidate_gradient`` the answer is compared bit for bit with a
+freshly built engine on that modelled graph (for the gradient, held as
+the same cached CSR plus overlay of unfolded flips), so every memo the engine
+keeps (the objective per graph version, the iterate LRU per version and
+flip set) must return exactly what a recomputation would.
+
+Ż vectors come from a small pool per candidate set, so flip sets repeat
+(memo hits) and more distinct sets than the LRU holds occur (evictions).
+Two Ż vectors of the pool share one flip set with different values.
+Graph edits never touch a pair of the current candidate set, and the
+candidates change only while no transient flip is pending, so the
+engine's ``flip_direction`` always describes the current graph and the
+fresh engine is an exact reference.  The machine runs on both kernel
+backends and on an engine backed by a memory-mapped store.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+from scipy import sparse
+
+from repro.kernels import compiled_available
+from repro.oddball.surrogate import ITERATE_MEMO_SIZE, SparseSurrogateEngine
+from repro.store import build_store
+
+#: Distinct flip sets in each candidate set's Ż pool (more than the LRU holds).
+POOL_FLIP_SETS = ITERATE_MEMO_SIZE + 3
+TARGET_SETS = ([0, 1, 2], [5, 17], [3, 40, 41, 60])
+FLOORS = (1.0, 0.5)
+
+KERNELS = [
+    "numpy",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not compiled_available(), reason="compiled backend unavailable")),
+]
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    return build_store(
+        "er", cache_dir=tmp_path_factory.mktemp("machine-store"), scale=0.1, seed=3
+    )
+
+
+def _candidate_pool(n: int, targets: "list[int]", seed: int):
+    """Canonical candidate pairs: target-incident (seed 0) or 120 random pairs."""
+    if seed == 0:
+        pairs = {(min(t, v), max(t, v)) for t in targets for v in range(n) if v != t}
+        keys = np.array(sorted(u * n + v for u, v in pairs), dtype=np.intp)
+    else:
+        rows, cols = np.triu_indices(n, k=1)
+        chosen = np.random.default_rng(seed).choice(rows.size, 120, replace=False)
+        keys = np.sort(rows[chosen] * n + cols[chosen])
+    return keys // n, keys % n
+
+
+def _zdot_pool(size: int) -> "list[np.ndarray]":
+    """Ż vectors: the empty flip set first, then sets of 1-3 flips.
+
+    Entry 1 and entry 2 flip the same pairs with different Ż values.
+    """
+    rng = np.random.default_rng(size)
+    pool = [np.zeros(size)]
+    for _ in range(POOL_FLIP_SETS - 1):
+        zdot = rng.uniform(0.0, 0.49, size)
+        zdot[rng.choice(size, int(rng.integers(1, 4)), replace=False)] = 0.75
+        pool.append(zdot)
+    twin = pool[1].copy()
+    twin[twin >= 0.5] = 1.0
+    twin[twin < 0.5] *= 0.5
+    pool.insert(2, twin)
+    return pool
+
+
+def make_machine(graph, dense: np.ndarray, kernels: str):
+    """A state-machine class driving one engine built on ``graph``."""
+    n = dense.shape[0]
+
+    class EngineMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.adj = dense.copy()
+            self.pending: "list[tuple[int, int]]" = []
+            self.snapshots: "dict[int, np.ndarray]" = {}
+            self.targets, self.floor, self.weights = TARGET_SETS[0], 1.0, None
+            self._use_candidates(0)
+            self.engine = SparseSurrogateEngine(
+                graph, self.targets, (self.rows, self.cols), kernels=kernels
+            )
+
+        # -- model helpers ----------------------------------------------
+        def _use_candidates(self, seed: int) -> None:
+            self.rows, self.cols = _candidate_pool(n, self.targets, seed)
+            self.pool = _zdot_pool(self.rows.size)
+            self.candidate_keys = set((self.rows * n + self.cols).tolist())
+
+        def _toggle(self, u: int, v: int) -> None:
+            self.adj[u, v] = self.adj[v, u] = 1.0 - self.adj[u, v]
+
+        def _free_pair(self, data) -> "tuple[int, int]":
+            """A pair outside the candidate set (keeps flip_direction exact)."""
+            while True:
+                u = data.draw(st.integers(0, n - 2), label="u")
+                v = data.draw(st.integers(u + 1, n - 1), label="v")
+                if u * n + v not in self.candidate_keys:
+                    return u, v
+
+        def _reference(self) -> SparseSurrogateEngine:
+            return SparseSurrogateEngine(
+                sparse.csr_matrix(self.adj), self.targets, (self.rows, self.cols),
+                floor=self.floor, weights=self.weights, kernels=kernels,
+            )
+
+        def _overlay_reference(self) -> SparseSurrogateEngine:
+            """A fresh engine holding the current graph in the form the
+            engine under test evaluates gradients on: its cached CSR plus
+            the overlay of flips not yet folded into it, pushed in the same
+            order.  The overlay changes the summation order of the scatter
+            (by round-off), not the graph.
+            """
+            base, delta = self.engine._features.csr_with_delta()
+            reference = SparseSurrogateEngine(
+                sparse.csr_matrix(base, copy=True), self.targets,
+                (self.rows, self.cols),
+                floor=self.floor, weights=self.weights, kernels=kernels,
+            )
+            graph = _dense(base)
+            for u, v, _ in delta:
+                reference.push_flip(u, v)
+                graph[u, v] = graph[v, u] = 1.0 - graph[u, v]
+            assert np.array_equal(graph, self.adj)
+            return reference
+
+        # -- evaluations --------------------------------------------------
+        @rule(indices=st.lists(st.integers(0, POOL_FLIP_SETS), min_size=1, max_size=8))
+        def binarized_steps(self, indices):
+            """A run of PGD-like steps at one graph state."""
+            for index in indices:
+                zdot = self.pool[index]
+                loss, gradient, mask = self.engine.binarized_step(zdot)
+                ref_loss, ref_gradient, ref_mask = self._reference().binarized_step(zdot)
+                assert loss == ref_loss
+                assert np.array_equal(gradient, ref_gradient)
+                assert np.array_equal(mask, ref_mask)
+                # A caller may scribble over what it got back.
+                gradient[:] = np.nan
+
+        @rule()
+        def current_loss(self):
+            assert self.engine.current_loss() == self._reference().current_loss()
+
+        @rule()
+        def candidate_gradient(self):
+            reference = self._overlay_reference()
+            gradient = self.engine.candidate_gradient()
+            assert np.array_equal(gradient, reference.candidate_gradient())
+            gradient[:] = np.nan
+
+        # -- graph edits ----------------------------------------------------
+        @rule(data=st.data())
+        def push_flip(self, data):
+            u, v = self._free_pair(data)
+            self.engine.push_flip(u, v)
+            self._toggle(u, v)
+            self.pending.append((u, v))
+
+        @precondition(lambda self: self.pending)
+        @rule(data=st.data())
+        def pop_flips(self, data):
+            count = data.draw(st.integers(1, len(self.pending)), label="count")
+            self.engine.pop_flips(count)
+            for _ in range(count):
+                self._toggle(*self.pending.pop())
+
+        @precondition(lambda self: not self.pending)
+        @rule(data=st.data())
+        def apply_flip(self, data):
+            u, v = self._free_pair(data)
+            self.engine.apply_flip(u, v)
+            self._toggle(u, v)
+
+        @precondition(lambda self: not self.pending)
+        @rule()
+        def checkpoint(self):
+            self.snapshots[self.engine.checkpoint()] = self.adj.copy()
+
+        @precondition(lambda self: self.snapshots)
+        @rule(data=st.data())
+        def restore(self, data):
+            token = data.draw(st.sampled_from(sorted(self.snapshots)), label="token")
+            self.engine.restore(token)
+            self.adj = self.snapshots[token].copy()
+            self.pending = []
+            self.snapshots = {t: a for t, a in self.snapshots.items() if t <= token}
+
+        # -- reconfiguration -----------------------------------------------
+        @precondition(lambda self: not self.pending)
+        @rule(seed=st.integers(0, 2))
+        def set_candidates(self, seed):
+            self._use_candidates(seed)
+            self.engine.set_candidates((self.rows, self.cols))
+
+        @precondition(lambda self: not self.pending)
+        @rule(
+            target_set=st.sampled_from(TARGET_SETS),
+            seed=st.integers(0, 2),
+            floor=st.sampled_from(FLOORS),
+            weighted=st.booleans(),
+        )
+        def retarget(self, target_set, seed, floor, weighted):
+            self.targets, self.floor = target_set, floor
+            self.weights = [1.0 + i for i in range(len(target_set))] if weighted else None
+            self._use_candidates(seed)
+            self.engine.retarget(
+                self.targets, (self.rows, self.cols),
+                floor=self.floor, weights=self.weights,
+            )
+
+        @invariant()
+        def flip_direction_describes_the_graph(self):
+            expected = 1.0 - 2.0 * self.adj[self.rows, self.cols]
+            assert np.array_equal(self.engine.flip_direction, expected)
+
+    return EngineMachine
+
+
+def _run(machine) -> None:
+    run_state_machine_as_test(machine, settings=settings(
+        max_examples=50, stateful_step_count=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow], derandomize=True,
+    ))
+
+
+def _dense(csr) -> np.ndarray:
+    # repro: allow-densify(the test's model of a 64-node graph)
+    return csr.toarray()
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_in_memory_engine_matches_fresh_engines(store, kernels):
+    graph = store.detached_csr()
+    _run(make_machine(graph, _dense(graph), kernels))
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_store_backed_engine_matches_fresh_engines(store, kernels):
+    _run(make_machine(store.csr(), _dense(store.detached_csr()), kernels))
+
+
+def _single_flip_stepper(engine, size: int):
+    """``step(k)`` runs the iterate flipping candidate ``k`` alone and
+    reports whether it was evaluated (a scatter ran) or served from the memo."""
+    scatters = []
+    scatter = engine._scatter
+
+    def counted(*args, **kwargs):
+        scatters.append(1)
+        return scatter(*args, **kwargs)
+
+    engine._scatter = counted
+
+    def step(k: int) -> bool:
+        zdot = np.zeros(size)
+        zdot[k] = 1.0
+        before = len(scatters)
+        engine.binarized_step(zdot)
+        return len(scatters) > before
+
+    return step
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_iterate_memo_is_a_fixed_size_lru(store, kernels):
+    graph = store.detached_csr()
+    rows, cols = _candidate_pool(graph.shape[0], TARGET_SETS[0], 0)
+    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols), kernels=kernels)
+    step = _single_flip_stepper(engine, rows.size)
+    size = ITERATE_MEMO_SIZE
+    assert all(step(k) for k in range(size))
+    assert not any(step(k) for k in range(size))
+    assert step(size)  # evicts the least recently used set, iterate 0
+    assert step(0)  # ... so iterate 0 is evaluated again (evicting 1)
+    assert not step(size)
+    assert step(1)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_memo_hits_return_fresh_arrays(store, kernels):
+    graph = store.detached_csr()
+    rows, cols = _candidate_pool(graph.shape[0], TARGET_SETS[0], 0)
+    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols), kernels=kernels)
+    zdot = _zdot_pool(rows.size)[1]
+    loss, first, _ = engine.binarized_step(zdot)
+    expected = first.copy()
+    first[:] = np.nan
+    again_loss, again, _ = engine.binarized_step(zdot)
+    assert again_loss == loss
+    assert np.array_equal(again, expected)

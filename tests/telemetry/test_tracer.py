@@ -172,6 +172,40 @@ class TestCounters:
         # hub entrants pool more pairs than one refresh may admit
         assert counters["candidates.pool"] > counters["candidates.admissions"]
 
+    def test_binarized_memo_counts_reused_iterates(self, tmp_path, monkeypatch):
+        """A traced ``target_incident`` BinarizedAttack repeats flip sets at
+        one graph state, so some but not all of its iterates are served
+        from the engine's memo (``oddball.binarized_step.reused``).  Calls
+        are counted as the benchmark harness does: one
+        ``oddball.binarized_step`` span per call."""
+        from repro.attacks import BinarizedAttack
+        from repro.oddball.surrogate import SparseSurrogateEngine
+
+        step = SparseSurrogateEngine.binarized_step
+
+        def spanned(self, zdot_values):
+            with telemetry.span("oddball.binarized_step"):
+                return step(self, zdot_values)
+
+        monkeypatch.setattr(SparseSurrogateEngine, "binarized_step", spanned)
+        graph = barabasi_albert(300, 8, rng=3)
+        telemetry.configure(tmp_path, worker="main")
+        with telemetry.span("root"):
+            BinarizedAttack(iterations=20).attack(
+                graph, [5], budget=4, candidates="target_incident"
+            )
+        telemetry.shutdown()
+        records = telemetry.load_trace_dir(tmp_path)
+        calls = sum(
+            r["kind"] == "span" and r["name"] == "oddball.binarized_step"
+            for r in records
+        )
+        reused = sum(
+            r["count"] for r in records
+            if r["kind"] == "counter" and r["name"] == "oddball.binarized_step.reused"
+        )
+        assert 0 < reused < calls
+
     def test_close_flushes_pending_counters(self, tmp_path):
         telemetry.configure(tmp_path, worker="main")
         telemetry.count("loose", 1, 10)
