@@ -100,15 +100,16 @@ def filter_valid_flips_engine(
 ) -> list[Edge]:
     """:func:`filter_valid_flips` against a live surrogate engine.
 
-    Same greedy semantics, but the scratch state is the engine's own graph:
-    accepted flips are pushed transiently (so later validity checks see
-    them) and every one is rolled back before returning.  This is how the
-    sparse backend validates flip sets without a dense scratch copy — each
-    probe costs O(deg), and the engine ends in exactly the state it
-    started in.
+    Same greedy semantics, but the scratch state is the engine's own graph
+    plus the degree shifts of the flips accepted so far.  No accepted pair
+    can come up again (``taken`` rejects repeats), so a pair's edge state
+    is the engine's, and only degrees move within one pass.  This is how
+    the sparse backend validates flip sets without a dense scratch copy —
+    each probe is O(1) to O(log deg), and the engine is never mutated.
     """
     taken: set[Edge] = {tuple(sorted(pair)) for pair in (forbidden or [])}
     accepted: list[Edge] = []
+    shift: dict[int, float] = {}
     for u, v in candidates:
         if limit is not None and len(accepted) >= limit:
             break
@@ -119,12 +120,15 @@ def filter_valid_flips_engine(
             continue
         # `creates_singleton` semantics: deletions are unsafe when either
         # endpoint has degree <= 1 in the *current* (partially flipped) state.
-        if engine.is_edge(*pair) and (
-            engine.degree(pair[0]) <= 1.0 or engine.degree(pair[1]) <= 1.0
+        a, b = pair
+        delta = -1.0 if engine.is_edge(a, b) else 1.0
+        if delta < 0.0 and (
+            engine.degree(a) + shift.get(a, 0.0) <= 1.0
+            or engine.degree(b) + shift.get(b, 0.0) <= 1.0
         ):
             continue
-        engine.push_flip(*pair)
+        shift[a] = shift.get(a, 0.0) + delta
+        shift[b] = shift.get(b, 0.0) + delta
         taken.add(pair)
         accepted.append(pair)
-    engine.pop_flips(len(accepted))
     return accepted

@@ -144,7 +144,7 @@ class ContinuousA(StructuralAttack):
 
         difference = np.abs(relaxed - a0_vector)
         order = np.argsort(-difference, kind="stable")
-        ranked = [(int(rows[k]), int(cols[k])) for k in order if difference[k] > 0.0]
+        ranked = ((int(rows[k]), int(cols[k])) for k in order if difference[k] > 0.0)
         ordered_flips = filter_valid_flips_engine(engine, ranked, limit=budget)
 
         surrogate_by_budget = {0: engine.current_loss()}

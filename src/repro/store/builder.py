@@ -14,9 +14,11 @@ Two edge-sampling families cover the Table I recipes:
     streaming analogue of the ``er`` generator.
 ``chung_lu``
     Endpoints drawn proportional to per-node weights ``w_i ∝ (i + i0)^-α``
-    (one inverse-CDF ``searchsorted`` per chunk), producing the heavy-tailed
-    degree profile the ``ba`` generator and the real-dataset stand-ins need
-    at a fraction of the cost of sequential preferential attachment.
+    by inverse-CDF lookup through a guide table (each draw starts at its
+    bucket's first node and scans forward, usually not at all), producing
+    the heavy-tailed degree profile the ``ba`` generator and the
+    real-dataset stand-ins need at a fraction of the cost of sequential
+    preferential attachment.
 
 Real-dataset stand-ins additionally plant the near-clique / near-star
 egonets OddBall flags (same shapes as
@@ -156,7 +158,7 @@ def build_store(
     The store lands in ``<cache_dir>/<name>-<recipe_hash[:12]>``; an
     existing directory with a valid manifest for the same recipe is
     reopened without rebuilding (``force=True`` rebuilds in place).
-    Build memory is O(m) — edge keys, one lexsort, the CSR component
+    Build memory is O(m) — edge keys, their transpose, the CSR component
     arrays — independent of ``n²``.
     """
     recipe = store_recipe(name, scale=scale, seed=seed, chunk_edges=chunk_edges)
@@ -238,11 +240,12 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
         planted_keys, planted = _plant_anomaly_keys(n, anomalies, rng)
 
     core_target = max(target - planted_keys.size, n)
-    weights_cdf = None
+    sampler = None
     if recipe["family"] == "chung_lu":
         weights = (np.arange(n, dtype=np.float64) + 10.0) ** -float(recipe["alpha"])
-        weights_cdf = np.cumsum(weights)
-        weights_cdf /= weights_cdf[-1]
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        sampler = (cdf, _guide_table(cdf))
 
     keys = _ring_keys(n)  # a Hamiltonian ring seeds connectivity (no singletons)
     chunk = int(recipe["chunk_edges"])
@@ -252,8 +255,8 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
     for _ in range(500):
         if keys.size >= core_target:
             break
-        u = _sample_endpoints(rng, n, chunk, weights_cdf)
-        v = _sample_endpoints(rng, n, chunk, weights_cdf)
+        u = _sample_endpoints(rng, n, chunk, sampler)
+        v = _sample_endpoints(rng, n, chunk, sampler)
         mask = u != v
         u, v = u[mask], v[mask]
         new = sorted_unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
@@ -272,11 +275,39 @@ def _generate_edge_keys(recipe: dict) -> "tuple[np.ndarray, dict]":
     return keys, planted
 
 
-def _sample_endpoints(rng, n: int, count: int, cdf: "np.ndarray | None") -> np.ndarray:
-    """One chunk of endpoint draws: uniform, or inverse-CDF weighted."""
-    if cdf is None:
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``guide[b] = searchsorted(cdf, b / K)`` for ``b = 0..K``.
+
+    ``K`` is the smallest power of two ≥ ``8n``, so ``u · K`` is exact
+    for every double ``u`` and the table stays O(n).  Every ``cdf[j]``
+    with ``j < guide[b]`` is below ``b / K``: a draw ``u`` in bucket
+    ``⌊u · K⌋`` has its inverse-CDF node at or after the bucket's entry.
+    """
+    buckets = 1 << (8 * cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+
+
+def _sample_endpoints(
+    rng, n: int, count: int, sampler: "tuple[np.ndarray, np.ndarray] | None"
+) -> np.ndarray:
+    """One chunk of endpoint draws: uniform, or inverse-CDF weighted.
+
+    ``sampler`` is ``(cdf, guide)`` with ``guide`` from :func:`_guide_table`.
+    Each uniform draw ``u`` starts at its bucket's guide entry and steps
+    forward while ``cdf[idx] < u``, which lands exactly on
+    ``np.searchsorted(cdf, u)``; with ``8n`` buckets a draw rarely needs a
+    step at all.
+    """
+    if sampler is None:
         return rng.integers(0, n, size=count)
-    return np.searchsorted(cdf, rng.random(count)).astype(np.int64)
+    cdf, guide = sampler
+    draws = rng.random(count)
+    idx = guide[(draws * (guide.size - 1)).astype(np.int64)]
+    behind = np.flatnonzero(cdf[idx] < draws)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cdf[idx[behind]] < draws[behind]]
+    return idx
 
 
 def _ring_keys(n: int) -> np.ndarray:
@@ -366,26 +397,39 @@ def _draw_outside(
 def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
     """Write the symmetric CSR of the edge keys into the store's bin files.
 
-    Returns ``nnz`` (= 2 × edges).  The arrays are written through
-    ``np.memmap`` in one pass: both edge directions are lexsorted by
-    ``(row, col)``, which also sorts the indices *within* each row — the
-    property :meth:`GraphStore.csr` relies on to skip scipy's in-place sort.
+    Returns ``nnz`` (= 2 × edges).  The sorted keys ``u·n + v`` (u < v)
+    are already the upper triangle in CSR order, and its transpose (scipy's
+    counting-sort ``tocsc``) lists every node's lower neighbours in
+    ascending order.  Row ``r`` of the symmetric CSR is lower(r) followed
+    by upper(r), so both halves are scattered by position arithmetic
+    straight into the memmapped ``indices`` — already sorted *within* each
+    row, the property :meth:`GraphStore.csr` relies on to skip scipy's
+    in-place sort.
     """
-    u = (keys // n).astype(np.int64)
-    v = (keys % n).astype(np.int64)
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    nnz = rows.size
+    from scipy import sparse
+
+    m = keys.size
+    upper_counts = np.bincount(keys // n, minlength=n)
+    upper_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(upper_counts, out=upper_indptr[1:])
+    cols = keys % n
+    lower = sparse.csr_matrix(
+        (np.ones(m, dtype=np.int8), cols, upper_indptr), shape=(n, n)
+    ).tocsc()
+    lower_indptr = lower.indptr.astype(np.int64)
+    nnz = 2 * m
     idx_dtype = index_dtype(n, nnz)
 
     indptr = np.memmap(path / "indptr.bin", dtype=idx_dtype, mode="w+", shape=(n + 1,))
-    indptr[0] = 0
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    indptr[:] = upper_indptr + lower_indptr
     indptr.flush()
 
+    # an upper entry k of row r lands after all lower entries of rows ≤ r;
+    # a lower entry j of row r after all upper entries of rows < r
     indices = np.memmap(path / "indices.bin", dtype=idx_dtype, mode="w+", shape=(nnz,))
-    indices[:] = cols[order]
+    positions = np.arange(m, dtype=np.int64)
+    indices[positions + np.repeat(lower_indptr[1:], upper_counts)] = cols
+    indices[positions + np.repeat(upper_indptr[:-1], np.diff(lower_indptr))] = lower.indices
     indices.flush()
 
     data = np.memmap(path / "data.bin", dtype=_DATA_DTYPE, mode="w+", shape=(nnz,))

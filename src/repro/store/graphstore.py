@@ -84,6 +84,33 @@ def index_dtype(n_nodes: int, nnz: int) -> np.dtype:
     return np.dtype(np.int64 if max(n_nodes + 1, nnz) >= 2**31 else np.int32)
 
 
+def _check_file_sizes(path: Path, manifest: dict) -> None:
+    """Each data file must hold every byte the manifest addresses.
+
+    O(1) per file (one ``stat``): a truncated file fails here, naming
+    itself, instead of deep inside ``np.memmap``.  ``features.bin`` is
+    optional (stores built before features were persisted lack it).
+    """
+    n, nnz = manifest["n_nodes"], manifest["nnz"]
+    index_size = np.dtype(manifest["index_dtype"]).itemsize
+    expected = {
+        "indptr.bin": (n + 1) * index_size,
+        "indices.bin": nnz * index_size,
+        "data.bin": nnz * np.dtype(manifest["data_dtype"]).itemsize,
+        "features.bin": 2 * n * np.dtype(np.float64).itemsize,
+    }
+    for name, size in expected.items():
+        file = path / name
+        if name == "features.bin" and not file.exists():
+            continue
+        actual = file.stat().st_size
+        if actual < size:
+            raise ValueError(
+                f"store {path}: {name} holds {actual} bytes, fewer than the "
+                f"{size} its manifest addresses (truncated)"
+            )
+
+
 class GraphStore:
     """A read-only, memory-mapped CSR graph with manifest metadata.
 
@@ -123,13 +150,13 @@ class GraphStore:
     def open(cls, path: "str | Path", verify: bool = False) -> "GraphStore":
         """Map an existing store directory.
 
-        Cheap structural sanity checks (manifest version and
-        ``content_hash`` present, file sizes, monotone ``indptr``) always
-        run; ``verify=True`` additionally re-validates the full adjacency
-        contract (symmetric, binary, zero diagonal, sorted rows),
-        recomputes the content hash in O(m) and recomputes the clean
-        ``(N, E)`` features against ``features.bin`` — use it after
-        copying a store between machines.
+        Cheap structural sanity checks (manifest parses, version and
+        ``content_hash`` present, no data file shorter than the manifest
+        addresses, monotone ``indptr``) always run; ``verify=True``
+        additionally re-validates the full adjacency contract (symmetric,
+        binary, zero diagonal, sorted rows), recomputes the content hash in
+        O(m) and recomputes the clean ``(N, E)`` features against
+        ``features.bin`` — use it after copying a store between machines.
         """
         path = Path(path)
         manifest_path = path / "manifest.json"
@@ -138,7 +165,12 @@ class GraphStore:
                 f"{path} is not a graph store (no manifest.json); an aborted "
                 "build leaves no manifest — rebuild with repro.store.build_store"
             )
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as error:
+            raise ValueError(
+                f"store {path}: manifest.json is not valid JSON ({error})"
+            ) from error
         if manifest.get("version") != MANIFEST_VERSION:
             raise ValueError(
                 f"store {path} has unsupported manifest version "
@@ -146,6 +178,7 @@ class GraphStore:
             )
         if not isinstance(manifest.get("content_hash"), str):
             raise ValueError(f"store {path}: manifest has no content_hash")
+        _check_file_sizes(path, manifest)
         store = cls(path, manifest)
         store._check_structure()
         if verify:

@@ -216,7 +216,7 @@ class TestRollbackExactness:
         assert filter_valid_flips_engine(dense, candidates, limit=6) == (
             filter_valid_flips_engine(sparse_eng, candidates, limit=6)
         )
-        # and the filter itself rolled everything back
+        # and the filter left both engines untouched
         assert dense.current_loss() == sparse_eng.current_loss()
 
     def test_filter_flips_engine_matches_dense_reference(self, graph_and_targets):

@@ -2,6 +2,7 @@
 mmap read-only discipline, and zero-copy handoff into the sparse pipeline."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ class TestOpen:
         del indices
         with pytest.raises(ValueError, match=f"row {row} indices are not sorted"):
             GraphStore.open(clone, verify=True)
+
+    @pytest.mark.parametrize("name", [
+        "indptr.bin", "indices.bin", "data.bin", "features.bin", "manifest.json",
+    ])
+    def test_truncated_file_is_named(self, store, tmp_path, name):
+        clone = _clone_with_manifest(store, tmp_path)
+        victim = clone / name
+        victim.write_bytes(victim.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=re.escape(name)):
+            GraphStore.open(clone)
 
     def test_structure_guard(self, store, tmp_path):
         # lie about the entry count
