@@ -88,9 +88,7 @@ def _sweep(graph, targets):
 def _timed_run(graph, jobs, trace_dir=None):
     """One campaign run (traced into ``trace_dir`` when given), timed."""
     start = time.perf_counter()
-    result = AttackCampaign(
-        graph, backend="sparse", telemetry=trace_dir
-    ).run(jobs)
+    result = AttackCampaign(graph, telemetry=trace_dir).run(jobs)
     seconds = time.perf_counter() - start
     telemetry.shutdown()
     return result, seconds

@@ -12,9 +12,7 @@ build, candidate arrays, poisoned-graph materialisation for evaluation).
 engine: between jobs it *retargets* (swap targets/candidates in O(|C|))
 and *rolls back* the previous job's flips (O(deg) per flip) instead of
 rebuilding anything.  Results are identical to independent runs — the
-campaign is purely a performance layer — and a 50-target budget-5 sweep
-on a sparse 10,000-node graph runs ~7× faster than sequential calls
-(``benchmarks/results/BENCH_campaign.json``).
+campaign is purely a performance layer.
 
 Campaigns are resumable: pass ``checkpoint_path`` and every completed job
 is persisted; rerunning the same spec skips straight past them, so an
@@ -71,16 +69,14 @@ def main() -> None:
     #    an interrupted sweep would resume instead of restarting.
     with tempfile.TemporaryDirectory() as scratch:
         checkpoint = Path(scratch) / "campaign_checkpoint.json"
-        campaign = AttackCampaign(graph, backend="sparse", checkpoint_path=checkpoint)
+        campaign = AttackCampaign(graph, checkpoint_path=checkpoint)
         sweep = campaign.run(jobs)
         print(f"completed {len(sweep)} jobs in {sweep.seconds:.2f}s "
               f"(resumed {sweep.resumed_jobs})")
 
         # Rerunning the same spec is free — everything replays from the
         # checkpoint.
-        replay = AttackCampaign(
-            graph, backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs)
+        replay = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         print(f"replay: {replay.resumed_jobs}/{len(replay)} jobs from checkpoint")
 
     # 4. Per-λ aggregation: mean flips spent and mean AScore decrease.
@@ -119,7 +115,7 @@ def main() -> None:
     #    `python -m repro.experiments.runner --workers N`.
     from repro.attacks import SchedulingCampaignExecutor
 
-    parallel = SchedulingCampaignExecutor(graph, workers=2, backend="sparse").run(jobs)
+    parallel = SchedulingCampaignExecutor(graph, workers=2).run(jobs)
     assert [o.flips for o in parallel] == [o.flips for o in sweep]
     print(f"parallel executor (2 workers): {len(parallel)} jobs, "
           f"flips identical to the serial campaign")
@@ -140,7 +136,7 @@ def main() -> None:
         block_size=4096,
         block_seed=1,
     )
-    block_sweep = AttackCampaign(graph, backend="sparse").run(block_jobs)
+    block_sweep = AttackCampaign(graph).run(block_jobs)
     block_tau = np.mean([o.score_decrease for o in block_sweep])
     print(f"\nblock candidates (4096 pairs, whole triangle): "
           f"mean tau {block_tau:.1%} vs "
@@ -157,9 +153,7 @@ def main() -> None:
     from repro.telemetry.report import render_report, summarize
 
     with tempfile.TemporaryDirectory() as trace_dir:
-        traced = AttackCampaign(
-            graph, backend="sparse", telemetry=trace_dir
-        ).run(jobs)
+        traced = AttackCampaign(graph, telemetry=trace_dir).run(jobs)
         telemetry.shutdown()
         assert [o.flips for o in traced] == [o.flips for o in sweep]
         summary = summarize(telemetry.load_trace_dir(trace_dir))

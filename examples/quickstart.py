@@ -88,43 +88,27 @@ def main() -> None:
         f"({ball.density:.1%} of all pairs)"
     )
 
-    # 7. Surrogate engines: every attack's optimisation loop runs through a
-    #    pluggable SurrogateEngine (repro.oddball.surrogate) with two
-    #    interchangeable backends:
-    #
-    #    * backend="dense"   — the full autograd pipeline.  Exact reference
-    #                          (bit-for-bit the historical behaviour), but
-    #                          O(n³) per forward pass and O(n²) memory.
-    #    * backend="sparse"  — incremental egonet features with an
-    #                          apply → score → rollback flip API and
-    #                          closed-form gradients scattered onto the
-    #                          candidate pairs only.  One BinarizedAttack
-    #                          PGD iteration costs O(Σ deg + n + |C|)
-    #                          instead of O(n³): a budget-5 attack on a
-    #                          sparse 10,000-node graph finishes in well
-    #                          under a second where the dense engine is
-    #                          infeasible (see benchmarks/results/
-    #                          BENCH_binarized_scaling.json).
-    #    * backend="auto"    — the default: the sparse engine at every
-    #                          graph size (backend="dense" stays available
-    #                          as the reference).  Sparse inputs stay
-    #                          sparse end-to-end — through the attack, the
-    #                          AttackResult and its poisoned() graphs.
-    #
-    #    The backends agree on losses bit-for-bit and on gradients to
-    #    round-off (the engine-parity suite in tests/ asserts it), so
-    #    switching is a pure speed choice:
-    fast_binarized = BinarizedAttack(iterations=100, backend="sparse")
+    # 7. The surrogate engine: every attack's optimisation loop runs through
+    #    one SparseSurrogateEngine (repro.oddball.surrogate).  It keeps
+    #    incremental egonet features with an apply → score → rollback flip
+    #    API and scatters closed-form gradients onto the candidate pairs
+    #    only, so one BinarizedAttack PGD iteration costs O(Σ deg + n + |C|)
+    #    instead of the O(n³) autograd forward.  Sparse inputs stay sparse
+    #    end-to-end — through the attack, the AttackResult and its
+    #    poisoned() graphs.  The tests check it against a dense autograd
+    #    oracle: same losses bit-for-bit, same flips.
+    fast_binarized = BinarizedAttack(iterations=100)
     sparse_result = fast_binarized.attack(
         graph, targets, budget=8, candidates="target_incident"
     )
     print(
         f"sparse-engine BinarizedAttack: score decrease "
         f"{sparse_result.score_decrease(targets):.1%} "
-        f"(backend={sparse_result.metadata['backend']})"
+        f"(engine={sparse_result.metadata['backend']})"
     )
-    #    Paper figures can be regenerated at larger n the same way:
-    #      python -m repro.experiments.runner --experiment fig4 --backend sparse
+    #    Paper figures can be regenerated at larger n with a candidate
+    #    strategy:
+    #      python -m repro.experiments.runner -e fig4 --candidates target_incident
     #      python -m repro.experiments.runner --list
 
     # 8. Campaigns: batch many (targets × budgets × λ) jobs on ONE graph.
@@ -134,9 +118,7 @@ def main() -> None:
     #    between jobs), records flips / losses / rank shifts / timings per
     #    job, and — given a checkpoint_path — resumes interrupted sweeps
     #    from the last completed job.  Flip sets are identical to
-    #    independent attack() calls; on a sparse 10,000-node graph a
-    #    50-target sweep runs ~7x faster than sequential runs
-    #    (benchmarks/results/BENCH_campaign.json).
+    #    independent attack() calls.
     from repro.attacks import AttackCampaign, grid_jobs
 
     jobs = grid_jobs(

@@ -11,10 +11,10 @@ strategy name (``"full"``, ``"target_incident"``, ``"two_hop"``), a
 prebuilt :class:`~repro.attacks.candidates.CandidateSet`, or ``None`` for
 the legacy full-pair behaviour.  Large graphs may be passed as scipy sparse
 matrices to every engine-backed attack (GradMaxSearch, BinarizedAttack,
-ContinuousA — see the ``backend`` parameter and
-:mod:`repro.oddball.surrogate`); sparse inputs stay sparse end to end:
-:class:`AttackResult` keeps the original in whichever representation it was
-given and derives poisoned graphs/scores in the same one.
+ContinuousA — see :mod:`repro.oddball.surrogate`); sparse inputs stay
+sparse end to end: :class:`AttackResult` keeps the original in whichever
+representation it was given and derives poisoned graphs/scores in the
+same one.
 """
 
 from __future__ import annotations

@@ -17,21 +17,20 @@ strength against sparsity.
 Implementation notes
 --------------------
 * The PGD loop runs through a
-  :class:`~repro.oddball.surrogate.SurrogateEngine`.  ``backend="dense"``
-  replays the historical autograd pipeline bit-for-bit (instead of Eq. 6's
+  :class:`~repro.oddball.surrogate.SurrogateEngine`: the sparse engine
+  evaluates each discrete iterate by applying its flip set to
+  incrementally-maintained egonet features, scoring in O(n), scattering
+  the closed-form straight-through gradient onto the candidate pairs only,
+  and rolling the flips back — O(Σ deg + n + |C|) per iteration instead of
+  O(n³), which is what makes the attack feasible on sparse 10k+-node
+  graphs.  The whole λ-sweep reuses ONE engine instance; no adjacency is
+  ever rebuilt between iterates.  Scipy-sparse inputs stay sparse
+  end-to-end, including in the :class:`AttackResult`.  The dense autograd
+  oracle the parity suite injects (instead of Eq. 6's
   ``A = (A0 − ½) ⊙ Z + ½``, which would corrupt the diagonal when ``Z`` is
   scattered with a zero diagonal, it uses the exactly equivalent
   off-diagonal form ``A = A0 + (1 − 2·A0) ⊙ F`` with the flip indicator
-  ``F = (1 − Z)/2 ∈ {0, 1}``).  ``backend="sparse"`` evaluates each
-  discrete iterate by applying its flip set to incrementally-maintained
-  egonet features, scoring in O(n), scattering the closed-form
-  straight-through gradient onto the candidate pairs only, and rolling the
-  flips back — O(Σ deg + n + |C|) per iteration instead of O(n³), which is
-  what makes the attack feasible on sparse 10k+-node graphs.  The whole
-  λ-sweep reuses ONE engine instance; no adjacency is ever rebuilt between
-  iterates.  ``backend="auto"`` (default) is the sparse engine at every
-  graph size; scipy-sparse inputs stay sparse end-to-end, including in
-  the :class:`AttackResult`.
+  ``F = (1 − Z)/2 ∈ {0, 1}``) selects the same flips.
 * Alg. 1 lines 16–19 ("pick out Ż = min L satisfying ΣZ = −b"): during the
   optimisation we record every iterate's discrete flip set (validated
   against the no-singleton rule) together with its surrogate loss; the
@@ -67,7 +66,7 @@ from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
 from repro.attacks.constraints import filter_valid_flips_engine
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
+from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
 
@@ -116,10 +115,6 @@ class BinarizedAttack(StructuralAttack):
     normalize_gradient:
         Rescale the adversarial gradient to unit max-magnitude each step
         (see the module docstring); disable to run textbook Alg. 1 PGD.
-    backend:
-        Surrogate engine backend: ``"dense"`` (exact historical autograd
-        path, the test reference), ``"sparse"`` (incremental features +
-        rollback) or ``"auto"`` (the sparse engine).
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy (PRBCD): the
         random block's size cap (default:
@@ -150,7 +145,6 @@ class BinarizedAttack(StructuralAttack):
         floor: float = 1.0,
         init: float = 0.0,
         normalize_gradient: bool = True,
-        backend: str = "auto",
         kernels: str = "auto",
         block_size: "int | None" = None,
         block_seed: int = 0,
@@ -169,7 +163,6 @@ class BinarizedAttack(StructuralAttack):
         self.floor = floor
         self.init = init
         self.normalize_gradient = normalize_gradient
-        self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
@@ -184,8 +177,7 @@ class BinarizedAttack(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        backend = engine.backend if engine is not None else resolve_backend(self.backend)
-        adjacency = self._adjacency_of(graph, allow_sparse=(backend == "sparse"))
+        adjacency = self._adjacency_of(graph, allow_sparse=True)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
@@ -203,7 +195,6 @@ class BinarizedAttack(StructuralAttack):
                 adjacency,
                 targets,
                 (rows, cols),
-                backend=backend,
                 floor=self.floor,
                 weights=target_weights,
                 kernels=self.kernels,

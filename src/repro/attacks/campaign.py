@@ -23,8 +23,8 @@ large graphs) carries the clean graph's feature state across every job:
   materialises a poisoned adjacency either.
 
 Campaigns are **resumable**: with a ``checkpoint_path`` every completed job
-is appended to a JSONL file (one header line tying it to the graph +
-backend, then one outcome per line, keyed by a deterministic job id), and a
+is appended to a JSONL file (one header line tying it to the graph, then
+one outcome per line, keyed by a deterministic job id), and a
 re-run against the same graph skips straight past completed jobs — an
 interrupted 5000-job sweep restarts from the last completed job, and the
 merged result is bit-identical to an uninterrupted run (tested).  Appends
@@ -60,7 +60,7 @@ from repro.graph.sparse import content_hash, to_sparse
 from repro.oddball.regression import fit_power_law
 from repro.oddball.scores import rank_positions, score_from_features
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
+from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_adjacency, check_budget
 
@@ -92,7 +92,7 @@ def _registry() -> dict:
 
 
 #: Attacks whose *optimisation loop* runs through a SurrogateEngine; their
-#: constructors take a ``backend`` parameter the campaign fills in.
+#: constructors take a ``kernels`` parameter the campaign fills in.
 ENGINE_ATTACKS = frozenset(
     {BinarizedAttack.name, GradMaxSearch.name, ContinuousA.name}
 )
@@ -104,7 +104,7 @@ ENGINE_ATTACKS = frozenset(
 #: checkpoint()/restore().
 SHARED_ENGINE_ATTACKS = ENGINE_ATTACKS | {"random", "oddball-heuristic"}
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 def _canonical(value):
@@ -251,16 +251,15 @@ class AttackJob:
             **{k: v for k, v in payload.get("params", [])},
         )
 
-    def build_attack(self, backend: str, kernels: str = "auto"):
+    def build_attack(self, kernels: str = "auto"):
         """Instantiate the attack this job describes.
 
-        ``backend`` and ``kernels`` are campaign-level defaults injected
-        via ``setdefault`` — a job that pinned either in its ``params``
-        keeps its own value (and its ``job_id`` already reflects it).
+        ``kernels`` is a campaign-level default injected via
+        ``setdefault`` — a job that pinned it in its ``params`` keeps its
+        own value (and its ``job_id`` already reflects it).
         """
         params = {k: v for k, v in self.params}
         if self.attack in ENGINE_ATTACKS:
-            params.setdefault("backend", backend)
             params.setdefault("kernels", kernels)
         return _registry()[self.attack](**params)
 
@@ -399,7 +398,6 @@ class CampaignResult:
     """
 
     outcomes: list[JobOutcome]
-    backend: str
     n: int
     seconds: float
     resumed_jobs: int = 0
@@ -434,7 +432,6 @@ class CampaignResult:
     def to_dict(self) -> dict:
         """JSON image of the whole campaign result."""
         return {
-            "backend": self.backend,
             "n": self.n,
             "seconds": self.seconds,
             "resumed_jobs": self.resumed_jobs,
@@ -449,7 +446,6 @@ class CampaignResult:
         """Rebuild a result from :meth:`to_dict` output."""
         return cls(
             outcomes=[JobOutcome.from_dict(o) for o in payload["outcomes"]],
-            backend=payload["backend"],
             n=int(payload["n"]),
             seconds=float(payload["seconds"]),
             resumed_jobs=int(payload.get("resumed_jobs", 0)),
@@ -484,10 +480,10 @@ def _normalize_graph(graph):
     return check_adjacency(np.asarray(graph, dtype=np.float64))
 
 
-def graph_fingerprint(adjacency, backend: str) -> str:
-    """The name a checkpoint header gives one (graph, backend).
+def graph_fingerprint(adjacency) -> str:
+    """The name a checkpoint header gives one graph.
 
-    ``sha1(f"{backend}:{n}:{content_hash}")``, where ``content_hash`` is
+    ``sha1(f"{n}:{content_hash}")``, where ``content_hash`` is
     :func:`repro.graph.sparse.content_hash` — canonical over the edge set,
     so a dense array, a CSR with sorted or unsorted rows, a
     :class:`~repro.store.GraphStore` CSR and its ``detached_csr()`` of one
@@ -502,9 +498,7 @@ def graph_fingerprint(adjacency, backend: str) -> str:
     content = getattr(adjacency, "_repro_fingerprint", None)
     if content is None:
         content = content_hash(adjacency)
-    return hashlib.sha1(
-        f"{backend}:{adjacency.shape[0]}:{content}".encode()
-    ).hexdigest()
+    return hashlib.sha1(f"{adjacency.shape[0]}:{content}".encode()).hexdigest()
 
 
 def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
@@ -528,13 +522,13 @@ def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
 class CheckpointStore:
     """One JSONL campaign checkpoint file: a header plus one outcome per line.
 
-    Format (version 2)::
+    Format (version 3)::
 
-        {"version": 2, "fingerprint": ..., "backend": ..., "n": ...}
+        {"version": 3, "fingerprint": ..., "n": ...}
         {"job": {...}, "flips_by_budget": {...}, ...}      # one per job
         ...
 
-    The header ties the file to one (graph, backend); outcome lines are
+    The header ties the file to one graph; outcome lines are
     keyed by the deterministic :attr:`AttackJob.job_id` content hash, so
     load order — and therefore *who* wrote each line — is irrelevant.  That
     property is what makes the parallel executor's per-worker shard files
@@ -548,21 +542,15 @@ class CheckpointStore:
 
     The header's ``fingerprint`` is :func:`graph_fingerprint`: one content
     hash per graph, so any backing of the same graph (store, payload CSR,
-    dense array) resumes the file and any other graph is refused.  Version
-    1 headers named store graphs by their recipe instead and are refused
-    as an unsupported version.
+    dense array) resumes the file and any other graph is refused.  Older
+    headers are refused as an unsupported version: version 1 named store
+    graphs by their recipe, and version 2 also hashed the engine backend
+    into the fingerprint.
     """
 
-    def __init__(
-        self,
-        path: "Path | str",
-        fingerprint: str,
-        backend: str,
-        n: int,
-    ):
+    def __init__(self, path: "Path | str", fingerprint: str, n: int):
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self.backend = backend
         self.n = int(n)
 
     def exists(self) -> bool:
@@ -610,7 +598,7 @@ class CheckpointStore:
         if header.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 f"checkpoint {self.path} was written for a different "
-                "graph/backend; delete it or point the campaign elsewhere"
+                "graph; delete it or point the campaign elsewhere"
             )
         outcomes: dict[str, JobOutcome] = {}
         for line in lines[1:]:
@@ -661,7 +649,6 @@ class CheckpointStore:
             header = {
                 "version": _CHECKPOINT_VERSION,
                 "fingerprint": self.fingerprint,
-                "backend": self.backend,
                 "n": self.n,
             }
             self.path.write_text(json.dumps(header) + "\n")
@@ -710,11 +697,8 @@ class AttackCampaign:
         validated **once** (the validate-once tag of
         :func:`repro.graph.sparse.to_sparse` makes every per-job
         touch-point free); dense jobs still re-run the O(n²) checks per
-        attack call, which is negligible next to their O(n³) forwards at
-        the small n the dense backend targets.
-    backend:
-        Surrogate engine backend (``"auto"``/``"dense"``/``"sparse"``).
-        Resolved once against the graph; every engine job shares it.
+        attack call, which is negligible at the small n dense inputs are
+        meant for.
     kernels:
         Hot-loop kernel backend (``"auto"``/``"numpy"``/``"compiled"``,
         see :mod:`repro.kernels`).  Injected as the default for every
@@ -722,8 +706,8 @@ class AttackCampaign:
         passed to the lazily-built shared engine.  Both backends produce
         bit-identical flip sets, so checkpoints are kernel-agnostic.
     checkpoint_path:
-        Optional JSONL checkpoint file: one header line (graph fingerprint
-        + backend) followed by one completed-job record per line, appended
+        Optional JSONL checkpoint file: one header line (graph fingerprint)
+        followed by one completed-job record per line, appended
         in O(1) after each job.  A rerun against the same graph loads it
         and skips completed job ids; a record torn by a hard kill costs
         exactly that one job on resume (not the file).
@@ -741,9 +725,10 @@ class AttackCampaign:
     engine:
         Optional pre-built :class:`SurrogateEngine` to run every job on —
         the parallel executor's workers pass the engine they rebuilt from
-        an :class:`~repro.oddball.surrogate.EngineSpec`.  Must match the
-        campaign's resolved backend and graph size; ``None`` (the default)
-        builds one lazily from the graph.
+        an :class:`~repro.oddball.surrogate.EngineSpec`, and the parity
+        suites the dense test oracle.  Must match the campaign's graph
+        size; ``None`` (the default) builds a sparse engine lazily from the
+        graph.
 
     Example
     -------
@@ -762,43 +747,26 @@ class AttackCampaign:
         self,
         graph: "Graph | np.ndarray | sparse.spmatrix",
         *,
-        backend: str = "auto",
         kernels: str = "auto",
         checkpoint_path: "Path | str | None" = None,
         compute_ranks: bool = True,
         engine: "SurrogateEngine | None" = None,
         telemetry: "Path | str | None" = None,
     ):
-        validate_backend(backend)
         if telemetry is not None:
             _telemetry.configure(telemetry)
         self.kernels = validate_kernels(kernels)
-        store_backed = hasattr(graph, "adjacency_csr")
         self._original = _normalize_graph(graph)
-        self.backend = resolve_backend(backend)
-        if store_backed and self.backend != "sparse":
-            # The dense engine would densify the mmap — 63 GB at the full
-            # Blogcatalog scale — so fail up front on BOTH execution paths
-            # (the parallel executor re-checks for its own construction).
-            raise ValueError(
-                f"store-backed campaigns are sparse-only; got backend={backend!r}"
-            )
         self.n = int(self._original.shape[0])
         self.checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)
         )
         self.compute_ranks = compute_ranks
-        if engine is not None:
-            if engine.backend != self.backend:
-                raise ValueError(
-                    f"injected engine backend {engine.backend!r} does not match "
-                    f"the campaign's resolved backend {self.backend!r}"
-                )
-            if engine.n != self.n:
-                raise ValueError(
-                    f"injected engine addresses {engine.n} nodes "
-                    f"but the campaign graph has {self.n}"
-                )
+        if engine is not None and engine.n != self.n:
+            raise ValueError(
+                f"injected engine addresses {engine.n} nodes "
+                f"but the campaign graph has {self.n}"
+            )
         self._engine = engine
         self._clean_scores: "np.ndarray | None" = None
         self._clean_ranks: "np.ndarray | None" = None
@@ -816,10 +784,7 @@ class AttackCampaign:
         if resumed:
             _log.info("resuming campaign: %d/%d jobs checkpointed", resumed, len(jobs))
         start = time.perf_counter()
-        with _telemetry.span(
-            "campaign.run", jobs=len(jobs), backend=self.backend,
-            n=self.n, resumed=resumed,
-        ):
+        with _telemetry.span("campaign.run", jobs=len(jobs), n=self.n, resumed=resumed):
             for index, job in enumerate(jobs):
                 if job.job_id in completed:
                     continue
@@ -835,7 +800,6 @@ class AttackCampaign:
         elapsed = time.perf_counter() - start
         return CampaignResult(
             outcomes=[completed[job.job_id] for job in jobs],
-            backend=self.backend,
             n=self.n,
             seconds=elapsed,
             resumed_jobs=resumed,
@@ -868,7 +832,7 @@ class AttackCampaign:
 
     def _run_job_traced(self, job: AttackJob) -> JobOutcome:
         """The :meth:`_run_job` body, inside the job's telemetry span."""
-        attack = job.build_attack(self.backend, self.kernels)
+        attack = job.build_attack(self.kernels)
         engine = self._ensure_engine(job)
         start = time.perf_counter()
         if job.attack in SHARED_ENGINE_ATTACKS:
@@ -918,15 +882,9 @@ class AttackCampaign:
             # its own pairs, and ``None`` here would materialise all
             # n(n−1)/2 upper-triangle pairs — 50M entries at n = 10 000.
             empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-            with _telemetry.span(
-                "engine.build", backend=self.backend, n=self.n,
-            ):
+            with _telemetry.span("engine.build", n=self.n):
                 self._engine = SurrogateEngine.create(
-                    self._original,
-                    job.targets,
-                    empty,
-                    backend=self.backend,
-                    kernels=self.kernels,
+                    self._original, job.targets, empty, kernels=self.kernels,
                 )
         if self._clean_scores is None:
             with _telemetry.span("engine.clean_scores"):
@@ -967,18 +925,13 @@ class AttackCampaign:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def _fingerprint(self) -> str:
-        """Graph/backend content hash (cached; see :func:`graph_fingerprint`)."""
+        """Graph content hash (cached; see :func:`graph_fingerprint`)."""
         if self._fingerprint_cache is None:
-            self._fingerprint_cache = graph_fingerprint(self._original, self.backend)
+            self._fingerprint_cache = graph_fingerprint(self._original)
         return self._fingerprint_cache
 
     def checkpoint_store(self) -> "CheckpointStore | None":
         """The campaign's :class:`CheckpointStore` (``None`` when disabled)."""
         if self.checkpoint_path is None:
             return None
-        return CheckpointStore(
-            self.checkpoint_path,
-            self._fingerprint(),
-            self.backend,
-            self.n,
-        )
+        return CheckpointStore(self.checkpoint_path, self._fingerprint(), self.n)

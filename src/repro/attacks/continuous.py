@@ -12,13 +12,12 @@ fractional solution to an arbitrarily bad discrete one.
 The PGD loop runs through a
 :class:`~repro.oddball.surrogate.SurrogateEngine`.  The fractional graph is
 the clean graph with the candidate entries frozen at zero plus a symmetric
-scatter of the relaxed variables.  The dense backend (explicit
-``backend="dense"``, the test reference) differentiates it with autograd.
-The sparse backend (``"auto"``) computes weighted egonet features and the
-closed-form pair gradient: on a dense n×n array when the candidates fill
-at least half the matrix (the ``full`` strategy), where its loss is
-bit-identical to the dense backend's, and in CSR otherwise, so the
-relaxation also runs on graphs the dense path cannot hold in memory.
+scatter of the relaxed variables.  The sparse engine computes weighted
+egonet features and the closed-form pair gradient: on a dense n×n array
+when the candidates fill at least half the matrix (the ``full`` strategy),
+where its loss is bit-identical to the dense autograd oracle's, and in CSR
+otherwise, so the relaxation also runs on graphs the oracle cannot hold in
+memory.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
 from repro.attacks.constraints import filter_valid_flips_engine
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
+from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
 
@@ -54,9 +53,6 @@ class ContinuousA(StructuralAttack):
     floor:
         Log-clamp floor inside the surrogate; the relaxed graph can have
         fractional degrees, so this defaults lower than the discrete methods.
-    backend:
-        Surrogate engine backend (``"auto"``/``"dense"``/``"sparse"``, see
-        :mod:`repro.oddball.surrogate`).
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy.  The
         relaxation's decision variables are fixed for the whole PGD run,
@@ -68,7 +64,7 @@ class ContinuousA(StructuralAttack):
     name = "continuousa"
 
     def __init__(self, lr: float = 0.01, max_iter: int = 200, tol: float = 1e-6,
-                 floor: float = 0.5, backend: str = "auto", kernels: str = "auto",
+                 floor: float = 0.5, kernels: str = "auto",
                  block_size: "int | None" = None, block_seed: int = 0):
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -76,7 +72,6 @@ class ContinuousA(StructuralAttack):
         self.max_iter = max_iter
         self.tol = tol
         self.floor = floor
-        self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
@@ -90,8 +85,7 @@ class ContinuousA(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        backend = engine.backend if engine is not None else resolve_backend(self.backend)
-        adjacency = self._adjacency_of(graph, allow_sparse=(backend == "sparse"))
+        adjacency = self._adjacency_of(graph, allow_sparse=True)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
@@ -109,7 +103,6 @@ class ContinuousA(StructuralAttack):
                 adjacency,
                 targets,
                 (rows, cols),
-                backend=backend,
                 floor=self.floor,
                 weights=target_weights,
                 kernels=self.kernels,

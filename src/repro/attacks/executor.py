@@ -14,7 +14,7 @@ them by worker count alone.
 from __future__ import annotations
 
 from repro.attacks.campaign import AttackCampaign
-from repro.attacks.scheduler import SchedulingCampaignExecutor
+from repro.attacks.scheduler import SchedulingCampaignExecutor, check_campaign_backend
 
 __all__ = ["build_campaign"]
 
@@ -36,14 +36,16 @@ def build_campaign(
     TTL from ``$REPRO_LEASE_TTL``, else 30 s).  Both produce bit-identical
     results, so callers never branch again.  ``kernels`` selects the
     hot-loop kernel backend (see :mod:`repro.kernels`); either value yields
-    the same flips.  ``telemetry`` names a trace directory for the
+    the same flips.  ``backend`` accepts only ``"auto"`` and ``"sparse"``
+    (:data:`~repro.attacks.scheduler.CAMPAIGN_BACKENDS`), both the sparse
+    engine.  ``telemetry`` names a trace directory for the
     :mod:`repro.telemetry` layer (``None`` defers to ``$REPRO_TELEMETRY``);
     tracing changes no results.
     """
+    check_campaign_backend(backend)
     if workers <= 1:
         return AttackCampaign(
             graph,
-            backend=backend,
             kernels=kernels,
             checkpoint_path=checkpoint_path,
             compute_ranks=compute_ranks,
@@ -52,7 +54,6 @@ def build_campaign(
     return SchedulingCampaignExecutor(
         graph,
         workers=workers,
-        backend=backend,
         kernels=kernels,
         checkpoint_path=checkpoint_path,
         compute_ranks=compute_ranks,

@@ -7,23 +7,21 @@ modification nor create a singleton, the pair with the largest absolute
 gradient is flipped.  This is the standard greedy baseline most prior
 structural attacks use.
 
-Two execution paths back the greedy loop:
+The greedy loop runs through a
+:class:`~repro.oddball.surrogate.SurrogateEngine` — the sparse engine
+unless one is injected: egonet features are maintained incrementally at
+O(deg) per flip and the gradient is scattered onto the candidate pairs
+only, so one greedy step costs O(m + |C|) instead of the O(n³) autograd
+backward of the seed implementation.  Without ``candidates`` the search
+covers every pair; ``target_incident``/``two_hop`` prune it Nettack-style.
+Sparse adjacency inputs are supported and never densified.
 
-* the **legacy dense loop** (``candidates=None`` with ``backend="dense"``)
-  — the seed implementation: a full autograd backward pass over all
-  ``n²`` entries per step, O(n³) work, exact;
-* the **engine loop** (any ``candidates``, or the default backend) —
-  the greedy search runs through the shared
-  :class:`~repro.oddball.surrogate.SurrogateEngine`.  With the sparse
-  backend, egonet features are maintained incrementally at O(deg) per flip
-  and the gradient is scattered onto candidate pairs only, so one greedy
-  step costs O(m + |C|) instead of O(n³); with the dense backend the engine
-  gathers the full autograd gradient at the candidate pairs (the reference
-  the parity suite checks against).  With the ``full`` strategy the engine
-  reproduces the dense path's flips bit-for-bit (equivalence-tested; both
-  loops break round-off ties alike, see :data:`TIE_RTOL`); with
-  ``target_incident``/``two_hop`` it prunes the search Nettack-style.
-  Sparse adjacency inputs are supported and never densified by this path.
+The parity suite injects the dense autograd oracle
+(:class:`~repro.oddball.surrogate.DenseSurrogateEngine`) into this same
+loop and checks that it picks the same flips as the sparse engine.  The two
+engines sum gradients in different orders, so pairs that tie in exact
+arithmetic can differ in their last bits; :data:`TIE_RTOL` makes both
+engines break such ties alike.
 """
 
 from __future__ import annotations
@@ -34,15 +32,8 @@ import numpy as np
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
-from repro.attacks.constraints import no_singleton_mask, sign_valid_mask
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import (
-    SurrogateEngine,
-    adjacency_gradient,
-    resolve_backend,
-    surrogate_loss_numpy,
-    validate_backend,
-)
+from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
 
@@ -52,8 +43,10 @@ _log = get_logger("attacks.gradmax")
 
 #: Relative gap below which two gradient magnitudes count as tied.  Pairs
 #: that are interchangeable in exact arithmetic get gradients that differ
-#: only in the last bits, and the dense and sparse engines sum them in
-#: different orders; far above that round-off, far below a real gap.
+#: only in the last bits, and the sparse engine and the dense test oracle
+#: sum them in different orders, so without this rule the two pick
+#: different flips on some graphs.  Far above that round-off, far below a
+#: real gap.
 TIE_RTOL = 1e-9
 
 
@@ -73,11 +66,6 @@ class GradMaxSearch(StructuralAttack):
         Clamp floor for the log-features inside the surrogate (see
         :mod:`repro.oddball.surrogate`); used consistently for both the
         gradients and the per-budget surrogate bookkeeping.
-    backend:
-        Surrogate engine backend.  ``"auto"`` (like ``"sparse"``) runs the
-        sparse-incremental engine, over every pair when no ``candidates``
-        are given; ``"dense"`` without ``candidates`` runs the legacy
-        dense loop.
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy (PRBCD random
         block with gradient resampling); part of the attack's campaign-job
@@ -100,11 +88,9 @@ class GradMaxSearch(StructuralAttack):
 
     name = "gradmaxsearch"
 
-    def __init__(self, floor: float = 1.0, backend: str = "auto",
-                 kernels: str = "auto", block_size: "int | None" = None,
-                 block_seed: int = 0):
+    def __init__(self, floor: float = 1.0, kernels: str = "auto",
+                 block_size: "int | None" = None, block_seed: int = 0):
         self.floor = floor
-        self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
@@ -118,87 +104,12 @@ class GradMaxSearch(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        # An injected shared engine (campaign path) is retargeted in place
-        # and always drives the engine loop.  Otherwise only an explicit
-        # dense backend without candidates keeps the legacy dense loop.
-        if engine is not None:
-            return self._attack_engine(
-                graph, targets, budget, target_weights, candidates,
-                engine.backend, engine=engine,
-            )
-        backend = resolve_backend(self.backend)
-        if candidates is None and backend == "dense":
-            return self._attack_dense(graph, targets, budget, target_weights)
-        return self._attack_engine(
-            graph, targets, budget, target_weights, candidates, backend
-        )
+        """Greedy loop through the (possibly shared) surrogate engine.
 
-    # ------------------------------------------------------------------ #
-    def _attack_dense(
-        self,
-        graph,
-        targets: Sequence[int],
-        budget: int,
-        target_weights: "Sequence[float] | None",
-    ) -> AttackResult:
-        """Legacy full-matrix loop (the seed implementation, kept as oracle)."""
-        adjacency = self._adjacency_of(graph)
-        n = adjacency.shape[0]
-        targets = validate_targets(targets, n)
-        budget = check_budget(budget)
-
-        current = adjacency.copy()
-        ordered_flips: list[tuple[int, int]] = []
-        surrogate_by_budget = {
-            0: surrogate_loss_numpy(adjacency, targets, target_weights, floor=self.floor)
-        }
-        modified = np.zeros((n, n), dtype=bool)  # the "pool" of used pairs
-
-        for step in range(budget):
-            gradient = adjacency_gradient(
-                current, targets, floor=self.floor, weights=target_weights
-            )
-            valid = (
-                sign_valid_mask(current, gradient)
-                & no_singleton_mask(current)
-                & ~modified
-            )
-            if not valid.any():
-                _log.debug("no valid flip left after %d steps", step)
-                break
-            magnitude = np.where(valid, np.abs(gradient), -np.inf)
-            flat = _first_best(magnitude)
-            u, v = divmod(flat, n)
-            pair = (u, v) if u < v else (v, u)
-            new_value = 1.0 - current[u, v]
-            current[u, v] = current[v, u] = new_value
-            modified[u, v] = modified[v, u] = True
-            ordered_flips.append(pair)
-            surrogate_by_budget[len(ordered_flips)] = surrogate_loss_numpy(
-                current, targets, target_weights, floor=self.floor
-            )
-
-        return self._prefix_result(
-            self.name,
-            adjacency,
-            ordered_flips,
-            budget,
-            surrogate_by_budget=surrogate_by_budget,
-            metadata={"steps_taken": len(ordered_flips), "engine": "dense"},
-        )
-
-    # ------------------------------------------------------------------ #
-    def _attack_engine(
-        self,
-        graph,
-        targets: Sequence[int],
-        budget: int,
-        target_weights: "Sequence[float] | None",
-        candidates: "CandidateSet | str | None",
-        backend: str,
-        engine: "SurrogateEngine | None" = None,
-    ) -> AttackResult:
-        """Greedy loop through the (possibly shared) surrogate engine."""
+        An injected ``engine`` (the campaign's shared engine, or the dense
+        test oracle) is retargeted in place; otherwise a sparse engine is
+        built for this call.
+        """
         adjacency = self._adjacency_of(graph, allow_sparse=True)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
@@ -216,7 +127,6 @@ class GradMaxSearch(StructuralAttack):
                 adjacency,
                 targets,
                 candidate_set,
-                backend=backend,
                 floor=self.floor,
                 weights=target_weights,
                 kernels=self.kernels,
@@ -282,7 +192,6 @@ class GradMaxSearch(StructuralAttack):
             surrogate_by_budget=surrogate_by_budget,
             metadata={
                 "steps_taken": len(ordered_flips),
-                "engine": "candidates",
                 "backend": engine.backend,
                 "candidate_strategy": candidate_set.strategy,
                 "candidate_count": len(candidate_set),

@@ -86,8 +86,7 @@ class RandomAttack(StructuralAttack):
             )
         elif sparse.issparse(adjacency):
             engine = SurrogateEngine.create(
-                adjacency, targets, candidate_set,
-                backend="sparse", weights=target_weights,
+                adjacency, targets, candidate_set, weights=target_weights,
             )
             ordered_flips = filter_valid_flips_engine(engine, shuffled, limit=budget)
             surrogate_by_budget = {0: engine.current_loss()}

@@ -83,12 +83,7 @@ from repro.attacks.campaign import (
     validate_jobs,
 )
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import (
-    EngineSpec,
-    SurrogateEngine,
-    resolve_backend,
-    validate_backend,
-)
+from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -114,6 +109,21 @@ DEFAULT_LEASE_TTL = 30.0
 LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 
 _QUEUE_VERSION = 1
+
+#: The ``backend`` values :class:`SchedulingCampaignExecutor` and
+#: :func:`~repro.attacks.executor.build_campaign` accept.  Both name the
+#: sparse engine, the only one a campaign builds; the keyword stays because
+#: ``perfbench/`` passes it.
+CAMPAIGN_BACKENDS = ("auto", "sparse")
+
+
+def check_campaign_backend(backend: str) -> None:
+    """Reject any ``backend`` outside :data:`CAMPAIGN_BACKENDS`."""
+    if backend not in CAMPAIGN_BACKENDS:
+        raise ValueError(
+            f"campaigns run the sparse engine: backend must be one of "
+            f"{CAMPAIGN_BACKENDS}, got {backend!r}"
+        )
 
 
 def resolve_lease_ttl(value: "float | None" = None) -> float:
@@ -671,7 +681,6 @@ def _scheduler_worker_drain(
                 )
                 campaign = AttackCampaign(
                     graph,
-                    backend=spec.backend,
                     # The spec carries the REQUESTED kernels flag (possibly
                     # "auto"); the engine build above resolved it against
                     # THIS host, and the campaign default keeps per-job
@@ -729,16 +738,16 @@ class SchedulingCampaignExecutor:
     workers:
         Worker process count (never more than the pending jobs).
     backend:
-        Surrogate backend (``"auto"``/``"dense"``/``"sparse"``), resolved
-        once in the parent and baked into the :class:`EngineSpec` every
-        worker receives — all workers run the identical engine class.
+        ``"auto"`` or ``"sparse"`` (see :data:`CAMPAIGN_BACKENDS`); both
+        mean the sparse engine every worker rebuilds from its
+        :class:`EngineSpec`.  Anything else raises ``ValueError``.
     kernels:
         Hot-loop kernel backend (``"auto"``/``"numpy"``/``"compiled"``,
-        see :mod:`repro.kernels`).  Unlike ``backend`` it is shipped
-        **unresolved**: each worker resolves it against its own host at
-        engine-build time, so an ``"auto"`` fleet mixing hosts with and
-        without a C toolchain still produces bit-identical results, while
-        an explicit ``"compiled"`` is enforced on every worker.
+        see :mod:`repro.kernels`).  It is shipped **unresolved**: each
+        worker resolves it against its own host at engine-build time, so an
+        ``"auto"`` fleet mixing hosts with and without a C toolchain still
+        produces bit-identical results, while an explicit ``"compiled"`` is
+        enforced on every worker.
     checkpoint_path:
         Optional JSONL checkpoint (same single-file format as the serial
         campaign — the two are interchangeable run-over-run).  Worker
@@ -792,7 +801,7 @@ class SchedulingCampaignExecutor:
         lease_ttl: "float | None" = None,
         telemetry: "str | None" = None,
     ):
-        validate_backend(backend)
+        check_campaign_backend(backend)
         if telemetry is not None:
             _telemetry.configure(telemetry)
         self.kernels = validate_kernels(kernels)
@@ -805,12 +814,6 @@ class SchedulingCampaignExecutor:
 
         self._graph_store = graph if isinstance(graph, GraphStore) else None
         self._original = _normalize_graph(graph)
-        self.backend = resolve_backend(backend)
-        if self._graph_store is not None and self.backend != "sparse":
-            raise ValueError(
-                "store-backed campaigns are sparse-only; "
-                f"got backend={backend!r}"
-            )
         self.n = int(self._original.shape[0])
         self.workers = int(workers)
         self.checkpoint_path = (
@@ -821,7 +824,7 @@ class SchedulingCampaignExecutor:
         self._mp = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        self._fingerprint = graph_fingerprint(self._original, self.backend)
+        self._fingerprint = graph_fingerprint(self._original)
         #: per-worker ``.stats`` dicts (``jobs``, ``cpu_seconds``,
         #: ``wall_seconds``, ``max_rss_kb`` and the queue counters) from the
         #: most recent :meth:`run` (empty if every job was resumed).  CPU
@@ -905,7 +908,6 @@ class SchedulingCampaignExecutor:
             shutil.rmtree(queue_dir, ignore_errors=True)
         return CampaignResult(
             outcomes=[completed[job.job_id] for job in jobs],
-            backend=self.backend,
             n=self.n,
             seconds=time.perf_counter() - start,
             resumed_jobs=resumed,
@@ -934,9 +936,7 @@ class SchedulingCampaignExecutor:
                     self._graph_store, kernels=self.kernels
                 )
             else:
-                spec = EngineSpec.from_graph(
-                    self._original, backend=self.backend, kernels=self.kernels
-                )
+                spec = EngineSpec.from_graph(self._original, kernels=self.kernels)
         # The queue is ephemeral coordination state: durable truth lives in
         # the shard checkpoints, so a previous (crashed) run's queue is
         # simply replaced.
@@ -1000,7 +1000,7 @@ class SchedulingCampaignExecutor:
         return shard_dir / f"{self._stem()}.shard{index}"
 
     def _store(self, path: Path) -> CheckpointStore:
-        return CheckpointStore(path, self._fingerprint, self.backend, self.n)
+        return CheckpointStore(path, self._fingerprint, self.n)
 
     def _leftover_shards(self) -> "list[Path]":
         # Literal prefix match, NOT a glob: a checkpoint named e.g.

@@ -46,19 +46,12 @@ def sample_targets(
     return sorted(int(v) for v in chosen)
 
 
-def attack_suite(scale: Scale, backend: str = "auto") -> dict[str, StructuralAttack]:
-    """The paper's three methods with scale-appropriate iteration counts.
-
-    ``backend`` selects the surrogate engine (``auto``/``dense``/``sparse``,
-    see :mod:`repro.oddball.surrogate`) so figure sweeps can be regenerated
-    at sizes the dense pipeline cannot reach.
-    """
+def attack_suite(scale: Scale) -> dict[str, StructuralAttack]:
+    """The paper's three methods with scale-appropriate iteration counts."""
     return {
-        "gradmaxsearch": GradMaxSearch(backend=backend),
-        "continuousa": ContinuousA(max_iter=scale.attack_iterations, backend=backend),
-        "binarizedattack": BinarizedAttack(
-            iterations=scale.attack_iterations, backend=backend
-        ),
+        "gradmaxsearch": GradMaxSearch(),
+        "continuousa": ContinuousA(max_iter=scale.attack_iterations),
+        "binarizedattack": BinarizedAttack(iterations=scale.attack_iterations),
     }
 
 

@@ -55,7 +55,6 @@ def run(
     scale: Scale = CI,
     seed: int = 7,
     panels=PANELS,
-    backend: str = "auto",
     candidates: "str | None" = None,
     block_size: "int | None" = None,
     block_seed: int = 0,
@@ -64,14 +63,12 @@ def run(
 ) -> dict:
     """Sweep every panel; returns per-panel series (mean over repeats).
 
-    ``backend`` picks the surrogate engine for every attack and
-    ``candidates`` an optional candidate-pair strategy
+    ``candidates`` picks an optional candidate-pair strategy
     (``"target_incident"``/``"two_hop"``/``"adaptive"``/``"block"``;
     ``None`` keeps the exact legacy full-pair decision variables).  At
-    large n both matter: the sparse engine removes the O(n³) forward, and
-    a pruned candidate set removes the O(n²) decision-variable arrays —
-    the combination is what lets the sweep run at scales the dense
-    pipeline cannot hold in memory.  ``block_size``/``block_seed``
+    large n it matters: the sparse engine removes the O(n³) forward, and
+    a pruned candidate set removes the O(n²) decision-variable arrays.
+    ``block_size``/``block_seed``
     parametrise the ``"block"`` strategy (they enter each job's content
     hash, keeping block sweeps checkpoint-resumable) and are ignored
     otherwise.
@@ -129,7 +126,7 @@ def run(
         if campaign_checkpoint is not None:
             checkpoint_path = Path(campaign_checkpoint) / f"fig4_{panel_name}.json"
         campaign = build_campaign(
-            graph, backend=backend, checkpoint_path=checkpoint_path,
+            graph, checkpoint_path=checkpoint_path,
             compute_ranks=False, workers=workers,
         )
         sweep = campaign.run(unique_jobs.values())
@@ -175,7 +172,6 @@ def run(
     return {
         "scale": scale.name,
         "seed": seed,
-        "backend": backend,
         "candidates": candidates,
         "block_size": block_size,
         "block_seed": block_seed,

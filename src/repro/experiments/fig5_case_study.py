@@ -44,16 +44,14 @@ def run(
     seed: int = 7,
     dataset: str = "wikivote",
     n_cases: int = 3,
-    backend: str = "auto",
     candidates: "str | None" = None,
 ) -> dict:
     """Attack the ``n_cases`` top anomalies one at a time, logging the rewiring.
 
-    ``backend`` selects BinarizedAttack's surrogate engine and
-    ``candidates`` an optional pair-pruning strategy, so the case studies
-    can be reproduced on full-size graphs (``backend="sparse"`` together
-    with ``candidates="target_incident"`` keeps both the forward pass and
-    the decision variables sub-quadratic).
+    ``candidates`` selects an optional pair-pruning strategy, so the case
+    studies can be reproduced on full-size graphs (``"target_incident"``
+    keeps the decision variables sub-quadratic; the sparse engine already
+    keeps the forward pass so).
     """
     seeds = SeedSequenceFactory(seed)
     ds = load_experiment_graph(dataset, scale, seeds)
@@ -74,7 +72,7 @@ def run(
                 break
     chosen = chosen[:n_cases]
 
-    attack = BinarizedAttack(iterations=scale.attack_iterations, backend=backend)
+    attack = BinarizedAttack(iterations=scale.attack_iterations)
     budget = max(scale.scaled(10), 4)
     cases = []
     for node in chosen:
@@ -98,7 +96,7 @@ def run(
             }
         )
     return {"scale": scale.name, "seed": seed, "dataset": dataset, "budget": budget,
-            "backend": backend, "candidates": candidates, "cases": cases}
+            "candidates": candidates, "cases": cases}
 
 
 def format_results(payload: dict) -> str:

@@ -4,19 +4,15 @@ Usage::
 
     python -m repro.experiments.runner --list
     python -m repro.experiments.runner --experiment fig4 --scale ci
-    python -m repro.experiments.runner --experiment fig4 --backend sparse
     python -m repro.experiments.runner --all --scale paper --output results/
 
 Each driver returns a JSON-serialisable payload and a formatted text block;
 the runner prints the text and optionally persists the payload.
 
-``--backend {auto,dense,sparse}`` selects the surrogate engine for the
-attack-driven figures (fig4, fig5); ``auto`` is the sparse engine and
-``dense`` the autograd reference.  ``--candidates
-{target_incident,two_hop,adaptive}`` optionally prunes their decision
-variables.  At large n add a strategy: the sparse engine removes the
-O(n³) forward pass and the candidate strategy removes the O(n²) pair
-arrays — e.g.::
+``--candidates {target_incident,two_hop,adaptive}`` optionally prunes the
+decision variables of the attack-driven figures (fig4, fig5).  At large n
+add a strategy: the sparse engine removes the O(n³) forward pass and the
+candidate strategy removes the O(n²) pair arrays — e.g.::
 
     python -m repro.experiments.runner -e fig4 --candidates target_incident
 
@@ -38,8 +34,7 @@ run, checkpoints that resume across *different* worker counts, and a
 killed worker's jobs requeued after the lease TTL (``$REPRO_LEASE_TTL``,
 default 30 s) instead of failing the sweep::
 
-    python -m repro.experiments.runner -e fig4 --scale paper \
-        --backend sparse --workers 4
+    python -m repro.experiments.runner -e fig4 --scale paper --workers 4
 
 ``--telemetry DIR`` turns on :mod:`repro.telemetry` process-wide: the
 campaigns, executors, scheduler and kernels the drivers touch write a
@@ -95,7 +90,6 @@ def run_experiment(
     scale: Scale = CI,
     seed: int = 7,
     output_dir: "Path | None" = None,
-    backend: str = "auto",
     candidates: "str | None" = None,
     block_size: "int | None" = None,
     block_seed: int = 0,
@@ -106,8 +100,8 @@ def run_experiment(
 ) -> tuple[dict, str]:
     """Run one experiment; returns (payload, formatted text).
 
-    ``backend``, ``candidates``, ``campaign_checkpoint``, ``workers``
-    and the store flags are forwarded to
+    ``candidates``, ``campaign_checkpoint``, ``workers`` and the store
+    flags are forwarded to
     drivers that accept them (the attack-driven figures;
     ``store_datasets`` currently extends table1 with memory-mapped
     paper-scale rows); the rest run unchanged.
@@ -117,8 +111,6 @@ def run_experiment(
     run_fn, format_fn = EXPERIMENTS[name]
     parameters = inspect.signature(run_fn).parameters
     kwargs = {}
-    if "backend" in parameters:
-        kwargs["backend"] = backend
     if "candidates" in parameters:
         kwargs["candidates"] = candidates
     if "block_size" in parameters and candidates == "block":
@@ -140,15 +132,15 @@ def run_experiment(
 
 
 def _list_experiments() -> str:
-    """One line per experiment: name, whether it takes --backend, summary."""
+    """One line per experiment: name, whether it takes --candidates, summary."""
     lines = []
     for name in sorted(EXPERIMENTS):
         run_fn, _ = EXPERIMENTS[name]
         doc = (inspect.getdoc(inspect.getmodule(run_fn)) or "").splitlines()
         summary = doc[0].strip() if doc else ""
-        backend_aware = "backend" in inspect.signature(run_fn).parameters
-        flag = " [--backend]" if backend_aware else ""
-        lines.append(f"{name:<8}{flag:<12} {summary}")
+        attack_driven = "candidates" in inspect.signature(run_fn).parameters
+        flag = " [--candidates]" if attack_driven else ""
+        lines.append(f"{name:<8}{flag:<15} {summary}")
     return "\n".join(lines)
 
 
@@ -160,8 +152,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="list available experiments and exit")
     parser.add_argument("--scale", choices=sorted(_SCALES), default="ci")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", choices=["auto", "dense", "sparse"], default="auto",
-                        help="surrogate engine for the attack-driven figures")
     parser.add_argument("--kernels", choices=["auto", "numpy", "compiled"],
                         default=None,
                         help="hot-loop kernel backend (repro.kernels); sets "
@@ -238,7 +228,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 scale=_SCALES[args.scale],
                 seed=args.seed,
                 output_dir=args.output,
-                backend=args.backend,
                 candidates=args.candidates,
                 block_size=args.block_size,
                 block_seed=args.block_seed,

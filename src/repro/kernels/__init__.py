@@ -3,8 +3,7 @@
 Every attack ultimately reduces to millions of executions of four O(deg)
 primitives.  This package provides a compiled backend for them (C built
 on demand via the system compiler, loaded through cffi ABI mode — see
-:mod:`repro.kernels.capi`) behind a ``kernels`` flag that mirrors the
-engine's ``backend={auto,dense,sparse}`` pattern:
+:mod:`repro.kernels.capi`) behind a three-valued ``kernels`` flag:
 
 - ``numpy``    — the pure numpy/Python reference paths, always available;
   they are the parity oracle the compiled kernels are tested against.

@@ -16,14 +16,11 @@ from repro.oddball.scores import (
     score_from_features,
 )
 from repro.oddball.surrogate import (
-    SURROGATE_BACKENDS,
-    DenseSurrogateEngine,
     SparseSurrogateEngine,
     SurrogateEngine,
     adjacency_gradient,
     feature_gradients,
     log_features,
-    resolve_backend,
     surrogate_loss,
     surrogate_loss_from_features,
     surrogate_loss_numpy,
@@ -32,11 +29,9 @@ from repro.oddball.surrogate import (
 
 __all__ = [
     "DEFAULT_RIDGE",
-    "DenseSurrogateEngine",
     "DetectionReport",
     "OddBall",
     "PowerLawFit",
-    "SURROGATE_BACKENDS",
     "SparseSurrogateEngine",
     "SurrogateEngine",
     "adjacency_gradient",
@@ -51,7 +46,6 @@ __all__ = [
     "log_features",
     "proxy_scores",
     "purified_scores",
-    "resolve_backend",
     "score_from_features",
     "svd_purify",
     "surrogate_loss",

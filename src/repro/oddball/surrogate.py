@@ -26,32 +26,26 @@ Surrogate engines
 -----------------
 
 :class:`SurrogateEngine` packages the two paths behind one stateful
-interface the attacks drive their optimisation loops through.  Two
-interchangeable backends exist:
+interface the attacks drive their optimisation loops through.  Every
+attack builds :class:`SparseSurrogateEngine`: it maintains ``(N, E)`` with
+:class:`~repro.graph.incremental.IncrementalEgonetFeatures`, evaluates
+each discrete iterate by *applying* its flip set (O(deg) per flip),
+scoring from features (O(n)) and *rolling the flips back*, and produces
+the straight-through gradient by scattering the closed-form per-pair
+derivatives onto the candidate set only.  BinarizedAttack's whole λ-sweep
+runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration, and
+at O(|C|) for an iterate whose flip set repeats one of the last
+:data:`ITERATE_MEMO_SIZE` evaluated at the same graph state.  The
+objective ``(loss, ∂L/∂N, ∂L/∂E)`` is memoised per graph version, so
+``current_loss``, ``candidate_gradient`` and ``pair_gradient`` at one
+state share one evaluation.
 
-* :class:`DenseSurrogateEngine` (``backend="dense"``) replays the exact
-  autograd op sequence the attacks historically used.  It is the
-  *reference* the parity suites compare against — O(n³) per forward,
-  O(n²) in memory — and runs only when requested explicitly;
-* :class:`SparseSurrogateEngine` (``backend="sparse"``) maintains
-  ``(N, E)`` with
-  :class:`~repro.graph.incremental.IncrementalEgonetFeatures`, evaluates
-  each discrete iterate by *applying* its flip set (O(deg) per flip),
-  scoring from features (O(n)) and *rolling the flips back*, and produces
-  the straight-through gradient by scattering the closed-form per-pair
-  derivatives onto the candidate set only.  BinarizedAttack's whole λ-sweep
-  runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration,
-  and at O(|C|) for an iterate whose flip set repeats one of the last
-  :data:`ITERATE_MEMO_SIZE` evaluated at the same graph state.  The
-  objective ``(loss, ∂L/∂N, ∂L/∂E)`` is memoised per graph version, so
-  ``current_loss``, ``candidate_gradient`` and ``pair_gradient`` at one
-  state share one evaluation.
-
-``backend="auto"`` (the default everywhere) always resolves to the sparse
-engine: one closed-form gradient algebra serves every graph size, and the
-autograd engine is kept as the test oracle.  The backends agree to
-floating-point round-off (loss values are bit-identical; gradients differ
-only in summation order — see the engine-parity suite in
+:class:`DenseSurrogateEngine` replays the exact autograd op sequence the
+attacks historically used — O(n³) per forward, O(n²) in memory.  It is
+not exported: it is the test oracle, built directly by the parity suites
+and injected through ``attack(..., engine=...)``.  The two engines agree
+to floating-point round-off (loss values are bit-identical; gradients
+differ only in summation order — see the engine-parity suite in
 ``tests/oddball/test_engine.py``).
 """
 
@@ -73,24 +67,17 @@ from repro.kernels import validate_kernels
 from repro.oddball.regression import DEFAULT_RIDGE, fit_power_law_tensor
 
 __all__ = [
-    "DenseSurrogateEngine",
     "EngineSpec",
-    "SURROGATE_BACKENDS",
     "SparseSurrogateEngine",
     "SurrogateEngine",
     "adjacency_gradient",
     "feature_gradients",
     "log_features",
-    "resolve_backend",
     "surrogate_loss",
     "surrogate_loss_from_features",
     "surrogate_loss_numpy",
     "target_residuals",
-    "validate_backend",
 ]
-
-#: Recognised values of the ``backend`` argument threaded through the attacks.
-SURROGATE_BACKENDS = ("auto", "dense", "sparse")
 
 #: Evaluated BinarizedAttack iterates a sparse engine remembers (an LRU of
 #: ``(loss, pair gradient)`` keyed on graph version and flip set).
@@ -558,26 +545,6 @@ def _validate_targets(targets: Sequence[int], n: int) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def validate_backend(backend: str) -> str:
-    """Check a ``backend`` argument (shared by every attack constructor)."""
-    if backend not in SURROGATE_BACKENDS:
-        raise ValueError(
-            f"unknown surrogate backend {backend!r}; choose from {SURROGATE_BACKENDS}"
-        )
-    return backend
-
-
-def resolve_backend(backend: str) -> str:
-    """Resolve a ``backend`` argument to ``"dense"`` or ``"sparse"``.
-
-    ``"auto"`` is ``"sparse"`` whatever the graph: the closed-form engine
-    serves all graph sizes, and the dense autograd reference runs only
-    when requested explicitly.
-    """
-    validate_backend(backend)
-    return "sparse" if backend == "auto" else backend
-
-
 class EngineSpec(NamedTuple):
     """Picklable recipe for rebuilding a :class:`SurrogateEngine`.
 
@@ -587,11 +554,10 @@ class EngineSpec(NamedTuple):
     bytes or CSR component arrays) plus the scalar engine configuration —
     everything a child process needs, nothing it can recompute.
 
+    Every spec rebuilds a :class:`SparseSurrogateEngine`.
+
     Attributes
     ----------
-    backend : str
-        Resolved backend name (``"dense"`` or ``"sparse"`` — never
-        ``"auto"``, so every worker builds the identical engine class).
     kind : str
         Graph payload encoding: ``"dense"`` (one ndarray), ``"csr"``
         (``(data, indices, indptr, shape)`` component tuple) or ``"store"``
@@ -614,16 +580,15 @@ class EngineSpec(NamedTuple):
         either way.
     kernels : str
         The *requested* hot-kernel flag (``auto``/``numpy``/``compiled``
-        — see :mod:`repro.kernels`).  Unlike ``backend``, this is
-        deliberately NOT pre-resolved: availability of the compiled
-        backend is a property of the executing host, so each worker
-        resolves ``auto`` for itself at engine build (both backends are
-        bit-identical, so a heterogeneous fleet still agrees on results).
+        — see :mod:`repro.kernels`).  It is deliberately NOT pre-resolved:
+        availability of the compiled backend is a property of the
+        executing host, so each worker resolves ``auto`` for itself at
+        engine build (both backends are bit-identical, so a heterogeneous
+        fleet still agrees on results).
         An explicit ``"compiled"`` is enforced — a worker without the
         toolchain raises instead of silently degrading.
     """
 
-    backend: str
     kind: str
     payload: tuple
     floor: float
@@ -636,19 +601,15 @@ class EngineSpec(NamedTuple):
         cls,
         graph,
         *,
-        backend: str = "auto",
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         kernels: str = "auto",
     ) -> "EngineSpec":
         """Capture a graph (dense array or scipy sparse) as an engine spec.
 
-        ``backend="auto"`` is resolved here, once, so every consumer of
-        the spec agrees on the engine class.  ``kernels``
-        is carried as requested and resolved per worker (see the class
-        docstring).
+        ``kernels`` is carried as requested and resolved per worker (see
+        the class docstring).
         """
-        resolved = resolve_backend(backend)
         validate_kernels(kernels)
         if _sparse.issparse(graph):
             csr = graph.tocsr()
@@ -665,7 +626,7 @@ class EngineSpec(NamedTuple):
             payload = (np.array(graph, dtype=np.float64, copy=True),)
             kind = "dense"
         return cls(
-            backend=resolved, kind=kind, payload=payload,
+            kind=kind, payload=payload,
             floor=float(floor), ridge=float(ridge),
             fingerprint=getattr(graph, "_repro_fingerprint", None),
             kernels=kernels,
@@ -684,11 +645,10 @@ class EngineSpec(NamedTuple):
 
         The pickled spec is a few hundred bytes regardless of graph size;
         every worker that builds from it memory-maps the same store files
-        (read-only) instead of unpickling its own CSR copy.  Store-backed
-        engines are always sparse.
+        (read-only) instead of unpickling its own CSR copy.
         """
         return cls(
-            backend="sparse", kind="store", payload=(str(store.path),),
+            kind="store", payload=(str(store.path),),
             floor=float(floor), ridge=float(ridge),
             fingerprint=store.content_hash,
             kernels=validate_kernels(kernels),
@@ -747,8 +707,9 @@ class SurrogateEngine(abc.ABC):
 
     One engine instance serves a whole attack run: BinarizedAttack's λ-sweep
     rolls each iterate's flips back between steps instead of rebuilding
-    adjacencies.  Construct through :meth:`create`, which resolves the
-    ``auto`` backend rule.
+    adjacencies.  Construct through :meth:`create`, which builds the
+    sparse engine.  :attr:`backend` is a read-only label of the engine
+    class (``"dense"`` or ``"sparse"``).
     """
 
     backend: str = "abstract"
@@ -785,24 +746,21 @@ class SurrogateEngine(abc.ABC):
         targets: Sequence[int],
         candidates=None,
         *,
-        backend: str = "auto",
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
         kernels: str = "auto",
     ) -> "SurrogateEngine":
-        """Build the backend picked by :func:`resolve_backend`.
+        """Build the :class:`SparseSurrogateEngine` every attack runs on.
 
         ``graph`` may be a :class:`~repro.graph.graph.Graph`, dense array or
         scipy sparse matrix; ``candidates`` a
         :class:`~repro.attacks.candidates.CandidateSet`, a ``(rows, cols)``
         pair of canonical index arrays, or ``None`` for every upper-triangle
-        pair.  ``kernels`` selects the hot-kernel backend for the sparse
+        pair.  ``kernels`` selects the hot-kernel backend for the
         engine's flip/score/gradient primitives (:mod:`repro.kernels`).
         """
-        resolved = resolve_backend(backend)
-        engine_cls = DenseSurrogateEngine if resolved == "dense" else SparseSurrogateEngine
-        return engine_cls(
+        return SparseSurrogateEngine(
             graph, targets, candidates, floor=floor, ridge=ridge, weights=weights,
             kernels=kernels,
         )
@@ -816,7 +774,7 @@ class SurrogateEngine(abc.ABC):
         weights: "Sequence[float] | None" = None,
         graph=None,
     ) -> "SurrogateEngine":
-        """Rebuild an engine from an :class:`EngineSpec`.
+        """Rebuild a :class:`SparseSurrogateEngine` from an :class:`EngineSpec`.
 
         This is the child-process half of the spec round-trip: a worker
         receives a pickled spec, builds its engine once, and serves every
@@ -828,14 +786,7 @@ class SurrogateEngine(abc.ABC):
         a caller that needs the graph anyway (the executor's workers hand
         it to their campaign too) avoids a second payload copy.
         """
-        if spec.backend not in ("dense", "sparse"):
-            raise ValueError(
-                f"engine spec must carry a resolved backend, got {spec.backend!r}"
-            )
-        engine_cls = (
-            DenseSurrogateEngine if spec.backend == "dense" else SparseSurrogateEngine
-        )
-        return engine_cls(
+        return SparseSurrogateEngine(
             spec.to_graph() if graph is None else graph, targets, candidates,
             floor=spec.floor, ridge=spec.ridge, weights=weights,
             kernels=spec.kernels,
@@ -849,7 +800,6 @@ class SurrogateEngine(abc.ABC):
         mid-probe would bake a half-evaluated state into every worker.
         """
         return EngineSpec(
-            backend=self.backend,
             kind=self._spec_kind(),
             payload=self._spec_payload(),
             floor=self.floor,
@@ -1072,14 +1022,14 @@ class SurrogateEngine(abc.ABC):
 
 
 class DenseSurrogateEngine(SurrogateEngine):
-    """Reference backend: the full dense autograd pipeline.
+    """Test oracle: the full dense autograd pipeline.
 
-    Replays exactly the op sequence the attacks used before the engine
-    existed, so its losses, gradients and flip decisions are bit-for-bit
-    identical to the historical behaviour (the equivalence suite asserts
-    this).  O(n³) per forward, O(n²) memory.  It is the oracle the sparse
-    backend is tested against and runs only for an explicit
-    ``backend="dense"``; ``"auto"`` never selects it.
+    Replays exactly the op sequence the attacks used before the sparse
+    engine existed, so its losses, gradients and flip decisions are the
+    historical behaviour.  O(n³) per forward, O(n²) memory.  No attack or
+    campaign builds it: the parity suites construct it directly and inject
+    it through ``attack(..., engine=...)``.  Its :meth:`engine_spec`
+    rebuilds as the sparse engine of the same graph.
     """
 
     backend = "dense"

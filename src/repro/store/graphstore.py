@@ -295,7 +295,7 @@ class GraphStore:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """Adjacency shape, for shape-dispatching callers (resolve_backend)."""
+        """Adjacency shape, for shape-dispatching callers."""
         n = self.number_of_nodes
         return (n, n)
 

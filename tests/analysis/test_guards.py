@@ -61,11 +61,11 @@ class TestForbidDensify:
         bit-identical to the same run without the guard."""
         graph = barabasi_albert(40, 3, rng=11)
         targets = [0, 1, 2]
-        unguarded = BinarizedAttack(iterations=10, backend="sparse").attack(
+        unguarded = BinarizedAttack(iterations=10).attack(
             graph, targets, budget=3
         )
         with forbid_densify(context="parity"):
-            guarded = BinarizedAttack(iterations=10, backend="sparse").attack(
+            guarded = BinarizedAttack(iterations=10).attack(
                 graph, targets, budget=3
             )
         assert guarded.flips_by_budget == unguarded.flips_by_budget
@@ -83,7 +83,7 @@ class TestForbidDensify:
         graph = barabasi_albert(40, 3, rng=11)
         with forbid_densify():
             with pytest.raises(DensifyError):
-                BinarizedAttack(iterations=10, backend="sparse").attack(
+                BinarizedAttack(iterations=10).attack(
                     graph, [0, 1, 2], budget=3
                 )
 

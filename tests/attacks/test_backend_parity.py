@@ -1,6 +1,7 @@
-"""Backend parity: each attack must select the same flip sets whether its
-PGD/greedy loop runs on the dense autograd engine or the sparse-incremental
-engine, and sparse inputs must stay sparse end-to-end.
+"""Engine parity: each attack must select the same flip sets whether its
+PGD/greedy loop runs on the sparse-incremental engine it builds itself or
+on the dense autograd oracle injected through ``attack(..., engine=...)``,
+and sparse inputs must stay sparse end-to-end.
 
 Every sparse-side run executes under the :func:`forbid_densify` runtime guard,
 so "stays sparse" is enforced by a tripwire, not just asserted after the fact.
@@ -22,6 +23,7 @@ from repro.attacks import (
 from repro.attacks.gradmax import _first_best
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.oddball.detector import OddBall
+from repro.oddball.surrogate import DenseSurrogateEngine
 
 
 def _graphs():
@@ -35,6 +37,12 @@ def _targets(graph, k=3):
     return OddBall().analyze(graph).top_k(k).tolist()
 
 
+def _on_oracle(attack, graph, targets, budget, **kwargs):
+    """``attack`` run on the dense autograd oracle instead of its own engine."""
+    oracle = DenseSurrogateEngine(graph, targets)
+    return attack.attack(graph, targets, budget, engine=oracle, **kwargs)
+
+
 @pytest.fixture(params=range(2), ids=["ba60", "er50"])
 def graph_and_targets(request):
     graph = _graphs()[request.param]
@@ -45,13 +53,14 @@ class TestBinarizedBackendParity:
     @pytest.mark.parametrize("candidates", [None, "full", "target_incident", "two_hop"])
     def test_dense_and_sparse_agree(self, graph_and_targets, candidates):
         graph, targets = graph_and_targets
-        dense = BinarizedAttack(iterations=25, backend="dense").attack(
-            graph, targets, budget=4, candidates=candidates
+        dense = _on_oracle(
+            BinarizedAttack(iterations=25), graph, targets, 4, candidates=candidates
         )
         with forbid_densify(context="binarized backend parity"):
-            fast = BinarizedAttack(iterations=25, backend="sparse").attack(
+            fast = BinarizedAttack(iterations=25).attack(
                 graph, targets, budget=4, candidates=candidates
             )
+        assert dense.metadata["backend"] == "dense"
         assert dense.flips_by_budget == fast.flips_by_budget
         for budget in dense.surrogate_by_budget:
             assert dense.surrogate_by_budget[budget] == pytest.approx(
@@ -73,7 +82,7 @@ class TestBinarizedBackendParity:
         assert result.metadata["backend"] == "sparse"
         assert sparse.issparse(result.original)
         assert sparse.issparse(result.poisoned())
-        from_dense = BinarizedAttack(iterations=25, backend="sparse").attack(
+        from_dense = BinarizedAttack(iterations=25).attack(
             graph, targets, budget=4, candidates="target_incident"
         )
         assert result.flips_by_budget == from_dense.flips_by_budget
@@ -82,7 +91,7 @@ class TestBinarizedBackendParity:
         from repro.oddball.surrogate import surrogate_loss_numpy
 
         graph, targets = graph_and_targets
-        result = BinarizedAttack(iterations=20, floor=2.0, backend="sparse").attack(
+        result = BinarizedAttack(iterations=20, floor=2.0).attack(
             graph, targets, budget=3
         )
         for budget, loss in result.surrogate_by_budget.items():
@@ -94,26 +103,27 @@ class TestBinarizedBackendParity:
     def test_weighted_targets_parity(self, graph_and_targets):
         graph, targets = graph_and_targets
         weights = [2.0, 1.0, 0.5]
-        dense = BinarizedAttack(iterations=20, backend="dense").attack(
-            graph, targets, budget=3, target_weights=weights
+        dense = _on_oracle(
+            BinarizedAttack(iterations=20), graph, targets, 3, target_weights=weights
         )
         with forbid_densify(context="binarized weighted parity"):
-            fast = BinarizedAttack(iterations=20, backend="sparse").attack(
+            fast = BinarizedAttack(iterations=20).attack(
                 graph, targets, budget=3, target_weights=weights
             )
         assert dense.flips_by_budget == fast.flips_by_budget
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            BinarizedAttack(backend="gpu")
+        for backend in ("dense", "sparse", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                BinarizedAttack(backend=backend)
 
 
 class TestContinuousBackendParity:
     def test_dense_and_sparse_agree(self, graph_and_targets):
         graph, targets = graph_and_targets
-        dense = ContinuousA(max_iter=30, backend="dense").attack(graph, targets, budget=4)
+        dense = _on_oracle(ContinuousA(max_iter=30), graph, targets, 4)
         with forbid_densify(context="continuous backend parity"):
-            fast = ContinuousA(max_iter=30, backend="sparse").attack(
+            fast = ContinuousA(max_iter=30).attack(
                 graph, targets, budget=4
             )
         assert dense.flips_by_budget == fast.flips_by_budget
@@ -131,8 +141,9 @@ class TestContinuousBackendParity:
         assert sparse.issparse(result.poisoned())
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ContinuousA(backend="gpu")
+        for backend in ("dense", "sparse", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                ContinuousA(backend=backend)
 
 
 class TestGradMaxBackendParity:
@@ -140,29 +151,29 @@ class TestGradMaxBackendParity:
     def test_engine_backends_agree(self, graph_and_targets, strategy):
         graph, targets = graph_and_targets
         candidate_set = CandidateSet.build(strategy, graph, targets)
-        dense = GradMaxSearch(backend="dense").attack(
-            graph, targets, budget=5, candidates=candidate_set
-        )
+        dense = _on_oracle(GradMaxSearch(), graph, targets, 5, candidates=candidate_set)
         with forbid_densify(context="gradmax backend parity"):
-            fast = GradMaxSearch(backend="sparse").attack(
+            fast = GradMaxSearch().attack(
                 graph, targets, budget=5, candidates=candidate_set
             )
-        assert dense.metadata["engine"] == "candidates"
-        assert fast.metadata["engine"] == "candidates"
+        assert dense.metadata["backend"] == "dense"
+        assert fast.metadata["backend"] == "sparse"
         assert dense.flips_by_budget == fast.flips_by_budget
 
     def test_sparse_backend_without_candidates_matches_dense_loop(
         self, graph_and_targets
     ):
-        """backend="sparse" + no candidates runs the engine over the full
-        pair set and must reproduce the legacy dense loop's flips."""
+        """Without candidates the sparse engine searches every pair and must
+        reproduce the full-pair dense oracle's flips and losses."""
         graph, targets = graph_and_targets
-        legacy = GradMaxSearch(backend="dense").attack(graph, targets, budget=5)
+        oracle = _on_oracle(GradMaxSearch(), graph, targets, 5)
         with forbid_densify(context="gradmax full-pair parity"):
-            fast = GradMaxSearch(backend="sparse").attack(graph, targets, budget=5)
-        assert legacy.metadata["engine"] == "dense"
-        assert fast.metadata["engine"] == "candidates"
-        assert legacy.flips_by_budget == fast.flips_by_budget
+            fast = GradMaxSearch().attack(graph, targets, budget=5)
+        assert oracle.metadata["candidate_strategy"] == "full"
+        assert fast.metadata["candidate_strategy"] == "full"
+        assert oracle.flips_by_budget == fast.flips_by_budget
+        for budget, loss in oracle.surrogate_by_budget.items():
+            assert fast.surrogate_by_budget[budget] == pytest.approx(loss, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 17, 23])
     def test_round_off_ties_pick_the_same_pair(self, seed):
@@ -171,9 +182,9 @@ class TestGradMaxBackendParity:
         differently, and the tie rule must still pick the same flips."""
         graph = erdos_renyi(40, 0.08, rng=seed)
         targets = _targets(graph)
-        legacy = GradMaxSearch(backend="dense").attack(graph, targets, budget=8)
-        fast = GradMaxSearch(backend="sparse").attack(graph, targets, budget=8)
-        assert legacy.flips_by_budget == fast.flips_by_budget
+        oracle = _on_oracle(GradMaxSearch(), graph, targets, 8)
+        fast = GradMaxSearch().attack(graph, targets, budget=8)
+        assert oracle.flips_by_budget == fast.flips_by_budget
 
     def test_tie_rule_takes_first_of_tied_and_keeps_real_gaps(self):
         magnitude = np.array([0.5, 2.0, np.nextafter(2.0, 3.0), -np.inf])
@@ -183,8 +194,9 @@ class TestGradMaxBackendParity:
         assert _first_best(np.array([[0.0, 1.0], [1.0, 0.0]])) == 1
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            GradMaxSearch(backend="gpu")
+        for backend in ("dense", "sparse", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                GradMaxSearch(backend=backend)
 
 
 class TestBaselineSparseParity:

@@ -25,7 +25,11 @@ from repro.attacks import (
 )
 from repro.attacks.candidates import admission_cap, default_block_size
 from repro.kernels import compiled_available
-from repro.oddball.surrogate import SparseSurrogateEngine, SurrogateEngine
+from repro.oddball.surrogate import (
+    DenseSurrogateEngine,
+    SparseSurrogateEngine,
+    SurrogateEngine,
+)
 
 requires_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -39,24 +43,22 @@ def _total(n):
 
 def _drive_schedule(
     graph, targets, *, block_size, seed, steps=6, schedule_seed=0,
-    backend="sparse", kernels="numpy",
+    oracle=False, kernels="numpy",
 ):
     """Run a seeded flip/refresh schedule, asserting the block invariants.
 
-    Returns the per-step (rows, cols) history so callers can compare
-    candidate sequences across engine configurations.
+    The gradients come from the sparse engine, or from the dense autograd
+    oracle with ``oracle=True``.  Returns the per-step (rows, cols) history
+    so callers can compare candidate sequences across engine configurations.
     """
     n = graph.number_of_nodes
     block = BlockCandidateSet.start(n, block_size=block_size, seed=seed)
-    adjacency = (
-        sparse.csr_matrix(graph.adjacency)
-        if backend == "sparse"
-        else graph.adjacency
-    )
-    kwargs = {"kernels": kernels} if backend == "sparse" else {}
-    engine = SurrogateEngine.create(
-        adjacency, targets, block, backend=backend, **kwargs
-    )
+    if oracle:
+        engine = DenseSurrogateEngine(graph.adjacency, targets, block)
+    else:
+        engine = SparseSurrogateEngine(
+            sparse.csr_matrix(graph.adjacency), targets, block, kernels=kernels
+        )
     picker = np.random.default_rng(schedule_seed)
     history, flipped = [], []
     for _ in range(steps):
@@ -145,7 +147,6 @@ class TestBlockRefreshInvariants:
         block = BlockCandidateSet.start(60, block_size=64, seed=9)
         engine = SurrogateEngine.create(
             sparse.csr_matrix(small_ba_graph.adjacency), targets, block,
-            backend="sparse",
         )
         refreshed = block.refresh([], engine)
         assert refreshed.draw == block.draw + 1
@@ -157,7 +158,6 @@ class TestBlockRefreshInvariants:
         block = BlockCandidateSet.start(60, block_size=64, seed=2)
         engine = SurrogateEngine.create(
             sparse.csr_matrix(small_ba_graph.adjacency), targets, block,
-            backend="sparse",
         )
         pair = (int(block.rows[0]), int(block.cols[0]))
         engine.apply_flip(*pair)
@@ -217,11 +217,9 @@ class TestBlockSequenceBackendParity:
     def test_dense_and_sparse_sequences_are_identical(self, small_ba_graph):
         targets = [0, 1, 2]
         dense = _drive_schedule(
-            small_ba_graph, targets, block_size=128, seed=5, backend="dense"
+            small_ba_graph, targets, block_size=128, seed=5, oracle=True
         )
-        fast = _drive_schedule(
-            small_ba_graph, targets, block_size=128, seed=5, backend="sparse"
-        )
+        fast = _drive_schedule(small_ba_graph, targets, block_size=128, seed=5)
         for (r_a, c_a), (r_b, c_b) in zip(dense, fast):
             assert np.array_equal(r_a, r_b)
             assert np.array_equal(c_a, c_b)
@@ -269,11 +267,14 @@ class TestBlockDegenerateParity:
     def test_engine_attacks_match_full(self, graph_and_targets, name, backend):
         graph, targets = graph_and_targets
         attack_cls, params = self.ENGINE_CASES[name]
-        full = attack_cls(backend=backend, **params).attack(
-            graph, targets[:3], 4, candidates="full"
+        def engine():
+            return DenseSurrogateEngine(graph, targets[:3]) if backend == "dense" else None
+
+        full = attack_cls(**params).attack(
+            graph, targets[:3], 4, candidates="full", engine=engine()
         )
-        block = attack_cls(backend=backend, block_size=10**9, **params).attack(
-            graph, targets[:3], 4, candidates="block"
+        block = attack_cls(block_size=10**9, **params).attack(
+            graph, targets[:3], 4, candidates="block", engine=engine()
         )
         assert block.flips_by_budget == full.flips_by_budget
         for budget, loss in full.surrogate_by_budget.items():
@@ -356,7 +357,7 @@ class TestBlockBoundedMemory:
         monkeypatch.setattr(SparseSurrogateEngine, "set_candidates", recording)
         targets = np.argsort(-store.degrees(), kind="stable")[:2].tolist()
         result = BinarizedAttack(
-            iterations=8, backend="sparse", block_size=96, block_seed=1
+            iterations=8, block_size=96, block_seed=1
         ).attack(store.detached_csr(), targets, budget=4, candidates="block")
         assert recorded  # the refresh loop actually re-pointed the engine
         assert max(recorded) <= 96

@@ -1,9 +1,11 @@
 """Campaign semantics: batching is a performance lever, never a semantics
 change.  A campaign over k jobs must be bit-identical to k sequential
-standalone ``attack()`` calls (dense and sparse backends), resume
+standalone ``attack()`` calls (on the sparse engine and on the injected
+dense oracle), resume
 deterministically from checkpoints, and keep the adaptive candidate set a
 superset of ``target_incident`` at every step."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,9 +23,16 @@ from repro.attacks import (
 )
 from repro.attacks.candidates import AdaptiveCandidateSet
 from repro.graph.generators import erdos_renyi
-from repro.oddball.surrogate import SurrogateEngine
+from repro.graph.sparse import content_hash
+from repro.oddball.surrogate import DenseSurrogateEngine, SurrogateEngine
 
 # graph_and_targets comes from tests/conftest.py (shared campaign fixture)
+
+
+def _engine(backend, graph, targets):
+    """The dense autograd oracle for ``"dense"``; ``None`` (the attack's or
+    campaign's own sparse engine) for ``"sparse"``."""
+    return DenseSurrogateEngine(graph, targets) if backend == "dense" else None
 
 
 def _mixed_jobs(targets):
@@ -47,11 +56,13 @@ class TestCampaignMatchesSequential:
     def test_bit_identical_to_sequential_calls(self, graph_and_targets, backend):
         graph, targets = graph_and_targets
         jobs = _mixed_jobs(targets)
-        result = AttackCampaign(graph, backend=backend).run(jobs)
+        result = AttackCampaign(graph, engine=_engine(backend, graph, targets)).run(jobs)
         for job, outcome in zip(jobs, result):
-            solo = job.build_attack(backend).attack(
-                graph, list(job.targets), job.budget, candidates=job.candidates
+            solo = job.build_attack().attack(
+                graph, list(job.targets), job.budget, candidates=job.candidates,
+                engine=_engine(backend, graph, job.targets),
             )
+            assert outcome.metadata["backend"] == backend
             assert {
                 b: solo.flips(b) for b in solo.budgets
             } == outcome.flips_by_budget, job.attack
@@ -66,8 +77,8 @@ class TestCampaignMatchesSequential:
             candidates="target_incident",
         )
         from_sparse = AttackCampaign(csr).run(jobs)
-        assert from_sparse.backend == "sparse"
-        from_dense = AttackCampaign(graph, backend="sparse").run(jobs)
+        assert all(o.metadata["backend"] == "sparse" for o in from_sparse)
+        from_dense = AttackCampaign(graph).run(jobs)
         for a, b in zip(from_sparse, from_dense):
             assert a.flips_by_budget == b.flips_by_budget
 
@@ -80,7 +91,7 @@ class TestCampaignMatchesSequential:
         ]
         result = AttackCampaign(graph).run(jobs)
         for job, outcome in zip(jobs, result):
-            solo = job.build_attack(result.backend).attack(
+            solo = job.build_attack().attack(
                 graph, list(job.targets), job.budget, candidates=job.candidates
             )
             assert {b: solo.flips(b) for b in solo.budgets} == outcome.flips_by_budget
@@ -117,6 +128,27 @@ class TestCampaignOutcomes:
         outcome = AttackCampaign(graph).run([job]).outcome(job)
         # a successful attack pushes the target DOWN the ranking
         assert outcome.rank_shifts[targets[0]] > 0
+
+    def test_outcomes_match_a_from_scratch_rescore(self, graph_and_targets):
+        """τ and rank shifts scored on the shared engine equal a full
+        OddBall re-score of the poisoned CSR, job by job."""
+        from repro.attacks import apply_flips
+        from repro.graph.sparse import anomaly_scores_sparse
+        from repro.oddball.scores import rank_positions
+
+        graph, targets = graph_and_targets
+        csr = sparse.csr_matrix(graph.adjacency)
+        clean = anomaly_scores_sparse(csr)
+        clean_ranks = rank_positions(clean)
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:4]], budgets=[3],
+                         candidates="target_incident")
+        for job, outcome in zip(jobs, AttackCampaign(csr).run(jobs)):
+            (target,) = job.targets
+            poisoned = anomaly_scores_sparse(apply_flips(csr, outcome.flips))
+            tau = (clean[target] - poisoned[target]) / clean[target]
+            assert outcome.score_decrease == pytest.approx(tau, abs=1e-9)
+            shift = int(rank_positions(poisoned)[target] - clean_ranks[target])
+            assert outcome.rank_shifts == {target: shift}
 
     def test_compute_ranks_off(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -221,10 +253,30 @@ class TestCampaignResume:
         AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         header, *records = checkpoint.read_text().splitlines()
         header = json.loads(header)
-        assert header["version"] == 2
+        assert header["version"] == 3
         header["version"] = 1
         checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ValueError, match="unsupported version 1"):
+            AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+
+    def test_version_2_header_is_unsupported(self, graph_and_targets, tmp_path):
+        """Version-2 headers carried the engine backend and hashed it into
+        the fingerprint; they are refused rather than silently resumed."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[targets[0]]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        header, *records = checkpoint.read_text().splitlines()
+        header = json.loads(header)
+        assert set(header) == {"version", "fingerprint", "n"}
+        n = graph.number_of_nodes
+        legacy = hashlib.sha1(
+            f"sparse:{n}:{content_hash(graph.adjacency)}".encode()
+        ).hexdigest()
+        header = {"version": 2, "fingerprint": legacy, "backend": "sparse", "n": n}
+        checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ValueError, match="unsupported version 2"):
             AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
 
     def test_duplicate_jobs_rejected(self, graph_and_targets):
@@ -310,7 +362,7 @@ class TestCampaignResume:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_failed_job_leaves_engine_clean(self, graph_and_targets, backend):
         graph, targets = graph_and_targets
-        campaign = AttackCampaign(graph, backend=backend)
+        campaign = AttackCampaign(graph, engine=_engine(backend, graph, targets))
         good = grid_jobs("gradmaxsearch", [[t] for t in targets[:2]], budgets=[3],
                          candidates="target_incident")
         # run one job so the shared engine exists and holds state
@@ -336,7 +388,7 @@ class TestCampaignResume:
         # the shared engine must have been restored: rerunning the good jobs
         # on the SAME campaign instance matches a fresh campaign exactly
         rerun = campaign.run(good)
-        fresh = AttackCampaign(graph, backend=backend).run(good)
+        fresh = AttackCampaign(graph, engine=_engine(backend, graph, targets)).run(good)
         for a, b in zip(rerun, fresh):
             assert a.flips_by_budget == b.flips_by_budget
         assert first.outcome(good[0]).flips_by_budget == rerun.outcome(
@@ -375,7 +427,7 @@ class TestJobSpecs:
 
         for name in ATTACK_REGISTRY:
             job = AttackJob.make(name, [0], 1)
-            assert isinstance(job.build_attack("dense"), StructuralAttack)
+            assert isinstance(job.build_attack(), StructuralAttack)
 
     def test_rejects_params_the_attack_does_not_take(self):
         # caught at job-BUILD time, not mid-campaign
@@ -383,6 +435,14 @@ class TestJobSpecs:
             AttackJob.make("gradmaxsearch", [0], 1, lambdas=(0.1,))
         with pytest.raises(ValueError, match="does not accept"):
             grid_jobs("gradmaxsearch", [[0]], budgets=[1], lambdas=[0.1])
+
+    def test_backend_is_neither_a_job_param_nor_a_campaign_option(self, graph_and_targets):
+        graph, _ = graph_and_targets
+        for attack in ("gradmaxsearch", "binarizedattack", "continuousa"):
+            with pytest.raises(ValueError, match="does not accept"):
+                AttackJob.make(attack, [0], 1, backend="dense")
+        with pytest.raises(TypeError, match="backend"):
+            AttackCampaign(graph, backend="sparse")
 
     def test_grid_jobs_lambda_sweep(self):
         jobs = grid_jobs(
@@ -408,9 +468,7 @@ class TestAdaptiveCandidates:
         n = graph.number_of_nodes
         incident = CandidateSet.target_incident(n, targets).pair_set()
         adaptive = CandidateSet.build("adaptive", graph, targets)
-        engine = SurrogateEngine.create(
-            graph.adjacency, targets, adaptive, backend="sparse"
-        )
+        engine = SurrogateEngine.create(graph.adjacency, targets, adaptive)
         # land flips touching non-ball nodes and check the invariant holds
         outsiders = [v for v in range(n) if v not in set(targets)][:4]
         for v in outsiders:
@@ -439,10 +497,11 @@ class TestAdaptiveCandidates:
     def test_adaptive_backend_parity(self, graph_and_targets, attack_cls):
         graph, targets = graph_and_targets
         kwargs = {"iterations": 15} if attack_cls is BinarizedAttack else {}
-        dense = attack_cls(backend="dense", **kwargs).attack(
-            graph, targets[:3], 4, candidates="adaptive"
+        dense = attack_cls(**kwargs).attack(
+            graph, targets[:3], 4, candidates="adaptive",
+            engine=DenseSurrogateEngine(graph, targets[:3]),
         )
-        fast = attack_cls(backend="sparse", **kwargs).attack(
+        fast = attack_cls(**kwargs).attack(
             graph, targets[:3], 4, candidates="adaptive"
         )
         assert dense.flips_by_budget == fast.flips_by_budget
@@ -460,9 +519,9 @@ class TestAdaptiveCandidates:
         graph, targets = graph_and_targets
         jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:3]], budgets=[3],
                          candidates="adaptive")
-        result = AttackCampaign(graph, backend="sparse").run(jobs)
+        result = AttackCampaign(graph).run(jobs)
         for job, outcome in zip(jobs, result):
-            solo = GradMaxSearch(backend="sparse").attack(
+            solo = GradMaxSearch().attack(
                 graph, list(job.targets), job.budget, candidates="adaptive"
             )
             assert {b: solo.flips(b) for b in solo.budgets} == outcome.flips_by_budget

@@ -7,6 +7,9 @@ from scipy import sparse
 from repro.attacks.candidates import CANDIDATE_STRATEGIES, CandidateSet
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.graph import Graph
+from repro.oddball.surrogate import DenseSurrogateEngine, SparseSurrogateEngine
+
+ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
 
 
 class TestFull:
@@ -154,9 +157,7 @@ class TestGradientGrowth:
     def _engine(self, graph, targets, candidate_set):
         from repro.oddball.surrogate import SurrogateEngine
 
-        return SurrogateEngine.create(
-            graph.adjacency_view, targets, candidate_set, backend="sparse"
-        )
+        return SurrogateEngine.create(graph.adjacency_view, targets, candidate_set)
 
     def _setup(self):
         from repro.attacks.candidates import AdaptiveCandidateSet
@@ -240,19 +241,15 @@ class TestGradientGrowth:
 
     def test_pair_gradient_backends_agree(self):
         from repro.graph.generators import erdos_renyi
-        from repro.oddball.surrogate import SurrogateEngine
 
         graph = erdos_renyi(40, 0.15, rng=2)
         targets = [3, 7]
         rows = np.array([0, 2, 5], dtype=np.intp)
         cols = np.array([9, 11, 30], dtype=np.intp)
-        dense = SurrogateEngine.create(
-            graph.adjacency_view, targets, backend="dense"
-        )
-        sparse_engine = SurrogateEngine.create(
+        dense = DenseSurrogateEngine(graph.adjacency_view, targets)
+        sparse_engine = SparseSurrogateEngine(
             graph.adjacency_view, targets,
             (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)),
-            backend="sparse",
         )
         np.testing.assert_allclose(
             dense.pair_gradient(rows, cols),
@@ -296,8 +293,8 @@ def _reference_adaptive_refresh(candidate_set, flips, engine):
 
 class TestAdaptiveRefreshOracle:
     """The sorted-key adaptive refresh admits exactly what the set-of-tuples
-    reference admits, on random graphs, for both growth policies and both
-    engine backends."""
+    reference admits, on random graphs, for both growth policies, on the
+    sparse engine and on the dense oracle."""
 
     GRAPHS = {
         "ba": lambda seed: barabasi_albert(150, 6, rng=seed),
@@ -306,14 +303,12 @@ class TestAdaptiveRefreshOracle:
 
     def _start(self, graph, targets, growth, backend, admit_cap):
         from repro.attacks.candidates import AdaptiveCandidateSet
-        from repro.oddball.surrogate import SurrogateEngine
 
         candidate_set = AdaptiveCandidateSet.start(
             graph.number_of_nodes, targets, growth=growth, admit_cap=admit_cap
         )
-        engine = SurrogateEngine.create(
-            graph.adjacency_view, targets,
-            (candidate_set.rows, candidate_set.cols), backend=backend,
+        engine = ENGINES[backend](
+            graph.adjacency_view, targets, (candidate_set.rows, candidate_set.cols)
         )
         return candidate_set, engine
 
@@ -433,7 +428,6 @@ class TestBlockRefreshOracle:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_five_draws_match_reference(self, seed, backend):
         from repro.attacks.candidates import BlockCandidateSet
-        from repro.oddball.surrogate import SurrogateEngine
 
         graph = erdos_renyi(90, 0.08, rng=seed)
         n, targets = graph.number_of_nodes, [2, 11]
@@ -441,8 +435,8 @@ class TestBlockRefreshOracle:
         np.testing.assert_array_equal(
             block.rows * n + block.cols, _reference_block_keys(n, 300, seed, 0)
         )
-        engine = SurrogateEngine.create(
-            graph.adjacency_view, targets, (block.rows, block.cols), backend=backend
+        engine = ENGINES[backend](
+            graph.adjacency_view, targets, (block.rows, block.cols)
         )
         rng = np.random.default_rng(seed)
         for step in range(5):

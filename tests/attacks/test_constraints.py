@@ -14,7 +14,9 @@ from repro.attacks.constraints import (
 )
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
-from repro.oddball.surrogate import SurrogateEngine
+from repro.oddball.surrogate import DenseSurrogateEngine, SparseSurrogateEngine
+
+ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
 
 
 class TestSignValidMask:
@@ -126,7 +128,7 @@ class TestFilterValidFlipsEngine:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_scratch_copy_pass(self, backend, seed):
         g, pairs, forbidden = self._case(seed)
-        engine = SurrogateEngine.create(g, [0], backend=backend)
+        engine = ENGINES[backend](g, [0])
         for limit in (None, 1, 5):
             for banned in (None, forbidden):
                 expected = filter_valid_flips(
@@ -138,7 +140,7 @@ class TestFilterValidFlipsEngine:
 
     def test_degree_shifts_accumulate_within_a_pass(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        engine = SurrogateEngine.create(g, [1], backend="sparse")
+        engine = SparseSurrogateEngine(g, [1])
         # deleting (1, 2) drops node 2 to degree 1, so (2, 3) is refused
         # until adding (0, 2) lifts it again; (0, 1) would then isolate 1
         candidates = [(1, 2), (2, 3), (0, 2), (3, 2), (0, 1)]
@@ -149,7 +151,7 @@ class TestFilterValidFlipsEngine:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_pass_leaves_the_engine_untouched(self, backend, monkeypatch):
         g, pairs, forbidden = self._case(3)
-        engine = SurrogateEngine.create(g, [0], backend=backend)
+        engine = ENGINES[backend](g, [0])
         token = engine.checkpoint()
         loss = engine.current_loss()
         version = engine._features.version if backend == "sparse" else None

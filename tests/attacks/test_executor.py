@@ -23,7 +23,14 @@ from repro.attacks import (
 )
 from repro.graph.generators import barabasi_albert
 from repro.oddball.detector import OddBall
-from repro.oddball.surrogate import EngineSpec, SurrogateEngine
+from repro.oddball.surrogate import (
+    DenseSurrogateEngine,
+    EngineSpec,
+    SparseSurrogateEngine,
+    SurrogateEngine,
+)
+
+ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
 
 # graph_and_targets / sweep_jobs / assert_outcomes_identical come from
 # tests/conftest.py (shared campaign fixtures)
@@ -32,13 +39,28 @@ from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 class TestParallelSerialParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_identical_result_1_vs_4_workers(self, graph_and_targets, backend, sweep_jobs, assert_outcomes_identical):
+        """The serial run on the sparse engine, or on the injected dense
+        oracle, matches the 4-worker run bit for bit."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
-        serial = build_campaign(graph, backend=backend, workers=1).run(jobs)
-        parallel = build_campaign(graph, backend=backend, workers=4).run(jobs)
+        engine = DenseSurrogateEngine(graph, targets) if backend == "dense" else None
+        serial = AttackCampaign(graph, engine=engine).run(jobs)
+        parallel = build_campaign(graph, workers=4).run(jobs)
         assert_outcomes_identical(serial, parallel)
-        assert serial.backend == parallel.backend
         assert serial.n == parallel.n
+
+    def test_backend_keyword_accepts_only_auto_and_sparse(self, graph_and_targets):
+        graph, _ = graph_and_targets
+        for backend in ("auto", "sparse"):
+            assert isinstance(build_campaign(graph, backend=backend), AttackCampaign)
+            SchedulingCampaignExecutor(graph, backend=backend)
+        for backend in ("dense", "gpu"):
+            with pytest.raises(ValueError, match="'auto', 'sparse'"):
+                build_campaign(graph, backend=backend)
+            with pytest.raises(ValueError, match="'auto', 'sparse'"):
+                build_campaign(graph, backend=backend, workers=2)
+            with pytest.raises(ValueError, match="'auto', 'sparse'"):
+                SchedulingCampaignExecutor(graph, backend=backend)
 
     def test_sparse_input_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
         graph, targets = graph_and_targets
@@ -46,7 +68,7 @@ class TestParallelSerialParity:
         jobs = sweep_jobs(targets, count=5)
         serial = AttackCampaign(csr).run(jobs)
         parallel = SchedulingCampaignExecutor(csr, workers=3).run(jobs)
-        assert parallel.backend == "sparse"
+        assert all(o.metadata["backend"] == "sparse" for o in parallel)
         assert_outcomes_identical(serial, parallel)
 
     def test_mixed_attack_grid_with_baselines(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
@@ -200,12 +222,11 @@ class TestCheckpointInterop:
 class TestEngineSpec:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_round_trip_preserves_state(self, graph_and_targets, backend):
+        """Either engine's spec rebuilds the sparse engine of its graph."""
         graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(
-            graph.adjacency, targets[:3], None, backend=backend
-        )
+        engine = ENGINES[backend](graph.adjacency, targets[:3])
         clone = SurrogateEngine.from_spec(engine.engine_spec(), targets[:3])
-        assert clone.backend == engine.backend
+        assert isinstance(clone, SparseSurrogateEngine)
         assert clone.current_loss() == engine.current_loss()
         for a, b in zip(engine.node_features(), clone.node_features()):
             assert np.array_equal(a, b)
@@ -214,7 +235,6 @@ class TestEngineSpec:
         graph, targets = graph_and_targets
         engine = SurrogateEngine.create(
             sparse.csr_matrix(graph.adjacency), targets[:2], None,
-            backend="sparse",
         )
         engine.apply_flip(0, 1)
         clone = SurrogateEngine.from_spec(engine.engine_spec(), targets[:2])
@@ -224,9 +244,7 @@ class TestEngineSpec:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_spec_rejects_pending_transient_flips(self, graph_and_targets, backend):
         graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(
-            graph.adjacency, targets[:2], None, backend=backend
-        )
+        engine = ENGINES[backend](graph.adjacency, targets[:2])
         engine.push_flip(0, 1)
         with pytest.raises(RuntimeError, match="transient"):
             engine.engine_spec()
@@ -239,7 +257,6 @@ class TestEngineSpec:
         graph, targets = graph_and_targets
         engine = SurrogateEngine.create(
             sparse.csr_matrix(graph.adjacency), targets[:2], None,
-            backend="sparse",
         )
         token = engine.checkpoint()
         engine.apply_flip(0, 1)       # permanent: spec export stays legal
@@ -250,26 +267,20 @@ class TestEngineSpec:
         engine.restore(token)         # restore clears the transient state
         engine.engine_spec()
 
-    def test_from_graph_resolves_auto(self, graph_and_targets):
-        graph, _ = graph_and_targets
-        spec = EngineSpec.from_graph(graph.adjacency, backend="auto")
-        assert spec.backend in ("dense", "sparse")
-        rebuilt = spec.to_graph()
-        assert rebuilt.shape == graph.adjacency.shape
-
-    def test_spec_rejects_unresolved_backend(self, graph_and_targets):
+    def test_spec_takes_no_backend(self, graph_and_targets):
         graph, targets = graph_and_targets
-        spec = EngineSpec.from_graph(graph.adjacency)._replace(backend="auto")
-        with pytest.raises(ValueError, match="resolved"):
-            SurrogateEngine.from_spec(spec, targets[:1])
+        with pytest.raises(TypeError, match="backend"):
+            EngineSpec.from_graph(graph.adjacency, backend="dense")
+        spec = EngineSpec.from_graph(graph.adjacency)
+        assert "backend" not in spec._fields
+        assert spec.to_graph().shape == graph.adjacency.shape
+        assert isinstance(spec.build(targets[:1]), SparseSurrogateEngine)
 
     def test_spec_is_picklable(self, graph_and_targets):
         import pickle
 
         graph, targets = graph_and_targets
-        spec = EngineSpec.from_graph(
-            sparse.csr_matrix(graph.adjacency), backend="sparse"
-        )
+        spec = EngineSpec.from_graph(sparse.csr_matrix(graph.adjacency))
         clone = pickle.loads(pickle.dumps(spec))
         engine = clone.build(targets[:2])
         reference = spec.build(targets[:2])
@@ -287,9 +298,7 @@ class TestBaselineEngineInjection:
             if backend == "sparse"
             else graph.adjacency
         )
-        engine = SurrogateEngine.create(
-            adjacency, targets[:2], None, backend=backend
-        )
+        engine = ENGINES[backend](adjacency, targets[:2])
         standalone = RandomAttack(rng=7).attack(
             adjacency, targets[:2], 4, candidates="target_incident"
         )
@@ -310,9 +319,7 @@ class TestBaselineEngineInjection:
             if backend == "sparse"
             else graph.adjacency
         )
-        engine = SurrogateEngine.create(
-            adjacency, targets[:2], None, backend=backend
-        )
+        engine = ENGINES[backend](adjacency, targets[:2])
         before = engine.current_loss()
         standalone = OddBallHeuristic(rng=3).attack(adjacency, targets[:2], 4)
         injected = OddBallHeuristic(rng=3).attack(

@@ -28,6 +28,8 @@ from repro.attacks.scheduler import (
     LeaseHeartbeat,
     resolve_lease_ttl,
 )
+from repro.oddball.surrogate import DenseSurrogateEngine
+
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="scheduler chaos tests monkeypatch worker entry points through fork",
@@ -214,14 +216,15 @@ class TestSchedulerSerialParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_identical_result_serial_vs_scheduler(self, graph_and_targets, backend, sweep_jobs, assert_outcomes_identical):
         """The executor built directly (not via build_campaign), on two
-        workers, matches the serial campaign with no worker lost."""
+        workers, matches the serial campaign — on the sparse engine or on
+        the injected dense oracle — with no worker lost."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
-        serial = AttackCampaign(graph, backend=backend).run(jobs)
-        executor = SchedulingCampaignExecutor(graph, backend=backend, workers=2)
+        engine = DenseSurrogateEngine(graph, targets) if backend == "dense" else None
+        serial = AttackCampaign(graph, engine=engine).run(jobs)
+        executor = SchedulingCampaignExecutor(graph, backend="sparse", workers=2)
         scheduled = executor.run(jobs)
         assert_outcomes_identical(serial, scheduled)
-        assert scheduled.backend == serial.backend
         assert executor.last_dead_workers == []
 
     def test_mixed_cost_grid_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
@@ -492,7 +495,7 @@ class TestCheckpointDedupe:
         records for one job (double completion after a requeue) loads as
         exactly one outcome — the FIRST durable one."""
         job = _queue_jobs(1)[0]
-        store = CheckpointStore(tmp_path / "ck.jsonl", "fp", "sparse", 64)
+        store = CheckpointStore(tmp_path / "ck.jsonl", "fp", 64)
         store.append(_synthetic_outcome(job, seconds=1.0))
         store.append(_synthetic_outcome(job, seconds=2.0))
         loaded = store.load()
@@ -555,7 +558,7 @@ class TestPropertyInterleavings:
             for i in range(n_workers)
         ]
         shards = [
-            CheckpointStore(tmp_path / f"shard{i}", "prop-fp", "sparse", 64)
+            CheckpointStore(tmp_path / f"shard{i}", "prop-fp", 64)
             for i in range(n_workers)
         ]
         active = {}
@@ -588,15 +591,13 @@ class TestPropertyInterleavings:
         assert workers[0].done_ids() == {job.job_id for job in jobs}
         assert sum(w.claims for w in workers) >= 50
 
-        main = CheckpointStore(tmp_path / "merged", "prop-fp", "sparse", 64)
+        main = CheckpointStore(tmp_path / "merged", "prop-fp", 64)
         for shard in shards:
             main.merge_from(shard)
         merged = main.load()
         assert len(merged) == 50              # exactly once, despite crashes
 
-        reference_store = CheckpointStore(
-            tmp_path / "serial", "prop-fp", "sparse", 64
-        )
+        reference_store = CheckpointStore(tmp_path / "serial", "prop-fp", 64)
         for job in jobs:
             reference_store.append(_synthetic_outcome(job, seconds=99.0))
         reference = reference_store.load()

@@ -6,6 +6,8 @@ full stack (datasets → detector → attacks → victims → metrics) exactly t
 way the benchmark harness does.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.experiments import (
     table1_datasets,
     table2_side_effects,
 )
+from repro.experiments.common import attack_suite
 from repro.experiments.config import SMOKE
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -119,3 +122,10 @@ class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+    def test_no_driver_takes_a_backend(self):
+        drivers = [attack_suite, run_experiment] + [
+            run_fn for run_fn, _ in EXPERIMENTS.values()
+        ]
+        for driver in drivers:
+            assert "backend" not in inspect.signature(driver).parameters, driver

@@ -27,3 +27,8 @@ class TestMain:
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["--experiment", "table1", "--scale", "huge"])
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--experiment", "fig4", "--backend", "dense"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -108,9 +108,7 @@ class TestDegradedMode:
         _break_toolchain(monkeypatch)
         graph = erdos_renyi(30, 0.15, rng=2)
         with pytest.warns(RuntimeWarning):
-            engine = SurrogateEngine.create(
-                graph, [0, 1], None, backend="sparse", kernels="auto"
-            )
+            engine = SurrogateEngine.create(graph, [0, 1], None, kernels="auto")
         assert engine.kernels == "numpy"
         assert np.isfinite(engine.current_loss())
 
@@ -120,9 +118,7 @@ class TestDegradedMode:
         _break_toolchain(monkeypatch)
         graph = erdos_renyi(30, 0.15, rng=2)
         with pytest.raises(KernelUnavailableError):
-            SurrogateEngine.create(
-                graph, [0, 1], None, backend="sparse", kernels="compiled"
-            )
+            SurrogateEngine.create(graph, [0, 1], None, kernels="compiled")
 
     def test_compiled_available_reports_false(
         self, pristine_kernel_state, monkeypatch
@@ -134,24 +130,21 @@ class TestDegradedMode:
 class TestSpecTransport:
     def test_spec_carries_requested_flag_unresolved(self):
         graph = erdos_renyi(40, 0.1, rng=4)
-        engine = SurrogateEngine.create(
-            graph, [0], None, backend="sparse", kernels="numpy"
-        )
+        engine = SurrogateEngine.create(graph, [0], None, kernels="numpy")
         spec = engine.engine_spec()
         assert spec.kernels == "numpy"
         rebuilt = pickle.loads(pickle.dumps(spec))
         assert rebuilt.kernels == spec.kernels
-        assert rebuilt.backend == spec.backend
         assert rebuilt.kind == spec.kind
         worker_engine = SurrogateEngine.from_spec(rebuilt, [0])
         assert worker_engine.kernels == "numpy"
 
     def test_from_graph_default_is_auto(self):
         graph = erdos_renyi(40, 0.1, rng=4)
-        spec = EngineSpec.from_graph(graph, backend="sparse")
+        spec = EngineSpec.from_graph(graph)
         assert spec.kernels == "auto"
 
     def test_from_graph_validates_kernels(self):
         graph = erdos_renyi(40, 0.1, rng=4)
         with pytest.raises(ValueError, match="kernels must be one of"):
-            EngineSpec.from_graph(graph, backend="sparse", kernels="simd")
+            EngineSpec.from_graph(graph, kernels="simd")

@@ -526,9 +526,7 @@ class TestScatterGradientParity:
             hub = int(np.argmax(np.diff(csr.indptr)))
             rows, cols = _incident_pairs(hub, range(n))
             engines = [
-                SurrogateEngine.create(
-                    csr, [hub], (rows, cols), backend="sparse", kernels=kernels
-                )
+                SurrogateEngine.create(csr, [hub], (rows, cols), kernels=kernels)
                 for kernels in ("numpy", "compiled")
             ]
             base = engines[0].edge_values
@@ -565,7 +563,6 @@ class TestEngineKernelParity:
             csr,
             [0, 3, 5],
             (rows, cols),
-            backend="sparse",
             kernels=kernels,
         )
 
@@ -598,7 +595,7 @@ class TestEngineKernelParity:
         targets = store.top_targets(2)
         results = [
             BinarizedAttack(
-                iterations=10, lambdas=(0.2, 0.05), backend="sparse",
+                iterations=10, lambdas=(0.2, 0.05),
                 kernels=kernels,
             ).attack(store, targets, 3, candidates="target_incident")
             for kernels in ("numpy", "compiled")

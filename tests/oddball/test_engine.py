@@ -1,11 +1,11 @@
-"""Engine-parity suite: the dense autograd backend and the sparse-incremental
-backend of :class:`~repro.oddball.surrogate.SurrogateEngine` must agree on
-losses (bit-for-bit), gradients (to round-off) and every state-management
-primitive (apply → rollback returns features to exact integer state).
+"""Engine-parity suite: the dense autograd oracle and the sparse-incremental
+:class:`~repro.oddball.surrogate.SurrogateEngine` every attack runs on must
+agree on losses (bit-for-bit), gradients (to round-off) and every
+state-management primitive (apply → rollback returns features to exact
+integer state).
 
-This is the acceptance contract of the engine refactor: the dense backend is
-the historical reference, the sparse backend is what unlocks 10k+-node
-graphs — and nothing may drift between them.
+The dense oracle is the historical reference, the sparse engine is what
+unlocks 10k+-node graphs — and nothing may drift between them.
 """
 
 import numpy as np
@@ -21,9 +21,10 @@ from repro.oddball.surrogate import (
     DenseSurrogateEngine,
     SparseSurrogateEngine,
     SurrogateEngine,
-    resolve_backend,
     surrogate_loss_numpy,
 )
+
+ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
 
 
 def _graphs():
@@ -48,18 +49,13 @@ def engine_pair(request, graph_and_targets):
     """(dense engine, sparse engine) over the same graph/targets/candidates."""
     graph, targets = graph_and_targets
     candidate_set = CandidateSet.build(request.param, graph, targets)
-    dense = SurrogateEngine.create(graph, targets, candidate_set, backend="dense")
-    sparse_eng = SurrogateEngine.create(graph, targets, candidate_set, backend="sparse")
+    dense = DenseSurrogateEngine(graph, targets, candidate_set)
+    sparse_eng = SurrogateEngine.create(graph, targets, candidate_set)
     return dense, sparse_eng
 
 
 class TestBackendResolution:
-    def test_explicit_backends(self):
-        assert resolve_backend("dense") == "dense"
-        assert resolve_backend("sparse") == "sparse"
-
     def test_auto_small_dense_graph_is_sparse(self, small_ba_graph):
-        assert resolve_backend("auto") == "sparse"
         assert isinstance(
             SurrogateEngine.create(small_ba_graph, [0]), SparseSurrogateEngine
         )
@@ -72,20 +68,11 @@ class TestBackendResolution:
         csr = sparse.csr_matrix(small_ba_graph.adjacency)
         assert isinstance(SurrogateEngine.create(csr, [0]), SparseSurrogateEngine)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("torch")
-
-    def test_create_picks_backend_class(self, graph_and_targets):
+    def test_create_takes_no_backend(self, graph_and_targets):
         graph, targets = graph_and_targets
-        assert isinstance(
-            SurrogateEngine.create(graph, targets, backend="dense"),
-            DenseSurrogateEngine,
-        )
-        assert isinstance(
-            SurrogateEngine.create(graph, targets, backend="sparse"),
-            SparseSurrogateEngine,
-        )
+        for backend in ("dense", "sparse", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                SurrogateEngine.create(graph, targets, backend=backend)
 
 
 class TestLossParity:
@@ -95,7 +82,7 @@ class TestLossParity:
 
     def test_current_loss_matches_numpy_reference(self, graph_and_targets):
         graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(graph, targets, backend="sparse")
+        engine = SurrogateEngine.create(graph, targets)
         assert engine.current_loss() == surrogate_loss_numpy(graph.adjacency, targets)
 
     def test_score_flips_bit_identical(self, engine_pair):
@@ -114,10 +101,8 @@ class TestLossParity:
     def test_weighted_targets_parity(self, graph_and_targets):
         graph, targets = graph_and_targets
         weights = [2.0, 1.0, 0.5]
-        dense = SurrogateEngine.create(graph, targets, backend="dense", weights=weights)
-        sparse_eng = SurrogateEngine.create(
-            graph, targets, backend="sparse", weights=weights
-        )
+        dense = DenseSurrogateEngine(graph, targets, weights=weights)
+        sparse_eng = SurrogateEngine.create(graph, targets, weights=weights)
         assert dense.current_loss() == sparse_eng.current_loss()
 
 
@@ -177,7 +162,7 @@ class TestRollbackExactness:
     def test_binarized_step_leaves_state_untouched(self, graph_and_targets):
         """apply → score → rollback must return features to exact integers."""
         graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(graph, targets, backend="sparse")
+        engine = SurrogateEngine.create(graph, targets)
         n_before, e_before = engine._features.features()
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -223,7 +208,7 @@ class TestRollbackExactness:
         from repro.attacks.constraints import filter_valid_flips, filter_valid_flips_engine
 
         graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(graph, targets, backend="sparse")
+        engine = SurrogateEngine.create(graph, targets)
         candidates = [
             (int(engine.rows[k]), int(engine.cols[k]))
             for k in range(0, len(engine.rows), 7)
@@ -244,12 +229,12 @@ class TestValidation:
         rows = np.array([0], dtype=np.intp)
         cols = np.array([n + 3], dtype=np.intp)
         with pytest.raises(ValueError, match="out of range"):
-            SurrogateEngine.create(graph, targets, (rows, cols), backend="dense")
+            DenseSurrogateEngine(graph, targets, (rows, cols))
 
     def test_rejects_bad_targets(self, graph_and_targets):
         graph, _ = graph_and_targets
         with pytest.raises(ValueError, match="target"):
-            SurrogateEngine.create(graph, [], backend="sparse")
+            SurrogateEngine.create(graph, [])
 
     def test_sparse_input_never_densified(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -295,10 +280,8 @@ class TestRelaxedStep:
     def test_branches_match_dense_reference(self, graph_and_targets, strategy):
         graph, targets = graph_and_targets
         candidate_set = CandidateSet.build(strategy, graph, targets)
-        dense = SurrogateEngine.create(graph, targets, candidate_set, backend="dense")
-        sparse_eng = SurrogateEngine.create(
-            graph, targets, candidate_set, backend="sparse"
-        )
+        dense = DenseSurrogateEngine(graph, targets, candidate_set)
+        sparse_eng = SurrogateEngine.create(graph, targets, candidate_set)
         values = _fractional(dense, 5)
         ref_loss, ref_grad = dense.relaxed_step(values)
         sparse_eng.relaxed_step(values)
@@ -319,16 +302,13 @@ class TestRelaxedStep:
         the current graph and candidates, exactly as a fresh engine does."""
         graph, targets = graph_and_targets
         candidate_set = CandidateSet.build(strategy, graph, targets)
-        engine = SurrogateEngine.create(
-            graph, targets, candidate_set, backend=backend
-        )
+        engine = ENGINES[backend](graph, targets, candidate_set)
 
         def assert_fresh(targets, candidates):
             values = _fractional(engine, 6)
             loss, grad = engine.relaxed_step(values)
-            fresh = SurrogateEngine.create(
-                engine.engine_spec().to_graph(), targets, candidates,
-                backend=backend,
+            fresh = ENGINES[backend](
+                engine.engine_spec().to_graph(), targets, candidates
             )
             fresh_loss, fresh_grad = fresh.relaxed_step(values)
             assert loss == fresh_loss
@@ -361,9 +341,7 @@ class TestRelaxedStep:
         graph, targets = graph_and_targets
         floor = 0.5
         candidate_set = CandidateSet.build(strategy, graph, targets)
-        engine = SurrogateEngine.create(
-            graph, targets, candidate_set, backend="sparse", floor=floor
-        )
+        engine = SurrogateEngine.create(graph, targets, candidate_set, floor=floor)
         rows, cols = engine.rows, engine.cols
         values = _fractional(engine, 7)
         frozen = graph.adjacency.copy()

@@ -3,6 +3,8 @@ array and a row-reordered CSR of one graph share one checkpoint fingerprint,
 so their checkpoints resume each other with no environment set, while a
 graph one edge away is still refused."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -55,18 +57,15 @@ class TestContentHash:
         reversed_rows = _row_reversed(payload)
         assert not reversed_rows.has_sorted_indices
         fingerprints = {
-            graph_fingerprint(store.csr(), "sparse"),
-            graph_fingerprint(payload, "sparse"),
-            graph_fingerprint(payload.toarray(), "sparse"),
-            graph_fingerprint(reversed_rows, "sparse"),
+            graph_fingerprint(store.csr()),
+            graph_fingerprint(payload),
+            graph_fingerprint(payload.toarray()),
+            graph_fingerprint(reversed_rows),
         }
-        assert len(fingerprints) == 1
-
-    def test_backend_changes_the_fingerprint(self, store):
-        payload = store.detached_csr()
-        assert graph_fingerprint(payload, "sparse") != graph_fingerprint(
-            payload, "dense"
-        )
+        n = store.number_of_nodes
+        assert fingerprints == {
+            hashlib.sha1(f"{n}:{store.content_hash}".encode()).hexdigest()
+        }
 
     def test_store_fingerprint_reads_no_mapped_array(self, store):
         """The store CSR is named from its manifest token alone: with its
@@ -82,40 +81,30 @@ class TestContentHash:
 
         csr = GraphStore.open(store.path).csr()
         csr.indices = csr.indptr = csr.data = Unreadable()
-        assert graph_fingerprint(csr, "sparse") == graph_fingerprint(
-            store.detached_csr(), "sparse"
-        )
+        assert graph_fingerprint(csr) == graph_fingerprint(store.detached_csr())
 
 
 class TestCrossBackingResume:
     def test_payload_campaign_resumes_store_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
-        AttackCampaign(
-            store.csr(), backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs)
+        AttackCampaign(store.csr(), checkpoint_path=checkpoint).run(jobs)
         resumed = AttackCampaign(
-            store.detached_csr(), backend="sparse", checkpoint_path=checkpoint
+            store.detached_csr(), checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == len(jobs)
 
     def test_store_campaign_resumes_payload_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
-        AttackCampaign(
-            store.detached_csr(), backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs)
-        resumed = AttackCampaign(
-            store.csr(), backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs)
+        AttackCampaign(store.detached_csr(), checkpoint_path=checkpoint).run(jobs)
+        resumed = AttackCampaign(store.csr(), checkpoint_path=checkpoint).run(jobs)
         assert resumed.resumed_jobs == len(jobs)
 
     def test_store_executor_resumes_payload_checkpoint(self, store, tmp_path):
         jobs = _sweep_jobs(store)
         checkpoint = tmp_path / "campaign.jsonl"
-        AttackCampaign(
-            store.detached_csr(), backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs[:3])
+        AttackCampaign(store.detached_csr(), checkpoint_path=checkpoint).run(jobs[:3])
         resumed = SchedulingCampaignExecutor(
             store, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
@@ -124,11 +113,9 @@ class TestCrossBackingResume:
     def test_one_flipped_edge_still_refuses_resume(self, store, tmp_path):
         jobs = _sweep_jobs(store, count=2)
         checkpoint = tmp_path / "campaign.jsonl"
-        AttackCampaign(
-            store.csr(), backend="sparse", checkpoint_path=checkpoint
-        ).run(jobs)
+        AttackCampaign(store.csr(), checkpoint_path=checkpoint).run(jobs)
         with pytest.raises(ValueError, match="different"):
             AttackCampaign(
-                _one_edge_flipped(store.detached_csr()), backend="sparse",
+                _one_edge_flipped(store.detached_csr()),
                 checkpoint_path=checkpoint,
             ).run(jobs)

@@ -79,7 +79,7 @@ class TestSparseOnlyGuard:
         from repro.store import build_store
 
         store = build_store("er", cache_dir=tmp_path, scale=0.1, seed=1)
-        with pytest.raises(ValueError, match="sparse-only"):
+        with pytest.raises(TypeError, match="backend"):
             AttackCampaign(store, backend="dense")
-        with pytest.raises(ValueError, match="sparse-only"):
+        with pytest.raises(ValueError, match="'auto', 'sparse'"):
             build_campaign(store, workers=1, backend="dense")

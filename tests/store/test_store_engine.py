@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import assert_readonly_mmap
 from repro.attacks import BinarizedAttack, GradMaxSearch
 from repro.graph.incremental import IncrementalEgonetFeatures
-from repro.oddball.surrogate import SurrogateEngine
+from repro.oddball.surrogate import DenseSurrogateEngine, SurrogateEngine
 from repro.store import build_store
 
 
@@ -35,10 +35,8 @@ class TestEngineParity:
     def test_losses_bit_identical(self, store, memory_graph):
         targets = top_targets(store)
         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        on_store = SurrogateEngine.create(store, targets, empty, backend="sparse")
-        in_memory = SurrogateEngine.create(
-            memory_graph, targets, empty, backend="sparse"
-        )
+        on_store = SurrogateEngine.create(store, targets, empty)
+        in_memory = SurrogateEngine.create(memory_graph, targets, empty)
         assert on_store.current_loss() == in_memory.current_loss()
         for u, v in [(0, 5), (1, 9), (0, 5)]:
             on_store.push_flip(u, v)
@@ -53,8 +51,8 @@ class TestEngineParity:
         from repro.attacks.candidates import CandidateSet
 
         cs = CandidateSet.target_incident(store.number_of_nodes, targets)
-        on_store = SurrogateEngine.create(store, targets, cs, backend="sparse")
-        in_memory = SurrogateEngine.create(memory_graph, targets, cs, backend="sparse")
+        on_store = SurrogateEngine.create(store, targets, cs)
+        in_memory = SurrogateEngine.create(memory_graph, targets, cs)
         assert np.array_equal(
             on_store.candidate_gradient(), in_memory.candidate_gradient()
         )
@@ -64,10 +62,10 @@ class TestEngineParity:
         targets = top_targets(store)
         kwargs = {"iterations": 30} if attack_cls is BinarizedAttack else {}
         with assert_readonly_mmap(store, context="store-backed attack"):
-            a = attack_cls(backend="sparse", **kwargs).attack(
+            a = attack_cls(**kwargs).attack(
                 store.csr(), targets, budget=4, candidates="target_incident"
             )
-        b = attack_cls(backend="sparse", **kwargs).attack(
+        b = attack_cls(**kwargs).attack(
             memory_graph, targets, budget=4, candidates="target_incident"
         )
         assert a.flips() == b.flips()
@@ -75,9 +73,9 @@ class TestEngineParity:
 
     def test_dense_engine_densifies_store(self, store):
         targets = top_targets(store)
-        dense = SurrogateEngine.create(store, targets, backend="dense")
+        dense = DenseSurrogateEngine(store, targets)
         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        sparse_engine = SurrogateEngine.create(store, targets, empty, backend="sparse")
+        sparse_engine = SurrogateEngine.create(store, targets, empty)
         assert dense.current_loss() == pytest.approx(
             sparse_engine.current_loss(), rel=0, abs=0
         )
@@ -91,7 +89,7 @@ class TestMmapNeverWritten:
         )
         targets = top_targets(store)
         with assert_readonly_mmap(store, context="gradmax over store"):
-            GradMaxSearch(backend="sparse").attack(
+            GradMaxSearch().attack(
                 store, targets, budget=5, candidates="adaptive"
             )
         assert np.array_equal(before[0], np.asarray(csr.data))

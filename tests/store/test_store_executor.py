@@ -31,7 +31,6 @@ class TestStoreSpec:
     def test_spec_is_a_path_not_a_payload(self, store):
         spec = EngineSpec.from_store(store)
         assert spec.kind == "store"
-        assert spec.backend == "sparse"
         assert spec.payload == (str(store.path),)
 
     def test_spec_round_trip_builds_identical_engine(self, store, memory_graph):
@@ -39,9 +38,7 @@ class TestStoreSpec:
         targets = [0, 1, 2]
         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
         rebuilt = spec.build(targets, candidates=empty)
-        reference = SurrogateEngine.create(
-            memory_graph, targets, empty, backend="sparse"
-        )
+        reference = SurrogateEngine.create(memory_graph, targets, empty)
         assert rebuilt.backend == "sparse"
         assert rebuilt.current_loss() == reference.current_loss()
         n_a, e_a = rebuilt.node_features()
@@ -63,9 +60,7 @@ class TestStoreExecutorParity:
         jobs = sweep_jobs(store_targets, count=6)
         store_serial = build_campaign(store, workers=1).run(jobs)
         store_parallel = build_campaign(store, workers=4).run(jobs)
-        payload_parallel = SchedulingCampaignExecutor(
-            memory_graph, workers=4, backend="sparse"
-        ).run(jobs)
+        payload_parallel = SchedulingCampaignExecutor(memory_graph, workers=4).run(jobs)
         assert_outcomes_identical(store_serial, store_parallel)
         assert_outcomes_identical(store_parallel, payload_parallel)
 
@@ -88,7 +83,7 @@ class TestStoreExecutorParity:
         assert_outcomes_identical(fresh, resumed)
 
     def test_dense_backend_rejected(self, store):
-        with pytest.raises(ValueError, match="sparse-only"):
+        with pytest.raises(ValueError, match="'auto', 'sparse'"):
             SchedulingCampaignExecutor(store, workers=2, backend="dense")
 
 
@@ -132,7 +127,7 @@ class TestFingerprintRoundTrip:
         jobs = sweep_jobs(store_targets, count=4)
         checkpoint = tmp_path / "campaign.jsonl"
         via_csr = SchedulingCampaignExecutor(
-            store.csr(), workers=2, backend="sparse", checkpoint_path=checkpoint
+            store.csr(), workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         fresh = AttackCampaign(store).run(jobs)
         assert_outcomes_identical(fresh, via_csr)
@@ -141,7 +136,7 @@ class TestFingerprintRoundTrip:
         assert resumed.resumed_jobs == len(jobs)
 
     def test_spec_round_trip_preserves_token(self, store):
-        spec = EngineSpec.from_graph(store.csr(), backend="sparse")
+        spec = EngineSpec.from_graph(store.csr())
         assert spec.kind == "csr"
         assert spec.fingerprint == store.content_hash
         rebuilt = spec.to_graph()

@@ -83,7 +83,6 @@ class TestCampaignResultStats:
     def test_roundtrip_with_observability_fields(self):
         result = CampaignResult(
             outcomes=[],
-            backend="sparse",
             n=90,
             seconds=1.5,
             worker_stats=[{"jobs": 2, "max_rss_kb": 1024}],
@@ -97,7 +96,7 @@ class TestCampaignResultStats:
         assert restored.peak_rss_kb == 1024
 
     def test_defaults_load_from_old_payloads(self):
-        result = CampaignResult(outcomes=[], backend="sparse", n=90, seconds=1.0)
+        result = CampaignResult(outcomes=[], n=90, seconds=1.0)
         payload = result.to_dict()
         for key in ("worker_stats", "dead_workers", "requeues"):
             payload.pop(key)

@@ -132,9 +132,7 @@ class TestCounters:
         n, hub = graph.number_of_nodes, 0
         rows = np.zeros(n - 1, dtype=np.intp)
         cols = np.arange(1, n, dtype=np.intp)
-        engine = SurrogateEngine.create(
-            graph, [hub], (rows, cols), backend="sparse", kernels="compiled"
-        )
+        engine = SurrogateEngine.create(graph, [hub], (rows, cols), kernels="compiled")
         telemetry.configure(tmp_path, worker="main")
         engine.candidate_gradient()
         telemetry.shutdown()
@@ -159,7 +157,7 @@ class TestCounters:
         graph = barabasi_albert(300, 8, rng=3)
         telemetry.configure(tmp_path, worker="main")
         with telemetry.span("root"):
-            GradMaxSearch(backend="sparse").attack(
+            GradMaxSearch().attack(
                 graph, [5], budget=4, candidates="adaptive_gradient"
             )
         telemetry.shutdown()
