@@ -26,8 +26,6 @@ from repro.attacks.candidates import (
 from repro.attacks.constraints import (
     creates_singleton,
     filter_valid_flips,
-    no_singleton_mask,
-    sign_valid_mask,
 )
 from repro.attacks.continuous import ContinuousA
 from repro.attacks.gradmax import GradMaxSearch
@@ -67,7 +65,5 @@ __all__ = [
     "creates_singleton",
     "filter_valid_flips",
     "grid_jobs",
-    "no_singleton_mask",
-    "sign_valid_mask",
     "validate_targets",
 ]

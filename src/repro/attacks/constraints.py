@@ -22,35 +22,9 @@ __all__ = [
     "creates_singleton",
     "filter_valid_flips",
     "filter_valid_flips_engine",
-    "sign_valid_mask",
-    "no_singleton_mask",
 ]
 
 Edge = tuple[int, int]
-
-
-def sign_valid_mask(adjacency: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """Boolean matrix of pairs whose gradient sign permits a useful flip."""
-    add_ok = (adjacency == 0.0) & (gradient < 0.0)
-    delete_ok = (adjacency == 1.0) & (gradient > 0.0)
-    mask = add_ok | delete_ok
-    np.fill_diagonal(mask, False)
-    return mask
-
-
-def no_singleton_mask(adjacency: np.ndarray) -> np.ndarray:
-    """Boolean matrix of pairs whose flip would NOT create a singleton.
-
-    Additions are always safe; deleting (u, v) is unsafe when either endpoint
-    has degree 1.
-    """
-    degrees = adjacency.sum(axis=1)
-    unsafe_endpoint = degrees <= 1.0
-    deletion = adjacency == 1.0
-    unsafe = deletion & (unsafe_endpoint[:, None] | unsafe_endpoint[None, :])
-    mask = ~unsafe
-    np.fill_diagonal(mask, False)
-    return mask
 
 
 def creates_singleton(adjacency: np.ndarray, u: int, v: int) -> bool:

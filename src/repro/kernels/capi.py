@@ -69,16 +69,20 @@ void repro_place_rows_i64(long long *arena, long long *offs,
     const long long *src_node, long long nplace, const long long *indptr,
     const long long *indices);
 long long repro_scatter_gradient_i32(const long long *indptr,
-    const int *indices, const double *data, const double *d_e,
-    const long long *hubs, const long long *partners, long long npairs,
-    const long long *du, const long long *dv, const double *dd,
-    long long ndelta, long long n, long long *extra, double *work,
+    const int *indices, const double *data, const double *d_n,
+    const double *d_e, const long long *rows, const long long *cols,
+    const long long *order, const long long *hubs,
+    const long long *partners, long long npairs, const long long *du,
+    const long long *dv, const double *dd, long long ndelta, long long n,
+    long long *dhead, long long *dnext, long long *extra, double *work,
     double *acc, double *grad);
 long long repro_scatter_gradient_i64(const long long *indptr,
-    const long long *indices, const double *data, const double *d_e,
-    const long long *hubs, const long long *partners, long long npairs,
-    const long long *du, const long long *dv, const double *dd,
-    long long ndelta, long long n, long long *extra, double *work,
+    const long long *indices, const double *data, const double *d_n,
+    const double *d_e, const long long *rows, const long long *cols,
+    const long long *order, const long long *hubs,
+    const long long *partners, long long npairs, const long long *du,
+    const long long *dv, const double *dd, long long ndelta, long long n,
+    long long *dhead, long long *dnext, long long *extra, double *work,
     double *acc, double *grad);
 """
 

@@ -158,7 +158,9 @@ class CompiledKernels:
         the caller's pair order, and the number of CSR entries the kernel
         walked.  Per hub group the kernel folds the Δ-overlay into the hub
         row and picks the pull walk (each partner's row) or the push walk
-        (each row of the hub's two-hop ball), whichever is shorter.
+        (each row of the hub's two-hop ball), whichever is shorter.  It
+        also adds the ``d_n``/``d_e`` endpoint terms and writes each pair
+        at its caller position, so a call does no O(|C|) numpy work.
 
         ``csr`` must be bitwise symmetric (``A == Aᵀ``), as every engine
         matrix is, and ``d_e`` finite: the push walk reads row ``c`` in
@@ -167,39 +169,40 @@ class CompiledKernels:
         order-equivalence argument.
         """
         _require_sorted(csr)
-        rows, cols = groups.rows, groups.cols
-        gradient = d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
-        if rows.size == 0:
+        npairs = groups.rows.size
+        gradient = np.empty(npairs, dtype=np.float64)  # the kernel fills it
+        if npairs == 0:
             return gradient, 0
         n = csr.shape[0]
         delta = list(delta)
+        ndelta = len(delta)
         du = np.array([u for u, _, _ in delta], dtype=np.int64)
         dv = np.array([v for _, v, _ in delta], dtype=np.int64)
         dd = np.array([d for _, _, d in delta], dtype=np.float64)
-        extra = np.empty(max(len(delta), 1), dtype=np.int64)
-
-        grad_grouped = np.ascontiguousarray(gradient[groups.order])
+        # The Δ index's per-node heads cost O(n) only when there is a Δ.
+        dhead = np.zeros(n if ndelta else 1, dtype=np.int64)  # kernel restores
+        dnext = np.empty(max(2 * ndelta, 1), dtype=np.int64)
+        extra = np.empty(max(ndelta, 1), dtype=np.int64)
         work = np.zeros(n, dtype=np.float64)  # kernel restores to zeros
         acc = np.zeros(2 * n, dtype=np.float64)  # likewise
         ptr_ptr, idx_ptr, suffix, keep = self._csr_views(csr)
-        data_ptr, data_keep = self._in_f64(csr.data)
-        de_ptr, de_keep = self._in_f64(d_e)
-        hubs_ptr, hubs_keep = self._in_i64(groups.hubs)
-        part_ptr, part_keep = self._in_i64(groups.partners)
-        du_ptr, du_keep = self._in_i64(du)
-        dv_ptr, dv_keep = self._in_i64(dv)
-        dd_ptr, dd_keep = self._in_f64(dd)
+        inputs = [
+            self._in_f64(csr.data), self._in_f64(d_n), self._in_f64(d_e),
+            self._in_i64(groups.rows), self._in_i64(groups.cols),
+            self._in_i64(groups.order), self._in_i64(groups.hubs),
+            self._in_i64(groups.partners),
+        ]
+        deltas = [self._in_i64(du), self._in_i64(dv), self._in_f64(dd)]
         fn = getattr(self._lib, f"repro_scatter_gradient_{suffix}")
         entries = fn(
-            ptr_ptr, idx_ptr, data_ptr, de_ptr, hubs_ptr, part_ptr,
-            rows.size, du_ptr, dv_ptr, dd_ptr, len(delta), n,
-            self._ffi.from_buffer("long long[]", extra, require_writable=True),
-            self._out_f64(work), self._out_f64(acc),
-            self._out_f64(grad_grouped),
+            ptr_ptr, idx_ptr, *(ptr for ptr, _ in inputs), npairs,
+            *(ptr for ptr, _ in deltas), ndelta, n,
+            self._scratch("long long[]", dhead),
+            self._scratch("long long[]", dnext),
+            self._scratch("long long[]", extra),
+            self._out_f64(work), self._out_f64(acc), self._out_f64(gradient),
         )
-        del (keep, data_keep, de_keep, hubs_keep, part_keep, du_keep,
-             dv_keep, dd_keep)
-        gradient[groups.order] = grad_grouped
+        del keep, inputs, deltas
         return gradient, int(entries)
 
 

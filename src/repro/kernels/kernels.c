@@ -265,10 +265,10 @@ DEFINE_PLACE_ROWS(i64, i64)
  *     cc += A[p,c] * x[c]          cw += A[p,c] * (x[c] * d_e[c])
  *
  * over every stored c of row p, then adds the Δ fixups of p in overlay
- * order.  The wrapper hands the pairs over already grouped by hub (stable,
- * like the reference), and this kernel folds x into the dense `work`
- * array once per group, then takes whichever of two walks visits fewer
- * CSR entries:
+ * order.  The wrapper hands over the reference's stable hub grouping
+ * (`order`, and `hubs`/`partners` in grouped order), and this kernel folds
+ * x into the dense `work` array once per group, then takes whichever of
+ * two walks visits fewer CSR entries:
  *
  *   - pull, cost Σ_{p in group} deg(p): walk each partner's row against
  *     `work` — the reference's term sequence exactly;
@@ -288,29 +288,67 @@ DEFINE_PLACE_ROWS(i64, i64)
  *     nearest addition never yields -0.0 unless both operands are -0.0, so
  *     an accumulator is never -0.0 and adding ±0.0 leaves it unchanged.
  *
- * Both walks then share the Δ fixups and the final update, so
- * grad[k] (pre-filled with the dn/de endpoint terms) gets
- * (d_e[hub] + d_e[partner]) * cc + cw either way.  `work` and `acc` are
+ * Both walks then share the Δ fixups and the final write (finish_pair),
+ * which adds the endpoint terms left to right, as numpy's
+ * `d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]` does, and stores the
+ * pair's gradient at its caller position order[k]:
+ *
+ *     grad[order[k]] = d_n[r] + d_n[c] + d_e[r] + d_e[c]
+ *                      + ((d_e[h] + d_e[p]) * cc + cw)
+ *
+ * with (r, c) = (rows, cols)[order[k]].  `work` and `acc` are
  * caller-zeroed and returned to all-zeros: `work` by re-walking x's
  * support, `acc` by a memset when 2·push > n and by re-walking the pushed
  * rows otherwise.  `extra` is scratch for ndelta sorted Δ-added columns.
  *
+ * The Δ index.  The hub fold and the fixups each need the Δ entries
+ * touching one node, in overlay order.  delta_index links them into
+ * per-node lists once per call, in O(|Δ|).  Slots are 1-based, so that
+ * zero means "none": slot 2t+1 is entry t seen from du[t], slot 2t+2 the
+ * same entry seen from dv[t] (unused when du[t] == dv[t]).  `dhead[x]` is
+ * x's first slot and `dnext[s-1]` the slot after s.  A pair whose partner
+ * no entry touches skips its fixups after one load, so the Δ work of a
+ * call is O(|C| + |Δ|) plus one step per touching (pair, entry), not |Δ|
+ * steps per pair.  `dhead` (n entries) is caller-zeroed and returned to
+ * all-zeros; `dnext` holds 2·ndelta slots.  With no Δ neither is read, so
+ * the caller may pass one-element arrays.
+ *
  * Returns the number of CSR entries walked (Σ per group of min(push,
  * pull); ties go to pull). */
-static void finish_pair(const double *d_e, const double *work,
-                        const i64 *du, const i64 *dv, const double *dd,
-                        i64 ndelta, i64 h, i64 p, double cc, double cw,
-                        double *grad_k) {
-    for (i64 t = 0; t < ndelta; t++) {
-        i64 other = -1;
-        if (du[t] == p) other = dv[t];
-        else if (dv[t] == p) other = du[t];
-        if (other < 0) continue;
-        double hv = work[other];
-        cc += dd[t] * hv;
-        cw += dd[t] * hv * d_e[other];
+static void delta_index(const i64 *du, const i64 *dv, i64 ndelta,
+                        i64 *dhead, i64 *dnext) {
+    /* Prepend in descending entry order, so each list ascends. */
+    for (i64 t = ndelta - 1; t >= 0; t--) {
+        if (dv[t] != du[t]) {
+            dnext[2 * t + 1] = dhead[dv[t]];
+            dhead[dv[t]] = 2 * t + 2;
+        }
+        dnext[2 * t] = dhead[du[t]];
+        dhead[du[t]] = 2 * t + 1;
     }
-    *grad_k += (d_e[h] + d_e[p]) * cc + cw;
+}
+
+/* The other endpoint of the entry behind 1-based Δ slot s. */
+static i64 slot_other(const i64 *du, const i64 *dv, i64 s) {
+    i64 t = (s - 1) >> 1;
+    return ((s - 1) & 1) ? du[t] : dv[t];
+}
+
+static void finish_pair(const double *d_n, const double *d_e,
+                        const double *work, const i64 *du, const i64 *dv,
+                        const double *dd, const i64 *dhead,
+                        const i64 *dnext, i64 r, i64 c, i64 h, i64 p,
+                        double cc, double cw, double *grad_k) {
+    if (dhead) {
+        for (i64 s = dhead[p]; s; s = dnext[s - 1]) {
+            i64 other = slot_other(du, dv, s);
+            double d = dd[(s - 1) >> 1], hv = work[other];
+            cc += d * hv;
+            cw += d * hv * d_e[other];
+        }
+    }
+    *grad_k = d_n[r] + d_n[c] + d_e[r] + d_e[c]
+              + ((d_e[h] + d_e[p]) * cc + cw);
 }
 
 #define DEFINE_SCATTER_GRADIENT(SUF, IDX)                                 \
@@ -347,21 +385,26 @@ static void finish_pair(const double *d_e, const double *work,
                                                                           \
     i64 repro_scatter_gradient_##SUF(                                     \
             const i64 *indptr, const IDX *indices, const double *data,    \
-            const double *d_e, const i64 *hubs, const i64 *partners,      \
-            i64 npairs, const i64 *du, const i64 *dv, const double *dd,   \
-            i64 ndelta, i64 n, i64 *extra, double *work, double *acc,     \
-            double *grad) {                                               \
+            const double *d_n, const double *d_e, const i64 *rows,        \
+            const i64 *cols, const i64 *order, const i64 *hubs,           \
+            const i64 *partners, i64 npairs, const i64 *du,               \
+            const i64 *dv, const double *dd, i64 ndelta, i64 n,           \
+            i64 *dhead, i64 *dnext, i64 *extra, double *work,             \
+            double *acc, double *grad) {                                  \
         i64 walked = 0;                                                   \
+        if (ndelta > 0)                                                   \
+            delta_index(du, dv, ndelta, dhead, dnext);                    \
+        else                                                              \
+            dhead = NULL;                                                 \
         for (i64 lo = 0, hi; lo < npairs; lo = hi) {                      \
             i64 h = hubs[lo];                                             \
             for (hi = lo + 1; hi < npairs && hubs[hi] == h; hi++) {}      \
             i64 hs = indptr[h], he = indptr[h + 1], ne = 0;               \
             for (i64 j = hs; j < he; j++)                                 \
                 work[(i64)indices[j]] = data[j];                          \
-            for (i64 t = 0; t < ndelta; t++) {                            \
-                i64 other = du[t] == h ? dv[t] : dv[t] == h ? du[t] : -1; \
-                if (other < 0) continue;                                  \
-                work[other] += dd[t];                                     \
+            for (i64 s = dhead ? dhead[h] : 0; s; s = dnext[s - 1]) {     \
+                i64 other = slot_other(du, dv, s);                        \
+                work[other] += dd[(s - 1) >> 1];                          \
                 i64 pos = lower_bound_##SUF(indices, hs, he, other);      \
                 if (pos < he && (i64)indices[pos] == other) continue;     \
                 i64 q = ne;                                               \
@@ -385,9 +428,10 @@ static void finish_pair(const double *d_e, const double *work,
                 push_walk_##SUF(indptr, indices, data, d_e, hs, he,       \
                                 extra, ne, work, acc, 0);                 \
                 for (i64 k = lo; k < hi; k++) {                           \
-                    i64 p = partners[k];                                  \
-                    finish_pair(d_e, work, du, dv, dd, ndelta, h, p,      \
-                                acc[2 * p], acc[2 * p + 1], grad + k);    \
+                    i64 p = partners[k], o = order[k];                    \
+                    finish_pair(d_n, d_e, work, du, dv, dd, dhead, dnext, \
+                                rows[o], cols[o], h, p, acc[2 * p],       \
+                                acc[2 * p + 1], grad + o);                \
                 }                                                         \
                 if (2 * push > n)                                         \
                     memset(acc, 0, (size_t)(2 * n) * sizeof(double));     \
@@ -397,7 +441,7 @@ static void finish_pair(const double *d_e, const double *work,
                 walked += push;                                           \
             } else {                                                      \
                 for (i64 k = lo; k < hi; k++) {                           \
-                    i64 p = partners[k];                                  \
+                    i64 p = partners[k], o = order[k];                    \
                     double cc = 0.0, cw = 0.0;                            \
                     for (i64 i = indptr[p]; i < indptr[p + 1]; i++) {     \
                         i64 c = (i64)indices[i];                          \
@@ -405,8 +449,9 @@ static void finish_pair(const double *d_e, const double *work,
                         cc += data[i] * hv;                               \
                         cw += data[i] * (hv * d_e[c]);                    \
                     }                                                     \
-                    finish_pair(d_e, work, du, dv, dd, ndelta, h, p,      \
-                                cc, cw, grad + k);                        \
+                    finish_pair(d_n, d_e, work, du, dv, dd, dhead, dnext, \
+                                rows[o], cols[o], h, p, cc, cw,           \
+                                grad + o);                                \
                 }                                                         \
                 walked += pull;                                           \
             }                                                             \
@@ -415,6 +460,8 @@ static void finish_pair(const double *d_e, const double *work,
             for (i64 x = 0; x < ne; x++)                                  \
                 work[extra[x]] = 0.0;                                     \
         }                                                                 \
+        for (i64 t = 0; t < ndelta; t++)                                  \
+            dhead[du[t]] = dhead[dv[t]] = 0;                              \
         return walked;                                                    \
     }
 

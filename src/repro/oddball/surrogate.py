@@ -1233,6 +1233,16 @@ class DenseSurrogateEngine(SurrogateEngine):
         self._frozen = None
 
 
+class _DenseWorkspace(NamedTuple):
+    """Cached arrays of the sparse engine's dense relaxed step."""
+
+    upper: np.ndarray  # flat n×n index of each candidate's (u, v) cell
+    lower: np.ndarray  # and of its (v, u) cell
+    two_paths: np.ndarray  # n×n buffers the step's products are written to
+    product: np.ndarray
+    weighted: np.ndarray
+
+
 class SparseSurrogateEngine(SurrogateEngine):
     """Sparse-incremental backend: never materialises a dense matrix.
 
@@ -1329,6 +1339,7 @@ class SparseSurrogateEngine(SurrogateEngine):
         # here once, not on every gradient scatter.
         self._groups = _group_pairs(self.rows, self.cols, self.n)
         self._frozen = None
+        self._workspace: "_DenseWorkspace | None" = None
         # Iterates are keyed on candidate indices and priced with
         # ``flip_direction``; both change only here.
         self._iterates: "OrderedDict[tuple[int, bytes], tuple]" = OrderedDict()
@@ -1384,8 +1395,9 @@ class SparseSurrogateEngine(SurrogateEngine):
         same order, so both paths return bit-identical gradients (asserted
         by the kernel parity suite); unsorted-index matrices (never
         produced by the engine's own materialisations) fall back to the
-        reference path, which tolerates them.  While tracing, the compiled
-        path also counts the CSR entries it walked
+        reference path, which tolerates them.  While tracing, the scatter
+        also counts its Δ-overlay entries (``kernels.scatter_gradient.delta``)
+        and, on the compiled path, the CSR entries it walked
         (``kernels.scatter_gradient.entries``).
         """
         tracer = _telemetry.active_tracer()
@@ -1402,6 +1414,7 @@ class SparseSurrogateEngine(SurrogateEngine):
         if tracer is not None:
             tracer.count("kernels.scatter_gradient", int(groups.rows.size),
                          time.perf_counter_ns() - start_ns)
+            tracer.count("kernels.scatter_gradient.delta", len(delta))
             if entries is not None:
                 tracer.count("kernels.scatter_gradient.entries", entries)
         return gradient
@@ -1485,11 +1498,18 @@ class SparseSurrogateEngine(SurrogateEngine):
         if dense:
             # The dense reference's frozen + scatter and its op order in
             # egonet_features_tensor, so the loss is bit-identical to it.
-            matrix = frozen.copy()
-            matrix[rows, cols] = matrix[cols, rows] = values
+            # A step overwrites every candidate cell, so the cached frozen
+            # array serves as its matrix, and the products land in cached
+            # buffers: a step allocates no n×n array.
+            space = self._dense_workspace()
+            matrix = frozen
+            cells = matrix.reshape(-1)
+            cells[space.upper] = values
+            cells[space.lower] = values
             n_feature = matrix.sum(axis=1)
-            two_paths = matrix @ matrix
-            e_feature = n_feature + 0.5 * (two_paths * matrix).sum(axis=1)
+            two_paths = np.matmul(matrix, matrix, out=space.two_paths)
+            closed = np.multiply(two_paths, matrix, out=space.product)
+            e_feature = n_feature + 0.5 * closed.sum(axis=1)
         else:
             overlay = _sparse.coo_matrix(
                 (
@@ -1509,20 +1529,47 @@ class SparseSurrogateEngine(SurrogateEngine):
         if not dense:
             return loss, self._scatter(matrix, d_n, d_e, self._groups)
         # The pair gradient of adjacency_gradient, its common-neighbour
-        # sums read off A² and A·diag(∂L/∂E)·A.
-        weighted = (matrix * d_e) @ matrix
-        gradient = (
-            d_n[rows] + d_n[cols] + d_e[rows] + d_e[cols]
-            + (d_e[rows] + d_e[cols]) * two_paths[rows, cols]
-            + weighted[rows, cols]
-        )
+        # sums read off A² and A·diag(∂L/∂E)·A.  Its terms are summed in
+        # place, in the expression's order, so the bits match it: each
+        # fresh |C|-array costs more than the arithmetic on it.
+        scaled = np.multiply(matrix, d_e, out=space.product)
+        weighted = np.matmul(scaled, matrix, out=space.weighted)
+        gradient = d_n.take(rows)
+        term = d_n.take(cols)
+        gradient += term
+        d_e_rows = d_e.take(rows)
+        gradient += d_e_rows
+        d_e.take(cols, out=term)
+        gradient += term
+        d_e_rows += term
+        d_e_rows *= two_paths.take(space.upper, out=term)
+        gradient += d_e_rows
+        gradient += weighted.take(space.upper, out=term)
         return loss, gradient
+
+    def _dense_workspace(self) -> "_DenseWorkspace":
+        """The dense relaxed step's candidate cells and n×n product buffers.
+
+        Cached until the candidate set changes (:meth:`_on_state_reset`).
+        """
+        if self._workspace is None:
+            n, rows, cols = self.n, self.rows, self.cols
+            self._workspace = _DenseWorkspace(
+                upper=rows * n + cols,
+                lower=cols * n + rows,
+                two_paths=np.empty((n, n)),
+                product=np.empty((n, n)),
+                weighted=np.empty((n, n)),
+            )
+        return self._workspace
 
     def _frozen_base(self, dense: bool):
         """The current graph with the candidate entries blanked, cached.
 
         A dense array for the dense branch of :meth:`relaxed_step`, else a
-        CSR.  The cache is dropped with the candidate set
+        CSR.  The dense branch writes each iterate's values into the
+        array's candidate cells, which are blank only until its first
+        step.  The cache is dropped with the candidate set
         (:meth:`_on_state_reset`) and keyed on the feature engine's CSR,
         which is a new object whenever the graph has changed.
         """

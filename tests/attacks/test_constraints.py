@@ -9,50 +9,12 @@ from repro.attacks.constraints import (
     creates_singleton,
     filter_valid_flips,
     filter_valid_flips_engine,
-    no_singleton_mask,
-    sign_valid_mask,
 )
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.oddball.surrogate import DenseSurrogateEngine, SparseSurrogateEngine
 
 ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
-
-
-class TestSignValidMask:
-    def test_add_needs_negative_gradient(self):
-        adjacency = np.zeros((2, 2))
-        gradient = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        assert sign_valid_mask(adjacency, gradient)[0, 1]
-        assert not sign_valid_mask(adjacency, -gradient)[0, 1]
-
-    def test_delete_needs_positive_gradient(self):
-        adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-        gradient = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert sign_valid_mask(adjacency, gradient)[0, 1]
-        assert not sign_valid_mask(adjacency, -gradient)[0, 1]
-
-    def test_diagonal_never_valid(self):
-        adjacency = np.zeros((3, 3))
-        gradient = -np.ones((3, 3))
-        assert not np.diagonal(sign_valid_mask(adjacency, gradient)).any()
-
-
-class TestNoSingletonMask:
-    def test_deleting_last_edge_blocked(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        mask = no_singleton_mask(g.adjacency)
-        assert not mask[0, 1]  # node 0 has degree 1
-        assert not mask[1, 2]  # node 2 has degree 1
-
-    def test_additions_always_allowed(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        mask = no_singleton_mask(g.adjacency)
-        assert mask[0, 2] and mask[1, 2]
-
-    def test_safe_deletion_allowed(self, triangle_graph):
-        mask = no_singleton_mask(triangle_graph.adjacency)
-        assert mask[0, 1]  # everyone has degree 2
 
 
 class TestCreatesSingleton:

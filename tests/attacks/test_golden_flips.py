@@ -17,6 +17,12 @@ BinarizedAttack is also pinned on the two static strategies where its PGD
 iterates repeat a flip set: ``target_incident`` on the same 10k recipe,
 and ``full`` on three ci-scale Fig. 4 graphs.  Those cases pin the flips
 at every budget and the per-budget surrogate losses, bit for bit.
+
+ContinuousA is pinned on ``full`` on the same three Fig. 4 graphs: its
+flips at every budget, its per-budget losses, and the exact bits of its
+``final_relaxed_loss`` and ``fractional_mass`` metadata.  ``full`` runs the
+sparse engine's dense relaxed step, whose loss and gradient must keep
+the dense oracle's operation order to hold these digests.
 """
 
 import hashlib
@@ -25,7 +31,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.attacks import BinarizedAttack, GradMaxSearch
+from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch
 from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
 from repro.experiments import common
 from repro.experiments.config import CI
@@ -84,6 +90,18 @@ GOLDEN_BINARIZED = {
         "81b0e3e1e83ac70491557b5e7576ac48", "defb4f639f00846534b3e7f841f87cba"),
 }
 
+#: ContinuousA on ``full``: graph -> (digest of the flips at every budget,
+#: digest of the per-budget losses, digest of the bits of
+#: ``final_relaxed_loss`` and ``fractional_mass``).
+GOLDEN_CONTINUOUS = {
+    "er": ("672d527dd01e9ac1c565637fee70e6f6", "bd19ae2137004ad4d8a4c0ac2bb3d88c",
+           "e66cba042f944461ef62a885f0603d39"),
+    "ba": ("7bf1779c25de01b86dacd68e3d13a1b7", "49c13c39d6c8c4bb8ec136bb297cd58e",
+           "bc1e37ae0f9759490ef0ea0018186d38"),
+    "blogcatalog": ("35f9f7b52bf77531ccd70d4d1f4e3176", "efee76ffd95b1a440070126ccf8829ff",
+                    "5885b555df41240786b54c3c89cb4589"),
+}
+
 KERNELS = [
     "numpy",
     pytest.param("compiled", marks=pytest.mark.skipif(
@@ -127,7 +145,11 @@ def test_flips_and_refresh_trail_are_pinned(case, kernels, payload, monkeypatch)
     assert (flip_digest, trail.hexdigest()[:32]) == GOLDEN[case]
 
 
-def _binarized_digests(result) -> "tuple[str, str]":
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _budget_digests(result) -> "tuple[str, str]":
     flips = {
         str(budget): [[int(u), int(v)] for u, v in pairs]
         for budget, pairs in sorted(result.flips_by_budget.items())
@@ -136,10 +158,17 @@ def _binarized_digests(result) -> "tuple[str, str]":
         [result.surrogate_by_budget[b] for b in sorted(result.surrogate_by_budget)],
         dtype="<f8",
     )
-    return (
-        hashlib.sha256(json.dumps(flips, sort_keys=True).encode()).hexdigest()[:32],
-        hashlib.sha256(losses.tobytes()).hexdigest()[:32],
+    return _sha(json.dumps(flips, sort_keys=True).encode()), _sha(losses.tobytes())
+
+
+def _fig4_case(graph_name: str):
+    """A ci-scale Fig. 4 graph, three targets sampled with ``default_rng(1)``
+    and the panel's largest budget."""
+    graph = common.load_experiment_graph(graph_name, CI, SeedSequenceFactory(7)).graph
+    targets = common.sample_targets(
+        OddBall().analyze(graph), 3, np.random.default_rng(1)
     )
+    return graph, targets, CI.budgets_for(graph.number_of_edges)[-1]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
@@ -157,14 +186,26 @@ def test_binarized_static_strategies_are_pinned(case, kernels, payload, monkeypa
             payload, [target], budget=5, candidates=strategy
         )
     else:
-        graph = common.load_experiment_graph(
-            graph_name, CI, SeedSequenceFactory(7)
-        ).graph
-        targets = common.sample_targets(
-            OddBall().analyze(graph), 3, np.random.default_rng(1)
-        )
-        budget = CI.budgets_for(graph.number_of_edges)[-1]
+        graph, targets, budget = _fig4_case(graph_name)
         result = BinarizedAttack(iterations=CI.attack_iterations).attack(
             graph, targets, budget=budget, candidates=strategy
         )
-    assert _binarized_digests(result) == GOLDEN_BINARIZED[case]
+    assert _budget_digests(result) == GOLDEN_BINARIZED[case]
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+@pytest.mark.parametrize("graph_name", list(GOLDEN_CONTINUOUS))
+def test_continuous_full_is_pinned(graph_name, kernels, monkeypatch):
+    """The ci preset's ContinuousA on ``full``, on the Fig. 4 cases above."""
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    graph, targets, budget = _fig4_case(graph_name)
+    result = ContinuousA(max_iter=CI.attack_iterations).attack(
+        graph, targets, budget=budget, candidates="full"
+    )
+    metadata = np.array(
+        [result.metadata["final_relaxed_loss"], result.metadata["fractional_mass"]],
+        dtype="<f8",
+    )
+    assert (*_budget_digests(result), _sha(metadata.tobytes())) == (
+        GOLDEN_CONTINUOUS[graph_name]
+    )

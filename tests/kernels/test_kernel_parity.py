@@ -493,6 +493,46 @@ class TestScatterGradientParity:
         d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
         self._check(csr, d_n, d_e, rows, cols, delta)
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_full_set_under_a_heavy_delta(self, index_dtype):
+        """A ``full`` candidate set under 49 Δ entries, close to
+        ``csr_with_delta``'s ``max_delta=64``.  A full set groups every
+        pair under its row, so node n-1 is a partner only.  12 entries join
+        it to other nodes, 13 toggle edges of the top hub (two deletions),
+        random pairs fill the Δ to 48 entries, and one pair repeats (d
+        accumulates to zero).  Hub folds and partner fixups then each
+        follow multi-entry Δ lists, on all three walks."""
+        rng = np.random.default_rng(13)
+        csr = _with_index_dtype(
+            to_sparse(barabasi_albert(120, 3, rng=5)), index_dtype
+        )
+        n = csr.shape[0]
+        rows, cols = np.triu_indices(n, k=1)
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        adjacency = csr.toarray()
+        top, last = int(np.argmax(np.diff(csr.indptr))), n - 1
+        pairs = {}  # canonical pair -> toggle direction, in insertion order
+
+        def add(u, v):
+            u, v = min(u, v), max(u, v)
+            if u != v:
+                pairs.setdefault((u, v), -1.0 if adjacency[u, v] else 1.0)
+
+        for u in rng.choice(last, size=12, replace=False):
+            add(int(u), last)
+        for v in rng.permutation(n)[:13]:
+            add(top, int(v))
+        while len(pairs) < 48:
+            add(*map(int, rng.integers(0, n, size=2)))
+        delta = [(u, v, d) for (u, v), d in pairs.items()]
+        u, v, d = delta[5]
+        delta.append((u, v, -d))
+        assert len(delta) == 49
+        d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
+        assert self._check(csr, d_n, d_e, rows, cols, delta) == {
+            "push", "push-rewalk", "pull"
+        }
+
     def test_readonly_mmap_store_csr(self, store):
         csr = store.csr()
         assert not csr.indices.flags.writeable

@@ -149,6 +149,33 @@ class TestCounters:
         assert counters["kernels.scatter_gradient.entries"] == push
         assert counters["kernels.scatter_gradient"] == n - 1
 
+    @pytest.mark.parametrize("kernels", [
+        "numpy",
+        pytest.param("compiled", marks=pytest.mark.skipif(
+            not compiled_available(), reason="no compiled kernels")),
+    ])
+    def test_scatter_counts_its_delta(self, tmp_path, kernels):
+        """Each scatter counts its Δ-overlay entries: the flips a gradient
+        folds into the cached CSR, here two pending probes and then none."""
+        graph = barabasi_albert(80, 3, rng=11)
+        rows, cols = np.triu_indices(graph.number_of_nodes, k=1)
+        engine = SurrogateEngine.create(graph, [0], (rows, cols), kernels=kernels)
+        engine.candidate_gradient()  # materialises the cached CSR
+        engine.push_flip(0, 5)
+        engine.push_flip(3, 9)
+        telemetry.configure(tmp_path, worker="main")
+        engine.candidate_gradient()
+        engine.pop_flips(2)
+        engine.candidate_gradient()
+        telemetry.shutdown()
+        counters = {
+            e["name"]: e["count"]
+            for e in telemetry.load_trace_dir(tmp_path)
+            if e["kind"] == "counter"
+        }
+        assert counters["kernels.scatter_gradient.delta"] == 2
+        assert counters["kernels.scatter_gradient"] == 2 * rows.size
+
     def test_adaptive_refresh_counts_its_pool(self, tmp_path):
         """An adaptive-gradient refresh counts its novel pool before the
         admission cap; the cap admits at most that many pairs."""
