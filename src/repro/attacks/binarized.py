@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
-from repro.attacks.candidates import CandidateSet
+from repro.attacks.candidates import CandidateSet, adopt_refresh
 from repro.attacks.constraints import filter_valid_flips_engine
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
@@ -245,25 +245,15 @@ class BinarizedAttack(StructuralAttack):
                 # as landed flips.  Refresh runs every iteration — adaptive
                 # sets only react to landed flips (and return ``self``
                 # otherwise), while a block set resamples its low-gradient
-                # half each step, PRBCD-style.  Ż survives through
-                # ``transfer_positions``: surviving pairs keep their state,
-                # evicted pairs drop theirs, fresh entries start at ``init``
-                # (a membership change can keep |C| constant, so the old
-                # length check is not a valid shortcut here).
+                # half each step, PRBCD-style.  Ż migrates along the
+                # refresh's lineage: surviving pairs keep their state,
+                # evicted pairs drop theirs, fresh entries start at ``init``.
                 if candidate_set is not None:
                     refreshed = candidate_set.refresh(landed or [], engine)
                     if refreshed is not candidate_set:
-                        if not refreshed.same_pairs(candidate_set):
-                            migrated = np.full(
-                                len(refreshed), self.init, dtype=np.float64
-                            )
-                            positions = refreshed.transfer_positions(rows, cols)
-                            survived = positions >= 0
-                            migrated[positions[survived]] = zdot[survived]
-                            zdot = migrated
-                            engine.set_candidates(refreshed)
-                            rows, cols = refreshed.rows, refreshed.cols
+                        zdot = adopt_refresh(engine, refreshed, zdot, self.init)
                         candidate_set = refreshed
+                        rows, cols = refreshed.rows, refreshed.cols
             final_zdot = zdot.copy()
 
         flips_by_budget, surrogate_by_budget = self._select(

@@ -13,7 +13,7 @@ optimisation (a handful of O(deg)/O(m) steps per job) is the cheap part.
 large graphs) carries the clean graph's feature state across every job:
 
 * before a job, the engine is **retargeted** — targets, candidate pairs,
-  floor and weights are swapped in O(|C|) (:meth:`SurrogateEngine.retarget`);
+  floor and weights are swapped in O(|C| + n) (:meth:`SurrogateEngine.retarget`);
 * the attack runs through the engine's apply → score → rollback API;
 * after the job, :meth:`SurrogateEngine.restore` rolls back whatever
   permanent flips the attack landed, at O(deg) per flip — the O(n + m)

@@ -60,11 +60,16 @@ strategies trade coverage for speed:
     already-flipped pair (flips are never evicted — the invariant the
     attacks' state transfer relies on), and resamples the remainder from a
     fresh deterministic draw.  Unlike the adaptive strategies a refresh
-    both adds AND drops pairs; attacks migrate per-pair optimiser state
-    with :meth:`CandidateSet.transfer_positions` instead of
-    :meth:`~CandidateSet.remap_positions`.  When ``block_size`` covers
+    both adds AND drops pairs.  When ``block_size`` covers
     every pair the block degenerates to exactly ``full`` (same pairs, same
     order, refresh is a no-op), which is the parity anchor the tests pin.
+
+Every refresh that returns a new set records its :class:`Lineage`: where
+each pair of the set it was called on landed in the new one (−1 if
+evicted).  Attacks carry their per-pair optimiser state through it with
+:func:`adopt_refresh`, and the engine carries its per-pair caches
+(:meth:`~repro.oddball.surrogate.SurrogateEngine.set_candidates`), so a
+refresh costs its admissions, not a re-derivation of every pair.
 
 Admission and block sizing share one budget-aware policy
 (:func:`admission_cap`, :func:`default_block_size`): both scale with the
@@ -89,8 +94,9 @@ never through numpy's ``unique``/``union1d``/``setdiff1d``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,7 +109,9 @@ __all__ = [
     "BlockCandidateSet",
     "CandidateSet",
     "CANDIDATE_STRATEGIES",
+    "Lineage",
     "admission_cap",
+    "adopt_refresh",
     "default_block_size",
 ]
 
@@ -195,6 +203,19 @@ def _neighbors_of(matrix, node: int) -> np.ndarray:
     return np.flatnonzero(matrix[node]).astype(np.intp)
 
 
+class Lineage(NamedTuple):
+    """Where a refresh put each pair of the set it was called on.
+
+    ``parent`` is a weak reference to that set (a strong one would chain
+    every set of a long refresh sequence together in memory), and
+    ``positions[k]`` is the position in the refreshed set of the parent's
+    k-th pair, or −1 if the refresh evicted it.
+    """
+
+    parent: "weakref.ref[CandidateSet]"
+    positions: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
     """An immutable, canonically-ordered set of candidate pairs.
@@ -210,6 +231,10 @@ class CandidateSet:
     strategy:
         The name of the strategy that built the set (``"custom"`` for
         :meth:`from_pairs`).
+    lineage:
+        Set by :meth:`refresh` on the sets it returns: the
+        :class:`Lineage` from the set it was called on (``None`` for a set
+        built from scratch).
     """
 
     n: int
@@ -219,6 +244,7 @@ class CandidateSet:
     _pair_set: "frozenset[Edge] | None" = field(
         default=None, repr=False, compare=False
     )
+    lineage: "Lineage | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -415,61 +441,6 @@ class CandidateSet:
     # ------------------------------------------------------------------ #
     # Per-step adaptation
     # ------------------------------------------------------------------ #
-    def remap_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Positions of the given canonical pairs inside this set.
-
-        The adaptive-refresh contract is that sets only *grow*, so every
-        pair of a pre-refresh set appears in the refreshed one; attacks use
-        this to remap per-pair optimiser state (``Ż`` values, used-pair
-        masks) onto the grown arrays with one vectorised binary search.
-        Raises if any queried pair is not a member — a refresh
-        implementation that dropped pairs would otherwise corrupt the
-        remapped state silently.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        keys = self.rows * self.n + self.cols
-        wanted = rows * self.n + cols
-        positions = np.searchsorted(keys, wanted)
-        if positions.size and (
-            positions.max(initial=0) >= keys.size
-            or not np.array_equal(keys[positions], wanted)
-        ):
-            raise ValueError("pairs to remap are not all members of this set")
-        return positions
-
-    def transfer_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Positions of the given canonical pairs in this set, −1 where absent.
-
-        The resampling counterpart of :meth:`remap_positions`: a ``block``
-        refresh both admits and *evicts* pairs, so state transfer must
-        tolerate pairs that left the set.  Attacks scatter surviving state
-        through the non-negative entries and re-initialise the rest.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        keys = self.rows * self.n + self.cols
-        wanted = rows * self.n + cols
-        positions = np.searchsorted(keys, wanted)
-        if keys.size == 0:
-            return np.full(wanted.shape, -1, dtype=np.intp)
-        clipped = np.minimum(positions, keys.size - 1)
-        return np.where(keys[clipped] == wanted, clipped, -1).astype(np.intp)
-
-    def same_pairs(self, other: "CandidateSet") -> bool:
-        """Whether ``other`` holds exactly the same pairs in the same order.
-
-        (Canonical ordering makes order equality equal to set equality.)
-        The attacks' per-step adaptation uses this — not ``len()`` equality,
-        which a resampling refresh can preserve while changing membership —
-        to decide whether optimiser state needs migrating.
-        """
-        return (
-            self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-        )
-
     def refresh(self, flips: "Sequence[Edge]", engine=None) -> "CandidateSet":
         """Hook the attacks call after ``flips`` land: maybe grow the set.
 
@@ -477,9 +448,42 @@ class CandidateSet:
         free); :class:`AdaptiveCandidateSet` returns a grown set.  ``engine``
         is the live :class:`~repro.oddball.surrogate.SurrogateEngine`, used
         for neighbour lookups against the *current* (partially poisoned)
-        graph.
+        graph.  A returned set other than ``self`` carries its
+        :class:`Lineage` from ``self``.
         """
         return self
+
+    def _refreshed(self, keys: np.ndarray, positions: np.ndarray, **fields):
+        """The set of sorted ``keys`` a refresh of ``self`` returns.
+
+        ``positions`` is where each pair of ``self`` lands in it (−1 if
+        evicted); ``fields`` are the subclass's own fields.
+        """
+        return type(self)(
+            n=self.n,
+            rows=(keys // self.n).astype(np.intp),
+            cols=(keys % self.n).astype(np.intp),
+            strategy=self.strategy,
+            lineage=Lineage(weakref.ref(self), positions),
+            **fields,
+        )
+
+
+def adopt_refresh(engine, refreshed: CandidateSet, state: np.ndarray, fill) -> np.ndarray:
+    """Point ``engine`` at ``refreshed`` and carry per-pair ``state`` onto it.
+
+    ``state`` is aligned with the set ``refreshed`` was refreshed from (the
+    engine's current set): every pair the refresh kept keeps its entry, and
+    admitted pairs start at ``fill``.  The one migration both attacks run
+    after a refresh — GradMaxSearch's used-pair mask and BinarizedAttack's
+    Ż — beside the engine's own carried caches.
+    """
+    positions = refreshed.lineage.positions
+    kept = positions >= 0
+    migrated = np.full(len(refreshed), fill, dtype=state.dtype)
+    migrated[positions[kept]] = state[kept]
+    engine.set_candidates(refreshed)
+    return migrated
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,8 +565,9 @@ class AdaptiveCandidateSet(CandidateSet):
         log + |C|) per call, with no hash dedupe (plus one engine
         ``pair_gradient`` evaluation over the pool under the gradient
         policy).  ``self`` is returned unchanged when no flip endpoint is
-        new.  The result is always a superset of the current set (the
-        invariant :meth:`CandidateSet.remap_positions` relies on).
+        new.  The result is always a superset of the current set: its
+        :class:`Lineage` maps every pair of ``self`` (none is evicted),
+        read off the insertion points with no key search.
         """
         new_nodes = sorted(
             {int(w) for pair in flips for w in pair} - self.ball
@@ -593,11 +598,12 @@ class AdaptiveCandidateSet(CandidateSet):
             positions, pool = positions[admitted], pool[admitted]
         keys = np.insert(old_keys, positions, pool)
         _telemetry.count("candidates.admissions", int(pool.size))
-        return AdaptiveCandidateSet(
-            n=n,
-            rows=(keys // n).astype(np.intp),
-            cols=(keys % n).astype(np.intp),
-            strategy=self.strategy,
+        # np.insert puts each admitted key before the old key at its
+        # position, so old key i moves up by the admissions at positions <= i.
+        shift = np.cumsum(np.bincount(positions, minlength=old_keys.size + 1))
+        carried = np.arange(old_keys.size, dtype=np.intp) + shift[:old_keys.size]
+        return self._refreshed(
+            keys, carried,
             ball=self.ball.union(new_nodes),
             growth=self.growth,
             admit_cap=self.admit_cap,
@@ -772,11 +778,10 @@ class BlockCandidateSet(CandidateSet):
         _telemetry.count("candidates.block_refreshes", 1)
         _telemetry.count("candidates.evictions", int(keys.size - kept.size))
         _telemetry.count("candidates.admissions", int(new_keys.size - kept.size))
-        return BlockCandidateSet(
-            n=self.n,
-            rows=(new_keys // self.n).astype(np.intp),
-            cols=(new_keys % self.n).astype(np.intp),
-            strategy="block",
+        positions, evicted = key_positions(new_keys, keys)
+        positions[evicted] = -1
+        return self._refreshed(
+            new_keys, positions,
             block_size=self.block_size,
             seed=self.seed,
             draw=self.draw + 1,

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
-from repro.attacks.candidates import CandidateSet
+from repro.attacks.candidates import CandidateSet, adopt_refresh
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
@@ -140,7 +140,7 @@ class GradMaxSearch(StructuralAttack):
         modified = np.zeros(len(candidate_set), dtype=bool)
         # A pair's adjacency value only changes when the pair itself flips,
         # and flipped pairs leave the pool through ``modified`` — so the
-        # per-pair edge values are only recomputed when the candidate set
+        # per-pair edge values are only re-read when the candidate set
         # itself adapts.
         edge_values = engine.edge_values
 
@@ -166,23 +166,15 @@ class GradMaxSearch(StructuralAttack):
             surrogate_by_budget[len(ordered_flips)] = engine.current_loss()
             # Per-step adaptation: the landed flip may grow the ball
             # (adaptive) or trigger a resample of the low-gradient half
-            # (block).  The greedy state (``modified``) migrates via
-            # ``transfer_positions`` — flipped pairs are never evicted by
-            # any strategy, so no used-pair flag is ever lost; membership
-            # can change at constant |C|, so equality is checked on the
-            # pairs themselves.
+            # (block).  The greedy state (``modified``) migrates along the
+            # refresh's lineage — flipped pairs are never evicted by any
+            # strategy, so no used-pair flag is ever lost.
             refreshed = candidate_set.refresh([(u, v)], engine)
             if refreshed is not candidate_set:
-                if not refreshed.same_pairs(candidate_set):
-                    migrated = np.zeros(len(refreshed), dtype=bool)
-                    positions = refreshed.transfer_positions(rows, cols)
-                    survived = positions >= 0
-                    migrated[positions[survived]] = modified[survived]
-                    modified = migrated
-                    engine.set_candidates(refreshed)
-                    rows, cols = refreshed.rows, refreshed.cols
-                    edge_values = engine.edge_values
+                modified = adopt_refresh(engine, refreshed, modified, False)
                 candidate_set = refreshed
+                rows, cols = refreshed.rows, refreshed.cols
+                edge_values = engine.edge_values
 
         return self._prefix_result(
             self.name,

@@ -58,9 +58,28 @@ from repro import telemetry as _telemetry
 from repro.graph.sparse import egonet_features_sparse, to_sparse
 from repro.kernels import kernel_table, resolve_kernels
 
-__all__ = ["IncrementalEgonetFeatures"]
+__all__ = ["IncrementalEgonetFeatures", "toggled_pairs"]
 
 Edge = tuple[int, int]
+
+
+def toggled_pairs(before: "list[Edge]", after: "list[Edge]") -> "list[Edge]":
+    """Pairs whose value differs between two flip stacks over one base graph.
+
+    A stack lists the canonical pairs flipped on top of the base, in order
+    (:attr:`IncrementalEgonetFeatures.flips`).  Past the stacks' common
+    prefix, a pair toggled an odd number of times in the two suffixes
+    together is exactly one whose value changed (toggling is an
+    involution).  Pairs come in order of first appearance, ``before``'s
+    suffix first.  O(len(before) + len(after)).
+    """
+    prefix, limit = 0, min(len(before), len(after))
+    while prefix < limit and before[prefix] == after[prefix]:
+        prefix += 1
+    parity: "dict[Edge, int]" = {}
+    for pair in before[prefix:] + after[prefix:]:
+        parity[pair] = parity.get(pair, 0) ^ 1
+    return [pair for pair, odd in parity.items() if odd]
 
 
 class IncrementalEgonetFeatures:
@@ -417,30 +436,13 @@ class IncrementalEgonetFeatures:
     def _net_changes(self) -> "list[tuple[int, int, float]]":
         """Net ``(u, v, ±1)`` toggles between the cached CSR state and now.
 
-        Pairs toggled an odd number of times since the cached state are
-        exactly the entries whose value changed (toggling is an involution);
-        the sign is the *current* value minus the cached one.
+        The sign is the *current* value minus the cached one.
         """
-        stack, current = self._csr_stack, self._flips
-        prefix = 0
-        for prefix in range(min(len(stack), len(current)) + 1):
-            if (
-                prefix == len(stack)
-                or prefix == len(current)
-                or stack[prefix] != current[prefix]
-            ):
-                break
-        parity: dict[Edge, int] = {}
-        for pair in stack[prefix:]:
-            parity[pair] = parity.get(pair, 0) ^ 1
-        for pair in current[prefix:]:
-            parity[pair] = parity.get(pair, 0) ^ 1
         return [
             # Changed pairs were flipped, so their endpoint rows are
             # materialised — this membership test is a set lookup.
             (u, v, 1.0 if self.is_edge(u, v) else -1.0)
-            for (u, v), odd in parity.items()
-            if odd
+            for u, v in toggled_pairs(self._csr_stack, self._flips)
         ]
 
     def csr_with_delta(

@@ -49,6 +49,9 @@ class CompiledKernels:
     def __init__(self):
         """Load (building if necessary) the shared library."""
         self._ffi, self._lib = load_kernel_lib()
+        #: ``(n, views)`` of the scatter kernel's zeroed scratch for one
+        #: node count (see :meth:`_scatter_scratch`).
+        self._scatter_buffers: "tuple[int, tuple] | None" = None
 
     # -- small marshalling helpers ----------------------------------------
 
@@ -179,12 +182,9 @@ class CompiledKernels:
         du = np.array([u for u, _, _ in delta], dtype=np.int64)
         dv = np.array([v for _, v, _ in delta], dtype=np.int64)
         dd = np.array([d for _, _, d in delta], dtype=np.float64)
-        # The Δ index's per-node heads cost O(n) only when there is a Δ.
-        dhead = np.zeros(n if ndelta else 1, dtype=np.int64)  # kernel restores
         dnext = np.empty(max(2 * ndelta, 1), dtype=np.int64)
         extra = np.empty(max(ndelta, 1), dtype=np.int64)
-        work = np.zeros(n, dtype=np.float64)  # kernel restores to zeros
-        acc = np.zeros(2 * n, dtype=np.float64)  # likewise
+        dhead, work, acc = self._scatter_scratch(n)
         ptr_ptr, idx_ptr, suffix, keep = self._csr_views(csr)
         inputs = [
             self._in_f64(csr.data), self._in_f64(d_n), self._in_f64(d_e),
@@ -196,14 +196,31 @@ class CompiledKernels:
         fn = getattr(self._lib, f"repro_scatter_gradient_{suffix}")
         entries = fn(
             ptr_ptr, idx_ptr, *(ptr for ptr, _ in inputs), npairs,
-            *(ptr for ptr, _ in deltas), ndelta, n,
-            self._scratch("long long[]", dhead),
+            *(ptr for ptr, _ in deltas), ndelta, n, dhead,
             self._scratch("long long[]", dnext),
             self._scratch("long long[]", extra),
-            self._out_f64(work), self._out_f64(acc), self._out_f64(gradient),
+            work, acc, self._out_f64(gradient),
         )
         del keep, inputs, deltas
         return gradient, int(entries)
+
+    def _scatter_scratch(self, n: int) -> tuple:
+        """C views of the scatter kernel's ``(dhead, work, acc)`` scratch for
+        ``n`` nodes: n int64, n and 2n float64 zeros.
+
+        The kernel returns all three to zero (``dhead`` is read only when
+        there is a Δ), so the arrays and their views are made once per node
+        count, not once per call.  A process runs one scatter at a time:
+        the engines are single-threaded.
+        """
+        if self._scatter_buffers is None or self._scatter_buffers[0] != n:
+            # A from_buffer view keeps its array alive.
+            self._scatter_buffers = (n, (
+                self._scratch("long long[]", np.zeros(n, dtype=np.int64)),
+                self._out_f64(np.zeros(n, dtype=np.float64)),
+                self._out_f64(np.zeros(2 * n, dtype=np.float64)),
+            ))
+        return self._scatter_buffers[1]
 
 
 class ToggleState:

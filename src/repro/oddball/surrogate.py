@@ -38,7 +38,9 @@ at O(|C|) for an iterate whose flip set repeats one of the last
 :data:`ITERATE_MEMO_SIZE` evaluated at the same graph state.  The
 objective ``(loss, ∂L/∂N, ∂L/∂E)`` is memoised per graph version, so
 ``current_loss``, ``candidate_gradient`` and ``pair_gradient`` at one
-state share one evaluation.
+state share one forward pass (a loss-only evaluation is completed by its
+backward half alone).  Per-pair caches follow candidate refreshes and
+``restore`` by carrying what still holds instead of re-reading every pair.
 
 :class:`DenseSurrogateEngine` replays the exact autograd op sequence the
 attacks historically used — O(n³) per forward, O(n²) in memory.  It is
@@ -220,42 +222,84 @@ def _loss_and_gradients(
     """``(loss, ∂L/∂N, ∂L/∂E)`` from one validate/log/clamp/OLS pass.
 
     The single numpy copy of the feature-space objective behind
-    :func:`surrogate_loss_from_features` and :func:`feature_gradients`;
-    engines that need both per step call it once.  With
-    ``gradients=False`` the two gradients are ``None`` and only the loss
-    is computed.
+    :func:`surrogate_loss_from_features` and :func:`feature_gradients`:
+    :func:`_forward` followed by :func:`_backward`.  Engines that need
+    both per step call it once.  With ``gradients=False`` the two
+    gradients are ``None`` and only the loss is computed.
     """
+    forward = _forward(n_feature, e_feature, targets, floor, ridge, weights)
+    if not gradients:
+        return forward.loss, None, None
+    return (forward.loss, *_backward(forward))
+
+
+class _Forward(NamedTuple):
+    """The objective's forward half: the loss and what :func:`_backward` reads."""
+
+    loss: float
+    floor: float
+    targets: np.ndarray
+    kappa: "np.ndarray | None"
+    n_feature: np.ndarray
+    e_feature: np.ndarray
+    clamped_n: np.ndarray
+    clamped_e: np.ndarray
+    x: np.ndarray  # log of the clamped N
+    y: np.ndarray  # log of the clamped E
+    fit: "_OLSFit"
+    exp_rho: np.ndarray
+    residuals: np.ndarray
+
+
+def _forward(
+    n_feature: np.ndarray,
+    e_feature: np.ndarray,
+    targets: Sequence[int],
+    floor: float,
+    ridge: float,
+    weights: "Sequence[float] | None",
+) -> _Forward:
+    """Validate, log-clamp, fit and score: the loss of the objective."""
     if floor <= 0.0:
         raise ValueError(f"floor must be positive to keep logs finite, got {floor}")
     n_feature = np.asarray(n_feature, dtype=np.float64)
     e_feature = np.asarray(e_feature, dtype=np.float64)
     targets = _validate_targets(targets, n_feature.shape[0])
     kappa = None if weights is None else _validate_weights(weights, len(targets))
-    n = n_feature.shape[0]
     clamped_n = np.maximum(n_feature, floor)
     clamped_e = np.maximum(e_feature, floor)
     x = np.log(clamped_n)
     y = np.log(clamped_e)
 
     fit = _fit_power_law_numpy(x, y, ridge)
-    sum_x, sum_xy, sum_y = fit.sum_x, fit.sum_xy, fit.sum_y
-    a_term, c_term, det = fit.a_term, fit.c_term, fit.det
-    num0, num1 = fit.num0, fit.num1
-    beta0, beta1 = fit.beta0, fit.beta1
-
-    rho = beta0 + beta1 * x[targets]
+    rho = fit.beta0 + fit.beta1 * x[targets]
     exp_rho = np.exp(rho)
     residuals = e_feature[targets] - exp_rho
     squared = residuals * residuals
     if kappa is not None:
         squared = squared * kappa
-    loss = float(squared.sum())
-    if not gradients:
-        return loss, None, None
+    return _Forward(
+        loss=float(squared.sum()), floor=floor, targets=targets, kappa=kappa,
+        n_feature=n_feature, e_feature=e_feature,
+        clamped_n=clamped_n, clamped_e=clamped_e, x=x, y=y, fit=fit,
+        exp_rho=exp_rho, residuals=residuals,
+    )
+
+
+def _backward(forward: _Forward) -> "tuple[np.ndarray, np.ndarray]":
+    """``(∂L/∂N, ∂L/∂E)`` by the chain rule through a :func:`_forward` pass."""
+    floor, targets, x, y = forward.floor, forward.targets, forward.x, forward.y
+    fit, exp_rho = forward.fit, forward.exp_rho
+    sum_x, sum_xy, sum_y = fit.sum_x, fit.sum_xy, fit.sum_y
+    a_term, c_term, det = fit.a_term, fit.c_term, fit.det
+    num0, num1 = fit.num0, fit.num1
+    beta1 = fit.beta1
+    n = x.shape[0]
+    kappa = forward.kappa
     if kappa is None:
         kappa = np.ones(len(targets))
 
-    d_residual = 2.0 * kappa * residuals
+    d_residual = 2.0 * kappa * forward.residuals
     d_rho = -d_residual * exp_rho
     d_beta0 = d_rho.sum()
     d_beta1 = (d_rho * x[targets]).sum()
@@ -283,10 +327,10 @@ def _loss_and_gradients(
         tie = (feature == floor).astype(np.float64) * 0.5
         return (wins + tie) / clamped
 
-    d_n = d_x * clamp_chain(n_feature, clamped_n)
-    d_e = d_y * clamp_chain(e_feature, clamped_e)
+    d_n = d_x * clamp_chain(forward.n_feature, forward.clamped_n)
+    d_e = d_y * clamp_chain(forward.e_feature, forward.clamped_e)
     d_e[targets] += d_residual
-    return loss, d_n, d_e
+    return d_n, d_e
 
 
 def adjacency_gradient(
@@ -734,6 +778,11 @@ class SurrogateEngine(abc.ABC):
         #: The *requested* hot-kernel flag, exported unresolved by
         #: :meth:`engine_spec` so workers re-resolve ``auto`` per host.
         self.kernels_flag = validate_kernels(kernels)
+        #: The candidates last passed to :meth:`set_candidates` (the parent
+        #: a refreshed set's lineage must name to carry the pair cache).
+        self._candidates = None
+        #: :meth:`_flip_log` when the pair cache last described the graph.
+        self._cache_log: "list[tuple[int, int]]" = []
         self.set_candidates(candidates)
 
     # ------------------------------------------------------------------ #
@@ -820,7 +869,8 @@ class SurrogateEngine(abc.ABC):
     # ------------------------------------------------------------------ #
     @property
     def edge_values(self) -> np.ndarray:
-        """Adjacency values at the candidate pairs, as of construction."""
+        """Adjacency values at the candidate pairs, as of the last
+        :meth:`set_candidates`, :meth:`retarget` or :meth:`restore`."""
         return self._edge_values.copy()
 
     @property
@@ -841,10 +891,29 @@ class SurrogateEngine(abc.ABC):
 
         The graph state is untouched; only the decision variables change.
         ``candidates`` follows the constructor's convention (``None`` =
-        every upper-triangle pair).  Per-pair caches (``edge_values``,
-        ``flip_direction``) are recomputed against the *current* graph, so
-        this is also how adaptive candidate sets are threaded mid-attack.
+        every upper-triangle pair).  Afterwards the per-pair caches
+        (``edge_values``, ``flip_direction``) describe the *current*
+        graph, so this is also how adaptive candidate sets are threaded
+        mid-attack.
+
+        A set refreshed from the engine's current one (its
+        :class:`~repro.attacks.candidates.Lineage` names that very object)
+        carries the values of every pair the refresh kept: only the
+        admitted pairs are read off the graph, and kept pairs flipped since
+        the cache was built are toggled, so a refresh costs O(admissions)
+        lookups plus O(|C|) array moves.  Anything else (a fresh set, raw
+        arrays, ``None``) carries nothing and reads every pair.  The hub
+        grouping is recomputed either way.
         """
+        lineage = getattr(candidates, "lineage", None)
+        if (
+            lineage is not None
+            and self._candidates is not None
+            and lineage.parent() is self._candidates
+        ):
+            positions, previous = lineage.positions, self._edge_values
+        else:
+            positions, previous = np.empty(0, dtype=np.intp), np.empty(0)
         if candidates is None:
             rows, cols = np.triu_indices(self.n, k=1)
             self.rows = rows.astype(np.intp)
@@ -853,7 +922,13 @@ class SurrogateEngine(abc.ABC):
             self.rows, self.cols = _candidate_arrays(candidates)
         if self.rows.size and self.cols.max() >= self.n:
             raise ValueError(f"candidate pair indices out of range [0, {self.n})")
-        self._refresh_pair_cache()
+        self._candidates = candidates
+        kept = positions >= 0
+        values = np.empty(self.rows.size)
+        values[positions[kept]] = previous[kept]
+        fresh = np.ones(self.rows.size, dtype=bool)
+        fresh[positions[kept]] = False
+        self._refresh_pair_cache(values, np.flatnonzero(fresh))
         self._on_state_reset()
 
     def retarget(
@@ -868,7 +943,8 @@ class SurrogateEngine(abc.ABC):
 
         This is the campaign primitive: one engine (one incremental feature
         state, one CSR cache) serves many ``(targets, budget, λ)`` jobs —
-        switching jobs costs O(|C|) bookkeeping instead of the O(n + m)
+        switching jobs costs O(|C| + n) bookkeeping (one pair lookup per
+        candidate, and the hub grouping) instead of the O(n + m)
         feature/neighbour rebuild a fresh engine would pay.  The caller is
         responsible for restoring the graph itself (see :meth:`checkpoint` /
         :meth:`restore`) before retargeting.
@@ -883,14 +959,40 @@ class SurrogateEngine(abc.ABC):
         self._weights = weights
         self.set_candidates(candidates)
 
-    def _refresh_pair_cache(self) -> None:
-        """Recompute per-pair values/directions against the current graph."""
-        self._edge_values = self._pair_values(self.rows, self.cols)
+    def _refresh_pair_cache(self, values: np.ndarray, fresh: np.ndarray) -> None:
+        """Make the per-pair values/directions describe the current graph.
+
+        ``values`` holds carried values, read when the flip log was
+        ``_cache_log``; ``fresh`` lists the positions carrying nothing,
+        which are read off the graph.  A carried pair toggled an odd number
+        of times since then has changed, and its value (exactly 0.0 or 1.0)
+        is flipped to ``1 − v``: bit for bit what a re-read returns.
+        """
+        from repro.graph.incremental import toggled_pairs
+
+        log = self._flip_log()
+        stale = toggled_pairs(self._cache_log, log)
+        if stale and fresh.size < values.size:
+            n = self.n
+            keys = self.rows * n + self.cols
+            for u, v in stale:  # a handful of pairs: one compare pass each
+                changed = keys == u * n + v
+                values[changed] = 1.0 - values[changed]
+        if fresh.size:
+            values[fresh] = self._pair_values(self.rows[fresh], self.cols[fresh])
+        _telemetry.count("candidates.carried", int(values.size - fresh.size))
+        self._cache_log = log
+        self._edge_values = values
         #: per-pair ``1 − 2·A0`` — +1 on non-edges (add), −1 on edges (delete)
-        self.flip_direction = 1.0 - 2.0 * self._edge_values
+        self.flip_direction = 1.0 - 2.0 * values
 
     def _on_state_reset(self) -> None:
         """Hook for backends to drop caches keyed on candidates/graph state."""
+
+    @abc.abstractmethod
+    def _flip_log(self) -> "list[tuple[int, int]]":
+        """The canonical pairs flipped on the construction-time graph, in
+        order: permanent flips, then pending transient ones."""
 
     # ------------------------------------------------------------------ #
     # Backend-specific primitives
@@ -990,8 +1092,11 @@ class SurrogateEngine(abc.ABC):
     def restore(self, token: int) -> None:
         """Undo every permanent flip applied after :meth:`checkpoint`.
 
-        O(deg) per undone flip; per-pair caches are refreshed so the engine
-        is immediately reusable.  Transient flips still pending (an attack
+        O(deg) per undone flip.  The candidate set is kept, and so are the
+        caches keyed on it alone: the per-pair values are fixed up only
+        where an undone flip changed them (O(|C|) array work, no pair
+        lookup), equal bit for bit to a full re-read, so the engine is
+        immediately reusable.  Transient flips still pending (an attack
         that died mid-probe) are rolled back first — restore always returns
         the engine to the exact checkpointed graph.
         """
@@ -1214,23 +1319,22 @@ class DenseSurrogateEngine(SurrogateEngine):
                 f"invalid checkpoint token {token}; {len(self._permanent)} "
                 "permanent flips applied"
             )
-        dirty = bool(self._transient)
-        if dirty:
+        if self._transient:
             # an attack died mid-probe — unwind its transient flips first
             self.pop_flips(len(self._transient))
-        if token < len(self._permanent):
-            dirty = True
-            while len(self._permanent) > token:
-                u, v = self._permanent.pop()
-                self._adjacency[u, v] = self._adjacency[v, u] = (
-                    1.0 - self._adjacency[u, v]
-                )
-        if dirty:
-            self._refresh_pair_cache()
-            self._on_state_reset()
+        while len(self._permanent) > token:
+            u, v = self._permanent.pop()
+            self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
+            self._frozen = None
+        self._refresh_pair_cache(self._edge_values, np.empty(0, dtype=np.intp))
 
     def _on_state_reset(self) -> None:
         self._frozen = None
+
+    def _flip_log(self) -> "list[tuple[int, int]]":
+        return [
+            (u, v) if u < v else (v, u) for u, v in self._permanent + self._transient
+        ]
 
 
 class _DenseWorkspace(NamedTuple):
@@ -1280,8 +1384,9 @@ class SparseSurrogateEngine(SurrogateEngine):
         # only record of which stack entries are *transient* (pushed, not
         # yet popped) — engine_spec() refuses to export around them.
         self._transient_count = 0
-        #: ``(version, loss, ∂L/∂N, ∂L/∂E)`` of the last objective evaluated
-        #: (gradients ``None`` when only the loss was asked for).
+        #: ``(version, loss, forward pass, (∂L/∂N, ∂L/∂E))`` of the last
+        #: objective evaluated: a loss-only entry keeps its forward pass
+        #: and has no gradients, a full one the reverse.
         self._objective_memo: "tuple | None" = None
         super().__init__(
             self._features.n, targets, candidates,
@@ -1334,14 +1439,23 @@ class SparseSurrogateEngine(SurrogateEngine):
                          time.perf_counter_ns() - start_ns)
         return values
 
+    def _flip_log(self) -> "list[tuple[int, int]]":
+        return self._features.flips
+
     def _on_state_reset(self) -> None:
-        # The hub grouping depends only on the candidate pairs: computed
-        # here once, not on every gradient scatter.
+        # The hub grouping and the dense workspace depend only on the
+        # candidate pairs: computed here once, not on every scatter, and
+        # kept across restore.
         self._groups = _group_pairs(self.rows, self.cols, self.n)
-        self._frozen = None
         self._workspace: "_DenseWorkspace | None" = None
+        self._on_graph_reset()
+
+    def _on_graph_reset(self) -> None:
+        """Drop the caches keyed on the graph as well as the candidates."""
+        self._frozen = None
         # Iterates are keyed on candidate indices and priced with
-        # ``flip_direction``; both change only here.
+        # ``flip_direction``; both change only with the candidates or a
+        # restore.
         self._iterates: "OrderedDict[tuple[int, bytes], tuple]" = OrderedDict()
 
     def retarget(
@@ -1364,22 +1478,29 @@ class SparseSurrogateEngine(SurrogateEngine):
         The feature version identifies the graph, so a repeat call at the
         same state (``current_loss``, ``candidate_gradient`` and
         ``pair_gradient`` all ask once per greedy step) reuses one
-        evaluation.  A loss-only entry is upgraded when gradients are
-        requested.  The gradient arrays are shared; callers only read them.
+        evaluation.  A loss-only entry keeps its forward pass, and a later
+        gradient request completes it with the backward half alone
+        (counted as ``oddball.objective.upgraded``): one forward pass per
+        graph version.  The gradient arrays are shared; callers only read
+        them.
         """
         version = self._features.version
         memo = self._objective_memo
-        if memo is not None and memo[0] == version and (
-            memo[2] is not None or not gradients
-        ):
-            return memo[1], memo[2], memo[3]
-        n_feature, e_feature = self._features.features()
-        loss, d_n, d_e = _loss_and_gradients(
-            n_feature, e_feature, self._targets,
-            self.floor, self.ridge, self._weights, gradients=gradients,
-        )
-        self._objective_memo = (version, loss, d_n, d_e)
-        return loss, d_n, d_e
+        if memo is None or memo[0] != version:
+            n_feature, e_feature = self._features.features()
+            forward = _forward(
+                n_feature, e_feature, self._targets,
+                self.floor, self.ridge, self._weights,
+            )
+            memo = (version, forward.loss, forward, None)
+        elif gradients and memo[3] is None:
+            _telemetry.count("oddball.objective.upgraded")
+        if gradients and memo[3] is None:
+            # The forward intermediates are dropped once the gradients exist.
+            memo = (version, memo[1], None, _backward(memo[2]))
+        self._objective_memo = memo
+        d_n, d_e = memo[3] or (None, None)
+        return memo[1], d_n, d_e
 
     def _scatter(
         self,
@@ -1679,16 +1800,22 @@ class SparseSurrogateEngine(SurrogateEngine):
         return self._features.depth
 
     def restore(self, token: int) -> None:
-        """Roll the flip stack back to ``token`` (O(deg) per undone flip)."""
+        """Roll the flip stack back to ``token`` (O(deg) per undone flip).
+
+        The candidate-keyed caches survive: the pair values are fixed up
+        where they no longer describe the graph, and the hub grouping and
+        dense workspace are kept.  A rollback drops the graph-keyed frozen
+        base and iterate memo; the objective memo is keyed on the graph
+        version and stays valid.
+        """
         depth = self._features.depth
         if not 0 <= token <= depth:
             raise ValueError(
                 f"invalid checkpoint token {token}; flip stack depth is {depth}"
             )
-        if token == depth:
-            return
-        self._features.rollback(depth - token)
-        # Anything transient sat above the token and is gone now.
-        self._transient_count = 0
-        self._refresh_pair_cache()
-        self._on_state_reset()
+        if token < depth:
+            self._features.rollback(depth - token)
+            # Anything transient sat above the token and is gone now.
+            self._transient_count = 0
+            self._on_graph_reset()
+        self._refresh_pair_cache(self._edge_values, np.empty(0, dtype=np.intp))

@@ -23,7 +23,11 @@ from repro.attacks import (
     RandomAttack,
     grid_jobs,
 )
-from repro.attacks.candidates import admission_cap, default_block_size
+from repro.attacks.candidates import (
+    admission_cap,
+    adopt_refresh,
+    default_block_size,
+)
 from repro.kernels import compiled_available
 from repro.oddball.surrogate import (
     DenseSurrogateEngine,
@@ -35,6 +39,10 @@ requires_compiled = pytest.mark.skipif(
     not compiled_available(),
     reason="no C toolchain/cffi on this host; compiled backend unavailable",
 )
+
+
+def _same_pairs(a, b):
+    return np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
 
 
 def _total(n):
@@ -82,8 +90,8 @@ class TestBlockSampling:
         a = BlockCandidateSet.start(60, block_size=128, seed=3)
         b = BlockCandidateSet.start(60, block_size=128, seed=3)
         other = BlockCandidateSet.start(60, block_size=128, seed=4)
-        assert a.same_pairs(b)
-        assert not a.same_pairs(other)
+        assert _same_pairs(a, b)
+        assert not _same_pairs(a, other)
 
     def test_pairs_are_canonical_unique_and_in_range(self):
         block = BlockCandidateSet.start(97, block_size=500, seed=1)
@@ -150,7 +158,7 @@ class TestBlockRefreshInvariants:
         )
         refreshed = block.refresh([], engine)
         assert refreshed.draw == block.draw + 1
-        assert not refreshed.same_pairs(block)  # the low-gradient half left
+        assert not _same_pairs(refreshed, block)  # the low-gradient half left
         assert len(refreshed) <= 64
 
     def test_flipped_pairs_survive_many_refreshes(self, small_ba_graph):
@@ -168,46 +176,40 @@ class TestBlockRefreshInvariants:
             assert block.flipped == frozenset({pair})
 
 
-class TestTransferPositions:
-    def test_survivors_map_and_evicted_get_minus_one(self):
-        old = CandidateSet(
-            n=8,
-            rows=np.array([0, 1, 2], dtype=np.intp),
-            cols=np.array([3, 4, 5], dtype=np.intp),
+class TestLineage:
+    def test_survivors_map_and_evicted_get_minus_one(self, small_ba_graph):
+        old = BlockCandidateSet.start(60, block_size=64, seed=9)
+        engine = SurrogateEngine.create(
+            sparse.csr_matrix(small_ba_graph.adjacency), [0, 1], old,
         )
-        new = CandidateSet(
-            n=8,
-            rows=np.array([0, 2, 6], dtype=np.intp),
-            cols=np.array([3, 5, 7], dtype=np.intp),
-        )
-        positions = new.transfer_positions(old.rows, old.cols)
-        assert positions.tolist() == [0, -1, 1]
+        new = old.refresh([], engine)
+        assert new.lineage.parent() is old
+        positions = new.lineage.positions
+        assert positions.size == len(old)
+        survived = positions >= 0
+        assert 0 < survived.sum() < len(old)  # the low-gradient half left
+        assert np.array_equal(new.rows[positions[survived]], old.rows[survived])
+        assert np.array_equal(new.cols[positions[survived]], old.cols[survived])
+        evicted = set(zip(old.rows[~survived].tolist(), old.cols[~survived].tolist()))
+        assert not evicted & new.pair_set()
 
-    def test_empty_set_maps_everything_to_minus_one(self):
-        empty = CandidateSet(
-            n=5,
-            rows=np.empty(0, dtype=np.intp),
-            cols=np.empty(0, dtype=np.intp),
+    def test_adopt_refresh_carries_state_and_repoints_the_engine(
+        self, small_ba_graph
+    ):
+        old = BlockCandidateSet.start(60, block_size=64, seed=9)
+        engine = SurrogateEngine.create(
+            sparse.csr_matrix(small_ba_graph.adjacency), [0, 1], old,
         )
-        positions = empty.transfer_positions(
-            np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
-        )
-        assert positions.tolist() == [-1]
-
-    def test_same_pairs_sees_membership_change_at_equal_length(self):
-        a = CandidateSet(
-            n=6,
-            rows=np.array([0, 1], dtype=np.intp),
-            cols=np.array([2, 3], dtype=np.intp),
-        )
-        b = CandidateSet(
-            n=6,
-            rows=np.array([0, 1], dtype=np.intp),
-            cols=np.array([2, 4], dtype=np.intp),
-        )
-        assert len(a) == len(b)
-        assert not a.same_pairs(b)
-        assert a.same_pairs(a)
+        new = old.refresh([], engine)
+        state = np.arange(1.0, len(old) + 1.0)
+        migrated = adopt_refresh(engine, new, state, -1.0)
+        positions = new.lineage.positions
+        survived = positions >= 0
+        expected = np.full(len(new), -1.0)
+        expected[positions[survived]] = state[survived]
+        assert np.array_equal(migrated, expected)
+        assert np.array_equal(engine.rows, new.rows)
+        assert np.array_equal(engine.cols, new.cols)
 
 
 class TestBlockSequenceBackendParity:

@@ -194,10 +194,16 @@ class TestGradientGrowth:
         for flip in [(5, 30), (30, 77), (77, 101)]:
             engine.apply_flip(*flip)
             grown = current.refresh([flip], engine)
+            assert grown is not current
             assert base_pairs <= set(grown.pairs())
             assert set(current.pairs()) <= set(grown.pairs())
-            # remap (the attack-state contract) must succeed on every pair
-            grown.remap_positions(current.rows, current.cols)
+            # the recorded lineage (the attack-state contract) maps every
+            # pair of the previous set onto itself in the grown one
+            assert grown.lineage.parent() is current
+            positions = grown.lineage.positions
+            assert positions.size == len(current) and positions.min() >= 0
+            assert np.array_equal(grown.rows[positions], current.rows)
+            assert np.array_equal(grown.cols[positions], current.cols)
             current = grown
 
     def test_admissions_capped_and_gradient_ranked(self):

@@ -1,12 +1,16 @@
 """Golden flips: adaptive and block candidate refreshes are pinned, byte for byte.
 
 Each case is an attack, a candidate strategy and a single target on the
-10k ``blogcatalog-full`` store recipe (seed 7), run at budget 5.  Two
+10k ``blogcatalog-full`` store recipe (seed 7), run at budget 5.  Three
 digests are pinned per case:
 
 * the flips, as a sha256 over their JSON list;
 * the refresh trail, a sha256 over the int64 pair keys of every set a
-  ``refresh`` returned, in call order.
+  ``refresh`` returned, in call order;
+* the per-budget surrogate losses (``surrogate_by_budget``), bit for bit.
+  These pin the objective on the refresh path, where the engine carries
+  per-pair state across refreshes and completes loss-only evaluations
+  with their backward half.
 
 Single-target flips at budget 5 land on target-incident pairs, so the
 trail is what catches a drift in which pairs a refresh admits or evicts.
@@ -46,31 +50,45 @@ ATTACKS = {
     "gradmaxsearch-block": lambda: GradMaxSearch(block_size=64),
 }
 
+#: (attack, strategy, target) -> (digest of the flips, digest of the
+#: refresh trail, digest of the per-budget losses).
 GOLDEN = {
     ("gradmaxsearch", "adaptive", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "84e2377473db9a3295c08f55d5d045ba"),
+        "c435b09bbee753a4beb39a53c9a0b9e4", "84e2377473db9a3295c08f55d5d045ba",
+        "d192cd742fc18377fcb68fb7580a4893"),
     ("gradmaxsearch", "adaptive", 113): (
-        "8fb8059c8e8e718af81710de44669396", "562944904cad4850a585468d59e7420e"),
+        "8fb8059c8e8e718af81710de44669396", "562944904cad4850a585468d59e7420e",
+        "f9ec446fc4ccc8979b988454db97fe3c"),
     ("gradmaxsearch", "adaptive", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "3f1595e47e282805d89719e390a5bb21"),
+        "57317dcf78fc8e7e297e537c9f277527", "3f1595e47e282805d89719e390a5bb21",
+        "2c053adfce2c10fc3e7691932965dad9"),
     ("gradmaxsearch", "adaptive_gradient", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "037cd07dc5b619128a9157fe09f14d26"),
+        "c435b09bbee753a4beb39a53c9a0b9e4", "037cd07dc5b619128a9157fe09f14d26",
+        "d192cd742fc18377fcb68fb7580a4893"),
     ("gradmaxsearch", "adaptive_gradient", 113): (
-        "8fb8059c8e8e718af81710de44669396", "2c7f291f22aac5366aeda5306b9bb25e"),
+        "8fb8059c8e8e718af81710de44669396", "2c7f291f22aac5366aeda5306b9bb25e",
+        "f9ec446fc4ccc8979b988454db97fe3c"),
     ("gradmaxsearch", "adaptive_gradient", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "8278427c443edacc650a9fa89fda696c"),
+        "57317dcf78fc8e7e297e537c9f277527", "8278427c443edacc650a9fa89fda696c",
+        "2c053adfce2c10fc3e7691932965dad9"),
     ("binarizedattack", "adaptive_gradient", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "bc02dbb0346013e48c28401e80575ab1"),
+        "c435b09bbee753a4beb39a53c9a0b9e4", "bc02dbb0346013e48c28401e80575ab1",
+        "259262950fe1a49abd72a4e038a6802d"),
     ("binarizedattack", "adaptive_gradient", 113): (
-        "8fb8059c8e8e718af81710de44669396", "c05efa949ef74207aa7707f190ce29af"),
+        "8fb8059c8e8e718af81710de44669396", "c05efa949ef74207aa7707f190ce29af",
+        "c162a267a1539783ce391e724d16102d"),
     ("binarizedattack", "adaptive_gradient", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "b116d89edc0bde8c0c5df0baf2a8d14d"),
+        "57317dcf78fc8e7e297e537c9f277527", "b116d89edc0bde8c0c5df0baf2a8d14d",
+        "60833629df7dcfb7cce47390e5671de0"),
     ("gradmaxsearch-block", "block", 1844): (
-        "c43623e07308cf449f25030c4435c4e0", "2706f2ff6c04eca105d31e18f21fdb23"),
+        "c43623e07308cf449f25030c4435c4e0", "2706f2ff6c04eca105d31e18f21fdb23",
+        "48e28d261a009e391cb884f0f169d395"),
     ("gradmaxsearch-block", "block", 113): (
-        "7b7b6bc153a904fb700dac735f7a2667", "d398669c62189ea22797f37991b26c89"),
+        "7b7b6bc153a904fb700dac735f7a2667", "d398669c62189ea22797f37991b26c89",
+        "c08f9e76ab51e491c25f9830deb35d6d"),
     ("gradmaxsearch-block", "block", 9721): (
-        "0726c192aa01cdf101fcb12b262df77c", "59af866567e4e7f17269659a721f778e"),
+        "0726c192aa01cdf101fcb12b262df77c", "59af866567e4e7f17269659a721f778e",
+        "40b731a283c527bd95ed83895b6b18a8"),
 }
 
 #: BinarizedAttack on a static strategy: (strategy, graph, target) ->
@@ -142,11 +160,19 @@ def test_flips_and_refresh_trail_are_pinned(case, kernels, payload, monkeypatch)
     )
     flips = [[int(u), int(v)] for u, v in result.flips()]
     flip_digest = hashlib.sha256(json.dumps(flips).encode()).hexdigest()[:32]
-    assert (flip_digest, trail.hexdigest()[:32]) == GOLDEN[case]
+    assert (flip_digest, trail.hexdigest()[:32], _loss_digest(result)) == GOLDEN[case]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _loss_digest(result) -> str:
+    losses = np.array(
+        [result.surrogate_by_budget[b] for b in sorted(result.surrogate_by_budget)],
+        dtype="<f8",
+    )
+    return _sha(losses.tobytes())
 
 
 def _budget_digests(result) -> "tuple[str, str]":
@@ -154,11 +180,7 @@ def _budget_digests(result) -> "tuple[str, str]":
         str(budget): [[int(u), int(v)] for u, v in pairs]
         for budget, pairs in sorted(result.flips_by_budget.items())
     }
-    losses = np.array(
-        [result.surrogate_by_budget[b] for b in sorted(result.surrogate_by_budget)],
-        dtype="<f8",
-    )
-    return _sha(json.dumps(flips, sort_keys=True).encode()), _sha(losses.tobytes())
+    return _sha(json.dumps(flips, sort_keys=True).encode()), _loss_digest(result)
 
 
 def _fig4_case(graph_name: str):

@@ -2,23 +2,36 @@
 
 One :class:`~repro.oddball.surrogate.SparseSurrogateEngine` is driven
 through random sequences of ``binarized_step``, ``push_flip``/
-``pop_flips``, ``apply_flip``, ``checkpoint``/``restore``,
-``set_candidates`` and ``retarget``.  A dense 0/1 array models the graph
-the engine should hold.  After every ``binarized_step``, ``current_loss``
-and ``candidate_gradient`` the answer is compared bit for bit with a
-freshly built engine on that modelled graph (for the gradient, held as
-the same cached CSR plus overlay of unfolded flips), so every memo the engine
-keeps (the objective per graph version, the iterate LRU per version and
-flip set) must return exactly what a recomputation would.
+``pop_flips``, ``apply_flip`` (on free and on candidate pairs),
+``checkpoint``/``restore``, ``set_candidates``, ``retarget`` and real
+candidate refreshes: an ``adaptive_gradient`` set growing through
+``AdaptiveCandidateSet.refresh`` and a ``block`` set evicting through
+``BlockCandidateSet.refresh``, each optionally after applying the landed
+candidate flip.  A dense 0/1 array models the graph the engine should
+hold.  After every ``binarized_step``, ``current_loss`` and
+``candidate_gradient`` the answer is compared bit for bit with a freshly
+built engine on that modelled graph (for the gradient, held as the same
+cached CSR plus overlay of unfolded flips), so every memo the engine keeps
+(the objective per graph version, the iterate LRU per version and flip
+set) must return exactly what a recomputation would.
+
+The per-pair cache (``edge_values``, ``flip_direction``) and the hub
+grouping describe the graph as of the last ``set_candidates``,
+``retarget``, refresh or ``restore``; a second model array holds that
+graph.  After every rule they are compared bit for bit with a fresh
+engine's on it, so a cache carried along a refresh's lineage or fixed up
+by ``restore`` must equal a full re-read.
 
 Ż vectors come from a small pool per candidate set, so flip sets repeat
 (memo hits) and more distinct sets than the LRU holds occur (evictions).
 Two Ż vectors of the pool share one flip set with different values.
-Graph edits never touch a pair of the current candidate set, and the
-candidates change only while no transient flip is pending, so the
-engine's ``flip_direction`` always describes the current graph and the
-fresh engine is an exact reference.  The machine runs on both kernel
-backends and on an engine backed by a memory-mapped store.
+Transient probes never touch a pair of the current candidate set, the
+candidates change only while no transient flip is pending, and
+``binarized_step`` runs only while no candidate pair has been flipped
+since the cache was built, so its ``flip_direction`` describes the
+current graph and the fresh engine is an exact reference.  The machine
+runs on both kernel backends and on an engine backed by a memory-mapped
+store.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from hypothesis.stateful import (
 )
 from scipy import sparse
 
+from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
 from repro.kernels import compiled_available
 from repro.oddball.surrogate import ITERATE_MEMO_SIZE, SparseSurrogateEngine
 from repro.store import build_store
@@ -57,6 +71,17 @@ def store(tmp_path_factory):
     return build_store(
         "er", cache_dir=tmp_path_factory.mktemp("machine-store"), scale=0.1, seed=3
     )
+
+
+def _candidate_set(n: int, targets: "list[int]", seed: int):
+    """Seeds 0-2 as :func:`_candidate_pool` arrays; seed 3 an
+    ``adaptive_gradient`` set (admitting at most 8 pairs a refresh),
+    seed 4 a ``block`` of 150 pairs."""
+    if seed == 3:
+        return AdaptiveCandidateSet.start(n, targets, growth="gradient", admit_cap=8)
+    if seed == 4:
+        return BlockCandidateSet.start(n, block_size=150, seed=5)
+    return _candidate_pool(n, targets, seed)
 
 
 def _candidate_pool(n: int, targets: "list[int]", seed: int):
@@ -97,22 +122,43 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
         def __init__(self):
             super().__init__()
             self.adj = dense.copy()
+            self.cache_adj = dense.copy()  # the graph the pair cache describes
             self.pending: "list[tuple[int, int]]" = []
             self.snapshots: "dict[int, np.ndarray]" = {}
             self.targets, self.floor, self.weights = TARGET_SETS[0], 1.0, None
             self._use_candidates(0)
             self.engine = SparseSurrogateEngine(
-                graph, self.targets, (self.rows, self.cols), kernels=kernels
+                graph, self.targets, self.candidates, kernels=kernels
             )
 
         # -- model helpers ----------------------------------------------
         def _use_candidates(self, seed: int) -> None:
-            self.rows, self.cols = _candidate_pool(n, self.targets, seed)
+            self._track(_candidate_set(n, self.targets, seed))
+
+        def _track(self, candidates) -> None:
+            """Model the engine's candidates (a CandidateSet or arrays);
+            the pair cache now describes the current graph."""
+            self.candidates = candidates
+            if isinstance(candidates, tuple):
+                self.rows, self.cols = candidates
+            else:
+                self.rows, self.cols = candidates.rows, candidates.cols
             self.pool = _zdot_pool(self.rows.size)
             self.candidate_keys = set((self.rows * n + self.cols).tolist())
+            self.cache_adj = self.adj.copy()
+
+        def _cache_current(self) -> bool:
+            """No candidate pair has flipped since the pair cache was built."""
+            return np.array_equal(
+                self.adj[self.rows, self.cols], self.cache_adj[self.rows, self.cols]
+            )
 
         def _toggle(self, u: int, v: int) -> None:
             self.adj[u, v] = self.adj[v, u] = 1.0 - self.adj[u, v]
+
+        def _candidate_pair(self, data) -> "tuple[int, int]":
+            k = data.draw(st.integers(0, self.rows.size - 1), label="k")
+            return int(self.rows[k]), int(self.cols[k])
 
         def _free_pair(self, data) -> "tuple[int, int]":
             """A pair outside the candidate set (keeps flip_direction exact)."""
@@ -122,9 +168,10 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
                 if u * n + v not in self.candidate_keys:
                     return u, v
 
-        def _reference(self) -> SparseSurrogateEngine:
+        def _reference(self, adj: "np.ndarray | None" = None) -> SparseSurrogateEngine:
             return SparseSurrogateEngine(
-                sparse.csr_matrix(self.adj), self.targets, (self.rows, self.cols),
+                sparse.csr_matrix(self.adj if adj is None else adj), self.targets,
+                (self.rows, self.cols),
                 floor=self.floor, weights=self.weights, kernels=kernels,
             )
 
@@ -149,6 +196,7 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             return reference
 
         # -- evaluations --------------------------------------------------
+        @precondition(lambda self: self._cache_current())
         @rule(indices=st.lists(st.integers(0, POOL_FLIP_SETS), min_size=1, max_size=8))
         def binarized_steps(self, indices):
             """A run of PGD-like steps at one graph state."""
@@ -196,6 +244,14 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             self.engine.apply_flip(u, v)
             self._toggle(u, v)
 
+        @precondition(lambda self: not self.pending and self.rows.size)
+        @rule(data=st.data())
+        def apply_candidate_flip(self, data):
+            """A greedy step: the flipped pair's cached value goes stale."""
+            u, v = self._candidate_pair(data)
+            self.engine.apply_flip(u, v)
+            self._toggle(u, v)
+
         @precondition(lambda self: not self.pending)
         @rule()
         def checkpoint(self):
@@ -207,20 +263,21 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             token = data.draw(st.sampled_from(sorted(self.snapshots)), label="token")
             self.engine.restore(token)
             self.adj = self.snapshots[token].copy()
+            self.cache_adj = self.adj.copy()
             self.pending = []
             self.snapshots = {t: a for t, a in self.snapshots.items() if t <= token}
 
         # -- reconfiguration -----------------------------------------------
         @precondition(lambda self: not self.pending)
-        @rule(seed=st.integers(0, 2))
+        @rule(seed=st.integers(0, 4))
         def set_candidates(self, seed):
             self._use_candidates(seed)
-            self.engine.set_candidates((self.rows, self.cols))
+            self.engine.set_candidates(self.candidates)
 
         @precondition(lambda self: not self.pending)
         @rule(
             target_set=st.sampled_from(TARGET_SETS),
-            seed=st.integers(0, 2),
+            seed=st.integers(0, 4),
             floor=st.sampled_from(FLOORS),
             weighted=st.booleans(),
         )
@@ -229,14 +286,45 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             self.weights = [1.0 + i for i in range(len(target_set))] if weighted else None
             self._use_candidates(seed)
             self.engine.retarget(
-                self.targets, (self.rows, self.cols),
+                self.targets, self.candidates,
                 floor=self.floor, weights=self.weights,
             )
 
+        def _refresh(self, data) -> None:
+            """Land a candidate pair (applied to the graph or not, as an
+            attack's recorded iterate is not), refresh the set through the
+            engine and hand the result over along its lineage."""
+            flip = self._candidate_pair(data)
+            if data.draw(st.booleans(), label="apply"):
+                self.engine.apply_flip(*flip)
+                self._toggle(*flip)
+            refreshed = self.candidates.refresh([flip], self.engine)
+            if refreshed is not self.candidates:
+                assert refreshed.lineage.parent() is self.candidates
+                self.engine.set_candidates(refreshed)
+                self._track(refreshed)
+
+        @precondition(lambda self: not self.pending and isinstance(
+            self.candidates, AdaptiveCandidateSet))
+        @rule(data=st.data())
+        def grow(self, data):
+            self._refresh(data)
+
+        @precondition(lambda self: not self.pending and isinstance(
+            self.candidates, BlockCandidateSet))
+        @rule(data=st.data())
+        def resample(self, data):
+            self._refresh(data)
+
         @invariant()
-        def flip_direction_describes_the_graph(self):
-            expected = 1.0 - 2.0 * self.adj[self.rows, self.cols]
-            assert np.array_equal(self.engine.flip_direction, expected)
+        def pair_cache_matches_a_fresh_engine(self):
+            """Values, directions and hub groups equal a fresh engine's on
+            the graph the cache describes."""
+            reference = self._reference(self.cache_adj)
+            assert np.array_equal(self.engine.edge_values, reference.edge_values)
+            assert np.array_equal(self.engine.flip_direction, reference.flip_direction)
+            for mine, fresh in zip(self.engine._groups, reference._groups):
+                assert np.array_equal(mine, fresh)
 
     return EngineMachine
 
@@ -313,3 +401,38 @@ def test_memo_hits_return_fresh_arrays(store, kernels):
     again_loss, again, _ = engine.binarized_step(zdot)
     assert again_loss == loss
     assert np.array_equal(again, expected)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_restore_fixes_up_a_carried_pair_cache(store, kernels):
+    """``restore`` leaves the pair cache equal to a fresh engine's: after a
+    rollback past a refresh that carried a flipped candidate pair, and at
+    the checkpoint's own depth after a candidate flip."""
+    graph = store.detached_csr()
+    clean = _dense(graph)
+    n, targets = clean.shape[0], TARGET_SETS[0]
+    candidates = AdaptiveCandidateSet.start(n, targets, growth="gradient", admit_cap=8)
+    engine = SparseSurrogateEngine(graph, targets, candidates, kernels=kernels)
+
+    def check(adj, pairs):
+        reference = SparseSurrogateEngine(
+            sparse.csr_matrix(adj), targets, pairs, kernels=kernels
+        )
+        assert np.array_equal(engine.edge_values, reference.edge_values)
+        assert np.array_equal(engine.flip_direction, reference.flip_direction)
+
+    k = int(np.flatnonzero(~np.isin(candidates.cols, targets))[0])
+    u, v = int(candidates.rows[k]), int(candidates.cols[k])
+    flipped = clean.copy()
+    flipped[u, v] = flipped[v, u] = 1.0 - clean[u, v]
+    token = engine.checkpoint()
+    engine.apply_flip(u, v)
+    grown = candidates.refresh([(u, v)], engine)
+    assert grown.lineage.parent() is candidates
+    engine.set_candidates(grown)
+    check(flipped, grown)
+    engine.restore(token)
+    check(clean, grown)
+    engine.apply_flip(u, v)
+    engine.restore(engine.checkpoint())
+    check(flipped, grown)

@@ -197,6 +197,66 @@ class TestCounters:
         # hub entrants pool more pairs than one refresh may admit
         assert counters["candidates.pool"] > counters["candidates.admissions"]
 
+    def test_adaptive_refresh_counts_carried_pairs(self, tmp_path, monkeypatch):
+        """Each refresh hands the engine its pair cache along the lineage:
+        every pair of the refreshed-from set is carried
+        (``candidates.carried``), and only the initial set and the
+        admissions are read off the graph (``kernels.pair_values``)."""
+        from repro.attacks import GradMaxSearch
+        from repro.attacks.candidates import AdaptiveCandidateSet
+
+        parents = []
+        refresh = AdaptiveCandidateSet.refresh
+
+        def recording(self, flips, engine=None):
+            refreshed = refresh(self, flips, engine)
+            if refreshed is not self:
+                parents.append(len(self))
+            return refreshed
+
+        monkeypatch.setattr(AdaptiveCandidateSet, "refresh", recording)
+        graph = barabasi_albert(300, 8, rng=3)
+        telemetry.configure(tmp_path, worker="main")
+        with telemetry.span("root"):
+            GradMaxSearch().attack(
+                graph, [5], budget=4, candidates="adaptive_gradient"
+            )
+        telemetry.shutdown()
+        counters = {
+            e["name"]: e["count"]
+            for e in telemetry.load_trace_dir(tmp_path)
+            if e["kind"] == "counter"
+        }
+        assert parents
+        assert counters["candidates.carried"] == sum(parents)
+        assert counters["kernels.pair_values"] == (
+            graph.number_of_nodes - 1 + counters["candidates.admissions"]
+        )
+
+    def test_loss_only_objective_is_upgraded_once(self, tmp_path):
+        """A gradient request at a graph version whose loss alone was
+        evaluated runs only the backward half (``oddball.objective.upgraded``);
+        a repeat, or a version evaluated with gradients, counts nothing."""
+        graph = barabasi_albert(80, 3, rng=11)
+        rows, cols = np.triu_indices(graph.number_of_nodes, k=1)
+        engine = SurrogateEngine.create(graph, [0], (rows, cols))
+        telemetry.configure(tmp_path, worker="main")
+        loss = engine.current_loss()
+        gradient = engine.candidate_gradient()
+        engine.candidate_gradient()
+        engine.apply_flip(0, 5)
+        engine.candidate_gradient()
+        engine.current_loss()
+        telemetry.shutdown()
+        upgraded = sum(
+            e["count"] for e in telemetry.load_trace_dir(tmp_path)
+            if e["kind"] == "counter" and e["name"] == "oddball.objective.upgraded"
+        )
+        assert upgraded == 1
+        fresh = SurrogateEngine.create(graph, [0], (rows, cols))
+        assert np.array_equal(gradient, fresh.candidate_gradient())
+        assert loss == fresh.current_loss()
+
     def test_binarized_memo_counts_reused_iterates(self, tmp_path, monkeypatch):
         """A traced ``target_incident`` BinarizedAttack repeats flip sets at
         one graph state, so some but not all of its iterates are served
