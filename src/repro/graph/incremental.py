@@ -56,7 +56,6 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.graph.sparse import egonet_features_sparse, to_sparse
-from repro.kernels import kernel_table, resolve_kernels
 
 __all__ = ["IncrementalEgonetFeatures", "toggled_pairs"]
 
@@ -91,13 +90,10 @@ class IncrementalEgonetFeatures:
         A :class:`~repro.graph.graph.Graph`, dense adjacency array or scipy
         sparse matrix.  Validated through :func:`repro.graph.sparse.to_sparse`
         (square, symmetric, binary, zero diagonal).
-    kernels:
-        ``{"auto", "numpy", "compiled"}`` — which hot-kernel backend runs
-        the per-flip feature updates (see :mod:`repro.kernels`).  The
-        resolved choice is exposed as :attr:`kernels`.  Both backends
-        perform the same integer arithmetic in float64, so features,
-        rollbacks and materialised CSRs are bit-identical either way;
-        ``numpy`` (pure Python sets + numpy) is the parity oracle.
+
+    Flips run in Python on every kernel backend: touched rows are
+    neighbour sets over the base CSR, and each flip's common-neighbour
+    ``E`` update is one numpy fancy-index add.
 
     Example
     -------
@@ -111,14 +107,11 @@ class IncrementalEgonetFeatures:
     True
     """
 
-    def __init__(self, graph, kernels: str = "auto"):
+    def __init__(self, graph):
         csr = to_sparse(graph)
         if not csr.has_sorted_indices:
             csr.sort_indices()
         self.n = int(csr.shape[0])
-        #: Resolved kernel backend ("numpy" or "compiled") actually in use.
-        self.kernels = resolve_kernels(kernels)
-        self._kt = kernel_table() if self.kernels == "compiled" else None
         #: Read-only clean-graph CSR: rows not present in ``_rows`` are
         #: exactly this matrix's rows.  May be backed by np.memmap arrays
         #: (a GraphStore); nothing in this class ever writes to it.
@@ -126,10 +119,7 @@ class IncrementalEgonetFeatures:
         #: Mutable neighbour overrides, materialised lazily — only for nodes
         #: a flip has touched.  Invariant: ``u not in _rows`` ⇒ ``u``'s
         #: neighbourhood equals the base CSR row (no flip ever touched it).
-        #: numpy kernels store Python sets; the compiled backend stores
-        #: arena slot indices into :class:`~repro.kernels.compiled.ToggleState`
-        #: (the C side materialises and edits the rows in place).
-        self._rows: "dict[int, set[int] | int]" = {}
+        self._rows: "dict[int, set[int]]" = {}
         precomputed = getattr(csr, "_repro_egonet_features", None)
         if precomputed is not None:
             # A GraphStore CSR ships its clean (N, E) precomputed at build
@@ -142,16 +132,6 @@ class IncrementalEgonetFeatures:
         # these arrays are mutated in place by every flip.
         self._n_feature = np.array(n_feature, dtype=np.float64, copy=True)
         self._e_feature = np.array(e_feature, dtype=np.float64, copy=True)
-        #: Persistent compiled flip state (arena + cached cffi pointers);
-        #: None on the numpy backend.  Mutates ``_n_feature``/``_e_feature``
-        #: in place and keeps ``_rows`` mapped to its arena slots.
-        self._ts = (
-            self._kt.toggle_state(
-                csr, self._n_feature, self._e_feature, self._rows
-            )
-            if self._kt is not None
-            else None
-        )
         self._flips: list[Edge] = []
         # Monotone state version: every flip advances it, every rollback
         # restores the pre-flip value.  Because rollback really does return
@@ -204,12 +184,9 @@ class IncrementalEgonetFeatures:
 
     def is_edge(self, u: int, v: int) -> bool:
         row = self._rows.get(u)
-        if row is None:
-            row = self._base_row(u)
-        elif isinstance(row, set):
+        if row is not None:
             return v in row
-        else:
-            row = self._ts.row(row)
+        row = self._base_row(u)
         index = int(np.searchsorted(row, v))
         return index < row.size and int(row[index]) == v
 
@@ -226,23 +203,18 @@ class IncrementalEgonetFeatures:
         row = self._rows.get(u)
         if row is None:
             return set(self._base_row(u).tolist())
-        if isinstance(row, set):
-            return row
-        return set(self._ts.row(row).tolist())
+        return row
 
     def sorted_neighbors(self, u: int) -> np.ndarray:
         """``u``'s neighbour ids as a fresh sorted ``intp`` array.
 
-        The array twin of :meth:`neighbors`: a copy of the base CSR row or
-        of the compiled arena row (both kept sorted), or the sorted numpy
-        override set — no Python-level sort.
+        The array twin of :meth:`neighbors`: a copy of the (sorted) base
+        CSR row, or the override set sorted by numpy — no Python-level sort.
         """
         row = self._rows.get(u)
         if row is None:
             return self._base_row(u).astype(np.intp)
-        if isinstance(row, set):
-            return np.sort(np.fromiter(row, dtype=np.intp, count=len(row)))
-        return self._ts.row(row).astype(np.intp)
+        return np.sort(np.fromiter(row, dtype=np.intp, count=len(row)))
 
     def common_neighbors(self, u: int, v: int) -> "set[int]":
         """``Γ(u) ∩ Γ(v)`` (never contains ``u`` or ``v`` — no self-loops)."""
@@ -307,50 +279,26 @@ class IncrementalEgonetFeatures:
         """Toggle the pair ``{u, v}``, updating features in O(deg)."""
         u, v = int(u), int(v)
         pair = self._check_pair(u, v)
-        if self._ts is not None:
-            self._ts.toggle_one(u, v)
-        else:
-            self._toggle(u, v)
+        self._toggle(u, v)
         self._bump_version(pair)
 
     def flip_batch(self, pairs) -> None:
-        """Apply many flips in order with one kernel call (compiled backend).
+        """Apply many flips in order, all or none.
 
-        Semantically identical to ``for u, v in pairs: self.flip(u, v)`` —
-        flips land strictly in sequence, each on the stack with its own
-        version — but the compiled backend crosses the Python/C boundary
-        once for the whole batch instead of once per flip.  The numpy
-        backend simply loops.
+        Equivalent to ``for u, v in pairs: self.flip(u, v)`` — flips land
+        strictly in sequence, each on the stack with its own version, so a
+        pair repeated in one batch is applied and then undone — except
+        that every pair is validated first: a bad pair raises
+        :meth:`flip`'s error for the first one and leaves the state
+        untouched.  While tracing, the loop is timed as the
+        ``kernels.toggle_batch`` counter (one count per pair).
         """
-        pairs = list(pairs)
+        pairs = [self._check_pair(int(u), int(v)) for u, v in pairs]
         tracer = _telemetry.active_tracer()
         start_ns = time.perf_counter_ns() if tracer is not None else 0
-        if self._ts is not None and len(pairs) > 1:
-            arr = np.array(pairs, dtype=np.int64)
-            u, v = arr[:, 0], arr[:, 1]
-            invalid = (u == v) | (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
-            if invalid.any():
-                # Raise before any mutation, with the same message
-                # _check_pair would produce for the first bad pair.
-                i = int(np.flatnonzero(invalid)[0])
-                self._check_pair(int(u[i]), int(v[i]))
-            node_u = np.ascontiguousarray(np.minimum(u, v))
-            node_v = np.ascontiguousarray(np.maximum(u, v))
-            self._ts.toggle_pairs(node_u, node_v)
-            self._flips.extend(zip(node_u.tolist(), node_v.tolist()))
-            # Bulk equivalent of len(pairs) _bump_version calls.
-            counter = self._version_counter
-            count = len(pairs)
-            self._prev_versions.append(self._version)
-            self._prev_versions.extend(range(counter, counter + count - 1))
-            self._version = counter + count - 1
-            self._version_counter = counter + count
-            if tracer is not None:
-                tracer.count("kernels.toggle_batch", len(pairs),
-                             time.perf_counter_ns() - start_ns)
-            return
-        for u, v in pairs:
-            self.flip(int(u), int(v))
+        for pair in pairs:
+            self._toggle(*pair)
+            self._bump_version(pair)
         if tracer is not None:
             tracer.count("kernels.toggle_batch", len(pairs),
                          time.perf_counter_ns() - start_ns)
@@ -369,22 +317,9 @@ class IncrementalEgonetFeatures:
             raise ValueError(
                 f"cannot roll back {count} flips, only {len(self._flips)} applied"
             )
-        if self._ts is not None and count > 1:
-            arr = np.array(self._flips[-count:], dtype=np.int64)[::-1]
-            del self._flips[-count:]
-            self._ts.toggle_pairs(
-                np.ascontiguousarray(arr[:, 0]),
-                np.ascontiguousarray(arr[:, 1]),
-            )
-            self._version = self._prev_versions[-count]
-            del self._prev_versions[-count:]
-            return
         for _ in range(count):
             u, v = self._flips.pop()
-            if self._ts is not None:
-                self._ts.toggle_one(u, v)
-            else:
-                self._toggle(u, v)
+            self._toggle(u, v)
             self._version = self._prev_versions.pop()
 
     def _toggle(self, u: int, v: int) -> None:
@@ -399,8 +334,12 @@ class IncrementalEgonetFeatures:
         self._n_feature[v] += delta
         self._e_feature[u] += delta * (1.0 + len(common))
         self._e_feature[v] += delta * (1.0 + len(common))
-        for w in common:
-            self._e_feature[w] += delta
+        # One fancy-index add: each w appears once and the deltas are
+        # integers, so this equals the per-neighbour loop exactly.  Most
+        # flips share no neighbour, and skipping the empty add there
+        # saves the array build.
+        if common:
+            self._e_feature[np.fromiter(common, np.intp, len(common))] += delta
         if delta > 0:
             row_u.add(v)
             row_v.add(u)
@@ -495,21 +434,12 @@ class IncrementalEgonetFeatures:
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         degrees = np.diff(self._base.indptr).astype(np.intp)
         for i, override in self._rows.items():
-            degrees[i] = (
-                len(override)
-                if isinstance(override, set)
-                else int(self._ts.lens[override])
-            )
+            degrees[i] = len(override)
         np.cumsum(degrees, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.intp)
         for i in range(self.n):
             override = self._rows.get(i)
-            if override is None:
-                row = self._base_row(i)
-            elif isinstance(override, set):
-                row = sorted(override)
-            else:
-                row = self._ts.row(override)
+            row = self._base_row(i) if override is None else sorted(override)
             indices[indptr[i] : indptr[i + 1]] = row
         data = np.ones(len(indices), dtype=np.float64)
         return sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))

@@ -1,9 +1,12 @@
 """Compiled hot-kernel layer: ``kernels={auto,numpy,compiled}`` selection.
 
-Every attack ultimately reduces to millions of executions of four O(deg)
-primitives.  This package provides a compiled backend for them (C built
-on demand via the system compiler, loaded through cffi ABI mode — see
-:mod:`repro.kernels.capi`) behind a three-valued ``kernels`` flag:
+The sparse engine's hot loops lean on three primitives: batch pair
+membership against a CSR, the candidate-pair gradient scatter, and
+per-node triangle counts.  This package provides a compiled backend for
+them (C built on demand via the system compiler, loaded through cffi ABI
+mode — see :mod:`repro.kernels.capi`) behind a three-valued ``kernels``
+flag (edge flips themselves always run in Python, in
+:class:`~repro.graph.incremental.IncrementalEgonetFeatures`):
 
 - ``numpy``    — the pure numpy/Python reference paths, always available;
   they are the parity oracle the compiled kernels are tested against.
@@ -49,7 +52,6 @@ KERNEL_BACKENDS = ("auto", "numpy", "compiled")
 # audit requires a numpy-vs-compiled *Parity* test per entry, so adding a
 # kernel here without parity coverage fails CI.
 KERNEL_REGISTRY = (
-    "toggle_batch",
     "pair_values",
     "scatter_gradient",
     "triangle_counts",

@@ -50,24 +50,6 @@ long long repro_triangle_counts_i64(const long long *indptr,
     const long long *indices, long long n, long long *out_ptr,
     long long *out_idx, long long cap, long long *tri, long long *mark,
     double *out);
-long long repro_toggle_batch(long long *arena, const long long *offs,
-    long long *lens, const long long *caps, const long long *slot_u,
-    const long long *slot_v, const long long *node_u,
-    const long long *node_v, long long npairs, double *n_feat,
-    double *e_feat, double *deltas_out);
-long long repro_toggle_one(long long *arena, const long long *offs,
-    long long *lens, const long long *caps, long long su, long long sv,
-    long long u, long long v, double *n_feat, double *e_feat);
-void repro_place_rows_i32(long long *arena, long long *offs,
-    long long *lens, long long *caps, const long long *slots,
-    const long long *dst_off, const long long *new_cap,
-    const long long *src_node, long long nplace, const long long *indptr,
-    const int *indices);
-void repro_place_rows_i64(long long *arena, long long *offs,
-    long long *lens, long long *caps, const long long *slots,
-    const long long *dst_off, const long long *new_cap,
-    const long long *src_node, long long nplace, const long long *indptr,
-    const long long *indices);
 long long repro_scatter_gradient_i32(const long long *indptr,
     const int *indices, const double *data, const double *d_n,
     const double *d_e, const long long *rows, const long long *cols,

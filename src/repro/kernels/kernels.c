@@ -10,8 +10,8 @@
  *     is generated for int32 (`_i32`) and int64 (`_i64`) via DEFINE_* macros;
  *   - all arrays are C-contiguous; base-CSR arrays (possibly read-only
  *     memory maps) are only ever read — `const` enforces it at compile time;
- *   - feature updates are ±1-integer arithmetic in float64, so results are
- *     bit-identical to the pure-Python reference regardless of order;
+ *   - membership and triangle counts are integer results, exact in
+ *     float64, so they are bit-identical to the numpy reference;
  *   - the gradient kernel adds the same nonzero terms in the same order as
  *     the numpy hub-mat-vec reference.  Its push walk reads row c in place
  *     of column c, so it REQUIRES a bitwise-symmetric CSR (A == Aᵀ, which
@@ -120,138 +120,6 @@ DEFINE_PAIR_VALUES(i64, i64)
 
 DEFINE_TRIANGLE_COUNTS(i32, i32)
 DEFINE_TRIANGLE_COUNTS(i64, i64)
-
-/* ------------------------------------------------------------------ */
-/* toggle_batch: apply k edge flips to the (N, E) features in one call */
-/* ------------------------------------------------------------------ */
-
-/* `arena + offs[t]` is the working neighbour row of the batch's t-th
- * distinct endpoint (sorted int64, length lens[t], capacity caps[t] — the
- * wrapper sizes capacity as current length + occurrences in the batch, so
- * the overflow return below is a can't-happen guard, not a resize
- * protocol).  One flat arena instead of a pointer table lets the wrapper
- * build the whole thing with vectorised numpy (a concatenate plus one
- * fancy-index scatter) and hand the edited rows back as zero-copy views.
- * Pairs arrive as slot indices into that table plus the raw node ids.
- * Flips are applied strictly in order, so a pair repeated in one batch is
- * an apply-then-undo exactly as in the per-flip Python loop.
- *
- * Returns 0 on success, -(k+1) if pair k overflowed a buffer. */
-i64 repro_toggle_batch(
-        i64 *arena, const i64 *offs, i64 *lens, const i64 *caps,
-        const i64 *slot_u, const i64 *slot_v,
-        const i64 *node_u, const i64 *node_v, i64 npairs,
-        double *n_feat, double *e_feat, double *deltas_out) {
-    for (i64 k = 0; k < npairs; k++) {
-        i64 su = slot_u[k], sv = slot_v[k];
-        i64 u = node_u[k], v = node_v[k];
-        i64 *a = arena + offs[su], la = lens[su];
-        i64 *b = arena + offs[sv], lb = lens[sv];
-        i64 pa = lower_bound_i64(a, 0, la, v);
-        int edge = pa < la && a[pa] == v;
-        double delta = edge ? -1.0 : 1.0;
-        /* common neighbours: every w in Gamma(u) & Gamma(v) gains/loses the
-         * flipped edge inside its egonet.  Counted before the row update,
-         * exactly like the Python reference. */
-        i64 common = 0;
-        {
-            i64 i = 0, j = 0;
-            while (i < la && j < lb) {
-                if (a[i] < b[j]) i++;
-                else if (a[i] > b[j]) j++;
-                else { e_feat[a[i]] += delta; common++; i++; j++; }
-            }
-        }
-        n_feat[u] += delta;
-        n_feat[v] += delta;
-        {
-            double inc = delta * (1.0 + (double)common);
-            e_feat[u] += inc;
-            e_feat[v] += inc;
-        }
-        if (edge) {
-            memmove(a + pa, a + pa + 1, (size_t)(la - pa - 1) * sizeof(i64));
-            lens[su] = la - 1;
-        } else {
-            if (la + 1 > caps[su]) return -(k + 1);
-            memmove(a + pa + 1, a + pa, (size_t)(la - pa) * sizeof(i64));
-            a[pa] = v;
-            lens[su] = la + 1;
-        }
-        {
-            i64 lb2 = lens[sv];
-            i64 pb = lower_bound_i64(b, 0, lb2, u);
-            if (edge) {
-                memmove(b + pb, b + pb + 1,
-                        (size_t)(lb2 - pb - 1) * sizeof(i64));
-                lens[sv] = lb2 - 1;
-            } else {
-                if (lb2 + 1 > caps[sv]) return -(k + 1);
-                memmove(b + pb + 1, b + pb, (size_t)(lb2 - pb) * sizeof(i64));
-                b[pb] = u;
-                lens[sv] = lb2 + 1;
-            }
-        }
-        deltas_out[k] = delta;
-    }
-    return 0;
-}
-
-/* Single-flip fast path: one pair, scalar arguments, no batch arrays.
- * Greedy attacks apply/rollback one permanent flip per step, so this
- * call happens millions of times per campaign — the wrapper keeps
- * persistent table pointers and passes plain ints, making the Python
- * overhead a dict-free slot lookup instead of eight array allocations. */
-i64 repro_toggle_one(
-        i64 *arena, const i64 *offs, i64 *lens, const i64 *caps,
-        i64 su, i64 sv, i64 u, i64 v,
-        double *n_feat, double *e_feat) {
-    i64 slot_u[1], slot_v[1], node_u[1], node_v[1];
-    double delta;
-    slot_u[0] = su; slot_v[0] = sv; node_u[0] = u; node_v[0] = v;
-    return repro_toggle_batch(arena, offs, lens, caps, slot_u, slot_v,
-                              node_u, node_v, 1, n_feat, e_feat, &delta);
-}
-
-/* ------------------------------------------------------------------ */
-/* place_rows: (re)materialise override rows inside the arena          */
-/* ------------------------------------------------------------------ */
-
-/* For each of the nplace slots, install its neighbour row at dst_off[t]
- * with capacity new_cap[t] and update the offs/lens/caps tables:
- *   - src_node[t] >= 0: first touch — copy that node's base-CSR row
- *     (read-only, possibly memory-mapped) into the arena;
- *   - src_node[t] <  0: relocation — move the slot's current arena row
- *     to the new position (the old region is abandoned; the wrapper
- *     compacts the arena when dead space accumulates).
- * Destination regions never overlap each other or any live row (the
- * wrapper carves them from the arena tail), so plain copies suffice. */
-#define DEFINE_PLACE_ROWS(SUF, IDX)                                       \
-    void repro_place_rows_##SUF(                                          \
-            i64 *arena, i64 *offs, i64 *lens, i64 *caps,                  \
-            const i64 *slots, const i64 *dst_off, const i64 *new_cap,     \
-            const i64 *src_node, i64 nplace,                              \
-            const i64 *indptr, const IDX *indices) {                      \
-        for (i64 t = 0; t < nplace; t++) {                                \
-            i64 s = slots[t];                                             \
-            i64 dst = dst_off[t];                                         \
-            if (src_node[t] >= 0) {                                       \
-                i64 b = indptr[src_node[t]];                              \
-                i64 len = indptr[src_node[t] + 1] - b;                    \
-                for (i64 j = 0; j < len; j++)                             \
-                    arena[dst + j] = (i64)indices[b + j];                 \
-                lens[s] = len;                                            \
-            } else {                                                      \
-                memmove(arena + dst, arena + offs[s],                     \
-                        (size_t)lens[s] * sizeof(i64));                   \
-            }                                                             \
-            offs[s] = dst;                                                \
-            caps[s] = new_cap[t];                                         \
-        }                                                                 \
-    }
-
-DEFINE_PLACE_ROWS(i32, i32)
-DEFINE_PLACE_ROWS(i64, i64)
 
 /* ------------------------------------------------------------------ */
 /* scatter_gradient: per-pair closed-form gradient over candidates     */

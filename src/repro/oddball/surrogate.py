@@ -65,7 +65,7 @@ from repro import telemetry as _telemetry
 from repro.autograd.ops import apply_pair_flips, binarize_ste, maximum, symmetric_from_upper
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.graph.features import egonet_features_tensor
-from repro.kernels import validate_kernels
+from repro.kernels import kernel_table, resolve_kernels, validate_kernels
 from repro.oddball.regression import DEFAULT_RIDGE, fit_power_law_tensor
 
 __all__ = [
@@ -1375,11 +1375,11 @@ class SparseSurrogateEngine(SurrogateEngine):
     ):
         from repro.graph.incremental import IncrementalEgonetFeatures
 
-        self._features = IncrementalEgonetFeatures(graph, kernels=kernels)
         #: Resolved hot-kernel backend ("numpy" or "compiled") in use for
-        #: flip application, pair reads and the gradient scatter.
-        self.kernels = self._features.kernels
-        self._kt = self._features._kt
+        #: pair reads and the gradient scatter.
+        self.kernels = resolve_kernels(kernels)
+        self._kt = kernel_table() if self.kernels == "compiled" else None
+        self._features = IncrementalEgonetFeatures(graph)
         # push_flip/apply_flip share one rollback stack; this counter is the
         # only record of which stack entries are *transient* (pushed, not
         # yet popped) — engine_spec() refuses to export around them.

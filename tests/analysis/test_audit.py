@@ -69,27 +69,27 @@ class TestKernelParityCoverageAudit:
     def test_partial_coverage_reports_only_the_missing(self, tmp_path):
         partial = tmp_path / "test_partial.py"
         partial.write_text(
-            "class TestToggleBatchParity:\n"
-            '    KERNEL = "toggle_batch"\n'
+            "class TestPairValuesParity:\n"
+            '    KERNEL = "pair_values"\n'
             "    def test_it(self):\n"
             "        pass\n"
         )
         findings = audit_kernel_parity_coverage(test_paths=[partial])
         missing = {f.message.split("'")[1] for f in findings}
-        assert "toggle_batch" not in missing
+        assert "pair_values" not in missing
         assert "scatter_gradient" in missing
 
     def test_class_without_parity_in_name_does_not_count(self, tmp_path):
         module = tmp_path / "test_other.py"
         module.write_text(
-            "class TestToggleBatchSpeed:\n"
-            '    KERNEL = "toggle_batch"\n'
+            "class TestPairValuesSpeed:\n"
+            '    KERNEL = "pair_values"\n'
             "    def test_it(self):\n"
             "        pass\n"
         )
         findings = audit_kernel_parity_coverage(test_paths=[module])
         named = " ".join(f.message for f in findings)
-        assert "toggle_batch" in named
+        assert "pair_values" in named
 
 
 class TestBlockParityCoverageAudit:

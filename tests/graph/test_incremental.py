@@ -141,6 +141,99 @@ class TestRollback:
         assert engine.flips == [(0, 1)]
 
 
+def _assert_matches_fresh(engine):
+    """Features and materialised CSR equal a from-scratch recomputation."""
+    _assert_matches_dense(engine, engine._rebuild_csr().toarray())
+    assert (engine.adjacency_csr() != engine._rebuild_csr()).nnz == 0
+
+
+class TestFlipBatch:
+    """``flip_batch`` is the in-order flip loop, applied all or none."""
+
+    def test_interleaved_flips_batches_rollbacks(self):
+        graph = barabasi_albert(80, 3, rng=11)
+        engine = IncrementalEgonetFeatures(graph)
+        clean_n, clean_e = engine.features()
+        rng = np.random.default_rng(3)
+        rows, cols = rng.integers(0, 80, size=(2, 40))
+        pairs = [(int(u), int(v)) for u, v in zip(rows, cols) if u != v]
+
+        for u, v in pairs[:5]:
+            engine.flip(u, v)
+        _assert_matches_fresh(engine)
+        engine.flip_batch(pairs[5:25])
+        _assert_matches_fresh(engine)
+        engine.rollback(7)
+        _assert_matches_fresh(engine)
+        engine.flip_batch(pairs[25:])
+        _assert_matches_fresh(engine)
+        engine.rollback(engine.depth)
+        _assert_matches_fresh(engine)
+        np.testing.assert_array_equal(engine.n_feature, clean_n)
+        np.testing.assert_array_equal(engine.e_feature, clean_e)
+
+    def test_repeated_pair_in_one_batch_is_apply_then_undo(self, small_er_graph):
+        engine = IncrementalEgonetFeatures(small_er_graph)
+        was_edge = engine.is_edge(1, 2)
+        engine.flip_batch([(1, 2), (3, 4), (2, 1), (1, 2)])
+        assert engine.flips == [(1, 2), (3, 4), (1, 2), (1, 2)]
+        assert engine.is_edge(1, 2) != was_edge
+        _assert_matches_fresh(engine)
+        engine.flip_batch([(1, 2)])
+        assert engine.is_edge(1, 2) == was_edge
+        _assert_matches_fresh(engine)
+
+    def test_structure_queries_after_a_batch(self, small_ba_graph):
+        engine = IncrementalEgonetFeatures(small_ba_graph)
+        engine.flip_batch([(0, 1), (0, 2), (5, 9), (0, 1)])
+        dense = engine._rebuild_csr().toarray()
+        for node in (0, 1, 2, 5, 9, 17):
+            assert engine.neighbors(node) == set(np.flatnonzero(dense[node]).tolist())
+            assert engine.degree(node) == int(dense[node].sum())
+            for other in range(engine.n):
+                if other != node:
+                    assert engine.is_edge(node, other) == bool(dense[node, other])
+
+    def test_each_pair_gets_its_own_version(self, small_ba_graph):
+        engine = IncrementalEgonetFeatures(small_ba_graph)
+        engine.flip(0, 1)
+        token = engine.version
+        engine.flip_batch([(2, 3), (4, 5), (6, 7)])
+        assert engine.depth == 4
+        engine.rollback(3)
+        assert engine.version == token
+
+    def test_bad_pair_rejects_the_whole_batch(self, small_ba_graph):
+        engine = IncrementalEgonetFeatures(small_ba_graph)
+        engine.flip(7, 8)
+        depth, version = engine.depth, engine.version
+        n_before, e_before = engine.features()
+        rows_before = {u: set(row) for u, row in engine._rows.items()}
+        with pytest.raises(ValueError, match="diagonal"):
+            engine.flip_batch([(0, 1), (2, 3), (4, 4)])
+        with pytest.raises(ValueError, match="out of range"):
+            engine.flip_batch([(0, 1), (2, engine.n), (5, 5)])
+        assert engine.depth == depth and engine.version == version
+        np.testing.assert_array_equal(engine.n_feature, n_before)
+        np.testing.assert_array_equal(engine.e_feature, e_before)
+        assert engine._rows == rows_before
+
+    def test_hub_batch_rolls_back_bit_for_bit(self):
+        """Flips among the top-degree nodes, where the common-neighbour
+        sets are largest, undo exactly."""
+        graph = barabasi_albert(400, 4, rng=5)
+        engine = IncrementalEgonetFeatures(graph)
+        clean_n, clean_e = engine.features()
+        hubs = np.argsort(-clean_n, kind="stable")[:8].tolist()
+        pairs = [(u, v) for i, u in enumerate(hubs) for v in hubs[i + 1 :]]
+        engine.flip_batch(pairs)
+        _assert_matches_fresh(engine)
+        engine.rollback(len(pairs))
+        np.testing.assert_array_equal(engine.n_feature, clean_n)
+        np.testing.assert_array_equal(engine.e_feature, clean_e)
+        assert (engine.adjacency_csr() != engine._base).nnz == 0
+
+
 class TestStructureQueries:
     def test_edge_and_degree_queries(self, small_er_graph):
         adjacency = small_er_graph.adjacency
@@ -158,11 +251,10 @@ class TestStructureQueries:
         for u, v in [(0, 1), (2, 9), (4, 17)]:
             assert len(engine.common_neighbors(u, v)) == int(squared[u, v])
 
-    @pytest.mark.parametrize("kernels", ["numpy", "auto"])
-    def test_sorted_neighbors_is_the_sorted_set(self, small_ba_graph, kernels):
-        """Untouched rows (base CSR) and flipped rows (override set or
-        compiled arena row) alike come back as fresh sorted intp arrays."""
-        engine = IncrementalEgonetFeatures(small_ba_graph, kernels=kernels)
+    def test_sorted_neighbors_is_the_sorted_set(self, small_ba_graph):
+        """Untouched rows (base CSR) and flipped rows (override sets) alike
+        come back as fresh sorted intp arrays."""
+        engine = IncrementalEgonetFeatures(small_ba_graph)
         for u, v in [(0, 1), (0, 7), (3, 9), (0, 1)]:
             engine.flip(u, v)
         for u in range(small_ba_graph.number_of_nodes):

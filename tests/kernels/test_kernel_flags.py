@@ -7,6 +7,7 @@ worker host re-resolves it for itself).
 """
 
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -19,9 +20,11 @@ from repro.kernels import (
     KERNEL_REGISTRY,
     KernelBuildError,
     KernelUnavailableError,
+    compiled_available,
     resolve_kernels,
     validate_kernels,
 )
+from repro.kernels import capi
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 
 
@@ -55,7 +58,6 @@ class TestFlagValidation:
 
     def test_registry_is_fixed(self):
         assert KERNEL_REGISTRY == (
-            "toggle_batch",
             "pair_values",
             "scatter_gradient",
             "triangle_counts",
@@ -148,3 +150,44 @@ class TestSpecTransport:
         graph = erdos_renyi(40, 0.1, rng=4)
         with pytest.raises(ValueError, match="kernels must be one of"):
             EngineSpec.from_graph(graph, kernels="simd")
+
+
+def _cdef_names():
+    """``repro_*`` functions the cffi cdef declares."""
+    return set(re.findall(r"\b(repro_\w+)\s*\(", capi._CDEF))
+
+
+def _source_names():
+    """``repro_*`` functions kernels.c defines, with every ``DEFINE_*``
+    macro expanded at its ``(SUF, IDX)`` instantiations."""
+    source = capi._SOURCE_PATH.read_text()
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    templates = {
+        macro: re.findall(r"\b(repro_\w+)##SUF\s*\(", body)
+        for macro, body in re.findall(
+            r"#define (\w+)\(SUF, IDX\)((?:.*\\\n)*.*)", source
+        )
+    }
+    names = set(re.findall(r"^\w[\w ]*\b(repro_\w+)\s*\(", source, re.M))
+    for macro, suffix in re.findall(r"^(\w+)\((\w+), \w+\)$", source, re.M):
+        names.update(name + suffix for name in templates.get(macro, ()))
+    return names
+
+
+class TestCdefMatchesSource:
+    """cffi's ABI mode resolves a symbol only when it is first accessed, so
+    a cdef for a deleted kernel would otherwise go unnoticed."""
+
+    def test_cdef_declares_exactly_the_defined_kernels(self):
+        declared = _cdef_names()
+        assert declared == _source_names()
+        assert {"repro_pair_values_i32", "repro_pair_values_i64"} <= declared
+
+    @pytest.mark.skipif(
+        not compiled_available(),
+        reason="no C toolchain/cffi on this host; compiled backend unavailable",
+    )
+    def test_every_declared_kernel_resolves(self):
+        _, lib = capi.load_kernel_lib()
+        for name in sorted(_cdef_names()):
+            assert callable(getattr(lib, name)), name

@@ -12,7 +12,6 @@ import pytest
 from scipy import sparse
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.graph.sparse import (
     _oriented_triangle_counts,
     egonet_features_sparse,
@@ -190,74 +189,6 @@ class TestTriangleCountsParity:
         csr = sparse.csr_matrix((np.ones(10), (rows, cols)), shape=(5, 5))
         with pytest.raises(ValueError, match="symmetric"):
             kernel_table().triangle_counts(csr)
-
-
-class TestToggleBatchParity:
-    """``toggle_batch`` against the per-flip Python set reference."""
-
-    KERNEL = "toggle_batch"
-
-    def _engines(self, graph):
-        return (
-            IncrementalEgonetFeatures(graph, kernels="numpy"),
-            IncrementalEgonetFeatures(graph, kernels="compiled"),
-        )
-
-    def _assert_state_equal(self, ref, fast):
-        assert np.array_equal(ref._n_feature, fast._n_feature)
-        assert np.array_equal(ref._e_feature, fast._e_feature)
-        assert (ref.adjacency_csr() != fast.adjacency_csr()).nnz == 0
-
-    def test_interleaved_flips_batches_rollbacks(self):
-        graph = _graphs()[0]
-        ref, fast = self._engines(graph)
-        assert ref.kernels == "numpy" and fast.kernels == "compiled"
-        rng = np.random.default_rng(3)
-        rows, cols = _pairs(graph.number_of_nodes, rng, count=40)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-
-        for u, v in pairs[:5]:
-            ref.flip(u, v)
-            fast.flip(u, v)
-        self._assert_state_equal(ref, fast)
-
-        ref.flip_batch(pairs[5:25])
-        fast.flip_batch(pairs[5:25])
-        self._assert_state_equal(ref, fast)
-
-        ref.rollback(7)
-        fast.rollback(7)
-        self._assert_state_equal(ref, fast)
-
-        ref.flip_batch(pairs[25:])
-        fast.flip_batch(pairs[25:])
-        self._assert_state_equal(ref, fast)
-
-        ref.rollback(ref.depth)
-        fast.rollback(fast.depth)
-        self._assert_state_equal(ref, fast)
-        clean_n, clean_e = egonet_features_sparse(graph)
-        assert np.array_equal(fast._n_feature, clean_n)
-        assert np.array_equal(fast._e_feature, clean_e)
-
-    def test_repeated_pair_in_one_batch_is_apply_then_undo(self):
-        graph = _graphs()[1]
-        ref, fast = self._engines(graph)
-        batch = [(1, 2), (3, 4), (1, 2), (1, 2)]
-        ref.flip_batch(batch)
-        fast.flip_batch(batch)
-        self._assert_state_equal(ref, fast)
-        assert fast.is_edge(1, 2) == ref.is_edge(1, 2)
-
-    def test_membership_and_neighbors_match_after_flips(self):
-        graph = _graphs()[0]
-        ref, fast = self._engines(graph)
-        batch = [(0, 1), (0, 2), (5, 9), (0, 1)]
-        ref.flip_batch(batch)
-        fast.flip_batch(batch)
-        for node in (0, 1, 2, 5, 9, 17):
-            assert ref.neighbors(node) == fast.neighbors(node)
-            assert ref.degree(node) == fast.degree(node)
 
 
 def _compiled_scatter(csr, d_n, d_e, rows, cols, delta=()):
