@@ -58,7 +58,7 @@ from repro.attacks.gradmax import GradMaxSearch
 from repro.graph.graph import Graph
 from repro.graph.sparse import content_hash, to_sparse
 from repro.oddball.regression import fit_power_law
-from repro.oddball.scores import rank_positions, score_from_features
+from repro.oddball.scores import rank_nodes, rank_positions, score_from_features
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
@@ -914,10 +914,11 @@ class AttackCampaign:
         score_after = float(poisoned_scores[targets].sum())
         rank_shifts: dict[int, int] = {}
         if self.compute_ranks:
-            poisoned_ranks = rank_positions(poisoned_scores)
+            poisoned_ranks = rank_nodes(poisoned_scores, targets)
             assert self._clean_ranks is not None
             rank_shifts = {
-                t: int(poisoned_ranks[t] - self._clean_ranks[t]) for t in targets
+                t: int(rank - self._clean_ranks[t])
+                for t, rank in zip(targets, poisoned_ranks)
             }
         return score_before, score_after, rank_shifts
 

@@ -64,12 +64,16 @@ strategies trade coverage for speed:
     every pair the block degenerates to exactly ``full`` (same pairs, same
     order, refresh is a no-op), which is the parity anchor the tests pin.
 
-Every refresh that returns a new set records its :class:`Lineage`: where
-each pair of the set it was called on landed in the new one (−1 if
-evicted).  Attacks carry their per-pair optimiser state through it with
-:func:`adopt_refresh`, and the engine carries its per-pair caches
+Both refreshes build the new key array as ``np.insert(survivors,
+positions, admitted)``, and every refresh that returns a new set records
+that plan as its :class:`Lineage`: which pairs of the set it was called on
+survive (all of them for ``adaptive``) and where the admitted pairs go.
+:meth:`Lineage.carry` moves any per-pair array with one compaction and
+one insert: the set's own ``rows``/``cols``, the attacks' optimiser state
+(:func:`adopt_refresh`) and the engine's per-pair caches
 (:meth:`~repro.oddball.surrogate.SurrogateEngine.set_candidates`), so a
-refresh costs its admissions, not a re-derivation of every pair.
+refresh costs its admissions plus a few O(|C|) memory moves, not a
+re-derivation of every pair.
 
 Admission and block sizing share one budget-aware policy
 (:func:`admission_cap`, :func:`default_block_size`): both scale with the
@@ -204,16 +208,36 @@ def _neighbors_of(matrix, node: int) -> np.ndarray:
 
 
 class Lineage(NamedTuple):
-    """Where a refresh put each pair of the set it was called on.
+    """How a refresh built its set from the set it was called on.
 
-    ``parent`` is a weak reference to that set (a strong one would chain
-    every set of a long refresh sequence together in memory), and
-    ``positions[k]`` is the position in the refreshed set of the parent's
-    k-th pair, or −1 if the refresh evicted it.
+    Both refreshes build the new key array as ``np.insert(survivors,
+    positions, admitted)``, and the lineage records exactly that plan.
+    ``parent`` is a weak reference to the set the refresh was called on (a
+    strong one would chain every set of a long refresh sequence together
+    in memory).  ``kept`` masks the parent's pairs that survive, or is
+    ``None`` when all of them do.  ``positions`` holds the ascending
+    insertion points of the admitted pairs into the survivors.
     """
 
     parent: "weakref.ref[CandidateSet]"
+    kept: "np.ndarray | None"
     positions: np.ndarray
+
+    def carry(self, array: np.ndarray, fill) -> np.ndarray:
+        """``array``, aligned with the parent, moved onto the refreshed set.
+
+        Survivors keep their entries and the admitted pairs get ``fill``
+        (a scalar, or one value per admitted pair in key order): one
+        compaction and one ``np.insert``.  Returns a new array of
+        ``array``'s dtype.
+        """
+        survivors = array if self.kept is None else array[self.kept]
+        return np.insert(survivors, self.positions, fill)
+
+    @property
+    def admitted(self) -> np.ndarray:
+        """Positions of the admitted pairs in the refreshed set."""
+        return self.positions + np.arange(self.positions.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +259,8 @@ class CandidateSet:
         Set by :meth:`refresh` on the sets it returns: the
         :class:`Lineage` from the set it was called on (``None`` for a set
         built from scratch).
+    keys:
+        The ascending pair keys ``rows·n + cols``, kept from validation.
     """
 
     n: int
@@ -245,6 +271,7 @@ class CandidateSet:
         default=None, repr=False, compare=False
     )
     lineage: "Lineage | None" = field(default=None, repr=False, compare=False)
+    keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -253,18 +280,19 @@ class CandidateSet:
             raise ValueError(
                 f"rows/cols must be aligned 1-D arrays, got {rows.shape}, {cols.shape}"
             )
+        keys = rows * self.n + cols
         if rows.size:
             if rows.min() < 0 or cols.max() >= self.n:
                 raise ValueError(f"pair indices out of range [0, {self.n})")
             if np.any(rows >= cols):
                 raise ValueError("candidate pairs must be canonical (u < v)")
-            keys = rows * self.n + cols
             if np.any(np.diff(keys) <= 0):
                 raise ValueError(
                     "candidate pairs must be lexicographically sorted and unique"
                 )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "keys", keys)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -453,18 +481,28 @@ class CandidateSet:
         """
         return self
 
-    def _refreshed(self, keys: np.ndarray, positions: np.ndarray, **fields):
-        """The set of sorted ``keys`` a refresh of ``self`` returns.
+    def _refreshed(
+        self,
+        kept: "np.ndarray | None",
+        positions: np.ndarray,
+        admitted: np.ndarray,
+        **fields,
+    ):
+        """The set a refresh of ``self`` returns: the sorted keys
+        ``admitted`` inserted at ``positions`` into the pairs ``kept``
+        masks (all of them if ``None``).
 
-        ``positions`` is where each pair of ``self`` lands in it (−1 if
-        evicted); ``fields`` are the subclass's own fields.
+        ``rows``/``cols`` move along the new :class:`Lineage` like any
+        per-pair array, so only the admitted keys are split into pairs.
+        ``fields`` are the subclass's own fields.
         """
+        lineage = Lineage(weakref.ref(self), kept, positions)
         return type(self)(
             n=self.n,
-            rows=(keys // self.n).astype(np.intp),
-            cols=(keys % self.n).astype(np.intp),
+            rows=lineage.carry(self.rows, admitted // self.n),
+            cols=lineage.carry(self.cols, admitted % self.n),
             strategy=self.strategy,
-            lineage=Lineage(weakref.ref(self), positions),
+            lineage=lineage,
             **fields,
         )
 
@@ -478,12 +516,8 @@ def adopt_refresh(engine, refreshed: CandidateSet, state: np.ndarray, fill) -> n
     after a refresh — GradMaxSearch's used-pair mask and BinarizedAttack's
     Ż — beside the engine's own carried caches.
     """
-    positions = refreshed.lineage.positions
-    kept = positions >= 0
-    migrated = np.full(len(refreshed), fill, dtype=state.dtype)
-    migrated[positions[kept]] = state[kept]
     engine.set_candidates(refreshed)
-    return migrated
+    return refreshed.lineage.carry(state, fill)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,15 +593,14 @@ class AdaptiveCandidateSet(CandidateSet):
 
         Each new endpoint ``w`` (in ascending order) pools the keys of its
         pairs with ``Γ(w) ∪ ball`` and then joins the ball.  The pool is
-        deduplicated by one sort, its members already in the set are
-        dropped by one binary search, and the admitted keys are inserted
-        into the sorted set in one pass: O(Σ_{w new} (deg(w) + |ball|)
-        log + |C|) per call, with no hash dedupe (plus one engine
-        ``pair_gradient`` evaluation over the pool under the gradient
-        policy).  ``self`` is returned unchanged when no flip endpoint is
-        new.  The result is always a superset of the current set: its
-        :class:`Lineage` maps every pair of ``self`` (none is evicted),
-        read off the insertion points with no key search.
+        deduplicated by one sort, and its members already in the set are
+        dropped by one binary search whose insertion points are the
+        :class:`Lineage`'s: O(Σ_{w new} (deg(w) + |ball|) log + |C|) per
+        call, with no hash dedupe (plus one engine ``pair_gradient``
+        evaluation over the pool under the gradient policy).  ``self`` is
+        returned unchanged when no flip endpoint is new.  The result is
+        always a superset of the current set: every pair of ``self``
+        survives (``kept`` is ``None``).
         """
         new_nodes = sorted(
             {int(w) for pair in flips for w in pair} - self.ball
@@ -588,22 +621,16 @@ class AdaptiveCandidateSet(CandidateSet):
             chunks.append(np.minimum(partners, w) * n + np.maximum(partners, w))
             ball = np.append(ball, w)
         pool = sorted_unique(np.concatenate(chunks))
-        old_keys = self.rows * n + self.cols
-        positions, novel = key_positions(old_keys, pool)
+        positions, novel = key_positions(self.keys, pool)
         positions, pool = positions[novel], pool[novel]
         _telemetry.count("candidates.pool", int(pool.size))
         if self.growth == "gradient" and pool.size > self.admit_cap:
             # the admitted slice, back in key order for the sorted insert
             admitted = np.sort(_gradient_order(n, pool, engine)[: self.admit_cap])
             positions, pool = positions[admitted], pool[admitted]
-        keys = np.insert(old_keys, positions, pool)
         _telemetry.count("candidates.admissions", int(pool.size))
-        # np.insert puts each admitted key before the old key at its
-        # position, so old key i moves up by the admissions at positions <= i.
-        shift = np.cumsum(np.bincount(positions, minlength=old_keys.size + 1))
-        carried = np.arange(old_keys.size, dtype=np.intp) + shift[:old_keys.size]
         return self._refreshed(
-            keys, carried,
+            None, positions, pool,
             ball=self.ball.union(new_nodes),
             growth=self.growth,
             admit_cap=self.admit_cap,
@@ -756,32 +783,30 @@ class BlockCandidateSet(CandidateSet):
         for u, v in flips:
             u, v = int(u), int(v)
             flipped.add((u, v) if u < v else (v, u))
-        keys = self.rows * self.n + self.cols
-        keep = min(self.block_size // 2, keys.size)
-        order = _gradient_order(self.n, keys, engine)
-        kept = np.sort(keys[order[:keep]])
-        if flipped:
-            flip_keys = np.fromiter(
-                (u * self.n + v for u, v in flipped),
-                dtype=np.intp,
-                count=len(flipped),
-            )
-            kept = merge_novel(kept, sorted_unique(flip_keys))
-        refill = self.block_size - kept.size
+        keys = self.keys
+        kept = np.zeros(keys.size, dtype=bool)
+        kept[_gradient_order(self.n, keys, engine)[: self.block_size // 2]] = True
+        flip_keys = sorted_unique(np.fromiter(
+            (u * self.n + v for u, v in flipped), dtype=np.intp, count=len(flipped),
+        ))
+        at, outside = key_positions(keys, flip_keys)
+        kept[at[~outside]] = True
+        survivors = keys[kept]
+        # A landed flip the block never held joins it like a sampled pair.
+        joined = flip_keys[outside]
+        held = survivors.size + joined.size
+        refill = self.block_size - held
         if refill > 0:
             fresh = _sample_pair_keys(self.n, refill, self.seed, self.draw + 1)
-            new_keys = merge_novel(kept, fresh, limit=refill)
-        else:
-            new_keys = kept
-        # Flipped pairs are a subset of the current block (never evicted),
-        # so the drop count is exactly the size difference.
+            _, novel = key_positions(merge_novel(survivors, joined), fresh)
+            joined = sorted_unique(np.concatenate((joined, fresh[novel][:refill])))
         _telemetry.count("candidates.block_refreshes", 1)
-        _telemetry.count("candidates.evictions", int(keys.size - kept.size))
-        _telemetry.count("candidates.admissions", int(new_keys.size - kept.size))
-        positions, evicted = key_positions(new_keys, keys)
-        positions[evicted] = -1
+        _telemetry.count("candidates.evictions", int(keys.size - held))
+        _telemetry.count(
+            "candidates.admissions", int(survivors.size + joined.size - held)
+        )
         return self._refreshed(
-            new_keys, positions,
+            kept, np.searchsorted(survivors, joined), joined,
             block_size=self.block_size,
             seed=self.seed,
             draw=self.draw + 1,

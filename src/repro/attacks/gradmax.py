@@ -71,6 +71,11 @@ class GradMaxSearch(StructuralAttack):
         block with gradient resampling); part of the attack's campaign-job
         identity.  Ignored for every other strategy.
 
+    Adaptive and block candidate sets are refreshed after every landed
+    flip except the last, which no step would search.  The result's
+    ``metadata["candidate_count"]`` is therefore the size of the set the
+    final step searched.
+
     Example
     -------
     >>> from repro.graph import erdos_renyi
@@ -164,6 +169,8 @@ class GradMaxSearch(StructuralAttack):
             modified[k] = True
             ordered_flips.append((u, v))
             surrogate_by_budget[len(ordered_flips)] = engine.current_loss()
+            if step + 1 == budget:
+                break  # no step is left to search a refreshed set
             # Per-step adaptation: the landed flip may grow the ball
             # (adaptive) or trigger a resample of the low-gradient half
             # (block).  The greedy state (``modified``) migrates along the

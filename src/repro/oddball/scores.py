@@ -24,6 +24,7 @@ __all__ = [
     "anomaly_scores",
     "anomaly_scores_with_fit",
     "proxy_scores",
+    "rank_nodes",
     "rank_positions",
     "score_from_features",
 ]
@@ -47,6 +48,29 @@ def rank_positions(
         order = np.argsort(-np.asarray(scores), kind="stable")
     ranks = np.empty_like(order)
     ranks[order] = np.arange(len(order))
+    return ranks
+
+
+def rank_nodes(scores: np.ndarray, nodes) -> np.ndarray:
+    """``rank_positions(scores)[nodes]``, by counting instead of sorting.
+
+    Node ``i`` ranks behind every strictly higher score and every equal
+    score at a lower index, and NaN scores rank behind all others, as the
+    stable argsort puts them: O(n) per node, so O(n·|nodes|) against the
+    sort's O(n log n) for callers that read a few ranks.
+    """
+    scores = np.asarray(scores)
+    missing = np.isnan(scores)
+    ranks = np.empty(len(nodes), dtype=np.intp)
+    for k, i in enumerate(nodes):
+        if missing[i]:
+            ranks[k] = scores.size - np.count_nonzero(missing) + np.count_nonzero(
+                missing[:i]
+            )
+        else:
+            ranks[k] = np.count_nonzero(scores > scores[i]) + np.count_nonzero(
+                scores[:i] == scores[i]
+            )
     return ranks
 
 

@@ -898,22 +898,25 @@ class SurrogateEngine(abc.ABC):
 
         A set refreshed from the engine's current one (its
         :class:`~repro.attacks.candidates.Lineage` names that very object)
-        carries the values of every pair the refresh kept: only the
-        admitted pairs are read off the graph, and kept pairs flipped since
-        the cache was built are toggled, so a refresh costs O(admissions)
-        lookups plus O(|C|) array moves.  Anything else (a fresh set, raw
-        arrays, ``None``) carries nothing and reads every pair.  The hub
-        grouping is recomputed either way.
+        carries the per-pair cache along the lineage.  Kept pairs flipped
+        since the cache was built are toggled first; then the values and
+        directions move with one compaction and one insert each, and only
+        the admitted pairs are read off the graph.  A refresh thus costs
+        O(admissions) lookups plus a few O(|C|) array moves.  Anything else
+        (a fresh set, raw arrays, ``None``) carries nothing and reads every
+        pair.  The hub grouping is recomputed either way: at |C| = 10k a
+        regroup carried along the lineage still makes several O(|C|) passes
+        and costs no less than a fresh :func:`_group_pairs`.
         """
         lineage = getattr(candidates, "lineage", None)
         if (
-            lineage is not None
-            and self._candidates is not None
-            and lineage.parent() is self._candidates
+            lineage is None
+            or self._candidates is None
+            or lineage.parent() is not self._candidates
         ):
-            positions, previous = lineage.positions, self._edge_values
+            lineage = None
         else:
-            positions, previous = np.empty(0, dtype=np.intp), np.empty(0)
+            self._refresh_pair_cache()  # the parent's cache, made current
         if candidates is None:
             rows, cols = np.triu_indices(self.n, k=1)
             self.rows = rows.astype(np.intp)
@@ -923,12 +926,22 @@ class SurrogateEngine(abc.ABC):
         if self.rows.size and self.cols.max() >= self.n:
             raise ValueError(f"candidate pair indices out of range [0, {self.n})")
         self._candidates = candidates
-        kept = positions >= 0
-        values = np.empty(self.rows.size)
-        values[positions[kept]] = previous[kept]
-        fresh = np.ones(self.rows.size, dtype=bool)
-        fresh[positions[kept]] = False
-        self._refresh_pair_cache(values, np.flatnonzero(fresh))
+        if lineage is None:
+            self._edge_values = (
+                self._pair_values(self.rows, self.cols) if self.rows.size else np.empty(0)
+            )
+            #: per-pair ``1 − 2·A0`` — +1 on non-edges (add), −1 on edges (delete)
+            self.flip_direction = 1.0 - 2.0 * self._edge_values
+            self._cache_log = self._flip_log()
+        else:
+            admitted = lineage.admitted
+            fresh = (
+                self._pair_values(self.rows[admitted], self.cols[admitted])
+                if admitted.size else np.empty(0)
+            )
+            self._edge_values = lineage.carry(self._edge_values, fresh)
+            self.flip_direction = lineage.carry(self.flip_direction, 1.0 - 2.0 * fresh)
+            _telemetry.count("candidates.carried", int(self.rows.size - admitted.size))
         self._on_state_reset()
 
     def retarget(
@@ -959,32 +972,37 @@ class SurrogateEngine(abc.ABC):
         self._weights = weights
         self.set_candidates(candidates)
 
-    def _refresh_pair_cache(self, values: np.ndarray, fresh: np.ndarray) -> None:
-        """Make the per-pair values/directions describe the current graph.
+    def _refresh_pair_cache(self) -> None:
+        """Make the cached per-pair values/directions describe the current graph.
 
-        ``values`` holds carried values, read when the flip log was
-        ``_cache_log``; ``fresh`` lists the positions carrying nothing,
-        which are read off the graph.  A carried pair toggled an odd number
-        of times since then has changed, and its value (exactly 0.0 or 1.0)
-        is flipped to ``1 − v``: bit for bit what a re-read returns.
+        The cache was read when the flip log was ``_cache_log``.  A pair
+        toggled an odd number of times since then has changed: its value
+        (exactly 0.0 or 1.0) becomes ``1 − v`` and its direction changes
+        sign, in place, bit for bit what a re-read returns.  Each such pair
+        is found by binary search on the candidates' sorted keys.
         """
         from repro.graph.incremental import toggled_pairs
 
         log = self._flip_log()
         stale = toggled_pairs(self._cache_log, log)
-        if stale and fresh.size < values.size:
-            n = self.n
-            keys = self.rows * n + self.cols
-            for u, v in stale:  # a handful of pairs: one compare pass each
-                changed = keys == u * n + v
-                values[changed] = 1.0 - values[changed]
-        if fresh.size:
-            values[fresh] = self._pair_values(self.rows[fresh], self.cols[fresh])
-        _telemetry.count("candidates.carried", int(values.size - fresh.size))
         self._cache_log = log
-        self._edge_values = values
-        #: per-pair ``1 − 2·A0`` — +1 on non-edges (add), −1 on edges (delete)
-        self.flip_direction = 1.0 - 2.0 * values
+        if not stale or not self.rows.size:
+            return
+        n = self.n
+        keys = getattr(self._candidates, "keys", None)
+        sorter = None
+        if not isinstance(keys, np.ndarray):
+            # Raw arrays (or every pair): canonical, but maybe not sorted.
+            keys = self.rows * n + self.cols
+            if np.any(keys[1:] < keys[:-1]):
+                sorter = np.argsort(keys, kind="stable")
+        wanted = np.array([u * n + v for u, v in stale], dtype=np.intp)
+        found = np.searchsorted(keys, wanted, sorter=sorter)
+        inside = found < keys.size
+        found = found[inside] if sorter is None else sorter[found[inside]]
+        changed = found[keys[found] == wanted[inside]]
+        self._edge_values[changed] = 1.0 - self._edge_values[changed]
+        self.flip_direction[changed] = -self.flip_direction[changed]
 
     def _on_state_reset(self) -> None:
         """Hook for backends to drop caches keyed on candidates/graph state."""
@@ -1326,7 +1344,8 @@ class DenseSurrogateEngine(SurrogateEngine):
             u, v = self._permanent.pop()
             self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
             self._frozen = None
-        self._refresh_pair_cache(self._edge_values, np.empty(0, dtype=np.intp))
+        self._refresh_pair_cache()
+        _telemetry.count("candidates.carried", int(self.rows.size))
 
     def _on_state_reset(self) -> None:
         self._frozen = None
@@ -1818,4 +1837,5 @@ class SparseSurrogateEngine(SurrogateEngine):
             # Anything transient sat above the token and is gone now.
             self._transient_count = 0
             self._on_graph_reset()
-        self._refresh_pair_cache(self._edge_values, np.empty(0, dtype=np.intp))
+        self._refresh_pair_cache()
+        _telemetry.count("candidates.carried", int(self.rows.size))

@@ -184,32 +184,50 @@ class TestLineage:
         )
         new = old.refresh([], engine)
         assert new.lineage.parent() is old
-        positions = new.lineage.positions
-        assert positions.size == len(old)
-        survived = positions >= 0
-        assert 0 < survived.sum() < len(old)  # the low-gradient half left
-        assert np.array_equal(new.rows[positions[survived]], old.rows[survived])
-        assert np.array_equal(new.cols[positions[survived]], old.cols[survived])
-        evicted = set(zip(old.rows[~survived].tolist(), old.cols[~survived].tolist()))
+        kept = new.lineage.kept
+        assert kept.size == len(old)
+        assert 0 < kept.sum() < len(old)  # the low-gradient half left
+        # carried pairs land where their keys are; evicted ones are gone
+        carried = new.lineage.carry(np.arange(len(old)), -1)
+        assert np.array_equal(carried[carried >= 0], np.flatnonzero(kept))
+        assert np.array_equal(new.keys[carried >= 0], old.keys[kept])
+        assert np.array_equal(new.keys, new.rows * 60 + new.cols)
+        evicted = set(zip(old.rows[~kept].tolist(), old.cols[~kept].tolist()))
         assert not evicted & new.pair_set()
 
     def test_adopt_refresh_carries_state_and_repoints_the_engine(
-        self, small_ba_graph
+        self, small_ba_graph, migrated_by_key
     ):
         old = BlockCandidateSet.start(60, block_size=64, seed=9)
         engine = SurrogateEngine.create(
             sparse.csr_matrix(small_ba_graph.adjacency), [0, 1], old,
         )
-        new = old.refresh([], engine)
+        flip = (int(old.rows[3]), int(old.cols[3]))
+        engine.apply_flip(*flip)
+        new = old.refresh([flip], engine)
         state = np.arange(1.0, len(old) + 1.0)
         migrated = adopt_refresh(engine, new, state, -1.0)
-        positions = new.lineage.positions
-        survived = positions >= 0
-        expected = np.full(len(new), -1.0)
-        expected[positions[survived]] = state[survived]
-        assert np.array_equal(migrated, expected)
+        assert np.array_equal(migrated, migrated_by_key(old, new, state, -1.0))
+        assert flip in new.pair_set()
         assert np.array_equal(engine.rows, new.rows)
         assert np.array_equal(engine.cols, new.cols)
+
+    def test_a_flip_outside_the_block_joins_it(self, small_ba_graph, migrated_by_key):
+        old = BlockCandidateSet.start(60, block_size=64, seed=9)
+        engine = SurrogateEngine.create(
+            sparse.csr_matrix(small_ba_graph.adjacency), [0, 1], old,
+        )
+        flip = next(
+            (u, v) for u in range(60) for v in range(u + 1, 60)
+            if (u, v) not in old.pair_set()
+        )
+        new = old.refresh([flip], engine)
+        assert flip in new.pair_set() and len(new) <= 64
+        state = np.arange(1.0, len(old) + 1.0)
+        assert np.array_equal(
+            new.lineage.carry(state, -1.0), migrated_by_key(old, new, state, -1.0)
+        )
+        assert new.lineage.carry(state, -1.0)[new.keys == flip[0] * 60 + flip[1]] == -1.0
 
 
 class TestBlockSequenceBackendParity:

@@ -24,7 +24,11 @@ from repro.attacks import (
 from repro.attacks.candidates import AdaptiveCandidateSet
 from repro.graph.generators import erdos_renyi
 from repro.graph.sparse import content_hash
-from repro.oddball.surrogate import DenseSurrogateEngine, SurrogateEngine
+from repro.oddball.surrogate import (
+    DenseSurrogateEngine,
+    SparseSurrogateEngine,
+    SurrogateEngine,
+)
 
 # graph_and_targets comes from tests/conftest.py (shared campaign fixture)
 
@@ -506,14 +510,27 @@ class TestAdaptiveCandidates:
         )
         assert dense.flips_by_budget == fast.flips_by_budget
 
-    def test_adaptive_final_set_contains_flipped_pairs(self, graph_and_targets):
+    def test_adaptive_final_set_contains_flipped_pairs(
+        self, graph_and_targets, monkeypatch
+    ):
         graph, targets = graph_and_targets
+        searched = []
+        gradient = SparseSurrogateEngine.candidate_gradient
+
+        def recording(engine):
+            searched.append(engine.rows.size)
+            return gradient(engine)
+
+        monkeypatch.setattr(SparseSurrogateEngine, "candidate_gradient", recording)
         result = GradMaxSearch().attack(graph, targets[:3], 5, candidates="adaptive")
         incident = CandidateSet.target_incident(
             graph.number_of_nodes, targets[:3]
         )
         assert result.metadata["candidate_strategy"] == "adaptive"
         assert result.metadata["candidate_count"] >= len(incident)
+        # the size of the set the final step searched: no refresh follows it
+        assert len(searched) == result.metadata["steps_taken"] == 5
+        assert result.metadata["candidate_count"] == searched[-1] > searched[0]
 
     def test_adaptive_campaign_jobs(self, graph_and_targets):
         graph, targets = graph_and_targets

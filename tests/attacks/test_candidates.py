@@ -186,7 +186,7 @@ class TestGradientGrowth:
         base = CandidateSet.target_incident(200, targets)
         assert candidate_set.pairs() == base.pairs()
 
-    def test_refresh_is_superset_of_previous_and_base(self):
+    def test_refresh_is_superset_of_previous_and_base(self, migrated_by_key):
         graph, targets, candidate_set = self._setup()
         engine = self._engine(graph, targets, candidate_set)
         base_pairs = set(CandidateSet.target_incident(200, targets).pairs())
@@ -197,13 +197,17 @@ class TestGradientGrowth:
             assert grown is not current
             assert base_pairs <= set(grown.pairs())
             assert set(current.pairs()) <= set(grown.pairs())
-            # the recorded lineage (the attack-state contract) maps every
-            # pair of the previous set onto itself in the grown one
+            # the recorded lineage (the attack-state contract) keeps every
+            # pair of the previous set, and carries state exactly as a
+            # migration by key search does
             assert grown.lineage.parent() is current
-            positions = grown.lineage.positions
-            assert positions.size == len(current) and positions.min() >= 0
-            assert np.array_equal(grown.rows[positions], current.rows)
-            assert np.array_equal(grown.cols[positions], current.cols)
+            assert grown.lineage.kept is None
+            state = np.arange(1.0, len(current) + 1.0)
+            assert np.array_equal(
+                grown.lineage.carry(state, -1.0),
+                migrated_by_key(current, grown, state, -1.0),
+            )
+            assert np.array_equal(grown.keys, grown.rows * 200 + grown.cols)
             current = grown
 
     def test_admissions_capped_and_gradient_ranked(self):

@@ -6,7 +6,8 @@ digests are pinned per case:
 
 * the flips, as a sha256 over their JSON list;
 * the refresh trail, a sha256 over the int64 pair keys of every set a
-  ``refresh`` returned, in call order;
+  ``refresh`` returned, in call order (GradMaxSearch does not refresh
+  after its final step, whose refreshed set no step would search);
 * the per-budget surrogate losses (``surrogate_by_budget``), bit for bit.
   These pin the objective on the refresh path, where the engine carries
   per-pair state across refreshes and completes loss-only evaluations
@@ -54,22 +55,22 @@ ATTACKS = {
 #: refresh trail, digest of the per-budget losses).
 GOLDEN = {
     ("gradmaxsearch", "adaptive", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "84e2377473db9a3295c08f55d5d045ba",
+        "c435b09bbee753a4beb39a53c9a0b9e4", "457cd62806a2442413cf2cacca4fc0a4",
         "d192cd742fc18377fcb68fb7580a4893"),
     ("gradmaxsearch", "adaptive", 113): (
-        "8fb8059c8e8e718af81710de44669396", "562944904cad4850a585468d59e7420e",
+        "8fb8059c8e8e718af81710de44669396", "5ce5bb4d929731e5fb9944195764a21a",
         "f9ec446fc4ccc8979b988454db97fe3c"),
     ("gradmaxsearch", "adaptive", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "3f1595e47e282805d89719e390a5bb21",
+        "57317dcf78fc8e7e297e537c9f277527", "35818cae95ed9b3798d5ef607e704627",
         "2c053adfce2c10fc3e7691932965dad9"),
     ("gradmaxsearch", "adaptive_gradient", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "037cd07dc5b619128a9157fe09f14d26",
+        "c435b09bbee753a4beb39a53c9a0b9e4", "350b96f70e2503fcdce008ee6c8e83c0",
         "d192cd742fc18377fcb68fb7580a4893"),
     ("gradmaxsearch", "adaptive_gradient", 113): (
-        "8fb8059c8e8e718af81710de44669396", "2c7f291f22aac5366aeda5306b9bb25e",
+        "8fb8059c8e8e718af81710de44669396", "a56acd37205a1ad86d992a93b53a366b",
         "f9ec446fc4ccc8979b988454db97fe3c"),
     ("gradmaxsearch", "adaptive_gradient", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "8278427c443edacc650a9fa89fda696c",
+        "57317dcf78fc8e7e297e537c9f277527", "f143d3eec79db524d6be0b83d3a52e08",
         "2c053adfce2c10fc3e7691932965dad9"),
     ("binarizedattack", "adaptive_gradient", 1844): (
         "c435b09bbee753a4beb39a53c9a0b9e4", "bc02dbb0346013e48c28401e80575ab1",
@@ -81,13 +82,13 @@ GOLDEN = {
         "57317dcf78fc8e7e297e537c9f277527", "b116d89edc0bde8c0c5df0baf2a8d14d",
         "60833629df7dcfb7cce47390e5671de0"),
     ("gradmaxsearch-block", "block", 1844): (
-        "c43623e07308cf449f25030c4435c4e0", "2706f2ff6c04eca105d31e18f21fdb23",
+        "c43623e07308cf449f25030c4435c4e0", "f81067ba21cdde00e2b6ecc6ccbac228",
         "48e28d261a009e391cb884f0f169d395"),
     ("gradmaxsearch-block", "block", 113): (
-        "7b7b6bc153a904fb700dac735f7a2667", "d398669c62189ea22797f37991b26c89",
+        "7b7b6bc153a904fb700dac735f7a2667", "3da071ed3cab76efb90180d3ccb36a9a",
         "c08f9e76ab51e491c25f9830deb35d6d"),
     ("gradmaxsearch-block", "block", 9721): (
-        "0726c192aa01cdf101fcb12b262df77c", "59af866567e4e7f17269659a721f778e",
+        "0726c192aa01cdf101fcb12b262df77c", "2e0443003af883115394297c3fda96bf",
         "40b731a283c527bd95ed83895b6b18a8"),
 }
 

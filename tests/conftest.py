@@ -110,6 +110,24 @@ def assert_outcomes_identical():
 
 
 @pytest.fixture(scope="session")
+def migrated_by_key():
+    """The key-search oracle of ``Lineage.carry``: ``state`` on candidate
+    set ``old`` moved onto ``new``, each surviving pair's entry at its
+    key's position and every other pair of ``new`` at ``fill``."""
+
+    def migrate(old, new, state, fill):
+        positions = np.searchsorted(new.keys, old.keys)
+        inside = positions < len(new)
+        survived = np.zeros(len(old), dtype=bool)
+        survived[inside] = new.keys[positions[inside]] == old.keys[inside]
+        migrated = np.full(len(new), fill, dtype=state.dtype)
+        migrated[positions[survived]] = state[survived]
+        return migrated
+
+    return migrate
+
+
+@pytest.fixture(scope="session")
 def store(tmp_path_factory):
     """A cached 0.3-scale blogcatalog store (built once per session)."""
     from repro.store import build_store

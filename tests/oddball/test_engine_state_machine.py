@@ -32,9 +32,15 @@ since the cache was built, so its ``flip_direction`` describes the
 current graph and the fresh engine is an exact reference.  The machine
 runs on both kernel backends and on an engine backed by a memory-mapped
 store.
+
+Each machine runs ``$REPRO_STATE_MACHINE_EXAMPLES`` examples (50 by
+default); CI also runs them at 300, deep enough to reach rare sequences
+such as candidate flip → checkpoint → refresh → restore.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -51,7 +57,11 @@ from scipy import sparse
 
 from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
 from repro.kernels import compiled_available
-from repro.oddball.surrogate import ITERATE_MEMO_SIZE, SparseSurrogateEngine
+from repro.oddball.surrogate import (
+    ITERATE_MEMO_SIZE,
+    SparseSurrogateEngine,
+    _group_pairs,
+)
 from repro.store import build_store
 
 #: Distinct flip sets in each candidate set's Ż pool (more than the LRU holds).
@@ -330,8 +340,9 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
 
 
 def _run(machine) -> None:
+    examples = int(os.environ.get("REPRO_STATE_MACHINE_EXAMPLES", "50"))
     run_state_machine_as_test(machine, settings=settings(
-        max_examples=50, stateful_step_count=40, deadline=None,
+        max_examples=examples, stateful_step_count=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow], derandomize=True,
     ))
 
@@ -436,3 +447,40 @@ def test_restore_fixes_up_a_carried_pair_cache(store, kernels):
     engine.apply_flip(u, v)
     engine.restore(engine.checkpoint())
     check(flipped, grown)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_refresh_regroups_pairs_whose_hub_changed(kernels):
+    """An admission that raises an endpoint's pair count moves existing
+    pairs to that endpoint's group, ties going to the row: the engine's
+    grouping after the handover is exactly a fresh grouping of the new set."""
+    n = 10
+    edges = [(2, 4), (2, 6), (2, 7), (2, 8), (0, 1), (1, 3), (3, 5), (5, 9),
+             (0, 9), (4, 5), (6, 9), (7, 9), (8, 9), (1, 5)]
+    adjacency = np.zeros((n, n))
+    for u, v in edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    pairs = [(1, 2), (1, 3), (2, 5), (3, 5), (5, 6), (5, 7), (5, 8), (5, 9)]
+    candidates = AdaptiveCandidateSet(
+        n=n, rows=np.array([u for u, _ in pairs]), cols=np.array([v for _, v in pairs]),
+        strategy="adaptive", ball=frozenset({1}),
+    )
+    engine = SparseSurrogateEngine(
+        sparse.csr_matrix(adjacency), [1], candidates, kernels=kernels
+    )
+
+    def hubs(engine):
+        groups = engine._groups
+        grouped = zip(groups.rows[groups.order].tolist(), groups.cols[groups.order].tolist())
+        return dict(zip(grouped, groups.hubs.tolist()))
+
+    # 1 and 2 are in two pairs each (a tie, so the row), 5 in six
+    assert hubs(engine)[(1, 2)] == 1 and hubs(engine)[(2, 5)] == 5
+    engine.apply_flip(1, 2)
+    grown = candidates.refresh([(1, 2)], engine)
+    assert grown.lineage.parent() is candidates
+    engine.set_candidates(grown)
+    # four admissions put 2 in six pairs: it outnumbers 1, and ties with 5
+    assert hubs(engine)[(1, 2)] == 2 and hubs(engine)[(2, 5)] == 2
+    for mine, fresh in zip(engine._groups, _group_pairs(grown.rows, grown.cols, n)):
+        assert np.array_equal(mine, fresh)

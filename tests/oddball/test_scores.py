@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
@@ -10,8 +12,34 @@ from repro.oddball.scores import (
     anomaly_scores,
     anomaly_scores_with_fit,
     proxy_scores,
+    rank_nodes,
+    rank_positions,
     score_from_features,
 )
+
+
+#: Scores drawn from a few values so ties are common, with both zeros, both
+#: infinities and NaN among them.
+_TIED_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25, np.inf, -np.inf, np.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    min_size=1, max_size=40,
+)
+
+
+class TestRankNodes:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_TIED_SCORES, data=st.data())
+    def test_matches_the_stable_argsort(self, values, data):
+        scores = np.array(values, dtype=np.float64)
+        nodes = data.draw(st.lists(st.integers(0, scores.size - 1), max_size=6))
+        ranks = rank_nodes(scores, nodes)
+        assert ranks.dtype == np.intp
+        assert np.array_equal(ranks, rank_positions(scores)[nodes])
+
+    def test_nan_ranks_last_in_index_order(self):
+        scores = np.array([np.nan, 1.0, np.nan, -np.inf, 1.0])
+        assert rank_nodes(scores, [0, 1, 2, 3, 4]).tolist() == [3, 0, 4, 2, 1]
 
 
 class TestScoreFromFeatures:
