@@ -65,7 +65,6 @@ import numpy as np
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet, adopt_refresh
 from repro.attacks.constraints import filter_valid_flips_engine
-from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -145,7 +144,6 @@ class BinarizedAttack(StructuralAttack):
         floor: float = 1.0,
         init: float = 0.0,
         normalize_gradient: bool = True,
-        kernels: str = "auto",
         block_size: "int | None" = None,
         block_seed: int = 0,
     ):
@@ -163,7 +161,6 @@ class BinarizedAttack(StructuralAttack):
         self.floor = floor
         self.init = init
         self.normalize_gradient = normalize_gradient
-        self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
 
@@ -197,7 +194,6 @@ class BinarizedAttack(StructuralAttack):
                 (rows, cols),
                 floor=self.floor,
                 weights=target_weights,
-                kernels=self.kernels,
             )
         else:
             # Shared (campaign) engine: repoint it at this job's targets and

@@ -59,7 +59,6 @@ from repro.graph.graph import Graph
 from repro.graph.sparse import content_hash, to_sparse
 from repro.oddball.regression import fit_power_law
 from repro.oddball.scores import rank_nodes, rank_positions, score_from_features
-from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_adjacency, check_budget
@@ -69,7 +68,6 @@ __all__ = [
     "AttackJob",
     "CampaignResult",
     "CheckpointStore",
-    "ENGINE_ATTACKS",
     "JobOutcome",
     "SHARED_ENGINE_ATTACKS",
     "grid_jobs",
@@ -91,18 +89,15 @@ def _registry() -> dict:
     return ATTACK_REGISTRY
 
 
-#: Attacks whose *optimisation loop* runs through a SurrogateEngine; their
-#: constructors take a ``kernels`` parameter the campaign fills in.
-ENGINE_ATTACKS = frozenset(
-    {BinarizedAttack.name, GradMaxSearch.name, ContinuousA.name}
-)
-
 #: Every attack that accepts an injected ``engine=`` in ``attack()`` — the
 #: gradient attacks plus the baselines (which use the shared engine as a
 #: graph-state backend: O(deg) probes and O(n) feature scoring instead of a
 #: per-job feature rebuild).  The campaign wraps all of them in
 #: checkpoint()/restore().
-SHARED_ENGINE_ATTACKS = ENGINE_ATTACKS | {"random", "oddball-heuristic"}
+SHARED_ENGINE_ATTACKS = frozenset({
+    BinarizedAttack.name, GradMaxSearch.name, ContinuousA.name,
+    "random", "oddball-heuristic",
+})
 
 _CHECKPOINT_VERSION = 3
 
@@ -251,17 +246,9 @@ class AttackJob:
             **{k: v for k, v in payload.get("params", [])},
         )
 
-    def build_attack(self, kernels: str = "auto"):
-        """Instantiate the attack this job describes.
-
-        ``kernels`` is a campaign-level default injected via
-        ``setdefault`` — a job that pinned it in its ``params`` keeps its
-        own value (and its ``job_id`` already reflects it).
-        """
-        params = {k: v for k, v in self.params}
-        if self.attack in ENGINE_ATTACKS:
-            params.setdefault("kernels", kernels)
-        return _registry()[self.attack](**params)
+    def build_attack(self):
+        """Instantiate the attack this job describes."""
+        return _registry()[self.attack](**dict(self.params))
 
 
 def grid_jobs(
@@ -699,12 +686,6 @@ class AttackCampaign:
         touch-point free); dense jobs still re-run the O(n²) checks per
         attack call, which is negligible at the small n dense inputs are
         meant for.
-    kernels:
-        Hot-loop kernel backend (``"auto"``/``"numpy"``/``"compiled"``,
-        see :mod:`repro.kernels`).  Injected as the default for every
-        engine job (a job pinning ``kernels`` in its params wins) and
-        passed to the lazily-built shared engine.  Both backends produce
-        bit-identical flip sets, so checkpoints are kernel-agnostic.
     checkpoint_path:
         Optional JSONL checkpoint file: one header line (graph fingerprint)
         followed by one completed-job record per line, appended
@@ -747,7 +728,6 @@ class AttackCampaign:
         self,
         graph: "Graph | np.ndarray | sparse.spmatrix",
         *,
-        kernels: str = "auto",
         checkpoint_path: "Path | str | None" = None,
         compute_ranks: bool = True,
         engine: "SurrogateEngine | None" = None,
@@ -755,7 +735,6 @@ class AttackCampaign:
     ):
         if telemetry is not None:
             _telemetry.configure(telemetry)
-        self.kernels = validate_kernels(kernels)
         self._original = _normalize_graph(graph)
         self.n = int(self._original.shape[0])
         self.checkpoint_path = (
@@ -832,7 +811,7 @@ class AttackCampaign:
 
     def _run_job_traced(self, job: AttackJob) -> JobOutcome:
         """The :meth:`_run_job` body, inside the job's telemetry span."""
-        attack = job.build_attack(self.kernels)
+        attack = job.build_attack()
         engine = self._ensure_engine(job)
         start = time.perf_counter()
         if job.attack in SHARED_ENGINE_ATTACKS:
@@ -883,9 +862,7 @@ class AttackCampaign:
             # n(n−1)/2 upper-triangle pairs — 50M entries at n = 10 000.
             empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
             with _telemetry.span("engine.build", n=self.n):
-                self._engine = SurrogateEngine.create(
-                    self._original, job.targets, empty, kernels=self.kernels,
-                )
+                self._engine = SurrogateEngine.create(self._original, job.targets, empty)
         if self._clean_scores is None:
             with _telemetry.span("engine.clean_scores"):
                 n_feature, e_feature = self._engine.node_features()

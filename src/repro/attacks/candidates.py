@@ -258,7 +258,7 @@ class CandidateSet:
     lineage:
         Set by :meth:`refresh` on the sets it returns: the
         :class:`Lineage` from the set it was called on (``None`` for a set
-        built from scratch).
+        built from scratch or unpickled).
     keys:
         The ascending pair keys ``rows·n + cols``, kept from validation.
     """
@@ -293,6 +293,11 @@ class CandidateSet:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "keys", keys)
+
+    def __getstate__(self) -> dict:
+        # A lineage names a live parent set of this process, so a pickled
+        # set carries none: its engine then reads every pair afresh.
+        return {**self.__dict__, "lineage": None}
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -29,7 +29,6 @@ import numpy as np
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
 from repro.attacks.constraints import filter_valid_flips_engine
-from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -64,15 +63,13 @@ class ContinuousA(StructuralAttack):
     name = "continuousa"
 
     def __init__(self, lr: float = 0.01, max_iter: int = 200, tol: float = 1e-6,
-                 floor: float = 0.5, kernels: str = "auto",
-                 block_size: "int | None" = None, block_seed: int = 0):
+                 floor: float = 0.5, block_size: "int | None" = None, block_seed: int = 0):
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         self.lr = lr
         self.max_iter = max_iter
         self.tol = tol
         self.floor = floor
-        self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
 
@@ -105,7 +102,6 @@ class ContinuousA(StructuralAttack):
                 (rows, cols),
                 floor=self.floor,
                 weights=target_weights,
-                kernels=self.kernels,
             )
         else:
             # Shared (campaign) engine: repoint instead of rebuilding.  The

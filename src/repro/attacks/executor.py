@@ -24,7 +24,6 @@ def build_campaign(
     *,
     workers: int = 1,
     backend: str = "auto",
-    kernels: str = "auto",
     checkpoint_path=None,
     compute_ranks: bool = True,
     telemetry: "str | None" = None,
@@ -34,9 +33,9 @@ def build_campaign(
     The one switch the experiment drivers call: ``workers <= 1`` returns
     the serial campaign, anything larger the lease-queue executor (lease
     TTL from ``$REPRO_LEASE_TTL``, else 30 s).  Both produce bit-identical
-    results, so callers never branch again.  ``kernels`` selects the
-    hot-loop kernel backend (see :mod:`repro.kernels`); either value yields
-    the same flips.  ``backend`` accepts only ``"auto"`` and ``"sparse"``
+    results, so callers never branch again.  Both run the process-default
+    kernel backend (:func:`repro.kernels.set_default_kernels`).  ``backend``
+    accepts only ``"auto"`` and ``"sparse"``
     (:data:`~repro.attacks.scheduler.CAMPAIGN_BACKENDS`), both the sparse
     engine.  ``telemetry`` names a trace directory for the
     :mod:`repro.telemetry` layer (``None`` defers to ``$REPRO_TELEMETRY``);
@@ -46,7 +45,6 @@ def build_campaign(
     if workers <= 1:
         return AttackCampaign(
             graph,
-            kernels=kernels,
             checkpoint_path=checkpoint_path,
             compute_ranks=compute_ranks,
             telemetry=telemetry,
@@ -54,7 +52,6 @@ def build_campaign(
     return SchedulingCampaignExecutor(
         graph,
         workers=workers,
-        kernels=kernels,
         checkpoint_path=checkpoint_path,
         compute_ranks=compute_ranks,
         telemetry=telemetry,

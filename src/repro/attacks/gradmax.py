@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet, adopt_refresh
-from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -93,10 +92,9 @@ class GradMaxSearch(StructuralAttack):
 
     name = "gradmaxsearch"
 
-    def __init__(self, floor: float = 1.0, kernels: str = "auto",
-                 block_size: "int | None" = None, block_seed: int = 0):
+    def __init__(self, floor: float = 1.0, block_size: "int | None" = None,
+                 block_seed: int = 0):
         self.floor = floor
-        self.kernels = validate_kernels(kernels)
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
 
@@ -134,7 +132,6 @@ class GradMaxSearch(StructuralAttack):
                 candidate_set,
                 floor=self.floor,
                 weights=target_weights,
-                kernels=self.kernels,
             )
         else:
             engine.retarget(

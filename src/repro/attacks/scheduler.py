@@ -82,7 +82,7 @@ from repro.attacks.campaign import (
     graph_fingerprint,
     validate_jobs,
 )
-from repro.kernels import validate_kernels
+from repro.kernels import default_kernels, set_default_kernels, validate_kernels
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 from repro.utils.logging import get_logger
 
@@ -619,6 +619,9 @@ def _scheduler_worker_main(
     child never write one file and the merged trace stays one tree.
     """
     _telemetry.worker_configure(telemetry)
+    # The spec is the one kernels carrier across the process boundary: a
+    # spawned child never sees the parent's set_default_kernels override.
+    set_default_kernels(spec.kernels)
     try:
         with _telemetry.span("worker.run"):
             _scheduler_worker_drain(
@@ -681,11 +684,6 @@ def _scheduler_worker_drain(
                 )
                 campaign = AttackCampaign(
                     graph,
-                    # The spec carries the REQUESTED kernels flag (possibly
-                    # "auto"); the engine build above resolved it against
-                    # THIS host, and the campaign default keeps per-job
-                    # attack params consistent with it.
-                    kernels=spec.kernels,
                     checkpoint_path=shard_path,
                     compute_ranks=compute_ranks,
                     engine=engine,
@@ -743,11 +741,12 @@ class SchedulingCampaignExecutor:
         :class:`EngineSpec`.  Anything else raises ``ValueError``.
     kernels:
         Hot-loop kernel backend (``"auto"``/``"numpy"``/``"compiled"``,
-        see :mod:`repro.kernels`).  It is shipped **unresolved**: each
-        worker resolves it against its own host at engine-build time, so an
-        ``"auto"`` fleet mixing hosts with and without a C toolchain still
-        produces bit-identical results, while an explicit ``"compiled"`` is
-        enforced on every worker.
+        see :mod:`repro.kernels`) for the workers.  ``"auto"`` ships the
+        parent's process default (:func:`~repro.kernels.default_kernels`).
+        Each worker applies the shipped value as its own process default
+        before it builds its engine, so ``fork`` and ``spawn`` workers
+        resolve alike; ``"auto"`` resolves against the worker's host, while
+        an explicit ``"compiled"`` is enforced on every worker.
     checkpoint_path:
         Optional JSONL checkpoint (same single-file format as the serial
         campaign — the two are interchangeable run-over-run).  Worker
@@ -930,13 +929,12 @@ class SchedulingCampaignExecutor:
         fails if jobs are actually missing afterwards.
         """
         shard_dir.mkdir(parents=True, exist_ok=True)
+        kernels = default_kernels() if self.kernels == "auto" else self.kernels
         with _telemetry.span("executor.spec", store=self._graph_store is not None):
             if self._graph_store is not None:
-                spec = EngineSpec.from_store(
-                    self._graph_store, kernels=self.kernels
-                )
+                spec = EngineSpec.from_store(self._graph_store, kernels=kernels)
             else:
-                spec = EngineSpec.from_graph(self._original, kernels=self.kernels)
+                spec = EngineSpec.from_graph(self._original, kernels=kernels)
         # The queue is ephemeral coordination state: durable truth lives in
         # the shard checkpoints, so a previous (crashed) run's queue is
         # simply replaced.

@@ -17,8 +17,9 @@ candidate strategy removes the O(n²) pair arrays — e.g.::
     python -m repro.experiments.runner -e fig4 --candidates target_incident
 
 ``--kernels {auto,numpy,compiled}`` sets the process-wide default for the
-hot-loop kernel backend (:mod:`repro.kernels`); flip sets are bit-identical
-either way, ``compiled`` is purely a wall-clock lever.
+hot-loop kernel backend (:mod:`repro.kernels`), the one switch every
+engine and executor worker reads; flip sets are bit-identical either way,
+``compiled`` is purely a wall-clock lever.
 
 ``--campaign-checkpoint DIR`` makes the campaign-driven sweeps (fig4)
 persist per-panel job checkpoints under DIR, so an interrupted sweep
@@ -201,9 +202,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.kernels is not None:
         from repro.kernels import set_default_kernels
 
-        # Process-wide default: drivers build engines many layers down, so
-        # one switch here beats threading the flag through every driver
-        # signature (workers inherit it through the EngineSpec they get).
+        # Process-wide default: the only kernels switch; engines resolve
+        # it at construction, and executors ship it to their workers in
+        # the EngineSpec.
         set_default_kernels(args.kernels)
     if args.telemetry is not None:
         from repro import telemetry

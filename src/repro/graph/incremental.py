@@ -221,15 +221,6 @@ class IncrementalEgonetFeatures:
         a, b = self.neighbors(u), self.neighbors(v)
         return (a & b) if len(a) <= len(b) else (b & a)
 
-    def edge_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """0/1 vector of adjacency values at the given pairs."""
-        return np.fromiter(
-            (1.0 if self.is_edge(int(r), int(c)) else 0.0
-             for r, c in zip(rows, cols)),
-            dtype=np.float64,
-            count=len(rows),
-        )
-
     @property
     def flips(self) -> list[Edge]:
         """Every flip applied so far, in order (canonical pairs)."""

@@ -174,9 +174,7 @@ def to_sparse(graph: "Graph | np.ndarray | sparse.spmatrix") -> sparse.csr_matri
     return matrix
 
 
-def egonet_features_sparse(
-    adjacency, kernels: str = "auto"
-) -> tuple[np.ndarray, np.ndarray]:
+def egonet_features_sparse(adjacency) -> tuple[np.ndarray, np.ndarray]:
     """(N, E) for every node using sparse arithmetic.
 
     ``N_i = Σ_j A_ij`` and ``E_i = N_i + ½ diag(A³)``.  The triangle term
@@ -185,9 +183,9 @@ def egonet_features_sparse(
     each out-degree at ``√(2m)`` however large the hubs are, and each
     triangle is found once, on its lowest-ranked oriented edge, and
     credited to all three corners.  With the compiled kernel backend
-    (``kernels``, see :mod:`repro.kernels`) that is one C pass over the
-    out-lists; the numpy path forms the same orientation as a CSR ``O``
-    and reads the corners off two sparse products (see
+    (the process default, see :mod:`repro.kernels`) that is one C pass
+    over the out-lists; the numpy path forms the same orientation as a
+    CSR ``O`` and reads the corners off two sparse products (see
     :func:`_oriented_triangle_counts`).  Triangle counts are integers, so
     both paths return features bit-identical to the ``(A @ A) ⊙ A``
     product (the equivalence tests pin this against the dense kernel and
@@ -199,7 +197,7 @@ def egonet_features_sparse(
     n_feature = np.asarray(matrix.sum(axis=1)).ravel()
     tracer = _telemetry.active_tracer()
     start_ns = time.perf_counter_ns() if tracer is not None else 0
-    if resolve_kernels(kernels) == "compiled":
+    if resolve_kernels() == "compiled":
         triangles = kernel_table().triangle_counts(matrix)
     else:
         triangles = _oriented_triangle_counts(matrix)

@@ -1,11 +1,11 @@
-"""Compiled hot-kernel layer: ``kernels={auto,numpy,compiled}`` selection.
+"""Compiled hot-kernel layer: one process-wide ``{auto,numpy,compiled}`` switch.
 
 The sparse engine's hot loops lean on three primitives: batch pair
 membership against a CSR, the candidate-pair gradient scatter, and
 per-node triangle counts.  This package provides a compiled backend for
 them (C built on demand via the system compiler, loaded through cffi ABI
-mode — see :mod:`repro.kernels.capi`) behind a three-valued ``kernels``
-flag (edge flips themselves always run in Python, in
+mode — see :mod:`repro.kernels.capi`) behind a three-valued process
+default (edge flips themselves always run in Python, in
 :class:`~repro.graph.incremental.IncrementalEgonetFeatures`):
 
 - ``numpy``    — the pure numpy/Python reference paths, always available;
@@ -15,10 +15,13 @@ flag (edge flips themselves always run in Python, in
 - ``auto``     — ``compiled`` when the toolchain is present, otherwise
   ``numpy`` with a single :class:`RuntimeWarning` per process.
 
-``auto`` first defers to the process default, settable via the
-``REPRO_KERNELS`` environment variable or :func:`set_default_kernels`
-(what ``runner --kernels`` uses), so one switch reaches every engine an
-experiment builds.
+The default is :func:`set_default_kernels` (what both CLIs' ``--kernels``
+call), else the ``REPRO_KERNELS`` environment variable, else ``auto``.
+Every engine resolves it once, at construction, so one switch reaches
+every engine an experiment builds and no attack, engine or campaign takes
+a ``kernels`` keyword.  The multi-worker executor alone takes one, and
+ships it to its workers in their
+:class:`~repro.oddball.surrogate.EngineSpec`.
 
 :data:`KERNEL_REGISTRY` names the compiled primitives; the
 ``repro.analysis`` kernel-parity audit enforces that each entry is
@@ -75,12 +78,12 @@ _DEFAULT: str | None = None
 
 
 def set_default_kernels(kernels: str) -> None:
-    """Set the process-wide default that ``kernels="auto"`` resolves to.
+    """Set the process-wide default every engine resolves.
 
-    CLI entry points call this once so the flag reaches every engine
-    built downstream without threading a keyword through each call site.
-    ``"auto"`` clears the override, restoring ``$REPRO_KERNELS`` /
-    availability-based selection.
+    CLI entry points and executor workers call this once so the choice
+    reaches every engine built downstream without threading a keyword
+    through each call site.  ``"auto"`` clears the override, restoring
+    ``$REPRO_KERNELS`` / availability-based selection.
     """
     global _DEFAULT
     _DEFAULT = None if kernels == "auto" else validate_kernels(kernels)

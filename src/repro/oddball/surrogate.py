@@ -623,13 +623,14 @@ class EngineSpec(NamedTuple):
         one it would get by hashing the arrays, so shard merges validate
         either way.
     kernels : str
-        The *requested* hot-kernel flag (``auto``/``numpy``/``compiled``
-        — see :mod:`repro.kernels`).  It is deliberately NOT pre-resolved:
-        availability of the compiled backend is a property of the
-        executing host, so each worker resolves ``auto`` for itself at
-        engine build (both backends are bit-identical, so a heterogeneous
-        fleet still agrees on results).
-        An explicit ``"compiled"`` is enforced — a worker without the
+        The hot-kernel backend (``auto``/``numpy``/``compiled`` — see
+        :mod:`repro.kernels`) the executor ships: its explicit choice, or
+        the process default it was built under.  A worker applies it with
+        :func:`~repro.kernels.set_default_kernels` before it builds its
+        engine, so ``fork`` and ``spawn`` workers resolve alike.  ``auto``
+        resolves against the worker's own host (both backends are
+        bit-identical, so a heterogeneous fleet still agrees on results);
+        an explicit ``"compiled"`` is enforced — a worker without the
         toolchain raises instead of silently degrading.
     """
 
@@ -649,11 +650,7 @@ class EngineSpec(NamedTuple):
         ridge: float = DEFAULT_RIDGE,
         kernels: str = "auto",
     ) -> "EngineSpec":
-        """Capture a graph (dense array or scipy sparse) as an engine spec.
-
-        ``kernels`` is carried as requested and resolved per worker (see
-        the class docstring).
-        """
+        """Capture a graph (dense array or scipy sparse) as an engine spec."""
         validate_kernels(kernels)
         if _sparse.issparse(graph):
             csr = graph.tocsr()
@@ -753,10 +750,12 @@ class SurrogateEngine(abc.ABC):
     rolls each iterate's flips back between steps instead of rebuilding
     adjacencies.  Construct through :meth:`create`, which builds the
     sparse engine.  :attr:`backend` is a read-only label of the engine
-    class (``"dense"`` or ``"sparse"``).
+    class (``"dense"`` or ``"sparse"``); :attr:`kernels` names the
+    resolved kernel backend (``"numpy"`` or ``"compiled"``).
     """
 
     backend: str = "abstract"
+    kernels: str
 
     def __init__(
         self,
@@ -766,7 +765,6 @@ class SurrogateEngine(abc.ABC):
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
-        kernels: str = "auto",
     ):
         if floor <= 0.0:
             raise ValueError(f"floor must be positive to keep logs finite, got {floor}")
@@ -775,9 +773,6 @@ class SurrogateEngine(abc.ABC):
         self.floor = float(floor)
         self.ridge = float(ridge)
         self._weights = weights
-        #: The *requested* hot-kernel flag, exported unresolved by
-        #: :meth:`engine_spec` so workers re-resolve ``auto`` per host.
-        self.kernels_flag = validate_kernels(kernels)
         #: The candidates last passed to :meth:`set_candidates` (the parent
         #: a refreshed set's lineage must name to carry the pair cache).
         self._candidates = None
@@ -798,7 +793,6 @@ class SurrogateEngine(abc.ABC):
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
-        kernels: str = "auto",
     ) -> "SurrogateEngine":
         """Build the :class:`SparseSurrogateEngine` every attack runs on.
 
@@ -806,12 +800,10 @@ class SurrogateEngine(abc.ABC):
         scipy sparse matrix; ``candidates`` a
         :class:`~repro.attacks.candidates.CandidateSet`, a ``(rows, cols)``
         pair of canonical index arrays, or ``None`` for every upper-triangle
-        pair.  ``kernels`` selects the hot-kernel backend for the
-        engine's flip/score/gradient primitives (:mod:`repro.kernels`).
+        pair.
         """
         return SparseSurrogateEngine(
-            graph, targets, candidates, floor=floor, ridge=ridge, weights=weights,
-            kernels=kernels,
+            graph, targets, candidates, floor=floor, ridge=ridge, weights=weights
         )
 
     @classmethod
@@ -833,12 +825,13 @@ class SurrogateEngine(abc.ABC):
 
         ``graph`` may pass a pre-materialised ``spec.to_graph()`` result so
         a caller that needs the graph anyway (the executor's workers hand
-        it to their campaign too) avoids a second payload copy.
+        it to their campaign too) avoids a second payload copy.  The engine
+        runs the process-default kernels: the worker has applied
+        ``spec.kernels`` as that default before it calls this.
         """
         return SparseSurrogateEngine(
             spec.to_graph() if graph is None else graph, targets, candidates,
             floor=spec.floor, ridge=spec.ridge, weights=weights,
-            kernels=spec.kernels,
         )
 
     def engine_spec(self) -> "EngineSpec":
@@ -847,13 +840,14 @@ class SurrogateEngine(abc.ABC):
         Captures the *current permanent* graph (applied flips included);
         raises if transient flips are pending, because a spec taken
         mid-probe would bake a half-evaluated state into every worker.
+        The spec carries the engine's resolved kernel backend.
         """
         return EngineSpec(
             kind=self._spec_kind(),
             payload=self._spec_payload(),
             floor=self.floor,
             ridge=self.ridge,
-            kernels=self.kernels_flag,
+            kernels=self.kernels,
         )
 
     @abc.abstractmethod
@@ -1166,7 +1160,6 @@ class DenseSurrogateEngine(SurrogateEngine):
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
-        kernels: str = "auto",
     ):
         if _sparse.issparse(graph):
             # repro: allow-densify(dense reference engine — densifying is the point)
@@ -1186,13 +1179,12 @@ class DenseSurrogateEngine(SurrogateEngine):
         self._transient: list[tuple[int, int]] = []
         self._permanent: list[tuple[int, int]] = []
         self._frozen: "Tensor | None" = None
-        #: The dense reference path has no compiled primitives — the flag is
-        #: accepted (and round-tripped through specs) for API parity with
-        #: the sparse engine, but evaluation is always the autograd oracle.
+        #: The dense reference path has no compiled primitives: evaluation
+        #: is always the autograd oracle.
         self.kernels = "numpy"
         super().__init__(
             adjacency.shape[0], targets, candidates,
-            floor=floor, ridge=ridge, weights=weights, kernels=kernels,
+            floor=floor, ridge=ridge, weights=weights,
         )
 
     def _pair_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -1390,13 +1382,12 @@ class SparseSurrogateEngine(SurrogateEngine):
         floor: float = 1.0,
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
-        kernels: str = "auto",
     ):
         from repro.graph.incremental import IncrementalEgonetFeatures
 
-        #: Resolved hot-kernel backend ("numpy" or "compiled") in use for
-        #: pair reads and the gradient scatter.
-        self.kernels = resolve_kernels(kernels)
+        #: Hot-kernel backend ("numpy" or "compiled") for pair reads and the
+        #: gradient scatter, resolved from the process default.
+        self.kernels = resolve_kernels()
         self._kt = kernel_table() if self.kernels == "compiled" else None
         self._features = IncrementalEgonetFeatures(graph)
         # push_flip/apply_flip share one rollback stack; this counter is the
@@ -1409,7 +1400,7 @@ class SparseSurrogateEngine(SurrogateEngine):
         self._objective_memo: "tuple | None" = None
         super().__init__(
             self._features.n, targets, candidates,
-            floor=floor, ridge=ridge, weights=weights, kernels=kernels,
+            floor=floor, ridge=ridge, weights=weights,
         )
 
     def _pair_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ targets end-to-end; with ``--workers N`` the lease queue of
 :mod:`repro.attacks.scheduler` drains the jobs, every worker opening the
 memory-mapped store via a ``store``-kind
 :class:`~repro.oddball.surrogate.EngineSpec` (``$REPRO_LEASE_TTL`` bounds
-crash-requeue latency).
+crash-requeue latency).  ``campaign --kernels`` sets the process-wide
+kernel backend (:func:`repro.kernels.set_default_kernels`), which the
+spec carries to every worker.
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ def _cmd_recipe_hash(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.attacks import grid_jobs
     from repro.attacks.executor import build_campaign
+    from repro.kernels import set_default_kernels
 
+    set_default_kernels(args.kernels)
     store = _resolve_store(args)
     targets = store.top_targets(args.targets)
     params: dict[str, int] = {}
@@ -144,7 +148,7 @@ def _cmd_campaign(args) -> int:
         **params,
     )
     campaign = build_campaign(
-        store, workers=args.workers, backend="sparse", kernels=args.kernels,
+        store, workers=args.workers, backend="sparse",
         checkpoint_path=args.checkpoint, telemetry=args.telemetry,
     )
     start = time.perf_counter()
@@ -226,7 +230,9 @@ def main(argv: "list[str] | None" = None) -> int:
     campaign.add_argument("--kernels", choices=["auto", "numpy", "compiled"],
                           default="auto",
                           help="hot-loop kernel backend (repro.kernels); "
-                               "flips are identical either way")
+                               "sets the process-wide default, which every "
+                               "worker applies too; flips are identical "
+                               "either way")
     campaign.add_argument("--telemetry", type=Path, default=None,
                           metavar="DIR",
                           help="write a structured trace (spans/events/"

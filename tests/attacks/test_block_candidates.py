@@ -8,6 +8,8 @@ bit-identical flips to ``full`` for every ``SHARED_ENGINE_ATTACKS`` member,
 and the candidate footprint stays O(block_size) regardless of n.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -24,22 +26,16 @@ from repro.attacks import (
     grid_jobs,
 )
 from repro.attacks.candidates import (
+    AdaptiveCandidateSet,
     admission_cap,
     adopt_refresh,
     default_block_size,
 )
-from repro.kernels import compiled_available
 from repro.oddball.surrogate import (
     DenseSurrogateEngine,
     SparseSurrogateEngine,
     SurrogateEngine,
 )
-
-requires_compiled = pytest.mark.skipif(
-    not compiled_available(),
-    reason="no C toolchain/cffi on this host; compiled backend unavailable",
-)
-
 
 def _same_pairs(a, b):
     return np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
@@ -50,8 +46,7 @@ def _total(n):
 
 
 def _drive_schedule(
-    graph, targets, *, block_size, seed, steps=6, schedule_seed=0,
-    oracle=False, kernels="numpy",
+    graph, targets, *, block_size, seed, steps=6, schedule_seed=0, oracle=False,
 ):
     """Run a seeded flip/refresh schedule, asserting the block invariants.
 
@@ -64,9 +59,7 @@ def _drive_schedule(
     if oracle:
         engine = DenseSurrogateEngine(graph.adjacency, targets, block)
     else:
-        engine = SparseSurrogateEngine(
-            sparse.csr_matrix(graph.adjacency), targets, block, kernels=kernels
-        )
+        engine = SparseSurrogateEngine(sparse.csr_matrix(graph.adjacency), targets, block)
     picker = np.random.default_rng(schedule_seed)
     history, flipped = [], []
     for _ in range(steps):
@@ -195,6 +188,27 @@ class TestLineage:
         evicted = set(zip(old.rows[~kept].tolist(), old.cols[~kept].tolist()))
         assert not evicted & new.pair_set()
 
+    @pytest.mark.parametrize("strategy", ["adaptive", "block"])
+    def test_a_pickled_refresh_carries_no_lineage(self, small_ba_graph, strategy):
+        """A lineage names a live parent set of this process, so a pickled
+        refreshed set drops it; an engine handed the copy reads every pair."""
+        adjacency = sparse.csr_matrix(small_ba_graph.adjacency)
+        if strategy == "adaptive":
+            old, flips = AdaptiveCandidateSet.start(60, [0]), [(0, 7)]
+        else:
+            old, flips = BlockCandidateSet.start(60, block_size=64, seed=9), []
+        engine = SurrogateEngine.create(adjacency, [0, 1], old)
+        new = old.refresh(flips, engine)
+        if strategy == "block":
+            assert not new.lineage.kept.all()  # the refresh evicted pairs
+        copy = pickle.loads(pickle.dumps(new))
+        assert type(copy) is type(new) and copy.lineage is None
+        for field in ("rows", "cols", "keys"):
+            assert np.array_equal(getattr(copy, field), getattr(new, field))
+        engine.set_candidates(copy)
+        fresh = SurrogateEngine.create(adjacency, [0, 1], new)
+        assert np.array_equal(engine.edge_values, fresh.edge_values)
+
     def test_adopt_refresh_carries_state_and_repoints_the_engine(
         self, small_ba_graph, migrated_by_key
     ):
@@ -244,15 +258,14 @@ class TestBlockSequenceBackendParity:
             assert np.array_equal(r_a, r_b)
             assert np.array_equal(c_a, c_b)
 
-    @requires_compiled
-    def test_numpy_and_compiled_sequences_are_identical(self, small_ba_graph):
+    def test_numpy_and_compiled_sequences_are_identical(
+        self, small_ba_graph, use_kernels
+    ):
         targets = [0, 1, 2]
-        ref = _drive_schedule(
-            small_ba_graph, targets, block_size=128, seed=5, kernels="numpy"
-        )
-        fast = _drive_schedule(
-            small_ba_graph, targets, block_size=128, seed=5, kernels="compiled"
-        )
+        use_kernels("numpy")
+        ref = _drive_schedule(small_ba_graph, targets, block_size=128, seed=5)
+        use_kernels("compiled")
+        fast = _drive_schedule(small_ba_graph, targets, block_size=128, seed=5)
         for (r_a, c_a), (r_b, c_b) in zip(ref, fast):
             assert np.array_equal(r_a, r_b)
             assert np.array_equal(c_a, c_b)

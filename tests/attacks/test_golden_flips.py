@@ -40,7 +40,6 @@ from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch
 from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
 from repro.experiments import common
 from repro.experiments.config import CI
-from repro.kernels import compiled_available
 from repro.oddball.detector import OddBall
 from repro.store import build_store
 from repro.utils.rng import SeedSequenceFactory
@@ -121,11 +120,7 @@ GOLDEN_CONTINUOUS = {
                     "5885b555df41240786b54c3c89cb4589"),
 }
 
-KERNELS = [
-    "numpy",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        not compiled_available(), reason="compiled backend unavailable")),
-]
+KERNELS = ["numpy", "compiled"]
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +136,10 @@ def payload(tmp_path_factory):
 @pytest.mark.parametrize(
     "case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case))
 )
-def test_flips_and_refresh_trail_are_pinned(case, kernels, payload, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
+def test_flips_and_refresh_trail_are_pinned(
+    case, kernels, payload, monkeypatch, use_kernels
+):
+    use_kernels(kernels)
     attack_name, strategy, target = case
     trail = hashlib.sha256()
     for cls in (AdaptiveCandidateSet, BlockCandidateSet):
@@ -198,11 +195,11 @@ def _fig4_case(graph_name: str):
 @pytest.mark.parametrize(
     "case", list(GOLDEN_BINARIZED), ids=lambda case: "-".join(map(str, case))
 )
-def test_binarized_static_strategies_are_pinned(case, kernels, payload, monkeypatch):
+def test_binarized_static_strategies_are_pinned(case, kernels, payload, use_kernels):
     """Store cases run budget 5 with 20 iterations per λ on one target;
     Fig. 4 cases run the ci preset's attack on three targets sampled with
     ``default_rng(1)``, at the panel's largest budget."""
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    use_kernels(kernels)
     strategy, graph_name, target = case
     if graph_name == "store-10k":
         result = BinarizedAttack(iterations=20).attack(
@@ -218,9 +215,9 @@ def test_binarized_static_strategies_are_pinned(case, kernels, payload, monkeypa
 
 @pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("graph_name", list(GOLDEN_CONTINUOUS))
-def test_continuous_full_is_pinned(graph_name, kernels, monkeypatch):
+def test_continuous_full_is_pinned(graph_name, kernels, use_kernels):
     """The ci preset's ContinuousA on ``full``, on the Fig. 4 cases above."""
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    use_kernels(kernels)
     graph, targets, budget = _fig4_case(graph_name)
     result = ContinuousA(max_iter=CI.attack_iterations).attack(
         graph, targets, budget=budget, candidates="full"

@@ -4,7 +4,7 @@ Beyond the small deterministic graphs, this hosts the fixtures the
 campaign/executor/scheduler/store suites used to duplicate per-module:
 the 90-node BA campaign graph with its OddBall target ranking, the
 gradmaxsearch sweep-grid factory, the outcome bit-identity assertion,
-and the cached blogcatalog store build.
+the kernel-backend switch and the cached blogcatalog store build.
 """
 
 from __future__ import annotations
@@ -90,6 +90,27 @@ def sweep_jobs():
         )
 
     return make
+
+
+@pytest.fixture()
+def use_kernels(monkeypatch):
+    """Switch the process-default kernel backend for the rest of the test.
+
+    ``use_kernels(name)`` sets ``$REPRO_KERNELS`` with the
+    ``set_default_kernels`` override cleared, so every engine built after
+    the call, and every executor worker, resolves ``name``.  A test asking
+    for ``"compiled"`` on a host without the compiled backend is skipped.
+    """
+    import repro.kernels
+
+    def use(kernels: str) -> str:
+        if kernels == "compiled" and not repro.kernels.compiled_available():
+            pytest.skip("compiled kernel backend unavailable")
+        monkeypatch.setattr(repro.kernels, "_DEFAULT", None)
+        monkeypatch.setenv("REPRO_KERNELS", kernels)
+        return kernels
+
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -264,12 +264,12 @@ class TestStructureQueries:
             row[:] = -1
             assert engine.sorted_neighbors(u).tolist() == sorted(engine.neighbors(u))
 
-    def test_edge_values_vector(self, small_er_graph):
+    def test_is_edge_over_every_pair(self, small_er_graph):
         adjacency = small_er_graph.adjacency
         engine = IncrementalEgonetFeatures(small_er_graph)
         rows, cols = np.triu_indices(adjacency.shape[0], k=1)
-        np.testing.assert_array_equal(
-            engine.edge_values(rows, cols), adjacency[rows, cols]
+        assert [engine.is_edge(int(u), int(v)) for u, v in zip(rows, cols)] == (
+            (adjacency[rows, cols] == 1.0).tolist()
         )
 
 
@@ -417,13 +417,13 @@ class TestLazyNeighbourRows:
         np.testing.assert_array_equal(engine.n_feature, ref_n)
         np.testing.assert_array_equal(engine.e_feature, ref_e)
 
-    def test_edge_values_mix_base_and_overrides(self, small_ba_graph):
+    def test_is_edge_mixes_base_and_overrides(self, small_ba_graph):
         engine = IncrementalEgonetFeatures(small_ba_graph)
         dense = small_ba_graph.adjacency_view.copy()
         engine.flip(0, 1)
         dense[0, 1] = dense[1, 0] = 1.0 - dense[0, 1]
         rows = np.array([0, 0, 2, 5])
         cols = np.array([1, 2, 4, 9])
-        np.testing.assert_array_equal(
-            engine.edge_values(rows, cols), dense[rows, cols]
+        assert [engine.is_edge(int(u), int(v)) for u, v in zip(rows, cols)] == (
+            (dense[rows, cols] == 1.0).tolist()
         )

@@ -2,17 +2,22 @@
 
 ``kernels="auto"`` must degrade to numpy with exactly one warning when no
 toolchain exists, an explicit ``kernels="compiled"`` must fail loudly, and
-the flag must survive the EngineSpec transport round-trip unresolved (each
-worker host re-resolves it for itself).
+the process default must be the one kernels switch: engines resolve it at
+construction, and only the executor and the EngineSpec it ships to its
+workers take a ``kernels`` value.
 """
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import repro
 import repro.kernels as kernels_mod
 from repro.graph.generators import erdos_renyi
 from repro.kernels import (
@@ -110,7 +115,7 @@ class TestDegradedMode:
         _break_toolchain(monkeypatch)
         graph = erdos_renyi(30, 0.15, rng=2)
         with pytest.warns(RuntimeWarning):
-            engine = SurrogateEngine.create(graph, [0, 1], None, kernels="auto")
+            engine = SurrogateEngine.create(graph, [0, 1], None)
         assert engine.kernels == "numpy"
         assert np.isfinite(engine.current_loss())
 
@@ -118,9 +123,10 @@ class TestDegradedMode:
         self, pristine_kernel_state, monkeypatch
     ):
         _break_toolchain(monkeypatch)
+        kernels_mod.set_default_kernels("compiled")
         graph = erdos_renyi(30, 0.15, rng=2)
         with pytest.raises(KernelUnavailableError):
-            SurrogateEngine.create(graph, [0, 1], None, kernels="compiled")
+            SurrogateEngine.create(graph, [0, 1], None)
 
     def test_compiled_available_reports_false(
         self, pristine_kernel_state, monkeypatch
@@ -130,16 +136,21 @@ class TestDegradedMode:
 
 
 class TestSpecTransport:
-    def test_spec_carries_requested_flag_unresolved(self):
+    def test_engine_spec_carries_the_resolved_backend(self, use_kernels):
+        use_kernels("numpy")
         graph = erdos_renyi(40, 0.1, rng=4)
-        engine = SurrogateEngine.create(graph, [0], None, kernels="numpy")
-        spec = engine.engine_spec()
+        spec = SurrogateEngine.create(graph, [0], None).engine_spec()
         assert spec.kernels == "numpy"
         rebuilt = pickle.loads(pickle.dumps(spec))
         assert rebuilt.kernels == spec.kernels
         assert rebuilt.kind == spec.kind
-        worker_engine = SurrogateEngine.from_spec(rebuilt, [0])
-        assert worker_engine.kernels == "numpy"
+
+    def test_from_spec_builds_with_the_process_default(self, use_kernels):
+        """The spec's value reaches an engine only through the worker entry,
+        which applies it as the process default."""
+        spec = EngineSpec.from_graph(erdos_renyi(40, 0.1, rng=4), kernels="numpy")
+        use_kernels("compiled")
+        assert SurrogateEngine.from_spec(spec, [0]).kernels == "compiled"
 
     def test_from_graph_default_is_auto(self):
         graph = erdos_renyi(40, 0.1, rng=4)
@@ -150,6 +161,42 @@ class TestSpecTransport:
         graph = erdos_renyi(40, 0.1, rng=4)
         with pytest.raises(ValueError, match="kernels must be one of"):
             EngineSpec.from_graph(graph, kernels="simd")
+
+
+def _takes_kernels() -> "set[str]":
+    """Qualified names of the repro functions and methods that take a
+    ``kernels`` parameter."""
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", value) for attr, value in vars(obj).items()]
+            for qualname, member in members:
+                function = getattr(member, "__func__", member)
+                if inspect.isfunction(function) and (
+                    "kernels" in inspect.signature(function).parameters
+                ):
+                    found.add(f"{module.__name__}.{qualname}")
+    return found
+
+
+def test_only_the_executor_and_its_spec_take_kernels():
+    """The process default is the one kernels switch: past the
+    ``repro.kernels`` functions that set and resolve it, only the executor
+    (which forwards its value) and the EngineSpec it ships take one."""
+    outside = {name for name in _takes_kernels() if not name.startswith("repro.kernels.")}
+    assert outside == {
+        "repro.attacks.scheduler.SchedulingCampaignExecutor.__init__",
+        "repro.oddball.surrogate.EngineSpec.__new__",
+        "repro.oddball.surrogate.EngineSpec.from_graph",
+        "repro.oddball.surrogate.EngineSpec.from_store",
+    }
 
 
 def _cdef_names():

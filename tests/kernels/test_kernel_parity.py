@@ -136,10 +136,12 @@ class TestTriangleCountsParity:
         assert np.array_equal(_oriented_triangle_counts(csr), expected)
 
     @pytest.mark.parametrize("case", sorted(_triangle_cases()))
-    def test_egonet_features_sparse_agrees_across_kernels(self, case):
+    def test_egonet_features_sparse_agrees_across_kernels(self, case, use_kernels):
         csr = _triangle_cases()[case]
-        n_np, e_np = egonet_features_sparse(csr, kernels="numpy")
-        n_c, e_c = egonet_features_sparse(csr, kernels="compiled")
+        use_kernels("numpy")
+        n_np, e_np = egonet_features_sparse(csr)
+        use_kernels("compiled")
+        n_c, e_c = egonet_features_sparse(csr)
         assert np.array_equal(n_np, n_c)
         assert np.array_equal(e_np, e_c)
 
@@ -488,7 +490,7 @@ class TestScatterGradientParity:
         )
         assert out.size == 0 and entries == 0
 
-    def test_relaxed_step_on_push_walk(self):
+    def test_relaxed_step_on_push_walk(self, use_kernels):
         """The fractional base + overlay matrix is symmetric, so the push
         walk over it matches the numpy engine bit for bit."""
         for graph in _graphs():
@@ -496,10 +498,10 @@ class TestScatterGradientParity:
             n = csr.shape[0]
             hub = int(np.argmax(np.diff(csr.indptr)))
             rows, cols = _incident_pairs(hub, range(n))
-            engines = [
-                SurrogateEngine.create(csr, [hub], (rows, cols), kernels=kernels)
-                for kernels in ("numpy", "compiled")
-            ]
+            engines = []
+            for kernels in ("numpy", "compiled"):
+                use_kernels(kernels)
+                engines.append(SurrogateEngine.create(csr, [hub], (rows, cols)))
             base = engines[0].edge_values
             values = np.clip(
                 base + np.linspace(-0.4, 0.4, rows.size), 0.0, 1.0
@@ -525,22 +527,19 @@ class TestScatterGradientParity:
 class TestEngineKernelParity:
     """End-to-end: the sparse engine is bit-identical under both backends."""
 
-    def _engine(self, graph, kernels):
+    def _engine(self, graph):
         csr = to_sparse(graph)
         n = csr.shape[0]
         rng = np.random.default_rng(9)
         rows, cols = _pairs(n, rng, count=250)
-        return SurrogateEngine.create(
-            csr,
-            [0, 3, 5],
-            (rows, cols),
-            kernels=kernels,
-        )
+        return SurrogateEngine.create(csr, [0, 3, 5], (rows, cols))
 
-    def test_gradients_and_steps_match(self):
+    def test_gradients_and_steps_match(self, use_kernels):
         for graph in _graphs():
-            ref = self._engine(graph, "numpy")
-            fast = self._engine(graph, "compiled")
+            use_kernels("numpy")
+            ref = self._engine(graph)
+            use_kernels("compiled")
+            fast = self._engine(graph)
             assert ref.kernels == "numpy" and fast.kernels == "compiled"
             assert np.array_equal(
                 ref.candidate_gradient(), fast.candidate_gradient()
@@ -560,17 +559,16 @@ class TestEngineKernelParity:
                 ref.candidate_gradient(), fast.candidate_gradient()
             )
 
-    def test_binarized_attack_on_store_graph(self, store):
+    def test_binarized_attack_on_store_graph(self, store, use_kernels):
         """target_incident candidates put every node in one group per
         target — the push walk's regime — on a memory-mapped store CSR."""
         targets = store.top_targets(2)
-        results = [
-            BinarizedAttack(
-                iterations=10, lambdas=(0.2, 0.05),
-                kernels=kernels,
-            ).attack(store, targets, 3, candidates="target_incident")
-            for kernels in ("numpy", "compiled")
-        ]
+        results = []
+        for kernels in ("numpy", "compiled"):
+            use_kernels(kernels)
+            results.append(BinarizedAttack(iterations=10, lambdas=(0.2, 0.05)).attack(
+                store, targets, 3, candidates="target_incident"
+            ))
         assert results[0].flips_by_budget == results[1].flips_by_budget
         assert results[0].surrogate_by_budget == results[1].surrogate_by_budget
         assert len(results[1].flips()) == 3

@@ -56,7 +56,6 @@ from hypothesis.stateful import (
 from scipy import sparse
 
 from repro.attacks.candidates import AdaptiveCandidateSet, BlockCandidateSet
-from repro.kernels import compiled_available
 from repro.oddball.surrogate import (
     ITERATE_MEMO_SIZE,
     SparseSurrogateEngine,
@@ -69,11 +68,7 @@ POOL_FLIP_SETS = ITERATE_MEMO_SIZE + 3
 TARGET_SETS = ([0, 1, 2], [5, 17], [3, 40, 41, 60])
 FLOORS = (1.0, 0.5)
 
-KERNELS = [
-    "numpy",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        not compiled_available(), reason="compiled backend unavailable")),
-]
+KERNELS = ["numpy", "compiled"]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +119,7 @@ def _zdot_pool(size: int) -> "list[np.ndarray]":
     return pool
 
 
-def make_machine(graph, dense: np.ndarray, kernels: str):
+def make_machine(graph, dense: np.ndarray):
     """A state-machine class driving one engine built on ``graph``."""
     n = dense.shape[0]
 
@@ -137,9 +132,7 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             self.snapshots: "dict[int, np.ndarray]" = {}
             self.targets, self.floor, self.weights = TARGET_SETS[0], 1.0, None
             self._use_candidates(0)
-            self.engine = SparseSurrogateEngine(
-                graph, self.targets, self.candidates, kernels=kernels
-            )
+            self.engine = SparseSurrogateEngine(graph, self.targets, self.candidates)
 
         # -- model helpers ----------------------------------------------
         def _use_candidates(self, seed: int) -> None:
@@ -182,7 +175,7 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             return SparseSurrogateEngine(
                 sparse.csr_matrix(self.adj if adj is None else adj), self.targets,
                 (self.rows, self.cols),
-                floor=self.floor, weights=self.weights, kernels=kernels,
+                floor=self.floor, weights=self.weights,
             )
 
         def _overlay_reference(self) -> SparseSurrogateEngine:
@@ -196,7 +189,7 @@ def make_machine(graph, dense: np.ndarray, kernels: str):
             reference = SparseSurrogateEngine(
                 sparse.csr_matrix(base, copy=True), self.targets,
                 (self.rows, self.cols),
-                floor=self.floor, weights=self.weights, kernels=kernels,
+                floor=self.floor, weights=self.weights,
             )
             graph = _dense(base)
             for u, v, _ in delta:
@@ -353,14 +346,16 @@ def _dense(csr) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_in_memory_engine_matches_fresh_engines(store, kernels):
+def test_in_memory_engine_matches_fresh_engines(store, kernels, use_kernels):
+    use_kernels(kernels)
     graph = store.detached_csr()
-    _run(make_machine(graph, _dense(graph), kernels))
+    _run(make_machine(graph, _dense(graph)))
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_store_backed_engine_matches_fresh_engines(store, kernels):
-    _run(make_machine(store.csr(), _dense(store.detached_csr()), kernels))
+def test_store_backed_engine_matches_fresh_engines(store, kernels, use_kernels):
+    use_kernels(kernels)
+    _run(make_machine(store.csr(), _dense(store.detached_csr())))
 
 
 def _single_flip_stepper(engine, size: int):
@@ -386,10 +381,11 @@ def _single_flip_stepper(engine, size: int):
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_iterate_memo_is_a_fixed_size_lru(store, kernels):
+def test_iterate_memo_is_a_fixed_size_lru(store, kernels, use_kernels):
+    use_kernels(kernels)
     graph = store.detached_csr()
     rows, cols = _candidate_pool(graph.shape[0], TARGET_SETS[0], 0)
-    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols), kernels=kernels)
+    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols))
     step = _single_flip_stepper(engine, rows.size)
     size = ITERATE_MEMO_SIZE
     assert all(step(k) for k in range(size))
@@ -401,10 +397,11 @@ def test_iterate_memo_is_a_fixed_size_lru(store, kernels):
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_memo_hits_return_fresh_arrays(store, kernels):
+def test_memo_hits_return_fresh_arrays(store, kernels, use_kernels):
+    use_kernels(kernels)
     graph = store.detached_csr()
     rows, cols = _candidate_pool(graph.shape[0], TARGET_SETS[0], 0)
-    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols), kernels=kernels)
+    engine = SparseSurrogateEngine(graph, TARGET_SETS[0], (rows, cols))
     zdot = _zdot_pool(rows.size)[1]
     loss, first, _ = engine.binarized_step(zdot)
     expected = first.copy()
@@ -415,20 +412,19 @@ def test_memo_hits_return_fresh_arrays(store, kernels):
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_restore_fixes_up_a_carried_pair_cache(store, kernels):
+def test_restore_fixes_up_a_carried_pair_cache(store, kernels, use_kernels):
     """``restore`` leaves the pair cache equal to a fresh engine's: after a
     rollback past a refresh that carried a flipped candidate pair, and at
     the checkpoint's own depth after a candidate flip."""
+    use_kernels(kernels)
     graph = store.detached_csr()
     clean = _dense(graph)
     n, targets = clean.shape[0], TARGET_SETS[0]
     candidates = AdaptiveCandidateSet.start(n, targets, growth="gradient", admit_cap=8)
-    engine = SparseSurrogateEngine(graph, targets, candidates, kernels=kernels)
+    engine = SparseSurrogateEngine(graph, targets, candidates)
 
     def check(adj, pairs):
-        reference = SparseSurrogateEngine(
-            sparse.csr_matrix(adj), targets, pairs, kernels=kernels
-        )
+        reference = SparseSurrogateEngine(sparse.csr_matrix(adj), targets, pairs)
         assert np.array_equal(engine.edge_values, reference.edge_values)
         assert np.array_equal(engine.flip_direction, reference.flip_direction)
 
@@ -450,10 +446,11 @@ def test_restore_fixes_up_a_carried_pair_cache(store, kernels):
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
-def test_refresh_regroups_pairs_whose_hub_changed(kernels):
+def test_refresh_regroups_pairs_whose_hub_changed(kernels, use_kernels):
     """An admission that raises an endpoint's pair count moves existing
     pairs to that endpoint's group, ties going to the row: the engine's
     grouping after the handover is exactly a fresh grouping of the new set."""
+    use_kernels(kernels)
     n = 10
     edges = [(2, 4), (2, 6), (2, 7), (2, 8), (0, 1), (1, 3), (3, 5), (5, 9),
              (0, 9), (4, 5), (6, 9), (7, 9), (8, 9), (1, 5)]
@@ -465,9 +462,7 @@ def test_refresh_regroups_pairs_whose_hub_changed(kernels):
         n=n, rows=np.array([u for u, _ in pairs]), cols=np.array([v for _, v in pairs]),
         strategy="adaptive", ball=frozenset({1}),
     )
-    engine = SparseSurrogateEngine(
-        sparse.csr_matrix(adjacency), [1], candidates, kernels=kernels
-    )
+    engine = SparseSurrogateEngine(sparse.csr_matrix(adjacency), [1], candidates)
 
     def hubs(engine):
         groups = engine._groups

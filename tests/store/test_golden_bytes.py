@@ -15,7 +15,6 @@ import hashlib
 
 import pytest
 
-from repro.kernels import compiled_available
 from repro.store import build_store
 
 GOLDEN = {
@@ -51,17 +50,13 @@ GOLDEN = {
     ),
 }
 
-KERNELS = [
-    "numpy",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        not compiled_available(), reason="compiled backend unavailable")),
-]
+KERNELS = ["numpy", "compiled"]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_store_bytes_are_pinned(name, kernels, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
+def test_store_bytes_are_pinned(name, kernels, tmp_path, use_kernels):
+    use_kernels(kernels)
     options, content, files = GOLDEN[name]
     store = build_store(name, cache_dir=tmp_path, **options)
     assert store.content_hash == content

@@ -13,14 +13,6 @@ import pytest
 from repro import telemetry
 from repro.attacks.campaign import AttackCampaign, CampaignResult
 from repro.attacks.scheduler import SchedulingCampaignExecutor
-from repro.kernels import kernel_table
-
-
-def _kernel_backends():
-    backends = ["numpy"]
-    if kernel_table() is not None:
-        backends.append("compiled")
-    return backends
 
 
 class TestFlipParity:
@@ -38,17 +30,18 @@ class TestFlipParity:
         # the traced run actually produced a trace
         assert telemetry.load_trace_dir(tmp_path / "trace")
 
-    @pytest.mark.parametrize("kernels", _kernel_backends())
+    @pytest.mark.parametrize("kernels", ["numpy", "compiled"])
     def test_kernel_backends_identical_on_off(
         self, graph_and_targets, tmp_path, sweep_jobs,
-        assert_outcomes_identical, kernels,
+        assert_outcomes_identical, kernels, use_kernels,
     ):
+        use_kernels(kernels)
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         telemetry.configure(None)
-        untraced = AttackCampaign(graph, kernels=kernels).run(jobs)
+        untraced = AttackCampaign(graph).run(jobs)
         telemetry.configure(tmp_path / "trace")
-        traced = AttackCampaign(graph, kernels=kernels).run(jobs)
+        traced = AttackCampaign(graph).run(jobs)
         telemetry.shutdown()
         assert_outcomes_identical(untraced, traced)
 

@@ -10,7 +10,6 @@ import pytest
 from repro import telemetry
 from repro.graph.generators import barabasi_albert
 from repro.graph.sparse import to_sparse
-from repro.kernels import compiled_available
 from repro.oddball.surrogate import SurrogateEngine
 from repro.telemetry import tracer as tracer_module
 from repro.utils.timing import Timer, timed
@@ -123,8 +122,7 @@ class TestCounters:
             "count": 5, "total_ns": 1000,
         }]
 
-    @pytest.mark.skipif(not compiled_available(), reason="no compiled kernels")
-    def test_scatter_counts_walked_entries(self, tmp_path):
+    def test_scatter_counts_walked_entries(self, tmp_path, use_kernels):
         """The compiled scatter reports the CSR entries it walked: for one
         target with every other node as partner, the cheaper of the
         target's two-hop volume (push) and the partners' rows (pull)."""
@@ -132,7 +130,8 @@ class TestCounters:
         n, hub = graph.number_of_nodes, 0
         rows = np.zeros(n - 1, dtype=np.intp)
         cols = np.arange(1, n, dtype=np.intp)
-        engine = SurrogateEngine.create(graph, [hub], (rows, cols), kernels="compiled")
+        use_kernels("compiled")
+        engine = SurrogateEngine.create(graph, [hub], (rows, cols))
         telemetry.configure(tmp_path, worker="main")
         engine.candidate_gradient()
         telemetry.shutdown()
@@ -149,17 +148,14 @@ class TestCounters:
         assert counters["kernels.scatter_gradient.entries"] == push
         assert counters["kernels.scatter_gradient"] == n - 1
 
-    @pytest.mark.parametrize("kernels", [
-        "numpy",
-        pytest.param("compiled", marks=pytest.mark.skipif(
-            not compiled_available(), reason="no compiled kernels")),
-    ])
-    def test_scatter_counts_its_delta(self, tmp_path, kernels):
+    @pytest.mark.parametrize("kernels", ["numpy", "compiled"])
+    def test_scatter_counts_its_delta(self, tmp_path, kernels, use_kernels):
         """Each scatter counts its Δ-overlay entries: the flips a gradient
         folds into the cached CSR, here two pending probes and then none."""
         graph = barabasi_albert(80, 3, rng=11)
         rows, cols = np.triu_indices(graph.number_of_nodes, k=1)
-        engine = SurrogateEngine.create(graph, [0], (rows, cols), kernels=kernels)
+        use_kernels(kernels)
+        engine = SurrogateEngine.create(graph, [0], (rows, cols))
         engine.candidate_gradient()  # materialises the cached CSR
         engine.push_flip(0, 5)
         engine.push_flip(3, 9)
