@@ -108,6 +108,10 @@ DEFAULT_LEASE_TTL = 30.0
 #: force the expiry/requeue paths through every scheduler test).
 LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 
+#: First wait, in seconds, of a worker whose claim came back empty (the
+#: back-off of :func:`_scheduler_worker_drain` doubles it from there).
+IDLE_WAIT_START = 0.001
+
 _QUEUE_VERSION = 1
 
 #: The ``backend`` values :class:`SchedulingCampaignExecutor` and
@@ -375,9 +379,10 @@ class WorkQueue:
         Expired leases are requeued in the same pass: the claim overwrites
         the stale lease with a fresh one at ``generation + 1`` (a *steal*).
         Returns ``None`` when every remaining job is either done or held by
-        a live lease — the caller should poll again after
-        :attr:`poll_interval` (the holder may complete it, or die and let
-        the lease expire).
+        a live lease — the caller should claim again after a short wait
+        (the holder may complete it, or die and let the lease expire); the
+        worker loop backs off from :data:`IDLE_WAIT_START` to
+        :attr:`poll_interval`.
         """
         with self._locked():
             now = self.clock()
@@ -505,7 +510,11 @@ class WorkQueue:
     # ------------------------------------------------------------------ #
     @property
     def poll_interval(self) -> float:
-        """How long an idle worker sleeps between claim passes."""
+        """The longest an idle worker waits between claim passes.
+
+        The cap of the worker loop's back-off: a dead peer's lease is
+        stolen at most this long after it expires.
+        """
         return min(max(self.lease_ttl / 10.0, 0.01), 0.25)
 
     def lease_of(self, job_id: str) -> "Lease | None":
@@ -651,6 +660,11 @@ def _scheduler_worker_drain(
     before the error propagates, so the surviving workers see it at once
     instead of after the TTL.
 
+    A claim that comes back empty while jobs remain waits before the next
+    one: :data:`IDLE_WAIT_START` first, doubling per empty claim up to
+    :attr:`WorkQueue.poll_interval`, reset by a successful claim.  Each
+    wait is counted as ``scheduler.idle_wait`` (its length as the ns).
+
     A ``<shard>.stats`` sidecar records the worker's CPU and wall seconds,
     peak RSS and queue counters; the parent collects these into
     :attr:`SchedulingCampaignExecutor.last_worker_stats`.
@@ -664,13 +678,17 @@ def _scheduler_worker_drain(
     campaign: "AttackCampaign | None" = None
     shard_store = None
     jobs_done = 0
+    idle_wait = IDLE_WAIT_START
     while True:
         job = queue.claim()
         if job is None:
             if queue.all_done():
                 break
-            time.sleep(queue.poll_interval)
+            _telemetry.count("scheduler.idle_wait", 1, round(idle_wait * 1e9))
+            time.sleep(idle_wait)
+            idle_wait = min(2.0 * idle_wait, queue.poll_interval)
             continue
+        idle_wait = IDLE_WAIT_START
         try:
             if campaign is None:
                 # Empty candidate set, exactly like AttackCampaign's lazy

@@ -183,6 +183,7 @@ def surrogate_loss_from_features(
     returns bit-identical losses to :func:`surrogate_loss_numpy` on the
     materialised graph.
     """
+    targets = _validate_targets(targets, np.shape(n_feature)[0])
     loss, _, _ = _loss_and_gradients(
         n_feature, e_feature, targets, floor, ridge, weights, gradients=False
     )
@@ -204,6 +205,7 @@ def feature_gradients(
     ``maximum`` (gradient halves exactly at the clamp floor), so the result
     matches the autograd path to round-off.
     """
+    targets = _validate_targets(targets, np.shape(n_feature)[0])
     _, d_n, d_e = _loss_and_gradients(
         n_feature, e_feature, targets, floor, ridge, weights
     )
@@ -213,19 +215,22 @@ def feature_gradients(
 def _loss_and_gradients(
     n_feature: np.ndarray,
     e_feature: np.ndarray,
-    targets: Sequence[int],
+    targets: np.ndarray,
     floor: float,
     ridge: float,
     weights: "Sequence[float] | None",
     gradients: bool = True,
 ) -> "tuple[float, np.ndarray | None, np.ndarray | None]":
-    """``(loss, ∂L/∂N, ∂L/∂E)`` from one validate/log/clamp/OLS pass.
+    """``(loss, ∂L/∂N, ∂L/∂E)`` from one log/clamp/OLS pass.
 
     The single numpy copy of the feature-space objective behind
     :func:`surrogate_loss_from_features` and :func:`feature_gradients`:
     :func:`_forward` followed by :func:`_backward`.  Engines that need
     both per step call it once.  With ``gradients=False`` the two
-    gradients are ``None`` and only the loss is computed.
+    gradients are ``None`` and only the loss is computed.  ``targets``
+    must already be a :func:`_validate_targets` array: the public
+    wrappers validate theirs, the engines hand over the array their
+    ``__init__``/``retarget`` validated.
     """
     forward = _forward(n_feature, e_feature, targets, floor, ridge, weights)
     if not gradients:
@@ -254,17 +259,16 @@ class _Forward(NamedTuple):
 def _forward(
     n_feature: np.ndarray,
     e_feature: np.ndarray,
-    targets: Sequence[int],
+    targets: np.ndarray,
     floor: float,
     ridge: float,
     weights: "Sequence[float] | None",
 ) -> _Forward:
-    """Validate, log-clamp, fit and score: the loss of the objective."""
+    """Log-clamp, fit and score (``targets`` already validated): the loss."""
     if floor <= 0.0:
         raise ValueError(f"floor must be positive to keep logs finite, got {floor}")
     n_feature = np.asarray(n_feature, dtype=np.float64)
     e_feature = np.asarray(e_feature, dtype=np.float64)
-    targets = _validate_targets(targets, n_feature.shape[0])
     kappa = None if weights is None else _validate_weights(weights, len(targets))
     clamped_n = np.maximum(n_feature, floor)
     clamped_e = np.maximum(e_feature, floor)
@@ -1586,9 +1590,9 @@ class SparseSurrogateEngine(SurrogateEngine):
                 (u, v, float(self.flip_direction[k]))
                 for (u, v), k in zip(pairs, flipped)
             ]
-            # One batched call applies the whole iterate's flip set
-            # (compiled: a single Python->C crossing; numpy: the historical
-            # per-flip loop).
+            # One batched call validates the whole iterate's flip set, then
+            # toggles it pair by pair on the Python neighbour sets (both
+            # kernel backends).
             features.flip_batch(pairs)
             loss, d_n, d_e = self._objective()
             features.rollback(len(delta))

@@ -14,6 +14,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.attacks import (
     AttackCampaign,
     SchedulingCampaignExecutor,
@@ -21,14 +22,17 @@ from repro.attacks import (
     build_campaign,
     grid_jobs,
 )
+from repro.attacks import scheduler as scheduler_module
 from repro.attacks.campaign import CheckpointStore, JobOutcome
 from repro.attacks.scheduler import (
     DEFAULT_LEASE_TTL,
     LEASE_TTL_ENV,
     LeaseHeartbeat,
+    _scheduler_worker_drain,
     resolve_lease_ttl,
 )
-from repro.oddball.surrogate import DenseSurrogateEngine
+from repro.oddball.surrogate import DenseSurrogateEngine, EngineSpec
+from repro.telemetry import tracer as tracer_module
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -210,6 +214,117 @@ class TestWorkQueue:
             assert not beat.lost
         assert queue.heartbeats >= 2
         assert queue.lease_of(jobs[0].job_id).worker == "w0"
+
+
+class TestIdleBackoff:
+    """An idle worker (its claim empty, its peer holding the last lease)
+    backs off 1, 2, 4 ... ms up to ``poll_interval`` between claims."""
+
+    @staticmethod
+    def _held_queue(tmp_path, job, lease_ttl):
+        """A one-job queue whose job another handle has already claimed."""
+        WorkQueue.create(tmp_path / "q", [job], lease_ttl=lease_ttl)
+        holder = WorkQueue.open(tmp_path / "q", worker="holder")
+        assert holder.claim().job_id == job.job_id
+        return holder
+
+    def test_idle_lease_wait_doubles_from_one_ms_and_exits_without_engine(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs
+    ):
+        graph, targets = graph_and_targets
+        job = sweep_jobs(targets, count=1)[0]
+        holder = self._held_queue(tmp_path, job, lease_ttl=30.0)
+        waits = []
+
+        def fake_sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 4:
+                holder.complete(job.job_id)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an idle worker must not build an engine")
+
+        monkeypatch.setattr(scheduler_module.time, "sleep", fake_sleep)
+        monkeypatch.setattr(scheduler_module.SurrogateEngine, "from_spec", no_engine)
+        shard = str(tmp_path / "shard.jsonl")
+        telemetry.configure(tmp_path / "trace")
+        try:
+            _scheduler_worker_drain(
+                EngineSpec.from_graph(graph), str(tmp_path / "q"), shard,
+                False, 30.0, 0,
+            )
+        finally:
+            # Closes (flushes) this trace, then lets the next test resolve
+            # $REPRO_TELEMETRY afresh, as the tracing CI lane expects.
+            telemetry.shutdown()
+            tracer_module._RESOLVED = False
+        assert waits == [0.001, 0.002, 0.004, 0.008]
+        stats = json.loads(open(shard + ".stats").read())
+        assert stats["jobs"] == 0 and stats["claims"] == 0
+        idle = [
+            record for record in telemetry.load_trace_dir(tmp_path / "trace")
+            if record["kind"] == "counter" and record["name"] == "scheduler.idle_wait"
+        ]
+        assert sum(record["count"] for record in idle) == 4
+        assert sum(record["total_ns"] for record in idle) == 15_000_000
+
+    def test_idle_lease_wait_restarts_at_one_ms_after_a_claim(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs
+    ):
+        graph, targets = graph_and_targets
+        first, second = sweep_jobs(targets, count=2)
+        WorkQueue.create(tmp_path / "q", [first, second], lease_ttl=30.0)
+        holder = WorkQueue.open(tmp_path / "q", worker="holder")
+        holder.claim(), holder.claim()
+        waits = []
+
+        def fake_sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 3:
+                holder.release(second.job_id)   # the worker claims and runs it
+            elif len(waits) == 5:
+                holder.complete(first.job_id)
+
+        monkeypatch.setattr(scheduler_module.time, "sleep", fake_sleep)
+        shard = str(tmp_path / "shard.jsonl")
+        _scheduler_worker_drain(
+            EngineSpec.from_graph(graph), str(tmp_path / "q"), shard,
+            False, 30.0, 0,
+        )
+        assert waits == [0.001, 0.002, 0.004, 0.001, 0.002]
+        assert json.loads(open(shard + ".stats").read())["jobs"] == 1
+
+    def test_idle_lease_wait_caps_at_poll_interval_then_steals(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs
+    ):
+        graph, targets = graph_and_targets
+        job = sweep_jobs(targets, count=1)[0]
+        holder = self._held_queue(tmp_path, job, lease_ttl=0.5)
+        cap = holder.poll_interval
+        waits = []
+        real_sleep = scheduler_module.time.sleep
+
+        def recording_sleep(seconds):
+            waits.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(scheduler_module.time, "sleep", recording_sleep)
+        shard = str(tmp_path / "shard.jsonl")
+        _scheduler_worker_drain(
+            EngineSpec.from_graph(graph), str(tmp_path / "q"), shard,
+            False, 0.5, 0,
+        )
+        # The holder never heartbeats: the worker backs off to the cap,
+        # then steals the expired lease and runs the job itself.
+        assert cap == 0.05
+        assert waits[:6] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032]
+        assert len(waits) > 6 and set(waits[6:]) == {cap}
+        stats = json.loads(open(shard + ".stats").read())
+        assert stats["jobs"] == 1 and stats["steals"] == 1
+        marker = json.loads((tmp_path / "q" / "done" / f"{job.job_id}.json").read_text())
+        assert marker["generation"] == 1 and marker["worker"].startswith("worker-0-")
+        store = AttackCampaign(graph, checkpoint_path=shard).checkpoint_store()
+        assert list(store.load()) == [job.job_id]
 
 
 class TestSchedulerSerialParity:

@@ -189,6 +189,27 @@ class TestFeaturePath:
                 )
                 assert got == expected  # bit-for-bit, not approx
 
+    def test_public_feature_wrappers_validate_targets(self, small_ba_graph):
+        """The feature-space entry points validate what the engines'
+        ``__init__``/``retarget`` validate, and accept one-shot iterables."""
+        from repro.graph.features import egonet_features
+        from repro.oddball.surrogate import (
+            feature_gradients,
+            surrogate_loss_from_features,
+        )
+
+        features = egonet_features(small_ba_graph.adjacency)
+        for entry in (surrogate_loss_from_features, feature_gradients):
+            with pytest.raises(ValueError, match="empty"):
+                entry(*features, [])
+            with pytest.raises(ValueError, match="unique"):
+                entry(*features, [1, 1])
+            with pytest.raises(ValueError, match="range"):
+                entry(*features, [1000])
+        assert surrogate_loss_from_features(
+            *features, (t for t in [0, 7])
+        ) == surrogate_loss_from_features(*features, [0, 7])
+
     def test_feature_gradients_match_autograd(self, small_ba_graph):
         """(∂L/∂N, ∂L/∂E) composed into pair gradients equals autograd."""
         from repro.oddball.surrogate import adjacency_gradient
