@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.attacks.binarized import BinarizedAttack
+from repro import telemetry
+from repro.attacks.binarized import BinarizedAttack, _Candidate, _top_k
+from repro.attacks.constraints import filter_valid_flips_engine
 from repro.attacks.random_attack import RandomAttack
 from repro.oddball.detector import OddBall
+from repro.telemetry import tracer as tracer_module
 
 
 @pytest.fixture()
@@ -135,3 +141,125 @@ class TestFloorConsistency:
         assert result.surrogate_by_budget[0] == surrogate_loss_numpy(
             graph.adjacency, targets, floor=2.0
         )
+
+
+_LENGTHS = st.integers(0, 60)
+_VALUES = st.one_of(
+    # heavy ties, signed zeros
+    hnp.arrays(np.float64, _LENGTHS, elements=st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0])),
+    hnp.arrays(np.float64, _LENGTHS, elements=st.floats(width=64)),
+    # all equal
+    st.builds(np.full, _LENGTHS, st.sampled_from([0.0, 0.3])),
+)
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, st.integers(0, 70))
+    def test_equals_the_stable_full_sort(self, values, k):
+        expected = np.argsort(-values, kind="stable")[:k]
+        assert _top_k(values, k).tolist() == expected.tolist()
+
+
+def _reference_select(recorded, engine, budget, final_zdot, rows, cols):
+    """The selection as it ran before partial sorting: per budget, a min
+    over every eligible recorded set, then a fallback over a full stable
+    argsort of the final Ż, validated and scored budget by budget."""
+    order = np.argsort(-final_zdot, kind="stable")
+    flips, losses = {}, {}
+    for b in range(budget + 1):
+        best = min((c for c in recorded if c.size <= b), key=lambda c: (c.surrogate, c.size))
+        chosen, loss = list(best.flips), best.surrogate
+        if not chosen and b > 0:
+            ranked = [
+                (int(rows[k]), int(cols[k])) for k in order[: 4 * b] if final_zdot[k] > 0.0
+            ]
+            fallback = filter_valid_flips_engine(engine, ranked, limit=b)
+            if fallback:
+                fallback_loss = engine.score_flips(fallback)
+                if fallback_loss < best.surrogate:
+                    chosen, loss = fallback, fallback_loss
+        flips[b], losses[b] = chosen, loss
+    return flips, losses
+
+
+class _ReferenceCheckedAttack(BinarizedAttack):
+    """Computes the reference selection on the exact inputs of `_select`."""
+
+    def _select(self, recorded, engine, budget, final_zdot, rows, cols):
+        self.reference = _reference_select(recorded, engine, budget, final_zdot, rows, cols)
+        return super()._select(recorded, engine, budget, final_zdot, rows, cols)
+
+
+class TestSelection:
+    @pytest.mark.parametrize("kernels", ["numpy", "compiled"])
+    @pytest.mark.parametrize("iterations", [1, 40])
+    @pytest.mark.parametrize("candidates", [None, "target_incident"])
+    def test_matches_the_full_sort_reference(
+        self, attack_setup, kernels, iterations, candidates, use_kernels
+    ):
+        """``iterations=1`` records nothing (Ż starts at 0, so the first
+        iterate flips nothing), so every b > 0 takes the top-Ż fallback;
+        40 iterations record sets of several sizes."""
+        use_kernels(kernels)
+        graph, targets = attack_setup
+        attack = _ReferenceCheckedAttack(iterations=iterations, lambdas=(0.3, 0.05))
+        result = attack.attack(graph, targets, budget=8, candidates=candidates)
+        flips, losses = attack.reference
+        assert result.flips_by_budget == flips
+        assert result.surrogate_by_budget == losses
+        if iterations == 1:
+            assert result.metadata["candidates_recorded"] == 1
+            fallback = [result.flips(b) for b in range(1, 9) if result.flips(b)]
+            assert len(fallback) >= 2
+            for shorter, longer in zip(fallback, fallback[1:]):
+                assert longer[: len(shorter)] == shorter
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+            max_size=30,
+        )
+    )
+    def test_best_recorded_set_is_the_first_minimum(self, iterates):
+        """Ties on (surrogate, size) go to the first recorded set, as with
+        ``min`` over every eligible set."""
+        recorded = [_Candidate((), 1.5, 0.0, -1)] + [
+            _Candidate(tuple((i, i + j + 1) for j in range(size)), loss, 0.1, i)
+            for i, (size, loss) in enumerate(iterates)
+        ]
+        flips, losses = BinarizedAttack()._select(recorded, None, 6, None, None, None)
+        for b in range(7):
+            best = min((c for c in recorded if c.size <= b), key=lambda c: (c.surrogate, c.size))
+            assert flips[b] == list(best.flips)
+            assert losses[b] == best.surrogate
+
+
+def _counter(directory, name):
+    return sum(
+        record["count"] for record in telemetry.load_trace_dir(directory)
+        if record["kind"] == "counter" and record["name"] == name
+    )
+
+
+class TestSelectionCounters:
+    @pytest.mark.parametrize("iterations", [1, 40])
+    def test_recorded_and_fallback_counts(self, attack_setup, tmp_path, iterations):
+        graph, targets = attack_setup
+        telemetry.configure(tmp_path / "trace")
+        try:
+            result = fast_attack(iterations=iterations).attack(graph, targets, budget=8)
+        finally:
+            # Closes (flushes) this trace, then lets the next test resolve
+            # $REPRO_TELEMETRY afresh, as the tracing CI lane expects.
+            telemetry.shutdown()
+            tracer_module._RESOLVED = False
+        recorded = _counter(tmp_path / "trace", "attacks.binarized.recorded")
+        assert recorded == result.metadata["candidates_recorded"] - 1
+        fallback = _counter(tmp_path / "trace", "attacks.binarized.fallback")
+        if iterations == 1:
+            assert recorded == 0
+            assert fallback == sum(bool(result.flips(b)) for b in range(1, 9)) > 0
+        else:
+            assert recorded > 0

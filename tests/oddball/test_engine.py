@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro import telemetry
 from repro.analysis import forbid_densify
 from repro.attacks.candidates import CandidateSet
 from repro.graph.features import egonet_features
@@ -23,6 +24,7 @@ from repro.oddball.surrogate import (
     SurrogateEngine,
     surrogate_loss_numpy,
 )
+from repro.telemetry import tracer as tracer_module
 
 ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
 
@@ -124,6 +126,31 @@ class TestGradientParity:
             loss, _, mask = engine.binarized_step(zdot)
             assert not mask.any()
             assert loss == engine.current_loss()
+
+    def test_binarized_step_returns_a_fresh_gradient(self, engine_pair, tmp_path):
+        """The gradient ``binarized_step`` returns is the caller's to
+        modify: no call may hand out an array the engine keeps, so mutating
+        one step's gradient must leave a repeat of the same iterate intact,
+        on the sparse engine a memo hit."""
+        rng = np.random.default_rng(2)
+        zdot = rng.uniform(0.0, 1.0, size=len(engine_pair[0].rows))
+        telemetry.configure(tmp_path / "trace")
+        try:
+            for engine in engine_pair:
+                gradient = engine.binarized_step(zdot)[1]
+                original = gradient.copy()
+                gradient += 1.0
+                repeat = engine.binarized_step(zdot)[1]
+                assert repeat.tobytes() == original.tobytes()
+        finally:
+            telemetry.shutdown()
+            tracer_module._RESOLVED = False
+        reused = sum(
+            record["count"] for record in telemetry.load_trace_dir(tmp_path / "trace")
+            if record["kind"] == "counter"
+            and record["name"] == "oddball.binarized_step.reused"
+        )
+        assert reused == 1  # the sparse engine's repeat; the dense oracle has no memo
 
     def test_relaxed_step_parity(self, engine_pair):
         dense, sparse_eng = engine_pair
