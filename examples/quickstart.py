@@ -46,9 +46,9 @@ def main() -> None:
     #    Every attack accepts ``candidates=`` restricting which pairs it may
     #    flip.  The strategies cover different slices of the pair space:
     #
-    #    * "full"             — all n(n−1)/2 pairs.  Exact (bit-for-bit the
-    #                           legacy behaviour) but quadratic; fine up to a
-    #                           few thousand nodes.
+    #    * "full"             — all n(n−1)/2 pairs (what ``None`` means).
+    #                           Exact but quadratic; fine up to a few
+    #                           thousand nodes.
     #    * "target_incident"  — only pairs touching a target (|C| = |T|·(n−1)
     #                           −|T|(|T|−1)/2).  The Nettack-style "direct"
     #                           restriction; linear in n, and with

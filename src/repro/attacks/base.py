@@ -8,11 +8,11 @@ budget-indexed family around is what the paper's Fig. 4 sweeps need.
 Every attack additionally accepts a *candidate set* restricting the pairs
 it may flip (see :mod:`repro.attacks.candidates`): ``candidates`` may be a
 strategy name (``"full"``, ``"target_incident"``, ``"two_hop"``), a
-prebuilt :class:`~repro.attacks.candidates.CandidateSet`, or ``None`` for
-the legacy full-pair behaviour.  Large graphs may be passed as scipy sparse
-matrices to every engine-backed attack (GradMaxSearch, BinarizedAttack,
-ContinuousA — see :mod:`repro.oddball.surrogate`); sparse inputs stay
-sparse end to end: :class:`AttackResult` keeps the original in whichever
+prebuilt :class:`~repro.attacks.candidates.CandidateSet`, or ``None``,
+which means ``"full"``.  Every attack runs on a
+:class:`~repro.oddball.surrogate.SurrogateEngine`, so large graphs may be
+passed as scipy sparse matrices to any of them; sparse inputs stay sparse
+end to end: :class:`AttackResult` keeps the original in whichever
 representation it was given and derives poisoned graphs/scores in the
 same one.
 """
@@ -30,6 +30,7 @@ from repro.attacks.candidates import CandidateSet
 from repro.graph.graph import Graph
 from repro.graph.sparse import SparseGraphView, anomaly_scores_sparse, to_sparse
 from repro.oddball.scores import anomaly_scores
+from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.validation import check_adjacency, check_budget
 
 __all__ = ["AttackResult", "StructuralAttack", "apply_flips", "validate_targets"]
@@ -181,7 +182,8 @@ class StructuralAttack(abc.ABC):
     as multipliers on the per-target squared residuals.
 
     ``candidates`` restricts the decision variables to a candidate pair set
-    (strategy name, :class:`CandidateSet` or ``None`` = legacy full-pair).
+    (strategy name, :class:`CandidateSet` or ``None``, which means
+    ``"full"``).
     """
 
     name: str = "structural-attack"
@@ -199,17 +201,13 @@ class StructuralAttack(abc.ABC):
 
     @staticmethod
     def _adjacency_of(
-        graph: "Graph | np.ndarray | sparse.spmatrix", allow_sparse: bool = False
+        graph: "Graph | np.ndarray | sparse.spmatrix",
     ) -> "np.ndarray | sparse.csr_matrix":
-        """Validated adjacency in the cheapest usable representation.
+        """Validated adjacency in the representation it was given.
 
-        With ``allow_sparse`` a scipy sparse input stays a validated CSR —
-        the sparse-engine attacks thread it straight into the
-        :class:`~repro.oddball.surrogate.SparseSurrogateEngine` and into
-        :class:`AttackResult`, so large graphs are never densified.
-        Without it (attacks whose algorithms genuinely index dense
-        matrices) sparse inputs are densified, which is only sensible at
-        small n.
+        A scipy sparse input (or a store-backed graph's memory-mapped CSR)
+        stays a validated CSR, which the engine and :class:`AttackResult`
+        take as is, so large graphs are never densified.
         """
         if isinstance(graph, Graph):
             return graph.adjacency
@@ -217,9 +215,7 @@ class StructuralAttack(abc.ABC):
             # store-backed graphs: the tagged memory-mapped CSR, zero-copy
             graph = graph.adjacency_csr()
         if sparse.issparse(graph):
-            csr = to_sparse(graph)
-            # repro: allow-densify(documented dense fallback for algorithms that index dense matrices — small n only)
-            return csr if allow_sparse else csr.toarray()
+            return to_sparse(graph)
         return check_adjacency(np.asarray(graph, dtype=np.float64))
 
     @staticmethod
@@ -231,18 +227,18 @@ class StructuralAttack(abc.ABC):
         budget: "int | None" = None,
         block_size: "int | None" = None,
         block_seed: int = 0,
-    ) -> "CandidateSet | None":
+    ) -> CandidateSet:
         """Normalise the ``candidates`` argument of :meth:`attack`.
 
-        ``None`` stays ``None`` (the attack keeps its legacy full-pair code
-        path); a strategy name is built against ``graph``/``targets``; a
-        prebuilt :class:`CandidateSet` is checked for size agreement.
-        ``budget`` and the ``block_*`` knobs feed the budget-aware sizing
-        policies of the ``adaptive_gradient`` and ``block`` strategies
-        (ignored for prebuilt sets and the static strategies).
+        ``None`` means every upper-triangle pair (:meth:`CandidateSet.full`);
+        a strategy name is built against ``graph``/``targets``; a prebuilt
+        :class:`CandidateSet` is checked for size agreement.  ``budget`` and
+        the ``block_*`` knobs feed the budget-aware sizing policies of the
+        ``adaptive_gradient`` and ``block`` strategies (ignored for prebuilt
+        sets and the static strategies).
         """
         if candidates is None:
-            return None
+            return CandidateSet.full(n)
         if isinstance(candidates, str):
             return CandidateSet.build(
                 candidates, graph, targets,
@@ -258,6 +254,31 @@ class StructuralAttack(abc.ABC):
                 f"candidate set addresses {candidates.n} nodes but the graph has {n}"
             )
         return candidates
+
+    @staticmethod
+    def _engine_for(
+        engine: "SurrogateEngine | None",
+        adjacency,
+        targets: Sequence[int],
+        candidates: CandidateSet,
+        *,
+        floor: float = 1.0,
+        weights: "Sequence[float] | None" = None,
+    ) -> SurrogateEngine:
+        """The engine an attack runs on, pointed at ``candidates``.
+
+        An injected ``engine`` (a campaign's shared engine, or the dense
+        test oracle) is retargeted in place instead of rebuilt; otherwise a
+        sparse engine is built for this call.  Either way the engine holds
+        the :class:`CandidateSet` itself, so a refresh whose lineage names
+        it carries the engine's per-pair cache instead of re-reading it.
+        """
+        if engine is None:
+            return SurrogateEngine.create(
+                adjacency, targets, candidates, floor=floor, weights=weights
+            )
+        engine.retarget(targets, candidates, floor=floor, weights=weights)
+        return engine
 
     @staticmethod
     def _prefix_result(

@@ -47,8 +47,8 @@ Implementation notes
 * ``candidates`` restricts the decision variables to a
   :class:`~repro.attacks.candidates.CandidateSet`: ``Ż`` then has one entry
   per candidate pair instead of n(n−1)/2, shrinking both the optimiser
-  state and the per-iteration scatter.  With the ``full`` strategy the
-  sweep is bit-for-bit identical to the legacy full-pair parametrisation.
+  state and the per-iteration scatter.  ``None`` means ``full``: every
+  upper-triangle pair, in ``np.triu_indices`` order.
 * Candidate solutions recorded during the sweep are re-scored at
   ``self.floor`` whenever the validity pass trims them, so every entry of
   the per-budget argmin is measured on the same objective (Alg. 1 lines
@@ -183,7 +183,7 @@ class BinarizedAttack(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        adjacency = self._adjacency_of(graph, allow_sparse=True)
+        adjacency = self._adjacency_of(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
@@ -192,24 +192,11 @@ class BinarizedAttack(StructuralAttack):
             candidates, adjacency, targets, n,
             budget=budget, block_size=self.block_size, block_seed=self.block_seed,
         )
-        if candidate_set is None:
-            rows, cols = np.triu_indices(n, k=1)
-        else:
-            rows, cols = candidate_set.rows, candidate_set.cols
-        if engine is None:
-            engine = SurrogateEngine.create(
-                adjacency,
-                targets,
-                (rows, cols),
-                floor=self.floor,
-                weights=target_weights,
-            )
-        else:
-            # Shared (campaign) engine: repoint it at this job's targets and
-            # candidates instead of rebuilding features from scratch.
-            engine.retarget(
-                targets, (rows, cols), floor=self.floor, weights=target_weights
-            )
+        rows, cols = candidate_set.rows, candidate_set.cols
+        engine = self._engine_for(
+            engine, adjacency, targets, candidate_set,
+            floor=self.floor, weights=target_weights,
+        )
         base_loss = engine.current_loss()
 
         recorded: list[_Candidate] = [
@@ -260,12 +247,11 @@ class BinarizedAttack(StructuralAttack):
                 # half each step, PRBCD-style.  Ż migrates along the
                 # refresh's lineage: surviving pairs keep their state,
                 # evicted pairs drop theirs, fresh entries start at ``init``.
-                if candidate_set is not None:
-                    refreshed = candidate_set.refresh(landed or [], engine)
-                    if refreshed is not candidate_set:
-                        zdot = adopt_refresh(engine, refreshed, zdot, self.init)
-                        candidate_set = refreshed
-                        rows, cols = refreshed.rows, refreshed.cols
+                refreshed = candidate_set.refresh(landed or [], engine)
+                if refreshed is not candidate_set:
+                    zdot = adopt_refresh(engine, refreshed, zdot, self.init)
+                    candidate_set = refreshed
+                    rows, cols = refreshed.rows, refreshed.cols
             final_zdot = zdot  # never written again: each step makes a new Ż
 
         flips_by_budget, surrogate_by_budget = self._select(
@@ -281,9 +267,7 @@ class BinarizedAttack(StructuralAttack):
                 "iterations": self.iterations,
                 "lr": self.lr,
                 "candidates_recorded": len(recorded),
-                "candidate_strategy": (
-                    "legacy-full" if candidate_set is None else candidate_set.strategy
-                ),
+                "candidate_strategy": candidate_set.strategy,
                 "decision_variables": len(rows),
                 "backend": engine.backend,
             },

@@ -86,8 +86,8 @@ retired in favour of this policy.)
 Candidate pairs are canonical (``u < v``), unique and lexicographically
 sorted, so ``full`` enumerates pairs in exactly the order of
 ``np.triu_indices(n, k=1)`` — the seed ordering — which is what makes the
-candidate-set ``full`` path reproduce the legacy full-pair attacks
-bit-for-bit.  Equivalently, a set is the ascending array of its int64 pair
+``full`` set (what ``candidates=None`` means) reproduce the seed's
+full-pair attacks bit-for-bit.  Equivalently, a set is the ascending array of its int64 pair
 keys ``u·n + v``, and every set operation here (deduplication, membership,
 union) runs on those keys through the sort-based helpers
 :func:`~repro.graph.sparse.sorted_unique`,

@@ -82,7 +82,7 @@ class ContinuousA(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        adjacency = self._adjacency_of(graph, allow_sparse=True)
+        adjacency = self._adjacency_of(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
@@ -91,27 +91,14 @@ class ContinuousA(StructuralAttack):
             candidates, adjacency, targets, n,
             budget=budget, block_size=self.block_size, block_seed=self.block_seed,
         )
-        if candidate_set is None:
-            rows, cols = np.triu_indices(n, k=1)
-        else:
-            rows, cols = candidate_set.rows, candidate_set.cols
-        if engine is None:
-            engine = SurrogateEngine.create(
-                adjacency,
-                targets,
-                (rows, cols),
-                floor=self.floor,
-                weights=target_weights,
-            )
-        else:
-            # Shared (campaign) engine: repoint instead of rebuilding.  The
-            # relaxation's decision variables are fixed for the whole PGD
-            # run, so adaptive growth does not apply here — an "adaptive"
-            # strategy simply optimises over its initial (target-incident)
-            # pairs.
-            engine.retarget(
-                targets, (rows, cols), floor=self.floor, weights=target_weights
-            )
+        rows, cols = candidate_set.rows, candidate_set.cols
+        # The relaxation's decision variables are fixed for the whole PGD
+        # run, so adaptive growth does not apply here: an "adaptive"
+        # strategy simply optimises over its initial (target-incident) pairs.
+        engine = self._engine_for(
+            engine, adjacency, targets, candidate_set,
+            floor=self.floor, weights=target_weights,
+        )
         a0_vector = engine.edge_values
         relaxed = a0_vector.copy()
 
@@ -150,9 +137,7 @@ class ContinuousA(StructuralAttack):
                 "iterations": iterations_run,
                 "final_relaxed_loss": previous_loss,
                 "fractional_mass": float(difference.sum()),
-                "candidate_strategy": (
-                    "legacy-full" if candidate_set is None else candidate_set.strategy
-                ),
+                "candidate_strategy": candidate_set.strategy,
                 "decision_variables": len(rows),
                 "backend": engine.backend,
             },

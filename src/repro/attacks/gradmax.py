@@ -113,7 +113,7 @@ class GradMaxSearch(StructuralAttack):
         test oracle) is retargeted in place; otherwise a sparse engine is
         built for this call.
         """
-        adjacency = self._adjacency_of(graph, allow_sparse=True)
+        adjacency = self._adjacency_of(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
@@ -121,22 +121,11 @@ class GradMaxSearch(StructuralAttack):
             candidates, adjacency, targets, n,
             budget=budget, block_size=self.block_size, block_seed=self.block_seed,
         )
-        if candidate_set is None:
-            candidate_set = CandidateSet.full(n)
         rows, cols = candidate_set.rows, candidate_set.cols
-
-        if engine is None:
-            engine = SurrogateEngine.create(
-                adjacency,
-                targets,
-                candidate_set,
-                floor=self.floor,
-                weights=target_weights,
-            )
-        else:
-            engine.retarget(
-                targets, candidate_set, floor=self.floor, weights=target_weights
-            )
+        engine = self._engine_for(
+            engine, adjacency, targets, candidate_set,
+            floor=self.floor, weights=target_weights,
+        )
         ordered_flips: list[tuple[int, int]] = []
         surrogate_by_budget = {0: engine.current_loss()}
         modified = np.zeros(len(candidate_set), dtype=bool)

@@ -18,13 +18,14 @@ heuristic ignores the bi-level effect (moving points also moves the fitted
 line) and cross-target interactions, both of which the gradient-based
 attacks exploit.
 
-The whole loop runs on
-:class:`~repro.graph.incremental.IncrementalEgonetFeatures` — O(deg) per
-flip, O(n) per re-fit — so scipy sparse adjacencies are supported natively
-(and stay sparse in the :class:`AttackResult`); dense inputs take the same
-path and produce bit-identical flips to the historical dense scratch-matrix
-implementation, because the maintained features are exactly the integers a
-fresh ``egonet_features`` recomputation yields.
+The whole loop runs on a
+:class:`~repro.oddball.surrogate.SparseSurrogateEngine`'s maintained egonet
+features — O(deg) per flip, O(n) per re-fit — so scipy sparse adjacencies
+are supported natively (and stay sparse in the :class:`AttackResult`);
+dense inputs take the same path and produce bit-identical flips to the
+historical dense scratch-matrix implementation, because the maintained
+features are exactly the integers a fresh ``egonet_features``
+recomputation yields.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Sequence
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
-from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.oddball.regression import fit_power_law
 from repro.oddball.surrogate import SurrogateEngine, surrogate_loss_from_features
 from repro.utils.logging import get_logger
@@ -45,44 +45,6 @@ __all__ = ["OddBallHeuristic"]
 _log = get_logger("attacks.heuristic")
 
 Edge = tuple[int, int]
-
-
-class _EngineState:
-    """Adapter running the heuristic's loop on a shared surrogate engine.
-
-    Presents the same graph-state surface as
-    :class:`IncrementalEgonetFeatures` (``features``/``neighbors``/
-    ``is_edge``/``degree``/``flip``), but applies every flip *transiently*
-    on the injected engine and pops them all in :meth:`unwind` — the shared
-    engine leaves the attack exactly as it entered.  Used with the sparse
-    backend only, whose maintained features are exactly the integers the
-    incremental engine computes, so flips and losses match the standalone
-    path bit-for-bit.
-    """
-
-    def __init__(self, engine: SurrogateEngine):
-        self._engine = engine
-        self._pushed = 0
-
-    def features(self):
-        return self._engine.node_features()
-
-    def neighbors(self, u: int) -> "list[int]":
-        return [int(x) for x in self._engine.neighbors(u)]
-
-    def is_edge(self, u: int, v: int) -> bool:
-        return self._engine.is_edge(u, v)
-
-    def degree(self, u: int) -> float:
-        return self._engine.degree(u)
-
-    def flip(self, u: int, v: int) -> None:
-        self._engine.push_flip(u, v)
-        self._pushed += 1
-
-    def unwind(self) -> None:
-        self._engine.pop_flips(self._pushed)
-        self._pushed = 0
 
 
 class OddBallHeuristic(StructuralAttack):
@@ -118,63 +80,62 @@ class OddBallHeuristic(StructuralAttack):
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         """Greedily move each target's (N, E) point toward the fitted line."""
-        adjacency = self._adjacency_of(graph, allow_sparse=True)
+        adjacency = self._adjacency_of(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
         generator = as_generator(self.rng)
-        candidate_set = self._resolve_candidates(
-            candidates, adjacency, targets, n, budget=budget
-        )
-        # the heuristic only ever flips neighbour pairs of a target, so a
-        # full candidate set imposes no restriction — skip membership tests
-        allowed = (
-            None
-            if candidate_set is None or candidate_set.is_full
-            else candidate_set.pair_set()
-        )
+        # The heuristic only ever flips neighbour pairs of a target, so a
+        # full candidate set imposes no restriction: ``None`` skips the
+        # membership tests and never builds the n(n−1)/2 pairs.
+        if candidates is None:
+            strategy, allowed = "full", None
+        else:
+            candidate_set = self._resolve_candidates(
+                candidates, adjacency, targets, n, budget=budget
+            )
+            strategy = candidate_set.strategy
+            allowed = None if candidate_set.is_full else candidate_set.pair_set()
 
         # An injected shared SPARSE engine (campaign/executor path) replaces
-        # the per-call feature build — its maintained (N, E) are exactly the
-        # incremental engine's, O(deg) per flip.  A dense engine is declined:
-        # its node_features() is a full recompute per step, which would make
-        # shared-engine jobs *slower* than the standalone build below, and
-        # this gradient-free heuristic gains nothing else from it.
-        state = (
-            _EngineState(engine)
-            if engine is not None and engine.backend == "sparse"
-            else IncrementalEgonetFeatures(adjacency)
-        )
+        # the per-call feature build: its maintained (N, E) cost O(deg) per
+        # flip.  A dense engine is declined: its node_features() is a full
+        # recompute per step, and this gradient-free heuristic gains nothing
+        # else from it.  Every flip is transient, so an injected engine
+        # leaves the attack exactly as it entered.
+        if engine is None or engine.backend != "sparse":
+            engine = SurrogateEngine.create(
+                adjacency, targets, CandidateSet.from_pairs(n, ())
+            )
         modified: set[Edge] = set()
         ordered_flips: list[Edge] = []
         surrogate_by_budget = {
             0: surrogate_loss_from_features(
-                *state.features(), targets, weights=target_weights
+                *engine.node_features(), targets, weights=target_weights
             )
         }
 
         try:
             for _ in range(budget):
-                flip = self._best_step(state, targets, modified, generator, allowed)
+                flip = self._best_step(engine, targets, modified, generator, allowed)
                 if flip is None:
                     if not ordered_flips and allowed is not None:
                         _log.warning(
                             "candidate restriction (%s, %d pairs) excludes every "
                             "neighbour-pair flip the heuristic can make; use "
                             "'two_hop' or a custom set instead",
-                            candidate_set.strategy,
-                            len(candidate_set),
+                            strategy,
+                            len(allowed),
                         )
                     break
-                state.flip(*flip)
+                engine.push_flip(*flip)
                 modified.add(flip)
                 ordered_flips.append(flip)
                 surrogate_by_budget[len(ordered_flips)] = surrogate_loss_from_features(
-                    *state.features(), targets, weights=target_weights
+                    *engine.node_features(), targets, weights=target_weights
                 )
         finally:
-            if isinstance(state, _EngineState):
-                state.unwind()
+            engine.pop_flips(len(ordered_flips))
 
         return self._prefix_result(
             self.name,
@@ -184,23 +145,21 @@ class OddBallHeuristic(StructuralAttack):
             surrogate_by_budget=surrogate_by_budget,
             metadata={
                 "steps_taken": len(ordered_flips),
-                "candidate_strategy": (
-                    "legacy-full" if candidate_set is None else candidate_set.strategy
-                ),
+                "candidate_strategy": strategy,
             },
         )
 
     # ------------------------------------------------------------------ #
     def _best_step(
         self,
-        features: "IncrementalEgonetFeatures | _EngineState",
+        engine: SurrogateEngine,
         targets: Sequence[int],
         modified: "set[Edge]",
         generator,
         allowed: "frozenset[Edge] | None" = None,
     ) -> "Edge | None":
         """One heuristic flip: fix the worst-residual target's egonet."""
-        n_feature, e_feature = features.features()
+        n_feature, e_feature = engine.node_features()
         fit = fit_power_law(n_feature, e_feature)
         expected = fit.predict_e(n_feature)
         residuals = e_feature - expected
@@ -208,7 +167,7 @@ class OddBallHeuristic(StructuralAttack):
         # visit targets by decreasing |residual|
         order = sorted(targets, key=lambda t: -abs(residuals[t]))
         for target in order:
-            neighbors = sorted(features.neighbors(target))
+            neighbors = engine.neighbors(target).tolist()
             if len(neighbors) < 2:
                 continue
             # neighbours are ascending, so every pair is already canonical
@@ -223,14 +182,14 @@ class OddBallHeuristic(StructuralAttack):
             if residuals[target] > 0:  # near-clique: delete a neighbour edge
                 for u, v in pairs:
                     if (
-                        features.is_edge(u, v)
+                        engine.is_edge(u, v)
                         and (u, v) not in modified
-                        and features.degree(u) > 1
-                        and features.degree(v) > 1
+                        and engine.degree(u) > 1
+                        and engine.degree(v) > 1
                     ):
                         return (u, v)
             else:  # near-star: add a neighbour-pair edge
                 for u, v in pairs:
-                    if not features.is_edge(u, v) and (u, v) not in modified:
+                    if not engine.is_edge(u, v) and (u, v) not in modified:
                         return (u, v)
         return None

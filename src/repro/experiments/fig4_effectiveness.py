@@ -63,9 +63,9 @@ def run(
 ) -> dict:
     """Sweep every panel; returns per-panel series (mean over repeats).
 
-    ``candidates`` picks an optional candidate-pair strategy
-    (``"target_incident"``/``"two_hop"``/``"adaptive"``/``"block"``;
-    ``None`` keeps the exact legacy full-pair decision variables).  At
+    ``candidates`` picks an optional candidate-pair strategy (one of
+    :data:`~repro.attacks.candidates.CANDIDATE_STRATEGIES`; ``None`` means
+    ``"full"``, every pair a decision variable).  At
     large n it matters: the sparse engine removes the O(n³) forward, and
     a pruned candidate set removes the O(n²) decision-variable arrays.
     ``block_size``/``block_seed``

@@ -9,9 +9,11 @@ Usage::
 Each driver returns a JSON-serialisable payload and a formatted text block;
 the runner prints the text and optionally persists the payload.
 
-``--candidates {target_incident,two_hop,adaptive}`` optionally prunes the
-decision variables of the attack-driven figures (fig4, fig5).  At large n
-add a strategy: the sparse engine removes the O(n³) forward pass and the
+``--candidates STRATEGY`` picks the candidate-pair strategy of the
+attack-driven figures (fig4, fig5), one of
+:data:`~repro.attacks.candidates.CANDIDATE_STRATEGIES`; without it every
+pair is a decision variable (``full``).  At large n add a pruning
+strategy: the sparse engine removes the O(n³) forward pass and the
 candidate strategy removes the O(n²) pair arrays — e.g.::
 
     python -m repro.experiments.runner -e fig4 --candidates target_incident
@@ -53,6 +55,7 @@ import inspect
 from pathlib import Path
 from typing import Callable
 
+from repro.attacks.candidates import CANDIDATE_STRATEGIES
 from repro.experiments import (
     fig4_effectiveness,
     fig5_case_study,
@@ -158,12 +161,10 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="hot-loop kernel backend (repro.kernels); sets "
                              "the process-wide default, so every engine the "
                              "drivers build picks it up")
-    parser.add_argument("--candidates",
-                        choices=["full", "target_incident", "two_hop",
-                                 "adaptive", "adaptive_gradient", "block"],
+    parser.add_argument("--candidates", choices=CANDIDATE_STRATEGIES,
                         default=None,
                         help="candidate-pair strategy for the attack-driven "
-                             "figures (default: legacy full-pair variables); "
+                             "figures (default: full, every pair); "
                              "'block' is the PRBCD random block with "
                              "gradient resampling, O(block-size) memory "
                              "regardless of n")

@@ -26,7 +26,7 @@ class LogisticRegression(Module):
     >>> rng = np.random.default_rng(0)
     >>> x = rng.normal(size=(200, 2)); y = (x[:, 0] + x[:, 1] > 0).astype(int)
     >>> model = LogisticRegression(n_features=2, rng=0).fit(x, y)
-    >>> (model.predict(x) == y).mean() > 0.9
+    >>> bool((model.predict(x) == y).mean() > 0.9)
     True
     """
 

@@ -597,10 +597,11 @@ class EngineSpec(NamedTuple):
     """Picklable recipe for rebuilding a :class:`SurrogateEngine`.
 
     The parallel campaign executor ships one spec to every worker process;
-    each worker calls :meth:`build` once and runs every job it claims from
-    the queue on the resulting engine.  The payload is the *graph itself* (dense array
-    bytes or CSR component arrays) plus the scalar engine configuration —
-    everything a child process needs, nothing it can recompute.
+    each worker calls :meth:`SurrogateEngine.from_spec` once and runs every
+    job it claims from the queue on the resulting engine.  The payload is
+    the *graph itself* (dense array bytes or CSR component arrays) plus the
+    scalar engine configuration — everything a child process needs,
+    nothing it can recompute.
 
     Every spec rebuilds a :class:`SparseSurrogateEngine`.
 
@@ -720,18 +721,6 @@ class EngineSpec(NamedTuple):
 
             return GraphStore.open(self.payload[0]).csr()
         raise ValueError(f"unknown engine-spec payload kind {self.kind!r}")
-
-    def build(
-        self,
-        targets: Sequence[int],
-        candidates=None,
-        weights: "Sequence[float] | None" = None,
-    ) -> "SurrogateEngine":
-        """Construct the engine this spec describes (alias of
-        :meth:`SurrogateEngine.from_spec`)."""
-        return SurrogateEngine.from_spec(
-            self, targets, candidates=candidates, weights=weights
-        )
 
 
 class SurrogateEngine(abc.ABC):

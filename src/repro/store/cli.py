@@ -187,6 +187,8 @@ def _cmd_campaign(args) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI dispatcher (``python -m repro.store``)."""
+    from repro.attacks.candidates import CANDIDATE_STRATEGIES
+
     parser = argparse.ArgumentParser(prog="repro.store", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -211,8 +213,7 @@ def main(argv: "list[str] | None" = None) -> int:
                                    "oddball-heuristic"],
                           help="attack registry name for the job grid")
     campaign.add_argument("--candidates", default="target_incident",
-                          choices=["full", "target_incident", "two_hop",
-                                   "adaptive", "adaptive_gradient", "block"],
+                          choices=CANDIDATE_STRATEGIES,
                           help="candidate-pair strategy; 'block' is the "
                                "PRBCD random block (O(block-size) memory "
                                "regardless of n — the only strategy that "

@@ -207,25 +207,6 @@ class Tracer:
             _pure_attrs(name, attrs),
         )
 
-    def record_span(self, name: str, start_ns: int, dur_ns: int,
-                    /, **attrs) -> None:
-        """Record an externally timed, already-finished span.
-
-        The :class:`~repro.utils.timing.Timer` integration path: the
-        caller owns the clock, the tracer only assigns ids and parentage.
-        """
-        self.sink.append({
-            "kind": "span",
-            "name": str(name),
-            "trace": str(self.trace),
-            "span": str(self._new_span_id()),
-            "parent": self.current_span_id(),
-            "worker": str(self.worker),
-            "start_ns": int(start_ns),
-            "dur_ns": int(dur_ns),
-            "attrs": _pure_attrs(name, attrs),
-        })
-
     def event(self, name: str, /, **attrs) -> None:
         """Record an instant event (durable immediately, unlike spans)."""
         self.sink.append({

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, logging, timing, serialization, validation.
+"""Shared utilities: RNG management, logging, serialization, validation.
 
 These helpers are deliberately dependency-free (numpy only) so every other
 subpackage can import them without cycles.
@@ -7,7 +7,6 @@ subpackage can import them without cycles.
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, as_generator, spawn_generators
 from repro.utils.serialization import load_json, load_npz, save_json, save_npz
-from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     check_adjacency,
     check_budget,
@@ -18,7 +17,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "SeedSequenceFactory",
-    "Timer",
     "as_generator",
     "check_adjacency",
     "check_budget",
@@ -31,5 +29,4 @@ __all__ = [
     "save_json",
     "save_npz",
     "spawn_generators",
-    "timed",
 ]

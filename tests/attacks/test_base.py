@@ -141,3 +141,66 @@ class TestPoisonedGraphRepresentation:
         view = self._sparse_result(small_er_graph).poisoned_graph()
         dense = self._dense_result(small_er_graph).poisoned_graph()
         assert np.array_equal(view.to_graph().adjacency, dense.adjacency)
+
+
+class TestSharedPlumbing:
+    """The ``StructuralAttack`` helpers every attack's one path goes through."""
+
+    def test_none_candidates_resolve_to_full(self, small_er_graph):
+        from repro.attacks.base import StructuralAttack
+        from repro.attacks.candidates import CandidateSet
+
+        n = small_er_graph.number_of_nodes
+        resolved = StructuralAttack._resolve_candidates(None, small_er_graph, [0], n)
+        full = CandidateSet.full(n)
+        assert resolved.strategy == "full"
+        assert resolved.is_full
+        assert np.array_equal(resolved.rows, full.rows)
+        assert np.array_equal(resolved.cols, full.cols)
+
+    def test_unknown_candidates_type_rejected(self, small_er_graph):
+        from repro.attacks.base import StructuralAttack
+
+        with pytest.raises(TypeError, match="strategy name or a CandidateSet"):
+            StructuralAttack._resolve_candidates(
+                [(0, 1)], small_er_graph, [0], small_er_graph.number_of_nodes
+            )
+
+    def test_engine_for_builds_a_sparse_engine_holding_the_set(self, small_er_graph):
+        from repro.attacks.base import StructuralAttack
+        from repro.attacks.candidates import CandidateSet
+
+        candidates = CandidateSet.build("target_incident", small_er_graph, [0, 1])
+        engine = StructuralAttack._engine_for(
+            None, small_er_graph.adjacency, [0, 1], candidates
+        )
+        assert engine.backend == "sparse"
+        assert engine._candidates is candidates
+        assert np.array_equal(engine.targets, [0, 1])
+        assert np.array_equal(engine.rows, candidates.rows)
+
+    def test_engine_for_retargets_the_injected_engine(self, small_er_graph):
+        from repro.attacks.base import StructuralAttack
+        from repro.attacks.candidates import CandidateSet
+        from repro.oddball.surrogate import SurrogateEngine
+
+        injected = SurrogateEngine.create(small_er_graph, [0])
+        candidates = CandidateSet.build("target_incident", small_er_graph, [2, 3])
+        engine = StructuralAttack._engine_for(
+            injected, small_er_graph.adjacency, [2, 3], candidates, floor=2.0
+        )
+        assert engine is injected
+        assert engine._candidates is candidates
+        assert np.array_equal(engine.targets, [2, 3])
+        assert engine.floor == 2.0
+
+    def test_adjacency_of_keeps_sparse_input_sparse(self, small_er_graph):
+        from repro.attacks.base import StructuralAttack
+
+        csr = sparse.csr_matrix(small_er_graph.adjacency)
+        kept = StructuralAttack._adjacency_of(csr)
+        assert sparse.isspmatrix_csr(kept)
+        assert np.array_equal(kept.toarray(), small_er_graph.adjacency)
+        dense = StructuralAttack._adjacency_of(small_er_graph)
+        assert isinstance(dense, np.ndarray)
+        assert np.array_equal(dense, small_er_graph.adjacency)

@@ -263,3 +263,42 @@ class TestSelectionCounters:
             assert fallback == sum(bool(result.flips(b)) for b in range(1, 9)) > 0
         else:
             assert recorded > 0
+
+
+class TestCarriedRefresh:
+    """A refresh of the engine's own set reads only the admitted pairs."""
+
+    @pytest.mark.parametrize(
+        "strategy, block_size", [("adaptive_gradient", None), ("block", 64)]
+    )
+    def test_reads_after_the_first_retarget_cover_admissions_only(
+        self, attack_setup, monkeypatch, strategy, block_size
+    ):
+        from repro.oddball.surrogate import SparseSurrogateEngine, SurrogateEngine
+
+        graph, targets = attack_setup
+        # a campaign-style shared engine: built with no pairs, retargeted
+        engine = SurrogateEngine.create(
+            graph, targets, (np.empty(0, np.intp), np.empty(0, np.intp))
+        )
+        reads, admissions = [], []
+        real_read = SparseSurrogateEngine._pair_values
+        real_set = SurrogateEngine.set_candidates
+
+        def read(self, rows, cols):
+            reads.append(int(rows.size))
+            return real_read(self, rows, cols)
+
+        def set_candidates(self, candidates=None):
+            lineage = getattr(candidates, "lineage", None)
+            if lineage is not None and lineage.admitted.size:
+                admissions.append(int(lineage.admitted.size))
+            return real_set(self, candidates)
+
+        monkeypatch.setattr(SparseSurrogateEngine, "_pair_values", read)
+        monkeypatch.setattr(SurrogateEngine, "set_candidates", set_candidates)
+        fast_attack(block_size=block_size).attack(
+            graph, targets, budget=4, candidates=strategy, engine=engine
+        )
+        assert len(reads) > 1, "no refresh admitted a pair"
+        assert reads[1:] == admissions

@@ -274,7 +274,7 @@ class TestEngineSpec:
         spec = EngineSpec.from_graph(graph.adjacency)
         assert "backend" not in spec._fields
         assert spec.to_graph().shape == graph.adjacency.shape
-        assert isinstance(spec.build(targets[:1]), SparseSurrogateEngine)
+        assert isinstance(SurrogateEngine.from_spec(spec, targets[:1]), SparseSurrogateEngine)
 
     def test_spec_is_picklable(self, graph_and_targets):
         import pickle
@@ -282,8 +282,8 @@ class TestEngineSpec:
         graph, targets = graph_and_targets
         spec = EngineSpec.from_graph(sparse.csr_matrix(graph.adjacency))
         clone = pickle.loads(pickle.dumps(spec))
-        engine = clone.build(targets[:2])
-        reference = spec.build(targets[:2])
+        engine = SurrogateEngine.from_spec(clone, targets[:2])
+        reference = SurrogateEngine.from_spec(spec, targets[:2])
         assert engine.current_loss() == reference.current_loss()
 
 

@@ -120,6 +120,42 @@ class TestWeightedTargets:
 
 
 class TestCandidateRestriction:
+    def test_unrestricted_run_never_builds_the_full_pair_set(
+        self, small_ba_graph, monkeypatch
+    ):
+        """``candidates=None`` means ``full``, which restricts nothing, so
+        the heuristic must not materialise all n(n−1)/2 pairs for it."""
+        from repro.attacks.candidates import CandidateSet
+
+        def refuse(cls, n):
+            raise AssertionError(f"built the full pair set of n={n}")
+
+        targets = OddBall().analyze(small_ba_graph).top_k(2).tolist()
+        expected = OddBallHeuristic(rng=1).attack(small_ba_graph, targets, budget=4)
+        monkeypatch.setattr(CandidateSet, "full", classmethod(refuse))
+        result = OddBallHeuristic(rng=1).attack(small_ba_graph, targets, budget=4)
+        assert result.flips()
+        assert result.flips_by_budget == expected.flips_by_budget
+        assert result.metadata["candidate_strategy"] == "full"
+
+    def test_declines_an_injected_dense_engine(self, small_ba_graph):
+        """A dense oracle would recompute every feature per step, so the
+        heuristic runs on its own sparse engine and leaves the oracle as
+        it found it."""
+        from repro.oddball.surrogate import DenseSurrogateEngine
+
+        targets = OddBall().analyze(small_ba_graph).top_k(2).tolist()
+        oracle = DenseSurrogateEngine(small_ba_graph, targets)
+        loss_before = oracle.current_loss()
+        expected = OddBallHeuristic(rng=3).attack(small_ba_graph, targets, budget=4)
+        result = OddBallHeuristic(rng=3).attack(
+            small_ba_graph, targets, budget=4, engine=oracle
+        )
+        assert result.flips()
+        assert result.flips_by_budget == expected.flips_by_budget
+        assert result.surrogate_by_budget == expected.surrogate_by_budget
+        assert oracle.current_loss() == loss_before
+
     def test_target_incident_warns_and_declines(self, small_ba_graph, caplog):
         """The heuristic only flips neighbour pairs, which a single-target
         ``target_incident`` set excludes entirely — it must decline with a

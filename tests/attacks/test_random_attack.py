@@ -1,6 +1,7 @@
 """Tests for the random baseline attack."""
 
 import numpy as np
+import pytest
 
 from repro.attacks.random_attack import RandomAttack
 
@@ -35,3 +36,38 @@ class TestRandomAttack:
         result = RandomAttack(rng=3).attack(small_er_graph, [0, 1], budget=3)
         assert 0 in result.surrogate_by_budget
         assert len(result.surrogate_by_budget) >= 1
+
+    def test_none_means_full(self, small_er_graph):
+        unrestricted = RandomAttack(rng=5).attack(small_er_graph, [0, 1], budget=4)
+        full = RandomAttack(rng=5).attack(
+            small_er_graph, [0, 1], budget=4, candidates="full"
+        )
+        assert unrestricted.flips_by_budget == full.flips_by_budget
+        assert unrestricted.surrogate_by_budget == full.surrogate_by_budget
+        assert unrestricted.metadata["candidate_strategy"] == "full"
+
+    def test_matches_the_dense_reference(self, small_ba_graph):
+        """The engine path keeps the flips of a dense greedy validity pass
+        over the same shuffle, and its per-budget losses equal a dense
+        re-score of each poisoned prefix."""
+        from repro.attacks.base import apply_flips
+        from repro.attacks.candidates import CandidateSet
+        from repro.attacks.constraints import filter_valid_flips
+        from repro.oddball.surrogate import surrogate_loss_numpy
+        from repro.utils.rng import as_generator
+
+        targets, budget, weights = [0, 4, 9], 6, [1.0, 2.0, 0.5]
+        result = RandomAttack(rng=13).attack(
+            small_ba_graph, targets, budget=budget, target_weights=weights
+        )
+
+        adjacency = small_ba_graph.adjacency
+        pairs = CandidateSet.full(adjacency.shape[0]).pairs()
+        order = as_generator(13).permutation(len(pairs))
+        expected = filter_valid_flips(adjacency, [pairs[i] for i in order], limit=budget)
+        assert result.flips() == expected
+        for b in range(len(expected) + 1):
+            reference = surrogate_loss_numpy(
+                apply_flips(adjacency, expected[:b]), targets, weights
+            )
+            assert result.surrogate_by_budget[b] == pytest.approx(reference, rel=1e-9)

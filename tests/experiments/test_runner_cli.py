@@ -32,3 +32,13 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--experiment", "fig4", "--backend", "dense"])
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_candidates_choices_are_the_strategy_registry(self, capsys):
+        from repro.attacks.candidates import CANDIDATE_STRATEGIES
+
+        with pytest.raises(SystemExit):
+            main(["--experiment", "fig4", "--candidates", "legacy-full"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'legacy-full'" in err
+        for strategy in CANDIDATE_STRATEGIES:
+            assert repr(strategy) in err

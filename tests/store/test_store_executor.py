@@ -37,7 +37,7 @@ class TestStoreSpec:
         spec = EngineSpec.from_store(store)
         targets = [0, 1, 2]
         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        rebuilt = spec.build(targets, candidates=empty)
+        rebuilt = SurrogateEngine.from_spec(spec, targets, candidates=empty)
         reference = SurrogateEngine.create(memory_graph, targets, empty)
         assert rebuilt.backend == "sparse"
         assert rebuilt.current_loss() == reference.current_loss()

@@ -1,4 +1,4 @@
-"""Tracer semantics: nesting, counters, configuration, Timer integration."""
+"""Tracer semantics: nesting, counters, configuration."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.graph.generators import barabasi_albert
 from repro.graph.sparse import to_sparse
 from repro.oddball.surrogate import SurrogateEngine
 from repro.telemetry import tracer as tracer_module
-from repro.utils.timing import Timer, timed
 
 
 def _spans(events):
@@ -46,16 +45,6 @@ class TestSpans:
         telemetry.shutdown()
         (span_record,) = _spans(telemetry.load_trace_dir(tmp_path))
         assert span_record["attrs"] == {"fixed": 1, "extra": "yes"}
-
-    def test_record_span_assigns_id_and_parent(self, tmp_path):
-        tracer = telemetry.configure(tmp_path, worker="main")
-        with telemetry.span("outer"):
-            tracer.record_span("timed", 100, 50)
-        telemetry.shutdown()
-        by_name = {e["name"]: e for e in _spans(telemetry.load_trace_dir(tmp_path))}
-        assert by_name["timed"]["parent"] == by_name["outer"]["span"]
-        assert by_name["timed"]["start_ns"] == 100
-        assert by_name["timed"]["dur_ns"] == 50
 
 
 class TestStoreBuildSpans:
@@ -362,45 +351,3 @@ class TestWorkerPlumbing:
         telemetry.configure(tmp_path, worker="main")
         assert telemetry.worker_configure(None) is None
         assert telemetry.active_tracer() is None
-
-
-class TestTimerIntegration:
-    def test_labelled_timer_records_a_span(self, tmp_path):
-        telemetry.configure(tmp_path, worker="main")
-        with Timer("phase.fit"):
-            pass
-        telemetry.shutdown()
-        (span,) = [
-            e for e in telemetry.load_trace_dir(tmp_path)
-            if e["kind"] == "span"
-        ]
-        assert span["name"] == "phase.fit"
-        assert span["dur_ns"] >= 0
-
-    def test_unlabelled_timer_records_nothing(self, tmp_path):
-        telemetry.configure(tmp_path, worker="main")
-        with Timer() as t:
-            pass
-        telemetry.shutdown()
-        assert t.elapsed >= 0.0
-        assert telemetry.load_trace_dir(tmp_path) == []
-
-    def test_timer_without_telemetry_still_times(self):
-        with Timer("anything") as t:
-            pass
-        assert t.elapsed >= 0.0
-
-    def test_timed_decorator_uses_qualname(self, tmp_path):
-        telemetry.configure(tmp_path, worker="main")
-
-        @timed
-        def sample():
-            return 42
-
-        assert sample() == 42
-        telemetry.shutdown()
-        (span,) = [
-            e for e in telemetry.load_trace_dir(tmp_path)
-            if e["kind"] == "span"
-        ]
-        assert span["name"].endswith("sample")

@@ -1,24 +1,8 @@
-"""Tests for timing and logging helpers."""
+"""Tests for the logging helpers."""
 
 import logging
 
 from repro.utils.logging import configure, get_logger
-from repro.utils.timing import Timer, timed
-
-
-class TestTimer:
-    def test_elapsed_non_negative(self):
-        with Timer("label") as t:
-            _ = sum(range(100))
-        assert t.elapsed >= 0.0
-
-    def test_decorator_preserves_result_and_name(self):
-        @timed
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert add.__name__ == "add"
 
 
 class TestLogging:
