@@ -540,10 +540,6 @@ class CheckpointStore:
         self.fingerprint = fingerprint
         self.n = int(n)
 
-    def exists(self) -> bool:
-        """Whether the checkpoint file is present on disk."""
-        return self.path.exists()
-
     def load(self) -> dict[str, JobOutcome]:
         """Completed outcomes keyed by job id ({} when the file is absent).
 
@@ -554,11 +550,17 @@ class CheckpointStore:
         torn *header* (the very first append died mid-write) is repaired to
         empty instead of poisoning every later resume.
         """
+        outcomes: dict[str, JobOutcome] = {}
+        self._fold(outcomes)
+        return outcomes
+
+    def _records(self) -> "list[str]":
+        """The outcome lines after a checked header ([] when absent)."""
         if not self.path.exists():
-            return {}
+            return []
         lines = self.path.read_text().splitlines()
         if not lines:
-            return {}
+            return []
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError as error:
@@ -572,7 +574,7 @@ class CheckpointStore:
                     "resetting it to empty", self.path,
                 )
                 self.path.write_text("")
-                return {}
+                return []
             raise ValueError(
                 f"checkpoint {self.path} has a corrupt header; "
                 "delete it to start the campaign fresh"
@@ -587,8 +589,12 @@ class CheckpointStore:
                 f"checkpoint {self.path} was written for a different "
                 "graph; delete it or point the campaign elsewhere"
             )
-        outcomes: dict[str, JobOutcome] = {}
-        for line in lines[1:]:
+        return lines[1:]
+
+    def _fold(self, into: "dict[str, JobOutcome]") -> "list[str]":
+        """Add this file's outcomes new to ``into``; returns their lines."""
+        added = []
+        for line in self._records():
             line = line.strip()
             if not line:
                 continue
@@ -614,10 +620,10 @@ class CheckpointStore:
                     "ignoring that job", self.path, error,
                 )
                 continue
-            if outcome.job_id in outcomes:
+            if outcome.job_id in into:
                 # A requeued job completed twice (its first worker was slow
                 # but alive, or crashed between the shard append and the
-                # done marker): both records describe the same deterministic
+                # done record): both records describe the same deterministic
                 # computation, so keep the FIRST durable one.  Dedupe key is
                 # the job *content hash*, never write order.
                 _log.warning(
@@ -626,50 +632,46 @@ class CheckpointStore:
                     self.path, outcome.job_id,
                 )
                 continue
-            outcomes[outcome.job_id] = outcome
-        return outcomes
+            into[outcome.job_id] = outcome
+            added.append(line)
+        return added
 
     def append(self, outcome: JobOutcome) -> None:
         """Append one completed job (O(1); creates file + header on demand)."""
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            header = {
-                "version": _CHECKPOINT_VERSION,
-                "fingerprint": self.fingerprint,
-                "n": self.n,
-            }
-            self.path.write_text(json.dumps(header) + "\n")
-        # A hard kill can leave the previous append torn WITHOUT a trailing
-        # newline; appending straight after it would glue two records into
-        # one unparsable line and lose the glued-on job too.  Start a fresh
-        # line whenever the file does not end in one, so a tear costs
-        # exactly the torn record.
-        with self.path.open("rb") as reader:
-            reader.seek(-1, 2)
-            ends_with_newline = reader.read(1) == b"\n"
-        with self.path.open("ab") as handle:
-            if not ends_with_newline:
-                handle.write(b"\n")
-            handle.write((json.dumps(outcome.to_dict()) + "\n").encode())
+        self._append_lines([json.dumps(outcome.to_dict())])
 
-    def merge_from(self, other: "CheckpointStore") -> int:
-        """Fold another store's outcomes into this file; returns new-job count.
+    def _append_lines(self, lines: "list[str]") -> None:
+        """Append outcome lines in one write, creating the header on demand."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, 2) == 0:
+                header = {
+                    "version": _CHECKPOINT_VERSION,
+                    "fingerprint": self.fingerprint,
+                    "n": self.n,
+                }
+                head = json.dumps(header) + "\n"
+            else:
+                # A hard kill can leave the previous append torn WITHOUT a
+                # trailing newline; appending straight after it would glue
+                # two records into one unparsable line and lose the glued-on
+                # job too.  Start a fresh line whenever the file does not
+                # end in one, so a tear costs exactly the torn record.
+                handle.seek(-1, 2)
+                head = "" if handle.read(1) == b"\n" else "\n"
+            handle.write((head + "".join(line + "\n" for line in lines)).encode())
 
-        The parallel executor's parent calls this per worker shard: shard
-        outcomes whose job ids the main checkpoint already holds are
-        skipped (idempotent — re-merging after a crash never duplicates),
-        the rest are appended in the standard O(1)-per-line way.
+    def merge_from(self, *others: "CheckpointStore") -> dict[str, JobOutcome]:
+        """Fold other stores' outcomes into this file; every outcome it holds.
+
+        Lines of job ids already held are skipped (re-merging never
+        duplicates); the rest are copied verbatim in one append.
         """
-        if not other.exists():
-            return 0
-        mine = self.load()
-        added = 0
-        for job_id, outcome in other.load().items():
-            if job_id in mine:
-                continue
-            self.append(outcome)
-            added += 1
-        return added
+        outcomes = self.load()
+        lines = [line for other in others for line in other._fold(outcomes)]
+        if lines:
+            self._append_lines(lines)
+        return outcomes
 
 
 class AttackCampaign:
@@ -793,8 +795,8 @@ class AttackCampaign:
         Unlike :meth:`run`, no checkpoint is read or written: the caller
         owns durability.  The multi-worker executor's workers drain a
         queue through this — claim a job, run it here under a lease
-        heartbeat, append the outcome to their shard checkpoint, then mark
-        the queue's done marker (in that order, so a crash between the two
+        heartbeat, append the outcome to their shard checkpoint, then append
+        to the queue's done log (in that order, so a crash between the two
         durable steps requeues a job whose record already exists and the
         merge dedupes it by job content hash).
         """

@@ -68,9 +68,11 @@ class RandomAttack(StructuralAttack):
         candidate_set = self._resolve_candidates(
             candidates, adjacency, targets, n, budget=budget
         )
-        pairs = candidate_set.pairs()
-        order = generator.permutation(len(pairs))
-        shuffled = [pairs[i] for i in order]
+        # Walk a permutation of candidate indices lazily: the filter stops
+        # after ``budget`` accepted flips, so only those pairs are read.
+        order = generator.permutation(len(candidate_set))
+        rows, cols = candidate_set.rows, candidate_set.cols
+        shuffled = ((int(rows[i]), int(cols[i])) for i in order)
 
         if engine is None:
             engine = SurrogateEngine.create(

@@ -8,27 +8,23 @@ processes through a **shared queue** rather than fixed per-worker slices:
 
 * the parent captures the graph once as a picklable
   :class:`~repro.oddball.surrogate.EngineSpec` and publishes the pending
-  jobs once into a :class:`WorkQueue` directory (``jobs.jsonl`` + a
-  ``leases/`` and ``done/`` marker tree);
-* each worker rebuilds one :class:`SurrogateEngine` from the spec, then
-  repeatedly **claims** the first job that is neither done nor covered by
-  a live lease.  A claim atomically writes a JSON lease file
-  (content-hashed job id, worker id, monotonic deadline) under a
-  queue-wide ``flock`` — the only coordination primitive, held for
-  microseconds;
-* while a job runs, a background :class:`LeaseHeartbeat` thread renews the
-  lease every ``ttl / 3``, so a *live* slow worker never loses its claim;
-* a worker killed mid-job stops heartbeating, its lease **expires** after
-  ``ttl``, and the next idle worker's claim pass requeues (steals) the job
-  — ``kill -9`` of any worker loses no work.  A job that *raises* hands
-  its lease back at once (:meth:`WorkQueue.release`), so the failure
-  surfaces without waiting out the TTL;
-* completion is two durable steps in a fixed order: append the outcome to
-  the worker's JSONL shard checkpoint (the standard
-  :class:`~repro.attacks.campaign.CheckpointStore` format), *then* write the
-  ``done/`` marker.  A crash between the two requeues an already-recorded
-  job, which is why checkpoint merging dedupes by job content hash — the
-  merged checkpoint keeps exactly one record either way.
+  jobs once into a :class:`WorkQueue` directory;
+* each worker rebuilds one :class:`SurrogateEngine` from the spec and
+  **claims** jobs.  A worker whose chunk is used up takes the queue-wide
+  ``flock`` once and leases the next ⌈free / 2W⌉ jobs (guided
+  self-scheduling: ``free`` jobs are neither done nor under a live lease,
+  ``W`` is the worker count) in one lease file; its other claims touch no
+  file.  Chunks shrink to one job at the tail;
+* one :class:`LeaseHeartbeat` thread per worker renews its lease every
+  ``ttl / 3``.  A worker killed mid-chunk stops renewing, its lease
+  **expires** after ``ttl``, and the next claim steals the chunk's undone
+  jobs at ``generation + 1`` — ``kill -9`` of any worker loses no work.  A
+  job that *raises* hands its chunk back at once (:meth:`WorkQueue.release`);
+* completion is two appends in a fixed order: the outcome to the worker's
+  shard checkpoint (:class:`~repro.attacks.campaign.CheckpointStore`
+  format), *then* a line to the worker's own done log.  A crash between
+  the two requeues an already-recorded job, which the merge dedupes by
+  job content hash.
 
 The parent merges the per-worker shards into the single-file checkpoint
 after the drain (and before raising, if jobs are missing — completed work
@@ -54,8 +50,9 @@ import sys
 import tempfile
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -112,7 +109,7 @@ LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 #: back-off of :func:`_scheduler_worker_drain` doubles it from there).
 IDLE_WAIT_START = 0.001
 
-_QUEUE_VERSION = 1
+_QUEUE_VERSION = 2
 
 #: The ``backend`` values :class:`SchedulingCampaignExecutor` and
 #: :func:`~repro.attacks.executor.build_campaign` accept.  Both name the
@@ -156,41 +153,33 @@ def resolve_lease_ttl(value: "float | None" = None) -> float:
 
 @dataclass(frozen=True)
 class Lease:
-    """One worker's claim on one job: the content of a lease file.
+    """One worker's claim on a chunk of jobs: the content of a lease file.
 
-    ``deadline`` and ``claimed_at`` are ``time.monotonic()`` readings —
-    CLOCK_MONOTONIC is machine-wide on Linux, so every process on the host
-    compares against the same clock and a wall-clock step (NTP, suspend)
-    can never mass-expire live leases.  ``generation`` counts how many
-    times the job has been (re)claimed: 0 for a first claim, +1 per steal.
+    ``deadline`` is a ``time.monotonic()`` reading — CLOCK_MONOTONIC is
+    machine-wide on Linux, so every process on the host compares against
+    the same clock and a wall-clock step (NTP, suspend) can never
+    mass-expire live leases.  ``generation`` counts how many times the
+    jobs have been (re)claimed: 0 for a first claim, +1 per steal.
     """
 
-    job_id: str
+    job_ids: "tuple[str, ...]"
     worker: str
     deadline: float
-    claimed_at: float
     generation: int = 0
 
     def to_dict(self) -> dict:
         """JSON image of the lease (the on-disk lease-file payload)."""
         return {
-            "job_id": str(self.job_id),
+            "job_ids": [str(job_id) for job_id in self.job_ids],
             "worker": str(self.worker),
             "deadline": float(self.deadline),
-            "claimed_at": float(self.claimed_at),
             "generation": int(self.generation),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Lease":
         """Rebuild a lease from :meth:`to_dict` output."""
-        return cls(
-            job_id=str(payload["job_id"]),
-            worker=str(payload["worker"]),
-            deadline=float(payload["deadline"]),
-            claimed_at=float(payload["claimed_at"]),
-            generation=int(payload.get("generation", 0)),
-        )
+        return cls(**{**payload, "job_ids": tuple(payload["job_ids"])})
 
     def expired(self, now: float) -> bool:
         """Whether the lease's deadline has passed at monotonic time ``now``."""
@@ -198,29 +187,23 @@ class Lease:
 
 
 class WorkQueue:
-    """A shared-directory job queue with lease files and done markers.
+    """A shared-directory job queue with chunk leases and done logs.
 
     Layout::
 
         <queue_dir>/
-            queue.json          # {"version", "jobs", "lease_ttl"}
+            queue.json          # {"version", "jobs", "lease_ttl", "workers"}
             jobs.jsonl          # one AttackJob.to_dict() per line (queue order)
-            lock                # flock target for claim/renew/complete
-            leases/<job_id>.json
-            done/<job_id>.json  # {"job_id", "worker", "generation"}
+            lock                # flock target for leasing, renewing, dropping
+            leases/<worker>.<k>.json  # one chunk lease
+            done/<worker>.jsonl # {"job_id", "worker", "generation"} per line
 
-    Everything on disk is JSON-pure (enforced by the
-    ``checkpoint-json-purity`` lint scope on this module): the queue can be
-    inspected with ``cat`` mid-run and survives any crash — durable truth
-    lives in the shard checkpoints, the queue only coordinates.
-
-    The claim scan is deterministic (queue order): workers take jobs in
-    the order the grid lists them, one at a time; jobs a worker has seen
-    completed are cached, making repeated claims O(pending) rather than
-    O(total).  All lease mutations happen under one queue-wide ``flock``
-    held for the duration of a single scan/write — the kernel releases it
-    automatically if the holder is killed, so a ``kill -9`` can never
-    wedge the queue.
+    Everything on disk is JSON-pure (the ``checkpoint-json-purity`` lint
+    scopes this module) and only coordinates: durable truth lives in the
+    shard checkpoints.  A chunk's lease file is removed once all of its
+    jobs are handed out and completed or released.  Done logs are folded
+    in incrementally, complete lines only: a torn or corrupt record reads
+    as "not done", so its job re-runs and the merge dedupes it.
     """
 
     def __init__(
@@ -230,6 +213,7 @@ class WorkQueue:
         lease_ttl: float,
         worker: str = "anonymous",
         clock=time.monotonic,
+        workers: int = 1,
     ):
         self.queue_dir = Path(queue_dir)
         self.jobs = list(jobs)
@@ -237,7 +221,19 @@ class WorkQueue:
         self.lease_ttl = resolve_lease_ttl(lease_ttl)
         self.worker = str(worker)
         self.clock = clock
+        self.workers = max(int(workers), 1)
         self._known_done: "set[str]" = set()
+        self._done_dir = os.path.join(self.queue_dir, "done")
+        self._log_name = f"{self.worker}.jsonl"
+        self._log_offsets: "dict[str, int]" = {}
+        #: Chunk leases held, by file name; mutated only under the flock,
+        #: which also serialises the heartbeat thread with the main thread.
+        self._held: "dict[str, Lease]" = {}
+        #: ``(job, lease name)`` of the newest chunk, not yet handed out.
+        self._todo: "deque[tuple[AttackJob, str]]" = deque()
+        #: Handed-out jobs not yet completed or released -> lease name.
+        self._open: "dict[str, str]" = {}
+        self._leased = 0
         #: Counters a worker reports in its ``.stats`` sidecar.
         self.claims = 0
         self.steals = 0
@@ -255,14 +251,14 @@ class WorkQueue:
         queue_dir: "Path | str",
         jobs: Iterable[AttackJob],
         lease_ttl: "float | None" = None,
+        workers: int = 1,
     ) -> "WorkQueue":
-        """Publish ``jobs`` into a fresh queue directory (parent-side).
+        """Publish ``jobs`` for ``workers`` workers into a fresh directory.
 
         The job list is written atomically (temp file + rename) so a worker
         can never observe a half-written queue; the queue itself is
         ephemeral coordination state — a crashed run's directory is simply
-        recreated, because completed work lives in the shard checkpoints,
-        not here.
+        recreated.
         """
         queue_dir = Path(queue_dir)
         jobs = list(jobs)
@@ -279,6 +275,7 @@ class WorkQueue:
             "version": _QUEUE_VERSION,
             "jobs": len(jobs),
             "lease_ttl": float(lease_ttl),
+            "workers": int(workers),
         }
         tmp = queue_dir / "queue.json.tmp"
         tmp.write_text(json.dumps(manifest) + "\n")
@@ -286,7 +283,7 @@ class WorkQueue:
         _telemetry.event(
             "scheduler.publish", jobs=len(jobs), lease_ttl=float(lease_ttl)
         )
-        return cls(queue_dir, jobs, lease_ttl)
+        return cls(queue_dir, jobs, lease_ttl, workers=workers)
 
     @classmethod
     def open(
@@ -320,18 +317,18 @@ class WorkQueue:
                 f"manifest promises {manifest['jobs']}"
             )
         ttl = manifest["lease_ttl"] if lease_ttl is None else lease_ttl
-        return cls(queue_dir, jobs, ttl, worker=worker, clock=clock)
+        return cls(queue_dir, jobs, ttl, worker, clock, manifest["workers"])
 
     # ------------------------------------------------------------------ #
-    # Locking
+    # Locking and files
     # ------------------------------------------------------------------ #
     @contextmanager
     def _locked(self):
         """Queue-wide exclusive flock (no-op where fcntl is unavailable).
 
-        Held only across one claim scan or one lease write — microseconds.
-        A killed holder releases it automatically (kernel semantics), so
-        the lock can never outlive a crash.
+        Held across one chunk lease, renewal or drop — microseconds.  A
+        killed holder releases it automatically (kernel semantics), so the
+        lock can never outlive a crash.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
@@ -343,167 +340,198 @@ class WorkQueue:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    # ------------------------------------------------------------------ #
-    # Paths
-    # ------------------------------------------------------------------ #
-    def _lease_path(self, job_id: str) -> Path:
-        return self.queue_dir / "leases" / f"{job_id}.json"
+    def _leases(self) -> "Iterable[tuple[Path, Lease | None]]":
+        """Every lease file with its lease, ``None`` for a torn one.
 
-    def _done_path(self, job_id: str) -> Path:
-        return self.queue_dir / "done" / f"{job_id}.json"
+        A torn lease covers nothing: its jobs are leasable again at once,
+        which errs on the side of re-running rather than stranding.
+        """
+        for path in sorted((self.queue_dir / "leases").glob("*.json")):
+            yield path, self._read_lease(path)
 
-    def _read_lease(self, job_id: str) -> "Lease | None":
-        path = self._lease_path(job_id)
+    @staticmethod
+    def _read_lease(path: Path) -> "Lease | None":
         try:
             return Lease.from_dict(json.loads(path.read_text()))
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # A torn lease file (its writer was killed mid-rename-window) is
-            # treated as expired: the job is immediately stealable, which
-            # errs on the side of re-running rather than stranding.
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
 
-    def _write_lease(self, lease: Lease) -> None:
-        path = self._lease_path(lease.job_id)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    def _write_lease(self, name: str, lease: Lease) -> None:
+        path = self.queue_dir / "leases" / name
+        tmp = path.with_name(f"{name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(lease.to_dict(), sort_keys=True) + "\n")
         tmp.rename(path)
+        self._held[name] = lease
+
+    def _drop(self, name: str) -> None:
+        """Remove lease file ``name`` and forget it (call under the lock)."""
+        (self.queue_dir / "leases" / name).unlink(missing_ok=True)
+        self._held.pop(name, None)
+
+    def _fold_done(self) -> None:
+        """Fold the complete lines other workers' done logs gained.
+
+        A trailing line without its newline is left for a later fold; a
+        line that does not parse to a queued job id is skipped, so its job
+        counts as not done and runs again.
+        """
+        for name in os.listdir(self._done_dir):
+            if name == self._log_name:  # its completions are cached already
+                continue
+            offset = self._log_offsets.get(name, 0)
+            with open(os.path.join(self._done_dir, name), "rb") as handle:
+                handle.seek(offset)
+                tail = handle.read()
+            end = tail.rfind(b"\n") + 1
+            self._log_offsets[name] = offset + end
+            for line in tail[:end].splitlines():
+                try:
+                    job_id = json.loads(line)["job_id"]
+                    if job_id in self.by_id:
+                        self._known_done.add(job_id)
+                except (ValueError, KeyError, TypeError):
+                    continue
 
     # ------------------------------------------------------------------ #
     # Protocol: claim / heartbeat / complete / release
     # ------------------------------------------------------------------ #
     def claim(self) -> "AttackJob | None":
-        """Claim the first job that is neither done nor under a live lease.
+        """The next job of this handle's chunk, leasing a new chunk if needed.
 
-        Expired leases are requeued in the same pass: the claim overwrites
-        the stale lease with a fresh one at ``generation + 1`` (a *steal*).
-        Returns ``None`` when every remaining job is either done or held by
-        a live lease — the caller should claim again after a short wait
-        (the holder may complete it, or die and let the lease expire); the
-        worker loop backs off from :data:`IDLE_WAIT_START` to
-        :attr:`poll_interval`.
+        Only a used-up chunk takes the lock: the pass steals the undone
+        jobs of an expired lease at ``generation + 1``, or else leases the
+        next ⌈free / 2W⌉ free jobs in queue order.  ``None`` means every
+        remaining job is under a live lease: claim again after a short wait.
         """
-        with self._locked():
-            now = self.clock()
-            for job in self.jobs:
-                job_id = job.job_id
-                if job_id in self._known_done:
-                    continue
-                if self._done_path(job_id).exists():
-                    self._known_done.add(job_id)
-                    continue
-                lease = self._read_lease(job_id)
-                generation = 0
-                if lease is not None:
-                    if not lease.expired(now):
-                        continue
-                    generation = lease.generation + 1
-                    self.steals += 1
-                    _log.info(
-                        "worker %s requeues job %s (lease of %s expired, "
-                        "generation %d)",
-                        self.worker, job_id, lease.worker, generation,
-                    )
-                    _telemetry.event(
-                        "scheduler.requeue",
-                        job_id=job_id,
-                        lost_worker=lease.worker,
-                        generation=generation,
-                    )
-                self._write_lease(
-                    Lease(
-                        job_id=job_id,
-                        worker=self.worker,
-                        deadline=now + self.lease_ttl,
-                        claimed_at=now,
-                        generation=generation,
-                    )
-                )
-                self.claims += 1
-                _telemetry.event(
-                    "scheduler.claim", job_id=job_id, generation=generation
-                )
-                return job
+        for attempt in range(2):
+            while self._todo:
+                job, name = self._todo.popleft()
+                if name not in self._held:  # lost: hand out no more of it
+                    self._todo.clear()
+                elif job.job_id not in self._known_done:
+                    self._open[job.job_id] = name
+                    self.claims += 1
+                    _telemetry.event("scheduler.claim", job_id=job.job_id)
+                    return job
+            if attempt == 0:
+                with self._locked():
+                    self._lease_chunk()
         return None
 
-    def heartbeat(self, job_id: str) -> bool:
-        """Renew this worker's lease on ``job_id``; ``False`` if it was lost.
+    def _lease_chunk(self) -> None:
+        """Lease one chunk into ``_todo`` (call under the lock)."""
+        self._fold_done()
+        now = self.clock()
+        covered: "set[str]" = set()
+        for path, lease in self._leases():
+            undone = [] if lease is None else [
+                job_id for job_id in lease.job_ids
+                if job_id in self.by_id and job_id not in self._known_done
+            ]
+            if lease is not None and not lease.expired(now):
+                covered.update(lease.job_ids)
+            elif not undone:
+                self._drop(path.name)
+            else:  # the first expired chunk with undone jobs is stolen whole
+                self._drop(path.name)
+                generation, ids = lease.generation + 1, undone
+                self.steals += 1
+                _log.info(
+                    "worker %s requeues %d jobs (lease of %s expired, "
+                    "generation %d)", self.worker, len(ids), lease.worker,
+                    generation,
+                )
+                _telemetry.event(
+                    "scheduler.requeue", job_id=ids[0], jobs=len(ids),
+                    lost_worker=lease.worker, generation=generation,
+                )
+                break
+        else:
+            ids = [
+                job.job_id for job in self.jobs
+                if job.job_id not in self._known_done and job.job_id not in covered
+            ]
+            if not ids:
+                return
+            generation, ids = 0, ids[: -(-len(ids) // (2 * self.workers))]
+        name = f"{self.worker}.{self._leased}.json"
+        self._leased += 1
+        self._write_lease(name, Lease(tuple(ids), self.worker, now + self.lease_ttl, generation))
+        self._todo.extend((self.by_id[job_id], name) for job_id in ids)
+        _telemetry.count("scheduler.chunk", 1)
 
-        A lease is lost when it expired and another worker stole it (or the
-        job is already done).  The caller keeps running the in-flight job
-        either way — results are deterministic and the merge dedupes by job
-        content hash, so finishing is cheaper than abandoning mid-attack —
-        but a lost lease is counted so the stats surface it.
+    def heartbeat(self, job_id: str) -> bool:
+        """Renew the chunk lease covering ``job_id``; ``False`` if it was lost.
+
+        A lease is lost when it expired and another worker stole its jobs.
+        The in-flight job still finishes (the merge dedupes it), but no
+        more jobs of that chunk are handed out.
         """
         with self._locked():
-            lease = self._read_lease(job_id)
+            names = [name for name, lease in self._held.items() if job_id in lease.job_ids]
+            return self._renew(names or [None])
+
+    def renew(self) -> bool:
+        """Renew every chunk lease this handle holds; ``False`` if one was lost."""
+        with self._locked():
+            return self._renew(list(self._held))
+
+    def _renew(self, names: "list[str | None]") -> bool:
+        kept = True
+        for name in names:
+            lease = None if name is None else self._read_lease(self.queue_dir / "leases" / name)
             if lease is None or lease.worker != self.worker:
+                self._held.pop(name, None)
                 self.lost_leases += 1
-                _telemetry.event("scheduler.lease_lost", job_id=job_id)
-                return False
-            now = self.clock()
-            self._write_lease(
-                Lease(
-                    job_id=job_id,
-                    worker=self.worker,
-                    deadline=now + self.lease_ttl,
-                    claimed_at=lease.claimed_at,
-                    generation=lease.generation,
-                )
-            )
-            self.heartbeats += 1
-            _telemetry.event("scheduler.heartbeat", job_id=job_id)
-            return True
+                _telemetry.event("scheduler.lease_lost", lease=str(name))
+                kept = False
+            else:
+                self._write_lease(name, replace(lease, deadline=self.clock() + self.lease_ttl))
+                self.heartbeats += 1
+                _telemetry.event("scheduler.heartbeat", lease=name)
+        return kept
 
     def complete(self, job_id: str) -> bool:
-        """Mark ``job_id`` done and drop this worker's lease.
+        """Record ``job_id`` as done in this worker's log.
 
-        Must be called *after* the outcome is durable in the worker's shard
-        checkpoint — the marker is the queue's signal to stop handing the
-        job out, the shard is the record.  Returns ``False`` when another
-        worker already completed it (the slow-but-alive double-completion
-        case); the duplicate shard record is deduped at merge time.
+        Call it *after* the outcome is durable in the shard checkpoint.
+        Returns ``False`` when the done logs already hold the job (a
+        slow-but-alive holder); the merge dedupes its shard record.
         """
-        with self._locked():
-            lease = self._read_lease(job_id)
-            generation = lease.generation if lease is not None else 0
-            first = True
-            try:
-                fd = os.open(
-                    self._done_path(job_id),
-                    os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                )
-            except FileExistsError:
-                first = False
-                self.duplicate_completions += 1
-            else:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "job_id": str(job_id),
-                                "worker": str(self.worker),
-                                "generation": int(generation),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-            if lease is not None and lease.worker == self.worker:
-                self._lease_path(job_id).unlink(missing_ok=True)
+        self._fold_done()
+        name = self._open.pop(job_id, None)
+        first = job_id not in self._known_done
+        if first:
+            lease = self._held.get(name)
+            record = {
+                "job_id": str(job_id),
+                "worker": str(self.worker),
+                "generation": int(lease.generation if lease is not None else 0),
+            }
+            with open(os.path.join(self._done_dir, self._log_name), "ab") as log:
+                log.write((json.dumps(record, sort_keys=True) + "\n").encode())
             self._known_done.add(job_id)
-            self.completions += 1
-            _telemetry.event("scheduler.complete", job_id=job_id, first=first)
-            return first
+        else:
+            self.duplicate_completions += 1
+        self.completions += 1
+        self._settle(name)
+        _telemetry.event("scheduler.complete", job_id=job_id, first=first)
+        return first
 
     def release(self, job_id: str) -> None:
-        """Drop this worker's lease without completing (graceful give-back)."""
-        with self._locked():
-            lease = self._read_lease(job_id)
-            if lease is not None and lease.worker == self.worker:
-                self._lease_path(job_id).unlink(missing_ok=True)
-                _telemetry.event("scheduler.release", job_id=job_id)
+        """Hand ``job_id`` back, with the jobs of its chunk not yet handed out."""
+        name = self._open.pop(job_id, None)
+        if self._todo and self._todo[0][1] == name:
+            self._todo.clear()
+        self._settle(name)
+        _telemetry.event("scheduler.release", job_id=job_id)
+
+    def _settle(self, name: "str | None") -> None:
+        """Drop lease ``name`` once none of its jobs is handed out or waiting."""
+        waiting = bool(self._todo) and self._todo[0][1] == name
+        if name in self._held and name not in self._open.values() and not waiting:
+            with self._locked():
+                self._drop(name)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -518,24 +546,26 @@ class WorkQueue:
         return min(max(self.lease_ttl / 10.0, 0.01), 0.25)
 
     def lease_of(self, job_id: str) -> "Lease | None":
-        """The current lease on ``job_id`` (``None`` if unleased)."""
+        """The lease whose chunk lists ``job_id`` (``None`` if unleased)."""
         with self._locked():
-            return self._read_lease(job_id)
+            return next(
+                (lease for _, lease in self._leases()
+                 if lease is not None and job_id in lease.job_ids),
+                None,
+            )
 
     def done_ids(self) -> "set[str]":
-        """Job ids with a done marker (one listdir; no lock needed)."""
-        return {
-            name[: -len(".json")] if name.endswith(".json") else name
-            for name in os.listdir(self.queue_dir / "done")
-        }
+        """Job ids the done logs (and this handle's completions) record."""
+        self._fold_done()
+        return set(self._known_done)
 
     def all_done(self) -> bool:
-        """Whether every job in the queue has a done marker."""
-        return len(os.listdir(self.queue_dir / "done")) >= len(self.jobs)
+        """Whether every job in the queue is recorded done."""
+        return len(self.done_ids()) >= len(self.jobs)
 
     def remaining(self) -> int:
-        """Jobs without a done marker (leased in-flight jobs included)."""
-        return len(self.jobs) - len(os.listdir(self.queue_dir / "done"))
+        """Jobs not recorded done (leased in-flight jobs included)."""
+        return len(self.jobs) - len(self.done_ids())
 
     def stats(self) -> dict:
         """This worker's protocol counters (JSON-pure)."""
@@ -550,17 +580,15 @@ class WorkQueue:
 
 
 class LeaseHeartbeat:
-    """Background thread renewing one lease while its job runs.
+    """Background thread renewing a worker's chunk leases while it drains.
 
-    Renews every ``ttl / 3`` (so two renewals can fail before the lease is
-    stealable).  Used as a context manager around the job execution; if a
-    renewal reports the lease lost, renewing stops (:attr:`lost` is set)
-    but the job is allowed to finish — see :meth:`WorkQueue.heartbeat`.
+    One per worker, around the whole drain: every ``ttl / 3`` (so two
+    renewals can fail before a lease is stealable) it renews the chunk
+    leases the handle holds.  A lost lease sets :attr:`lost`.
     """
 
-    def __init__(self, queue: WorkQueue, job_id: str, interval: "float | None" = None):
+    def __init__(self, queue: WorkQueue, interval: "float | None" = None):
         self.queue = queue
-        self.job_id = job_id
         self.interval = (
             queue.lease_ttl / 3.0 if interval is None else float(interval)
         )
@@ -571,14 +599,7 @@ class LeaseHeartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
             try:
-                if not self.queue.heartbeat(self.job_id):
-                    self.lost = True
-                    _log.warning(
-                        "worker %s lost its lease on job %s mid-run; "
-                        "finishing anyway (merge dedupes by job id)",
-                        self.queue.worker, self.job_id,
-                    )
-                    return
+                self.lost |= not self.queue.renew()
             except OSError:  # pragma: no cover - transient fs failure
                 # A failed renewal is survivable until the TTL runs out;
                 # the next tick retries.
@@ -587,13 +608,14 @@ class LeaseHeartbeat:
     def __enter__(self) -> "LeaseHeartbeat":
         """Start renewing in a daemon thread."""
         self._thread = threading.Thread(
-            target=self._run, name=f"lease-heartbeat-{self.job_id}", daemon=True
+            target=self._run, name=f"lease-heartbeat-{self.queue.worker}",
+            daemon=True,
         )
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Stop the renewal thread (joins; the lease stays with the worker)."""
+        """Stop the renewal thread (joins; held leases stay with the worker)."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join()
@@ -653,19 +675,21 @@ def _scheduler_worker_drain(
 
     One engine is built lazily on the first claim (``EngineSpec`` →
     :meth:`SurrogateEngine.from_spec`), then every claimed job runs through
-    :meth:`AttackCampaign.run_job` under a lease heartbeat.  The durability
-    order is fixed: shard append **then** done marker — a crash between
+    :meth:`AttackCampaign.run_job`, while one :class:`LeaseHeartbeat` thread
+    renews the worker's chunk lease for the whole drain.  The durability
+    order is fixed: shard append **then** done-log line — a crash between
     the two requeues a job whose record already exists, and the merge
-    dedupes by job content hash.  A job that raises releases its lease
-    before the error propagates, so the surviving workers see it at once
-    instead of after the TTL.
+    dedupes by job content hash.  A job that raises releases it and the
+    rest of its chunk before the error propagates, so the surviving
+    workers see them at once instead of after the TTL.
 
     A claim that comes back empty while jobs remain waits before the next
     one: :data:`IDLE_WAIT_START` first, doubling per empty claim up to
     :attr:`WorkQueue.poll_interval`, reset by a successful claim.  Each
     wait is counted as ``scheduler.idle_wait`` (its length as the ns).
 
-    A ``<shard>.stats`` sidecar records the worker's CPU and wall seconds,
+    Building the engine and campaign is traced as ``worker.setup``.  A
+    ``<shard>.stats`` sidecar records the worker's CPU and wall seconds,
     peak RSS and queue counters; the parent collects these into
     :attr:`SchedulingCampaignExecutor.last_worker_stats`.
     """
@@ -679,43 +703,41 @@ def _scheduler_worker_drain(
     shard_store = None
     jobs_done = 0
     idle_wait = IDLE_WAIT_START
-    while True:
-        job = queue.claim()
-        if job is None:
-            if queue.all_done():
-                break
-            _telemetry.count("scheduler.idle_wait", 1, round(idle_wait * 1e9))
-            time.sleep(idle_wait)
-            idle_wait = min(2.0 * idle_wait, queue.poll_interval)
-            continue
-        idle_wait = IDLE_WAIT_START
-        try:
-            if campaign is None:
-                # Empty candidate set, exactly like AttackCampaign's lazy
-                # construction: every job retargets with its own pairs, and
-                # ``None`` would materialise all n(n−1)/2 upper-triangle
-                # pairs — 50M entries at n = 10 000.
-                empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-                graph = spec.to_graph()  # materialised once: engine + campaign share it
-                engine = SurrogateEngine.from_spec(
-                    spec, job.targets, candidates=empty, graph=graph
-                )
-                campaign = AttackCampaign(
-                    graph,
-                    checkpoint_path=shard_path,
-                    compute_ranks=compute_ranks,
-                    engine=engine,
-                )
-                shard_store = campaign.checkpoint_store()
-            with LeaseHeartbeat(queue, job.job_id):
+    with LeaseHeartbeat(queue):
+        while True:
+            job = queue.claim()
+            if job is None:
+                if queue.all_done():
+                    break
+                _telemetry.count("scheduler.idle_wait", 1, round(idle_wait * 1e9))
+                time.sleep(idle_wait)
+                idle_wait = min(2.0 * idle_wait, queue.poll_interval)
+                continue
+            idle_wait = IDLE_WAIT_START
+            try:
+                if campaign is None:
+                    with _telemetry.span("worker.setup"):
+                        # No candidate pairs yet: every job retargets with
+                        # its own, and ``None`` would materialise all
+                        # n(n−1)/2 pairs — 50M at n = 10 000.
+                        empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+                        graph = spec.to_graph()  # engine + campaign share it
+                        engine = SurrogateEngine.from_spec(
+                            spec, job.targets, candidates=empty, graph=graph
+                        )
+                        campaign = AttackCampaign(
+                            graph, checkpoint_path=shard_path,
+                            compute_ranks=compute_ranks, engine=engine,
+                        )
+                        shard_store = campaign.checkpoint_store()
                 outcome = campaign.run_job(job)
-        except BaseException:
-            queue.release(job.job_id)  # hand it back now, not after a TTL
-            raise
-        assert shard_store is not None
-        shard_store.append(outcome)  # durable BEFORE the done marker
-        queue.complete(job.job_id)
-        jobs_done += 1
+            except BaseException:
+                queue.release(job.job_id)  # hand it back now, not after a TTL
+                raise
+            assert shard_store is not None
+            shard_store.append(outcome)  # durable BEFORE the done-log line
+            queue.complete(job.job_id)
+            jobs_done += 1
     stats = {
         "jobs": jobs_done,
         "cpu_seconds": time.process_time() - cpu_start,
@@ -733,11 +755,12 @@ def _scheduler_worker_drain(
 class SchedulingCampaignExecutor:
     """Drain a campaign's job grid across N worker processes.
 
-    Workers claim jobs one at a time from a shared :class:`WorkQueue`, so a
-    cost-skewed grid (λ-sweep Binarized next to cheap GradMax jobs) keeps
-    every worker busy until the queue is dry.  A worker killed mid-job
-    (``kill -9`` included) stops heartbeating, its lease expires after
-    ``lease_ttl`` seconds and a surviving worker requeues the job.  The run
+    Workers lease chunks of jobs that shrink to one job at the tail from a
+    shared :class:`WorkQueue`, so a cost-skewed grid (λ-sweep Binarized
+    next to cheap GradMax jobs) keeps every worker busy until the queue is
+    dry.  A worker killed mid-chunk (``kill -9`` included) stops
+    heartbeating, its lease expires after ``lease_ttl`` seconds and a
+    surviving worker requeues the chunk's undone jobs.  The run
     *succeeds* as long as every job completes — dead workers are reported
     in :attr:`last_dead_workers` rather than failing a run whose work was
     recovered.  Results are bit-identical to a serial
@@ -863,7 +886,7 @@ class SchedulingCampaignExecutor:
         """Execute the grid across workers; ordered, serial-identical result."""
         jobs = validate_jobs(jobs, self.n)
         if self.checkpoint_path is not None:
-            completed = self._merge_and_load()
+            completed = self._merge(self.checkpoint_path.parent)
             return self._execute(jobs, completed, self.checkpoint_path.parent)
         with tempfile.TemporaryDirectory(prefix="campaign-shards-") as scratch:
             return self._execute(jobs, {}, Path(scratch))
@@ -897,7 +920,7 @@ class SchedulingCampaignExecutor:
                 int(stats.get("steals", 0)) for stats in self.last_worker_stats
             )
             with _telemetry.span("executor.merge", shards=count):
-                self._collect(shard_dir, into=completed)
+                completed.update(self._merge(shard_dir))
             missing = [job for job in pending if job.job_id not in completed]
             if missing:
                 dead = (
@@ -958,7 +981,9 @@ class SchedulingCampaignExecutor:
         # simply replaced.
         if queue_dir.exists():
             shutil.rmtree(queue_dir)
-        WorkQueue.create(queue_dir, pending, lease_ttl=self.lease_ttl)
+        WorkQueue.create(
+            queue_dir, pending, lease_ttl=self.lease_ttl, workers=count
+        )
         processes = []
         with _telemetry.span("executor.drain", workers=count):
             for index in range(count):
@@ -1018,21 +1043,6 @@ class SchedulingCampaignExecutor:
     def _store(self, path: Path) -> CheckpointStore:
         return CheckpointStore(path, self._fingerprint, self.n)
 
-    def _leftover_shards(self) -> "list[Path]":
-        # Literal prefix match, NOT a glob: a checkpoint named e.g.
-        # "fig4[ci].json" would turn glob metacharacters into a character
-        # class and silently miss every shard.
-        assert self.checkpoint_path is not None
-        parent = self.checkpoint_path.parent
-        if not parent.exists():
-            return []
-        prefix = self.checkpoint_path.name + ".shard"
-        return sorted(
-            path
-            for path in parent.iterdir()
-            if path.name.startswith(prefix) and not path.name.endswith(".stats")
-        )
-
     def _collect_stats(self, shard_dir: Path, count: int) -> "list[dict]":
         """Read (and remove) the per-worker ``.stats`` sidecars of this run."""
         stats = []
@@ -1049,41 +1059,25 @@ class SchedulingCampaignExecutor:
             path.unlink()
         return stats
 
-    def _merge_and_load(self) -> "dict[str, JobOutcome]":
-        """Fold any shard files into the main checkpoint, then load it.
+    def _merge(self, shard_dir: Path) -> "dict[str, JobOutcome]":
+        """Fold ``shard_dir``'s shard files into the main checkpoint, load it.
 
         Called before publishing the queue (folding in a killed run's
         leftovers — the step that makes resume worker-count-independent)
-        and after every drain.  Merged shards are deleted; merging is
-        idempotent because outcomes are keyed by content-hashed job id.
+        and after every drain.  Merged shards and stale ``.stats`` files are
+        deleted; merging is idempotent because outcomes are keyed by
+        content-hashed job id.  Without a checkpoint path, the main file
+        lives in the run's temporary directory.
         """
-        assert self.checkpoint_path is not None
-        main = self._store(self.checkpoint_path)
-        # One parse of the main file, then O(1) appends per new shard
-        # outcome — merge_from would re-load the whole checkpoint per
-        # shard, which is O(W · file size) on big resumed campaigns.
-        outcomes = main.load()
-        for shard_path in self._leftover_shards():
-            for job_id, outcome in self._store(shard_path).load().items():
-                if job_id not in outcomes:
-                    main.append(outcome)
-                    outcomes[job_id] = outcome
-            shard_path.unlink()
-            stale_stats = Path(str(shard_path) + ".stats")
-            if stale_stats.exists():
-                stale_stats.unlink()
-        return outcomes
-
-    def _collect(self, shard_dir: Path, into: "dict[str, JobOutcome]") -> None:
-        """Merge this run's shards into the result dict (and main file)."""
-        if self.checkpoint_path is not None:
-            into.update(self._merge_and_load())
-            return
-        prefix = "campaign.shard"
-        shard_paths = sorted(
-            path
-            for path in shard_dir.iterdir()
-            if path.name.startswith(prefix) and not path.name.endswith(".stats")
+        # Literal prefix match, NOT a glob: a checkpoint named e.g.
+        # "fig4[ci].json" would turn glob metacharacters into a character
+        # class and silently miss every shard.
+        prefix = f"{self._stem()}.shard"
+        names = sorted(os.listdir(shard_dir)) if shard_dir.exists() else []
+        shards = [shard_dir / name for name in names if name.startswith(prefix)]
+        outcomes = self._store(shard_dir / self._stem()).merge_from(
+            *(self._store(path) for path in shards if path.suffix != ".stats")
         )
-        for shard_path in shard_paths:
-            into.update(self._store(shard_path).load())
+        for path in shards:
+            path.unlink()
+        return outcomes

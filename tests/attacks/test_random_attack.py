@@ -71,3 +71,25 @@ class TestRandomAttack:
                 apply_flips(adjacency, expected[:b]), targets, weights
             )
             assert result.surrogate_by_budget[b] == pytest.approx(reference, rel=1e-9)
+
+    def test_draws_lazily_without_listing_every_pair(self, monkeypatch):
+        """The shuffle indexes the candidate arrays lazily: with
+        ``CandidateSet.pairs`` unavailable, the seeded flips still equal
+        the digest pinned before the draw became lazy (same RNG stream)."""
+        import hashlib
+        import json
+
+        from repro.attacks.candidates import CandidateSet
+        from repro.graph import barabasi_albert
+
+        def no_pairs(self):
+            raise AssertionError("RandomAttack listed every candidate pair")
+
+        monkeypatch.setattr(CandidateSet, "pairs", no_pairs)
+        graph = barabasi_albert(200, 3, rng=0)
+        result = RandomAttack(rng=7).attack(graph, [0, 1, 2], budget=8, candidates="full")
+        flips = {
+            b: [[int(u), int(v)] for u, v in result.flips(b)] for b in result.budgets
+        }
+        digest = hashlib.sha256(json.dumps(flips, sort_keys=True).encode()).hexdigest()
+        assert digest == "c5b2acd6d17521c5e5b556a5ee5935628579463542c050cbcead4b4332b330b8"

@@ -209,7 +209,7 @@ class TestWorkQueue:
         queue.claim()
         import time as _time
 
-        with LeaseHeartbeat(queue, jobs[0].job_id) as beat:
+        with LeaseHeartbeat(queue) as beat:  # renews the handle's chunk
             _time.sleep(1.0)                # several TTLs worth of wall time
             assert not beat.lost
         assert queue.heartbeats >= 2
@@ -321,8 +321,11 @@ class TestIdleBackoff:
         assert len(waits) > 6 and set(waits[6:]) == {cap}
         stats = json.loads(open(shard + ".stats").read())
         assert stats["jobs"] == 1 and stats["steals"] == 1
-        marker = json.loads((tmp_path / "q" / "done" / f"{job.job_id}.json").read_text())
-        assert marker["generation"] == 1 and marker["worker"].startswith("worker-0-")
+        (log,) = (tmp_path / "q" / "done").iterdir()   # the worker's own done log
+        assert log.name.startswith("worker-0-") and log.suffix == ".jsonl"
+        (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+        assert record["job_id"] == job.job_id
+        assert record["generation"] == 1 and record["worker"] == log.stem
         store = AttackCampaign(graph, checkpoint_path=shard).checkpoint_store()
         assert list(store.load()) == [job.job_id]
 
@@ -724,3 +727,347 @@ class TestPropertyInterleavings:
             assert got.score_before == expected.score_before
             assert got.score_after == expected.score_after
             assert got.rank_shifts == expected.rank_shifts
+
+
+class TestChunkRule:
+    """Guided self-scheduling: a lock-taking claim leases ⌈free / 2W⌉ jobs,
+    where ``free`` is the jobs neither done nor under a live lease."""
+
+    def test_chunk_sizes_follow_free_over_2w_and_end_in_ones(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = _queue_jobs(400)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0, workers=2)
+        clock = FakeClock()
+        handles = [
+            WorkQueue.open(tmp_path / "q", worker=name, clock=clock)
+            for name in ("alice", "bob")
+        ]
+        passes = []
+        real_lease_chunk = WorkQueue._lease_chunk
+
+        def counted(self):
+            passes.append(self.worker)
+            real_lease_chunk(self)
+
+        monkeypatch.setattr(WorkQueue, "_lease_chunk", counted)
+        chunk = {"alice": set(), "bob": set()}
+        done = set()
+        sizes = []
+        step = 0
+        while len(done) < len(jobs):
+            queue = handles[step % 2]
+            other = handles[(step + 1) % 2].worker
+            step += 1
+            before = len(passes)
+            free = len(jobs) - len(done) - len(chunk[other] - done)
+            job = queue.claim()
+            assert job is not None and job.job_id not in done
+            if len(passes) > before:           # this claim took the lock
+                lease = queue.lease_of(job.job_id)
+                assert lease.worker == queue.worker and lease.generation == 0
+                assert lease.job_ids[0] == job.job_id
+                assert len(lease.job_ids) == -(-free // 4)
+                sizes.append(len(lease.job_ids))
+                chunk[queue.worker] = set(lease.job_ids)
+            assert job.job_id in chunk[queue.worker]
+            assert queue.complete(job.job_id) is True
+            done.add(job.job_id)
+        assert sizes[:3] == [100, 75, 57]
+        assert sizes[-4:] == [1, 1, 1, 1]
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(passes) <= 30
+        assert handles[0].claim() is None and handles[1].claim() is None
+        assert handles[0].all_done() and handles[0].remaining() == 0
+        assert not list((tmp_path / "q" / "leases").iterdir())
+
+    def test_heartbeat_thread_racing_claims_never_loses_a_lease(self, tmp_path):
+        """A renewal every 0.1 ms against a draining main thread, with a
+        tiny switch interval: every job completes once, no lease is lost,
+        and no lease file outlives its chunk."""
+        import sys
+
+        jobs = _queue_jobs(400)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=30.0, workers=2)
+        queue = WorkQueue.open(tmp_path / "q", worker="w0")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with LeaseHeartbeat(queue, interval=1e-4) as beat:
+                while (job := queue.claim()) is not None:
+                    assert queue.complete(job.job_id) is True
+        finally:
+            sys.setswitchinterval(switch)
+        assert not beat.lost and queue.lost_leases == 0 and queue.heartbeats > 0
+        assert queue.all_done() and queue.completions == len(jobs)
+        assert not list((tmp_path / "q" / "leases").iterdir())
+
+    def test_expired_chunk_of_a_dead_worker_is_stolen_with_its_undone_jobs(
+        self, tmp_path
+    ):
+        jobs = _queue_jobs(400)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=5.0, workers=2)
+        clock = FakeClock()
+        dead = WorkQueue.open(tmp_path / "q", worker="dead", clock=clock)
+        thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
+        for _ in range(10):
+            dead.complete(dead.claim().job_id)
+        in_flight = dead.claim()                # dies running this one
+        held = dead.lease_of(in_flight.job_id)
+        assert len(held.job_ids) == 100
+        assert thief.claim().job_id == jobs[100].job_id  # the next fresh chunk
+        clock.advance(5.0)
+        thief.complete(jobs[100].job_id)
+        # thief still holds a live chunk: drain it before the next pass
+        while (job := thief.claim()) is not None and job.job_id != in_flight.job_id:
+            thief.complete(job.job_id)
+        assert job.job_id == in_flight.job_id
+        assert thief.steals == 1
+        stolen = thief.lease_of(in_flight.job_id)
+        assert stolen.worker == "thief" and stolen.generation == held.generation + 1
+        assert stolen.job_ids == held.job_ids[10:]
+        assert not (tmp_path / "q" / "leases" / "dead.0.json").exists()
+
+    def test_slow_holder_completing_a_stolen_job_counts_a_duplicate(
+        self, tmp_path
+    ):
+        jobs = _queue_jobs(400)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=5.0, workers=2)
+        clock = FakeClock()
+        slow = WorkQueue.open(tmp_path / "q", worker="slow", clock=clock)
+        thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
+        job = slow.claim()
+        clock.advance(6.0)                       # slow never heartbeats
+        assert thief.claim().job_id == job.job_id
+        stolen = set(thief.lease_of(job.job_id).job_ids)
+        assert len(stolen) == 100
+        assert thief.complete(job.job_id) is True
+        assert slow.complete(job.job_id) is False
+        assert slow.duplicate_completions == 1 and thief.duplicate_completions == 0
+        # the renewal reports the loss, and no more of the chunk is handed out
+        assert slow.heartbeat(jobs[1].job_id) is False
+        assert slow.lost_leases == 1
+        assert slow.claim().job_id not in stolen
+        assert thief.lease_of(jobs[1].job_id).worker == "thief"
+
+
+def _drain_handles(handles, shards, clock, fault=None):
+    """Round-robin claim → shard append → complete until every job is done;
+    ``fault()`` runs once after the first completion.  A handle whose claim
+    comes back empty advances the clock, so dropped leases expire."""
+    for step in range(20_000):
+        if all(queue.all_done() for queue in handles):
+            return
+        index = step % len(handles)
+        queue = handles[index]
+        job = queue.claim()
+        if job is None:
+            clock.advance(1.0)
+            continue
+        shards[index].append(_synthetic_outcome(job, seconds=float(index)))
+        queue.complete(job.job_id)
+        if fault is not None:
+            fault()
+            fault = None
+    pytest.fail("queue did not drain within the step budget")
+
+
+def _assert_merged_matches_serial(path, jobs, shards):
+    """Merge ``shards`` at ``path`` and compare with a serial checkpoint."""
+    merged = CheckpointStore(path, "fault-fp", 64).merge_from(*shards)
+    serial = CheckpointStore(f"{path}.serial", "fault-fp", 64)
+    for job in jobs:
+        serial.append(_synthetic_outcome(job, seconds=99.0))
+    reference = serial.load()
+    assert set(merged) == set(reference)
+    for job_id, expected in reference.items():
+        got = merged[job_id]
+        assert got.flips_by_budget == expected.flips_by_budget
+        assert got.surrogate_by_budget == expected.surrogate_by_budget
+        assert got.rank_shifts == expected.rank_shifts
+
+
+class TestChaosQueueRecords:
+    """Fault injection on the queue's own records: a torn or flipped done
+    log line and a truncated chunk lease either cost a re-run that the
+    merge dedupes, or nothing — the result is always the serial one."""
+
+    @staticmethod
+    def _queue(tmp_path, name, jobs):
+        WorkQueue.create(tmp_path / name, jobs, lease_ttl=5.0, workers=2)
+        clock = FakeClock()
+        handles = [
+            WorkQueue.open(tmp_path / name, worker=worker, clock=clock)
+            for worker in ("alice", "bob")
+        ]
+        shards = [
+            CheckpointStore(tmp_path / f"{name}.shard{i}", "fault-fp", 64)
+            for i in range(2)
+        ]
+        return handles, shards, clock
+
+    def test_chaos_lease_truncated_at_every_byte_offset(self, tmp_path):
+        jobs = _queue_jobs(8)
+        probe, _, _ = self._queue(tmp_path, "probe", jobs)
+        probe[0].claim()
+        (lease_path,) = (tmp_path / "probe" / "leases").iterdir()
+        size = lease_path.stat().st_size
+        assert size > 100
+        for offset in range(size):
+            name = f"q{offset}"
+            handles, shards, clock = self._queue(tmp_path, name, jobs)
+
+            def truncate(path=tmp_path / name / "leases" / "alice.0.json"):
+                with open(path, "r+b") as handle:
+                    handle.truncate(offset)
+
+            _drain_handles(handles, shards, clock, fault=truncate)
+            assert handles[1].done_ids() == {job.job_id for job in jobs}
+            _assert_merged_matches_serial(tmp_path / f"{name}.merged", jobs, shards)
+
+    def test_chaos_done_log_with_a_flipped_byte_at_every_offset(self, tmp_path):
+        jobs = _queue_jobs(8)
+        probe, _, _ = self._queue(tmp_path, "probe", jobs)
+        probe[0].complete(probe[0].claim().job_id)
+        size = (tmp_path / "probe" / "done" / "alice.jsonl").stat().st_size
+        for offset in range(size):
+            name = f"q{offset}"
+            handles, shards, clock = self._queue(tmp_path, name, jobs)
+
+            def flip(path=tmp_path / name / "done" / "alice.jsonl"):
+                data = bytearray(path.read_bytes())
+                data[offset] ^= 0xFF
+                path.write_bytes(bytes(data))
+
+            _drain_handles(handles, shards, clock, fault=flip)
+            _assert_merged_matches_serial(tmp_path / f"{name}.merged", jobs, shards)
+
+    def test_chaos_torn_done_log_tail_reads_as_not_done_until_complete(
+        self, tmp_path
+    ):
+        """Only newline-terminated records count: a reader that meets an
+        append in progress re-reads that record once it is whole."""
+        jobs = _queue_jobs(2)
+        (alice, _), _, _ = self._queue(tmp_path, "q", jobs)
+        log = tmp_path / "q" / "done" / "bob.jsonl"
+        record = json.dumps({"job_id": jobs[0].job_id, "worker": "bob"})
+        log.write_text(record)                  # the newline not yet written
+        assert alice.done_ids() == set() and alice.remaining() == 2
+        with open(log, "a") as handle:
+            handle.write("\n")
+        assert alice.done_ids() == {jobs[0].job_id} and alice.remaining() == 1
+
+    def test_chaos_torn_done_log_line_reruns_the_job(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs,
+        assert_outcomes_identical,
+    ):
+        """SIGKILL mid-append of the done record: the torn line reads as
+        "not done", the chunk is stolen after the TTL, and the job's second
+        shard record is deduped by the merge."""
+        graph, targets = graph_and_targets
+        jobs = sweep_jobs(targets)
+        serial = AttackCampaign(graph).run(jobs)
+        real_main = scheduler_module._scheduler_worker_main
+
+        def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
+                          lease_ttl, worker_index, telemetry=None):
+            if worker_index == 0:
+                def tear_then_die(self, job_id):
+                    record = json.dumps({"job_id": job_id, "worker": self.worker})
+                    log = self.queue_dir / "done" / f"{self.worker}.jsonl"
+                    with open(log, "a") as handle:
+                        handle.write(record[: len(record) // 2])
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+                WorkQueue.complete = tear_then_die
+            real_main(spec, queue_dir, shard_path, compute_ranks,
+                      lease_ttl, worker_index, telemetry)
+
+        monkeypatch.setattr(scheduler_module, "_scheduler_worker_main", kamikaze_main)
+        checkpoint = tmp_path / "campaign.jsonl"
+        executor = SchedulingCampaignExecutor(
+            graph, workers=3, checkpoint_path=checkpoint, lease_ttl=_chaos_ttl(),
+        )
+        result = executor.run(jobs)
+        assert executor.last_dead_workers == ["scheduler-worker-0"]
+        assert executor.last_requeues >= 1
+        assert sum(stats["jobs"] for stats in executor.last_worker_stats) == len(jobs)
+        assert_outcomes_identical(serial, result)
+        assert len(checkpoint.read_text().splitlines()[1:]) == len(jobs)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "newline"])
+    def test_chaos_flipped_done_log_byte_mid_run_matches_serial(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs,
+        assert_outcomes_identical, where,
+    ):
+        graph, targets = graph_and_targets
+        jobs = sweep_jobs(targets)
+        serial = AttackCampaign(graph).run(jobs)
+        real_main = scheduler_module._scheduler_worker_main
+
+        def flipping_main(spec, queue_dir, shard_path, compute_ranks,
+                          lease_ttl, worker_index, telemetry=None):
+            if worker_index == 0:
+                real_complete = WorkQueue.complete
+
+                def complete_then_flip(self, job_id):
+                    first = real_complete(self, job_id)
+                    log = self.queue_dir / "done" / f"{self.worker}.jsonl"
+                    data = bytearray(log.read_bytes())
+                    offset = {"first": 0, "middle": len(data) // 2,
+                              "newline": len(data) - 1}[where]
+                    data[offset] ^= 0xFF
+                    log.write_bytes(bytes(data))
+                    WorkQueue.complete = real_complete   # one flip per run
+                    return first
+
+                WorkQueue.complete = complete_then_flip
+            real_main(spec, queue_dir, shard_path, compute_ranks,
+                      lease_ttl, worker_index, telemetry)
+
+        monkeypatch.setattr(scheduler_module, "_scheduler_worker_main", flipping_main)
+        executor = SchedulingCampaignExecutor(
+            graph, workers=2, checkpoint_path=tmp_path / "campaign.jsonl",
+            lease_ttl=_chaos_ttl(),
+        )
+        result = executor.run(jobs)
+        assert executor.last_dead_workers == []
+        assert_outcomes_identical(serial, result)
+
+    @pytest.mark.parametrize("cut", [0.0, 0.5, -2])
+    def test_chaos_truncated_chunk_lease_mid_run_matches_serial(
+        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs,
+        assert_outcomes_identical, cut,
+    ):
+        graph, targets = graph_and_targets
+        jobs = sweep_jobs(targets)
+        serial = AttackCampaign(graph).run(jobs)
+        real_main = scheduler_module._scheduler_worker_main
+
+        def truncating_main(spec, queue_dir, shard_path, compute_ranks,
+                            lease_ttl, worker_index, telemetry=None):
+            if worker_index == 0:
+                real_claim = WorkQueue.claim
+
+                def claim_then_truncate(self):
+                    job = real_claim(self)
+                    if job is not None:
+                        for path in (self.queue_dir / "leases").glob(f"{self.worker}.*.json"):
+                            size = path.stat().st_size
+                            with open(path, "r+b") as handle:
+                                handle.truncate(size + cut if cut < 0 else int(size * cut))
+                        WorkQueue.claim = real_claim     # one truncation per run
+                    return job
+
+                WorkQueue.claim = claim_then_truncate
+            real_main(spec, queue_dir, shard_path, compute_ranks,
+                      lease_ttl, worker_index, telemetry)
+
+        monkeypatch.setattr(scheduler_module, "_scheduler_worker_main", truncating_main)
+        executor = SchedulingCampaignExecutor(
+            graph, workers=2, checkpoint_path=tmp_path / "campaign.jsonl",
+            lease_ttl=_chaos_ttl(),
+        )
+        result = executor.run(jobs)
+        assert executor.last_dead_workers == []
+        assert_outcomes_identical(serial, result)
