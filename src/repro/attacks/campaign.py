@@ -38,6 +38,7 @@ test suites pin this down), so batching is purely a performance lever.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -87,6 +88,16 @@ def _registry() -> dict:
     from repro.attacks import ATTACK_REGISTRY
 
     return ATTACK_REGISTRY
+
+
+@functools.lru_cache(maxsize=None)
+def _constructor_parameters(attack_class) -> frozenset:
+    """The keyword names an attack class's constructor takes (once per class).
+
+    ``AttackJob.make`` checks every job's parameters against these, and a
+    queue of hundreds of jobs names the same few classes.
+    """
+    return frozenset(inspect.signature(attack_class.__init__).parameters) - {"self"}
 
 
 #: Every attack that accepts an injected ``engine=`` in ``attack()`` — the
@@ -190,12 +201,12 @@ class AttackJob:
                 f"campaign jobs take a candidate *strategy name* (or None), "
                 f"got {candidates!r}; choose from {CANDIDATE_STRATEGIES}"
             )
-        allowed = set(inspect.signature(registry[attack].__init__).parameters)
-        unknown = set(params) - (allowed - {"self"})
+        allowed = _constructor_parameters(registry[attack])
+        unknown = set(params) - allowed
         if unknown:
             raise ValueError(
                 f"{attack} does not accept parameter(s) {sorted(unknown)}; "
-                f"its constructor takes {sorted(allowed - {'self'})}"
+                f"its constructor takes {sorted(allowed)}"
             )
         targets = tuple(int(t) for t in targets)
         if weights is not None:
@@ -447,23 +458,17 @@ class CampaignResult:
 def _normalize_graph(graph):
     """Validated adjacency (dense ndarray or tagged CSR) from any input.
 
-    Store-backed graphs (:class:`~repro.store.GraphStore`, or anything else
-    exposing ``adjacency_csr()``) normalise to their tagged memory-mapped
-    CSR zero-copy.
+    Sparse and store-backed inputs go through :func:`to_sparse`, which
+    hands an already-validated CSR back as the same object, tokens and
+    all: a :class:`~repro.store.GraphStore`'s memory-mapped CSR, or the
+    one a worker rebuilt with :meth:`EngineSpec.to_graph
+    <repro.oddball.surrogate.EngineSpec.to_graph>`.  Any other CSR is
+    validated into a fresh, untokened copy.
     """
     if isinstance(graph, Graph):
         return np.array(graph.adjacency_view, dtype=np.float64)
-    if hasattr(graph, "adjacency_csr"):
-        return to_sparse(graph.adjacency_csr())
-    if sparse.issparse(graph):
-        normalized = to_sparse(graph)
-        # to_sparse copies untagged input, dropping instance attributes —
-        # re-apply the content-hash token so the copy is still
-        # fingerprinted in O(1) instead of rehashing its arrays.
-        token = getattr(graph, "_repro_fingerprint", None)
-        if token is not None and normalized is not graph:
-            normalized._repro_fingerprint = token
-        return normalized
+    if hasattr(graph, "adjacency_csr") or sparse.issparse(graph):
+        return to_sparse(graph)
     return check_adjacency(np.asarray(graph, dtype=np.float64))
 
 
@@ -478,9 +483,11 @@ def graph_fingerprint(adjacency) -> str:
     and the serial campaign therefore derive the same name, which is what
     lets shard files and the merged checkpoint validate against each other.
 
-    A matrix carrying a ``_repro_fingerprint`` token (a GraphStore CSR, or
-    a CSR rebuilt from a spec that captured one) holds its content hash
-    precomputed, and is fingerprinted in O(1) without reading its arrays.
+    A matrix carrying a ``_repro_fingerprint`` token holds its content
+    hash precomputed and is fingerprinted in O(1), without reading its
+    arrays: a GraphStore CSR (the manifest's hash), and every worker's
+    :meth:`EngineSpec.to_graph <repro.oddball.surrogate.EngineSpec.to_graph>`
+    CSR (the hash the parent took once, at capture).
     """
     content = getattr(adjacency, "_repro_fingerprint", None)
     if content is None:
@@ -707,11 +714,12 @@ class AttackCampaign:
         ids, flips and checkpoints are bit-identical with it on or off.
     engine:
         Optional pre-built :class:`SurrogateEngine` to run every job on —
-        the parallel executor's workers pass the engine they rebuilt from
-        an :class:`~repro.oddball.surrogate.EngineSpec`, and the parity
-        suites the dense test oracle.  Must match the campaign's graph
-        size; ``None`` (the default) builds a sparse engine lazily from the
-        graph.
+        the parity suites pass the dense test oracle, and the parallel
+        executor's workers the engine they built with
+        :meth:`SurrogateEngine.from_spec` on the very CSR they pass as
+        ``graph`` (one validated, fingerprinted matrix shared by both).
+        Must match the campaign's graph size; ``None`` (the default)
+        builds a sparse engine lazily from the graph.
 
     Example
     -------

@@ -75,7 +75,6 @@ from repro.attacks.campaign import (
     CampaignResult,
     CheckpointStore,
     JobOutcome,
-    _normalize_graph,
     graph_fingerprint,
     validate_jobs,
 )
@@ -393,7 +392,7 @@ class WorkQueue:
                     continue
 
     # ------------------------------------------------------------------ #
-    # Protocol: claim / heartbeat / complete / release
+    # Protocol: claim / renew / complete / release
     # ------------------------------------------------------------------ #
     def claim(self) -> "AttackJob | None":
         """The next job of this handle's chunk, leasing a new chunk if needed.
@@ -460,35 +459,27 @@ class WorkQueue:
         self._todo.extend((self.by_id[job_id], name) for job_id in ids)
         _telemetry.count("scheduler.chunk", 1)
 
-    def heartbeat(self, job_id: str) -> bool:
-        """Renew the chunk lease covering ``job_id``; ``False`` if it was lost.
+    def renew(self) -> bool:
+        """Renew every chunk lease this handle holds; ``False`` if one was lost.
 
         A lease is lost when it expired and another worker stole its jobs.
         The in-flight job still finishes (the merge dedupes it), but no
         more jobs of that chunk are handed out.
         """
-        with self._locked():
-            names = [name for name, lease in self._held.items() if job_id in lease.job_ids]
-            return self._renew(names or [None])
-
-    def renew(self) -> bool:
-        """Renew every chunk lease this handle holds; ``False`` if one was lost."""
-        with self._locked():
-            return self._renew(list(self._held))
-
-    def _renew(self, names: "list[str | None]") -> bool:
         kept = True
-        for name in names:
-            lease = None if name is None else self._read_lease(self.queue_dir / "leases" / name)
-            if lease is None or lease.worker != self.worker:
-                self._held.pop(name, None)
-                self.lost_leases += 1
-                _telemetry.event("scheduler.lease_lost", lease=str(name))
-                kept = False
-            else:
-                self._write_lease(name, replace(lease, deadline=self.clock() + self.lease_ttl))
-                self.heartbeats += 1
-                _telemetry.event("scheduler.heartbeat", lease=name)
+        with self._locked():
+            for name in list(self._held):
+                lease = self._read_lease(self.queue_dir / "leases" / name)
+                if lease is None or lease.worker != self.worker:
+                    self._held.pop(name, None)
+                    self.lost_leases += 1
+                    _telemetry.event("scheduler.lease_lost", lease=name)
+                    kept = False
+                else:
+                    deadline = self.clock() + self.lease_ttl
+                    self._write_lease(name, replace(lease, deadline=deadline))
+                    self.heartbeats += 1
+                    _telemetry.event("scheduler.heartbeat", lease=name)
         return kept
 
     def complete(self, job_id: str) -> bool:
@@ -721,7 +712,10 @@ def _scheduler_worker_drain(
                         # its own, and ``None`` would materialise all
                         # n(n−1)/2 pairs — 50M at n = 10 000.
                         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-                        graph = spec.to_graph()  # engine + campaign share it
+                        # Validated and named by the parent: the engine and
+                        # the campaign share it, and neither re-validates it
+                        # nor re-hashes it for the shard header.
+                        graph = spec.to_graph()
                         engine = SurrogateEngine.from_spec(
                             spec, job.targets, candidates=empty, graph=graph
                         )
@@ -847,14 +841,21 @@ class SchedulingCampaignExecutor:
         self.kernels = validate_kernels(kernels)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        # A GraphStore-backed executor ships a ``store``-kind EngineSpec (a
-        # path, not arrays): workers memory-map the one on-disk graph
-        # instead of each holding an unpickled CSR copy.
+        # The graph is validated and content-hashed once, here; workers
+        # trust the spec.  A GraphStore ships a ``store``-kind spec (a path,
+        # not arrays): workers memory-map the one on-disk graph instead of
+        # each holding an unpickled CSR copy.
         from repro.store import GraphStore
 
-        self._graph_store = graph if isinstance(graph, GraphStore) else None
-        self._original = _normalize_graph(graph)
-        self.n = int(self._original.shape[0])
+        store = isinstance(graph, GraphStore)
+        with _telemetry.span("executor.spec", store=store):
+            if store:
+                self._spec = EngineSpec.from_store(graph)
+                csr = graph.csr()
+            else:
+                self._spec = EngineSpec.from_graph(graph)
+                csr = self._spec.to_graph()
+        self.n = int(csr.shape[0])
         self.workers = int(workers)
         self.checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)
@@ -864,7 +865,7 @@ class SchedulingCampaignExecutor:
         self._mp = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        self._fingerprint = graph_fingerprint(self._original)
+        self._fingerprint = graph_fingerprint(csr)  # O(1): csr is named
         #: per-worker ``.stats`` dicts (``jobs``, ``cpu_seconds``,
         #: ``wall_seconds``, ``max_rss_kb`` and the queue counters) from the
         #: most recent :meth:`run` (empty if every job was resumed).  CPU
@@ -971,11 +972,7 @@ class SchedulingCampaignExecutor:
         """
         shard_dir.mkdir(parents=True, exist_ok=True)
         kernels = default_kernels() if self.kernels == "auto" else self.kernels
-        with _telemetry.span("executor.spec", store=self._graph_store is not None):
-            if self._graph_store is not None:
-                spec = EngineSpec.from_store(self._graph_store, kernels=kernels)
-            else:
-                spec = EngineSpec.from_graph(self._original, kernels=kernels)
+        spec = self._spec._replace(kernels=kernels)
         # The queue is ephemeral coordination state: durable truth lives in
         # the shard checkpoints, so a previous (crashed) run's queue is
         # simply replaced.

@@ -594,39 +594,31 @@ def _validate_targets(targets: Sequence[int], n: int) -> np.ndarray:
 
 
 class EngineSpec(NamedTuple):
-    """Picklable recipe for rebuilding a :class:`SurrogateEngine`.
+    """Picklable handoff of one validated graph to a worker process.
 
-    The parallel campaign executor ships one spec to every worker process;
-    each worker calls :meth:`SurrogateEngine.from_spec` once and runs every
-    job it claims from the queue on the resulting engine.  The payload is
-    the *graph itself* (dense array bytes or CSR component arrays) plus the
-    scalar engine configuration — everything a child process needs,
-    nothing it can recompute.
-
-    Every spec rebuilds a :class:`SparseSurrogateEngine`.
+    The parallel campaign executor captures its graph once as a spec and
+    ships it to every worker; each worker materialises it with
+    :meth:`to_graph` and builds its engine (:meth:`SurrogateEngine.from_spec`)
+    and its campaign on that one matrix.  Build specs with
+    :meth:`from_graph` or :meth:`from_store`: :meth:`to_graph` trusts the
+    payload they captured and neither re-validates nor re-hashes it.
 
     Attributes
     ----------
     kind : str
-        Graph payload encoding: ``"dense"`` (one ndarray), ``"csr"``
-        (``(data, indices, indptr, shape)`` component tuple) or ``"store"``
-        (one :class:`~repro.store.GraphStore` directory path — the worker
+        Graph payload encoding: ``"csr"`` (``(data, indices, indptr,
+        shape)`` component tuple) or ``"store"`` (one
+        :class:`~repro.store.GraphStore` directory path — the worker
         memory-maps the graph instead of receiving a multi-MB array
         payload, so N workers share one page-cached copy).
     payload : tuple
-        The encoded graph arrays (or the store path string).
-    floor : float
-        Log-clamp floor the engine was (or will be) configured with.
-    ridge : float
-        Ridge term of the closed-form power-law fit.
-    fingerprint : str or None
-        The graph's precomputed content hash
-        (:func:`repro.graph.sparse.content_hash`), carried across the spec
-        round-trip as the ``_repro_fingerprint`` token: a store's manifest
-        value for ``store`` specs, or the token of a captured CSR.  A
-        worker then names its checkpoints in O(1), and the name equals the
-        one it would get by hashing the arrays, so shard merges validate
-        either way.
+        The CSR component arrays (or the store path string).
+    fingerprint : str
+        The graph's content hash (:func:`repro.graph.sparse.content_hash`):
+        a store's manifest value, or the hash taken at capture.  The
+        rebuilt matrix carries it as its ``_repro_fingerprint`` token, so
+        a worker names its checkpoints without hashing the graph, and the
+        name equals the parent's.
     kernels : str
         The hot-kernel backend (``auto``/``numpy``/``compiled`` — see
         :mod:`repro.kernels`) the executor ships: its explicit choice, or
@@ -637,56 +629,52 @@ class EngineSpec(NamedTuple):
         bit-identical, so a heterogeneous fleet still agrees on results);
         an explicit ``"compiled"`` is enforced — a worker without the
         toolchain raises instead of silently degrading.
+
+    Example
+    -------
+    >>> import pickle
+    >>> from repro.graph import erdos_renyi
+    >>> spec = EngineSpec.from_graph(erdos_renyi(30, 0.2, rng=0))
+    >>> graph = pickle.loads(pickle.dumps(spec)).to_graph()
+    >>> graph._repro_fingerprint == spec.fingerprint, graph._repro_validated
+    (True, True)
     """
 
     kind: str
     payload: tuple
-    floor: float
-    ridge: float
-    fingerprint: "str | None" = None
+    fingerprint: str
     kernels: str = "auto"
 
     @classmethod
-    def from_graph(
-        cls,
-        graph,
-        *,
-        floor: float = 1.0,
-        ridge: float = DEFAULT_RIDGE,
-        kernels: str = "auto",
-    ) -> "EngineSpec":
-        """Capture a graph (dense array or scipy sparse) as an engine spec."""
-        validate_kernels(kernels)
-        if _sparse.issparse(graph):
-            csr = graph.tocsr()
-            payload = (
+    def from_graph(cls, graph, *, kernels: str = "auto") -> "EngineSpec":
+        """Capture a graph as a ``csr`` spec, validated and hashed here.
+
+        ``graph`` is anything :func:`~repro.graph.sparse.to_sparse` takes;
+        malformed adjacencies raise now, in the parent, not in every
+        worker.  An already-validated CSR is captured without a copy, and
+        one carrying a ``_repro_fingerprint`` token is not re-hashed.
+        """
+        from repro.graph.sparse import content_hash, to_sparse
+
+        kernels = validate_kernels(kernels)
+        csr = to_sparse(graph)
+        fingerprint = getattr(csr, "_repro_fingerprint", None)
+        if fingerprint is None:
+            fingerprint = content_hash(csr)
+        return cls(
+            kind="csr",
+            payload=(
                 np.asarray(csr.data, dtype=np.float64),
                 np.asarray(csr.indices),
                 np.asarray(csr.indptr),
                 csr.shape,
-            )
-            kind = "csr"
-        else:
-            if hasattr(graph, "adjacency_view"):
-                graph = graph.adjacency_view
-            payload = (np.array(graph, dtype=np.float64, copy=True),)
-            kind = "dense"
-        return cls(
-            kind=kind, payload=payload,
-            floor=float(floor), ridge=float(ridge),
-            fingerprint=getattr(graph, "_repro_fingerprint", None),
+            ),
+            fingerprint=fingerprint,
             kernels=kernels,
         )
 
     @classmethod
-    def from_store(
-        cls,
-        store,
-        *,
-        floor: float = 1.0,
-        ridge: float = DEFAULT_RIDGE,
-        kernels: str = "auto",
-    ) -> "EngineSpec":
+    def from_store(cls, store, *, kernels: str = "auto") -> "EngineSpec":
         """Capture a :class:`~repro.store.GraphStore` as a path-payload spec.
 
         The pickled spec is a few hundred bytes regardless of graph size;
@@ -695,26 +683,23 @@ class EngineSpec(NamedTuple):
         """
         return cls(
             kind="store", payload=(str(store.path),),
-            floor=float(floor), ridge=float(ridge),
             fingerprint=store.content_hash,
             kernels=validate_kernels(kernels),
         )
 
-    def to_graph(self):
-        """Materialise the graph payload (ndarray, ``csr_matrix``, or the
-        memory-mapped CSR of a ``store``-kind spec).
+    def to_graph(self) -> "_sparse.csr_matrix":
+        """The captured graph as a validated CSR named by :attr:`fingerprint`.
 
-        A captured :attr:`fingerprint` is re-applied to the sparse result
-        as its ``_repro_fingerprint`` token, so the worker does not rehash
-        the graph to name its checkpoints.
+        A ``csr`` spec wraps its payload arrays and tags the matrix
+        ``_repro_validated`` (so :func:`~repro.graph.sparse.to_sparse`
+        passes it through) and ``_repro_fingerprint``; a ``store`` spec
+        returns the store's memory-mapped CSR, which carries both tags.
         """
-        if self.kind == "dense":
-            return np.array(self.payload[0], copy=True)
         if self.kind == "csr":
             data, indices, indptr, shape = self.payload
             matrix = _sparse.csr_matrix((data, indices, indptr), shape=shape)
-            if self.fingerprint is not None:
-                matrix._repro_fingerprint = self.fingerprint
+            matrix._repro_validated = True  # by from_graph, at capture
+            matrix._repro_fingerprint = self.fingerprint
             return matrix
         if self.kind == "store":
             from repro.store import GraphStore
@@ -742,7 +727,9 @@ class SurrogateEngine(abc.ABC):
     One engine instance serves a whole attack run: BinarizedAttack's λ-sweep
     rolls each iterate's flips back between steps instead of rebuilding
     adjacencies.  Construct through :meth:`create`, which builds the
-    sparse engine.  :attr:`backend` is a read-only label of the engine
+    sparse engine, or in a worker process through :meth:`from_spec`,
+    which builds it on the graph an :class:`EngineSpec` hands over.
+    :attr:`backend` is a read-only label of the engine
     class (``"dense"`` or ``"sparse"``); :attr:`kernels` names the
     resolved kernel backend (``"numpy"`` or ``"compiled"``).
     """
@@ -805,7 +792,6 @@ class SurrogateEngine(abc.ABC):
         spec: "EngineSpec",
         targets: Sequence[int],
         candidates=None,
-        weights: "Sequence[float] | None" = None,
         graph=None,
     ) -> "SurrogateEngine":
         """Rebuild a :class:`SparseSurrogateEngine` from an :class:`EngineSpec`.
@@ -816,40 +802,14 @@ class SurrogateEngine(abc.ABC):
         one constructed directly from the spec's graph (losses bit-for-bit,
         same features — round-trip-tested).
 
-        ``graph`` may pass a pre-materialised ``spec.to_graph()`` result so
-        a caller that needs the graph anyway (the executor's workers hand
-        it to their campaign too) avoids a second payload copy.  The engine
-        runs the process-default kernels: the worker has applied
-        ``spec.kernels`` as that default before it calls this.
+        ``graph`` may pass the worker's ``spec.to_graph()`` result, so the
+        engine and the worker's campaign share that one validated matrix.
+        The engine runs the process-default kernels: the worker has
+        applied ``spec.kernels`` as that default before it calls this.
         """
         return SparseSurrogateEngine(
-            spec.to_graph() if graph is None else graph, targets, candidates,
-            floor=spec.floor, ridge=spec.ridge, weights=weights,
+            spec.to_graph() if graph is None else graph, targets, candidates
         )
-
-    def engine_spec(self) -> "EngineSpec":
-        """Export the engine's graph + configuration as an :class:`EngineSpec`.
-
-        Captures the *current permanent* graph (applied flips included);
-        raises if transient flips are pending, because a spec taken
-        mid-probe would bake a half-evaluated state into every worker.
-        The spec carries the engine's resolved kernel backend.
-        """
-        return EngineSpec(
-            kind=self._spec_kind(),
-            payload=self._spec_payload(),
-            floor=self.floor,
-            ridge=self.ridge,
-            kernels=self.kernels,
-        )
-
-    @abc.abstractmethod
-    def _spec_kind(self) -> str:
-        """Graph payload encoding of :meth:`engine_spec` (``dense``/``csr``)."""
-
-    @abc.abstractmethod
-    def _spec_payload(self) -> tuple:
-        """Graph payload arrays of :meth:`engine_spec`."""
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1138,8 +1098,7 @@ class DenseSurrogateEngine(SurrogateEngine):
     engine existed, so its losses, gradients and flip decisions are the
     historical behaviour.  O(n³) per forward, O(n²) memory.  No attack or
     campaign builds it: the parity suites construct it directly and inject
-    it through ``attack(..., engine=...)``.  Its :meth:`engine_spec`
-    rebuilds as the sparse engine of the same graph.
+    it through ``attack(..., engine=...)``.
     """
 
     backend = "dense"
@@ -1301,16 +1260,6 @@ class DenseSurrogateEngine(SurrogateEngine):
 
         return egonet_features(self._adjacency)
 
-    def _spec_kind(self) -> str:
-        return "dense"
-
-    def _spec_payload(self) -> tuple:
-        if self._transient:
-            raise RuntimeError(
-                "cannot export an engine spec with transient flips pending"
-            )
-        return (self._adjacency.copy(),)
-
     def checkpoint(self) -> int:
         """Permanent-flip log length — the O(1) restore token."""
         return len(self._permanent)
@@ -1383,10 +1332,6 @@ class SparseSurrogateEngine(SurrogateEngine):
         self.kernels = resolve_kernels()
         self._kt = kernel_table() if self.kernels == "compiled" else None
         self._features = IncrementalEgonetFeatures(graph)
-        # push_flip/apply_flip share one rollback stack; this counter is the
-        # only record of which stack entries are *transient* (pushed, not
-        # yet popped) — engine_spec() refuses to export around them.
-        self._transient_count = 0
         #: ``(version, loss, forward pass, (∂L/∂N, ∂L/∂E))`` of the last
         #: objective evaluated: a loss-only entry keeps its forward pass
         #: and has no gradients, a full one the reverse.
@@ -1763,12 +1708,10 @@ class SparseSurrogateEngine(SurrogateEngine):
     def push_flip(self, u: int, v: int) -> None:
         """Toggle ``{u, v}`` with an O(deg) exact feature update."""
         self._features.flip(u, v)
-        self._transient_count += 1
 
     def pop_flips(self, count: int) -> None:
         """Roll back the last ``count`` flips bit-exactly (O(deg) each)."""
         self._features.rollback(count)
-        self._transient_count = max(self._transient_count - count, 0)
 
     def apply_flip(self, u: int, v: int) -> None:
         """Toggle ``{u, v}`` permanently (same O(deg) incremental update)."""
@@ -1781,22 +1724,6 @@ class SparseSurrogateEngine(SurrogateEngine):
     def node_features(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact maintained egonet features ``(N, E)``, in O(1)."""
         return self._features.features()
-
-    def _spec_kind(self) -> str:
-        return "csr"
-
-    def _spec_payload(self) -> tuple:
-        if self._transient_count:
-            raise RuntimeError(
-                "cannot export an engine spec with transient flips pending"
-            )
-        csr = self._features.adjacency_csr()
-        return (
-            np.asarray(csr.data, dtype=np.float64),
-            np.asarray(csr.indices),
-            np.asarray(csr.indptr),
-            csr.shape,
-        )
 
     def checkpoint(self) -> int:
         """Flip-stack depth — the O(1) restore token."""
@@ -1818,8 +1745,6 @@ class SparseSurrogateEngine(SurrogateEngine):
             )
         if token < depth:
             self._features.rollback(depth - token)
-            # Anything transient sat above the token and is gone now.
-            self._transient_count = 0
             self._on_graph_reset()
         self._refresh_pair_cache()
         _telemetry.count("candidates.carried", int(self.rows.size))

@@ -4,11 +4,10 @@ The paper evaluates on ~1000-node samples, but its *full* datasets are two
 orders of magnitude larger (Blogcatalog: 88.8k nodes, ~2.1M edges).  At that
 scale the in-memory pipeline has two costs the sampled graphs never see:
 
-* every :class:`~repro.oddball.surrogate.EngineSpec` payload ships a full
-  copy of the CSR arrays to every worker process (tens of MB per worker,
-  multiplied by the worker count), and
-* every validation/normalisation touch-point (`to_sparse`, engine
-  construction) copies the arrays again.
+* every ``csr``-kind :class:`~repro.oddball.surrogate.EngineSpec` payload
+  ships a full copy of the CSR arrays to every worker process (tens of MB
+  per worker, multiplied by the worker count), and
+* validating an in-memory graph (`to_sparse`) copies the arrays again.
 
 A :class:`GraphStore` removes both: the graph lives on disk as raw
 little-endian CSR component files that are **memory-mapped read-only**
@@ -120,9 +119,10 @@ class GraphStore:
     exposes ``adjacency_csr()`` (the hook :func:`repro.graph.sparse.to_sparse`
     dispatches on), ``number_of_nodes``/``number_of_edges``/``degrees()``/
     ``is_connected()`` (what :func:`repro.graph.datasets.dataset_statistics`
-    consumes), and :meth:`engine_spec` (the ``store``-kind
-    :class:`~repro.oddball.surrogate.EngineSpec` the parallel executor ships
-    to workers instead of a multi-MB array payload).
+    consumes), and the ``path`` and :attr:`content_hash` that a ``store``-kind
+    :class:`~repro.oddball.surrogate.EngineSpec`
+    (:meth:`~repro.oddball.surrogate.EngineSpec.from_store`) ships to the
+    parallel executor's workers instead of a multi-MB array payload.
     """
 
     def __init__(self, path: Path, manifest: dict):
@@ -412,22 +412,3 @@ class GraphStore:
 
         count, _ = connected_components(self.csr(), directed=False)
         return int(count) == 1
-
-    # ------------------------------------------------------------------ #
-    # Engine / executor integration
-    # ------------------------------------------------------------------ #
-    def engine_spec(self, *, floor: float = 1.0, ridge: "float | None" = None):
-        """A ``store``-kind :class:`~repro.oddball.surrogate.EngineSpec`.
-
-        The payload is the store *path*, not the graph: a pickled spec is a
-        few hundred bytes regardless of graph size, and every worker that
-        builds from it maps the same files instead of unpickling its own
-        CSR copy.  Store-backed engines are always sparse.
-        """
-        from repro.oddball.regression import DEFAULT_RIDGE
-        from repro.oddball.surrogate import EngineSpec
-
-        return EngineSpec.from_store(
-            self, floor=floor,
-            ridge=DEFAULT_RIDGE if ridge is None else float(ridge),
-        )

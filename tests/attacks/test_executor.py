@@ -6,6 +6,7 @@ must resume — with a *different* worker count — to the same result, and a
 failed run must keep every job it completed."""
 
 import json
+import pickle
 import time
 
 import numpy as np
@@ -220,52 +221,41 @@ class TestCheckpointInterop:
 
 
 class TestEngineSpec:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_round_trip_preserves_state(self, graph_and_targets, backend):
-        """Either engine's spec rebuilds the sparse engine of its graph."""
+    @pytest.mark.parametrize("form", ["graph", "dense", "sparse"])
+    def test_round_trip_preserves_state(self, graph_and_targets, form):
+        """A pickled spec of a Graph, a dense array or a CSR rebuilds the
+        engine ``create`` builds on the same input."""
         graph, targets = graph_and_targets
-        engine = ENGINES[backend](graph.adjacency, targets[:3])
-        clone = SurrogateEngine.from_spec(engine.engine_spec(), targets[:3])
+        source = {
+            "graph": graph,
+            "dense": graph.adjacency,
+            "sparse": sparse.csr_matrix(graph.adjacency),
+        }[form]
+        spec = pickle.loads(pickle.dumps(EngineSpec.from_graph(source)))
+        clone = SurrogateEngine.from_spec(spec, targets[:3])
+        reference = SurrogateEngine.create(source, targets[:3])
         assert isinstance(clone, SparseSurrogateEngine)
-        assert clone.current_loss() == engine.current_loss()
-        for a, b in zip(engine.node_features(), clone.node_features()):
+        assert clone.current_loss() == reference.current_loss()
+        for a, b in zip(reference.node_features(), clone.node_features()):
             assert np.array_equal(a, b)
 
-    def test_spec_captures_applied_flips(self, graph_and_targets):
-        graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(
-            sparse.csr_matrix(graph.adjacency), targets[:2], None,
-        )
-        engine.apply_flip(0, 1)
-        clone = SurrogateEngine.from_spec(engine.engine_spec(), targets[:2])
-        assert clone.is_edge(0, 1) == engine.is_edge(0, 1)
-        assert clone.current_loss() == engine.current_loss()
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_spec_rejects_pending_transient_flips(self, graph_and_targets, backend):
-        graph, targets = graph_and_targets
-        engine = ENGINES[backend](graph.adjacency, targets[:2])
-        engine.push_flip(0, 1)
-        with pytest.raises(RuntimeError, match="transient"):
-            engine.engine_spec()
-        engine.pop_flips(1)
-        engine.engine_spec()  # clean again — exports fine
-
-    def test_sparse_spec_allows_permanent_flips_after_restore(
-        self, graph_and_targets
+    @pytest.mark.parametrize("defect, message", [
+        ("asymmetric", "symmetric"), ("weighted", "binary"),
+    ])
+    def test_capture_rejects_a_malformed_adjacency(
+        self, graph_and_targets, defect, message
     ):
-        graph, targets = graph_and_targets
-        engine = SurrogateEngine.create(
-            sparse.csr_matrix(graph.adjacency), targets[:2], None,
-        )
-        token = engine.checkpoint()
-        engine.apply_flip(0, 1)       # permanent: spec export stays legal
-        engine.engine_spec()
-        engine.push_flip(0, 2)        # transient on top: export refused
-        with pytest.raises(RuntimeError, match="transient"):
-            engine.engine_spec()
-        engine.restore(token)         # restore clears the transient state
-        engine.engine_spec()
+        """A bad graph fails in the parent, at capture, not in every worker."""
+        graph, _ = graph_and_targets
+        adjacency = graph.adjacency.copy()
+        u, v = map(int, np.argwhere(np.triu(adjacency, k=1))[0])
+        if defect == "asymmetric":
+            adjacency[v, u] = 0.0
+        else:
+            adjacency[u, v] = adjacency[v, u] = 2.0
+        for form in (adjacency, sparse.csr_matrix(adjacency)):
+            with pytest.raises(ValueError, match=message):
+                EngineSpec.from_graph(form)
 
     def test_spec_takes_no_backend(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -277,8 +267,6 @@ class TestEngineSpec:
         assert isinstance(SurrogateEngine.from_spec(spec, targets[:1]), SparseSurrogateEngine)
 
     def test_spec_is_picklable(self, graph_and_targets):
-        import pickle
-
         graph, targets = graph_and_targets
         spec = EngineSpec.from_graph(sparse.csr_matrix(graph.adjacency))
         clone = pickle.loads(pickle.dumps(spec))

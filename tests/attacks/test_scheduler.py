@@ -1,19 +1,23 @@
 """Scheduler semantics: the lease queue is a wall-clock/fault-tolerance
-lever, never a semantics change.  Its claim/heartbeat/complete protocol
+lever, never a semantics change.  Its claim/renew/complete protocol
 must hand every job out exactly once under any interleaving, a SIGKILL'd
 worker's jobs must be requeued and recovered (chaos tests), and a job
 legitimately completed twice must keep exactly one record in the merged
 checkpoint.  A queue-drained run must also match the serial
 :class:`AttackCampaign` and resume from (or into) its checkpoints."""
 
+import inspect
 import json
 import multiprocessing
 import os
 import signal
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.kernels
 from repro import telemetry
 from repro.attacks import (
     AttackCampaign,
@@ -22,15 +26,18 @@ from repro.attacks import (
     build_campaign,
     grid_jobs,
 )
+from repro.attacks import campaign as campaign_module
 from repro.attacks import scheduler as scheduler_module
-from repro.attacks.campaign import CheckpointStore, JobOutcome
+from repro.attacks.campaign import CheckpointStore, JobOutcome, graph_fingerprint
 from repro.attacks.scheduler import (
     DEFAULT_LEASE_TTL,
     LEASE_TTL_ENV,
     LeaseHeartbeat,
     _scheduler_worker_drain,
+    _scheduler_worker_main,
     resolve_lease_ttl,
 )
+from repro.graph import sparse as graph_sparse
 from repro.oddball.surrogate import DenseSurrogateEngine, EngineSpec
 from repro.telemetry import tracer as tracer_module
 
@@ -165,7 +172,7 @@ class TestWorkQueue:
         thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
         worker.claim()
         clock.advance(4.0)
-        assert worker.heartbeat(jobs[0].job_id) is True
+        assert worker.renew() is True
         clock.advance(4.0)                  # 8s elapsed, renewed at 4s
         assert thief.claim() is None        # still covered by the renewal
 
@@ -178,7 +185,7 @@ class TestWorkQueue:
         slow.claim()
         clock.advance(6.0)
         assert thief.claim() is not None
-        assert slow.heartbeat(jobs[0].job_id) is False
+        assert slow.renew() is False
         assert slow.lost_leases == 1
         # the thief's lease must not have been disturbed
         assert thief.lease_of(jobs[0].job_id).worker == "thief"
@@ -214,6 +221,102 @@ class TestWorkQueue:
             assert not beat.lost
         assert queue.heartbeats >= 2
         assert queue.lease_of(jobs[0].job_id).worker == "w0"
+
+
+class TestQueueOpen:
+    def test_open_resolves_each_attack_signature_once(self, tmp_path, monkeypatch):
+        """Parsing a 400-job queue inspects each attack class's
+        constructor once, not once per job."""
+        jobs = _queue_jobs(200) + grid_jobs(
+            "binarizedattack", [[t] for t in range(200)], budgets=[1],
+        )
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0)
+        campaign_module._constructor_parameters.cache_clear()
+        calls = Counter()
+        real_signature = inspect.signature
+
+        def counting_signature(obj, *args, **kwargs):
+            calls[obj.__qualname__] += 1
+            return real_signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting_signature)
+        queue = WorkQueue.open(tmp_path / "q", worker="w0")
+        assert len(queue.jobs) == 400
+        assert calls == {"GradMaxSearch.__init__": 1, "BinarizedAttack.__init__": 1}
+
+
+def _spy_on(monkeypatch, name, wrap):
+    """Replace ``repro.graph.sparse.<name>`` with ``wrap(original)`` in every
+    ``repro`` module that bound it by name (lazy imports read the
+    ``repro.graph.sparse`` attribute itself)."""
+    original = getattr(graph_sparse, name)
+    spy = wrap(original)
+    for module in list(sys.modules.values()):
+        module_name = getattr(module, "__name__", None) or ""
+        if module_name.split(".")[0] == "repro" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+
+
+class TestWorkerHandoff:
+    """A worker builds its engine and its campaign on the one CSR its spec
+    hands over, and trusts the parent's validation and content hash."""
+
+    @pytest.mark.parametrize("kind", ["csr", "store"])
+    def test_worker_neither_validates_nor_hashes_the_graph(
+        self, kind, graph_and_targets, store, sweep_jobs, tmp_path, monkeypatch
+    ):
+        if kind == "store":
+            spec, targets = EngineSpec.from_store(store), store.top_targets(2)
+            parent_fingerprint = graph_fingerprint(store.detached_csr())
+        else:
+            graph, targets = graph_and_targets
+            spec = EngineSpec.from_graph(graph)
+            parent_fingerprint = graph_fingerprint(graph.adjacency)
+        spec = spec._replace(kernels=repro.kernels.default_kernels())
+        jobs = sweep_jobs(targets, count=2)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=30.0)
+
+        counts = Counter()
+
+        def counting_hash(original):
+            def spy(adjacency):
+                counts["content_hash"] += 1
+                return original(adjacency)
+            return spy
+
+        def counting_validation(original):
+            def spy(graph):
+                matrix = original(graph)
+                counts["validations"] += matrix is not graph  # a checked copy
+                return matrix
+            return spy
+
+        built = []
+
+        class RecordingCampaign(AttackCampaign):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        _spy_on(monkeypatch, "content_hash", counting_hash)
+        _spy_on(monkeypatch, "to_sparse", counting_validation)
+        monkeypatch.setattr(scheduler_module, "AttackCampaign", RecordingCampaign)
+        # the worker applies spec.kernels as the process default
+        monkeypatch.setattr(repro.kernels, "_DEFAULT", repro.kernels._DEFAULT)
+        shard = str(tmp_path / "shard.jsonl")
+        try:
+            _scheduler_worker_main(spec, str(tmp_path / "q"), shard, False, 30.0, 0)
+        finally:
+            # Lets the next test resolve $REPRO_TELEMETRY afresh, as the
+            # tracing CI lane expects.
+            tracer_module._RESOLVED = False
+        assert counts["content_hash"] == 0 and counts["validations"] == 0
+        (campaign,) = built
+        assert campaign._engine._features._base is campaign._original
+        with open(shard) as handle:
+            assert json.loads(handle.readline())["fingerprint"] == parent_fingerprint
+        completed = CheckpointStore(shard, parent_fingerprint, campaign.n).load()
+        assert sorted(completed) == sorted(job.job_id for job in jobs)
 
 
 class TestIdleBackoff:
@@ -693,7 +796,7 @@ class TestPropertyInterleavings:
             else:
                 action = rng.random()
                 if action < 0.30:
-                    queue.heartbeat(active[i].job_id)
+                    queue.renew()
                 elif action < 0.75:
                     job = active.pop(i)
                     # durability order: shard append, THEN done marker
@@ -845,7 +948,7 @@ class TestChunkRule:
         assert slow.complete(job.job_id) is False
         assert slow.duplicate_completions == 1 and thief.duplicate_completions == 0
         # the renewal reports the loss, and no more of the chunk is handed out
-        assert slow.heartbeat(jobs[1].job_id) is False
+        assert slow.renew() is False
         assert slow.lost_leases == 1
         assert slow.claim().job_id not in stolen
         assert thief.lease_of(jobs[1].job_id).worker == "thief"

@@ -136,10 +136,9 @@ class TestDegradedMode:
 
 
 class TestSpecTransport:
-    def test_engine_spec_carries_the_resolved_backend(self, use_kernels):
-        use_kernels("numpy")
+    def test_spec_carries_its_backend_through_pickle(self):
         graph = erdos_renyi(40, 0.1, rng=4)
-        spec = SurrogateEngine.create(graph, [0], None).engine_spec()
+        spec = EngineSpec.from_graph(graph, kernels="numpy")
         assert spec.kernels == "numpy"
         rebuilt = pickle.loads(pickle.dumps(spec))
         assert rebuilt.kernels == spec.kernels
