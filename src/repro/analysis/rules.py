@@ -463,7 +463,7 @@ class CheckpointJsonPurityRule(LintRule):
     scope = (
         "attacks/campaign.py",
         "attacks/executor.py",
-        # Scheduler state (lease files, queue manifests, done logs) is
+        # Scheduler state (lease files, queue manifests) is
         # parsed by concurrent workers on possibly different Python builds:
         # a numpy scalar that survives json.dumps would still change the
         # bytes another worker compares, so the same purity bar applies.

@@ -530,9 +530,10 @@ class CheckpointStore:
     lines happen to come from one worker, and ``resume`` works across runs
     with different worker counts.
 
-    Appends are O(1) per job (never a rewrite); a trailing line torn by a
-    hard kill is skipped on load and overwritten safely on the next append,
-    costing exactly that one job.
+    Appends are O(1) per job (never a rewrite).  Every line is decoded on
+    its own (:meth:`read_line`): a line torn by a hard kill or holding a
+    corrupt byte is skipped on load, and the next append starts a fresh
+    line after it, costing exactly that one job.
 
     The header's ``fingerprint`` is :func:`graph_fingerprint`: one content
     hash per graph, so any backing of the same graph (store, payload CSR,
@@ -550,37 +551,52 @@ class CheckpointStore:
     def load(self) -> dict[str, JobOutcome]:
         """Completed outcomes keyed by job id ({} when the file is absent).
 
-        Resilient to a crash mid-append: a final line torn by a hard kill —
-        whether it fails to parse as JSON or parses but cannot be
-        reconstructed into a :class:`JobOutcome` — is skipped with a
-        warning, costing exactly that one job.  A file consisting only of a
-        torn *header* (the very first append died mid-write) is repaired to
-        empty instead of poisoning every later resume.
+        Resilient to a crash mid-append: a line :meth:`read_line` cannot
+        read (torn by a hard kill, holding a byte that is not UTF-8, or
+        parsing to JSON with fields missing) is skipped with a warning that
+        names the file, costing exactly that one job.  A file consisting
+        only of a torn *header* (the very first append died mid-write)
+        loads as empty; the next append rewrites it.  Loading never writes.
         """
         outcomes: dict[str, JobOutcome] = {}
         self._fold(outcomes)
         return outcomes
 
-    def _records(self) -> "list[str]":
+    @staticmethod
+    def read_line(line: bytes) -> "JobOutcome | None":
+        """The outcome on one checkpoint line, ``None`` if it holds none.
+
+        The one line reader of the format: :meth:`load`, the merge and the
+        work queue's done fold all decode each line on its own through it,
+        so a line the merge skips is a job the queue runs again.  A tear
+        can land exactly on a nested close-brace, leaving parseable JSON
+        with fields missing; that, a torn line, a non-UTF-8 byte and the
+        header line all read as ``None``.
+        """
+        try:
+            return JobOutcome.from_dict(json.loads(line.decode()))
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def _records(self) -> "list[bytes]":
         """The outcome lines after a checked header ([] when absent)."""
-        if not self.path.exists():
+        try:
+            lines = self.path.read_bytes().splitlines()
+        except FileNotFoundError:
             return []
-        lines = self.path.read_text().splitlines()
         if not lines:
             return []
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
+            header = json.loads(lines[0].decode())
+        except ValueError as error:
             if not any(line.strip() for line in lines[1:]):
                 # The first-ever append crashed mid-header: nothing was
-                # completed, so an empty checkpoint is the truthful state.
-                # Truncating (rather than just ignoring) lets the next
-                # append() recreate a clean header.
+                # completed, so an empty checkpoint is the truthful state
+                # (the next append starts the file over).
                 _log.warning(
                     "checkpoint %s has a torn header and no records; "
-                    "resetting it to empty", self.path,
+                    "treating it as empty", self.path,
                 )
-                self.path.write_text("")
                 return []
             raise ValueError(
                 f"checkpoint {self.path} has a corrupt header; "
@@ -598,39 +614,24 @@ class CheckpointStore:
             )
         return lines[1:]
 
-    def _fold(self, into: "dict[str, JobOutcome]") -> "list[str]":
+    def _fold(self, into: "dict[str, JobOutcome]") -> "list[bytes]":
         """Add this file's outcomes new to ``into``; returns their lines."""
         added = []
         for line in self._records():
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                # a record torn by a hard kill — appends after a tear start
-                # a fresh line, so only the torn record itself is lost
+            outcome = self.read_line(line)
+            if outcome is None:
+                # torn by a hard kill (appends after a tear start a fresh
+                # line, so only the torn record itself is lost) or corrupt
                 _log.warning(
-                    "checkpoint %s has a truncated entry; ignoring that job",
-                    self.path,
-                )
-                continue
-            try:
-                outcome = JobOutcome.from_dict(payload)
-            except (KeyError, TypeError, ValueError) as error:
-                # Valid JSON that is not a reconstructible outcome: a tear
-                # can land exactly on a nested close-brace, leaving a parse-
-                # able prefix with fields missing.  Same cost as an unparse-
-                # able tear: that one job re-runs.
-                _log.warning(
-                    "checkpoint %s has an unreadable entry (%s); "
-                    "ignoring that job", self.path, error,
+                    "checkpoint %s has a truncated or unreadable entry; "
+                    "ignoring that job", self.path,
                 )
                 continue
             if outcome.job_id in into:
                 # A requeued job completed twice (its first worker was slow
-                # but alive, or crashed between the shard append and the
-                # done record): both records describe the same deterministic
+                # but alive): both records describe the same deterministic
                 # computation, so keep the FIRST durable one.  Dedupe key is
                 # the job *content hash*, never write order.
                 _log.warning(
@@ -645,28 +646,35 @@ class CheckpointStore:
 
     def append(self, outcome: JobOutcome) -> None:
         """Append one completed job (O(1); creates file + header on demand)."""
-        self._append_lines([json.dumps(outcome.to_dict())])
+        self._append_lines([json.dumps(outcome.to_dict()).encode()])
 
-    def _append_lines(self, lines: "list[str]") -> None:
+    def _append_lines(self, lines: "list[bytes]") -> None:
         """Append outcome lines in one write, creating the header on demand."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as handle:
-            if handle.seek(0, 2) == 0:
+            end, head = handle.seek(0, 2), b""
+            if end:
+                # A hard kill can leave the previous append torn WITHOUT a
+                # trailing newline; appending straight after it would glue
+                # two records into one unparsable line and lose the glued-on
+                # job too.  Start a fresh line whenever the file does not
+                # end in one, so a tear costs exactly the torn record.  A
+                # file with no newline at all is a torn header: start over.
+                handle.seek(-1, 2)
+                if handle.read(1) != b"\n":
+                    handle.seek(0)
+                    if b"\n" in handle.read():
+                        head = b"\n"
+                    else:
+                        end = handle.truncate(0)
+            if not end:
                 header = {
                     "version": _CHECKPOINT_VERSION,
                     "fingerprint": self.fingerprint,
                     "n": self.n,
                 }
-                head = json.dumps(header) + "\n"
-            else:
-                # A hard kill can leave the previous append torn WITHOUT a
-                # trailing newline; appending straight after it would glue
-                # two records into one unparsable line and lose the glued-on
-                # job too.  Start a fresh line whenever the file does not
-                # end in one, so a tear costs exactly the torn record.
-                handle.seek(-1, 2)
-                head = "" if handle.read(1) == b"\n" else "\n"
-            handle.write((head + "".join(line + "\n" for line in lines)).encode())
+                head = json.dumps(header).encode() + b"\n"
+            handle.write(head + b"".join(line + b"\n" for line in lines))
 
     def merge_from(self, *others: "CheckpointStore") -> dict[str, JobOutcome]:
         """Fold other stores' outcomes into this file; every outcome it holds.
@@ -803,10 +811,8 @@ class AttackCampaign:
         Unlike :meth:`run`, no checkpoint is read or written: the caller
         owns durability.  The multi-worker executor's workers drain a
         queue through this — claim a job, run it here under a lease
-        heartbeat, append the outcome to their shard checkpoint, then append
-        to the queue's done log (in that order, so a crash between the two
-        durable steps requeues a job whose record already exists and the
-        merge dedupes it by job content hash).
+        heartbeat, append the outcome to their shard checkpoint, the one
+        record that marks the job done.
         """
         job, = validate_jobs([job], self.n)
         return self._run_job(job)

@@ -20,11 +20,10 @@ processes through a **shared queue** rather than fixed per-worker slices:
   **expires** after ``ttl``, and the next claim steals the chunk's undone
   jobs at ``generation + 1`` — ``kill -9`` of any worker loses no work.  A
   job that *raises* hands its chunk back at once (:meth:`WorkQueue.release`);
-* completion is two appends in a fixed order: the outcome to the worker's
+* a job is done exactly when its outcome line is durable in a worker's
   shard checkpoint (:class:`~repro.attacks.campaign.CheckpointStore`
-  format), *then* a line to the worker's own done log.  A crash between
-  the two requeues an already-recorded job, which the merge dedupes by
-  job content hash.
+  format): the queue reads done state from the other workers' shards and
+  writes no record of its own, so completing a job is one append.
 
 The parent merges the per-worker shards into the single-file checkpoint
 after the drain (and before raising, if jobs are missing — completed work
@@ -108,7 +107,7 @@ LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 #: back-off of :func:`_scheduler_worker_drain` doubles it from there).
 IDLE_WAIT_START = 0.001
 
-_QUEUE_VERSION = 2
+_QUEUE_VERSION = 3
 
 #: The ``backend`` values :class:`SchedulingCampaignExecutor` and
 #: :func:`~repro.attacks.executor.build_campaign` accept.  Both name the
@@ -186,23 +185,25 @@ class Lease:
 
 
 class WorkQueue:
-    """A shared-directory job queue with chunk leases and done logs.
+    """A shared-directory job queue with chunk leases, done by shard records.
 
     Layout::
 
         <queue_dir>/
-            queue.json          # {"version", "jobs", "lease_ttl", "workers"}
+            queue.json          # {"version", "jobs", "lease_ttl", "shards"}
             jobs.jsonl          # one AttackJob.to_dict() per line (queue order)
             lock                # flock target for leasing, renewing, dropping
             leases/<worker>.<k>.json  # one chunk lease
-            done/<worker>.jsonl # {"job_id", "worker", "generation"} per line
 
-    Everything on disk is JSON-pure (the ``checkpoint-json-purity`` lint
-    scopes this module) and only coordinates: durable truth lives in the
-    shard checkpoints.  A chunk's lease file is removed once all of its
-    jobs are handed out and completed or released.  Done logs are folded
-    in incrementally, complete lines only: a torn or corrupt record reads
-    as "not done", so its job re-runs and the merge dedupes it.
+    ``shards`` lists the run's shard checkpoints, one per worker; a handle
+    opened with ``shard=`` owns that one.  Everything on disk is JSON-pure
+    (the ``checkpoint-json-purity`` lint scopes this module) and only
+    coordinates: a job is done once its outcome line is in a shard.  A
+    chunk's lease file is removed once all of its jobs are handed out and
+    completed or released.  The other workers' shards are folded in
+    incrementally and read only, complete lines only: the header, a torn
+    line and one :meth:`CheckpointStore.read_line` rejects read as "not
+    done", exactly the lines the merge skips, so their jobs run again.
     """
 
     def __init__(
@@ -212,7 +213,8 @@ class WorkQueue:
         lease_ttl: float,
         worker: str = "anonymous",
         clock=time.monotonic,
-        workers: int = 1,
+        shards: "list[str]" = (),
+        shard: "str | None" = None,
     ):
         self.queue_dir = Path(queue_dir)
         self.jobs = list(jobs)
@@ -220,11 +222,12 @@ class WorkQueue:
         self.lease_ttl = resolve_lease_ttl(lease_ttl)
         self.worker = str(worker)
         self.clock = clock
-        self.workers = max(int(workers), 1)
+        #: ``W`` of the chunk rule: one shard per worker.
+        self.workers = max(len(shards), 1)
+        own = None if shard is None else os.fspath(shard)
+        #: Done-fold read offset of each other worker's shard.
+        self._offsets = {path: 0 for path in shards if path != own}
         self._known_done: "set[str]" = set()
-        self._done_dir = os.path.join(self.queue_dir, "done")
-        self._log_name = f"{self.worker}.jsonl"
-        self._log_offsets: "dict[str, int]" = {}
         #: Chunk leases held, by file name; mutated only under the flock,
         #: which also serialises the heartbeat thread with the main thread.
         self._held: "dict[str, Lease]" = {}
@@ -250,9 +253,9 @@ class WorkQueue:
         queue_dir: "Path | str",
         jobs: Iterable[AttackJob],
         lease_ttl: "float | None" = None,
-        workers: int = 1,
+        shards: "Iterable[str]" = (),
     ) -> "WorkQueue":
-        """Publish ``jobs`` for ``workers`` workers into a fresh directory.
+        """Publish ``jobs`` for the workers owning ``shards``, one each.
 
         The job list is written atomically (temp file + rename) so a worker
         can never observe a half-written queue; the queue itself is
@@ -261,9 +264,9 @@ class WorkQueue:
         """
         queue_dir = Path(queue_dir)
         jobs = list(jobs)
+        shards = [os.fspath(path) for path in shards]
         lease_ttl = resolve_lease_ttl(lease_ttl)
         (queue_dir / "leases").mkdir(parents=True, exist_ok=True)
-        (queue_dir / "done").mkdir(parents=True, exist_ok=True)
         (queue_dir / "lock").touch()
         tmp = queue_dir / "jobs.jsonl.tmp"
         with tmp.open("w") as handle:
@@ -274,7 +277,7 @@ class WorkQueue:
             "version": _QUEUE_VERSION,
             "jobs": len(jobs),
             "lease_ttl": float(lease_ttl),
-            "workers": int(workers),
+            "shards": shards,
         }
         tmp = queue_dir / "queue.json.tmp"
         tmp.write_text(json.dumps(manifest) + "\n")
@@ -282,7 +285,7 @@ class WorkQueue:
         _telemetry.event(
             "scheduler.publish", jobs=len(jobs), lease_ttl=float(lease_ttl)
         )
-        return cls(queue_dir, jobs, lease_ttl, workers=workers)
+        return cls(queue_dir, jobs, lease_ttl, shards=shards)
 
     @classmethod
     def open(
@@ -291,12 +294,14 @@ class WorkQueue:
         worker: str,
         lease_ttl: "float | None" = None,
         clock=time.monotonic,
+        shard: "str | None" = None,
     ) -> "WorkQueue":
-        """Attach a worker to an existing queue directory.
+        """Attach a worker, owner of shard ``shard``, to a queue directory.
 
         ``lease_ttl`` defaults to the TTL recorded at :meth:`create` time so
         every worker agrees on when a lease is stealable; passing a
-        different value is a test-only affordance.
+        different value is a test-only affordance.  The handle folds every
+        shard of the run but its own, whose jobs it completed itself.
         """
         queue_dir = Path(queue_dir)
         manifest = json.loads((queue_dir / "queue.json").read_text())
@@ -316,7 +321,7 @@ class WorkQueue:
                 f"manifest promises {manifest['jobs']}"
             )
         ttl = manifest["lease_ttl"] if lease_ttl is None else lease_ttl
-        return cls(queue_dir, jobs, ttl, worker, clock, manifest["workers"])
+        return cls(queue_dir, jobs, ttl, worker, clock, manifest["shards"], shard)
 
     # ------------------------------------------------------------------ #
     # Locking and files
@@ -332,7 +337,7 @@ class WorkQueue:
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
             return
-        with (self.queue_dir / "lock").open("a") as handle:
+        with open(self.queue_dir / "lock", "rb") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
                 yield
@@ -368,28 +373,26 @@ class WorkQueue:
         self._held.pop(name, None)
 
     def _fold_done(self) -> None:
-        """Fold the complete lines other workers' done logs gained.
+        """Fold the complete lines the other workers' shards gained.
 
-        A trailing line without its newline is left for a later fold; a
-        line that does not parse to a queued job id is skipped, so its job
-        counts as not done and runs again.
+        Reads only, from each shard's last fold offset: a trailing line
+        without its newline is left for a later fold, and a line
+        :meth:`CheckpointStore.read_line` reads as no outcome (the header
+        among them) counts as not done.  A shard not yet created is skipped.
         """
-        for name in os.listdir(self._done_dir):
-            if name == self._log_name:  # its completions are cached already
+        for path, offset in self._offsets.items():
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(offset)
+                    tail = handle.read()
+            except FileNotFoundError:
                 continue
-            offset = self._log_offsets.get(name, 0)
-            with open(os.path.join(self._done_dir, name), "rb") as handle:
-                handle.seek(offset)
-                tail = handle.read()
             end = tail.rfind(b"\n") + 1
-            self._log_offsets[name] = offset + end
+            self._offsets[path] = offset + end
             for line in tail[:end].splitlines():
-                try:
-                    job_id = json.loads(line)["job_id"]
-                    if job_id in self.by_id:
-                        self._known_done.add(job_id)
-                except (ValueError, KeyError, TypeError):
-                    continue
+                outcome = CheckpointStore.read_line(line)
+                if outcome is not None and outcome.job_id in self.by_id:
+                    self._known_done.add(outcome.job_id)
 
     # ------------------------------------------------------------------ #
     # Protocol: claim / renew / complete / release
@@ -483,27 +486,20 @@ class WorkQueue:
         return kept
 
     def complete(self, job_id: str) -> bool:
-        """Record ``job_id`` as done in this worker's log.
+        """Settle ``job_id``, whose outcome line this worker's shard now holds.
 
-        Call it *after* the outcome is durable in the shard checkpoint.
-        Returns ``False`` when the done logs already hold the job (a
-        slow-but-alive holder); the merge dedupes its shard record.
+        Writes nothing: that shard line is the job's done record.  Returns
+        ``False``, and counts a duplicate completion, when the job was done
+        already as this call sees it: another worker's shard holds it, or
+        this handle completed it before.  Two workers finishing one stolen
+        job at almost the same time may therefore both count it, each
+        seeing the other's line; the merge keeps one record either way.
         """
         self._fold_done()
         name = self._open.pop(job_id, None)
         first = job_id not in self._known_done
-        if first:
-            lease = self._held.get(name)
-            record = {
-                "job_id": str(job_id),
-                "worker": str(self.worker),
-                "generation": int(lease.generation if lease is not None else 0),
-            }
-            with open(os.path.join(self._done_dir, self._log_name), "ab") as log:
-                log.write((json.dumps(record, sort_keys=True) + "\n").encode())
-            self._known_done.add(job_id)
-        else:
-            self.duplicate_completions += 1
+        self._known_done.add(job_id)
+        self.duplicate_completions += not first
         self.completions += 1
         self._settle(name)
         _telemetry.event("scheduler.complete", job_id=job_id, first=first)
@@ -546,7 +542,7 @@ class WorkQueue:
             )
 
     def done_ids(self) -> "set[str]":
-        """Job ids the done logs (and this handle's completions) record."""
+        """Job ids the other shards (and this handle's completions) record."""
         self._fold_done()
         return set(self._known_done)
 
@@ -667,11 +663,11 @@ def _scheduler_worker_drain(
     One engine is built lazily on the first claim (``EngineSpec`` →
     :meth:`SurrogateEngine.from_spec`), then every claimed job runs through
     :meth:`AttackCampaign.run_job`, while one :class:`LeaseHeartbeat` thread
-    renews the worker's chunk lease for the whole drain.  The durability
-    order is fixed: shard append **then** done-log line — a crash between
-    the two requeues a job whose record already exists, and the merge
-    dedupes by job content hash.  A job that raises releases it and the
-    rest of its chunk before the error propagates, so the surviving
+    renews the worker's chunk lease for the whole drain.  A finished job
+    costs one durable write, its outcome line in ``shard_path``: that line
+    is what marks it done for the other workers, so a worker killed right
+    after the append has lost nothing.  A job that raises releases it and
+    the rest of its chunk before the error propagates, so the surviving
     workers see them at once instead of after the TTL.
 
     A claim that comes back empty while jobs remain waits before the next
@@ -688,7 +684,7 @@ def _scheduler_worker_drain(
     cpu_start = time.process_time()
     queue = WorkQueue.open(
         queue_dir, worker=f"worker-{worker_index}-pid{os.getpid()}",
-        lease_ttl=lease_ttl,
+        lease_ttl=lease_ttl, shard=shard_path,
     )
     campaign: "AttackCampaign | None" = None
     shard_store = None
@@ -729,7 +725,7 @@ def _scheduler_worker_drain(
                 queue.release(job.job_id)  # hand it back now, not after a TTL
                 raise
             assert shard_store is not None
-            shard_store.append(outcome)  # durable BEFORE the done-log line
+            shard_store.append(outcome)  # the job's one durable record
             queue.complete(job.job_id)
             jobs_done += 1
     stats = {
@@ -756,8 +752,8 @@ class SchedulingCampaignExecutor:
     heartbeating, its lease expires after ``lease_ttl`` seconds and a
     surviving worker requeues the chunk's undone jobs.  The run
     *succeeds* as long as every job completes — dead workers are reported
-    in :attr:`last_dead_workers` rather than failing a run whose work was
-    recovered.  Results are bit-identical to a serial
+    in :attr:`CampaignResult.dead_workers` rather than failing a run whose
+    work was recovered.  Results are bit-identical to a serial
     :class:`AttackCampaign` and the two resume each other's checkpoints.
 
     Parameters
@@ -872,13 +868,6 @@ class SchedulingCampaignExecutor:
         #: seconds are contention-free, so they remain the honest per-worker
         #: cost signal even when workers outnumber cores.
         self.last_worker_stats: "list[dict]" = []
-        #: Names of workers that exited abnormally in the most recent
-        #: :meth:`run` whose jobs were nevertheless recovered by the
-        #: survivors (empty on a clean run).
-        self.last_dead_workers: "list[str]" = []
-        #: Total lease steals (requeues) across workers in the most recent
-        #: :meth:`run` — the crash-recovery signal the chaos tests assert on.
-        self.last_requeues: int = 0
 
     # ------------------------------------------------------------------ #
     # Orchestration
@@ -907,27 +896,23 @@ class SchedulingCampaignExecutor:
         start = time.perf_counter()
         pending = [job for job in jobs if job.job_id not in completed]
         self.last_worker_stats = []
-        self.last_dead_workers = []
-        self.last_requeues = 0
+        dead_workers: "list[str]" = []
         if pending:
             count = min(self.workers, len(pending))
             queue_dir = self._queue_dir(shard_dir)
             with _telemetry.span(
                 "executor.run", workers=count, jobs=len(jobs), resumed=resumed,
             ):
-                self._drain_queue(pending, count, shard_dir, queue_dir)
+                dead_workers = self._drain_queue(
+                    pending, count, shard_dir, queue_dir
+                )
             self.last_worker_stats = self._collect_stats(shard_dir, count)
-            self.last_requeues = sum(
-                int(stats.get("steals", 0)) for stats in self.last_worker_stats
-            )
             with _telemetry.span("executor.merge", shards=count):
                 completed.update(self._merge(shard_dir))
             missing = [job for job in pending if job.job_id not in completed]
             if missing:
                 dead = (
-                    f" (dead workers: {self.last_dead_workers})"
-                    if self.last_dead_workers
-                    else ""
+                    f" (dead workers: {dead_workers})" if dead_workers else ""
                 )
                 raise RuntimeError(
                     f"campaign finished with {len(missing)} jobs unaccounted "
@@ -940,11 +925,10 @@ class SchedulingCampaignExecutor:
                              "checkpoint_path to make failed runs resumable"
                     )
                 )
-            if self.last_dead_workers:
+            if dead_workers:
                 _log.warning(
                     "worker(s) %s died mid-lease; their jobs were requeued "
-                    "and completed by the surviving workers",
-                    self.last_dead_workers,
+                    "and completed by the surviving workers", dead_workers,
                 )
             shutil.rmtree(queue_dir, ignore_errors=True)
         return CampaignResult(
@@ -953,8 +937,10 @@ class SchedulingCampaignExecutor:
             seconds=time.perf_counter() - start,
             resumed_jobs=resumed,
             worker_stats=list(self.last_worker_stats),
-            dead_workers=tuple(self.last_dead_workers),
-            requeues=self.last_requeues,
+            dead_workers=tuple(dead_workers),
+            requeues=sum(
+                int(stats.get("steals", 0)) for stats in self.last_worker_stats
+            ),
         )
 
     def _drain_queue(
@@ -963,31 +949,31 @@ class SchedulingCampaignExecutor:
         count: int,
         shard_dir: Path,
         queue_dir: Path,
-    ) -> None:
+    ) -> "list[str]":
         """Publish the queue, spawn ``count`` workers, join them.
 
-        A worker exiting abnormally does NOT raise here — the queue's whole
-        point is that survivors requeue its jobs; :meth:`_execute` only
-        fails if jobs are actually missing afterwards.
+        Returns the names of the workers that exited abnormally.  That does
+        NOT raise here — the queue's whole point is that survivors requeue
+        its jobs; :meth:`_execute` only fails if jobs are actually missing
+        afterwards.
         """
         shard_dir.mkdir(parents=True, exist_ok=True)
         kernels = default_kernels() if self.kernels == "auto" else self.kernels
         spec = self._spec._replace(kernels=kernels)
         # The queue is ephemeral coordination state: durable truth lives in
-        # the shard checkpoints, so a previous (crashed) run's queue is
-        # simply replaced.
+        # the shard checkpoints (a previous, crashed run's leftovers were
+        # merged before this), so an old queue is simply replaced.
         if queue_dir.exists():
             shutil.rmtree(queue_dir)
-        WorkQueue.create(
-            queue_dir, pending, lease_ttl=self.lease_ttl, workers=count
-        )
+        shards = [str(self._shard_path(shard_dir, index)) for index in range(count)]
+        WorkQueue.create(queue_dir, pending, lease_ttl=self.lease_ttl, shards=shards)
         processes = []
         with _telemetry.span("executor.drain", workers=count):
             for index in range(count):
                 args = (
                     spec,
                     str(queue_dir),
-                    str(self._shard_path(shard_dir, index)),
+                    shards[index],
                     self.compute_ranks,
                     self.lease_ttl,
                     index,
@@ -1017,9 +1003,7 @@ class SchedulingCampaignExecutor:
                 for process in processes:
                     process.join()
                 raise
-        self.last_dead_workers = [
-            p.name for p in processes if p.exitcode != 0
-        ]
+        return [p.name for p in processes if p.exitcode != 0]
 
     # ------------------------------------------------------------------ #
     # Shard bookkeeping

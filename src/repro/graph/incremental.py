@@ -141,7 +141,7 @@ class IncrementalEgonetFeatures:
         self._version = 0
         self._version_counter = 1
         self._prev_versions: list[int] = []
-        self._csr_cache: "sparse.csr_matrix | None" = csr
+        self._csr_cache: sparse.csr_matrix = csr
         self._csr_version = 0
         # Snapshot of the flip stack at the time the cached CSR was built —
         # the next materialisation folds only the *net* pair toggles since
@@ -353,12 +353,9 @@ class IncrementalEgonetFeatures:
         therefore pays O(m) numpy work per materialisation, not O(n + m)
         Python work (the old rebuild-per-flip loop).
         """
-        if self._csr_cache is not None and self._csr_version == self._version:
+        if self._csr_version == self._version:
             return self._csr_cache
-        if self._csr_cache is None:
-            self._csr_cache = self._rebuild_csr()
-        else:
-            self._csr_cache = self._fold_csr(self._csr_cache)
+        self._csr_cache = self._fold_csr(self._csr_cache)
         self._csr_version = self._version
         self._csr_stack = list(self._flips)
         return self._csr_cache
@@ -388,12 +385,11 @@ class IncrementalEgonetFeatures:
         therefore costs NO CSR work at all; beyond ``max_delta`` the flips
         are folded in (:meth:`adjacency_csr`) and the overlay is empty.
         """
-        if self._csr_cache is not None and self._csr_version == self._version:
+        if self._csr_version == self._version:
             return self._csr_cache, []
-        if self._csr_cache is not None:
-            delta = self._net_changes()
-            if len(delta) <= max_delta:
-                return self._csr_cache, delta
+        delta = self._net_changes()
+        if len(delta) <= max_delta:
+            return self._csr_cache, delta
         return self.adjacency_csr(), []
 
     def _fold_csr(self, cached: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -416,7 +412,10 @@ class IncrementalEgonetFeatures:
         return folded
 
     def _rebuild_csr(self) -> sparse.csr_matrix:
-        """Full rebuild from base rows + overrides (fallback, O(n + m) Python).
+        """Full rebuild from base rows + overrides (O(n + m) Python).
+
+        The reference the tests check the folded :meth:`adjacency_csr`
+        against; no engine path calls it.
 
         Degrees come from the base CSR's ``np.diff(indptr)`` with one
         correction per override row — only the touched nodes cost Python

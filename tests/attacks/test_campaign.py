@@ -7,6 +7,7 @@ superset of ``target_incident`` at every step."""
 
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -328,6 +329,44 @@ class TestCampaignResume:
         assert result.resumed_jobs == 0
         replay = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         assert replay.resumed_jobs == 1
+
+    def test_non_utf8_byte_in_a_record_costs_that_record(
+        self, graph_and_targets, tmp_path, caplog
+    ):
+        """Each line is decoded on its own: a byte that is not UTF-8 makes
+        its record unreadable (skipped with a warning naming the file), not
+        the whole checkpoint."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:3]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        data = bytearray(checkpoint.read_bytes())
+        second = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data[second + 20] ^= 0xFF                 # inside the second record
+        checkpoint.write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING, logger="repro.attacks.campaign"):
+            resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert resumed.resumed_jobs == 2
+        assert any(str(checkpoint) in record.getMessage() for record in caplog.records)
+        fresh = AttackCampaign(graph).run(jobs)
+        for a, b in zip(resumed, fresh):
+            assert a.flips_by_budget == b.flips_by_budget
+
+    def test_non_utf8_byte_in_the_header_names_the_file(
+        self, graph_and_targets, tmp_path
+    ):
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[targets[0]]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        data = bytearray(checkpoint.read_bytes())
+        data[3] ^= 0xFF
+        checkpoint.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="corrupt header") as error:
+            AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert str(checkpoint) in str(error.value)
 
     def test_corrupt_header_with_records_still_raises(
         self, graph_and_targets, tmp_path

@@ -6,12 +6,15 @@ legitimately completed twice must keep exactly one record in the merged
 checkpoint.  A queue-drained run must also match the serial
 :class:`AttackCampaign` and resume from (or into) its checkpoints."""
 
+import builtins
 import inspect
+import io
 import json
 import multiprocessing
 import os
 import signal
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -70,6 +73,31 @@ def _queue_jobs(count=5):
     )
 
 
+def _shared_queue(tmp_path, jobs, lease_ttl=10.0, clock=time.monotonic,
+                  names=("alice", "bob"), name="q"):
+    """A queue at ``tmp_path / name`` whose handles ``names`` each own a
+    shard, as the executor's workers do; returns ``(handles, shards)``."""
+    shards = [
+        CheckpointStore(tmp_path / f"{name}.shard{i}", "fault-fp", 64)
+        for i in range(len(names))
+    ]
+    WorkQueue.create(
+        tmp_path / name, jobs, lease_ttl=lease_ttl,
+        shards=[shard.path for shard in shards],
+    )
+    handles = [
+        WorkQueue.open(tmp_path / name, worker=worker, clock=clock, shard=shard.path)
+        for worker, shard in zip(names, shards)
+    ]
+    return handles, shards
+
+
+def _finish(queue, shard, job, seconds=0.0):
+    """A worker's completion: the outcome line in its shard, then complete()."""
+    shard.append(_synthetic_outcome(job, seconds=seconds))
+    return queue.complete(job.job_id)
+
+
 class TestLeaseTtlResolution:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(LEASE_TTL_ENV, "5")
@@ -120,13 +148,11 @@ class TestWorkQueue:
 
     def test_claim_returns_none_when_all_leased_or_done(self, tmp_path):
         jobs = _queue_jobs(2)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0)
-        alice = WorkQueue.open(tmp_path / "q", worker="alice")
-        bob = WorkQueue.open(tmp_path / "q", worker="bob")
+        (alice, bob), (shard, _) = _shared_queue(tmp_path, jobs)
         alice.claim(), alice.claim()
         assert bob.claim() is None          # both live-leased by alice
-        alice.complete(jobs[0].job_id)
-        alice.complete(jobs[1].job_id)
+        _finish(alice, shard, jobs[0])
+        _finish(alice, shard, jobs[1])
         assert bob.claim() is None and bob.all_done()
 
     def test_complete_marks_done_and_drops_lease(self, tmp_path):
@@ -141,13 +167,66 @@ class TestWorkQueue:
 
     def test_second_completion_reports_duplicate(self, tmp_path):
         jobs = _queue_jobs(1)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0)
-        alice = WorkQueue.open(tmp_path / "q", worker="alice")
-        bob = WorkQueue.open(tmp_path / "q", worker="bob")
+        (alice, bob), shards = _shared_queue(tmp_path, jobs)
         alice.claim()
-        assert alice.complete(jobs[0].job_id) is True
-        assert bob.complete(jobs[0].job_id) is False
+        assert _finish(alice, shards[0], jobs[0]) is True
+        assert _finish(bob, shards[1], jobs[0]) is False
         assert bob.duplicate_completions == 1
+
+    def test_near_simultaneous_completions_both_count_a_duplicate(self, tmp_path):
+        """The rule: a completion is a duplicate when the job was done as
+        complete() sees it.  Two workers that both append before either
+        completes each see the other's line, so both count one; the merge
+        still keeps exactly one record."""
+        jobs = _queue_jobs(1)
+        (alice, bob), shards = _shared_queue(tmp_path, jobs)
+        for shard, seconds in zip(shards, (1.0, 2.0)):
+            shard.append(_synthetic_outcome(jobs[0], seconds=seconds))
+        assert alice.complete(jobs[0].job_id) is False
+        assert bob.complete(jobs[0].job_id) is False
+        assert alice.duplicate_completions == bob.duplicate_completions == 1
+        merged = CheckpointStore(tmp_path / "merged", "fault-fp", 64).merge_from(*shards)
+        assert list(merged) == [jobs[0].job_id]
+
+    def test_completion_writes_nothing_but_the_shard_line(self, tmp_path, monkeypatch):
+        """A finished job's one durable write is its shard append:
+        complete() opens files only to read them, and nothing under the
+        queue directory holds a per-job record."""
+        jobs = _queue_jobs(4)
+        (alice, bob), shards = _shared_queue(tmp_path, jobs)
+        _finish(bob, shards[1], bob.claim())        # a peer line to fold
+        modes = []
+
+        def opening(original):
+            def spy(file, mode="r", *args, **kwargs):
+                modes.append(mode)
+                return original(file, mode, *args, **kwargs)
+            return spy
+
+        def queue_files():
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in (tmp_path / "q").rglob("*") if path.is_file()
+            }
+
+        for job in iter(alice.claim, None):
+            shards[0].append(_synthetic_outcome(job))
+            before = queue_files()
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "open", opening(builtins.open))
+                patch.setattr(io, "open", opening(io.open))
+                assert alice.complete(job.job_id) is True
+            after = queue_files()
+            # at most the settled chunk's lease file goes
+            assert set(after) <= set(before)
+            assert all(after[path] == before[path] for path in after)
+            assert all(str(path).startswith("q/leases/") for path in set(before) - set(after))
+        assert modes and set(modes) == {"rb"}
+        assert alice.all_done() and alice.completions == 3
+        assert sorted(path.name for path in (tmp_path / "q").iterdir()) == [
+            "jobs.jsonl", "leases", "lock", "queue.json",
+        ]
+        assert not list((tmp_path / "q" / "leases").iterdir())
 
     def test_expired_lease_requeues_with_bumped_generation(self, tmp_path):
         jobs = _queue_jobs(1)
@@ -324,25 +403,30 @@ class TestIdleBackoff:
     backs off 1, 2, 4 ... ms up to ``poll_interval`` between claims."""
 
     @staticmethod
-    def _held_queue(tmp_path, job, lease_ttl):
-        """A one-job queue whose job another handle has already claimed."""
-        WorkQueue.create(tmp_path / "q", [job], lease_ttl=lease_ttl)
-        holder = WorkQueue.open(tmp_path / "q", worker="holder")
-        assert holder.claim().job_id == job.job_id
-        return holder
+    def _held_queue(tmp_path, jobs, lease_ttl):
+        """A queue of ``jobs`` whose first job the handle of a second
+        worker has already claimed; returns that handle and its shard."""
+        holder_shard = CheckpointStore(tmp_path / "holder.shard", "fp", 64)
+        WorkQueue.create(
+            tmp_path / "q", jobs, lease_ttl=lease_ttl,
+            shards=[tmp_path / "shard.jsonl", holder_shard.path],
+        )
+        holder = WorkQueue.open(tmp_path / "q", worker="holder", shard=holder_shard.path)
+        assert holder.claim().job_id == jobs[0].job_id
+        return holder, holder_shard
 
     def test_idle_lease_wait_doubles_from_one_ms_and_exits_without_engine(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs
     ):
         graph, targets = graph_and_targets
         job = sweep_jobs(targets, count=1)[0]
-        holder = self._held_queue(tmp_path, job, lease_ttl=30.0)
+        holder, holder_shard = self._held_queue(tmp_path, [job], lease_ttl=30.0)
         waits = []
 
         def fake_sleep(seconds):
             waits.append(seconds)
             if len(waits) == 4:
-                holder.complete(job.job_id)
+                _finish(holder, holder_shard, job)
 
         def no_engine(*args, **kwargs):
             raise AssertionError("an idle worker must not build an engine")
@@ -376,9 +460,10 @@ class TestIdleBackoff:
     ):
         graph, targets = graph_and_targets
         first, second = sweep_jobs(targets, count=2)
-        WorkQueue.create(tmp_path / "q", [first, second], lease_ttl=30.0)
-        holder = WorkQueue.open(tmp_path / "q", worker="holder")
-        holder.claim(), holder.claim()
+        holder, holder_shard = self._held_queue(
+            tmp_path, [first, second], lease_ttl=30.0
+        )
+        holder.claim()
         waits = []
 
         def fake_sleep(seconds):
@@ -386,7 +471,7 @@ class TestIdleBackoff:
             if len(waits) == 3:
                 holder.release(second.job_id)   # the worker claims and runs it
             elif len(waits) == 5:
-                holder.complete(first.job_id)
+                _finish(holder, holder_shard, first)
 
         monkeypatch.setattr(scheduler_module.time, "sleep", fake_sleep)
         shard = str(tmp_path / "shard.jsonl")
@@ -402,7 +487,7 @@ class TestIdleBackoff:
     ):
         graph, targets = graph_and_targets
         job = sweep_jobs(targets, count=1)[0]
-        holder = self._held_queue(tmp_path, job, lease_ttl=0.5)
+        holder, _ = self._held_queue(tmp_path, [job], lease_ttl=0.5)
         cap = holder.poll_interval
         waits = []
         real_sleep = scheduler_module.time.sleep
@@ -424,11 +509,10 @@ class TestIdleBackoff:
         assert len(waits) > 6 and set(waits[6:]) == {cap}
         stats = json.loads(open(shard + ".stats").read())
         assert stats["jobs"] == 1 and stats["steals"] == 1
-        (log,) = (tmp_path / "q" / "done").iterdir()   # the worker's own done log
-        assert log.name.startswith("worker-0-") and log.suffix == ".jsonl"
-        (record,) = [json.loads(line) for line in log.read_text().splitlines()]
-        assert record["job_id"] == job.job_id
-        assert record["generation"] == 1 and record["worker"] == log.stem
+        # the shard line is the job's only record: the queue holds none
+        assert sorted(os.listdir(tmp_path / "q")) == [
+            "jobs.jsonl", "leases", "lock", "queue.json",
+        ]
         store = AttackCampaign(graph, checkpoint_path=shard).checkpoint_store()
         assert list(store.load()) == [job.job_id]
 
@@ -446,7 +530,7 @@ class TestSchedulerSerialParity:
         executor = SchedulingCampaignExecutor(graph, backend="sparse", workers=2)
         scheduled = executor.run(jobs)
         assert_outcomes_identical(serial, scheduled)
-        assert executor.last_dead_workers == []
+        assert scheduled.dead_workers == ()
 
     def test_mixed_cost_grid_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
         """λ-sweep Binarized jobs next to cheap GradMax jobs — the skew the
@@ -475,7 +559,7 @@ class TestSchedulerSerialParity:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=6)
         executor = SchedulingCampaignExecutor(graph, workers=3)
-        executor.run(jobs)
+        result = executor.run(jobs)
         assert len(executor.last_worker_stats) == 3
         assert sum(s["jobs"] for s in executor.last_worker_stats) == 6
         for stats in executor.last_worker_stats:
@@ -483,7 +567,7 @@ class TestSchedulerSerialParity:
             assert stats["completions"] == stats["jobs"]
             assert stats["cpu_seconds"] >= 0.0
             assert stats["wall_seconds"] > 0.0
-        assert executor.last_dead_workers == []
+        assert result.dead_workers == ()
 
     def test_queue_dir_is_cleaned_up_after_the_run(
         self, graph_and_targets, tmp_path, sweep_jobs
@@ -557,7 +641,7 @@ class TestSchedulerCheckpointResume:
         replay = executor.run(jobs)
         assert replay.resumed_jobs == 3
         assert replay.worker_stats == []
-        assert executor.last_requeues == 0
+        assert replay.requeues == 0
         assert not (tmp_path / "campaign.jsonl.queue").exists()
 
 
@@ -608,23 +692,20 @@ class TestChaosKillMidLease:
             lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)           # must NOT raise: jobs recovered
-        assert executor.last_dead_workers == ["scheduler-worker-0"]
-        assert executor.last_requeues >= 1
+        assert result.dead_workers == ("scheduler-worker-0",)
+        assert result.requeues >= 1
         assert_outcomes_identical(serial, result)
 
-    def test_chaos_sigkill_between_append_and_done_marker_dedupes(
+    def test_chaos_sigkill_after_shard_append_never_reruns_the_job(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs, assert_outcomes_identical
     ):
-        """Kill in the gap between the two durable steps: the outcome is in
-        the dead worker's shard but the done marker never lands, so the job
-        is requeued and completed AGAIN by a survivor.  The merge must keep
-        exactly one record and still match serial bit-for-bit."""
+        """Kill right after the shard append, in place of complete(): the
+        outcome line is the job's done record, so the survivors steal the
+        rest of the dead worker's chunk but never run that job again, and
+        the result still matches serial bit-for-bit."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         serial = AttackCampaign(graph).run(jobs)
-
-        import repro.attacks.scheduler as scheduler_module
-
         real_main = scheduler_module._scheduler_worker_main
 
         def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
@@ -637,23 +718,31 @@ class TestChaosKillMidLease:
             real_main(spec, queue_dir, shard_path, compute_ranks,
                       lease_ttl, worker_index, telemetry)
 
+        shard_records = {}
+        real_merge = CheckpointStore.merge_from
+
+        def counting_merge(self, *others):
+            shard_records.update((other.path.name, len(other.load())) for other in others)
+            return real_merge(self, *others)
+
         monkeypatch.setattr(
             scheduler_module, "_scheduler_worker_main", kamikaze_main
         )
+        monkeypatch.setattr(CheckpointStore, "merge_from", counting_merge)
         checkpoint = tmp_path / "campaign.jsonl"
         executor = SchedulingCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint,
             lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == ["scheduler-worker-0"]
+        assert result.dead_workers == ("scheduler-worker-0",)
+        dead_records = shard_records["campaign.jsonl.shard0"]
+        assert dead_records == 1
+        # no job ran twice: the survivors ran exactly the rest
+        survivors = sum(stats["jobs"] for stats in result.worker_stats)
+        assert survivors + dead_records == len(jobs)
         assert_outcomes_identical(serial, result)
-        # exactly one record per job survived the double completion
-        records = [
-            json.loads(line)
-            for line in checkpoint.read_text().splitlines()[1:]
-        ]
-        assert len(records) == len(jobs)
+        assert len(checkpoint.read_text().splitlines()[1:]) == len(jobs)
 
     def test_chaos_kill_without_checkpoint_still_recovers(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs, assert_outcomes_identical
@@ -690,7 +779,7 @@ class TestChaosKillMidLease:
             graph, workers=2, lease_ttl=_chaos_ttl()
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == ["scheduler-worker-1"]
+        assert result.dead_workers == ("scheduler-worker-1",)
         assert_outcomes_identical(serial, result)
 
 
@@ -770,18 +859,11 @@ class TestPropertyInterleavings:
         to a serial one (``seconds`` aside)."""
         jobs = _queue_jobs(50)
         assert len(jobs) == 50
-        queue_dir = tmp_path / "queue"
-        WorkQueue.create(queue_dir, jobs, lease_ttl=10.0)
         clock = FakeClock()
         n_workers = 4
-        workers = [
-            WorkQueue.open(queue_dir, worker=f"w{i}", clock=clock)
-            for i in range(n_workers)
-        ]
-        shards = [
-            CheckpointStore(tmp_path / f"shard{i}", "prop-fp", 64)
-            for i in range(n_workers)
-        ]
+        workers, shards = _shared_queue(
+            tmp_path, jobs, clock=clock, names=[f"w{i}" for i in range(n_workers)],
+        )
         active = {}
         rng = np.random.default_rng(seed)
         for _ in range(100_000):
@@ -798,10 +880,7 @@ class TestPropertyInterleavings:
                 if action < 0.30:
                     queue.renew()
                 elif action < 0.75:
-                    job = active.pop(i)
-                    # durability order: shard append, THEN done marker
-                    shards[i].append(_synthetic_outcome(job, seconds=float(i)))
-                    queue.complete(job.job_id)
+                    _finish(queue, shards[i], active.pop(i), seconds=float(i))
                 else:
                     active.pop(i)   # crash: never completes; lease expires
             if rng.random() < 0.5:
@@ -812,13 +891,13 @@ class TestPropertyInterleavings:
         assert workers[0].done_ids() == {job.job_id for job in jobs}
         assert sum(w.claims for w in workers) >= 50
 
-        main = CheckpointStore(tmp_path / "merged", "prop-fp", 64)
+        main = CheckpointStore(tmp_path / "merged", "fault-fp", 64)
         for shard in shards:
             main.merge_from(shard)
         merged = main.load()
         assert len(merged) == 50              # exactly once, despite crashes
 
-        reference_store = CheckpointStore(tmp_path / "serial", "prop-fp", 64)
+        reference_store = CheckpointStore(tmp_path / "serial", "fault-fp", 64)
         for job in jobs:
             reference_store.append(_synthetic_outcome(job, seconds=99.0))
         reference = reference_store.load()
@@ -840,12 +919,7 @@ class TestChunkRule:
         self, tmp_path, monkeypatch
     ):
         jobs = _queue_jobs(400)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0, workers=2)
-        clock = FakeClock()
-        handles = [
-            WorkQueue.open(tmp_path / "q", worker=name, clock=clock)
-            for name in ("alice", "bob")
-        ]
+        handles, shards = _shared_queue(tmp_path, jobs, clock=FakeClock())
         passes = []
         real_lease_chunk = WorkQueue._lease_chunk
 
@@ -859,7 +933,7 @@ class TestChunkRule:
         sizes = []
         step = 0
         while len(done) < len(jobs):
-            queue = handles[step % 2]
+            queue, shard = handles[step % 2], shards[step % 2]
             other = handles[(step + 1) % 2].worker
             step += 1
             before = len(passes)
@@ -874,7 +948,7 @@ class TestChunkRule:
                 sizes.append(len(lease.job_ids))
                 chunk[queue.worker] = set(lease.job_ids)
             assert job.job_id in chunk[queue.worker]
-            assert queue.complete(job.job_id) is True
+            assert _finish(queue, shard, job) is True
             done.add(job.job_id)
         assert sizes[:3] == [100, 75, 57]
         assert sizes[-4:] == [1, 1, 1, 1]
@@ -891,8 +965,7 @@ class TestChunkRule:
         import sys
 
         jobs = _queue_jobs(400)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=30.0, workers=2)
-        queue = WorkQueue.open(tmp_path / "q", worker="w0")
+        (queue, _), _ = _shared_queue(tmp_path, jobs, lease_ttl=30.0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -909,21 +982,21 @@ class TestChunkRule:
         self, tmp_path
     ):
         jobs = _queue_jobs(400)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=5.0, workers=2)
         clock = FakeClock()
-        dead = WorkQueue.open(tmp_path / "q", worker="dead", clock=clock)
-        thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
+        (dead, thief), shards = _shared_queue(
+            tmp_path, jobs, lease_ttl=5.0, clock=clock, names=("dead", "thief"),
+        )
         for _ in range(10):
-            dead.complete(dead.claim().job_id)
+            _finish(dead, shards[0], dead.claim())
         in_flight = dead.claim()                # dies running this one
         held = dead.lease_of(in_flight.job_id)
         assert len(held.job_ids) == 100
         assert thief.claim().job_id == jobs[100].job_id  # the next fresh chunk
         clock.advance(5.0)
-        thief.complete(jobs[100].job_id)
+        _finish(thief, shards[1], jobs[100])
         # thief still holds a live chunk: drain it before the next pass
         while (job := thief.claim()) is not None and job.job_id != in_flight.job_id:
-            thief.complete(job.job_id)
+            _finish(thief, shards[1], job)
         assert job.job_id == in_flight.job_id
         assert thief.steals == 1
         stolen = thief.lease_of(in_flight.job_id)
@@ -935,17 +1008,17 @@ class TestChunkRule:
         self, tmp_path
     ):
         jobs = _queue_jobs(400)
-        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=5.0, workers=2)
         clock = FakeClock()
-        slow = WorkQueue.open(tmp_path / "q", worker="slow", clock=clock)
-        thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
+        (slow, thief), shards = _shared_queue(
+            tmp_path, jobs, lease_ttl=5.0, clock=clock, names=("slow", "thief"),
+        )
         job = slow.claim()
         clock.advance(6.0)                       # slow never heartbeats
         assert thief.claim().job_id == job.job_id
         stolen = set(thief.lease_of(job.job_id).job_ids)
         assert len(stolen) == 100
-        assert thief.complete(job.job_id) is True
-        assert slow.complete(job.job_id) is False
+        assert _finish(thief, shards[1], job) is True
+        assert _finish(slow, shards[0], job) is False
         assert slow.duplicate_completions == 1 and thief.duplicate_completions == 0
         # the renewal reports the loss, and no more of the chunk is handed out
         assert slow.renew() is False
@@ -991,22 +1064,16 @@ def _assert_merged_matches_serial(path, jobs, shards):
 
 
 class TestChaosQueueRecords:
-    """Fault injection on the queue's own records: a torn or flipped done
-    log line and a truncated chunk lease either cost a re-run that the
+    """Fault injection on the records the queue reads: a truncated chunk
+    lease and a torn or truncated shard either cost a re-run that the
     merge dedupes, or nothing — the result is always the serial one."""
 
     @staticmethod
     def _queue(tmp_path, name, jobs):
-        WorkQueue.create(tmp_path / name, jobs, lease_ttl=5.0, workers=2)
         clock = FakeClock()
-        handles = [
-            WorkQueue.open(tmp_path / name, worker=worker, clock=clock)
-            for worker in ("alice", "bob")
-        ]
-        shards = [
-            CheckpointStore(tmp_path / f"{name}.shard{i}", "fault-fp", 64)
-            for i in range(2)
-        ]
+        handles, shards = _shared_queue(
+            tmp_path, jobs, lease_ttl=5.0, clock=clock, name=name,
+        )
         return handles, shards, clock
 
     def test_chaos_lease_truncated_at_every_byte_offset(self, tmp_path):
@@ -1028,45 +1095,68 @@ class TestChaosQueueRecords:
             assert handles[1].done_ids() == {job.job_id for job in jobs}
             _assert_merged_matches_serial(tmp_path / f"{name}.merged", jobs, shards)
 
-    def test_chaos_done_log_with_a_flipped_byte_at_every_offset(self, tmp_path):
+    def test_chaos_live_shard_truncated_at_every_byte_offset(self, tmp_path):
+        """Truncate alice's shard, header and first record, at every byte
+        offset while both workers drain.  Bob's queue reads exactly the
+        lines the merge keeps, the lost job runs again, and the merged
+        result is the serial one."""
         jobs = _queue_jobs(8)
-        probe, _, _ = self._queue(tmp_path, "probe", jobs)
-        probe[0].complete(probe[0].claim().job_id)
-        size = (tmp_path / "probe" / "done" / "alice.jsonl").stat().st_size
+        (alice, _), (probe, _), _ = self._queue(tmp_path, "probe", jobs)
+        _finish(alice, probe, alice.claim())
+        size = probe.path.stat().st_size
+        assert size > 300
         for offset in range(size):
             name = f"q{offset}"
             handles, shards, clock = self._queue(tmp_path, name, jobs)
 
-            def flip(path=tmp_path / name / "done" / "alice.jsonl"):
-                data = bytearray(path.read_bytes())
-                data[offset] ^= 0xFF
-                path.write_bytes(bytes(data))
+            def truncate(path=shards[0].path):
+                with open(path, "r+b") as handle:
+                    handle.truncate(offset)
 
-            _drain_handles(handles, shards, clock, fault=flip)
+            _drain_handles(handles, shards, clock, fault=truncate)
+            every = {job.job_id for job in jobs}
+            assert handles[0].done_ids() == handles[1].done_ids() == every
             _assert_merged_matches_serial(tmp_path / f"{name}.merged", jobs, shards)
+            reader = WorkQueue.open(tmp_path / name, worker="reader", shard=shards[1].path)
+            assert reader.done_ids() == set(shards[0].load())
 
-    def test_chaos_torn_done_log_tail_reads_as_not_done_until_complete(
+    def test_chaos_torn_shard_tail_reads_as_not_done_until_complete(
         self, tmp_path
     ):
-        """Only newline-terminated records count: a reader that meets an
+        """Only newline-terminated lines count: a reader that meets an
         append in progress re-reads that record once it is whole."""
         jobs = _queue_jobs(2)
-        (alice, _), _, _ = self._queue(tmp_path, "q", jobs)
-        log = tmp_path / "q" / "done" / "bob.jsonl"
-        record = json.dumps({"job_id": jobs[0].job_id, "worker": "bob"})
-        log.write_text(record)                  # the newline not yet written
+        (alice, _), (_, shard), _ = self._queue(tmp_path, "q", jobs)
+        shard.append(_synthetic_outcome(jobs[0]))
+        whole = shard.path.read_bytes()
+        shard.path.write_bytes(whole[:-1])      # the newline not yet written
         assert alice.done_ids() == set() and alice.remaining() == 2
-        with open(log, "a") as handle:
-            handle.write("\n")
+        shard.path.write_bytes(whole)
         assert alice.done_ids() == {jobs[0].job_id} and alice.remaining() == 1
 
-    def test_chaos_torn_done_log_line_reruns_the_job(
+    def test_chaos_unreadable_shard_lines_read_as_not_done(self, tmp_path):
+        """The queue reads a shard through the merge's line reader: a record
+        holding a byte that is not UTF-8 and parseable JSON with fields
+        missing are both lines the merge skips, so both jobs read as not
+        done, while the whole record after them counts."""
+        jobs = _queue_jobs(3)
+        (alice, _), (_, shard), _ = self._queue(tmp_path, "q", jobs)
+        shard.append(_synthetic_outcome(jobs[0]))
+        data = bytearray(shard.path.read_bytes())
+        data[data.index(b"\n") + 5] ^= 0xFF     # inside the first record
+        incomplete = json.dumps({"job": jobs[1].to_dict()})
+        shard.path.write_bytes(bytes(data) + incomplete.encode() + b"\n")
+        shard.append(_synthetic_outcome(jobs[2]))
+        assert set(shard.load()) == {jobs[2].job_id}
+        assert alice.done_ids() == {jobs[2].job_id}
+
+    def test_chaos_torn_shard_line_reruns_the_job(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs,
         assert_outcomes_identical,
     ):
-        """SIGKILL mid-append of the done record: the torn line reads as
-        "not done", the chunk is stolen after the TTL, and the job's second
-        shard record is deduped by the merge."""
+        """SIGKILL mid shard append: the torn line reads as "not done", the
+        chunk is stolen after the TTL, the job runs again on a survivor and
+        the merge skips the torn line."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
         serial = AttackCampaign(graph).run(jobs)
@@ -1075,14 +1165,15 @@ class TestChaosQueueRecords:
         def kamikaze_main(spec, queue_dir, shard_path, compute_ranks,
                           lease_ttl, worker_index, telemetry=None):
             if worker_index == 0:
-                def tear_then_die(self, job_id):
-                    record = json.dumps({"job_id": job_id, "worker": self.worker})
-                    log = self.queue_dir / "done" / f"{self.worker}.jsonl"
-                    with open(log, "a") as handle:
-                        handle.write(record[: len(record) // 2])
+                real_append = CheckpointStore.append
+
+                def tear_then_die(self, outcome):
+                    real_append(self, outcome)
+                    with open(self.path, "r+b") as handle:  # torn mid-record
+                        handle.truncate(handle.seek(0, 2) - 40)
                     os.kill(os.getpid(), signal.SIGKILL)
 
-                WorkQueue.complete = tear_then_die
+                CheckpointStore.append = tear_then_die
             real_main(spec, queue_dir, shard_path, compute_ranks,
                       lease_ttl, worker_index, telemetry)
 
@@ -1092,50 +1183,11 @@ class TestChaosQueueRecords:
             graph, workers=3, checkpoint_path=checkpoint, lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == ["scheduler-worker-0"]
-        assert executor.last_requeues >= 1
-        assert sum(stats["jobs"] for stats in executor.last_worker_stats) == len(jobs)
+        assert result.dead_workers == ("scheduler-worker-0",)
+        assert result.requeues >= 1
+        assert sum(stats["jobs"] for stats in result.worker_stats) == len(jobs)
         assert_outcomes_identical(serial, result)
         assert len(checkpoint.read_text().splitlines()[1:]) == len(jobs)
-
-    @pytest.mark.parametrize("where", ["first", "middle", "newline"])
-    def test_chaos_flipped_done_log_byte_mid_run_matches_serial(
-        self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs,
-        assert_outcomes_identical, where,
-    ):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets)
-        serial = AttackCampaign(graph).run(jobs)
-        real_main = scheduler_module._scheduler_worker_main
-
-        def flipping_main(spec, queue_dir, shard_path, compute_ranks,
-                          lease_ttl, worker_index, telemetry=None):
-            if worker_index == 0:
-                real_complete = WorkQueue.complete
-
-                def complete_then_flip(self, job_id):
-                    first = real_complete(self, job_id)
-                    log = self.queue_dir / "done" / f"{self.worker}.jsonl"
-                    data = bytearray(log.read_bytes())
-                    offset = {"first": 0, "middle": len(data) // 2,
-                              "newline": len(data) - 1}[where]
-                    data[offset] ^= 0xFF
-                    log.write_bytes(bytes(data))
-                    WorkQueue.complete = real_complete   # one flip per run
-                    return first
-
-                WorkQueue.complete = complete_then_flip
-            real_main(spec, queue_dir, shard_path, compute_ranks,
-                      lease_ttl, worker_index, telemetry)
-
-        monkeypatch.setattr(scheduler_module, "_scheduler_worker_main", flipping_main)
-        executor = SchedulingCampaignExecutor(
-            graph, workers=2, checkpoint_path=tmp_path / "campaign.jsonl",
-            lease_ttl=_chaos_ttl(),
-        )
-        result = executor.run(jobs)
-        assert executor.last_dead_workers == []
-        assert_outcomes_identical(serial, result)
 
     @pytest.mark.parametrize("cut", [0.0, 0.5, -2])
     def test_chaos_truncated_chunk_lease_mid_run_matches_serial(
@@ -1172,5 +1224,5 @@ class TestChaosQueueRecords:
             lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == []
+        assert result.dead_workers == ()
         assert_outcomes_identical(serial, result)
