@@ -15,9 +15,9 @@ Two sections per run:
   seed (the determinism assertion), with peak per-worker ``ru_maxrss``
   asserted under a fixed bound;
 * **quality-vs-memory curve** — GradMaxSearch at a mid scale over the
-  locality baselines (``two_hop``, ``adaptive_gradient``) and a ladder of
-  block sizes, recording mean score decrease τ against peak worker RSS:
-  the trade the block size knob buys.
+  ``adaptive_gradient`` locality baseline and a ladder of block sizes,
+  recording mean score decrease τ against peak worker RSS: the trade the
+  block size knob buys.
 
 Run::
 
@@ -134,14 +134,14 @@ def _block_attack_case(
 
 
 def _quality_memory_curve(n: int, cache_dir, block_sizes, seed: int = 7) -> dict:
-    """GradMaxSearch τ vs peak worker RSS: blocks against locality baselines."""
+    """GradMaxSearch τ vs peak worker RSS: blocks against the locality baseline."""
     store = build_store(
         "blogcatalog-full", cache_dir=cache_dir, scale=n / _FULL_NODES,
         seed=seed,
     )
     targets = store.top_targets(_TARGETS)
     points = []
-    sweeps = [("two_hop", {}), ("adaptive_gradient", {})]
+    sweeps = [("adaptive_gradient", {})]
     sweeps += [
         ("block", {"block_size": size, "block_seed": 1})
         for size in block_sizes
@@ -268,7 +268,7 @@ def run_prbcd(smoke: bool = False, output: "Path | None" = None) -> dict:
             "two runs and peak per-worker ru_maxrss asserted under "
             "rss_bound_mb. quality_vs_memory = gradmaxsearch tau (mean "
             "score decrease over the top targets) against peak worker RSS "
-            "for the two_hop / adaptive_gradient locality baselines and a "
+            "for the adaptive_gradient locality baseline and a "
             "ladder of block sizes — the block is the only strategy whose "
             "memory is independent of n, so it is the only one that runs "
             "unconstrained attacks at the 88.8k-node scale at all."

@@ -55,20 +55,16 @@ def main() -> None:
     #                           GradMaxSearch each greedy step drops from
     #                           O(n³) to O(m + |C|) — 100×+ faster at
     #                           n = 2000 (see benchmarks/results/).
-    #    * "two_hop"          — every pair inside the distance-≤2 ball of a
-    #                           target.  Adds neighbour-neighbour flips that
-    #                           reshape a target's egonet (what the OddBall
-    #                           heuristic needs) but, unlike target_incident,
-    #                           drops pairs joining a target to far-away
-    #                           nodes — neither strategy contains the other,
-    #                           and |C| grows with the ball size.
-    #    * "adaptive"         — starts as exactly target_incident and GROWS
-    #                           per step: every landed flip pulls its
-    #                           endpoints into the ball, admitting their
-    #                           incident pairs.  Reaches the neighbour-
-    #                           neighbour flips two_hop covers, but only
+    #    * "adaptive_gradient" — starts as exactly target_incident and
+    #                           GROWS per step: every landed flip pulls its
+    #                           endpoints into a ball, and the top-|∂L/∂A|
+    #                           pairs incident to them join the set.
+    #                           Reaches neighbour-neighbour flips, but only
     #                           around regions the optimiser actually
     #                           visits, keeping |C| near-linear.
+    #    * "block"            — a seeded random block of pairs, resampled
+    #                           by gradient each step (PRBCD): memory is
+    #                           O(block size) whatever n is.
     #
     #    Restricting candidates can only shrink the search space, so expect a
     #    (usually tiny) loss in attack strength in exchange for the speedup.
@@ -81,11 +77,14 @@ def main() -> None:
         f"score decrease {fast.score_decrease(targets):.1%}"
     )
 
-    #    Prebuilt CandidateSets can be shared across attacks and inspected:
-    ball = CandidateSet.build("two_hop", graph, targets)
+    #    Prebuilt CandidateSets can be shared across attacks and inspected;
+    #    a growing set reports the size of the set its last step searched:
+    growing = CandidateSet.build("adaptive_gradient", graph, targets, budget=8)
+    grown = GradMaxSearch().attack(graph, targets, budget=8, candidates=growing)
     print(
-        f"two_hop candidate set: {len(ball)} pairs "
-        f"({ball.density:.1%} of all pairs)"
+        f"adaptive_gradient candidate set: {len(growing)} pairs at the start "
+        f"({growing.density:.1%} of all pairs), "
+        f"{grown.metadata['candidate_count']} after 8 flips"
     )
 
     # 7. The surrogate engine: every attack's optimisation loop runs through

@@ -7,7 +7,8 @@ budget-indexed family around is what the paper's Fig. 4 sweeps need.
 
 Every attack additionally accepts a *candidate set* restricting the pairs
 it may flip (see :mod:`repro.attacks.candidates`): ``candidates`` may be a
-strategy name (``"full"``, ``"target_incident"``, ``"two_hop"``), a
+strategy name (one of
+:data:`~repro.attacks.candidates.CANDIDATE_STRATEGIES`), a
 prebuilt :class:`~repro.attacks.candidates.CandidateSet`, or ``None``,
 which means ``"full"``.  Every attack runs on a
 :class:`~repro.oddball.surrogate.SurrogateEngine`, so large graphs may be

@@ -241,8 +241,8 @@ class BinarizedAttack(StructuralAttack):
                     np.subtract(zdot, gradient, out=gradient), 0.0, 1.0, out=gradient
                 )
                 # Per-step adaptation: a recorded (validated) iterate counts
-                # as landed flips.  Refresh runs every iteration — adaptive
-                # sets only react to landed flips (and return ``self``
+                # as landed flips.  Refresh runs every iteration — an
+                # adaptive_gradient set only reacts to landed flips (and return ``self``
                 # otherwise), while a block set resamples its low-gradient
                 # half each step, PRBCD-style.  Ż migrates along the
                 # refresh's lineage: surviving pairs keep their state,

@@ -11,7 +11,7 @@ the features of ``u``, ``v`` and their common neighbours only, so pairs far
 from every target are useless until the graph around a target has grown.
 
 :class:`CandidateSet` is the container threaded through
-:meth:`repro.attacks.base.StructuralAttack.attack`.  Three built-in
+:meth:`repro.attacks.base.StructuralAttack.attack`.  Four built-in
 strategies trade coverage for speed:
 
 ``full``
@@ -20,35 +20,21 @@ strategies trade coverage for speed:
     Pairs with at least one endpoint in the target set (|C| = |T|·(n−1) −
     |T|(|T|−1)/2).  This is the Nettack-style "direct attack" restriction;
     it captures every first-order effect on the targets' own features.
-``two_hop``
-    All pairs inside the distance-≤2 ball around the target set.  NOT a
-    superset of ``target_incident`` — the two strategies cover different
-    slices: ``two_hop`` adds flips between two neighbours of a target
-    (which change the target's egonet edge count ``E_t`` without touching
-    its degree) and flips among two-hop nodes that reshape the regression
-    fit locally, but drops pairs joining a target to a node *outside* its
-    ball.  Combine both with :meth:`CandidateSet.from_pairs` when the union
-    is wanted.
-``adaptive``
+``adaptive_gradient``
     Starts as exactly ``target_incident`` and *grows per step*: every flip
     the attack lands pulls its endpoints into a growing ball, and each ball
-    entrant contributes its incident pairs (to its current neighbours and
-    to earlier ball members).  Attacks call :meth:`CandidateSet.refresh`
-    after each landed flip; static strategies return themselves unchanged,
-    so the hook costs nothing unless the set actually adapts.  The adaptive
-    set is a superset of ``target_incident`` at every step (invariant
-    tested), and reaches the neighbour-neighbour flips ``two_hop`` covers —
-    but only around regions the optimiser actually visits, keeping |C|
-    near-linear instead of ball-quadratic.
-``adaptive_gradient``
-    The same growing ball, but admissions are *gradient-informed*: instead
-    of admitting every pair incident to a ball entrant, the candidate pool
-    is ranked by the engine's predicted |∂L/∂A| at those pairs
+    entrant pools its incident pairs (to its current neighbours and to
+    earlier ball members).  The pool is ranked by the engine's predicted
+    |∂L/∂A| at those pairs
     (:meth:`~repro.oddball.surrogate.SurrogateEngine.pair_gradient`) and
-    only the top :func:`admission_cap` per refresh join the set.  Same
-    superset-of-``target_incident`` invariant (growth only ever adds),
-    with |C| growing by a bounded amount per landed flip instead of by
-    O(deg) — the ROADMAP's gradient-informed growth policy.
+    only the top :func:`admission_cap` per refresh join the set.  Attacks
+    call :meth:`CandidateSet.refresh` after each landed flip; static
+    strategies return themselves unchanged, so the hook costs nothing
+    unless the set actually adapts.  The set is a superset of
+    ``target_incident`` at every step (invariant tested; growth only ever
+    adds), reaches neighbour-neighbour flips only around regions the
+    optimiser actually visits, and grows |C| by a bounded amount per
+    landed flip.
 ``block``
     PRBCD-style randomized block coordinate descent ("Robustness of GNNs
     at Scale"): the decision variables are a seeded uniform random *block*
@@ -59,15 +45,19 @@ strategies trade coverage for speed:
     re-ranks the live block by |∂L/∂A|, keeps the top half plus every
     already-flipped pair (flips are never evicted — the invariant the
     attacks' state transfer relies on), and resamples the remainder from a
-    fresh deterministic draw.  Unlike the adaptive strategies a refresh
+    fresh deterministic draw.  Unlike ``adaptive_gradient`` a refresh
     both adds AND drops pairs.  When ``block_size`` covers
     every pair the block degenerates to exactly ``full`` (same pairs, same
     order, refresh is a no-op), which is the parity anchor the tests pin.
 
+Other pair sets — e.g. the neighbour pairs a structural heuristic flips —
+are built with :meth:`CandidateSet.from_pairs`.
+
 Both refreshes build the new key array as ``np.insert(survivors,
 positions, admitted)``, and every refresh that returns a new set records
 that plan as its :class:`Lineage`: which pairs of the set it was called on
-survive (all of them for ``adaptive``) and where the admitted pairs go.
+survive (all of them for ``adaptive_gradient``) and where the admitted
+pairs go.
 :meth:`Lineage.carry` moves any per-pair array with one compaction and
 one insert: the set's own ``rows``/``cols``, the attacks' optimiser state
 (:func:`adopt_refresh`) and the engine's per-pair caches
@@ -80,8 +70,6 @@ Admission and block sizing share one budget-aware policy
 attack budget, and λ-awareness enters through the ranking itself — the
 engine's ``pair_gradient`` is the λ-regularised surrogate gradient, so a
 sweep's sparsity pressure directly shapes which pairs survive a refresh.
-(The former ``AdaptiveCandidateSet.GRADIENT_ADMIT_CAP`` class constant is
-retired in favour of this policy.)
 
 Candidate pairs are canonical (``u < v``), unique and lexicographically
 sorted, so ``full`` enumerates pairs in exactly the order of
@@ -116,19 +104,16 @@ __all__ = [
     "Lineage",
     "admission_cap",
     "adopt_refresh",
+    "block_params",
     "default_block_size",
 ]
 
 Edge = tuple[int, int]
 
-CANDIDATE_STRATEGIES = (
-    "full", "target_incident", "two_hop", "adaptive", "adaptive_gradient",
-    "block",
-)
+CANDIDATE_STRATEGIES = ("full", "target_incident", "adaptive_gradient", "block")
 
-#: Baseline per-refresh admission count of the gradient-ranked adaptive
-#: policy (the retired ``GRADIENT_ADMIT_CAP`` default, kept as the floor of
-#: the budget-aware :func:`admission_cap`).
+#: Baseline per-refresh admission count of ``adaptive_gradient``: the
+#: floor of the budget-aware :func:`admission_cap`.
 DEFAULT_ADMIT_CAP = 32
 
 #: Baseline block size of the ``block`` strategy when no explicit
@@ -139,13 +124,11 @@ DEFAULT_BLOCK_SIZE = 32_768
 
 
 def admission_cap(budget: "int | None" = None) -> int:
-    """Per-refresh admission count of the gradient-ranked growth policy.
+    """Per-refresh admission count of ``adaptive_gradient``.
 
-    The unified budget-aware rule that retired the fixed
-    ``GRADIENT_ADMIT_CAP`` constant: a larger flip budget explores more of
-    the graph, so each refresh may admit proportionally more pairs
-    (``8·budget``, floored at :data:`DEFAULT_ADMIT_CAP` so small budgets
-    keep the historical behaviour bit-for-bit).  λ-awareness needs no knob
+    A larger flip budget explores more of the graph, so each refresh may
+    admit proportionally more pairs (``8·budget``, floored at
+    :data:`DEFAULT_ADMIT_CAP`).  λ-awareness needs no knob
     here — ranking uses the engine's λ-regularised ``pair_gradient``, so
     sparsity pressure already shapes which pairs win the cap.
     """
@@ -167,23 +150,28 @@ def default_block_size(n: int, budget: "int | None" = None) -> int:
     return min(total, max(DEFAULT_BLOCK_SIZE, 4096 * int(budget)))
 
 
-def _adjacency_rows(graph) -> "tuple[int, object]":
-    """(n, neighbour-lookup) from a Graph, dense array or scipy sparse matrix."""
-    from scipy import sparse
+def block_params(
+    strategy: "str | None", block_size: "int | None" = None, block_seed: int = 0
+) -> "dict[str, int]":
+    """The ``block_size``/``block_seed`` job parameters of ``strategy``.
 
-    if isinstance(graph, Graph):
-        matrix = graph.adjacency_view
-        return matrix.shape[0], matrix
-    if sparse.issparse(graph):
-        # validate + drop stored explicit zeros, which are NOT neighbours
-        from repro.graph.sparse import to_sparse
-
-        csr = to_sparse(graph)
-        return csr.shape[0], csr
-    matrix = np.asarray(graph, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {matrix.shape}")
-    return matrix.shape[0], matrix
+    Only ``block`` takes them: a size or a non-zero seed with any other
+    strategy raises ``ValueError``.  Defaults are left out, so a job built
+    from the result hashes like one built without them.
+    """
+    if strategy != "block":
+        if block_size is not None or block_seed:
+            raise ValueError(
+                "block_size/block_seed need the 'block' candidate strategy, "
+                f"got {strategy!r}"
+            )
+        return {}
+    params = {}
+    if block_size is not None:
+        params["block_size"] = int(block_size)
+    if block_seed:
+        params["block_seed"] = int(block_seed)
+    return params
 
 
 def _node_count(graph) -> int:
@@ -196,15 +184,6 @@ def _node_count(graph) -> int:
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"adjacency must be square, got shape {shape}")
     return int(shape[0])
-
-
-def _neighbors_of(matrix, node: int) -> np.ndarray:
-    from scipy import sparse
-
-    if sparse.issparse(matrix):
-        start, stop = matrix.indptr[node], matrix.indptr[node + 1]
-        return matrix.indices[start:stop].astype(np.intp)
-    return np.flatnonzero(matrix[node]).astype(np.intp)
 
 
 class Lineage(NamedTuple):
@@ -315,9 +294,10 @@ class CandidateSet:
         """Build a candidate set with a named strategy.
 
         ``graph`` may be a :class:`Graph`, a dense adjacency array or a
-        scipy sparse matrix; ``targets`` is required for every strategy
-        except ``full`` and ``block`` (global random sampling needs no
-        locality seed — targets are accepted and ignored).  ``budget``
+        scipy sparse matrix, of which only the node count is read;
+        ``targets`` is required for every strategy except ``full`` and
+        ``block`` (global random sampling needs no locality seed — targets
+        are accepted and ignored).  ``budget``
         feeds the budget-aware sizing policies (:func:`admission_cap` for
         ``adaptive_gradient``, :func:`default_block_size` for ``block``);
         ``block_size``/``block_seed`` parametrise ``block`` only.
@@ -341,16 +321,9 @@ class CandidateSet:
             raise ValueError(f"target ids out of range [0, {n})")
         if strategy == "target_incident":
             return cls.target_incident(n, targets)
-        if strategy == "adaptive":
-            return AdaptiveCandidateSet.start(n, targets)
-        if strategy == "adaptive_gradient":
-            return AdaptiveCandidateSet.start(
-                n, targets, growth="gradient", admit_cap=admission_cap(budget)
-            )
-        # only two_hop actually walks the adjacency — resolve it lazily so
-        # the index-arithmetic strategies skip the O(m) validation pass
-        _, matrix = _adjacency_rows(graph)
-        return cls.two_hop(matrix, targets, n=n)
+        return AdaptiveCandidateSet.start(
+            n, targets, admit_cap=admission_cap(budget)
+        )
 
     @classmethod
     def full(cls, n: int) -> "CandidateSet":
@@ -385,32 +358,6 @@ class CandidateSet:
             rows=(keys // n).astype(np.intp),
             cols=(keys % n).astype(np.intp),
             strategy="target_incident",
-        )
-
-    @classmethod
-    def two_hop(
-        cls, graph, targets: Sequence[int], n: "int | None" = None
-    ) -> "CandidateSet":
-        """All pairs inside the distance-≤2 ball around the target set."""
-        resolved_n, matrix = _adjacency_rows(graph) if n is None else (n, graph)
-        target_list = sorted({int(t) for t in targets})
-        if not target_list:
-            raise ValueError("target set must not be empty")
-        ball: set[int] = set(target_list)
-        one_hop: set[int] = set()
-        for t in target_list:
-            one_hop.update(int(v) for v in _neighbors_of(matrix, t))
-        ball.update(one_hop)
-        for v in sorted(one_hop):
-            ball.update(int(w) for w in _neighbors_of(matrix, v))
-        # vectorised pair construction: the ball can reach thousands of nodes
-        # on hub targets, and |ball|² Python tuples would dominate the attack
-        nodes = np.fromiter(sorted(ball), dtype=np.intp, count=len(ball))
-        i, j = np.triu_indices(len(nodes), k=1)
-        # nodes is ascending, so (nodes[i], nodes[j]) is already canonical
-        # and lexicographically sorted
-        return cls(
-            n=resolved_n, rows=nodes[i], cols=nodes[j], strategy="two_hop"
         )
 
     @classmethod
@@ -538,11 +485,10 @@ class AdaptiveCandidateSet(CandidateSet):
     degree, which is what the OddBall objective rewards) plus the earlier
     ball members (so locally-discovered structure can be rewired).
 
-    With ``growth="gradient"`` (strategy name ``adaptive_gradient``) the
-    same pool of would-be admissions is *ranked* by the engine's predicted
-    |∂L/∂A| at each pair (one
-    :meth:`~repro.oddball.surrogate.SurrogateEngine.pair_gradient` call per
-    refresh) and only the top ``admit_cap`` join (default
+    Once that pool of would-be admissions holds more than ``admit_cap``
+    pairs, it is *ranked* by the engine's predicted |∂L/∂A| at each pair
+    (one :meth:`~repro.oddball.surrogate.SurrogateEngine.pair_gradient`
+    call per refresh) and only the top ``admit_cap`` join (default
     :func:`admission_cap`) — the set stays focused on pairs the objective
     actually responds to, growing by a bounded amount per landed flip
     instead of by the entrant's degree.
@@ -553,8 +499,7 @@ class AdaptiveCandidateSet(CandidateSet):
     """
 
     ball: "frozenset[int]" = frozenset()
-    growth: str = "adjacency"
-    #: Pairs admitted per gradient-informed refresh (ties broken by
+    #: Pairs admitted per refresh (ties broken by
     #: canonical pair order, so refreshes are deterministic).  Sized by the
     #: budget-aware :func:`admission_cap` policy when built via
     #: :meth:`CandidateSet.build`.
@@ -565,21 +510,12 @@ class AdaptiveCandidateSet(CandidateSet):
         cls,
         n: int,
         targets: Sequence[int],
-        growth: str = "adjacency",
         admit_cap: int = DEFAULT_ADMIT_CAP,
     ) -> "AdaptiveCandidateSet":
         """The initial set: exactly ``target_incident`` over ``targets``.
 
-        ``growth`` selects the admission policy for later refreshes:
-        ``"adjacency"`` (every incident pair of a ball entrant) or
-        ``"gradient"`` (top-|∂L/∂A| pairs of the same pool, at most
-        ``admit_cap`` per refresh).
+        Later refreshes admit at most ``admit_cap`` pairs each.
         """
-        if growth not in ("adjacency", "gradient"):
-            raise ValueError(
-                f"unknown adaptive growth policy {growth!r}; "
-                "choose 'adjacency' or 'gradient'"
-            )
         if admit_cap < 1:
             raise ValueError(f"admit_cap must be >= 1, got {admit_cap}")
         base = CandidateSet.target_incident(n, targets)
@@ -587,9 +523,8 @@ class AdaptiveCandidateSet(CandidateSet):
             n=n,
             rows=base.rows,
             cols=base.cols,
-            strategy="adaptive" if growth == "adjacency" else "adaptive_gradient",
+            strategy="adaptive_gradient",
             ball=frozenset(int(t) for t in targets),
-            growth=growth,
             admit_cap=int(admit_cap),
         )
 
@@ -602,7 +537,7 @@ class AdaptiveCandidateSet(CandidateSet):
         dropped by one binary search whose insertion points are the
         :class:`Lineage`'s: O(Σ_{w new} (deg(w) + |ball|) log + |C|) per
         call, with no hash dedupe (plus one engine ``pair_gradient``
-        evaluation over the pool under the gradient policy).  ``self`` is
+        evaluation over a pool larger than ``admit_cap``).  ``self`` is
         returned unchanged when no flip endpoint is new.  The result is
         always a superset of the current set: every pair of ``self``
         survives (``kept`` is ``None``).
@@ -629,7 +564,7 @@ class AdaptiveCandidateSet(CandidateSet):
         positions, novel = key_positions(self.keys, pool)
         positions, pool = positions[novel], pool[novel]
         _telemetry.count("candidates.pool", int(pool.size))
-        if self.growth == "gradient" and pool.size > self.admit_cap:
+        if pool.size > self.admit_cap:
             # the admitted slice, back in key order for the sorted insert
             admitted = np.sort(_gradient_order(n, pool, engine)[: self.admit_cap])
             positions, pool = positions[admitted], pool[admitted]
@@ -637,7 +572,6 @@ class AdaptiveCandidateSet(CandidateSet):
         return self._refreshed(
             None, positions, pool,
             ball=self.ball.union(new_nodes),
-            growth=self.growth,
             admit_cap=self.admit_cap,
         )
 
@@ -645,8 +579,8 @@ class AdaptiveCandidateSet(CandidateSet):
 def _gradient_order(n: int, keys: np.ndarray, engine) -> np.ndarray:
     """Indices sorting ``keys`` by descending |∂L/∂A| at their pairs.
 
-    The one ranking rule both gradient-aware policies (adaptive admission
-    and block retention) share.  Sorting is on (−|g|, key): deterministic
+    The one ranking rule both refreshes (``adaptive_gradient`` admission
+    and ``block`` retention) share.  Sorting is on (−|g|, key): deterministic
     under ties, backend-independent because the engines' ``pair_gradient``
     implementations agree bit-for-bit.
     """

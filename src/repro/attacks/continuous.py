@@ -57,7 +57,7 @@ class ContinuousA(StructuralAttack):
         relaxation's decision variables are fixed for the whole PGD run,
         so a block here means *one* seeded random draw optimised to
         convergence (no per-step resampling) — the same static-variable
-        treatment the adaptive strategies get.
+        treatment ``adaptive_gradient`` gets.
     """
 
     name = "continuousa"
@@ -93,8 +93,8 @@ class ContinuousA(StructuralAttack):
         )
         rows, cols = candidate_set.rows, candidate_set.cols
         # The relaxation's decision variables are fixed for the whole PGD
-        # run, so adaptive growth does not apply here: an "adaptive"
-        # strategy simply optimises over its initial (target-incident) pairs.
+        # run, so adaptive growth does not apply here: ``adaptive_gradient``
+        # simply optimises over its initial (target-incident) pairs.
         engine = self._engine_for(
             engine, adjacency, targets, candidate_set,
             floor=self.floor, weights=target_weights,

@@ -13,7 +13,7 @@ unless one is injected: egonet features are maintained incrementally at
 O(deg) per flip and the gradient is scattered onto the candidate pairs
 only, so one greedy step costs O(m + |C|) instead of the O(n³) autograd
 backward of the seed implementation.  Without ``candidates`` the search
-covers every pair; ``target_incident``/``two_hop`` prune it Nettack-style.
+covers every pair; ``target_incident`` prunes it Nettack-style.
 Sparse adjacency inputs are supported and never densified.
 
 The parity suite injects the dense autograd oracle
@@ -158,7 +158,7 @@ class GradMaxSearch(StructuralAttack):
             if step + 1 == budget:
                 break  # no step is left to search a refreshed set
             # Per-step adaptation: the landed flip may grow the ball
-            # (adaptive) or trigger a resample of the low-gradient half
+            # (adaptive_gradient) or trigger a resample of the low-gradient half
             # (block).  The greedy state (``modified``) migrates along the
             # refresh's lineage — flipped pairs are never evicted by any
             # strategy, so no used-pair flag is ever lost.

@@ -63,9 +63,10 @@ class OddBallHeuristic(StructuralAttack):
     #: target — by construction such pairs never touch the target itself,
     #: so the ``target_incident`` candidate strategy filters out essentially
     #: all of them (only pairs whose endpoint happens to be another target
-    #: survive).  Use ``two_hop`` (which contains all neighbour pairs) or a
-    #: custom set when restricting this attack; a warning is logged when a
-    #: restriction leaves the heuristic with nothing to flip.
+    #: survive).  Use ``full`` or a custom
+    #: :meth:`~repro.attacks.candidates.CandidateSet.from_pairs` set that
+    #: holds the neighbour pairs when restricting this attack; a warning is
+    #: logged when a restriction leaves the heuristic with nothing to flip.
 
     def __init__(self, rng=None):
         self.rng = rng
@@ -86,9 +87,9 @@ class OddBallHeuristic(StructuralAttack):
         budget = check_budget(budget)
         generator = as_generator(self.rng)
         # The heuristic only ever flips neighbour pairs of a target, so a
-        # full candidate set imposes no restriction: ``None`` skips the
-        # membership tests and never builds the n(n−1)/2 pairs.
-        if candidates is None:
+        # full candidate set imposes no restriction: ``None`` and ``"full"``
+        # skip the membership tests and never build the n(n−1)/2 pairs.
+        if candidates is None or candidates == "full":
             strategy, allowed = "full", None
         else:
             candidate_set = self._resolve_candidates(
@@ -123,7 +124,7 @@ class OddBallHeuristic(StructuralAttack):
                         _log.warning(
                             "candidate restriction (%s, %d pairs) excludes every "
                             "neighbour-pair flip the heuristic can make; use "
-                            "'two_hop' or a custom set instead",
+                            "'full' or a custom from_pairs set instead",
                             strategy,
                             len(allowed),
                         )

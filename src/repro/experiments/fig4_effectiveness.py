@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attacks.campaign import AttackJob
+from repro.attacks.candidates import block_params
 from repro.attacks.executor import build_campaign
 from repro.experiments.common import (
     attack_suite_params,
@@ -70,8 +71,9 @@ def run(
     a pruned candidate set removes the O(n²) decision-variable arrays.
     ``block_size``/``block_seed``
     parametrise the ``"block"`` strategy (they enter each job's content
-    hash, keeping block sweeps checkpoint-resumable) and are ignored
-    otherwise.
+    hash, keeping block sweeps checkpoint-resumable); with any other
+    strategy they raise ``ValueError``
+    (:func:`~repro.attacks.candidates.block_params`).
 
     ``campaign_checkpoint`` names a directory: each panel's campaign then
     persists completed jobs to ``fig4_<panel>.json`` there, and an
@@ -87,12 +89,7 @@ def run(
     seeds = SeedSequenceFactory(seed)
     detector = OddBall()
     method_params = attack_suite_params(scale)
-    block_params: dict[str, int] = {}
-    if candidates == "block":
-        if block_size is not None:
-            block_params["block_size"] = int(block_size)
-        if block_seed:
-            block_params["block_seed"] = int(block_seed)
+    strategy_params = block_params(candidates, block_size, block_seed)
     results = []
     for dataset_name, paper_targets in panels:
         dataset = load_experiment_graph(dataset_name, scale, seeds)
@@ -116,7 +113,7 @@ def run(
             for method_name, params in method_params.items():
                 job = AttackJob.make(
                     method_name, targets, budgets[-1],
-                    candidates=candidates, **params, **block_params,
+                    candidates=candidates, **params, **strategy_params,
                 )
                 methods[method_name] = job
                 unique_jobs.setdefault(job.job_id, job)

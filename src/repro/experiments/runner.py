@@ -55,7 +55,7 @@ import inspect
 from pathlib import Path
 from typing import Callable
 
-from repro.attacks.candidates import CANDIDATE_STRATEGIES
+from repro.attacks.candidates import CANDIDATE_STRATEGIES, block_params
 from repro.experiments import (
     fig4_effectiveness,
     fig5_case_study,
@@ -69,6 +69,7 @@ from repro.experiments import (
     table4_refex,
 )
 from repro.experiments.config import CI, PAPER, SMOKE, Scale
+from repro.kernels import KERNEL_BACKENDS, set_default_kernels
 from repro.utils.serialization import save_json
 
 __all__ = ["EXPERIMENTS", "main", "run_experiment"]
@@ -117,7 +118,7 @@ def run_experiment(
     kwargs = {}
     if "candidates" in parameters:
         kwargs["candidates"] = candidates
-    if "block_size" in parameters and candidates == "block":
+    if "block_size" in parameters:
         kwargs["block_size"] = block_size
         kwargs["block_seed"] = block_seed
     if "campaign_checkpoint" in parameters and campaign_checkpoint is not None:
@@ -156,7 +157,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="list available experiments and exit")
     parser.add_argument("--scale", choices=sorted(_SCALES), default="ci")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kernels", choices=["auto", "numpy", "compiled"],
+    parser.add_argument("--kernels", choices=KERNEL_BACKENDS,
                         default=None,
                         help="hot-loop kernel backend (repro.kernels); sets "
                              "the process-wide default, so every engine the "
@@ -200,9 +201,11 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.list:
         print(_list_experiments())
         return 0
+    try:
+        block_params(args.candidates, args.block_size, args.block_seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.kernels is not None:
-        from repro.kernels import set_default_kernels
-
         # Process-wide default: the only kernels switch; engines resolve
         # it at construction, and executors ship it to their workers in
         # the EngineSpec.

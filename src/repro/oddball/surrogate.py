@@ -999,10 +999,10 @@ class SurrogateEngine(abc.ABC):
 
         Unlike :meth:`candidate_gradient` the queried pairs need not belong
         to the engine's candidate set — this is the probe the
-        gradient-informed adaptive growth policy
-        (:class:`~repro.attacks.candidates.AdaptiveCandidateSet` with
-        ``growth="gradient"``) uses to rank would-be admissions by predicted
-        |∂L/∂A| before committing them as decision variables.
+        ``adaptive_gradient`` strategy
+        (:class:`~repro.attacks.candidates.AdaptiveCandidateSet`) uses to
+        rank would-be admissions by predicted |∂L/∂A| before committing
+        them as decision variables.
         """
 
     @abc.abstractmethod

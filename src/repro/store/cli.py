@@ -132,20 +132,12 @@ def _cmd_campaign(args) -> int:
     set_default_kernels(args.kernels)
     store = _resolve_store(args)
     targets = store.top_targets(args.targets)
-    params: dict[str, int] = {}
-    if args.candidates == "block":
-        if args.block_size is not None:
-            params["block_size"] = args.block_size
-        if args.block_seed:
-            params["block_seed"] = args.block_seed
-    elif args.block_size is not None or args.block_seed:
-        raise SystemExit("--block-size/--block-seed need --candidates block")
     jobs = grid_jobs(
         args.attack,
         [[t] for t in targets],
         budgets=[args.budget],
         candidates=args.candidates,
-        **params,
+        **args.block_params,
     )
     campaign = build_campaign(
         store, workers=args.workers, backend="sparse",
@@ -187,7 +179,9 @@ def _cmd_campaign(args) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI dispatcher (``python -m repro.store``)."""
-    from repro.attacks.candidates import CANDIDATE_STRATEGIES
+    from repro.attacks import ATTACK_REGISTRY
+    from repro.attacks.candidates import CANDIDATE_STRATEGIES, block_params
+    from repro.kernels import KERNEL_BACKENDS
 
     parser = argparse.ArgumentParser(prog="repro.store", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -208,9 +202,7 @@ def main(argv: "list[str] | None" = None) -> int:
     campaign.add_argument("--targets", type=int, default=8,
                           help="attack the top-K OddBall-scored nodes")
     campaign.add_argument("--attack", default="gradmaxsearch",
-                          choices=["gradmaxsearch", "binarizedattack",
-                                   "continuousa", "random",
-                                   "oddball-heuristic"],
+                          choices=sorted(ATTACK_REGISTRY),
                           help="attack registry name for the job grid")
     campaign.add_argument("--candidates", default="target_incident",
                           choices=CANDIDATE_STRATEGIES,
@@ -228,7 +220,7 @@ def main(argv: "list[str] | None" = None) -> int:
                                "resume the exact same blocks)")
     campaign.add_argument("--checkpoint", type=Path, default=None,
                           help="resumable campaign checkpoint file")
-    campaign.add_argument("--kernels", choices=["auto", "numpy", "compiled"],
+    campaign.add_argument("--kernels", choices=KERNEL_BACKENDS,
                           default="auto",
                           help="hot-loop kernel backend (repro.kernels); "
                                "sets the process-wide default, which every "
@@ -243,4 +235,11 @@ def main(argv: "list[str] | None" = None) -> int:
     campaign.set_defaults(handler=_cmd_campaign)
 
     args = parser.parse_args(argv)
+    if args.command == "campaign":
+        try:
+            args.block_params = block_params(
+                args.candidates, args.block_size, args.block_seed
+            )
+        except ValueError as exc:
+            campaign.error(str(exc))
     return args.handler(args)

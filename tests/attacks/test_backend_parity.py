@@ -50,9 +50,15 @@ def graph_and_targets(request):
 
 
 class TestBinarizedBackendParity:
-    @pytest.mark.parametrize("candidates", [None, "full", "target_incident", "two_hop"])
-    def test_dense_and_sparse_agree(self, graph_and_targets, candidates):
+    @pytest.mark.parametrize(
+        "candidates", [None, "full", "target_incident", "neighbour_pairs"]
+    )
+    def test_dense_and_sparse_agree(
+        self, graph_and_targets, candidates, neighbour_pair_set
+    ):
         graph, targets = graph_and_targets
+        if candidates == "neighbour_pairs":
+            candidates = neighbour_pair_set(graph, targets)
         dense = _on_oracle(
             BinarizedAttack(iterations=25), graph, targets, 4, candidates=candidates
         )
@@ -147,10 +153,13 @@ class TestContinuousBackendParity:
 
 
 class TestGradMaxBackendParity:
-    @pytest.mark.parametrize("strategy", ["full", "target_incident", "two_hop"])
-    def test_engine_backends_agree(self, graph_and_targets, strategy):
+    @pytest.mark.parametrize("strategy", ["full", "target_incident", "neighbour_pairs"])
+    def test_engine_backends_agree(self, graph_and_targets, strategy, neighbour_pair_set):
         graph, targets = graph_and_targets
-        candidate_set = CandidateSet.build(strategy, graph, targets)
+        if strategy == "neighbour_pairs":
+            candidate_set = neighbour_pair_set(graph, targets)
+        else:
+            candidate_set = CandidateSet.build(strategy, graph, targets)
         dense = _on_oracle(GradMaxSearch(), graph, targets, 5, candidates=candidate_set)
         with forbid_densify(context="gradmax backend parity"):
             fast = GradMaxSearch().attack(

@@ -29,6 +29,7 @@ from repro.attacks.candidates import (
     AdaptiveCandidateSet,
     admission_cap,
     adopt_refresh,
+    block_params,
     default_block_size,
 )
 from repro.oddball.surrogate import (
@@ -126,6 +127,14 @@ class TestBlockSampling:
         assert admission_cap(100) == 800
 
 
+class TestBlockParams:
+    def test_block_job_params_leave_defaults_out(self):
+        assert block_params("block") == {}
+        assert block_params("block", 64, 3) == {"block_size": 64, "block_seed": 3}
+        assert block_params("block", None, 3) == {"block_seed": 3}
+        assert block_params("full") == block_params(None) == {}
+
+
 class TestBlockRefreshInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_schedule_holds_every_invariant(self, small_ba_graph, seed):
@@ -188,12 +197,12 @@ class TestLineage:
         evicted = set(zip(old.rows[~kept].tolist(), old.cols[~kept].tolist()))
         assert not evicted & new.pair_set()
 
-    @pytest.mark.parametrize("strategy", ["adaptive", "block"])
+    @pytest.mark.parametrize("strategy", ["adaptive_gradient", "block"])
     def test_a_pickled_refresh_carries_no_lineage(self, small_ba_graph, strategy):
         """A lineage names a live parent set of this process, so a pickled
         refreshed set drops it; an engine handed the copy reads every pair."""
         adjacency = sparse.csr_matrix(small_ba_graph.adjacency)
-        if strategy == "adaptive":
+        if strategy == "adaptive_gradient":
             old, flips = AdaptiveCandidateSet.start(60, [0]), [(0, 7)]
         else:
             old, flips = BlockCandidateSet.start(60, block_size=64, seed=9), []

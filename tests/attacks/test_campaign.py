@@ -19,6 +19,7 @@ from repro.attacks import (
     BinarizedAttack,
     CampaignResult,
     CandidateSet,
+    CheckpointStore,
     GradMaxSearch,
     grid_jobs,
 )
@@ -368,6 +369,32 @@ class TestCampaignResume:
             AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         assert str(checkpoint) in str(error.value)
 
+    @pytest.mark.parametrize("strategy", ["two_hop", "adaptive"])
+    def test_record_naming_a_deleted_strategy_costs_that_record(
+        self, graph_and_targets, tmp_path, caplog, strategy
+    ):
+        """A record whose job names a candidate strategy that no longer
+        exists fails ``AttackJob.make``: it is skipped with the warning
+        naming the file, and every other record still resumes."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:3]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        lines = checkpoint.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["job"]["candidates"] = strategy
+        lines[2] = json.dumps(record).encode() + b"\n"
+        assert CheckpointStore.read_line(lines[2]) is None
+        checkpoint.write_bytes(b"".join(lines))
+        with caplog.at_level(logging.WARNING, logger="repro.attacks.campaign"):
+            resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert resumed.resumed_jobs == 2
+        assert any(str(checkpoint) in record.getMessage() for record in caplog.records)
+        fresh = AttackCampaign(graph).run(jobs)
+        for a, b in zip(resumed, fresh):
+            assert a.flips_by_budget == b.flips_by_budget
+
     def test_corrupt_header_with_records_still_raises(
         self, graph_and_targets, tmp_path
     ):
@@ -410,8 +437,8 @@ class TestCampaignResume:
                          candidates="target_incident")
         # run one job so the shared engine exists and holds state
         first = campaign.run(good[:1])
-        # a job whose attack blows up mid-run (two_hop needs the matrix walk,
-        # so force a failure via an interrupt-like exception inside attack)
+        # a job whose attack blows up mid-run: force a failure via an
+        # interrupt-like exception inside attack
         boom = AttackJob.make("gradmaxsearch", [targets[0]], 2)
         original_attack = GradMaxSearch.attack
 
@@ -441,16 +468,16 @@ class TestCampaignResume:
 
 class TestJobSpecs:
     def test_job_id_is_content_addressed(self):
-        a = AttackJob.make("gradmaxsearch", [3, 1], 2, candidates="two_hop")
-        b = AttackJob.make("gradmaxsearch", (3, 1), 2, candidates="two_hop")
-        c = AttackJob.make("gradmaxsearch", [3, 2], 2, candidates="two_hop")
+        a = AttackJob.make("gradmaxsearch", [3, 1], 2, candidates="target_incident")
+        b = AttackJob.make("gradmaxsearch", (3, 1), 2, candidates="target_incident")
+        c = AttackJob.make("gradmaxsearch", [3, 2], 2, candidates="target_incident")
         assert a.job_id == b.job_id
         assert a.job_id != c.job_id
 
     def test_job_roundtrips_with_stable_id(self):
         job = AttackJob.make(
             "binarizedattack", [1, 2], 3,
-            candidates="adaptive", weights=[1.0, 2.0],
+            candidates="adaptive_gradient", weights=[1.0, 2.0],
             lambdas=(0.1,), iterations=20,
         )
         back = AttackJob.from_dict(json.loads(json.dumps(job.to_dict())))
@@ -501,16 +528,16 @@ class TestJobSpecs:
 class TestAdaptiveCandidates:
     def test_starts_as_target_incident(self, graph_and_targets):
         graph, targets = graph_and_targets
-        adaptive = CandidateSet.build("adaptive", graph, targets)
+        adaptive = CandidateSet.build("adaptive_gradient", graph, targets)
         incident = CandidateSet.target_incident(graph.number_of_nodes, targets)
         assert adaptive.pair_set() == incident.pair_set()
-        assert adaptive.strategy == "adaptive"
+        assert adaptive.strategy == "adaptive_gradient"
 
     def test_refresh_grows_superset_of_target_incident(self, graph_and_targets):
         graph, targets = graph_and_targets
         n = graph.number_of_nodes
         incident = CandidateSet.target_incident(n, targets).pair_set()
-        adaptive = CandidateSet.build("adaptive", graph, targets)
+        adaptive = CandidateSet.build("adaptive_gradient", graph, targets)
         engine = SurrogateEngine.create(graph.adjacency, targets, adaptive)
         # land flips touching non-ball nodes and check the invariant holds
         outsiders = [v for v in range(n) if v not in set(targets)][:4]
@@ -530,7 +557,7 @@ class TestAdaptiveCandidates:
 
     def test_refresh_requires_engine_for_growth(self, graph_and_targets):
         graph, targets = graph_and_targets
-        adaptive = CandidateSet.build("adaptive", graph, targets)
+        adaptive = CandidateSet.build("adaptive_gradient", graph, targets)
         outsider = next(v for v in range(graph.number_of_nodes)
                         if v not in set(targets))
         with pytest.raises(ValueError, match="engine"):
@@ -541,11 +568,11 @@ class TestAdaptiveCandidates:
         graph, targets = graph_and_targets
         kwargs = {"iterations": 15} if attack_cls is BinarizedAttack else {}
         dense = attack_cls(**kwargs).attack(
-            graph, targets[:3], 4, candidates="adaptive",
+            graph, targets[:3], 4, candidates="adaptive_gradient",
             engine=DenseSurrogateEngine(graph, targets[:3]),
         )
         fast = attack_cls(**kwargs).attack(
-            graph, targets[:3], 4, candidates="adaptive"
+            graph, targets[:3], 4, candidates="adaptive_gradient"
         )
         assert dense.flips_by_budget == fast.flips_by_budget
 
@@ -561,11 +588,13 @@ class TestAdaptiveCandidates:
             return gradient(engine)
 
         monkeypatch.setattr(SparseSurrogateEngine, "candidate_gradient", recording)
-        result = GradMaxSearch().attack(graph, targets[:3], 5, candidates="adaptive")
+        result = GradMaxSearch().attack(
+            graph, targets[:3], 5, candidates="adaptive_gradient"
+        )
         incident = CandidateSet.target_incident(
             graph.number_of_nodes, targets[:3]
         )
-        assert result.metadata["candidate_strategy"] == "adaptive"
+        assert result.metadata["candidate_strategy"] == "adaptive_gradient"
         assert result.metadata["candidate_count"] >= len(incident)
         # the size of the set the final step searched: no refresh follows it
         assert len(searched) == result.metadata["steps_taken"] == 5
@@ -574,11 +603,11 @@ class TestAdaptiveCandidates:
     def test_adaptive_campaign_jobs(self, graph_and_targets):
         graph, targets = graph_and_targets
         jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:3]], budgets=[3],
-                         candidates="adaptive")
+                         candidates="adaptive_gradient")
         result = AttackCampaign(graph).run(jobs)
         for job, outcome in zip(jobs, result):
             solo = GradMaxSearch().attack(
-                graph, list(job.targets), job.budget, candidates="adaptive"
+                graph, list(job.targets), job.budget, candidates="adaptive_gradient"
             )
             assert {b: solo.flips(b) for b in solo.budgets} == outcome.flips_by_budget
 

@@ -54,9 +54,9 @@ class TestGradMaxEquivalence:
         assert result.flips()
         assert all(u in targets or v in targets for u, v in result.flips())
 
-    def test_two_hop_flips_stay_in_ball(self, graph_and_targets):
+    def test_neighbour_pair_flips_stay_in_set(self, graph_and_targets, neighbour_pair_set):
         graph, targets = graph_and_targets
-        candidate_set = CandidateSet.build("two_hop", graph, targets)
+        candidate_set = neighbour_pair_set(graph, targets)
         result = GradMaxSearch().attack(
             graph, targets, budget=6, candidates=candidate_set
         )
@@ -150,9 +150,11 @@ class TestBaselineEquivalence:
         )
         assert legacy.flips_by_budget == full.flips_by_budget
 
-    def test_heuristic_respects_candidate_restriction(self, graph_and_targets):
+    def test_heuristic_respects_candidate_restriction(
+        self, graph_and_targets, neighbour_pair_set
+    ):
         graph, targets = graph_and_targets
-        candidate_set = CandidateSet.build("two_hop", graph, targets)
+        candidate_set = neighbour_pair_set(graph, targets)
         result = OddBallHeuristic(rng=2).attack(
             graph, targets, budget=4, candidates=candidate_set
         )

@@ -6,10 +6,13 @@ from scipy import sparse
 
 from repro.attacks.candidates import CANDIDATE_STRATEGIES, CandidateSet
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.graph.graph import Graph
 from repro.oddball.surrogate import DenseSurrogateEngine, SparseSurrogateEngine
 
 ENGINES = {"dense": DenseSurrogateEngine, "sparse": SparseSurrogateEngine}
+
+#: An ``admit_cap`` no refresh pool in these tests reaches: every pooled
+#: pair is admitted.
+UNCAPPED = 10**9
 
 
 class TestFull:
@@ -57,31 +60,6 @@ class TestTargetIncident:
             CandidateSet.target_incident(5, [5])
 
 
-class TestTwoHop:
-    def test_covers_the_distance_two_ball(self):
-        # Path graph 0-1-2-3-4-5; target 0 reaches {0, 1, 2} within 2 hops.
-        graph = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
-        candidate_set = CandidateSet.two_hop(graph, [0])
-        assert set(candidate_set.pairs()) == {(0, 1), (0, 2), (1, 2)}
-
-    def test_superset_of_target_incident_restricted_to_ball(self, small_ba_graph):
-        targets = [0, 7]
-        two_hop = CandidateSet.two_hop(small_ba_graph, targets)
-        ball = {u for pair in two_hop.pairs() for u in pair}
-        incident = CandidateSet.target_incident(small_ba_graph.number_of_nodes, targets)
-        in_ball_incident = {
-            pair for pair in incident.pairs() if pair[0] in ball and pair[1] in ball
-        }
-        assert in_ball_incident <= set(two_hop.pairs())
-
-    def test_accepts_sparse_adjacency(self, small_er_graph):
-        dense_set = CandidateSet.two_hop(small_er_graph, [3])
-        sparse_set = CandidateSet.two_hop(
-            sparse.csr_matrix(small_er_graph.adjacency), [3]
-        )
-        assert dense_set.pairs() == sparse_set.pairs()
-
-
 class TestBuild:
     @pytest.mark.parametrize("strategy", CANDIDATE_STRATEGIES)
     def test_dispatch(self, small_er_graph, strategy):
@@ -89,6 +67,14 @@ class TestBuild:
         assert candidate_set.strategy == strategy
         assert candidate_set.n == small_er_graph.number_of_nodes
         assert len(candidate_set) > 0
+
+    @pytest.mark.parametrize("strategy", CANDIDATE_STRATEGIES)
+    def test_accepts_sparse_adjacency(self, small_er_graph, strategy):
+        dense_set = CandidateSet.build(strategy, small_er_graph, [3])
+        sparse_set = CandidateSet.build(
+            strategy, sparse.csr_matrix(small_er_graph.adjacency), [3]
+        )
+        assert dense_set.pairs() == sparse_set.pairs()
 
     def test_unknown_strategy(self, small_er_graph):
         with pytest.raises(ValueError, match="unknown candidate strategy"):
@@ -136,23 +122,9 @@ class TestFromPairsAndValidation:
         assert (0, 1) not in candidate_set
 
 
-class TestSparseExplicitZeros:
-    def test_two_hop_ignores_stored_zeros(self):
-        """Stored explicit zeros are valid zero entries (see to_sparse) and
-        must not be treated as neighbours when building the two-hop ball."""
-        # path graph 0-1-2 plus an explicit stored zero at (0, 3)
-        data = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        rows = np.array([0, 1, 1, 2, 0, 3])
-        cols = np.array([1, 0, 2, 1, 3, 0])
-        matrix = sparse.csr_matrix((data, (rows, cols)), shape=(5, 5))
-        assert matrix.nnz == 6
-        candidate_set = CandidateSet.two_hop(matrix, [0])
-        assert set(candidate_set.pairs()) == {(0, 1), (0, 2), (1, 2)}
-
-
 class TestGradientGrowth:
-    """AdaptiveCandidateSet with growth="gradient": admissions ranked by the
-    engine's predicted |dL/dA|, capped per refresh, superset invariant held."""
+    """AdaptiveCandidateSet: admissions ranked by the engine's predicted
+    |dL/dA|, capped per refresh, superset invariant held."""
 
     def _engine(self, graph, targets, candidate_set):
         from repro.oddball.surrogate import SurrogateEngine
@@ -165,7 +137,7 @@ class TestGradientGrowth:
 
         graph = barabasi_albert(200, 8, rng=9)
         targets = [0, 1]
-        candidate_set = AdaptiveCandidateSet.start(200, targets, growth="gradient")
+        candidate_set = AdaptiveCandidateSet.start(200, targets)
         return graph, targets, candidate_set
 
     def test_strategy_name_registered(self):
@@ -179,7 +151,6 @@ class TestGradientGrowth:
         graph = erdos_renyi(30, 0.2, rng=0)
         built = CandidateSet.build("adaptive_gradient", graph, [1, 2])
         assert built.strategy == "adaptive_gradient"
-        assert built.growth == "gradient"
 
     def test_starts_as_exact_target_incident(self):
         _, targets, candidate_set = self._setup()
@@ -225,12 +196,11 @@ class TestGradientGrowth:
         added = set(grown.pairs()) - set(candidate_set.pairs())
         cap = candidate_set.admit_cap
         assert 0 < len(added) <= cap
-        # adjacency growth over the same pool admits strictly more
-        adjacency_grown = AdaptiveCandidateSet(
-            n=candidate_set.n, rows=candidate_set.rows, cols=candidate_set.cols,
-            strategy="adaptive", ball=candidate_set.ball, growth="adjacency",
+        # an uncapped refresh over the same pool admits strictly more
+        uncapped_grown = AdaptiveCandidateSet.start(
+            200, targets, admit_cap=UNCAPPED
         ).refresh([(0, hub)], engine)
-        pool = set(adjacency_grown.pairs()) - set(candidate_set.pairs())
+        pool = set(uncapped_grown.pairs()) - set(candidate_set.pairs())
         assert added < pool
         # the admitted pairs are exactly the top-|gradient| slice of the pool
         pool_pairs = sorted(pool)
@@ -271,8 +241,9 @@ class TestGradientGrowth:
 def _reference_adaptive_refresh(candidate_set, flips, engine):
     """The set-of-tuples refresh the sorted-key one replaced, in plain Python.
 
-    Returns the grown set's pair list and ball.  The gradient policy ranks
-    the pool by (−|∂L/∂A|, key) and admits the first ``admit_cap``.
+    Returns the grown set's pair list and ball.  A pool larger than
+    ``admit_cap`` is ranked by (−|∂L/∂A|, key) and its first ``admit_cap``
+    admitted.
     """
     n = candidate_set.n
     new_nodes = sorted(
@@ -289,7 +260,7 @@ def _reference_adaptive_refresh(candidate_set, flips, engine):
         additions.update((w, x) if w < x else (x, w) for x in partners)
         ball.add(w)
     pool = sorted(additions - existing)
-    if candidate_set.growth == "gradient" and len(pool) > candidate_set.admit_cap:
+    if len(pool) > candidate_set.admit_cap:
         rows = np.array([u for u, _ in pool], dtype=np.intp)
         cols = np.array([v for _, v in pool], dtype=np.intp)
         magnitude = np.abs(engine.pair_gradient(rows, cols)).tolist()
@@ -303,19 +274,19 @@ def _reference_adaptive_refresh(candidate_set, flips, engine):
 
 class TestAdaptiveRefreshOracle:
     """The sorted-key adaptive refresh admits exactly what the set-of-tuples
-    reference admits, on random graphs, for both growth policies, on the
-    sparse engine and on the dense oracle."""
+    reference admits, on random graphs, with a pool capped by ``admit_cap``
+    and an uncapped one, on the sparse engine and on the dense oracle."""
 
     GRAPHS = {
         "ba": lambda seed: barabasi_albert(150, 6, rng=seed),
         "er": lambda seed: erdos_renyi(120, 0.08, rng=seed),
     }
 
-    def _start(self, graph, targets, growth, backend, admit_cap):
+    def _start(self, graph, targets, backend, admit_cap):
         from repro.attacks.candidates import AdaptiveCandidateSet
 
         candidate_set = AdaptiveCandidateSet.start(
-            graph.number_of_nodes, targets, growth=growth, admit_cap=admit_cap
+            graph.number_of_nodes, targets, admit_cap=admit_cap
         )
         engine = ENGINES[backend](
             graph.adjacency_view, targets, (candidate_set.rows, candidate_set.cols)
@@ -330,21 +301,23 @@ class TestAdaptiveRefreshOracle:
         assert grown.pairs() == expected_pairs
         assert grown.ball == expected_ball
         assert type(grown.ball) is frozenset
-        assert (grown.growth, grown.admit_cap, grown.strategy) == (
-            candidate_set.growth, candidate_set.admit_cap, candidate_set.strategy
+        assert (grown.admit_cap, grown.strategy) == (
+            candidate_set.admit_cap, candidate_set.strategy
         )
         return grown
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("growth", ["adjacency", "gradient"])
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
     @pytest.mark.parametrize("kind", ["ba", "er"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_landed_lists_match_reference(self, kind, seed, growth, backend):
+    def test_landed_lists_match_reference(self, kind, seed, capped, backend):
         graph = self.GRAPHS[kind](seed)
         n = graph.number_of_nodes
         rng = np.random.default_rng(seed)
         targets = sorted(int(t) for t in rng.choice(n, 2, replace=False))
-        current, engine = self._start(graph, targets, growth, backend, admit_cap=8)
+        current, engine = self._start(
+            graph, targets, backend, admit_cap=8 if capped else UNCAPPED
+        )
         for _ in range(4):
             a, b, c, d = (int(x) for x in rng.choice(n, 4, replace=False))
             landed_lists = [
@@ -365,14 +338,16 @@ class TestAdaptiveRefreshOracle:
                 current = grown
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("growth", ["adjacency", "gradient"])
-    def test_hub_and_leaf_entrants(self, growth, backend):
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+    def test_hub_and_leaf_entrants(self, capped, backend):
         graph = self.GRAPHS["ba"](4)
         degrees = graph.adjacency.sum(axis=1)
         order = np.argsort(-degrees, kind="stable")
         hub, leaf = int(order[0]), int(order[-1])
         targets = [t for t in (int(x) for x in order[40:]) if t != leaf][:2]
-        candidate_set, engine = self._start(graph, targets, growth, backend, admit_cap=16)
+        candidate_set, engine = self._start(
+            graph, targets, backend, admit_cap=16 if capped else UNCAPPED
+        )
         # the hub's pool exceeds the cap; the leaf's stays below it
         assert degrees[hub] > 16 + len(targets)
         assert degrees[leaf] + len(targets) + 1 < 16
@@ -383,7 +358,7 @@ class TestAdaptiveRefreshOracle:
         engine.apply_flip(targets[1], hub)
         after_hub = self._check(after_leaf, [(targets[1], hub)], engine)
         added = len(after_hub) - len(after_leaf)
-        assert added == 16 if growth == "gradient" else added > 16
+        assert added == 16 if capped else added > 16
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_pool_at_the_cap_boundary(self, backend):
@@ -391,13 +366,13 @@ class TestAdaptiveRefreshOracle:
 
         graph = self.GRAPHS["er"](5)
         targets, flip = [3, 40], (3, 77)
-        candidate_set, engine = self._start(graph, targets, "adjacency", backend, 1)
+        candidate_set, engine = self._start(graph, targets, backend, UNCAPPED)
         engine.apply_flip(*flip)
         pool = len(candidate_set.refresh([flip], engine)) - len(candidate_set)
         assert pool > 2
         for cap in (pool - 1, pool, pool + 1):
             capped = AdaptiveCandidateSet.start(
-                graph.number_of_nodes, targets, growth="gradient", admit_cap=cap
+                graph.number_of_nodes, targets, admit_cap=cap
             )
             grown = self._check(capped, [flip], engine)
             assert len(grown) - len(capped) == min(cap, pool)

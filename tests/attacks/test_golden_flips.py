@@ -1,4 +1,5 @@
-"""Golden flips: adaptive and block candidate refreshes are pinned, byte for byte.
+"""Golden flips: adaptive_gradient and block candidate refreshes are pinned,
+byte for byte.
 
 Each case is an attack, a candidate strategy and a single target on the
 10k ``blogcatalog-full`` store recipe (seed 7), run at budget 5.  Three
@@ -53,15 +54,6 @@ ATTACKS = {
 #: (attack, strategy, target) -> (digest of the flips, digest of the
 #: refresh trail, digest of the per-budget losses).
 GOLDEN = {
-    ("gradmaxsearch", "adaptive", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "457cd62806a2442413cf2cacca4fc0a4",
-        "d192cd742fc18377fcb68fb7580a4893"),
-    ("gradmaxsearch", "adaptive", 113): (
-        "8fb8059c8e8e718af81710de44669396", "5ce5bb4d929731e5fb9944195764a21a",
-        "f9ec446fc4ccc8979b988454db97fe3c"),
-    ("gradmaxsearch", "adaptive", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "35818cae95ed9b3798d5ef607e704627",
-        "2c053adfce2c10fc3e7691932965dad9"),
     ("gradmaxsearch", "adaptive_gradient", 1844): (
         "c435b09bbee753a4beb39a53c9a0b9e4", "350b96f70e2503fcdce008ee6c8e83c0",
         "d192cd742fc18377fcb68fb7580a4893"),

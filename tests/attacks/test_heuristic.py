@@ -120,11 +120,13 @@ class TestWeightedTargets:
 
 
 class TestCandidateRestriction:
+    @pytest.mark.parametrize("candidates", [None, "full"])
     def test_unrestricted_run_never_builds_the_full_pair_set(
-        self, small_ba_graph, monkeypatch
+        self, small_ba_graph, monkeypatch, candidates
     ):
-        """``candidates=None`` means ``full``, which restricts nothing, so
-        the heuristic must not materialise all n(n−1)/2 pairs for it."""
+        """``candidates=None`` and ``"full"`` restrict nothing, so the
+        heuristic must not materialise all n(n−1)/2 pairs for either, and
+        both pick the same flips."""
         from repro.attacks.candidates import CandidateSet
 
         def refuse(cls, n):
@@ -133,7 +135,9 @@ class TestCandidateRestriction:
         targets = OddBall().analyze(small_ba_graph).top_k(2).tolist()
         expected = OddBallHeuristic(rng=1).attack(small_ba_graph, targets, budget=4)
         monkeypatch.setattr(CandidateSet, "full", classmethod(refuse))
-        result = OddBallHeuristic(rng=1).attack(small_ba_graph, targets, budget=4)
+        result = OddBallHeuristic(rng=1).attack(
+            small_ba_graph, targets, budget=4, candidates=candidates
+        )
         assert result.flips()
         assert result.flips_by_budget == expected.flips_by_budget
         assert result.metadata["candidate_strategy"] == "full"
@@ -167,13 +171,18 @@ class TestCandidateRestriction:
                 small_ba_graph, [0], budget=4, candidates="target_incident"
             )
         assert result.flips() == []
-        assert any("candidate restriction" in r.message for r in caplog.records)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert any(
+            "candidate restriction" in m and "'full'" in m for m in warnings
+        )
 
-    def test_two_hop_keeps_the_heuristic_effective(self, small_ba_graph):
-        from repro.oddball.detector import OddBall
-
+    def test_neighbour_pair_set_keeps_the_heuristic_effective(
+        self, small_ba_graph, neighbour_pair_set
+    ):
         targets = OddBall().analyze(small_ba_graph).top_k(2).tolist()
+        candidate_set = neighbour_pair_set(small_ba_graph, targets)
         restricted = OddBallHeuristic(rng=0).attack(
-            small_ba_graph, targets, budget=4, candidates="two_hop"
+            small_ba_graph, targets, budget=4, candidates=candidate_set
         )
         assert restricted.flips()
+        assert set(restricted.flips()) <= candidate_set.pair_set()

@@ -4,7 +4,8 @@ Beyond the small deterministic graphs, this hosts the fixtures the
 campaign/executor/scheduler/store suites used to duplicate per-module:
 the 90-node BA campaign graph with its OddBall target ranking, the
 gradmaxsearch sweep-grid factory, the outcome bit-identity assertion,
-the kernel-backend switch and the cached blogcatalog store build.
+the kernel-backend switch, the neighbour-pair candidate set and the
+cached blogcatalog store build.
 """
 
 from __future__ import annotations
@@ -146,6 +147,25 @@ def migrated_by_key():
         return migrated
 
     return migrate
+
+
+@pytest.fixture(scope="session")
+def neighbour_pair_set():
+    """A custom candidate set over every pair of ``targets`` and their
+    neighbours: it holds pairs of two non-target neighbours of a target,
+    whose gradient runs through their common neighbours, which no built-in
+    strategy's initial set holds."""
+    from repro.attacks.candidates import CandidateSet
+
+    def build(graph, targets):
+        ball = set(int(t) for t in targets)
+        for t in targets:
+            ball.update(int(v) for v in np.flatnonzero(graph.adjacency[t]))
+        nodes = sorted(ball)
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        return CandidateSet.from_pairs(graph.number_of_nodes, pairs)
+
+    return build
 
 
 @pytest.fixture(scope="session")

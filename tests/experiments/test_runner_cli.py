@@ -42,3 +42,27 @@ class TestMain:
         assert "invalid choice: 'legacy-full'" in err
         for strategy in CANDIDATE_STRATEGIES:
             assert repr(strategy) in err
+
+    def test_kernels_choices_are_the_kernel_backends(self, capsys):
+        from repro.kernels import KERNEL_BACKENDS
+
+        with pytest.raises(SystemExit):
+            main(["--experiment", "fig4", "--kernels", "gpu"])
+        err = capsys.readouterr().err
+        offered = err.split("(choose from ", 1)[1].split(")")[0]
+        assert [name.strip("'") for name in offered.split(", ")] == list(KERNEL_BACKENDS)
+
+    @pytest.mark.parametrize(
+        "flags", [["--block-size", "64"], ["--block-seed", "3"]], ids=["size", "seed"]
+    )
+    @pytest.mark.parametrize(
+        "candidates", [[], ["--candidates", "target_incident"]],
+        ids=["default", "target_incident"],
+    )
+    def test_block_knobs_without_block_strategy_rejected(
+        self, capsys, flags, candidates
+    ):
+        with pytest.raises(SystemExit) as error:
+            main(["--experiment", "fig4", *candidates, *flags])
+        assert error.value.code == 2
+        assert "need the 'block' candidate strategy" in capsys.readouterr().err

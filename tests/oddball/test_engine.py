@@ -46,11 +46,14 @@ def graph_and_targets(request):
     return graph, _targets(graph)
 
 
-@pytest.fixture(params=["full", "target_incident", "two_hop"])
-def engine_pair(request, graph_and_targets):
+@pytest.fixture(params=["full", "target_incident", "neighbour_pairs"])
+def engine_pair(request, graph_and_targets, neighbour_pair_set):
     """(dense engine, sparse engine) over the same graph/targets/candidates."""
     graph, targets = graph_and_targets
-    candidate_set = CandidateSet.build(request.param, graph, targets)
+    if request.param == "neighbour_pairs":
+        candidate_set = neighbour_pair_set(graph, targets)
+    else:
+        candidate_set = CandidateSet.build(request.param, graph, targets)
     dense = DenseSurrogateEngine(graph, targets, candidate_set)
     sparse_eng = SurrogateEngine.create(graph, targets, candidate_set)
     return dense, sparse_eng

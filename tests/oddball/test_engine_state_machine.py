@@ -83,7 +83,7 @@ def _candidate_set(n: int, targets: "list[int]", seed: int):
     ``adaptive_gradient`` set (admitting at most 8 pairs a refresh),
     seed 4 a ``block`` of 150 pairs."""
     if seed == 3:
-        return AdaptiveCandidateSet.start(n, targets, growth="gradient", admit_cap=8)
+        return AdaptiveCandidateSet.start(n, targets, admit_cap=8)
     if seed == 4:
         return BlockCandidateSet.start(n, block_size=150, seed=5)
     return _candidate_pool(n, targets, seed)
@@ -420,7 +420,7 @@ def test_restore_fixes_up_a_carried_pair_cache(store, kernels, use_kernels):
     graph = store.detached_csr()
     clean = _dense(graph)
     n, targets = clean.shape[0], TARGET_SETS[0]
-    candidates = AdaptiveCandidateSet.start(n, targets, growth="gradient", admit_cap=8)
+    candidates = AdaptiveCandidateSet.start(n, targets, admit_cap=8)
     engine = SparseSurrogateEngine(graph, targets, candidates)
 
     def check(adj, pairs):
@@ -460,7 +460,7 @@ def test_refresh_regroups_pairs_whose_hub_changed(kernels, use_kernels):
     pairs = [(1, 2), (1, 3), (2, 5), (3, 5), (5, 6), (5, 7), (5, 8), (5, 9)]
     candidates = AdaptiveCandidateSet(
         n=n, rows=np.array([u for u, _ in pairs]), cols=np.array([v for _, v in pairs]),
-        strategy="adaptive", ball=frozenset({1}),
+        strategy="adaptive_gradient", ball=frozenset({1}),
     )
     engine = SparseSurrogateEngine(sparse.csr_matrix(adjacency), [1], candidates)
 

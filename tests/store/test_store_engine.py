@@ -90,7 +90,7 @@ class TestMmapNeverWritten:
         targets = top_targets(store)
         with assert_readonly_mmap(store, context="gradmax over store"):
             GradMaxSearch().attack(
-                store, targets, budget=5, candidates="adaptive"
+                store, targets, budget=5, candidates="adaptive_gradient"
             )
         assert np.array_equal(before[0], np.asarray(csr.data))
         assert np.array_equal(before[1], np.asarray(csr.indices))
