@@ -9,7 +9,7 @@ The linter checks source; these audits check the *live objects*:
   method added to one engine but not the other silently forks the parity
   surface the whole test strategy assumes.
 * :func:`audit_parity_coverage` — every attack in
-  :data:`~repro.attacks.campaign.SHARED_ENGINE_ATTACKS` must have a
+  :data:`~repro.attacks.ATTACK_REGISTRY` must have a
   registered backend-parity test (found by reflecting the registry and
   AST-scanning the parity test modules).  An attack wired into the
   campaign without a parity test is an attack whose sparse path is
@@ -19,7 +19,7 @@ The linter checks source; these audits check the *live objects*:
   numpy-vs-compiled ``*Parity*`` test class.  The compiled backend's whole
   contract is bit-identity with the numpy oracle; a kernel without a
   parity test has no contract.
-* :func:`audit_block_parity_coverage` — every shared-engine attack must
+* :func:`audit_block_parity_coverage` — every registered attack must
   additionally appear in a ``*Block*Parity*`` test class: the ``block``
   candidate strategy's degenerate mode (block covering every pair) promises
   bit-identical flips to ``full`` for *every* attack, so an attack wired
@@ -163,15 +163,15 @@ def _identifiers_in_parity_classes(tree: ast.Module) -> "set[str]":
 
 
 def audit_parity_coverage(test_paths: "list[Path] | None" = None) -> "list[Finding]":
-    """Every ``SHARED_ENGINE_ATTACKS`` entry needs a registered parity test.
+    """Every ``ATTACK_REGISTRY`` entry needs a registered parity test.
 
     Reflects the attack registry (name → class), AST-scans the parity
     test modules for classes whose name contains ``Parity``, and reports
-    any shared-engine attack whose class name (or registry name string)
-    never appears inside one.
+    any attack whose class name (or registry name string) never appears
+    inside one.  Every registered attack runs on the campaign's shared
+    engine, so this is the whole campaign surface.
     """
     from repro.attacks import ATTACK_REGISTRY
-    from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
 
     if test_paths is None:
         test_dir = _default_parity_test_dir()
@@ -183,7 +183,7 @@ def audit_parity_coverage(test_paths: "list[Path] | None" = None) -> "list[Findi
                     line=1,
                     message=(
                         f"parity test directory {test_dir} not found; cannot "
-                        "verify SHARED_ENGINE_ATTACKS coverage"
+                        "verify ATTACK_REGISTRY coverage"
                     ),
                 )
             ]
@@ -197,31 +197,17 @@ def audit_parity_coverage(test_paths: "list[Path] | None" = None) -> "list[Findi
             continue
 
     findings: list[Finding] = []
-    for attack_name in sorted(SHARED_ENGINE_ATTACKS):
-        attack_cls = ATTACK_REGISTRY.get(attack_name)
-        if attack_cls is None:
-            findings.append(
-                Finding(
-                    rule=_COVERAGE_RULE,
-                    path="attacks/campaign.py",
-                    line=1,
-                    message=(
-                        f"SHARED_ENGINE_ATTACKS entry {attack_name!r} is not "
-                        "in ATTACK_REGISTRY"
-                    ),
-                )
-            )
-            continue
+    for attack_name, attack_cls in sorted(ATTACK_REGISTRY.items()):
         if attack_cls.__name__ not in tokens and attack_name not in tokens:
             findings.append(
                 Finding(
                     rule=_COVERAGE_RULE,
-                    path="attacks/campaign.py",
+                    path="attacks/__init__.py",
                     line=1,
                     message=(
                         f"attack {attack_name!r} ({attack_cls.__name__}) has "
                         "no backend-parity test class referencing it; every "
-                        "SHARED_ENGINE_ATTACKS member needs one"
+                        "ATTACK_REGISTRY member needs one"
                     ),
                 )
             )
@@ -292,7 +278,7 @@ def audit_kernel_parity_coverage(
 def audit_block_parity_coverage(
     test_paths: "list[Path] | None" = None,
 ) -> "list[Finding]":
-    """Every ``SHARED_ENGINE_ATTACKS`` entry needs a block-degeneracy test.
+    """Every ``ATTACK_REGISTRY`` entry needs a block-degeneracy test.
 
     The ``block`` candidate strategy promises that a block covering every
     pair selects bit-identical flips to ``full`` for *every* attack (the
@@ -303,7 +289,6 @@ def audit_block_parity_coverage(
     suite fails the same CI gate as one without a backend-parity test.
     """
     from repro.attacks import ATTACK_REGISTRY
-    from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
 
     if test_paths is None:
         test_dir = _default_parity_test_dir()
@@ -330,20 +315,17 @@ def audit_block_parity_coverage(
         tokens |= _identifiers_in_classes(tree, "block", "parity")
 
     findings: list[Finding] = []
-    for attack_name in sorted(SHARED_ENGINE_ATTACKS):
-        attack_cls = ATTACK_REGISTRY.get(attack_name)
-        if attack_cls is None:
-            continue  # already reported by audit_parity_coverage
+    for attack_name, attack_cls in sorted(ATTACK_REGISTRY.items()):
         if attack_cls.__name__ not in tokens and attack_name not in tokens:
             findings.append(
                 Finding(
                     rule=_BLOCK_RULE,
-                    path="attacks/campaign.py",
+                    path="attacks/__init__.py",
                     line=1,
                     message=(
                         f"attack {attack_name!r} ({attack_cls.__name__}) has "
                         "no *Block*Parity* test class referencing it; every "
-                        "SHARED_ENGINE_ATTACKS member needs a degenerate-"
+                        "ATTACK_REGISTRY member needs a degenerate-"
                         "block-equals-full parity test"
                     ),
                 )

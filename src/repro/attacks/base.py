@@ -185,6 +185,9 @@ class StructuralAttack(abc.ABC):
     ``candidates`` restricts the decision variables to a candidate pair set
     (strategy name, :class:`CandidateSet` or ``None``, which means
     ``"full"``).
+
+    ``engine`` is an optional pre-built :class:`SurrogateEngine` of the same
+    graph to run on (the campaign passes its shared engine to every attack).
     """
 
     name: str = "structural-attack"
@@ -197,6 +200,7 @@ class StructuralAttack(abc.ABC):
         budget: int,
         target_weights: "Sequence[float] | None" = None,
         candidates: "CandidateSet | str | None" = None,
+        engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         """Poison ``graph`` to hide ``targets`` using at most ``budget`` flips."""
 

@@ -52,15 +52,13 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.attacks.base import AttackResult, validate_targets
-from repro.attacks.binarized import BinarizedAttack
 from repro.attacks.candidates import CANDIDATE_STRATEGIES
-from repro.attacks.continuous import ContinuousA
-from repro.attacks.gradmax import GradMaxSearch
 from repro.graph.graph import Graph
 from repro.graph.sparse import content_hash, to_sparse
 from repro.oddball.regression import fit_power_law
 from repro.oddball.scores import rank_nodes, rank_positions, score_from_features
 from repro.oddball.surrogate import SurrogateEngine
+from repro.utils.jsonlog import JsonLog, parse_line
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_adjacency, check_budget
 
@@ -70,7 +68,6 @@ __all__ = [
     "CampaignResult",
     "CheckpointStore",
     "JobOutcome",
-    "SHARED_ENGINE_ATTACKS",
     "grid_jobs",
 ]
 
@@ -99,16 +96,6 @@ def _constructor_parameters(attack_class) -> frozenset:
     """
     return frozenset(inspect.signature(attack_class.__init__).parameters) - {"self"}
 
-
-#: Every attack that accepts an injected ``engine=`` in ``attack()`` — the
-#: gradient attacks plus the baselines (which use the shared engine as a
-#: graph-state backend: O(deg) probes and O(n) feature scoring instead of a
-#: per-job feature rebuild).  The campaign wraps all of them in
-#: checkpoint()/restore().
-SHARED_ENGINE_ATTACKS = frozenset({
-    BinarizedAttack.name, GradMaxSearch.name, ContinuousA.name,
-    "random", "oddball-heuristic",
-})
 
 _CHECKPOINT_VERSION = 3
 
@@ -530,10 +517,13 @@ class CheckpointStore:
     lines happen to come from one worker, and ``resume`` works across runs
     with different worker counts.
 
-    Appends are O(1) per job (never a rewrite).  Every line is decoded on
-    its own (:meth:`read_line`): a line torn by a hard kill or holding a
-    corrupt byte is skipped on load, and the next append starts a fresh
-    line after it, costing exactly that one job.
+    The file is a :class:`~repro.utils.jsonlog.JsonLog`, which owns the
+    durability rules: appends are O(1) per job (never a rewrite), a line
+    torn by a hard kill or holding a corrupt byte is skipped on load, and
+    the next append starts a fresh line after it, costing exactly that one
+    job.  The log is held, not inherited: :meth:`append` must stay defined
+    on this class, where profilers wrap it, without wrapping the telemetry
+    sink's appends too.
 
     The header's ``fingerprint`` is :func:`graph_fingerprint`: one content
     hash per graph, so any backing of the same graph (store, payload CSR,
@@ -547,16 +537,17 @@ class CheckpointStore:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self.n = int(n)
+        header = {"version": _CHECKPOINT_VERSION, "fingerprint": fingerprint, "n": self.n}
+        self._log = JsonLog(self.path, "checkpoint", json.dumps(header).encode())
 
     def load(self) -> dict[str, JobOutcome]:
         """Completed outcomes keyed by job id ({} when the file is absent).
 
-        Resilient to a crash mid-append: a line :meth:`read_line` cannot
-        read (torn by a hard kill, holding a byte that is not UTF-8, or
-        parsing to JSON with fields missing) is skipped with a warning that
-        names the file, costing exactly that one job.  A file consisting
-        only of a torn *header* (the very first append died mid-write)
-        loads as empty; the next append rewrites it.  Loading never writes.
+        Resilient to a crash mid-append (the rules of
+        :class:`~repro.utils.jsonlog.JsonLog`): a line :meth:`read_line`
+        cannot read is skipped with a warning that names the file, costing
+        exactly that one job, and a file holding only a torn *header* loads
+        as empty.  Loading never writes.
         """
         outcomes: dict[str, JobOutcome] = {}
         self._fold(outcomes)
@@ -574,34 +565,11 @@ class CheckpointStore:
         header line all read as ``None``.
         """
         try:
-            return JobOutcome.from_dict(json.loads(line.decode()))
+            return JobOutcome.from_dict(parse_line(line))
         except (KeyError, TypeError, ValueError):
             return None
 
-    def _records(self) -> "list[bytes]":
-        """The outcome lines after a checked header ([] when absent)."""
-        try:
-            lines = self.path.read_bytes().splitlines()
-        except FileNotFoundError:
-            return []
-        if not lines:
-            return []
-        try:
-            header = json.loads(lines[0].decode())
-        except ValueError as error:
-            if not any(line.strip() for line in lines[1:]):
-                # The first-ever append crashed mid-header: nothing was
-                # completed, so an empty checkpoint is the truthful state
-                # (the next append starts the file over).
-                _log.warning(
-                    "checkpoint %s has a torn header and no records; "
-                    "treating it as empty", self.path,
-                )
-                return []
-            raise ValueError(
-                f"checkpoint {self.path} has a corrupt header; "
-                "delete it to start the campaign fresh"
-            ) from error
+    def _check_header(self, header: dict) -> None:
         if header.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint {self.path} has unsupported version "
@@ -612,23 +580,12 @@ class CheckpointStore:
                 f"checkpoint {self.path} was written for a different "
                 "graph; delete it or point the campaign elsewhere"
             )
-        return lines[1:]
 
     def _fold(self, into: "dict[str, JobOutcome]") -> "list[bytes]":
         """Add this file's outcomes new to ``into``; returns their lines."""
         added = []
-        for line in self._records():
-            if not line.strip():
-                continue
-            outcome = self.read_line(line)
-            if outcome is None:
-                # torn by a hard kill (appends after a tear start a fresh
-                # line, so only the torn record itself is lost) or corrupt
-                _log.warning(
-                    "checkpoint %s has a truncated or unreadable entry; "
-                    "ignoring that job", self.path,
-                )
-                continue
+        _, records = self._log.read(self._check_header, self.read_line)
+        for line, outcome in records:
             if outcome.job_id in into:
                 # A requeued job completed twice (its first worker was slow
                 # but alive): both records describe the same deterministic
@@ -646,35 +603,7 @@ class CheckpointStore:
 
     def append(self, outcome: JobOutcome) -> None:
         """Append one completed job (O(1); creates file + header on demand)."""
-        self._append_lines([json.dumps(outcome.to_dict()).encode()])
-
-    def _append_lines(self, lines: "list[bytes]") -> None:
-        """Append outcome lines in one write, creating the header on demand."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+b") as handle:
-            end, head = handle.seek(0, 2), b""
-            if end:
-                # A hard kill can leave the previous append torn WITHOUT a
-                # trailing newline; appending straight after it would glue
-                # two records into one unparsable line and lose the glued-on
-                # job too.  Start a fresh line whenever the file does not
-                # end in one, so a tear costs exactly the torn record.  A
-                # file with no newline at all is a torn header: start over.
-                handle.seek(-1, 2)
-                if handle.read(1) != b"\n":
-                    handle.seek(0)
-                    if b"\n" in handle.read():
-                        head = b"\n"
-                    else:
-                        end = handle.truncate(0)
-            if not end:
-                header = {
-                    "version": _CHECKPOINT_VERSION,
-                    "fingerprint": self.fingerprint,
-                    "n": self.n,
-                }
-                head = json.dumps(header).encode() + b"\n"
-            handle.write(head + b"".join(line + b"\n" for line in lines))
+        self._log.append([json.dumps(outcome.to_dict()).encode()])
 
     def merge_from(self, *others: "CheckpointStore") -> dict[str, JobOutcome]:
         """Fold other stores' outcomes into this file; every outcome it holds.
@@ -685,7 +614,7 @@ class CheckpointStore:
         outcomes = self.load()
         lines = [line for other in others for line in other._fold(outcomes)]
         if lines:
-            self._append_lines(lines)
+            self._log.append(lines)
         return outcomes
 
 
@@ -830,24 +759,8 @@ class AttackCampaign:
         attack = job.build_attack()
         engine = self._ensure_engine(job)
         start = time.perf_counter()
-        if job.attack in SHARED_ENGINE_ATTACKS:
-            token = engine.checkpoint()
-            try:
-                with _telemetry.span("job.attack"):
-                    result = attack.attack(
-                        self._original,
-                        list(job.targets),
-                        job.budget,
-                        target_weights=job.weights,
-                        candidates=job.candidates,
-                        engine=engine,
-                    )
-            finally:
-                # Always roll the job's flips back — an exception (or the
-                # KeyboardInterrupt of an interrupted campaign) must not
-                # leave the NEXT job running on a silently poisoned engine.
-                engine.restore(token)
-        else:
+        token = engine.checkpoint()
+        try:
             with _telemetry.span("job.attack"):
                 result = attack.attack(
                     self._original,
@@ -855,7 +768,13 @@ class AttackCampaign:
                     job.budget,
                     target_weights=job.weights,
                     candidates=job.candidates,
+                    engine=engine,
                 )
+        finally:
+            # Always roll the job's flips back — an exception (or the
+            # KeyboardInterrupt of an interrupted campaign) must not
+            # leave the NEXT job running on a silently poisoned engine.
+            engine.restore(token)
         seconds = time.perf_counter() - start
         with _telemetry.span("job.score"):
             score_before, score_after, rank_shifts = self._score(job, result)

@@ -179,7 +179,7 @@ def _cmd_campaign(args) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI dispatcher (``python -m repro.store``)."""
-    from repro.attacks import ATTACK_REGISTRY
+    from repro.attacks import ATTACK_REGISTRY, AttackJob
     from repro.attacks.candidates import CANDIDATE_STRATEGIES, block_params
     from repro.kernels import KERNEL_BACKENDS
 
@@ -239,6 +239,10 @@ def main(argv: "list[str] | None" = None) -> int:
         try:
             args.block_params = block_params(
                 args.candidates, args.block_size, args.block_seed
+            )
+            # the job grid's own checks, before the store is opened or built
+            AttackJob.make(
+                args.attack, [], args.budget, args.candidates, **args.block_params
             )
         except ValueError as exc:
             campaign.error(str(exc))

@@ -9,7 +9,8 @@ store → engine → campaign → executor → scheduler:
   opens) and accumulated **counters** (per-kernel call counts +
   cumulative ns, candidate-set admissions/evictions);
 * records land in append-only JSONL :class:`TelemetrySink` files — one
-  per worker, torn-write tolerant exactly like the campaign
+  per worker, written through the same torn-write-tolerant
+  :class:`~repro.utils.jsonlog.JsonLog` as the campaign
   :class:`~repro.attacks.campaign.CheckpointStore` — and
   :func:`load_trace_dir` merges them into one coherent timeline (the
   machine-wide monotonic clock makes cross-process timestamps

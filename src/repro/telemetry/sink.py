@@ -1,12 +1,12 @@
 """Torn-write-tolerant JSONL telemetry sinks (one file per worker).
 
-A sink is an append-only JSONL file: one header line naming the format
-version and the writing worker, then one JSON record per line.  The
-format deliberately mirrors the campaign layer's
-:class:`~repro.attacks.campaign.CheckpointStore` durability contract —
-every record is durable the moment its line is flushed, a ``kill -9``
-can tear at most the trailing line, and the loader skips a torn record
-with a warning instead of failing the whole trace.
+A sink is a :class:`~repro.utils.jsonlog.JsonLog`, the append-only JSONL
+log the campaign layer's :class:`~repro.attacks.campaign.CheckpointStore`
+also writes: one header line naming the format version and the writing
+worker, then one JSON record per line.  Every record is durable the
+moment its line is flushed, a ``kill -9`` can tear at most the trailing
+line, and the loader skips an unreadable record with a warning instead
+of failing the whole trace.
 
 Workers write *separate* files (``trace-<worker>.jsonl``) inside one
 trace directory, so no cross-process write coordination is ever needed;
@@ -23,7 +23,7 @@ import json
 import threading
 from pathlib import Path
 
-from repro.utils.logging import get_logger
+from repro.utils.jsonlog import JsonLog, parse_line
 
 __all__ = [
     "TELEMETRY_FORMAT",
@@ -33,8 +33,6 @@ __all__ = [
     "load_trace_dir",
     "sink_path",
 ]
-
-_log = get_logger("telemetry.sink")
 
 TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
@@ -63,36 +61,17 @@ class TelemetrySink:
     def __init__(self, path: "Path | str", worker: str = "main"):
         self.path = Path(path)
         self.worker = str(worker)
+        header = {"format": TELEMETRY_FORMAT, "version": TELEMETRY_VERSION, "worker": self.worker}
+        self._log = JsonLog(path, "telemetry sink", json.dumps(header, sort_keys=True).encode())
         self._handle = None
         self._lock = threading.Lock()
-
-    def _open(self) -> None:
-        """Create/repair the file and position the handle for clean appends."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            header = {
-                "format": TELEMETRY_FORMAT,
-                "version": TELEMETRY_VERSION,
-                "worker": self.worker,
-            }
-            self.path.write_text(json.dumps(header, sort_keys=True) + "\n")
-        # A hard kill can leave the previous append torn WITHOUT a trailing
-        # newline; appending straight after it would glue two records into
-        # one unparsable line (the CheckpointStore.append failure mode).
-        # Start a fresh line so a tear costs exactly the torn record.
-        with self.path.open("rb") as reader:
-            reader.seek(-1, 2)
-            torn = reader.read(1) != b"\n"
-        self._handle = self.path.open("ab")
-        if torn:
-            self._handle.write(b"\n")
 
     def append(self, record: dict) -> None:
         """Append one JSON record (opens the file + header on first use)."""
         line = (json.dumps(record, sort_keys=True) + "\n").encode()
         with self._lock:
             if self._handle is None:
-                self._open()
+                self._handle = self._log.open()
             self._handle.write(line)
             self._handle.flush()
 
@@ -105,66 +84,38 @@ class TelemetrySink:
 
 
 def load_events(path: "Path | str") -> "list[dict]":
-    """Records of one sink file, header excluded, torn lines skipped.
+    """Records of one sink file, header excluded, unreadable lines skipped.
 
-    Mirrors :meth:`CheckpointStore.load` resilience: a record torn by a
-    hard kill — unparseable JSON, or JSON that is not a telemetry record —
-    is skipped with a warning; a file holding only a torn header loads as
-    empty.  Every returned record carries a ``worker`` key (defaulted from
-    the header for old records).
+    The file follows the :class:`~repro.utils.jsonlog.JsonLog` rules: a
+    line torn by a hard kill, holding a byte that is not UTF-8, or parsing
+    to JSON that is not a telemetry record is skipped with a warning that
+    names the file, and a file holding only a torn header loads as empty.
+    Every returned record carries a ``worker`` key (defaulted from the
+    header for old records).
     """
     path = Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_text().splitlines()
-    if not lines:
-        return []
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        if not any(line.strip() for line in lines[1:]):
-            _log.warning(
-                "telemetry sink %s has a torn header and no records; "
-                "treating it as empty", path,
+
+    def check_header(header: dict) -> None:
+        if header.get("format") != TELEMETRY_FORMAT:
+            raise ValueError(
+                f"{path} is not a telemetry sink (format "
+                f"{header.get('format')!r})"
             )
-            return []
-        raise ValueError(
-            f"telemetry sink {path} has a corrupt header; delete it to "
-            "start a fresh trace"
-        ) from None
-    if header.get("format") != TELEMETRY_FORMAT:
-        raise ValueError(
-            f"{path} is not a telemetry sink (format "
-            f"{header.get('format')!r})"
-        )
-    if header.get("version") != TELEMETRY_VERSION:
-        raise ValueError(
-            f"telemetry sink {path} has unsupported version "
-            f"{header.get('version')!r}"
-        )
+        if header.get("version") != TELEMETRY_VERSION:
+            raise ValueError(
+                f"telemetry sink {path} has unsupported version "
+                f"{header.get('version')!r}"
+            )
+
+    header, records = JsonLog(path, "telemetry sink").read(check_header, _read_event)
     worker = str(header.get("worker", path.stem))
-    events: "list[dict]" = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            # a record torn by a hard kill — appends after a tear start a
-            # fresh line, so only the torn record itself is lost
-            _log.warning(
-                "telemetry sink %s has a truncated record; skipping it", path,
-            )
-            continue
-        if not isinstance(record, dict) or "kind" not in record:
-            _log.warning(
-                "telemetry sink %s has a malformed record; skipping it", path,
-            )
-            continue
-        record.setdefault("worker", worker)
-        events.append(record)
-    return events
+    return [{"worker": worker, **record} for _, record in records]
+
+
+def _read_event(line: bytes) -> "dict | None":
+    """The telemetry record on one sink line, ``None`` if it holds none."""
+    record = parse_line(line)
+    return record if isinstance(record, dict) and "kind" in record else None
 
 
 def load_trace_dir(directory: "Path | str") -> "list[dict]":

@@ -19,13 +19,13 @@ class TestParityCoverageAudit:
         assert audit_parity_coverage() == []
 
     def test_empty_test_set_reports_every_attack(self):
-        from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
+        from repro.attacks import ATTACK_REGISTRY
 
         findings = audit_parity_coverage(test_paths=[])
-        assert len(findings) == len(SHARED_ENGINE_ATTACKS)
+        assert len(findings) == len(ATTACK_REGISTRY)
         assert all(f.rule == "parity-test-coverage" for f in findings)
         named = " ".join(f.message for f in findings)
-        for attack_name in SHARED_ENGINE_ATTACKS:
+        for attack_name in ATTACK_REGISTRY:
             assert attack_name in named
 
     def test_partial_coverage_reports_only_the_missing(self, tmp_path):
@@ -97,13 +97,13 @@ class TestBlockParityCoverageAudit:
         assert audit_block_parity_coverage() == []
 
     def test_empty_test_set_reports_every_attack(self):
-        from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
+        from repro.attacks import ATTACK_REGISTRY
 
         findings = audit_block_parity_coverage(test_paths=[])
-        assert len(findings) == len(SHARED_ENGINE_ATTACKS)
+        assert len(findings) == len(ATTACK_REGISTRY)
         assert all(f.rule == "block-parity-coverage" for f in findings)
         named = " ".join(f.message for f in findings)
-        for attack_name in SHARED_ENGINE_ATTACKS:
+        for attack_name in ATTACK_REGISTRY:
             assert attack_name in named
 
     def test_plain_parity_class_does_not_count(self, tmp_path):

@@ -4,7 +4,7 @@ Locks the ``block`` strategy's contracts: |candidates| ≤ block_size at
 every step, flipped pairs are never evicted, identical seeds reproduce
 identical candidate sequences across dense/sparse backends and
 numpy/compiled kernels, the degenerate block (covering every pair) selects
-bit-identical flips to ``full`` for every ``SHARED_ENGINE_ATTACKS`` member,
+bit-identical flips to ``full`` for every ``ATTACK_REGISTRY`` member,
 and the candidate footprint stays O(block_size) regardless of n.
 """
 
@@ -295,7 +295,7 @@ class TestBlockSequenceBackendParity:
 
 class TestBlockDegenerateParity:
     """``block`` with block_size ≥ n(n−1)/2 must select bit-identical flips
-    to ``full`` for every attack in ``SHARED_ENGINE_ATTACKS`` — the anchor
+    to ``full`` for every attack in ``ATTACK_REGISTRY`` — the anchor
     that makes sub-full blocks a pure memory/quality trade."""
 
     ENGINE_CASES = {

@@ -46,3 +46,22 @@ def test_campaign_rejects_block_knobs_without_block(capsys, tmp_path, flags, can
     assert error.value.code == 2
     assert "need the 'block' candidate strategy" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # rejected before any store build
+
+
+@pytest.mark.parametrize("attack", ["random", "oddball-heuristic"])
+def test_campaign_rejects_block_size_for_attacks_without_it(
+    capsys, monkeypatch, tmp_path, attack
+):
+    """The baselines take no ``block_size``: the job grid's check fails in
+    ``main()`` with a usage error, before the store is resolved or built."""
+    import repro.store.cli as cli
+
+    resolved = []
+    monkeypatch.setattr(cli, "_resolve_store", lambda *a, **k: resolved.append(a))
+    with pytest.raises(SystemExit) as error:
+        main(["campaign", "er", "--cache", str(tmp_path), "--attack", attack,
+              "--candidates", "block", "--block-size", "64"])
+    assert error.value.code == 2
+    assert f"{attack} does not accept parameter(s) ['block_size']" in capsys.readouterr().err
+    assert resolved == []
+    assert not any(tmp_path.iterdir())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -67,43 +69,10 @@ class TestRoundtrip:
 
 
 class TestTornWrites:
-    def test_truncated_trailing_record_is_skipped(self, tmp_path):
-        path = sink_path(tmp_path, "w0")
-        sink = TelemetrySink(path, worker="w0")
-        sink.append(_record("kept"))
-        sink.append(_record("torn"))
-        sink.close()
-        # Tear mid-record, exactly what a hard kill mid-write leaves.
-        data = path.read_bytes()
-        path.write_bytes(data[:-9])
-        events = load_events(path)
-        assert [e["name"] for e in events] == ["kept"]
-
-    def test_append_after_tear_starts_a_fresh_line(self, tmp_path):
-        path = sink_path(tmp_path, "w0")
-        sink = TelemetrySink(path, worker="w0")
-        sink.append(_record("kept"))
-        sink.append(_record("torn"))
-        sink.close()
-        path.write_bytes(path.read_bytes()[:-9])
-        repaired = TelemetrySink(path, worker="w0")
-        repaired.append(_record("after"))
-        repaired.close()
-        # the new record must not be glued onto the torn line
-        assert [e["name"] for e in load_events(path)] == ["kept", "after"]
-
-    def test_torn_header_only_loads_empty(self, tmp_path):
-        path = sink_path(tmp_path, "w0")
-        path.write_text('{"format": "repro-telem')
-        assert load_events(path) == []
-
-    def test_corrupt_header_with_records_raises(self, tmp_path):
-        path = sink_path(tmp_path, "w0")
-        path.write_text(
-            '{"broken\n' + json.dumps(_record("a")) + "\n"
-        )
-        with pytest.raises(ValueError, match="corrupt header"):
-            load_events(path)
+    """Sink-specific record rules and the trace-sink fault sweeps.  The log
+    rules the sink shares with checkpoints (torn tail, append after a tear,
+    torn header, corrupt header, non-UTF-8 record) are checked over both
+    formats in ``tests/utils/test_jsonlog.py``."""
 
     def test_malformed_record_is_skipped(self, tmp_path):
         path = sink_path(tmp_path, "w0")
@@ -114,6 +83,50 @@ class TestTornWrites:
             handle.write('["not", "a", "record"]\n')
             handle.write('{"no_kind": true}\n')
         assert [e["name"] for e in load_events(path)] == ["good"]
+
+    @staticmethod
+    def _two_record_sink(tmp_path):
+        path = sink_path(tmp_path, "w0")
+        sink = TelemetrySink(path, worker="w0")
+        sink.append(_record("a", 1))
+        sink.append(_record("b", 2))
+        sink.close()
+        return path
+
+    def test_chaos_trace_sink_truncated_at_every_byte_offset(self, tmp_path):
+        """Wherever a kill cuts the file, the loader returns the records
+        wholly before the cut (a torn header: none) and never raises."""
+        path = self._two_record_sink(tmp_path)
+        data = path.read_bytes()
+        _, end_a, end_b = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            complete = (cut >= end_a) + (cut >= end_b)
+            names = [e["name"] for e in load_events(path)]
+            assert names == ["a", "b"][:complete], cut
+
+    def test_chaos_trace_sink_byte_flipped_at_sampled_offsets(self, tmp_path, caplog):
+        """A byte flipped anywhere either costs records, with a warning
+        naming the file, or fails the load with a ``ValueError`` naming
+        it; a byte that is not UTF-8 never fails the whole trace."""
+        path = self._two_record_sink(tmp_path)
+        data = path.read_bytes()
+        newlines = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        sampled = np.random.default_rng(0).choice(len(data), 48, replace=False)
+        for offset in sorted({0, *newlines, *sampled.tolist()}):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            caplog.clear()
+            try:
+                with caplog.at_level(logging.WARNING):
+                    names = [e["name"] for e in load_trace_dir(tmp_path)]
+            except ValueError as error:
+                assert not isinstance(error, UnicodeDecodeError), offset
+                assert str(path) in str(error), offset
+                continue
+            assert names in (["a"], ["b"], []), offset
+            assert any(str(path) in r.getMessage() for r in caplog.records), offset
 
 
 class TestHeaderValidation:
