@@ -1,4 +1,5 @@
-"""Ablation benches for BinarizedAttack's design choices (DESIGN.md §5).
+"""Ablation benches for BinarizedAttack's design choices (see the module
+docstring of :mod:`repro.attacks.binarized`).
 
 Not a paper artefact — these quantify the two implementation decisions the
 reproduction documents: gradient normalisation and the λ sweep.

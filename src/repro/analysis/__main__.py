@@ -1,9 +1,9 @@
-"""CLI: ``python -m repro.analysis [paths] [--baseline FILE] [--format github]``.
+"""CLI: ``python -m repro.analysis [paths] [--root DIR] [--format github]``.
 
 Exit status is the contract CI relies on: 0 when every finding is
-suppressed (pragma) or grandfathered (baseline) and the reflection
-audits pass; 1 otherwise.  ``--format github`` emits workflow commands
-(``::error file=...``) so findings surface as inline PR annotations.
+suppressed by a pragma, 1 otherwise.  ``--format github`` emits workflow
+commands (``::error file=...``) so findings surface as inline PR
+annotations.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis import rules as _rules  # noqa: F401 — registers the rules
-from repro.analysis.audit import run_audits
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import RULE_REGISTRY, analyze_paths
 
 
@@ -22,9 +20,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Invariant linter + parity audits for the repro codebase: "
-            "hot-path densification, unseeded randomness, mmap write "
-            "safety, checkpoint JSON purity, spec picklability."
+            "Invariant linter for the repro codebase: hot-path "
+            "densification, unseeded randomness, mmap write safety."
         ),
     )
     parser.add_argument(
@@ -40,26 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory rule scopes are anchored to (default: the repro package)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("analysis-baseline.json"),
-        help="baseline file of grandfathered findings (missing file = empty)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record all current findings into --baseline and exit 0",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "github"),
         default="text",
         help="finding output style (github = workflow-command annotations)",
-    )
-    parser.add_argument(
-        "--no-audit",
-        action="store_true",
-        help="skip the reflection audits (engine API / parity coverage)",
     )
     parser.add_argument(
         "--list-rules",
@@ -80,23 +61,8 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{'':24s} scope: {', '.join(rule.scope)}")
         return 0
 
-    baseline = Baseline.load(args.baseline)
-    report = analyze_paths(
-        [Path(p) for p in args.paths] or None,
-        root=args.root,
-        baseline=baseline,
-    )
-
-    if args.write_baseline:
-        Baseline.from_findings(report.all_current()).save(args.baseline)
-        print(
-            f"repro.analysis: wrote {len(report.all_current())} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-
-    audit_findings = [] if args.no_audit else run_audits()
-    failures = report.errors + report.findings + audit_findings
+    report = analyze_paths([Path(p) for p in args.paths] or None, root=args.root)
+    failures = report.errors + report.findings
     for finding in failures:
         print(
             finding.format_github()
@@ -106,11 +72,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     summary = (
         f"repro.analysis: {report.files_scanned} file(s) scanned, "
-        f"{len(report.findings)} new finding(s), "
-        f"{len(report.baselined)} baselined"
+        f"{len(report.findings)} finding(s)"
     )
-    if not args.no_audit:
-        summary += f", {len(audit_findings)} audit finding(s)"
     if report.errors:
         summary += f", {len(report.errors)} file(s) unparseable"
     print(summary, file=sys.stderr)

@@ -8,13 +8,9 @@ objects.  Rules register themselves via the :func:`rule` decorator; the
 engine parses each file **once** and hands the same
 :class:`ModuleContext` to every in-scope rule.
 
-Suppression layering, innermost first:
-
-1. ``# repro: allow-<rule>(reason)`` pragmas — per-line, reviewed in
-   place (see :mod:`repro.analysis.pragmas`);
-2. the committed baseline — fingerprint-counted grandfathering (see
-   :mod:`repro.analysis.baseline`);
-3. everything left is a failure.
+A finding is suppressed only by a ``# repro: allow-<rule>(reason)``
+pragma on its line, reviewed in place (see :mod:`repro.analysis.pragmas`);
+everything else is a failure.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import audit_pragmas, collect_pragmas
 
@@ -86,7 +81,7 @@ class ModuleContext:
 class LintRule(abc.ABC):
     """One mechanical invariant check over a module AST."""
 
-    #: Kebab-case rule id — what pragmas and the baseline key on.
+    #: Kebab-case rule id — what pragmas key on.
     id: str = ""
     #: One-line contract statement (shown by ``--list-rules``).
     description: str = ""
@@ -108,19 +103,14 @@ class LintRule(abc.ABC):
 class AnalysisReport:
     """Outcome of one analysis run over a file set."""
 
-    findings: "list[Finding]"  # new findings — these fail the gate
-    baselined: "list[Finding]" = field(default_factory=list)
+    findings: "list[Finding]"  # unsuppressed findings — these fail the gate
     errors: "list[Finding]" = field(default_factory=list)  # unparseable files
     files_scanned: int = 0
 
     @property
     def ok(self) -> bool:
-        """Gate verdict: no new findings and no scan errors."""
+        """Gate verdict: no findings and no scan errors."""
         return not self.findings and not self.errors
-
-    def all_current(self) -> "list[Finding]":
-        """Every live finding incl. baselined — ``--write-baseline`` input."""
-        return self.baselined + self.findings
 
 
 def iter_python_files(paths: "list[Path]") -> "list[Path]":
@@ -148,9 +138,8 @@ def analyze_paths(
     *,
     root: "Path | None" = None,
     rules: "list[LintRule] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> AnalysisReport:
-    """Run every (in-scope) rule over ``paths``; apply pragmas + baseline.
+    """Run every (in-scope) rule over ``paths``; apply pragmas.
 
     ``root`` anchors rule scoping and finding paths; it defaults to the
     installed ``repro`` package directory, so ``analyze_paths()`` with no
@@ -165,7 +154,7 @@ def analyze_paths(
     active = list(RULE_REGISTRY.values()) if rules is None else list(rules)
     known_rules = {r.id for r in active}
 
-    raw_findings: list[Finding] = []
+    findings: list[Finding] = []
     errors: list[Finding] = []
     files = iter_python_files([Path(p) for p in paths])
     for file in files:
@@ -200,8 +189,8 @@ def analyze_paths(
                         pragma.used = True
                         suppressed = True
                 if not suppressed:
-                    raw_findings.append(finding)
-        raw_findings.extend(
+                    findings.append(finding)
+        findings.extend(
             audit_pragmas(
                 pragmas,
                 relpath,
@@ -211,11 +200,8 @@ def analyze_paths(
             )
         )
 
-    baseline = baseline or Baseline()
-    new, absorbed = baseline.filter(raw_findings)
     return AnalysisReport(
-        findings=new,
-        baselined=absorbed,
+        findings=findings,
         errors=errors,
         files_scanned=len(files),
     )

@@ -1,12 +1,4 @@
-"""Finding: one lint/audit observation, with a drift-tolerant fingerprint.
-
-A finding is keyed two ways:
-
-* ``(path, line)`` — where to look, used for display and pragma matching;
-* :meth:`Finding.fingerprint` — ``rule :: path :: normalised source line``,
-  deliberately **line-number-free** so a committed baseline survives
-  unrelated edits above the finding (the classic churn failure of
-  line-keyed suppression files).
+"""Finding: one lint observation, located by ``(path, line)``.
 
 Formatting supports the plain terminal style and the ``--format github``
 style (``::error file=...`` workflow commands) the CI job consumes.
@@ -14,19 +6,16 @@ style (``::error file=...`` workflow commands) the CI job consumes.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One invariant violation found by a rule or audit.
+    """One invariant violation found by a rule.
 
-    ``snippet`` is the stripped source line the finding anchors to; it is
-    part of the fingerprint, so moving a line does not invalidate a
-    baseline entry but *changing* it does (the edit needs re-review).
+    ``snippet`` is the stripped source line the finding anchors to.
     """
 
     rule: str
@@ -34,15 +23,6 @@ class Finding:
     line: int
     message: str
     snippet: str = ""
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
-
-    def fingerprint(self) -> str:
-        """Stable identity: rule + path + whitespace-normalised snippet."""
-        normalised = " ".join(self.snippet.split())
-        digest = hashlib.sha1(
-            f"{self.rule}::{self.path}::{normalised}".encode()
-        ).hexdigest()
-        return digest[:16]
 
     def format_text(self) -> str:
         """``path:line: [rule] message`` — the terminal style."""

@@ -1,8 +1,7 @@
 """Per-line suppression pragmas: ``# repro: allow-<rule>(reason)``.
 
 A pragma acknowledges ONE rule on ONE line, with a mandatory free-text
-reason — grandfathering without a recorded justification is what the
-baseline file is for, not pragmas.  Syntax::
+reason; it is the only way to suppress a finding.  Syntax::
 
     x = csr.toarray()  # repro: allow-densify(testing-only helper)
 

@@ -9,12 +9,7 @@ Each rule mechanises one contract the stack's guarantees rest on:
   (serial/parallel/resume parity is bit-identical only if it does);
 * ``mmap-write-safety`` — arrays obtained from ``adjacency_csr()`` /
   ``GraphStore.csr()`` / read-mode memmaps are never written through
-  (a write would corrupt pages shared by every process mapping the store);
-* ``checkpoint-json-purity`` — ``to_dict`` payloads headed for the
-  checkpoint JSONL are JSON-primitive expressions (a numpy scalar that
-  survives ``json.dumps`` today becomes a resume-parity break tomorrow);
-* ``spec-picklability`` — :class:`EngineSpec` payloads stick to types
-  that pickle cleanly across worker-process boundaries.
+  (a write would corrupt pages shared by every process mapping the store).
 
 Scopes are root-relative fnmatch patterns: the invariants are properties
 of specific modules (the hot path), not of the whole tree — densifying in
@@ -34,8 +29,6 @@ __all__ = [
     "NoDensifyRule",
     "NoUnseededRandomRule",
     "MmapWriteSafetyRule",
-    "CheckpointJsonPurityRule",
-    "SpecPicklabilityRule",
 ]
 
 #: Terminal-name tokens that mark a variable as sparse-matrix-like for the
@@ -435,208 +428,3 @@ class MmapWriteSafetyRule(LintRule):
                     visitor.visit(statement)
                 findings.extend(visitor.findings)
         return findings
-
-
-#: Annotation tokens that mark a dataclass field as a container needing
-#: explicit conversion before JSON serialisation.
-_CONTAINER_ANNOTATION_RE = re.compile(
-    r"\b(dict|list|set|tuple|Dict|List|Set|Tuple|Mapping|Sequence)\b"
-)
-
-
-@rule
-class CheckpointJsonPurityRule(LintRule):
-    """``to_dict`` payloads must be JSON-primitive expressions.
-
-    The checkpoint JSONL is the resume-parity source of truth; a numpy
-    scalar or nested container that happens to survive ``json.dumps``
-    today round-trips as a *different* value tomorrow.  Container-typed
-    dataclass fields must pass through a conversion helper
-    (``_canonical`` / ``_jsonable``), never appear bare.
-    """
-
-    id = "checkpoint-json-purity"
-    description = (
-        "values written via CheckpointStore (to_dict payloads) must be "
-        "JSON-primitive expressions"
-    )
-    scope = (
-        "attacks/campaign.py",
-        "attacks/executor.py",
-        # Scheduler state (lease files, queue manifests) is
-        # parsed by concurrent workers on possibly different Python builds:
-        # a numpy scalar that survives json.dumps would still change the
-        # bytes another worker compares, so the same purity bar applies.
-        "attacks/scheduler.py",
-        # Telemetry sink records (span/event/counter JSONL) are merged
-        # across worker processes and diffed in golden-report tests; the
-        # runtime _pure_attrs check guards attribute values, this guards
-        # the to_dict payload shapes around them.
-        "telemetry/*.py",
-    )
-
-    def check(self, module: ModuleContext) -> "list[Finding]":
-        """Audit every ``to_dict`` method's returned dict literal."""
-        findings: list[Finding] = []
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            annotations = {
-                item.target.id: ast.unparse(item.annotation)
-                for item in class_node.body
-                if isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            }
-            for item in class_node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "to_dict":
-                    findings.extend(self._check_method(module, item, annotations))
-        return findings
-
-    def _check_method(
-        self,
-        module: ModuleContext,
-        method: ast.FunctionDef,
-        annotations: "dict[str, str]",
-    ) -> "list[Finding]":
-        findings: list[Finding] = []
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Return) or not isinstance(
-                node.value, ast.Dict
-            ):
-                continue
-            for key, value in zip(node.value.keys, node.value.values):
-                label = (
-                    repr(key.value)
-                    if isinstance(key, ast.Constant)
-                    else "<dynamic key>"
-                )
-                findings.extend(
-                    self._check_value(module, label, value, annotations)
-                )
-        return findings
-
-    def _check_value(
-        self,
-        module: ModuleContext,
-        label: str,
-        value: ast.AST,
-        annotations: "dict[str, str]",
-    ) -> "list[Finding]":
-        if isinstance(value, (ast.Lambda, ast.SetComp, ast.GeneratorExp, ast.Set)):
-            return [
-                module.finding(
-                    self.id,
-                    value,
-                    f"checkpoint field {label} is not JSON-serialisable "
-                    f"({type(value).__name__})",
-                )
-            ]
-        if (
-            isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-        ):
-            annotation = annotations.get(value.attr, "")
-            if _CONTAINER_ANNOTATION_RE.search(annotation):
-                return [
-                    module.finding(
-                        self.id,
-                        value,
-                        f"checkpoint field {label} serialises container "
-                        f"attribute self.{value.attr} (annotated "
-                        f"{annotation!r}) without conversion; wrap it in a "
-                        "JSON-purity helper so numpy scalars cannot leak "
-                        "into the JSONL",
-                    )
-                ]
-        return []
-
-
-#: Calls allowed inside an EngineSpec payload expression.
-_PICKLABLE_CALL_NAMES = {
-    "str",
-    "bytes",
-    "int",
-    "float",
-    "bool",
-    "tuple",
-    "list",
-    "dict",
-    "array",
-    "asarray",
-    "ascontiguousarray",
-    "copy",
-    # the audited producer itself: ``EngineSpec(payload=self._spec_payload())``
-    "_spec_payload",
-}
-
-
-@rule
-class SpecPicklabilityRule(LintRule):
-    """EngineSpec payloads must stick to declared picklable types.
-
-    Specs cross process boundaries (:mod:`repro.attacks.scheduler`
-    pickles one per worker); a lambda, generator, or arbitrary object in
-    the payload fails at ``spawn`` time on the *worker*, far from the
-    code that built it.  Payload expressions are restricted to constants,
-    names/attributes, tuples/lists of the same, and calls to builtin or
-    numpy array constructors (plus ``.copy()``).
-    """
-
-    id = "spec-picklability"
-    description = (
-        "EngineSpec payload fields restricted to picklable constructor "
-        "expressions"
-    )
-    scope = ("oddball/surrogate.py", "store/*.py")
-
-    def check(self, module: ModuleContext) -> "list[Finding]":
-        """Audit ``_spec_payload`` returns and ``payload=`` bindings."""
-        findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_spec_payload":
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Return) and sub.value is not None:
-                        findings.extend(self._audit(module, sub.value))
-            elif isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg == "payload":
-                        findings.extend(self._audit(module, keyword.value))
-            elif isinstance(node, ast.Assign):
-                if any(
-                    isinstance(t, ast.Name) and t.id == "payload"
-                    for t in node.targets
-                ):
-                    findings.extend(self._audit(module, node.value))
-        return findings
-
-    def _audit(self, module: ModuleContext, expr: ast.AST) -> "list[Finding]":
-        offender = self._first_unpicklable(expr)
-        if offender is None:
-            return []
-        return [
-            module.finding(
-                self.id,
-                offender,
-                f"EngineSpec payload contains {type(offender).__name__}, "
-                "which is not a declared picklable payload form (constants, "
-                "names, tuples, and builtin/numpy constructor calls only)",
-            )
-        ]
-
-    def _first_unpicklable(self, expr: ast.AST) -> "ast.AST | None":
-        if isinstance(expr, (ast.Constant, ast.Name, ast.Attribute, ast.Subscript)):
-            return None
-        if isinstance(expr, (ast.Tuple, ast.List)):
-            for element in expr.elts:
-                offender = self._first_unpicklable(element)
-                if offender is not None:
-                    return offender
-            return None
-        if isinstance(expr, ast.Starred):
-            return self._first_unpicklable(expr.value)
-        if isinstance(expr, ast.Call):
-            if _terminal_name(expr.func) in _PICKLABLE_CALL_NAMES:
-                return None
-            return expr
-        return expr

@@ -112,11 +112,11 @@ Edge = tuple[int, int]
 
 CANDIDATE_STRATEGIES = ("full", "target_incident", "adaptive_gradient", "block")
 
-#: Baseline per-refresh admission count of ``adaptive_gradient``: the
+#: Default per-refresh admission count of ``adaptive_gradient``: the
 #: floor of the budget-aware :func:`admission_cap`.
 DEFAULT_ADMIT_CAP = 32
 
-#: Baseline block size of the ``block`` strategy when no explicit
+#: Default block size of the ``block`` strategy when no explicit
 #: ``block_size`` is given — small enough that the per-refresh gradient
 #: scatter stays cheap, large enough to cover every pair outright below
 #: n ≈ 256 (where blocks degenerate to ``full``).

@@ -197,7 +197,7 @@ class WorkQueue:
 
     ``shards`` lists the run's shard checkpoints, one per worker; a handle
     opened with ``shard=`` owns that one.  Everything on disk is JSON-pure
-    (the ``checkpoint-json-purity`` lint scopes this module) and only
+    (``Lease.to_dict`` is in the JSON round-trip test) and only
     coordinates: a job is done once its outcome line is in a shard.  A
     chunk's lease file is removed once all of its jobs are handed out and
     completed or released.  The other workers' shards are folded in

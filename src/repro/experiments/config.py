@@ -3,8 +3,7 @@
 ``PAPER`` matches the paper's settings (1000-node graphs, 5 repeats,
 100k-permutation Monte-Carlo tests); ``CI`` shrinks every axis so the whole
 benchmark suite reruns in minutes on a laptop.  Every experiment driver and
-benchmark takes a :class:`Scale`, and EXPERIMENTS.md records which preset
-produced the recorded numbers.
+benchmark takes a :class:`Scale`.
 """
 
 from __future__ import annotations

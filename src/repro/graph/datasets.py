@@ -11,8 +11,7 @@ stand-ins*: preferential-attachment cores matched to the paper's sampled
 node/edge counts, with planted near-clique/near-star egonets so OddBall's
 log-log regression and high-score tail behave like the originals.  Every
 experiment in the paper consumes these graphs only through structural
-statistics, so the substitution preserves the relevant behaviour (see
-DESIGN.md §2).
+statistics, so the substitution preserves the relevant behaviour.
 """
 
 from __future__ import annotations

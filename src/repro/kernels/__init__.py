@@ -23,9 +23,9 @@ a ``kernels`` keyword.  The multi-worker executor alone takes one, and
 ships it to its workers in their
 :class:`~repro.oddball.surrogate.EngineSpec`.
 
-:data:`KERNEL_REGISTRY` names the compiled primitives; the
-``repro.analysis`` kernel-parity audit enforces that each entry is
-exercised by a numpy-vs-compiled ``*Parity*`` test.
+The compiled primitives are the public methods of
+:class:`~repro.kernels.compiled.CompiledKernels`; the kernel parity test
+is parametrised over them, so each one must have a numpy-oracle check.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .capi import KernelBuildError, toolchain_available
 
 __all__ = [
     "KERNEL_BACKENDS",
-    "KERNEL_REGISTRY",
     "KernelBuildError",
     "KernelUnavailableError",
     "compiled_available",
@@ -50,15 +49,6 @@ __all__ = [
 ]
 
 KERNEL_BACKENDS = ("auto", "numpy", "compiled")
-
-# Names of the compiled primitives.  The repro.analysis kernel-parity
-# audit requires a numpy-vs-compiled *Parity* test per entry, so adding a
-# kernel here without parity coverage fails CI.
-KERNEL_REGISTRY = (
-    "pair_values",
-    "scatter_gradient",
-    "triangle_counts",
-)
 
 
 class KernelUnavailableError(RuntimeError):

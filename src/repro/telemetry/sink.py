@@ -23,7 +23,8 @@ import json
 import threading
 from pathlib import Path
 
-from repro.utils.jsonlog import JsonLog, parse_line
+from repro.utils.jsonlog import CorruptHeaderError, JsonLog, parse_line
+from repro.utils.logging import get_logger
 
 __all__ = [
     "TELEMETRY_FORMAT",
@@ -33,6 +34,8 @@ __all__ = [
     "load_trace_dir",
     "sink_path",
 ]
+
+_log = get_logger("telemetry.sink")
 
 TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
@@ -125,14 +128,19 @@ def load_trace_dir(directory: "Path | str") -> "list[dict]":
     timestamps came from the machine-wide monotonic clock, so a plain sort
     interleaves them into one coherent timeline.  Missing or torn files
     degrade per-record, never per-trace — a SIGKILL'd worker's sink
-    contributes everything it flushed before dying.
+    contributes everything it flushed before dying — and a sink whose
+    header is corrupt is skipped with a warning naming it.  A sink of
+    another format or version still raises.
     """
     directory = Path(directory)
     if not directory.exists():
         return []
     events: "list[dict]" = []
     for path in sorted(directory.glob(f"{SINK_PREFIX}*{SINK_SUFFIX}")):
-        events.extend(load_events(path))
+        try:
+            events.extend(load_events(path))
+        except CorruptHeaderError as error:
+            _log.warning("%s; skipping its records", error)
     events.sort(key=_event_ns)
     return events
 

@@ -26,7 +26,8 @@ Telemetry is excluded from every content hash: nothing here touches
 job ids, checkpoint payloads or fingerprints, and attribute values are
 runtime-checked to be *exact* JSON primitives so a numpy scalar can
 never leak into a sink record (parity is additionally pinned by the
-``checkpoint-json-purity`` lint scope and the on/off flip-parity tests).
+JSON round-trip test of every ``to_dict`` payload and the on/off
+flip-parity tests).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _now = time.perf_counter_ns
 #: Exact types allowed as span/event attribute values.  Checked with
 #: ``type() in`` rather than ``isinstance`` on purpose: ``np.float64``
 #: subclasses ``float`` and would otherwise slip a numpy scalar into the
-#: sink JSONL — the precise drift ``checkpoint-json-purity`` exists to stop.
+#: sink JSONL, where it would read back as a different value.
 _ATTR_TYPES = (str, int, float, bool, type(None))
 
 

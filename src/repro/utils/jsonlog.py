@@ -8,8 +8,8 @@ newline at all is a torn header, which the next append starts over.
 Each line is decoded from bytes on its own, and a torn, non-UTF-8 or
 malformed line is skipped with a warning naming the file.  A torn header
 with no records loads as empty; a corrupt header followed by records
-raises ``ValueError`` naming the file.  What a header must say and what
-makes a record well-formed stay with each caller.
+raises :class:`CorruptHeaderError` naming the file.  What a header must
+say and what makes a record well-formed stay with each caller.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ from typing import BinaryIO, Callable, TypeVar
 
 from repro.utils.logging import get_logger
 
-__all__ = ["JsonLog", "parse_line"]
+__all__ = ["CorruptHeaderError", "JsonLog", "parse_line"]
 
 _log = get_logger("utils.jsonlog")
 
 T = TypeVar("T")
+
+
+class CorruptHeaderError(ValueError):
+    """A log whose header line is unreadable although records follow it."""
 
 
 def parse_line(line: bytes) -> object:
@@ -112,7 +116,7 @@ class JsonLog:
                     "as empty", self.what, self.path,
                 )
                 return {}, []
-            raise ValueError(
+            raise CorruptHeaderError(
                 f"{self.what} {self.path} has a corrupt header; delete it "
                 "to start it over"
             )

@@ -1,11 +1,9 @@
-"""Pragma parsing/auditing and baseline round-trip behaviour."""
+"""Pragma parsing, suppression and auditing."""
 
 from pathlib import Path
 
-import pytest
-
 import repro.analysis  # noqa: F401 — registers the rules
-from repro.analysis import Baseline, Finding, analyze_paths, collect_pragmas
+from repro.analysis import analyze_paths, collect_pragmas
 
 
 def _write_module(root: Path, source: str, name: str = "mod.py") -> Path:
@@ -100,55 +98,3 @@ class TestPragmaSuppression:
         assert [f.rule for f in report.findings] == ["unused-pragma"]
         assert "outside that rule's scope" in report.findings[0].message
 
-
-class TestBaseline:
-    def _finding(self, snippet="y = csr.toarray()", line=3):
-        return Finding(
-            rule="no-densify",
-            path="attacks/mod.py",
-            line=line,
-            message="densified",
-            snippet=snippet,
-        )
-
-    def test_fingerprint_is_line_number_free(self):
-        early, late = self._finding(line=3), self._finding(line=300)
-        assert early.fingerprint() == late.fingerprint()
-        changed = self._finding(snippet="y = other.toarray()")
-        assert changed.fingerprint() != early.fingerprint()
-
-    def test_round_trip_through_disk(self, tmp_path):
-        findings = [self._finding(), self._finding(), self._finding(snippet="z")]
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.counts == baseline.counts
-        assert len(loaded) == 3
-
-    def test_filter_absorbs_up_to_the_recorded_count(self):
-        baseline = Baseline.from_findings([self._finding()])
-        new, absorbed = baseline.filter([self._finding(), self._finding()])
-        assert len(absorbed) == 1
-        assert len(new) == 1
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "missing.json")
-        assert len(baseline) == 0
-        assert Baseline.load(None).counts == {}
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": {}}')
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(path)
-
-    def test_baselined_finding_keeps_gate_green(self, tmp_path):
-        _write_module(tmp_path, "def f(csr):\n    return csr.toarray()\n")
-        report = analyze_paths([tmp_path], root=tmp_path)
-        assert len(report.findings) == 1
-        baseline = Baseline.from_findings(report.findings)
-        again = analyze_paths([tmp_path], root=tmp_path, baseline=baseline)
-        assert again.findings == []
-        assert len(again.baselined) == 1
-        assert again.ok

@@ -23,8 +23,9 @@ class TestBadFixturesFire:
         assert by_rule["no-densify"] == 4
         assert by_rule["no-unseeded-random"] == 5
         assert by_rule["mmap-write-safety"] == 6
-        assert by_rule["checkpoint-json-purity"] == 3
-        assert by_rule["spec-picklability"] == 2
+        assert set(by_rule) == {
+            "no-densify", "no-unseeded-random", "mmap-write-safety"
+        }
         assert not report.errors
 
     def test_densify_findings_point_at_the_right_lines(self):
@@ -53,23 +54,6 @@ class TestBadFixturesFire:
         assert "alias.indices[0]" in snippets  # alias propagation
         assert "base.eliminate_zeros()" in snippets  # csr_with_delta unpack
         assert "mapped += 1.0" in snippets  # read-mode memmap augassign
-
-    def test_checkpoint_purity_flags_bare_containers_and_lambdas(self):
-        report = _report(BAD)
-        purity = [
-            f for f in report.findings if f.rule == "checkpoint-json-purity"
-        ]
-        messages = " ".join(f.message for f in purity)
-        assert "self.metadata" in messages
-        assert "self.extras" in messages
-        assert "Lambda" in messages
-
-    def test_spec_picklability_flags_lambda_and_set(self):
-        report = _report(BAD)
-        spec = [f for f in report.findings if f.rule == "spec-picklability"]
-        kinds = " ".join(f.message for f in spec)
-        assert "Lambda" in kinds
-        assert "SetComp" in kinds
 
 
 class TestGoodFixturesStaySilent:
@@ -104,20 +88,6 @@ class TestScoping:
             assert rule.id == rule_id
             assert rule.description
             assert rule.scope and rule.scope != ("*",)
-
-    def test_json_purity_scope_covers_the_scheduler(self):
-        # lease files, queue manifests and done markers must stay JSON-pure
-        # (inspectable with cat, diffable across runs) just like checkpoints
-        assert "attacks/scheduler.py" in RULE_REGISTRY[
-            "checkpoint-json-purity"
-        ].scope
-
-    def test_json_purity_scope_covers_telemetry(self):
-        # trace sinks are merged across processes and golden-compared, so
-        # their records must stay JSON-pure exactly like checkpoint lines
-        assert "telemetry/*.py" in RULE_REGISTRY[
-            "checkpoint-json-purity"
-        ].scope
 
     def test_unparseable_file_reported_not_crashed(self, tmp_path):
         broken = tmp_path / "attacks" / "broken.py"

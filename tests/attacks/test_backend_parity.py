@@ -3,8 +3,11 @@ PGD/greedy loop runs on the sparse-incremental engine it builds itself or
 on the dense autograd oracle injected through ``attack(..., engine=...)``,
 and sparse inputs must stay sparse end-to-end.
 
-Every sparse-side run executes under the :func:`forbid_densify` runtime guard,
-so "stays sparse" is enforced by a tripwire, not just asserted after the fact.
+``test_every_registered_attack_has_parity`` is parametrised over
+``ATTACK_REGISTRY``, so a newly registered attack without a case in
+``PARITY_CASES`` fails there, by name.  Every sparse-side run executes
+under the :func:`forbid_densify` runtime guard, so "stays sparse" is
+enforced by a tripwire, not just asserted after the fact.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from scipy import sparse
 
 from repro.analysis import forbid_densify
 from repro.attacks import (
+    ATTACK_REGISTRY,
     BinarizedAttack,
     CandidateSet,
     ContinuousA,
@@ -49,9 +53,66 @@ def graph_and_targets(request):
     return graph, _targets(graph)
 
 
+def _engine_parity(make, graph, targets, budget):
+    """The dense oracle's run against the attack's own sparse engine."""
+    dense = _on_oracle(make(), graph, targets, budget)
+    with forbid_densify(context="engine backend parity"):
+        fast = make().attack(graph, targets, budget)
+    assert dense.metadata["backend"] == "dense"
+    assert fast.metadata["backend"] == "sparse"
+    return dense, fast
+
+
+def _input_parity(make, graph, targets, budget):
+    """A baseline's run on the dense adjacency against one on its CSR."""
+    dense = make().attack(graph.adjacency, targets, budget)
+    with forbid_densify(context="baseline sparse-input parity"):
+        fast = make().attack(sparse.csr_matrix(graph.adjacency), targets, budget)
+    assert sparse.issparse(fast.original)
+    assert sparse.issparse(fast.poisoned())
+    return dense, fast
+
+
+#: Registry name -> (parity run, attack factory, budget, metadata keys the
+#: attack must record, equal on both sides).
+PARITY_CASES = {
+    "binarizedattack": (
+        _engine_parity, lambda: BinarizedAttack(iterations=25), 4, ("iterations",)
+    ),
+    "gradmaxsearch": (_engine_parity, GradMaxSearch, 5, ("steps_taken",)),
+    "continuousa": (
+        _engine_parity, lambda: ContinuousA(max_iter=30), 4, ("iterations",)
+    ),
+    "random": (_input_parity, lambda: RandomAttack(rng=13), 5, ("candidate_count",)),
+    "oddball-heuristic": (
+        _input_parity, lambda: OddBallHeuristic(rng=13), 5, ("steps_taken",)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_REGISTRY))
+def test_every_registered_attack_has_parity(graph_and_targets, name):
+    assert name in PARITY_CASES, (
+        f"attack {name!r} is in ATTACK_REGISTRY but has no backend-parity "
+        "case in PARITY_CASES"
+    )
+    run, make, budget, recorded = PARITY_CASES[name]
+    assert type(make()) is ATTACK_REGISTRY[name]
+    graph, targets = graph_and_targets
+    dense, fast = run(make, graph, targets, budget)
+    # Without ``candidates`` every attack searches every pair.
+    assert dense.metadata["candidate_strategy"] == "full"
+    assert fast.metadata["candidate_strategy"] == "full"
+    assert dense.flips_by_budget == fast.flips_by_budget
+    for b, loss in dense.surrogate_by_budget.items():
+        assert fast.surrogate_by_budget[b] == pytest.approx(loss, rel=1e-9)
+    for key in recorded:
+        assert dense.metadata[key] == fast.metadata[key], key
+
+
 class TestBinarizedBackendParity:
     @pytest.mark.parametrize(
-        "candidates", [None, "full", "target_incident", "neighbour_pairs"]
+        "candidates", ["full", "target_incident", "neighbour_pairs"]
     )
     def test_dense_and_sparse_agree(
         self, graph_and_targets, candidates, neighbour_pair_set
@@ -125,16 +186,6 @@ class TestBinarizedBackendParity:
 
 
 class TestContinuousBackendParity:
-    def test_dense_and_sparse_agree(self, graph_and_targets):
-        graph, targets = graph_and_targets
-        dense = _on_oracle(ContinuousA(max_iter=30), graph, targets, 4)
-        with forbid_densify(context="continuous backend parity"):
-            fast = ContinuousA(max_iter=30).attack(
-                graph, targets, budget=4
-            )
-        assert dense.flips_by_budget == fast.flips_by_budget
-        assert dense.metadata["iterations"] == fast.metadata["iterations"]
-
     def test_sparse_input_stays_sparse(self, graph_and_targets):
         graph, targets = graph_and_targets
         csr = sparse.csr_matrix(graph.adjacency)
@@ -169,21 +220,6 @@ class TestGradMaxBackendParity:
         assert fast.metadata["backend"] == "sparse"
         assert dense.flips_by_budget == fast.flips_by_budget
 
-    def test_sparse_backend_without_candidates_matches_dense_loop(
-        self, graph_and_targets
-    ):
-        """Without candidates the sparse engine searches every pair and must
-        reproduce the full-pair dense oracle's flips and losses."""
-        graph, targets = graph_and_targets
-        oracle = _on_oracle(GradMaxSearch(), graph, targets, 5)
-        with forbid_densify(context="gradmax full-pair parity"):
-            fast = GradMaxSearch().attack(graph, targets, budget=5)
-        assert oracle.metadata["candidate_strategy"] == "full"
-        assert fast.metadata["candidate_strategy"] == "full"
-        assert oracle.flips_by_budget == fast.flips_by_budget
-        for budget, loss in oracle.surrogate_by_budget.items():
-            assert fast.surrogate_by_budget[budget] == pytest.approx(loss, rel=1e-9)
-
     @pytest.mark.parametrize("seed", [1, 17, 23])
     def test_round_off_ties_pick_the_same_pair(self, seed):
         """On these graphs a greedy step meets pairs whose gradients are
@@ -210,26 +246,18 @@ class TestGradMaxBackendParity:
 
 class TestBaselineSparseParity:
     """RandomAttack / OddBallHeuristic accept scipy-sparse input without
-    densifying, and reproduce the dense path's flips and losses exactly."""
+    densifying; their plain runs are registry cases above."""
 
-    @pytest.mark.parametrize("target_biased", [False, True])
-    def test_random_attack(self, graph_and_targets, target_biased):
+    def test_target_biased_random_attack(self, graph_and_targets):
         graph, targets = graph_and_targets
-        csr = sparse.csr_matrix(graph.adjacency)
-        dense = RandomAttack(rng=13, target_biased=target_biased).attack(
-            graph.adjacency, targets, budget=5
-        )
-        with forbid_densify(context="random attack sparse parity"):
-            sparse_result = RandomAttack(rng=13, target_biased=target_biased).attack(
-                csr, targets, budget=5
-            )
-        assert sparse.issparse(sparse_result.original)
-        assert sparse.issparse(sparse_result.poisoned())
-        assert dense.flips_by_budget == sparse_result.flips_by_budget
+
+        def make():
+            return RandomAttack(rng=13, target_biased=True)
+
+        dense, fast = _input_parity(make, graph, targets, 5)
+        assert dense.flips_by_budget == fast.flips_by_budget
         for b, loss in dense.surrogate_by_budget.items():
-            assert sparse_result.surrogate_by_budget[b] == pytest.approx(
-                loss, rel=1e-9
-            )
+            assert fast.surrogate_by_budget[b] == pytest.approx(loss, rel=1e-9)
 
     def test_random_attack_weighted(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -242,20 +270,6 @@ class TestBaselineSparseParity:
             sparse_result = RandomAttack(rng=13).attack(
                 csr, targets, budget=4, target_weights=weights
             )
-        assert dense.flips_by_budget == sparse_result.flips_by_budget
-        for b, loss in dense.surrogate_by_budget.items():
-            assert sparse_result.surrogate_by_budget[b] == pytest.approx(
-                loss, rel=1e-9
-            )
-
-    def test_oddball_heuristic(self, graph_and_targets):
-        graph, targets = graph_and_targets
-        csr = sparse.csr_matrix(graph.adjacency)
-        dense = OddBallHeuristic(rng=13).attack(graph.adjacency, targets, budget=5)
-        with forbid_densify(context="oddball heuristic sparse parity"):
-            sparse_result = OddBallHeuristic(rng=13).attack(csr, targets, budget=5)
-        assert sparse.issparse(sparse_result.original)
-        assert sparse.issparse(sparse_result.poisoned())
         assert dense.flips_by_budget == sparse_result.flips_by_budget
         for b, loss in dense.surrogate_by_budget.items():
             assert sparse_result.surrogate_by_budget[b] == pytest.approx(

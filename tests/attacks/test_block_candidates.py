@@ -15,6 +15,7 @@ import pytest
 from scipy import sparse
 
 from repro.attacks import (
+    ATTACK_REGISTRY,
     AttackCampaign,
     BinarizedAttack,
     BlockCandidateSet,
@@ -296,62 +297,60 @@ class TestBlockSequenceBackendParity:
 class TestBlockDegenerateParity:
     """``block`` with block_size ≥ n(n−1)/2 must select bit-identical flips
     to ``full`` for every attack in ``ATTACK_REGISTRY`` — the anchor
-    that makes sub-full blocks a pure memory/quality trade."""
+    that makes sub-full blocks a pure memory/quality trade.  The test is
+    parametrised over the registry, so a new attack without a case in
+    ``CASES`` fails, by name."""
 
-    ENGINE_CASES = {
-        "binarizedattack": (BinarizedAttack, {"iterations": 12}),
-        "gradmaxsearch": (GradMaxSearch, {}),
-        "continuousa": (ContinuousA, {"max_iter": 12}),
+    #: Registry name -> (attack class, parameters, runs on an engine).
+    #: Engine attacks size their own block (``block_size=10**9``) and run
+    #: on the dense oracle or their sparse engine; the baselines take no
+    #: block parameters, so they get a degenerate set, on the dense
+    #: adjacency or its CSR.
+    CASES = {
+        "binarizedattack": (BinarizedAttack, {"iterations": 12}, True),
+        "gradmaxsearch": (GradMaxSearch, {}, True),
+        "continuousa": (ContinuousA, {"max_iter": 12}, True),
+        "random": (RandomAttack, {"rng": 13}, False),
+        "oddball-heuristic": (OddBallHeuristic, {"rng": 13}, False),
     }
 
-    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("name", sorted(ATTACK_REGISTRY))
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_engine_attacks_match_full(self, graph_and_targets, name, backend):
+    def test_registered_attack_matches_full(self, graph_and_targets, name, backend):
+        assert name in self.CASES, (
+            f"attack {name!r} is in ATTACK_REGISTRY but has no "
+            "degenerate-block case in TestBlockDegenerateParity.CASES"
+        )
+        attack_cls, params, uses_engine = self.CASES[name]
+        assert attack_cls is ATTACK_REGISTRY[name]
         graph, targets = graph_and_targets
-        attack_cls, params = self.ENGINE_CASES[name]
-        def engine():
-            return DenseSurrogateEngine(graph, targets[:3]) if backend == "dense" else None
+        targets = targets[:3]
+        if uses_engine:
+            def run(candidates, **extra):
+                engine = (
+                    DenseSurrogateEngine(graph, targets)
+                    if backend == "dense" else None
+                )
+                return attack_cls(**extra, **params).attack(
+                    graph, targets, 4, candidates=candidates, engine=engine
+                )
 
-        full = attack_cls(**params).attack(
-            graph, targets[:3], 4, candidates="full", engine=engine()
-        )
-        block = attack_cls(block_size=10**9, **params).attack(
-            graph, targets[:3], 4, candidates="block", engine=engine()
-        )
-        assert block.flips_by_budget == full.flips_by_budget
-        for budget, loss in full.surrogate_by_budget.items():
-            assert block.surrogate_by_budget[budget] == pytest.approx(
-                loss, rel=1e-9
+            full = run("full")
+            block = run("block", block_size=10**9)
+        else:
+            n = graph.number_of_nodes
+            degenerate = BlockCandidateSet.start(n, block_size=_total(n))
+            assert degenerate.is_full  # so the heuristic skips membership tests
+            adjacency = (
+                graph.adjacency if backend == "dense"
+                else sparse.csr_matrix(graph.adjacency)
             )
-
-    def test_random_baseline_matches_full(self, graph_and_targets):
-        # registry name: "random"
-        graph, targets = graph_and_targets
-        degenerate = BlockCandidateSet.start(
-            graph.number_of_nodes, block_size=_total(graph.number_of_nodes)
-        )
-        full = RandomAttack(rng=13).attack(
-            graph.adjacency, targets[:3], 4, candidates="full"
-        )
-        block = RandomAttack(rng=13).attack(
-            graph.adjacency, targets[:3], 4, candidates=degenerate
-        )
-        assert block.flips_by_budget == full.flips_by_budget
-        assert block.surrogate_by_budget == full.surrogate_by_budget
-
-    def test_heuristic_baseline_matches_full(self, graph_and_targets):
-        # registry name: "oddball-heuristic"
-        graph, targets = graph_and_targets
-        degenerate = BlockCandidateSet.start(
-            graph.number_of_nodes, block_size=_total(graph.number_of_nodes)
-        )
-        assert degenerate.is_full  # so the heuristic skips membership tests
-        full = OddBallHeuristic(rng=13).attack(
-            graph.adjacency, targets[:3], 4, candidates="full"
-        )
-        block = OddBallHeuristic(rng=13).attack(
-            graph.adjacency, targets[:3], 4, candidates=degenerate
-        )
+            full = attack_cls(**params).attack(
+                adjacency, targets, 4, candidates="full"
+            )
+            block = attack_cls(**params).attack(
+                adjacency, targets, 4, candidates=degenerate
+            )
         assert block.flips_by_budget == full.flips_by_budget
         assert block.surrogate_by_budget == full.surrogate_by_budget
 

@@ -5,6 +5,7 @@ dense oracle), resume
 deterministically from checkpoints, and keep the adaptive candidate set a
 superset of ``target_incident`` at every step."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro import telemetry
 from repro.attacks import (
+    ATTACK_REGISTRY,
     AttackCampaign,
     AttackJob,
     BinarizedAttack,
@@ -24,6 +27,7 @@ from repro.attacks import (
     grid_jobs,
 )
 from repro.attacks.candidates import AdaptiveCandidateSet
+from repro.attacks.scheduler import Lease
 from repro.graph.generators import erdos_renyi
 from repro.graph.sparse import content_hash
 from repro.oddball.surrogate import (
@@ -39,6 +43,15 @@ def _engine(backend, graph, targets):
     """The dense autograd oracle for ``"dense"``; ``None`` (the attack's or
     campaign's own sparse engine) for ``"sparse"``."""
     return DenseSurrogateEngine(graph, targets) if backend == "dense" else None
+
+
+#: Per-attack parameters that keep a one-job campaign cheap.
+_FAST_PARAMS = {
+    "binarizedattack": {"iterations": 15},
+    "continuousa": {"max_iter": 15},
+    "random": {"rng": 5},
+    "oddball-heuristic": {"rng": 5},
+}
 
 
 def _mixed_jobs(targets):
@@ -163,12 +176,40 @@ class TestCampaignOutcomes:
         outcome = AttackCampaign(graph, compute_ranks=False).run([job]).outcome(job)
         assert outcome.rank_shifts == {}
 
-    def test_result_roundtrips_through_json(self, graph_and_targets):
+    @pytest.mark.parametrize("attack", sorted(ATTACK_REGISTRY))
+    def test_result_roundtrips_through_json(self, graph_and_targets, attack, tmp_path):
+        """Every checkpoint, queue and trace-sink payload is JSON-pure: it
+        reads back from ``json`` as the same value, numpy-bearing metadata
+        included, for a job of every registered attack."""
         graph, targets = graph_and_targets
-        jobs = _mixed_jobs(targets)[:3]
-        result = AttackCampaign(graph).run(jobs)
-        payload = json.loads(json.dumps(result.to_dict()))
-        back = CampaignResult.from_dict(payload)
+        job = AttackJob.make(
+            attack, targets[:2], 2, candidates="target_incident",
+            **_FAST_PARAMS.get(attack, {}),
+        )
+        result = AttackCampaign(graph).run([job])
+        numpy_metadata = dataclasses.replace(result.outcome(job), metadata={
+            "count": np.int64(3), "flag": np.bool_(True),
+            "array": np.arange(3), "pair": (1, 2),
+        })
+        result.outcomes.append(numpy_metadata)
+        result.worker_stats.append({"jobs": np.int64(1), "max_rss_kb": 1024})
+        tracer = telemetry.Tracer(
+            telemetry.TelemetrySink(telemetry.sink_path(tmp_path, "w0"), worker="w0"),
+            worker="w0",
+        )
+        with tracer.span("job", attack=attack) as span:
+            pass
+        tracer.close()
+        lease = Lease(job_ids=(job.job_id,), worker="w0", deadline=1.5)
+        for payload in (
+            job.to_dict(),
+            *(o.to_dict() for o in result.outcomes),
+            result.to_dict(),
+            lease.to_dict(),
+            span.to_dict(),
+        ):
+            assert json.loads(json.dumps(payload)) == payload
+        back = CampaignResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert back.to_dict() == result.to_dict()
         assert [o.job_id for o in back] == [o.job_id for o in result]
 

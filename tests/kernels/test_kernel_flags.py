@@ -22,7 +22,6 @@ import repro.kernels as kernels_mod
 from repro.graph.generators import erdos_renyi
 from repro.kernels import (
     KERNEL_BACKENDS,
-    KERNEL_REGISTRY,
     KernelBuildError,
     KernelUnavailableError,
     compiled_available,
@@ -60,13 +59,6 @@ class TestFlagValidation:
     def test_invalid_value_raises(self):
         with pytest.raises(ValueError, match="kernels must be one of"):
             validate_kernels("cuda")
-
-    def test_registry_is_fixed(self):
-        assert KERNEL_REGISTRY == (
-            "pair_values",
-            "scatter_gradient",
-            "triangle_counts",
-        )
 
 
 class TestResolution:

@@ -1,11 +1,15 @@
-"""numpy-vs-compiled kernel parity: every KERNEL_REGISTRY primitive.
+"""numpy-vs-compiled kernel parity: every public ``CompiledKernels`` method.
 
 The compiled backend's entire contract is *bit-identity* with the numpy
 reference paths — same features, same gradients, same flips, down to the
-last float64 bit.  Each ``*Parity*`` class below pins one registry kernel
-to its oracle; the ``repro.analysis`` kernel-parity audit fails CI if a
-registry entry loses its class here.
+last float64 bit.  ``test_every_compiled_kernel_matches_its_oracle`` is
+parametrised over ``CompiledKernels``' public methods, so a kernel added
+without an entry in ``ORACLE_CHECKS`` fails there, by name; the
+``*Parity*`` classes below pin each kernel's edge cases.
 """
+
+import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.graph.sparse import (
     to_sparse,
 )
 from repro.kernels import compiled_available, kernel_table
+from repro.kernels.compiled import CompiledKernels
 from repro.attacks import BinarizedAttack
 from repro.oddball.surrogate import (
     SurrogateEngine,
@@ -47,25 +52,7 @@ def _pairs(n, rng, count=200):
 
 
 class TestPairValuesParity:
-    """``pair_values`` against numpy CSR membership."""
-
-    KERNEL = "pair_values"
-
-    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-    def test_matches_dense_lookup(self, index_dtype):
-        rng = np.random.default_rng(0)
-        for graph in _graphs():
-            csr = to_sparse(graph)
-            csr.indices = csr.indices.astype(index_dtype)
-            csr.indptr = csr.indptr.astype(index_dtype)
-            rows, cols = _pairs(csr.shape[0], rng)
-            dense = csr.toarray()
-            expected = dense[rows, cols]
-            got = kernel_table().pair_values(
-                csr, rows.astype(np.int64), cols.astype(np.int64)
-            )
-            assert got.dtype == np.float64
-            assert np.array_equal(got, expected)
+    """``pair_values`` edge cases; its oracle check is in ``ORACLE_CHECKS``."""
 
     def test_empty_batch(self):
         csr = to_sparse(_graphs()[0])
@@ -121,19 +108,8 @@ def _with_index_dtype(csr, dtype):
 
 
 class TestTriangleCountsParity:
-    """``triangle_counts`` against the scipy spgemm triangle term."""
-
-    KERNEL = "triangle_counts"
-
-    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-    @pytest.mark.parametrize("case", sorted(_triangle_cases()))
-    def test_matches_sparse_product(self, case, index_dtype):
-        csr = _with_index_dtype(_triangle_cases()[case], index_dtype)
-        expected = _oracle(csr)
-        compiled = kernel_table().triangle_counts(csr)
-        assert compiled.dtype == np.float64
-        assert np.array_equal(compiled, expected)
-        assert np.array_equal(_oriented_triangle_counts(csr), expected)
+    """``triangle_counts`` against the scipy spgemm triangle term, beyond
+    the named cases of its ``ORACLE_CHECKS`` entry."""
 
     @pytest.mark.parametrize("case", sorted(_triangle_cases()))
     def test_egonet_features_sparse_agrees_across_kernels(self, case, use_kernels):
@@ -263,44 +239,38 @@ def _incident_pairs(hub, partners):
     return np.minimum(hubs, partners), np.maximum(hubs, partners)
 
 
-def _with_index_dtype(csr, index_dtype):
-    csr = csr.copy()
-    csr.indices = csr.indices.astype(index_dtype)
-    csr.indptr = csr.indptr.astype(index_dtype)
-    return csr
+def _scatter_inputs(graph, rng):
+    csr = to_sparse(graph)
+    n = csr.shape[0]
+    rows, cols = _pairs(n, rng, count=300)
+    d_n = rng.standard_normal(n)
+    d_e = rng.standard_normal(n)
+    return csr, d_n, d_e, rows.astype(np.int64), cols.astype(np.int64)
+
+
+def _check_scatter(csr, d_n, d_e, rows, cols, delta=()):
+    """Assert bit-identity of the kernel, the blocked numpy scatter and the
+    per-hub loop; return the walks the kernel took."""
+    expected = _scatter_pair_gradient(csr, d_n, d_e, rows, cols, delta=delta)
+    assert np.array_equal(
+        expected, _per_hub_scatter(csr, d_n, d_e, rows, cols, delta)
+    )
+    got, entries = _compiled_scatter(csr, d_n, d_e, rows, cols, delta)
+    assert np.array_equal(got, expected)
+    walks = _walks(csr, rows, cols, delta)
+    assert entries == sum(cost for _, cost in walks)
+    return {branch for branch, _ in walks}
 
 
 class TestScatterGradientParity:
-    """``scatter_gradient`` against ``_scatter_pair_gradient``.
+    """``scatter_pair_gradient`` against ``_scatter_pair_gradient``.
 
     The kernel picks a pull or a push walk per hub group; the cases below
     are built so that each walk (and both ways of clearing the push
     accumulators) runs, which the walked-entry count returned by the
-    kernel confirms against :func:`_walks`.
+    kernel confirms against :func:`_walks`; the plain pull-walk check is
+    in ``ORACLE_CHECKS``.
     """
-
-    KERNEL = "scatter_gradient"
-
-    def _inputs(self, graph, rng):
-        csr = to_sparse(graph)
-        n = csr.shape[0]
-        rows, cols = _pairs(n, rng, count=300)
-        d_n = rng.standard_normal(n)
-        d_e = rng.standard_normal(n)
-        return csr, d_n, d_e, rows.astype(np.int64), cols.astype(np.int64)
-
-    def _check(self, csr, d_n, d_e, rows, cols, delta=()):
-        """Assert bit-identity of the kernel, the blocked numpy scatter and
-        the per-hub loop; return the walks the kernel took."""
-        expected = _scatter_pair_gradient(csr, d_n, d_e, rows, cols, delta=delta)
-        assert np.array_equal(
-            expected, _per_hub_scatter(csr, d_n, d_e, rows, cols, delta)
-        )
-        got, entries = _compiled_scatter(csr, d_n, d_e, rows, cols, delta)
-        assert np.array_equal(got, expected)
-        walks = _walks(csr, rows, cols, delta)
-        assert entries == sum(cost for _, cost in walks)
-        return {branch for branch, _ in walks}
 
     def _mixed_pairs(self, csr, rng):
         """A push group (top hub, all partners), two re-walk push groups
@@ -323,22 +293,16 @@ class TestScatterGradientParity:
         cols = np.concatenate([c for _, c in parts]).astype(np.int64)
         return rows, cols, top, lows[0]
 
-    def test_matches_numpy_reference(self):
-        rng = np.random.default_rng(5)
-        for graph in _graphs():
-            csr, d_n, d_e, rows, cols = self._inputs(graph, rng)
-            assert "pull" in self._check(csr, d_n, d_e, rows, cols)
-
     def test_matches_numpy_reference_with_delta_overlay(self):
         rng = np.random.default_rng(6)
         for graph in _graphs():
-            csr, d_n, d_e, rows, cols = self._inputs(graph, rng)
+            csr, d_n, d_e, rows, cols = _scatter_inputs(graph, rng)
             delta = [
                 (int(rows[0]), int(cols[0]), 1.0),
                 (int(rows[1]), int(cols[1]), -1.0),
                 (3, 7, 1.0),
             ]
-            self._check(csr, d_n, d_e, rows, cols, delta)
+            _check_scatter(csr, d_n, d_e, rows, cols, delta)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_one_target_all_partners_pushes(self, index_dtype):
@@ -349,7 +313,7 @@ class TestScatterGradientParity:
             hub = int(np.argmax(np.diff(csr.indptr)))
             rows, cols = _incident_pairs(hub, range(n))
             d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
-            assert self._check(csr, d_n, d_e, rows, cols) == {"push"}
+            assert _check_scatter(csr, d_n, d_e, rows, cols) == {"push"}
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_mixed_push_and_pull_in_one_call(self, index_dtype):
@@ -360,7 +324,7 @@ class TestScatterGradientParity:
         n = csr.shape[0]
         rows, cols, _, _ = self._mixed_pairs(csr, rng)
         d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
-        assert self._check(csr, d_n, d_e, rows, cols) == {
+        assert _check_scatter(csr, d_n, d_e, rows, cols) == {
             "push", "push-rewalk", "pull"
         }
 
@@ -391,7 +355,7 @@ class TestScatterGradientParity:
             (int(rows[-1]), int(cols[-1]), -1.0),
         ]
         delta = [(min(u, v), max(u, v), d) for u, v, d in delta]
-        assert self._check(csr, d_n, d_e, rows, cols, delta) == {
+        assert _check_scatter(csr, d_n, d_e, rows, cols, delta) == {
             "push", "push-rewalk", "pull"
         }
 
@@ -424,7 +388,7 @@ class TestScatterGradientParity:
             toggle(picked[0], picked[1]),  # repeated: d accumulates
         ]
         d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
-        self._check(csr, d_n, d_e, rows, cols, delta)
+        _check_scatter(csr, d_n, d_e, rows, cols, delta)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_full_set_under_a_heavy_delta(self, index_dtype):
@@ -462,7 +426,7 @@ class TestScatterGradientParity:
         delta.append((u, v, -d))
         assert len(delta) == 49
         d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
-        assert self._check(csr, d_n, d_e, rows, cols, delta) == {
+        assert _check_scatter(csr, d_n, d_e, rows, cols, delta) == {
             "push", "push-rewalk", "pull"
         }
 
@@ -475,7 +439,7 @@ class TestScatterGradientParity:
         d_n, d_e = rng.standard_normal(n), rng.standard_normal(n)
         other = int(csr.indices[csr.indptr[top]])
         delta = [(min(top, other), max(top, other), -1.0)]
-        branches = self._check(csr, d_n, d_e, rows, cols, delta)
+        branches = _check_scatter(csr, d_n, d_e, rows, cols, delta)
         assert "pull" in branches and branches & {"push", "push-rewalk"}
 
     def test_empty_candidates(self):
@@ -572,3 +536,72 @@ class TestEngineKernelParity:
         assert results[0].flips_by_budget == results[1].flips_by_budget
         assert results[0].surrogate_by_budget == results[1].surrogate_by_budget
         assert len(results[1].flips()) == 3
+
+
+INDEX_DTYPES = (np.int32, np.int64)
+
+
+def _pair_values_oracle(index_dtype):
+    """``pair_values`` against the dense adjacency's entries."""
+    rng = np.random.default_rng(0)
+    for graph in _graphs():
+        csr = _with_index_dtype(to_sparse(graph), index_dtype)
+        rows, cols = _pairs(csr.shape[0], rng)
+        got = kernel_table().pair_values(
+            csr, rows.astype(np.int64), cols.astype(np.int64)
+        )
+        assert got.dtype == np.float64
+        assert np.array_equal(got, csr.toarray()[rows, cols])
+
+
+def _triangle_counts_oracle(case, index_dtype):
+    """``triangle_counts`` and the numpy oriented counts against the spgemm
+    triangle term."""
+    csr = _with_index_dtype(_triangle_cases()[case], index_dtype)
+    expected = _oracle(csr)
+    compiled = kernel_table().triangle_counts(csr)
+    assert compiled.dtype == np.float64
+    assert np.array_equal(compiled, expected)
+    assert np.array_equal(_oriented_triangle_counts(csr), expected)
+
+
+def _scatter_pair_gradient_oracle():
+    """``scatter_pair_gradient`` on random (pull-walk) pairs."""
+    rng = np.random.default_rng(5)
+    for graph in _graphs():
+        csr, d_n, d_e, rows, cols = _scatter_inputs(graph, rng)
+        assert "pull" in _check_scatter(csr, d_n, d_e, rows, cols)
+
+
+#: Public ``CompiledKernels`` method -> {case id: its check against the
+#: numpy oracle}.  Each kernel's basic oracle check lives here only.
+ORACLE_CHECKS = {
+    "pair_values": {
+        dtype.__name__: partial(_pair_values_oracle, dtype) for dtype in INDEX_DTYPES
+    },
+    "scatter_pair_gradient": {"pull": _scatter_pair_gradient_oracle},
+    "triangle_counts": {
+        f"{case}-{dtype.__name__}": partial(_triangle_counts_oracle, case, dtype)
+        for case in sorted(_triangle_cases())
+        for dtype in INDEX_DTYPES
+    },
+}
+
+
+def _kernel_cases():
+    """One param per oracle case of each public ``CompiledKernels`` method,
+    and one failing ``<method>-unchecked`` param for a method with none."""
+    for kernel, _ in inspect.getmembers(CompiledKernels, inspect.isfunction):
+        if kernel.startswith("_"):
+            continue
+        cases = ORACLE_CHECKS.get(kernel) or {"unchecked": None}
+        for case in cases:
+            yield pytest.param(kernel, case, id=f"{kernel}-{case}")
+
+
+@pytest.mark.parametrize(("kernel", "case"), _kernel_cases())
+def test_every_compiled_kernel_matches_its_oracle(kernel, case):
+    assert kernel in ORACLE_CHECKS, (
+        f"CompiledKernels.{kernel} has no numpy-oracle check in ORACLE_CHECKS"
+    )
+    ORACLE_CHECKS[kernel][case]()

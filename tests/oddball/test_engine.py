@@ -8,6 +8,8 @@ The dense oracle is the historical reference, the sparse engine is what
 unlocks 10k+-node graphs — and nothing may drift between them.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -57,6 +59,32 @@ def engine_pair(request, graph_and_targets, neighbour_pair_set):
     dense = DenseSurrogateEngine(graph, targets, candidate_set)
     sparse_eng = SurrogateEngine.create(graph, targets, candidate_set)
     return dense, sparse_eng
+
+
+def _public_api(cls):
+    """Public member name -> parameter names (``None`` for non-callables)."""
+    api = {}
+    for name, member in inspect.getmembers(cls):
+        if name.startswith("_"):
+            continue
+        try:
+            api[name] = list(inspect.signature(member).parameters)
+        except (TypeError, ValueError):  # not callable, or no signature
+            api[name] = None
+    return api
+
+
+_DENSE_API = _public_api(DenseSurrogateEngine)
+_SPARSE_API = _public_api(SparseSurrogateEngine)
+
+
+@pytest.mark.parametrize("member", sorted(_DENSE_API.keys() | _SPARSE_API.keys()))
+def test_engines_expose_one_public_api(member):
+    """The dense oracle and the sparse engine are substitutable: the same
+    public members, and the same parameter names on every shared method."""
+    assert member in _DENSE_API, "on SparseSurrogateEngine only"
+    assert member in _SPARSE_API, "on DenseSurrogateEngine only"
+    assert _DENSE_API[member] == _SPARSE_API[member], "signatures diverge"
 
 
 class TestBackendResolution:

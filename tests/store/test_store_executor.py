@@ -2,6 +2,8 @@
 ``store``-kind EngineSpec must produce results bit-identical to payload-spec
 workers and to the serial campaign, at any worker count."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -34,7 +36,7 @@ class TestStoreSpec:
         assert spec.payload == (str(store.path),)
 
     def test_spec_round_trip_builds_identical_engine(self, store, memory_graph):
-        spec = EngineSpec.from_store(store)
+        spec = pickle.loads(pickle.dumps(EngineSpec.from_store(store)))
         targets = [0, 1, 2]
         empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
         rebuilt = SurrogateEngine.from_spec(spec, targets, candidates=empty)

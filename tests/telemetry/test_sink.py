@@ -106,9 +106,9 @@ class TestTornWrites:
             assert names == ["a", "b"][:complete], cut
 
     def test_chaos_trace_sink_byte_flipped_at_sampled_offsets(self, tmp_path, caplog):
-        """A byte flipped anywhere either costs records, with a warning
-        naming the file, or fails the load with a ``ValueError`` naming
-        it; a byte that is not UTF-8 never fails the whole trace."""
+        """A byte flipped anywhere costs records, with a warning naming
+        the file, and never fails the whole trace: a flip in the header
+        costs that sink."""
         path = self._two_record_sink(tmp_path)
         data = path.read_bytes()
         newlines = [i for i, byte in enumerate(data) if byte == ord("\n")]
@@ -118,15 +118,28 @@ class TestTornWrites:
             flipped[offset] ^= 0xFF
             path.write_bytes(bytes(flipped))
             caplog.clear()
-            try:
-                with caplog.at_level(logging.WARNING):
-                    names = [e["name"] for e in load_trace_dir(tmp_path)]
-            except ValueError as error:
-                assert not isinstance(error, UnicodeDecodeError), offset
-                assert str(path) in str(error), offset
-                continue
+            with caplog.at_level(logging.WARNING):
+                names = [e["name"] for e in load_trace_dir(tmp_path)]
             assert names in (["a"], ["b"], []), offset
             assert any(str(path) in r.getMessage() for r in caplog.records), offset
+
+    def test_corrupt_sink_header_costs_only_that_sink(self, tmp_path, caplog):
+        """One worker's corrupt header skips its sink, with a warning naming
+        it; the other workers' records still load."""
+        for worker, name in (("w0", "kept"), ("w1", "lost")):
+            sink = TelemetrySink(sink_path(tmp_path, worker), worker=worker)
+            sink.append(_record(name))
+            sink.close()
+        flipped_path = sink_path(tmp_path, "w1")
+        flipped = bytearray(flipped_path.read_bytes())
+        flipped[2] ^= 0xFF
+        flipped_path.write_bytes(bytes(flipped))
+        with caplog.at_level(logging.WARNING):
+            events = load_trace_dir(tmp_path)
+        assert [(e["worker"], e["name"]) for e in events] == [("w0", "kept")]
+        assert any(str(flipped_path) in r.getMessage() for r in caplog.records)
+        with pytest.raises(ValueError, match="corrupt header"):
+            load_events(flipped_path)
 
 
 class TestHeaderValidation:
