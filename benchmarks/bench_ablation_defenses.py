@@ -8,18 +8,11 @@ three on the same attack instance and prints a defence league table.
 
 from repro.attacks import BinarizedAttack
 from repro.graph.datasets import load_dataset
-from repro.graph.features import egonet_features
 from repro.oddball.defense import purified_scores
 from repro.oddball.detector import OddBall
-from repro.oddball.robust import fit_with_estimator
-from repro.oddball.scores import score_from_features
+from repro.oddball.robust import ESTIMATORS
+from repro.oddball.scores import tau_as
 from repro.utils.rng import SeedSequenceFactory
-
-
-def _estimator_scores(adjacency, estimator, rng):
-    n_feature, e_feature = egonet_features(adjacency)
-    fit = fit_with_estimator(n_feature, e_feature, estimator=estimator, rng=rng)
-    return score_from_features(n_feature, e_feature, fit)
 
 
 def test_bench_defense_league(benchmark, bench_scale, bench_seed):
@@ -44,14 +37,14 @@ def test_bench_defense_league(benchmark, bench_scale, bench_seed):
         )
         poisoned = result.poisoned()
         taus = {}
-        for estimator in ("ols", "huber", "ransac"):
-            est_rng = seeds.generator(f"defense-{estimator}")
-            before = _estimator_scores(adjacency, estimator, est_rng)[targets].sum()
-            after = _estimator_scores(poisoned, estimator, est_rng)[targets].sum()
-            taus[estimator] = float((before - after) / max(before, 1e-9))
+        for estimator in ESTIMATORS:
+            detector = OddBall(estimator, seeds.generator(f"defense-{estimator}"))
+            before = detector.scores(adjacency)[targets].sum()
+            after = detector.scores(poisoned)[targets].sum()
+            taus[estimator] = tau_as(float(before), float(after))
         before = purified_scores(adjacency, rank=purify_rank)[targets].sum()
         after = purified_scores(poisoned, rank=purify_rank)[targets].sum()
-        taus["svd-purify"] = float((before - after) / max(before, 1e-9))
+        taus["svd-purify"] = tau_as(float(before), float(after))
         return taus
 
     taus = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -45,7 +45,7 @@ from scipy import sparse
 
 from repro import telemetry
 from repro.attacks import AttackCampaign, grid_jobs
-from repro.graph.sparse import anomaly_scores_sparse
+from repro.oddball import OddBall
 from repro.telemetry.report import summarize
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_telemetry.json"
@@ -71,8 +71,7 @@ def _random_sparse_graph(n: int, m: int, seed: int) -> sparse.csr_matrix:
 
 def _campaign_instance(n: int, n_targets: int, seed: int = 0):
     graph = _random_sparse_graph(n=n, m=4 * n, seed=seed)
-    scores = anomaly_scores_sparse(graph)
-    targets = np.argsort(-scores, kind="stable")[:n_targets].tolist()
+    targets = OddBall().analyze(graph).top_k(n_targets).tolist()
     return graph, targets
 
 

@@ -12,14 +12,11 @@ import numpy as np
 
 from repro.attacks import BinarizedAttack
 from repro.graph import load_dataset
-from repro.graph.features import egonet_features
-from repro.oddball import OddBall, fit_with_estimator, score_from_features
+from repro.oddball import ESTIMATORS, OddBall, tau_as
 
 
-def scores_under(adjacency: np.ndarray, estimator: str, rng=0) -> np.ndarray:
-    n_feature, e_feature = egonet_features(adjacency)
-    fit = fit_with_estimator(n_feature, e_feature, estimator=estimator, rng=rng)
-    return score_from_features(n_feature, e_feature, fit)
+def scores_under(adjacency: np.ndarray, estimator: str) -> np.ndarray:
+    return OddBall(estimator, rng=0).scores(adjacency)
 
 
 def main() -> None:
@@ -37,10 +34,10 @@ def main() -> None:
     poisoned = result.poisoned()
 
     print(f"{'estimator':>10} {'S_T clean':>10} {'S_T poisoned':>13} {'tau':>7}")
-    for estimator in ("ols", "huber", "ransac"):
+    for estimator in ESTIMATORS:
         before = scores_under(adjacency, estimator)[targets].sum()
         after = scores_under(poisoned, estimator)[targets].sum()
-        tau = (before - after) / before
+        tau = tau_as(before, after)
         print(f"{estimator:>10} {before:>10.3f} {after:>13.3f} {tau:>6.1%}")
 
     print(
@@ -57,7 +54,7 @@ def main() -> None:
     before_huber = scores_under(adjacency, "huber")[targets].sum()
     for b in result.budgets:
         after_huber = scores_under(result.poisoned(b), "huber")[targets].sum()
-        tau = (before_huber - after_huber) / before_huber
+        tau = tau_as(before_huber, after_huber)
         if tau > best_tau:
             best_tau, best_b = tau, b
     print(f"  best budget against Huber: B={best_b}, tau = {best_tau:.1%}")

@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py
 
 from repro.attacks import BinarizedAttack, CandidateSet, GradMaxSearch
 from repro.graph import load_dataset
-from repro.oddball import OddBall
+from repro.oddball import OddBall, tau_as
 
 
 def main() -> None:
@@ -35,10 +35,11 @@ def main() -> None:
 
     # 5. The defender re-runs OddBall on the poisoned graph.
     score_after = detector.scores(result.poisoned())[targets].sum()
-    tau = (score_before - score_after) / score_before
+    tau = tau_as(score_before, score_after)
     print(f"total AScore after attack = {score_after:.3f}  (decrease {tau:.1%})")
 
-    ranks = [OddBall().analyze(result.poisoned_graph()).rank_of(t) for t in targets]
+    poisoned_report = detector.analyze(result.poisoned())
+    ranks = [poisoned_report.rank_of(t) for t in targets]
     print(f"target ranks after attack (0 = most anomalous): {ranks}")
 
     # 6. Candidate sets: trade coverage for speed on larger graphs.

@@ -8,30 +8,30 @@ its budget accordingly.
 Run:  python examples/weighted_targets.py
 """
 
-
 from repro.attacks import BinarizedAttack
 from repro.graph import load_dataset
-from repro.oddball import OddBall, anomaly_scores
+from repro.oddball import OddBall
 
 
 def main() -> None:
     dataset = load_dataset("wikivote", rng=7, scale=0.25)
     graph = dataset.graph
-    report = OddBall().analyze(graph)
+    detector = OddBall()
+    report = detector.analyze(graph)
     targets = report.top_k(3).tolist()
     vip, *decoys = targets
     print(f"targets: VIP = v{vip}, decoys = {decoys}")
 
     budget = 8
     attack = BinarizedAttack(iterations=100)
-    before = anomaly_scores(graph.adjacency)
+    before = report.scores
 
     for label, weights in (
         ("uniform kappa", [1.0, 1.0, 1.0]),
         ("VIP kappa=100", [100.0, 1.0, 1.0]),
     ):
         result = attack.attack(graph, targets, budget, target_weights=weights)
-        after = anomaly_scores(result.poisoned())
+        after = detector.scores(result.poisoned())
         drops = {t: before[t] - after[t] for t in targets}
         vip_share = drops[vip] / max(sum(drops.values()), 1e-9)
         print(f"\n{label}: flips = {len(result.flips())}")

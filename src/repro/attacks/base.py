@@ -14,8 +14,8 @@ which means ``"full"``.  Every attack runs on a
 :class:`~repro.oddball.surrogate.SurrogateEngine`, so large graphs may be
 passed as scipy sparse matrices to any of them; sparse inputs stay sparse
 end to end: :class:`AttackResult` keeps the original in whichever
-representation it was given and derives poisoned graphs/scores in the
-same one.
+representation it was given and derives poisoned adjacencies in the same
+one.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from scipy import sparse
 
 from repro.attacks.candidates import CandidateSet
 from repro.graph.graph import Graph
-from repro.graph.sparse import SparseGraphView, anomaly_scores_sparse, to_sparse
-from repro.oddball.scores import anomaly_scores
+from repro.graph.sparse import to_sparse
+from repro.oddball.detector import OddBall
+from repro.oddball.scores import tau_as
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.validation import check_adjacency, check_budget
 
@@ -87,8 +88,9 @@ class AttackResult:
     spend its whole budget if extra flips would hurt the objective).
 
     ``original`` may be a dense adjacency array or a scipy sparse matrix;
-    derived artefacts (:meth:`poisoned`, :meth:`score_decrease`) stay in the
-    same representation so large-graph results never densify accidentally.
+    :meth:`poisoned` returns the same representation, and
+    :meth:`score_decrease` scores either through OddBall's sparse features,
+    so large-graph results never densify accidentally.
     """
 
     method: str
@@ -129,22 +131,6 @@ class AttackResult:
         """Poisoned adjacency (same dense/sparse representation) at ``budget``."""
         return apply_flips(self.original, self.flips(budget))
 
-    def poisoned_graph(self, budget: "int | None" = None) -> "Graph | SparseGraphView":
-        """Poisoned graph object at ``budget``, same representation as input.
-
-        Dense originals yield a dense-backed :class:`Graph`; sparse
-        originals yield a read-only
-        :class:`~repro.graph.sparse.SparseGraphView` over the poisoned
-        CSR, so large-graph results never densify implicitly.  The view
-        mirrors Graph's query API and plugs into every sparse-aware
-        consumer via ``adjacency_csr()``; call its ``to_graph()`` when a
-        small graph genuinely needs the dense API.
-        """
-        poisoned = self.poisoned(budget)
-        if sparse.issparse(poisoned):
-            return SparseGraphView(poisoned)
-        return Graph(poisoned)
-
     def edges_changed_fraction(self, budget: "int | None" = None) -> float:
         """Attack power ``B / |E|`` (x-axis of Fig. 4)."""
         edges = int(self.original.sum()) // 2
@@ -165,14 +151,10 @@ class AttackResult:
         kappa = np.ones(len(targets)) if weights is None else np.asarray(list(weights))
         if kappa.shape != (len(targets),):
             raise ValueError("weights must align with targets")
-        scorer = (
-            anomaly_scores_sparse if sparse.issparse(self.original) else anomaly_scores
-        )
-        before = float((scorer(self.original)[targets] * kappa).sum())
-        after = float((scorer(self.poisoned(budget))[targets] * kappa).sum())
-        if before <= 0.0:
-            return 0.0
-        return (before - after) / before
+        detector = OddBall()
+        before = float((detector.scores(self.original)[targets] * kappa).sum())
+        after = float((detector.scores(self.poisoned(budget))[targets] * kappa).sum())
+        return tau_as(before, after)
 
 
 class StructuralAttack(abc.ABC):

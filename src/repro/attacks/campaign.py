@@ -55,8 +55,8 @@ from repro.attacks.base import AttackResult, validate_targets
 from repro.attacks.candidates import CANDIDATE_STRATEGIES
 from repro.graph.graph import Graph
 from repro.graph.sparse import content_hash, to_sparse
-from repro.oddball.regression import fit_power_law
-from repro.oddball.scores import rank_nodes, rank_positions, score_from_features
+from repro.oddball.detector import OddBall
+from repro.oddball.scores import rank_nodes, rank_positions, tau_as
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.jsonlog import JsonLog, parse_line
 from repro.utils.logging import get_logger
@@ -314,9 +314,7 @@ class JobOutcome:
     @property
     def score_decrease(self) -> float:
         """τ_as = (S⁰_T − S^B_T) / S⁰_T at the full budget."""
-        if self.score_before <= 0.0:
-            return 0.0
-        return (self.score_before - self.score_after) / self.score_before
+        return tau_as(self.score_before, self.score_after)
 
     def attack_result(self, original) -> AttackResult:
         """Reconstruct a standalone-equivalent :class:`AttackResult`."""
@@ -800,9 +798,8 @@ class AttackCampaign:
                 self._engine = SurrogateEngine.create(self._original, job.targets, empty)
         if self._clean_scores is None:
             with _telemetry.span("engine.clean_scores"):
-                n_feature, e_feature = self._engine.node_features()
-                self._clean_scores = score_from_features(
-                    n_feature, e_feature, fit_power_law(n_feature, e_feature)
+                self._clean_scores = (
+                    OddBall().analyze_features(*self._engine.node_features()).scores
                 )
                 self._clean_ranks = rank_positions(self._clean_scores)
         return self._engine
@@ -816,10 +813,7 @@ class AttackCampaign:
         flips = result.flips()
         for u, v in flips:
             engine.push_flip(u, v)
-        n_feature, e_feature = engine.node_features()
-        poisoned_scores = score_from_features(
-            n_feature, e_feature, fit_power_law(n_feature, e_feature)
-        )
+        poisoned_scores = OddBall().analyze_features(*engine.node_features()).scores
         engine.pop_flips(len(flips))
         targets = list(job.targets)
         score_before = float(self._clean_scores[targets].sum())

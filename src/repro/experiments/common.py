@@ -6,16 +6,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch, StructuralAttack
 from repro.experiments.config import Scale
 from repro.graph.datasets import Dataset, load_dataset
 from repro.graph.graph import Graph
 from repro.oddball.detector import DetectionReport, OddBall
-from repro.oddball.scores import anomaly_scores
+from repro.oddball.scores import tau_as
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = [
-    "attack_suite",
     "attack_suite_params",
     "format_table",
     "load_experiment_graph",
@@ -46,23 +44,13 @@ def sample_targets(
     return sorted(int(v) for v in chosen)
 
 
-def attack_suite(scale: Scale) -> dict[str, StructuralAttack]:
-    """The paper's three methods with scale-appropriate iteration counts."""
-    return {
-        "gradmaxsearch": GradMaxSearch(),
-        "continuousa": ContinuousA(max_iter=scale.attack_iterations),
-        "binarizedattack": BinarizedAttack(iterations=scale.attack_iterations),
-    }
-
-
 def attack_suite_params(scale: Scale) -> dict[str, dict]:
-    """:func:`attack_suite` as campaign job parameters.
+    """The paper's three methods as campaign job parameters.
 
-    The campaign layer instantiates attacks from serialisable specs, so
-    the sweep drivers describe the suite as constructor kwargs instead of
-    instances — keeping :func:`attack_suite` and the campaign-driven
-    figures in lock-step (a mismatch here would break the figure-level
-    equivalence tests).
+    Constructor kwargs with scale-appropriate iteration counts, keyed by
+    registry name: the campaign layer instantiates attacks from these
+    serialisable specs (``AttackJob.make(name, targets, budget,
+    **params).build_attack()`` gives the instance).
     """
     return {
         "gradmaxsearch": {},
@@ -79,12 +67,12 @@ def tau_for_budgets(
 ) -> list[float]:
     """τ_as at each budget, computing clean scores once."""
     targets = list(targets)
-    before = float(anomaly_scores(original)[targets].sum())
-    out = []
-    for budget in budgets:
-        after = float(anomaly_scores(result.poisoned(budget))[targets].sum())
-        out.append(0.0 if before <= 0 else (before - after) / before)
-    return out
+    detector = OddBall()
+    before = float(detector.scores(original)[targets].sum())
+    return [
+        tau_as(before, float(detector.scores(result.poisoned(budget))[targets].sum()))
+        for budget in budgets
+    ]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:

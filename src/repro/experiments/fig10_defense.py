@@ -14,22 +14,14 @@ import numpy as np
 from repro.attacks import BinarizedAttack
 from repro.experiments.common import format_table, load_experiment_graph, sample_targets
 from repro.experiments.config import CI, Scale
-from repro.graph.features import egonet_features
 from repro.oddball.detector import OddBall
-from repro.oddball.robust import fit_with_estimator
-from repro.oddball.scores import score_from_features
+from repro.oddball.robust import ESTIMATORS
+from repro.oddball.scores import tau_as
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["format_results", "run"]
 
 DATASETS = ("bitcoin-alpha", "wikivote")
-ESTIMATORS = ("ols", "huber", "ransac")
-
-
-def _scores_with(adjacency: np.ndarray, estimator: str, rng) -> np.ndarray:
-    n_feature, e_feature = egonet_features(adjacency)
-    fit = fit_with_estimator(n_feature, e_feature, estimator=estimator, rng=rng)
-    return score_from_features(n_feature, e_feature, fit)
 
 
 def run(
@@ -45,7 +37,6 @@ def run(
     for name in datasets:
         dataset = load_experiment_graph(name, scale, seeds)
         graph = dataset.graph
-        adjacency = graph.adjacency
         budgets = scale.budgets_for(graph.number_of_edges)
         n_targets = max(scale.scaled(paper_targets), 3)
         report = detector.analyze(graph)
@@ -58,20 +49,14 @@ def run(
             result = attack.attack(graph, targets, budgets[-1])
             for estimator in ESTIMATORS:
                 est_rng = seeds.generator(f"fig10-est-{name}-{estimator}-{repeat}")
-                before = float(
-                    _scores_with(adjacency, estimator, est_rng)[targets].sum()
-                )
+                before = float(OddBall(estimator, est_rng).scores(graph)[targets].sum())
                 for i, budget in enumerate(budgets):
                     est_rng_b = seeds.generator(
                         f"fig10-est-{name}-{estimator}-{repeat}-{budget}"
                     )
-                    after = float(
-                        _scores_with(result.poisoned(budget), estimator, est_rng_b)[
-                            targets
-                        ].sum()
-                    )
-                    tau = 0.0 if before <= 0 else (before - after) / before
-                    curves[estimator][i] += tau / scale.n_repeats
+                    poisoned = result.poisoned(budget)
+                    after = float(OddBall(estimator, est_rng_b).scores(poisoned)[targets].sum())
+                    curves[estimator][i] += tau_as(before, after) / scale.n_repeats
         results[name] = {
             "budgets": budgets,
             "edges_changed_pct": [100.0 * b / graph.number_of_edges for b in budgets],

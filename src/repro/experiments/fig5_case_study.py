@@ -80,7 +80,7 @@ def run(
         flips = result.flips()
         adds = sum(1 for u, v in flips if graph.adjacency_view[u, v] == 0.0)
         deletes = len(flips) - adds
-        poisoned = result.poisoned_graph()
+        poisoned = Graph(result.poisoned())
         cases.append(
             {
                 "target": node,

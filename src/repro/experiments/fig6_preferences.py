@@ -10,12 +10,11 @@ companion panels report the log-log regression line before (B=0) and after
 
 from __future__ import annotations
 
-
 from repro.attacks import BinarizedAttack
 from repro.experiments.common import format_table, load_experiment_graph, top_score_groups
 from repro.experiments.config import CI, Scale
 from repro.oddball.detector import OddBall
-from repro.oddball.scores import anomaly_scores
+from repro.oddball.scores import tau_as
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["format_results", "run"]
@@ -48,17 +47,17 @@ def run(
     attack = BinarizedAttack(iterations=scale.attack_iterations)
     result = attack.attack(graph, targets, max_budget)
 
+    detector = OddBall()
     series: dict[str, list[float]] = {name: [] for name in groups}
     for budget in budgets:
-        poisoned_scores = anomaly_scores(result.poisoned(budget))
+        poisoned_scores = detector.scores(result.poisoned(budget))
         for name, members in groups.items():
             before = float(scores[members].sum())
             after = float(poisoned_scores[members].sum())
-            series[name].append(0.0 if before <= 0 else (before - after) / before)
+            series[name].append(tau_as(before, after))
 
-    detector = OddBall()
     fit_clean = detector.analyze(graph).fit
-    fit_poisoned = detector.analyze(result.poisoned_graph(max_budget)).fit
+    fit_poisoned = detector.analyze(result.poisoned(max_budget)).fit
     return {
         "scale": scale.name,
         "seed": seed,

@@ -13,7 +13,7 @@ import numpy as np
 from repro.attacks import BinarizedAttack
 from repro.experiments.common import format_table, load_experiment_graph, sample_targets
 from repro.experiments.config import CI, Scale
-from repro.graph.features import egonet_features
+from repro.graph.sparse import egonet_features_sparse
 from repro.ml.stats import histogram_density
 from repro.oddball.detector import OddBall
 from repro.utils.rng import SeedSequenceFactory
@@ -32,7 +32,6 @@ def run(
     seeds = SeedSequenceFactory(seed)
     ds = load_experiment_graph(dataset, scale, seeds)
     graph = ds.graph
-    adjacency = graph.adjacency
     detector = OddBall()
     report = detector.analyze(graph)
     targets = sample_targets(
@@ -40,10 +39,8 @@ def run(
     )
     budget = scale.budgets_for(graph.number_of_edges)[-1]
     result = BinarizedAttack(iterations=scale.attack_iterations).attack(graph, targets, budget)
-    poisoned = result.poisoned()
-
-    n_clean, e_clean = egonet_features(adjacency)
-    n_poisoned, e_poisoned = egonet_features(poisoned)
+    n_clean, e_clean = report.n_feature, report.e_feature
+    n_poisoned, e_poisoned = egonet_features_sparse(result.poisoned())
 
     payload = {"scale": scale.name, "seed": seed, "dataset": dataset, "budget": budget,
                "series": {}, "summary": {}}

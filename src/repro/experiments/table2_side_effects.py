@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.attacks import BinarizedAttack
 from repro.experiments.common import format_table, load_experiment_graph, sample_targets
 from repro.experiments.config import CI, Scale
-from repro.graph.features import egonet_features
+from repro.graph.sparse import egonet_features_sparse
 from repro.ml.stats import permutation_test
 from repro.oddball.detector import OddBall
 from repro.utils.rng import SeedSequenceFactory
@@ -38,10 +38,9 @@ def run(
     for name in datasets:
         dataset = load_experiment_graph(name, scale, seeds)
         graph = dataset.graph
-        adjacency = graph.adjacency
-        n_clean, e_clean = egonet_features(adjacency)
         budget = scale.budgets_for(graph.number_of_edges)[-1]
         report = detector.analyze(graph)
+        n_clean, e_clean = report.n_feature, report.e_feature
         n_targets = max(scale.scaled(paper_targets), 5)
         attack = BinarizedAttack(iterations=scale.attack_iterations)
 
@@ -50,8 +49,7 @@ def run(
             rng = seeds.generator(f"table2-{name}-{experiment}")
             targets = sample_targets(report, n_targets, rng)
             result = attack.attack(graph, targets, budget)
-            poisoned = result.poisoned()
-            n_poisoned, e_poisoned = egonet_features(poisoned)
+            n_poisoned, e_poisoned = egonet_features_sparse(result.poisoned())
             p_n = permutation_test(
                 n_clean, n_poisoned, n_resamples=scale.permutation_resamples,
                 rng=seeds.generator(f"table2-perm-n-{name}-{experiment}"),

@@ -11,7 +11,6 @@ from repro.graph.datasets import (
 from repro.graph.features import (
     egonet_features,
     egonet_features_bruteforce,
-    egonet_features_from_graph,
     egonet_features_tensor,
 )
 from repro.graph.generators import barabasi_albert, erdos_renyi, ring_lattice
@@ -24,12 +23,7 @@ from repro.graph.io import (
     write_dataset,
     write_edge_list,
 )
-from repro.graph.sparse import (
-    SparseGraphView,
-    anomaly_scores_sparse,
-    egonet_features_sparse,
-    to_sparse,
-)
+from repro.graph.sparse import egonet_features_sparse, to_sparse
 from repro.graph.threatmodel import Defender, Environment, ManInTheMiddleAttacker
 
 __all__ = [
@@ -41,15 +35,12 @@ __all__ = [
     "Graph",
     "IncrementalEgonetFeatures",
     "ManInTheMiddleAttacker",
-    "SparseGraphView",
-    "anomaly_scores_sparse",
     "barabasi_albert",
     "dataset_statistics",
     "egonet_features_sparse",
     "to_sparse",
     "egonet_features",
     "egonet_features_bruteforce",
-    "egonet_features_from_graph",
     "egonet_features_tensor",
     "erdos_renyi",
     "inject_near_clique",

@@ -22,7 +22,6 @@ from repro.utils.validation import check_square
 
 __all__ = [
     "egonet_features",
-    "egonet_features_from_graph",
     "egonet_features_tensor",
     "egonet_features_bruteforce",
 ]
@@ -39,11 +38,6 @@ def egonet_features(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     triangles = ((a @ a) * a).sum(axis=1)  # = diag(A³) for symmetric A
     e_feature = n_feature + 0.5 * triangles
     return n_feature, e_feature
-
-
-def egonet_features_from_graph(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(N, E) for a :class:`~repro.graph.graph.Graph`."""
-    return egonet_features(graph.adjacency_view)
 
 
 def egonet_features_tensor(adjacency: Tensor) -> tuple[Tensor, Tensor]:

@@ -2,15 +2,11 @@
 
 The paper's *full* real datasets are much larger than the ~1000-node
 samples it evaluates on (Blogcatalog alone has 88 800 nodes and 2.1M
-edges).  The dense O(n²)-memory pipeline used everywhere else is ideal at
-evaluation scale, but pre-processing the full graphs — scoring every node
-to pick the sampled subgraph's anomalies — needs sparse arithmetic.  This
-module provides scipy.sparse implementations of the two hot kernels:
-
-* egonet features ``(N, E)`` for every node, and
-* OddBall Eq. 3 scores,
-
-verified bit-for-bit against the dense implementations in the tests, plus
+edges).  Scoring every node of such a graph needs sparse arithmetic, so
+this module provides the validated CSR every binary graph is read through
+(:func:`to_sparse`) and the scipy.sparse egonet features ``(N, E)``
+(:func:`egonet_features_sparse`) that OddBall scores from at every scale,
+verified bit-for-bit against the dense implementation in the tests, plus
 the canonical graph :func:`content_hash` every checkpoint fingerprint and
 store manifest is derived from, and the sorted-key set algebra
 (:func:`sorted_unique`, :func:`key_positions`, :func:`merge_novel`) that
@@ -27,14 +23,10 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.graph.graph import Graph
-from repro.oddball.regression import fit_power_law
-from repro.oddball.scores import score_from_features
 
 __all__ = [
-    "SparseGraphView",
     "content_hash",
     "egonet_features_sparse",
-    "anomaly_scores_sparse",
     "hash_edge_keys",
     "key_positions",
     "merge_novel",
@@ -239,108 +231,3 @@ def _oriented_triangle_counts(matrix) -> np.ndarray:
         + np.bincount(middle.row, middle.data, minlength=n)
     )
     return 2.0 * corners
-
-
-def anomaly_scores_sparse(adjacency) -> np.ndarray:
-    """OddBall Eq. 3 scores via the sparse kernels (OLS fit included)."""
-    n_feature, e_feature = egonet_features_sparse(adjacency)
-    fit = fit_power_law(n_feature, e_feature)
-    return score_from_features(n_feature, e_feature, fit)
-
-
-class SparseGraphView:
-    """Read-only, :class:`Graph`-like facade over a validated CSR adjacency.
-
-    :class:`Graph` is deliberately dense-backed (every dense algorithm
-    consumes its adjacency directly), which made it the wrong return type
-    for poisoned graphs coming out of *sparse* attack runs — wrapping a
-    Blogcatalog-scale result in a Graph would densify 88 800² floats just
-    to answer degree queries.  This view mirrors Graph's query surface
-    (node/edge counts, degrees, neighbours, edge membership, edge
-    iteration) over the CSR without densifying, and exposes the matrix
-    through :meth:`adjacency_csr` — the duck-typing hook every
-    sparse-aware consumer (``to_sparse``, the engines, OddBall's sparse
-    scorer) already dispatches on, so a view drops into those pipelines
-    unchanged.
-
-    Mutation is deliberately not offered: views wrap attack artefacts,
-    which are evidence.  :meth:`to_graph` is the one explicit densify
-    escape hatch, for small graphs that need the dense API.
-    """
-
-    def __init__(self, adjacency: "sparse.spmatrix | np.ndarray"):
-        self._csr = to_sparse(adjacency)
-        if not self._csr.has_sorted_indices:
-            self._csr = self._csr.copy()
-            self._csr.sort_indices()
-
-    # ------------------------------------------------------------------ #
-    # Representation hooks
-    # ------------------------------------------------------------------ #
-    def adjacency_csr(self) -> sparse.csr_matrix:
-        """The validated CSR adjacency (shared, treat as read-only)."""
-        return self._csr
-
-    def to_graph(self) -> Graph:
-        """Densify into a :class:`Graph` (small graphs only — O(n²))."""
-        # repro: allow-densify(the explicit, documented escape hatch to the dense Graph API)
-        return Graph(self._csr.toarray())
-
-    # ------------------------------------------------------------------ #
-    # Graph-mirroring queries
-    # ------------------------------------------------------------------ #
-    @property
-    def number_of_nodes(self) -> int:
-        """Node count."""
-        return int(self._csr.shape[0])
-
-    @property
-    def number_of_edges(self) -> int:
-        """Undirected edge count (the matrix is symmetric and binary)."""
-        return int(self._csr.nnz) // 2
-
-    def degrees(self) -> np.ndarray:
-        """Degree of every node."""
-        return np.diff(self._csr.indptr).astype(np.float64)
-
-    def degree(self, node: int) -> int:
-        """Degree of a single node."""
-        self._check_node(node)
-        indptr = self._csr.indptr
-        return int(indptr[node + 1] - indptr[node])
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted array of the node's neighbours (a copy)."""
-        self._check_node(node)
-        indptr = self._csr.indptr
-        return np.array(self._csr.indices[indptr[node] : indptr[node + 1]])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Edge membership via binary search of ``u``'s CSR row."""
-        self._check_node(u)
-        self._check_node(v)
-        indptr = self._csr.indptr
-        row = self._csr.indices[indptr[u] : indptr[u + 1]]
-        position = np.searchsorted(row, v)
-        return bool(position < row.size and row[position] == v)
-
-    def edges(self):
-        """Iterate over edges as (u, v) with u < v, row-major order."""
-        upper = sparse.triu(self._csr, k=1).tocoo()
-        yield from zip(upper.row.tolist(), upper.col.tolist())
-
-    def edge_set(self) -> "set[tuple[int, int]]":
-        """Set of (u, v) pairs with u < v."""
-        return set(self.edges())
-
-    def __repr__(self) -> str:
-        return (
-            f"SparseGraphView(n={self.number_of_nodes}, "
-            f"m={self.number_of_edges})"
-        )
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.number_of_nodes:
-            raise IndexError(
-                f"node {node} out of range [0, {self.number_of_nodes})"
-            )

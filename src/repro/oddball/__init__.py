@@ -8,13 +8,8 @@ from repro.oddball.regression import (
     fit_power_law,
     fit_power_law_tensor,
 )
-from repro.oddball.robust import fit_huber, fit_ransac, fit_with_estimator
-from repro.oddball.scores import (
-    anomaly_scores,
-    anomaly_scores_with_fit,
-    proxy_scores,
-    score_from_features,
-)
+from repro.oddball.robust import ESTIMATORS, fit_huber, fit_ransac, fit_with_estimator
+from repro.oddball.scores import score_from_features, tau_as
 from repro.oddball.surrogate import (
     SparseSurrogateEngine,
     SurrogateEngine,
@@ -30,13 +25,12 @@ from repro.oddball.surrogate import (
 __all__ = [
     "DEFAULT_RIDGE",
     "DetectionReport",
+    "ESTIMATORS",
     "OddBall",
     "PowerLawFit",
     "SparseSurrogateEngine",
     "SurrogateEngine",
     "adjacency_gradient",
-    "anomaly_scores",
-    "anomaly_scores_with_fit",
     "feature_gradients",
     "fit_huber",
     "fit_power_law",
@@ -44,7 +38,6 @@ __all__ = [
     "fit_ransac",
     "fit_with_estimator",
     "log_features",
-    "proxy_scores",
     "purified_scores",
     "score_from_features",
     "svd_purify",
@@ -52,4 +45,5 @@ __all__ = [
     "surrogate_loss_from_features",
     "surrogate_loss_numpy",
     "target_residuals",
+    "tau_as",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.features import egonet_features
+from repro.oddball.detector import OddBall
 from repro.utils.validation import check_symmetric
 
 __all__ = ["svd_purify", "purified_scores"]
@@ -57,16 +59,11 @@ def purified_scores(adjacency: np.ndarray, rank: int, threshold: float = 0.5) ->
     Nodes isolated by the purification receive score 0 (consistent with
     :func:`repro.oddball.scores.score_from_features`).
     """
-    from repro.graph.features import egonet_features
-    from repro.oddball.regression import fit_power_law
-    from repro.oddball.scores import score_from_features
-
     purified = svd_purify(adjacency, rank=rank, threshold=threshold)
-    n_feature, e_feature = egonet_features(purified)
-    if ((n_feature >= 1.0) & (e_feature >= 1.0)).sum() < 2:
+    try:
+        return OddBall().analyze_features(*egonet_features(purified)).scores
+    except ValueError as error:
         raise ValueError(
             f"rank-{rank} purification left fewer than two non-isolated nodes; "
             "increase the rank or lower the threshold"
-        )
-    fit = fit_power_law(n_feature, e_feature)
-    return score_from_features(n_feature, e_feature, fit)
+        ) from error

@@ -4,6 +4,9 @@ Given a graph, :class:`OddBall` extracts egonet features, fits the Egonet
 Density Power Law with a chosen estimator (OLS by default, Huber/RANSAC for
 the robust countermeasure variants) and assigns each node the Eq. 3 anomaly
 score.  Nodes exceeding a threshold (or in the top-k) are flagged anomalous.
+
+:meth:`OddBall.analyze_features` is the one place features become scores:
+every Eq. 3 score in the package, clean or poisoned, comes from it.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from repro.graph.features import egonet_features
 from repro.graph.graph import Graph
+from repro.graph.sparse import egonet_features_sparse
 from repro.oddball.regression import PowerLawFit
-from repro.oddball.robust import fit_with_estimator
+from repro.oddball.robust import check_estimator, fit_with_estimator
 from repro.oddball.scores import score_from_features
 
 __all__ = ["DetectionReport", "OddBall"]
@@ -79,8 +83,9 @@ class OddBall:
     Parameters
     ----------
     estimator:
-        ``"ols"`` (the paper's default target), ``"huber"`` or ``"ransac"``
-        (the Section VII countermeasures).
+        One of :data:`~repro.oddball.robust.ESTIMATORS`: ``"ols"`` (the
+        paper's default target), ``"huber"`` or ``"ransac"`` (the Section VII
+        countermeasures).
     rng:
         Seed/generator used only by the RANSAC estimator.
 
@@ -94,22 +99,31 @@ class OddBall:
     """
 
     def __init__(self, estimator: str = "ols", rng=None):
-        self.estimator = estimator
+        self.estimator = check_estimator(estimator)
         self.rng = rng
 
-    def analyze(self, graph: "Graph | np.ndarray") -> DetectionReport:
-        """Score every node of ``graph`` (Graph or adjacency matrix)."""
-        adjacency = graph.adjacency_view if isinstance(graph, Graph) else np.asarray(graph)
-        n_feature, e_feature = egonet_features(adjacency)
+    def analyze(self, graph: "Graph | np.ndarray | sparse.spmatrix") -> DetectionReport:
+        """Score every node of ``graph``: a Graph, a dense adjacency or a CSR.
+
+        The input is validated by :func:`~repro.graph.sparse.to_sparse` and
+        its features come from the sparse kernels, so large graphs never
+        densify.
+        """
+        return self.analyze_features(*egonet_features_sparse(graph))
+
+    def analyze_features(
+        self, n_feature: np.ndarray, e_feature: np.ndarray
+    ) -> DetectionReport:
+        """Fit the power law to egonet features ``(N, E)`` and score every node."""
         fit = fit_with_estimator(n_feature, e_feature, estimator=self.estimator, rng=self.rng)
         scores = score_from_features(n_feature, e_feature, fit)
         return DetectionReport(scores=scores, n_feature=n_feature, e_feature=e_feature, fit=fit)
 
-    def scores(self, graph: "Graph | np.ndarray") -> np.ndarray:
+    def scores(self, graph: "Graph | np.ndarray | sparse.spmatrix") -> np.ndarray:
         """Shorthand for ``analyze(graph).scores``."""
         return self.analyze(graph).scores
 
-    def target_score_sum(self, graph: "Graph | np.ndarray", targets) -> float:
+    def target_score_sum(self, graph: "Graph | np.ndarray | sparse.spmatrix", targets) -> float:
         """Σ of Eq. 3 scores over a target set — the attack's evaluation metric."""
         scores = self.scores(graph)
         targets = np.asarray(list(targets), dtype=np.intp)
@@ -117,7 +131,7 @@ class OddBall:
 
     def label_anomalies(
         self,
-        graph: "Graph | np.ndarray",
+        graph: "Graph | np.ndarray | sparse.spmatrix",
         fraction: "float | None" = None,
         threshold: "float | None" = None,
     ) -> np.ndarray:

@@ -16,7 +16,13 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 
-__all__ = ["PowerLawFit", "fit_power_law", "fit_power_law_tensor", "predict_log_e"]
+__all__ = [
+    "PowerLawFit",
+    "fit_points",
+    "fit_power_law",
+    "fit_power_law_tensor",
+    "predict_log_e",
+]
 
 #: Tikhonov ridge keeping the 2×2 system invertible on degenerate inputs
 #: (e.g. perfectly regular graphs where all ln N coincide).
@@ -36,6 +42,31 @@ class PowerLawFit:
         return np.exp(self.beta0) * np.power(np.maximum(n_feature, 1e-12), self.beta1)
 
 
+def fit_points(
+    n_feature: np.ndarray,
+    e_feature: np.ndarray,
+    mask: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln N, ln E)`` of the nodes a power-law fit uses, for every estimator.
+
+    ``mask`` defaults to ``N >= 1`` and ``E >= 1`` (an isolated node has no
+    defined log); at least two nodes must remain.
+    """
+    n_feature = np.asarray(n_feature, dtype=np.float64)
+    e_feature = np.asarray(e_feature, dtype=np.float64)
+    if n_feature.shape != e_feature.shape or n_feature.ndim != 1:
+        raise ValueError(
+            f"features must be aligned 1-D arrays, got {n_feature.shape} and {e_feature.shape}"
+        )
+    if mask is None:
+        mask = (n_feature >= 1.0) & (e_feature >= 1.0)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+    if mask.sum() < 2:
+        raise ValueError("need at least two valid nodes to fit the power law")
+    return np.log(n_feature[mask]), np.log(e_feature[mask])
+
+
 def fit_power_law(
     n_feature: np.ndarray,
     e_feature: np.ndarray,
@@ -50,25 +81,11 @@ def fit_power_law(
         Per-node egonet features.
     mask:
         Optional boolean mask of the nodes included in the fit; defaults to
-        ``N >= 1`` and ``E >= 1`` (isolated nodes have no defined log).
+        :func:`fit_points`' rule.
     ridge:
         Diagonal loading of the normal equations.
     """
-    n_feature = np.asarray(n_feature, dtype=np.float64)
-    e_feature = np.asarray(e_feature, dtype=np.float64)
-    if n_feature.shape != e_feature.shape or n_feature.ndim != 1:
-        raise ValueError(
-            f"features must be aligned 1-D arrays, got {n_feature.shape} and {e_feature.shape}"
-        )
-    if mask is None:
-        mask = (n_feature >= 1.0) & (e_feature >= 1.0)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if mask.sum() < 2:
-        raise ValueError("need at least two valid nodes to fit the power law")
-
-    x = np.log(n_feature[mask])
-    y = np.log(e_feature[mask])
+    x, y = fit_points(n_feature, e_feature, mask)
     count = float(len(x))
     sum_x = float(x.sum())
     sum_xx = float((x * x).sum())

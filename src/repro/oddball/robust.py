@@ -16,21 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.oddball.regression import PowerLawFit, fit_power_law
+from repro.oddball.regression import PowerLawFit, fit_points, fit_power_law
 from repro.utils.rng import as_generator
 
-__all__ = ["fit_huber", "fit_ransac"]
+__all__ = ["ESTIMATORS", "check_estimator", "fit_huber", "fit_ransac", "fit_with_estimator"]
 
-
-def _prepare_log_features(
-    n_feature: np.ndarray, e_feature: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    n_feature = np.asarray(n_feature, dtype=np.float64)
-    e_feature = np.asarray(e_feature, dtype=np.float64)
-    mask = (n_feature >= 1.0) & (e_feature >= 1.0)
-    if mask.sum() < 2:
-        raise ValueError("need at least two valid nodes for a robust fit")
-    return np.log(n_feature[mask]), np.log(e_feature[mask])
+#: The power-law estimators OddBall fits with: OLS (the paper's target) and
+#: the two Section VII countermeasures.
+ESTIMATORS = ("ols", "huber", "ransac")
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -63,7 +56,7 @@ def fit_huber(
     """
     if k <= 0:
         raise ValueError(f"Huber threshold k must be positive, got {k}")
-    x, y = _prepare_log_features(n_feature, e_feature)
+    x, y = fit_points(n_feature, e_feature)
     beta0, beta1 = _weighted_line_fit(x, y, np.ones_like(x))
     for _ in range(max_iter):
         residuals = y - beta0 - beta1 * x
@@ -94,7 +87,7 @@ def fit_ransac(
     consensus set of the best trial gets a final OLS refit.
     """
     generator = as_generator(rng)
-    x, y = _prepare_log_features(n_feature, e_feature)
+    x, y = fit_points(n_feature, e_feature)
     n = len(x)
     if inlier_threshold is None:
         beta0, beta1 = _weighted_line_fit(x, y, np.ones_like(x))
@@ -124,18 +117,24 @@ def fit_ransac(
     return PowerLawFit(beta0=beta0, beta1=beta1)
 
 
+def check_estimator(estimator: str) -> str:
+    """``estimator`` lower-cased; ``ValueError`` unless it is in :data:`ESTIMATORS`."""
+    name = estimator.lower()
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; use one of {ESTIMATORS}")
+    return name
+
+
 def fit_with_estimator(
     n_feature: np.ndarray,
     e_feature: np.ndarray,
     estimator: str = "ols",
     rng=None,
 ) -> PowerLawFit:
-    """Dispatch to one of the supported estimators: ``ols``/``huber``/``ransac``."""
-    estimator = estimator.lower()
+    """Dispatch to one of the :data:`ESTIMATORS`."""
+    estimator = check_estimator(estimator)
     if estimator == "ols":
         return fit_power_law(n_feature, e_feature)
     if estimator == "huber":
         return fit_huber(n_feature, e_feature)
-    if estimator == "ransac":
-        return fit_ransac(n_feature, e_feature, rng=rng)
-    raise ValueError(f"unknown estimator {estimator!r}; use 'ols', 'huber' or 'ransac'")
+    return fit_ransac(n_feature, e_feature, rng=rng)

@@ -1,4 +1,4 @@
-"""OddBall anomaly scores (Eq. 3) and the attack's surrogate (proxy) score.
+"""OddBall anomaly scores (Eq. 3), their ranks, and the attack metric τ_as.
 
 The *true* score used for every evaluation in the paper is
 
@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.features import egonet_features
-from repro.oddball.regression import PowerLawFit, fit_power_law
+from repro.oddball.regression import PowerLawFit
 
 __all__ = [
-    "anomaly_scores",
-    "anomaly_scores_with_fit",
-    "proxy_scores",
     "rank_nodes",
     "rank_positions",
     "score_from_features",
+    "tau_as",
 ]
 
 _EPS = 1e-12
@@ -94,30 +91,13 @@ def score_from_features(
     return scores
 
 
-def anomaly_scores_with_fit(
-    adjacency: np.ndarray, fit_kwargs: "dict | None" = None
-) -> tuple[np.ndarray, PowerLawFit]:
-    """Compute Eq. 3 scores for every node, returning the fit as well."""
-    n_feature, e_feature = egonet_features(adjacency)
-    fit = fit_power_law(n_feature, e_feature, **(fit_kwargs or {}))
-    return score_from_features(n_feature, e_feature, fit), fit
+def tau_as(before: float, after: float) -> float:
+    """τ_as = (S⁰_T − S^B_T) / S⁰_T, the paper's attack metric.
 
-
-def anomaly_scores(adjacency: np.ndarray) -> np.ndarray:
-    """Eq. 3 scores for every node (OLS fit re-estimated on this graph).
-
-    This re-estimation is what makes structural attacks *poisoning* attacks:
-    scoring a modified graph moves the regression line too.
+    ``before`` and ``after`` are a target set's summed Eq. 3 scores on the
+    clean and the poisoned graph.  A set that scores 0 on the clean graph
+    has nothing to lose, so its τ_as is 0.
     """
-    scores, _ = anomaly_scores_with_fit(adjacency)
-    return scores
-
-
-def proxy_scores(adjacency: np.ndarray) -> np.ndarray:
-    """The un-normalised proxy ``ln(|E − Ê| + 1)`` (Section IV-B) per node."""
-    n_feature, e_feature = egonet_features(adjacency)
-    fit = fit_power_law(n_feature, e_feature)
-    expected = fit.predict_e(n_feature)
-    proxy = np.log(np.abs(e_feature - expected) + 1.0)
-    proxy[n_feature < 1.0] = 0.0
-    return proxy
+    if before <= 0.0:
+        return 0.0
+    return (before - after) / before

@@ -51,6 +51,7 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.graph.sparse import content_hash, egonet_features_sparse
+from repro.oddball.detector import OddBall
 
 __all__ = ["GraphStore", "MANIFEST_VERSION", "index_dtype", "recipe_hash"]
 
@@ -391,18 +392,10 @@ class GraphStore:
         share, so they can never diverge on which nodes they attack.
         Falls back to the sparse feature kernels for pre-feature stores.
         """
-        from repro.oddball.regression import fit_power_law
-        from repro.oddball.scores import score_from_features
-
         features = self.features()
         if features is None:
             features = egonet_features_sparse(self.csr())
-        n_feature = np.asarray(features[0])
-        e_feature = np.asarray(features[1])
-        scores = score_from_features(
-            n_feature, e_feature, fit_power_law(n_feature, e_feature)
-        )
-        return np.argsort(-scores, kind="stable")[:count].tolist()
+        return OddBall().analyze_features(*features).top_k(count).tolist()
 
     def is_connected(self) -> bool:
         """Whether the graph is one connected component (O(n + m) BFS)."""

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.attacks.base import AttackResult, apply_flips, validate_targets
-from repro.graph import Graph, SparseGraphView
+from repro.graph import Graph
 
 
 class TestValidateTargets:
@@ -71,9 +71,8 @@ class TestAttackResult:
         with pytest.raises(KeyError):
             self._result(small_er_graph).flips(7)
 
-    def test_poisoned_graph_valid(self, small_er_graph):
-        poisoned = self._result(small_er_graph).poisoned_graph()
-        adjacency = poisoned.adjacency_view
+    def test_poisoned_adjacency_valid(self, small_er_graph):
+        adjacency = self._result(small_er_graph).poisoned()
         assert np.array_equal(adjacency, adjacency.T)
 
     def test_overbudget_flips_rejected(self, small_er_graph):
@@ -98,9 +97,9 @@ class TestAttackResult:
             AttackResult(method="bad", original=np.ones((3, 3)), flips_by_budget={0: []})
 
 
-class TestPoisonedGraphRepresentation:
-    """poisoned_graph() must hand back the same representation it was given:
-    dense originals yield Graph, sparse originals yield SparseGraphView."""
+class TestPoisonedRepresentation:
+    """poisoned() hands back the representation it was given (dense
+    originals stay dense, sparse ones stay CSR), and both score alike."""
 
     FLIPS = {0: [], 1: [(0, 1)], 2: [(0, 1), (2, 3)]}
 
@@ -113,34 +112,27 @@ class TestPoisonedGraphRepresentation:
         csr = sparse.csr_matrix(graph.adjacency)
         return AttackResult(method="test", original=csr, flips_by_budget=self.FLIPS)
 
-    def test_dense_original_returns_graph(self, small_er_graph):
-        poisoned = self._dense_result(small_er_graph).poisoned_graph()
-        assert isinstance(poisoned, Graph)
+    def test_dense_original_stays_dense(self, small_er_graph):
+        poisoned = self._dense_result(small_er_graph).poisoned()
+        assert isinstance(poisoned, np.ndarray)
 
-    def test_sparse_original_returns_sparse_view(self, small_er_graph):
-        poisoned = self._sparse_result(small_er_graph).poisoned_graph()
-        assert isinstance(poisoned, SparseGraphView)
-        assert sparse.issparse(poisoned.adjacency_csr())
+    def test_sparse_original_stays_sparse(self, small_er_graph):
+        poisoned = self._sparse_result(small_er_graph).poisoned()
+        assert sparse.isspmatrix_csr(poisoned)
 
-    def test_sparse_and_dense_views_agree(self, small_er_graph):
-        dense = self._dense_result(small_er_graph).poisoned_graph()
-        view = self._sparse_result(small_er_graph).poisoned_graph()
-        assert view.number_of_nodes == dense.number_of_nodes
-        assert view.number_of_edges == dense.number_of_edges
-        assert view.edge_set() == dense.edge_set()
-        assert np.array_equal(view.degrees(), dense.degrees())
+    def test_sparse_and_dense_agree(self, small_er_graph):
+        dense = self._dense_result(small_er_graph)
+        csr = self._sparse_result(small_er_graph)
+        for budget in dense.budgets:
+            assert np.array_equal(csr.poisoned(budget).toarray(), dense.poisoned(budget))
+        targets = [0, 1, 2]
+        assert csr.score_decrease(targets) == dense.score_decrease(targets)
 
-    def test_sparse_view_per_budget(self, small_er_graph):
+    def test_sparse_per_budget(self, small_er_graph):
         result = self._sparse_result(small_er_graph)
-        baseline = result.poisoned_graph(0)
-        assert isinstance(baseline, SparseGraphView)
-        assert baseline.edge_set() == Graph(small_er_graph.adjacency).edge_set()
-        assert result.poisoned_graph(1).has_edge(0, 1) != baseline.has_edge(0, 1)
-
-    def test_to_graph_escape_hatch_matches(self, small_er_graph):
-        view = self._sparse_result(small_er_graph).poisoned_graph()
-        dense = self._dense_result(small_er_graph).poisoned_graph()
-        assert np.array_equal(view.to_graph().adjacency, dense.adjacency)
+        baseline = result.poisoned(0)
+        assert Graph(baseline.toarray()).edge_set() == Graph(small_er_graph.adjacency).edge_set()
+        assert result.poisoned(1)[0, 1] != baseline[0, 1]
 
 
 class TestSharedPlumbing:

@@ -52,7 +52,7 @@ class TestAttackInvariants:
         for b in result.budgets:
             assert len(result.flips(b)) <= b
 
-    def test_poisoned_graph_valid(self, attack_setup):
+    def test_poisoned_adjacency_valid(self, attack_setup):
         graph, targets = attack_setup
         result = fast_attack().attack(graph, targets, budget=6)
         poisoned = result.poisoned()

@@ -152,18 +152,18 @@ class TestCampaignOutcomes:
         """τ and rank shifts scored on the shared engine equal a full
         OddBall re-score of the poisoned CSR, job by job."""
         from repro.attacks import apply_flips
-        from repro.graph.sparse import anomaly_scores_sparse
+        from repro.oddball.detector import OddBall
         from repro.oddball.scores import rank_positions
 
         graph, targets = graph_and_targets
         csr = sparse.csr_matrix(graph.adjacency)
-        clean = anomaly_scores_sparse(csr)
+        clean = OddBall().scores(csr)
         clean_ranks = rank_positions(clean)
         jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:4]], budgets=[3],
                          candidates="target_incident")
         for job, outcome in zip(jobs, AttackCampaign(csr).run(jobs)):
             (target,) = job.targets
-            poisoned = anomaly_scores_sparse(apply_flips(csr, outcome.flips))
+            poisoned = OddBall().scores(apply_flips(csr, outcome.flips))
             tau = (clean[target] - poisoned[target]) / clean[target]
             assert outcome.score_decrease == pytest.approx(tau, abs=1e-9)
             shift = int(rank_positions(poisoned)[target] - clean_ranks[target])

@@ -20,7 +20,7 @@ class TestContinuousA:
         result = ContinuousA(max_iter=50).attack(graph, targets, budget=5)
         assert len(result.flips()) <= 5
 
-    def test_poisoned_graph_valid(self, attack_setup):
+    def test_poisoned_adjacency_valid(self, attack_setup):
         graph, targets = attack_setup
         result = ContinuousA(max_iter=50).attack(graph, targets, budget=5)
         poisoned = result.poisoned()

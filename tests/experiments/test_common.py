@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from repro.attacks import GradMaxSearch
+from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch
+from repro.attacks.campaign import AttackJob
 from repro.experiments.common import (
-    attack_suite,
+    attack_suite_params,
     format_table,
     load_experiment_graph,
     sample_targets,
@@ -39,10 +40,17 @@ class TestSampleTargets:
         assert len(targets) == 10
 
 
-class TestAttackSuite:
-    def test_contains_papers_three_methods(self):
-        suite = attack_suite(SMOKE)
-        assert set(suite) == {"gradmaxsearch", "continuousa", "binarizedattack"}
+class TestAttackSuiteParams:
+    def test_builds_papers_three_methods(self):
+        suite = {
+            name: AttackJob.make(name, [0], 1, **params).build_attack()
+            for name, params in attack_suite_params(SMOKE).items()
+        }
+        assert isinstance(suite["gradmaxsearch"], GradMaxSearch)
+        assert isinstance(suite["continuousa"], ContinuousA)
+        assert isinstance(suite["binarizedattack"], BinarizedAttack)
+        assert suite["continuousa"].max_iter == SMOKE.attack_iterations
+        assert suite["binarizedattack"].iterations == SMOKE.attack_iterations
 
 
 class TestTauForBudgets:

@@ -20,7 +20,7 @@ from repro.experiments import (
     table1_datasets,
     table2_side_effects,
 )
-from repro.experiments.common import attack_suite
+from repro.experiments.common import attack_suite_params
 from repro.experiments.config import SMOKE
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -124,7 +124,7 @@ class TestRunner:
             run_experiment("fig99")
 
     def test_no_driver_takes_a_backend(self):
-        drivers = [attack_suite, run_experiment] + [
+        drivers = [attack_suite_params, run_experiment] + [
             run_fn for run_fn, _ in EXPERIMENTS.values()
         ]
         for driver in drivers:

@@ -10,7 +10,6 @@ from repro.autograd.tensor import Tensor
 from repro.graph.features import (
     egonet_features,
     egonet_features_bruteforce,
-    egonet_features_from_graph,
     egonet_features_tensor,
 )
 from repro.graph.generators import erdos_renyi
@@ -19,28 +18,28 @@ from repro.graph.graph import Graph
 
 class TestKnownStructures:
     def test_star(self, star_graph):
-        n, e = egonet_features_from_graph(star_graph)
+        n, e = egonet_features(star_graph.adjacency_view)
         assert n[0] == 7 and e[0] == 7  # hub: 7 spokes, no triangles
         assert n[1] == 1 and e[1] == 1  # leaf: hub only, one edge
 
     def test_clique(self):
         g = Graph.complete(5)
-        n, e = egonet_features_from_graph(g)
+        n, e = egonet_features(g.adjacency_view)
         assert (n == 4).all()
         assert (e == 10).all()  # the whole K5 is everyone's egonet
 
     def test_triangle(self, triangle_graph):
-        n, e = egonet_features_from_graph(triangle_graph)
+        n, e = egonet_features(triangle_graph.adjacency_view)
         assert (n == 2).all() and (e == 3).all()
 
     def test_isolated_node(self):
         g = Graph.empty(3)
-        n, e = egonet_features_from_graph(g)
+        n, e = egonet_features(g.adjacency_view)
         assert (n == 0).all() and (e == 0).all()
 
     def test_power_law_bounds(self, small_ba_graph):
         """E between N (star) and N(N+1)/2 (clique) for every node."""
-        n, e = egonet_features_from_graph(small_ba_graph)
+        n, e = egonet_features(small_ba_graph.adjacency_view)
         assert (e >= n - 1e-9).all()
         assert (e <= n * (n + 1) / 2 + 1e-9).all()
 

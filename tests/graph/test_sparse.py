@@ -7,7 +7,6 @@ from scipy import sparse
 from repro.graph.features import egonet_features
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.sparse import (
-    anomaly_scores_sparse,
     content_hash,
     egonet_features_sparse,
     hash_edge_keys,
@@ -16,7 +15,6 @@ from repro.graph.sparse import (
     sorted_unique,
     to_sparse,
 )
-from repro.oddball.scores import anomaly_scores
 
 
 class TestToSparse:
@@ -85,19 +83,6 @@ class TestSparseFeatures:
         n_feature, e_feature = egonet_features_sparse(matrix)
         assert len(n_feature) == n
         assert (e_feature >= n_feature - 1e-9).all()
-
-
-class TestSparseScores:
-    def test_matches_dense_scores(self, small_ba_graph):
-        dense_scores = anomaly_scores(small_ba_graph.adjacency)
-        sparse_scores = anomaly_scores_sparse(small_ba_graph)
-        np.testing.assert_allclose(sparse_scores, dense_scores)
-
-    def test_top_anomaly_agrees(self):
-        g = barabasi_albert(150, 3, rng=7)
-        dense_top = int(np.argmax(anomaly_scores(g.adjacency)))
-        sparse_top = int(np.argmax(anomaly_scores_sparse(g)))
-        assert dense_top == sparse_top
 
 
 class TestExplicitZeros:

@@ -2,10 +2,57 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from repro.experiments.config import CI
 from repro.graph.anomaly import inject_near_star
+from repro.graph.datasets import DATASET_NAMES, load_dataset
+from repro.graph.features import egonet_features
 from repro.graph.generators import erdos_renyi
+from repro.graph.graph import Graph
 from repro.oddball.detector import OddBall
+from repro.oddball.robust import ESTIMATORS, fit_with_estimator
+from repro.oddball.scores import score_from_features
+
+#: The pathological graphs of ``tests/test_failure_injection.py`` and one
+#: ci-scale draw of every dataset.
+_GRAPHS = {
+    "two-node": lambda: Graph.from_edges(2, [(0, 1)]),
+    "complete-8": lambda: Graph.complete(8),
+    "one-edge": lambda: Graph.from_edges(4, [(0, 1)]),
+    "disconnected": lambda: Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    **{
+        name: (lambda name=name: load_dataset(name, rng=7, scale=CI.graph_scale).graph)
+        for name in DATASET_NAMES
+    },
+}
+
+_INPUTS = {
+    "graph": lambda graph: graph,
+    "dense": lambda graph: graph.adjacency,
+    "csr": lambda graph: sparse.csr_matrix(graph.adjacency),
+}
+
+
+def _dense_reference(graph: Graph, estimator: str) -> np.ndarray:
+    """Eq. 3 scores composed by hand from the dense features."""
+    n_feature, e_feature = egonet_features(graph.adjacency_view)
+    fit = fit_with_estimator(n_feature, e_feature, estimator=estimator, rng=0)
+    return score_from_features(n_feature, e_feature, fit)
+
+
+@pytest.mark.parametrize("graph_name", sorted(_GRAPHS))
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_analyze_matches_the_dense_reference(graph_name, kind, estimator):
+    """Every input kind scores bit-identically to the dense composition,
+    and ``analyze_features`` on the report's own features repeats it."""
+    graph = _GRAPHS[graph_name]()
+    report = OddBall(estimator, rng=0).analyze(_INPUTS[kind](graph))
+    assert np.array_equal(report.scores, _dense_reference(graph, estimator))
+    again = OddBall(estimator, rng=0).analyze_features(report.n_feature, report.e_feature)
+    assert np.array_equal(again.scores, report.scores)
+    assert again.fit == report.fit
 
 
 class TestAnalyze:
@@ -16,11 +63,6 @@ class TestAnalyze:
         assert report.n_feature.shape == (n,)
         assert report.e_feature.shape == (n,)
         assert np.isfinite(report.scores).all()
-
-    def test_accepts_raw_adjacency(self, small_er_graph):
-        report_graph = OddBall().analyze(small_er_graph)
-        report_matrix = OddBall().analyze(small_er_graph.adjacency)
-        np.testing.assert_allclose(report_graph.scores, report_matrix.scores)
 
     def test_top_k_order(self, small_ba_graph):
         report = OddBall().analyze(small_ba_graph)
@@ -48,7 +90,14 @@ class TestAnalyze:
 
 
 class TestEstimators:
-    @pytest.mark.parametrize("estimator", ["ols", "huber", "ransac"])
+    def test_unknown_estimator_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="bogus"):
+            OddBall("bogus")
+
+    def test_estimator_name_is_case_insensitive(self):
+        assert OddBall("HUBER").estimator == "huber"
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_all_estimators_run(self, estimator, small_er_graph):
         detector = OddBall(estimator=estimator, rng=0)
         scores = detector.scores(small_er_graph)
@@ -57,7 +106,7 @@ class TestEstimators:
     def test_planted_star_found_by_all(self):
         g = erdos_renyi(120, 0.05, rng=0)
         inject_near_star(g, 4, n_leaves=40, rng=1)
-        for estimator in ("ols", "huber", "ransac"):
+        for estimator in ESTIMATORS:
             report = OddBall(estimator=estimator, rng=0).analyze(g)
             assert report.rank_of(4) < 10
 

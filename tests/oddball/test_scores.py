@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
+from repro.oddball.detector import OddBall
 from repro.oddball.regression import PowerLawFit
 from repro.oddball.scores import (
-    anomaly_scores,
-    anomaly_scores_with_fit,
-    proxy_scores,
     rank_nodes,
     rank_positions,
     score_from_features,
+    tau_as,
 )
 
 
@@ -84,33 +83,43 @@ class TestAnomalyScores:
         for v in range(1, 60):
             if not g.has_edge(0, v):
                 g.add_edge(0, v)
-        scores = anomaly_scores(g.adjacency)
+        scores = OddBall().scores(g)
         assert scores[0] == scores.max()
 
     def test_all_scores_non_negative(self, small_ba_graph):
-        assert (anomaly_scores(small_ba_graph.adjacency) >= 0).all()
+        assert (OddBall().scores(small_ba_graph) >= 0).all()
 
     def test_fit_is_returned(self, small_er_graph):
-        scores, fit = anomaly_scores_with_fit(small_er_graph.adjacency)
-        assert len(scores) == small_er_graph.number_of_nodes
-        assert 0.5 <= fit.beta1 <= 2.5  # the paper's power-law exponent range
+        report = OddBall().analyze(small_er_graph)
+        assert len(report.scores) == small_er_graph.number_of_nodes
+        assert 0.5 <= report.fit.beta1 <= 2.5  # the paper's power-law exponent range
 
     def test_poisoning_changes_regression(self, small_er_graph):
         """Scoring is re-fit per graph: removing edges moves everyone's score."""
         adjacency = small_er_graph.adjacency
-        _, fit_before = anomaly_scores_with_fit(adjacency)
+        fit_before = OddBall().analyze(adjacency).fit
         g = Graph(adjacency)
         edges = list(g.edges())[:10]
         for u, v in edges:
             if g.degree(u) > 1 and g.degree(v) > 1:
                 g.remove_edge(u, v)
-        _, fit_after = anomaly_scores_with_fit(g.adjacency)
+        fit_after = OddBall().analyze(g).fit
         assert fit_before.beta0 != fit_after.beta0
 
-    def test_proxy_scores_nonnegative_and_smaller_scale(self, small_ba_graph):
-        adjacency = small_ba_graph.adjacency
-        proxy = proxy_scores(adjacency)
-        full = anomaly_scores(adjacency)
-        assert (proxy >= 0).all()
-        # proxy omits the >=1 ratio factor, so it never exceeds the full score
-        assert (proxy <= full + 1e-9).all()
+    def test_score_bounds_its_log_distance(self, small_ba_graph):
+        """Eq. 3 is ``ln(|E − Ê| + 1)`` times a ratio >= 1, so never below it."""
+        report = OddBall().analyze(small_ba_graph)
+        expected = report.fit.predict_e(report.n_feature)
+        distance = np.log(np.abs(report.e_feature - expected) + 1.0)
+        assert (distance >= 0).all()
+        assert (distance <= report.scores + 1e-9).all()
+
+
+class TestTauAs:
+    def test_relative_decrease(self):
+        assert tau_as(4.0, 1.0) == 0.75
+        assert tau_as(2.0, 3.0) == -0.5
+
+    @pytest.mark.parametrize("before", [0.0, -1.0])
+    def test_zero_without_a_clean_score(self, before):
+        assert tau_as(before, 0.5) == 0.0

@@ -12,7 +12,7 @@ from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch, RandomAtt
 from repro.gad.pipeline import TransferAttackPipeline
 from repro.graph.graph import Graph
 from repro.oddball.detector import OddBall
-from repro.oddball.scores import anomaly_scores
+from repro.oddball.robust import ESTIMATORS
 
 
 def tiny_attacks():
@@ -39,22 +39,23 @@ class TestMalformedGraphInputs:
         with pytest.raises(ValueError):
             attack.attack(bad, [0], budget=1)
 
-    def test_detector_rejects_all_isolated(self):
-        # OLS needs >= 2 nodes with N >= 1
-        with pytest.raises(ValueError):
-            OddBall().analyze(Graph.empty(5))
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_detector_rejects_all_isolated(self, estimator):
+        # every estimator fits the nodes with N >= 1 and E >= 1, at least two
+        with pytest.raises(ValueError, match="at least two valid nodes"):
+            OddBall(estimator).analyze(Graph.empty(5))
 
 
 class TestPathologicalButValidGraphs:
     def test_scores_on_two_node_graph(self):
         g = Graph.from_edges(2, [(0, 1)])
-        scores = anomaly_scores(g.adjacency)
+        scores = OddBall().scores(g)
         assert np.isfinite(scores).all()
 
     def test_regular_graph_degenerate_regression(self):
         """All nodes identical: ridge keeps OLS finite, scores ~uniform."""
         g = Graph.complete(8)
-        scores = anomaly_scores(g.adjacency)
+        scores = OddBall().scores(g)
         assert np.isfinite(scores).all()
         assert scores.std() < 1e-6
 
@@ -73,13 +74,13 @@ class TestPathologicalButValidGraphs:
         g = Graph.complete(4)  # only deletions possible, some blocked
         result = GradMaxSearch().attack(g, [0], budget=100)
         assert len(result.flips()) <= 100
-        assert np.isfinite(anomaly_scores(result.poisoned())).all()
+        assert np.isfinite(OddBall().scores(result.poisoned())).all()
 
     def test_disconnected_graph_supported(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         targets = [1]
         result = BinarizedAttack(iterations=10, lambdas=(0.2,)).attack(g, targets, 2)
-        assert np.isfinite(anomaly_scores(result.poisoned())).all()
+        assert np.isfinite(OddBall().scores(result.poisoned())).all()
 
 
 class TestPipelineFailures:
