@@ -186,7 +186,10 @@ def egonet_features_sparse(adjacency) -> tuple[np.ndarray, np.ndarray]:
     from repro.kernels import kernel_table, resolve_kernels
 
     matrix = to_sparse(adjacency)
-    n_feature = np.asarray(matrix.sum(axis=1)).ravel()
+    # every stored entry of a validated adjacency is a one, so a row sum
+    # is the row's entry count; reading it off indptr needs no float
+    # data, so an index-only view (int8 ones) is not upcast
+    n_feature = np.diff(matrix.indptr).astype(np.float64)
     tracer = _telemetry.active_tracer()
     start_ns = time.perf_counter_ns() if tracer is not None else 0
     if resolve_kernels() == "compiled":

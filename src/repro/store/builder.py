@@ -4,8 +4,8 @@ The in-memory generators (:mod:`repro.graph.generators`) allocate a dense
 ``n × n`` adjacency — 63 GB at Blogcatalog's full 88.8k nodes — so
 paper-scale stand-ins need a different construction: edges are *sampled in
 chunks*, canonicalised and deduplicated as integer pair keys, and only the
-final CSR component arrays (O(m) memory, never O(n²)) are written into the
-store's memory-mapped files.
+final CSR component arrays (O(m) memory, never O(n²)) are written to the
+store's files.
 
 Two edge-sampling families cover the Table I recipes:
 
@@ -45,9 +45,12 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.graph.sparse import hash_edge_keys, merge_novel, sorted_unique
 from repro.store.graphstore import (
+    _DATA_BLOCK,
     _DATA_DTYPE,
     MANIFEST_VERSION,
     GraphStore,
+    _check_adjacency,
+    _read_blocks,
     index_dtype,
     recipe_hash,
 )
@@ -158,8 +161,10 @@ def build_store(
     The store lands in ``<cache_dir>/<name>-<recipe_hash[:12]>``; an
     existing directory with a valid manifest for the same recipe is
     reopened without rebuilding (``force=True`` rebuilds in place).
-    Build memory is O(m) — edge keys, their transpose, the CSR component
-    arrays — independent of ``n²``.
+    Build memory is O(m) — edge keys, their transpose, the CSR index
+    arrays — independent of ``n²``; the keys are hashed and dropped
+    before the feature pass.  A build whose adjacency fails the store
+    check raises ``ValueError`` and writes no manifest.
     """
     recipe = store_recipe(name, scale=scale, seed=seed, chunk_edges=chunk_edges)
     digest = recipe_hash(recipe)
@@ -184,8 +189,11 @@ def build_store(
     ):
         with _telemetry.span("store.build.edge_keys"):
             keys, planted = _generate_edge_keys(recipe)
+            n_edges = int(keys.size)
+            edges_hash = hash_edge_keys(recipe["nodes"], keys)
         with _telemetry.span("store.build.write_csr"):
             nnz = _write_csr(path, recipe["nodes"], keys)
+        del keys  # the feature pass reads the CSR back from disk
         with _telemetry.span("store.build.features"):
             _write_features(path, recipe["nodes"], nnz)
     build_seconds = time.perf_counter() - start
@@ -194,14 +202,14 @@ def build_store(
         "version": MANIFEST_VERSION,
         "name": recipe["name"],
         "n_nodes": recipe["nodes"],
-        "n_edges": int(keys.size),
+        "n_edges": n_edges,
         "nnz": int(nnz),
         "index_dtype": index_dtype(recipe["nodes"], nnz).name,
         "data_dtype": np.dtype(_DATA_DTYPE).name,
         "planted": planted,
         "recipe": recipe,
         "recipe_hash": digest,
-        "content_hash": hash_edge_keys(recipe["nodes"], keys),
+        "content_hash": edges_hash,
         "build_seconds": round(build_seconds, 3),
         "validated": True,
     }
@@ -213,7 +221,7 @@ def build_store(
     tmp.rename(path / "manifest.json")
     _log.info(
         "built store %s: n=%d m=%d (%.2fs)",
-        path, recipe["nodes"], keys.size, build_seconds,
+        path, recipe["nodes"], n_edges, build_seconds,
     )
     return GraphStore.open(path)
 
@@ -390,7 +398,7 @@ def _draw_outside(
 
 
 # --------------------------------------------------------------------- #
-# CSR materialisation (memmap write)
+# CSR materialisation (buffered writes)
 # --------------------------------------------------------------------- #
 
 
@@ -398,73 +406,80 @@ def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
     """Write the symmetric CSR of the edge keys into the store's bin files.
 
     Returns ``nnz`` (= 2 × edges).  The sorted keys ``u·n + v`` (u < v)
-    are already the upper triangle in CSR order, and its transpose (scipy's
-    counting-sort ``tocsc``) lists every node's lower neighbours in
-    ascending order.  Row ``r`` of the symmetric CSR is lower(r) followed
-    by upper(r), so both halves are scattered by position arithmetic
-    straight into the memmapped ``indices`` — already sorted *within* each
-    row, the property :meth:`GraphStore.csr` relies on to skip scipy's
-    in-place sort.
+    are already the upper triangle in CSR order: row ``r`` is the keys in
+    ``[r·n, (r+1)·n)``, found by one ``searchsorted``.  Its transpose
+    (scipy's counting-sort ``tocsc``) lists every node's lower neighbours
+    in ascending order.  Row ``r`` of the symmetric CSR is lower(r)
+    followed by upper(r), so both halves are scattered by position
+    arithmetic into ``indices`` — already sorted *within* each row, the
+    property :meth:`GraphStore.csr` relies on to skip scipy's in-place
+    sort.  Every temporary is in the store's index dtype; the arrays
+    reach disk by buffered ``tofile`` writes, and ``data.bin``, all
+    ones, is written from one fixed block.
     """
     from scipy import sparse
 
     m = keys.size
-    upper_counts = np.bincount(keys // n, minlength=n)
-    upper_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(upper_counts, out=upper_indptr[1:])
-    cols = keys % n
+    nnz = 2 * m
+    idx_dtype = index_dtype(n, nnz)
+    upper_indptr = np.searchsorted(
+        keys, np.arange(n + 1, dtype=np.int64) * n
+    ).astype(idx_dtype)
+    cols = np.empty(m, dtype=idx_dtype)
+    np.remainder(keys, n, out=cols, casting="unsafe")
     lower = sparse.csr_matrix(
         (np.ones(m, dtype=np.int8), cols, upper_indptr), shape=(n, n)
     ).tocsc()
-    lower_indptr = lower.indptr.astype(np.int64)
-    nnz = 2 * m
-    idx_dtype = index_dtype(n, nnz)
-
-    indptr = np.memmap(path / "indptr.bin", dtype=idx_dtype, mode="w+", shape=(n + 1,))
-    indptr[:] = upper_indptr + lower_indptr
-    indptr.flush()
+    lower_indptr = lower.indptr.astype(idx_dtype, copy=False)
+    (upper_indptr + lower_indptr).tofile(path / "indptr.bin")
 
     # an upper entry k of row r lands after all lower entries of rows ≤ r;
     # a lower entry j of row r after all upper entries of rows < r
-    indices = np.memmap(path / "indices.bin", dtype=idx_dtype, mode="w+", shape=(nnz,))
-    positions = np.arange(m, dtype=np.int64)
-    indices[positions + np.repeat(lower_indptr[1:], upper_counts)] = cols
-    indices[positions + np.repeat(upper_indptr[:-1], np.diff(lower_indptr))] = lower.indices
-    indices.flush()
+    indices = np.empty(nnz, dtype=idx_dtype)
+    for offsets, counts, values in (
+        (lower_indptr[1:], np.diff(upper_indptr), cols),
+        (upper_indptr[:-1], np.diff(lower_indptr), lower.indices),
+    ):
+        positions = np.repeat(offsets, counts)
+        positions += np.arange(m, dtype=idx_dtype)
+        indices[positions] = values
+        del positions
+    del cols, lower
+    indices.tofile(path / "indices.bin")
 
-    data = np.memmap(path / "data.bin", dtype=_DATA_DTYPE, mode="w+", shape=(nnz,))
-    data[:] = 1.0
-    data.flush()
-    del indptr, indices, data  # drop the writable mappings before reopening
+    ones = np.ones(_DATA_BLOCK, dtype=_DATA_DTYPE)
+    with open(path / "data.bin", "wb") as handle:
+        for start in range(0, nnz, ones.size):
+            ones[: nnz - start].tofile(handle)
     return int(nnz)
 
 
 def _write_features(path: Path, n: int, nnz: int) -> None:
-    """Precompute and persist the clean egonet features ``(N, E)``.
+    """Check the written adjacency, then persist its clean features ``(N, E)``.
 
-    The triangle term of ``E`` is the forward count of
-    :func:`repro.graph.sparse.egonet_features_sparse` (which also re-
-    validates the freshly written adjacency): edges oriented by
+    ``indptr.bin`` and ``indices.bin`` are read back with ``np.fromfile``
+    and ``data.bin`` is scanned in blocks by the store's adjacency check
+    (:func:`repro.store.graphstore._check_adjacency`, the one
+    ``GraphStore.open(verify=True)`` runs): binary, zero diagonal, sorted
+    rows, symmetric by structure.  A failure raises ``ValueError`` before
+    any feature is written.  The check returns an index-only view (int8
+    data) tagged validated, which :func:`repro.graph.sparse.
+    egonet_features_sparse` scores without a float copy of the graph.
+
+    The triangle term of ``E`` is the forward count: edges oriented by
     ``(degree, id)``, so its work is bounded by out-degrees, not by the
     multi-thousand-degree hubs.  Paying it once at build time and
     shipping the 2 × n result in the store makes every engine
     construction an O(n) memmap read.
     """
-    from scipy import sparse
-
     from repro.graph.sparse import egonet_features_sparse
 
     idx_dtype = index_dtype(n, nnz)
-    indptr = np.fromfile(path / "indptr.bin", dtype=idx_dtype)
-    indices = np.memmap(path / "indices.bin", dtype=idx_dtype, mode="r", shape=(nnz,))
-    data = np.memmap(path / "data.bin", dtype=_DATA_DTYPE, mode="r", shape=(nnz,))
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
-    n_feature, e_feature = egonet_features_sparse(matrix)
-
-    features = np.memmap(
-        path / "features.bin", dtype=np.float64, mode="w+", shape=(2, n)
+    matrix = _check_adjacency(
+        np.fromfile(path / "indptr.bin", dtype=idx_dtype),
+        np.fromfile(path / "indices.bin", dtype=idx_dtype),
+        _read_blocks(path / "data.bin", _DATA_DTYPE, nnz),
+        f"store {path}",
     )
-    features[0] = n_feature
-    features[1] = e_feature
-    features.flush()
-    del features
+    n_feature, e_feature = egonet_features_sparse(matrix)
+    np.stack([n_feature, e_feature]).tofile(path / "features.bin")

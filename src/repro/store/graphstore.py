@@ -28,6 +28,7 @@ layer)::
         indptr.bin        # index_dtype[n + 1]
         indices.bin       # index_dtype[nnz], sorted within each row
         data.bin          # float64[nnz], all ones (binary adjacency)
+        features.bin      # float64[2, n], the clean egonet features (N, E)
 
 (``index_dtype`` is int32 while both ``n`` and ``nnz`` fit, int64 beyond —
 one shared dtype so scipy never copies an array to reconcile widths.)
@@ -60,6 +61,10 @@ MANIFEST_VERSION = 2
 
 _DATA_DTYPE = np.float64
 
+#: Entries per block when ``data.bin`` is written or scanned, so its
+#: 8 bytes per stored entry never sit in memory whole.
+_DATA_BLOCK = 1 << 16
+
 
 def recipe_hash(recipe: dict) -> str:
     """Deterministic content hash of a build recipe (the cache key).
@@ -87,9 +92,8 @@ def index_dtype(n_nodes: int, nnz: int) -> np.dtype:
 def _check_file_sizes(path: Path, manifest: dict) -> None:
     """Each data file must hold every byte the manifest addresses.
 
-    O(1) per file (one ``stat``): a truncated file fails here, naming
-    itself, instead of deep inside ``np.memmap``.  ``features.bin`` is
-    optional (stores built before features were persisted lack it).
+    O(1) per file (one ``stat``): a missing or truncated file fails
+    here, naming itself, instead of deep inside ``np.memmap``.
     """
     n, nnz = manifest["n_nodes"], manifest["nnz"]
     index_size = np.dtype(manifest["index_dtype"]).itemsize
@@ -100,15 +104,74 @@ def _check_file_sizes(path: Path, manifest: dict) -> None:
         "features.bin": 2 * n * np.dtype(np.float64).itemsize,
     }
     for name, size in expected.items():
-        file = path / name
-        if name == "features.bin" and not file.exists():
-            continue
-        actual = file.stat().st_size
+        try:
+            actual = (path / name).stat().st_size
+        except FileNotFoundError:
+            raise ValueError(f"store {path}: {name} is missing") from None
         if actual < size:
             raise ValueError(
                 f"store {path}: {name} holds {actual} bytes, fewer than the "
                 f"{size} its manifest addresses (truncated)"
             )
+
+
+def _read_blocks(file: Path, dtype, count: int):
+    """The first ``count`` values of ``file``, :data:`_DATA_BLOCK` at a time."""
+    with open(file, "rb") as handle:
+        for start in range(0, count, _DATA_BLOCK):
+            yield np.fromfile(
+                handle, dtype=dtype, count=min(_DATA_BLOCK, count - start)
+            )
+
+
+def _check_adjacency(
+    indptr: np.ndarray, indices: np.ndarray, data_blocks, where: str
+) -> sparse.csr_matrix:
+    """Check a stored adjacency; return its structure as a validated CSR.
+
+    The checks run in this order, each raising ``ValueError`` prefixed by
+    ``where``: every value in ``data_blocks`` (the data array, in
+    consecutive blocks) is 1.0; no row stores its own index; every row's
+    indices rise strictly; and every index is a node.  Then symmetry:
+    with binary data and canonical rows, the adjacency is symmetric
+    exactly when its transposed structure (scipy's counting-sort
+    ``tocsc``, which yields sorted rows) equals its structure, so no
+    float copy or ``A != Aᵀ`` workspace is built.  Sortedness is checked
+    first so a swapped pair reports its row, not an asymmetry.
+
+    The returned matrix shares ``indptr`` and ``indices``, carries int8
+    ones as its data, and is tagged ``_repro_validated`` and
+    ``has_sorted_indices``, ready for
+    :func:`~repro.graph.sparse.egonet_features_sparse` and
+    :func:`~repro.graph.sparse.content_hash`.
+    """
+    n = indptr.size - 1
+    if not all(np.all(block == 1.0) for block in data_blocks):
+        raise ValueError(f"{where}: adjacency is not binary")
+    structure = sparse.csr_matrix(
+        (np.ones(indices.size, dtype=np.int8), indices, indptr),
+        shape=(n, n), copy=False,
+    )
+    if structure.diagonal().any():
+        raise ValueError(f"{where}: adjacency has diagonal entries")
+    # every step inside a row must rise; the steps across row starts
+    # are the only ones allowed to fall
+    rising = np.greater(indices[1:], indices[:-1])
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not rising.all():
+        row = int(np.searchsorted(indptr, np.argmin(rising), side="right")) - 1
+        raise ValueError(f"{where}: row {row} indices are not sorted/unique")
+    del rising
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"{where}: adjacency has indices outside 0..{n - 1}")
+    structure.has_sorted_indices = True
+    transposed = structure.tocsc()
+    if not (np.array_equal(transposed.indptr, indptr)
+            and np.array_equal(transposed.indices, indices)):
+        raise ValueError(f"{where}: adjacency is not symmetric")
+    structure._repro_validated = True
+    return structure
 
 
 class GraphStore:
@@ -152,12 +215,13 @@ class GraphStore:
         """Map an existing store directory.
 
         Cheap structural sanity checks (manifest parses, version and
-        ``content_hash`` present, no data file shorter than the manifest
-        addresses, monotone ``indptr``) always run; ``verify=True``
-        additionally re-validates the full adjacency contract (symmetric,
-        binary, zero diagonal, sorted rows), recomputes the content hash in
-        O(m) and recomputes the clean ``(N, E)`` features against
-        ``features.bin`` — use it after copying a store between machines.
+        ``content_hash`` present, no data file missing or shorter than
+        the manifest addresses, monotone ``indptr``) always run;
+        ``verify=True`` additionally re-runs the builder's adjacency check
+        (binary, zero diagonal, sorted rows, symmetric by structure; see
+        :func:`_check_adjacency`), recomputes the content hash in O(m) and
+        recomputes the clean ``(N, E)`` features against ``features.bin``
+        — use it after copying a store between machines.
         """
         path = Path(path)
         manifest_path = path / "manifest.json"
@@ -208,43 +272,24 @@ class GraphStore:
 
     def _verify_adjacency(self) -> None:
         """Full O(m) re-validation of the adjacency and its features."""
-        indptr = np.asarray(self._indptr)
-        indices = np.asarray(self._indices)
-        matrix = sparse.csr_matrix(
-            (np.asarray(self._data), indices, indptr),
-            shape=(self.number_of_nodes, self.number_of_nodes),
+        where = f"store {self.path}"
+        matrix = _check_adjacency(
+            np.asarray(self._indptr), np.asarray(self._indices),
+            _read_blocks(self.path / "data.bin", self._data.dtype, self.nnz),
+            where,
         )
-        if matrix.nnz and not np.all(matrix.data == 1.0):
-            raise ValueError(f"store {self.path}: adjacency is not binary")
-        if matrix.diagonal().sum() != 0.0:
-            raise ValueError(f"store {self.path}: adjacency has diagonal entries")
-        if (matrix != matrix.T).nnz != 0:
-            raise ValueError(f"store {self.path}: adjacency is not symmetric")
-        # every step inside a row must rise; the steps across row starts
-        # are the only ones allowed to fall
-        rising = np.diff(indices) > 0
-        starts = indptr[1:-1]
-        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-        if not rising.all():
-            row = int(np.searchsorted(indptr, np.argmin(rising), side="right")) - 1
-            raise ValueError(
-                f"store {self.path}: row {row} indices are not sorted/unique"
-            )
         if content_hash(matrix) != self.content_hash:
             raise ValueError(
-                f"store {self.path}: adjacency does not match the manifest's "
-                "content_hash"
+                f"{where}: adjacency does not match the manifest's content_hash"
             )
         features = self.features()
-        if features is not None:
-            matrix._repro_validated = True  # checked above
-            n_feature, e_feature = egonet_features_sparse(matrix)
-            if not (np.array_equal(features[0], n_feature)
-                    and np.array_equal(features[1], e_feature)):
-                raise ValueError(
-                    f"store {self.path}: features.bin does not match the "
-                    "adjacency's egonet features"
-                )
+        n_feature, e_feature = egonet_features_sparse(matrix)
+        if not (np.array_equal(features[0], n_feature)
+                and np.array_equal(features[1], e_feature)):
+            raise ValueError(
+                f"{where}: features.bin does not match the adjacency's "
+                "egonet features"
+            )
 
     # ------------------------------------------------------------------ #
     # Metadata
@@ -335,27 +380,23 @@ class GraphStore:
             matrix.has_sorted_indices = True
             matrix._repro_validated = True
             matrix._repro_fingerprint = self.content_hash
-            features = self.features()
-            if features is not None:
-                # IncrementalEgonetFeatures picks these up and skips its
-                # O(Σ deg²) clean-feature pass — the dominant per-worker
-                # cost at full Blogcatalog scale.
-                matrix._repro_egonet_features = features
+            # IncrementalEgonetFeatures picks these up and skips its
+            # O(Σ deg²) clean-feature pass — the dominant per-worker
+            # cost at full Blogcatalog scale.
+            matrix._repro_egonet_features = self.features()
             self._csr = matrix
             _telemetry.event("store.mmap", name=self.name, nnz=self.nnz)
         return self._csr
 
-    def features(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Precomputed clean egonet features ``(N, E)`` (read-only memmaps).
+    def features(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The clean egonet features ``(N, E)`` from ``features.bin``.
 
-        ``None`` for stores built before features were persisted; callers
-        fall back to :func:`repro.graph.sparse.egonet_features_sparse`.
+        Two read-only memmap rows, written by the builder from
+        :func:`repro.graph.sparse.egonet_features_sparse`; every store
+        :meth:`open` accepts has the file.
         """
-        feature_path = self.path / "features.bin"
-        if not feature_path.exists():
-            return None
         mapped = np.memmap(
-            feature_path, dtype=np.float64, mode="r",
+            self.path / "features.bin", dtype=np.float64, mode="r",
             shape=(2, self.number_of_nodes),
         )
         return mapped[0], mapped[1]
@@ -390,12 +431,8 @@ class GraphStore:
         refitted power law) in O(n) — the one target-selection rule the
         store CLI, the table1 store rows and the store benchmark all
         share, so they can never diverge on which nodes they attack.
-        Falls back to the sparse feature kernels for pre-feature stores.
         """
-        features = self.features()
-        if features is None:
-            features = egonet_features_sparse(self.csr())
-        return OddBall().analyze_features(*features).top_k(count).tolist()
+        return OddBall().analyze_features(*self.features()).top_k(count).tolist()
 
     def is_connected(self) -> bool:
         """Whether the graph is one connected component (O(n + m) BFS)."""

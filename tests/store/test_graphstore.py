@@ -166,6 +166,12 @@ class TestOpen:
         with pytest.raises(ValueError, match=re.escape(name)):
             GraphStore.open(clone)
 
+    def test_missing_features_file_is_named(self, store, tmp_path):
+        clone = _clone_with_manifest(store, tmp_path)
+        (clone / "features.bin").unlink()
+        with pytest.raises(ValueError, match=r"features\.bin is missing"):
+            GraphStore.open(clone)
+
     def test_structure_guard(self, store, tmp_path):
         # lie about the entry count
         clone = _clone_with_manifest(store, tmp_path, nnz=store.nnz + 2)
