@@ -43,7 +43,7 @@ def test_bench_defense_league(benchmark, bench_scale, bench_seed):
             after = detector.scores(poisoned)[targets].sum()
             taus[estimator] = tau_as(float(before), float(after))
         before = purified_scores(adjacency, rank=purify_rank)[targets].sum()
-        after = purified_scores(poisoned, rank=purify_rank)[targets].sum()
+        after = purified_scores(poisoned.toarray(), rank=purify_rank)[targets].sum()
         taus["svd-purify"] = tau_as(float(before), float(after))
         return taus
 

@@ -11,11 +11,11 @@ strategy name (one of
 :data:`~repro.attacks.candidates.CANDIDATE_STRATEGIES`), a
 prebuilt :class:`~repro.attacks.candidates.CandidateSet`, or ``None``,
 which means ``"full"``.  Every attack runs on a
-:class:`~repro.oddball.surrogate.SurrogateEngine`, so large graphs may be
-passed as scipy sparse matrices to any of them; sparse inputs stay sparse
-end to end: :class:`AttackResult` keeps the original in whichever
-representation it was given and derives poisoned adjacencies in the same
-one.
+:class:`~repro.oddball.surrogate.SurrogateEngine` and reads its graph
+through :func:`~repro.graph.sparse.to_sparse`: a :class:`Graph`, dense
+array, scipy sparse matrix or store all become one validated CSR with
+sorted rows, which :class:`AttackResult` keeps as its original and
+derives every poisoned adjacency from, so no graph is densified.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from scipy import sparse
 
 from repro.attacks.candidates import CandidateSet
 from repro.graph.graph import Graph
-from repro.graph.sparse import to_sparse
+from repro.graph.sparse import key_positions, to_sparse
 from repro.oddball.detector import OddBall
 from repro.oddball.scores import tau_as
 from repro.oddball.surrogate import SurrogateEngine
-from repro.utils.validation import check_adjacency, check_budget
+from repro.utils.validation import check_budget
 
 __all__ = ["AttackResult", "StructuralAttack", "apply_flips", "validate_targets"]
 
@@ -53,29 +53,49 @@ def validate_targets(targets: Sequence[int], n: int) -> list[int]:
     return targets
 
 
-def apply_flips(adjacency, flips: Sequence[Edge]):
-    """Return a copy of ``adjacency`` with each (u, v) pair toggled.
+def apply_flips(adjacency, flips: Sequence[Edge]) -> sparse.csr_matrix:
+    """A validated CSR of ``adjacency`` with each (u, v) pair toggled.
 
-    Dense arrays stay dense; scipy sparse matrices are toggled through a
-    LIL scratch copy and returned as CSR.
+    ``adjacency`` is anything :func:`~repro.graph.sparse.to_sparse`
+    takes, and is never modified.  The flips become sorted upper-triangle
+    keys ``u·n + v``; :func:`~repro.graph.sparse.key_positions` finds
+    which the graph holds (removed) and where the rest go (inserted), and
+    each toggled key ``u·n + v`` becomes the entries (u, v) and (v, u).
+    The result has sorted rows and is tagged validated.  A pair flipped
+    twice, a diagonal pair or a pair outside the graph raises
+    ``ValueError``.
     """
-    if sparse.issparse(adjacency):
-        poisoned = adjacency.tolil(copy=True)
-    else:
-        poisoned = np.array(adjacency, dtype=np.float64, copy=True)
+    matrix = to_sparse(adjacency)
+    n = int(matrix.shape[0])
     seen: set[Edge] = set()
     for u, v in flips:
-        pair = (u, v) if u < v else (v, u)
+        pair = (int(u), int(v)) if u < v else (int(v), int(u))
         if pair in seen:
             raise ValueError(f"pair {pair} flipped twice")
         if u == v:
             raise ValueError(f"cannot flip the diagonal pair ({u}, {u})")
+        if pair[0] < 0 or pair[1] >= n:
+            raise ValueError(f"pair {pair} is outside the graph's {n} nodes")
         seen.add(pair)
-        new_value = 1.0 - poisoned[u, v]
-        poisoned[u, v] = poisoned[v, u] = new_value
-    if sparse.issparse(poisoned):
-        poisoned = poisoned.tocsr()
-        poisoned.eliminate_zeros()
+    flipped = np.array(sorted(u * n + v for u, v in seen), dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    cols = matrix.indices.astype(np.int64)
+    upper = cols > rows
+    keys = rows[upper] * n + cols[upper]
+    positions, novel = key_positions(keys, flipped)
+    removed = positions[~novel]
+    # each insertion point shifts left by the removed keys before it
+    inserted = positions[novel] - np.searchsorted(removed, positions[novel])
+    keys = np.insert(np.delete(keys, removed), inserted, flipped[novel])
+    lower, higher = np.divmod(keys, n)
+    # COO → CSR sums duplicates, which sorts every row
+    poisoned = sparse.csr_matrix(
+        (np.ones(2 * keys.size),
+         (np.concatenate([lower, higher]), np.concatenate([higher, lower]))),
+        shape=(n, n),
+    )
+    poisoned.has_sorted_indices = True
+    poisoned._repro_validated = True
     return poisoned
 
 
@@ -87,23 +107,22 @@ class AttackResult:
     exactly ``b`` modifications (``len(...) <= b``; an attack may decline to
     spend its whole budget if extra flips would hurt the objective).
 
-    ``original`` may be a dense adjacency array or a scipy sparse matrix;
-    :meth:`poisoned` returns the same representation, and
-    :meth:`score_decrease` scores either through OddBall's sparse features,
-    so large-graph results never densify accidentally.
+    ``original`` may be given as anything
+    :func:`~repro.graph.sparse.to_sparse` takes and is held as the
+    validated CSR it returns; :meth:`poisoned` returns a CSR too, and
+    :meth:`score_decrease` scores both through OddBall's sparse features,
+    so no result ever densifies.  A consumer that needs a dense array
+    densifies at its call.
     """
 
     method: str
-    original: "np.ndarray | sparse.spmatrix"
+    original: sparse.csr_matrix
     flips_by_budget: dict[int, list[Edge]]
     surrogate_by_budget: dict[int, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if sparse.issparse(self.original):
-            self.original = to_sparse(self.original)
-        else:
-            self.original = check_adjacency(self.original)
+        self.original = to_sparse(self.original)
         for budget, flips in self.flips_by_budget.items():
             if len(flips) > budget:
                 raise ValueError(
@@ -127,13 +146,21 @@ class AttackResult:
             raise KeyError(f"budget {budget} not evaluated; available: {self.budgets}")
         return list(self.flips_by_budget[budget])
 
-    def poisoned(self, budget: "int | None" = None):
-        """Poisoned adjacency (same dense/sparse representation) at ``budget``."""
+    def poisoned(self, budget: "int | None" = None) -> sparse.csr_matrix:
+        """Poisoned adjacency at ``budget``, a validated CSR (:func:`apply_flips`).
+
+        >>> import numpy as np
+        >>> path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        >>> result = AttackResult("demo", path, {1: [(0, 2)]})
+        >>> poisoned = result.poisoned(1)
+        >>> type(poisoned).__name__, poisoned.nnz, float(poisoned[0, 2])
+        ('csr_matrix', 6, 1.0)
+        """
         return apply_flips(self.original, self.flips(budget))
 
     def edges_changed_fraction(self, budget: "int | None" = None) -> float:
         """Attack power ``B / |E|`` (x-axis of Fig. 4)."""
-        edges = int(self.original.sum()) // 2
+        edges = self.original.nnz // 2
         return len(self.flips(budget)) / max(edges, 1)
 
     def score_decrease(
@@ -185,25 +212,6 @@ class StructuralAttack(abc.ABC):
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         """Poison ``graph`` to hide ``targets`` using at most ``budget`` flips."""
-
-    @staticmethod
-    def _adjacency_of(
-        graph: "Graph | np.ndarray | sparse.spmatrix",
-    ) -> "np.ndarray | sparse.csr_matrix":
-        """Validated adjacency in the representation it was given.
-
-        A scipy sparse input (or a store-backed graph's memory-mapped CSR)
-        stays a validated CSR, which the engine and :class:`AttackResult`
-        take as is, so large graphs are never densified.
-        """
-        if isinstance(graph, Graph):
-            return graph.adjacency
-        if hasattr(graph, "adjacency_csr"):
-            # store-backed graphs: the tagged memory-mapped CSR, zero-copy
-            graph = graph.adjacency_csr()
-        if sparse.issparse(graph):
-            return to_sparse(graph)
-        return check_adjacency(np.asarray(graph, dtype=np.float64))
 
     @staticmethod
     def _resolve_candidates(

@@ -74,6 +74,7 @@ from repro import telemetry as _telemetry
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet, adopt_refresh
 from repro.attacks.constraints import filter_valid_flips_engine
+from repro.graph.sparse import to_sparse
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -183,7 +184,7 @@ class BinarizedAttack(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        adjacency = self._adjacency_of(graph)
+        adjacency = to_sparse(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)

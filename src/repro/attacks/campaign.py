@@ -60,7 +60,7 @@ from repro.oddball.scores import rank_nodes, rank_positions, tau_as
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.jsonlog import JsonLog, parse_line
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_adjacency, check_budget
+from repro.utils.validation import check_budget
 
 __all__ = [
     "AttackCampaign",
@@ -440,23 +440,6 @@ class CampaignResult:
         )
 
 
-def _normalize_graph(graph):
-    """Validated adjacency (dense ndarray or tagged CSR) from any input.
-
-    Sparse and store-backed inputs go through :func:`to_sparse`, which
-    hands an already-validated CSR back as the same object, tokens and
-    all: a :class:`~repro.store.GraphStore`'s memory-mapped CSR, or the
-    one a worker rebuilt with :meth:`EngineSpec.to_graph
-    <repro.oddball.surrogate.EngineSpec.to_graph>`.  Any other CSR is
-    validated into a fresh, untokened copy.
-    """
-    if isinstance(graph, Graph):
-        return np.array(graph.adjacency_view, dtype=np.float64)
-    if hasattr(graph, "adjacency_csr") or sparse.issparse(graph):
-        return to_sparse(graph)
-    return check_adjacency(np.asarray(graph, dtype=np.float64))
-
-
 def graph_fingerprint(adjacency) -> str:
     """The name a checkpoint header gives one graph.
 
@@ -623,13 +606,11 @@ class AttackCampaign:
     ----------
     graph:
         :class:`~repro.graph.graph.Graph`, dense adjacency array, scipy
-        sparse matrix, or a memory-mapped :class:`~repro.store.GraphStore`
-        (normalised to its read-only CSR zero-copy).  Sparse inputs are
-        validated **once** (the validate-once tag of
-        :func:`repro.graph.sparse.to_sparse` makes every per-job
-        touch-point free); dense jobs still re-run the O(n²) checks per
-        attack call, which is negligible at the small n dense inputs are
-        meant for.
+        sparse matrix, or a memory-mapped :class:`~repro.store.GraphStore`.
+        The campaign holds :func:`repro.graph.sparse.to_sparse` of it, the
+        one validated CSR (a store's read-only CSR, zero-copy) that every
+        job's attack, result and fingerprint reads: the graph is
+        validated **once**, whatever form it arrived in.
     checkpoint_path:
         Optional JSONL checkpoint file: one header line (graph fingerprint)
         followed by one completed-job record per line, appended
@@ -680,7 +661,7 @@ class AttackCampaign:
     ):
         if telemetry is not None:
             _telemetry.configure(telemetry)
-        self._original = _normalize_graph(graph)
+        self._original = to_sparse(graph)
         self.n = int(self._original.shape[0])
         self.checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)

@@ -93,8 +93,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.graph.graph import Graph
-from repro.graph.sparse import key_positions, merge_novel, sorted_unique
+from repro.graph.sparse import key_positions, merge_novel, sorted_unique, to_sparse
 
 __all__ = [
     "AdaptiveCandidateSet",
@@ -172,18 +171,6 @@ def block_params(
     if block_seed:
         params["block_seed"] = int(block_seed)
     return params
-
-
-def _node_count(graph) -> int:
-    """Node count of a Graph/array/scipy-sparse input, without validation."""
-    from scipy import sparse
-
-    if isinstance(graph, Graph):
-        return graph.number_of_nodes
-    shape = graph.shape if sparse.issparse(graph) else np.asarray(graph).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {shape}")
-    return int(shape[0])
 
 
 class Lineage(NamedTuple):
@@ -293,8 +280,9 @@ class CandidateSet:
     ) -> "CandidateSet":
         """Build a candidate set with a named strategy.
 
-        ``graph`` may be a :class:`Graph`, a dense adjacency array or a
-        scipy sparse matrix, of which only the node count is read;
+        ``graph`` is anything :func:`~repro.graph.sparse.to_sparse` takes
+        (an attack passes its validated CSR, which costs nothing), of which
+        only the node count is read;
         ``targets`` is required for every strategy except ``full`` and
         ``block`` (global random sampling needs no locality seed — targets
         are accepted and ignored).  ``budget``
@@ -307,7 +295,7 @@ class CandidateSet:
                 f"unknown candidate strategy {strategy!r}; "
                 f"choose from {CANDIDATE_STRATEGIES}"
             )
-        n = _node_count(graph)
+        n = to_sparse(graph).shape[0]
         if strategy == "full":
             return cls.full(n)
         if strategy == "block":

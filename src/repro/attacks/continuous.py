@@ -29,6 +29,7 @@ import numpy as np
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
 from repro.attacks.constraints import filter_valid_flips_engine
+from repro.graph.sparse import to_sparse
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -82,7 +83,7 @@ class ContinuousA(StructuralAttack):
         candidates: "CandidateSet | str | None" = None,
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
-        adjacency = self._adjacency_of(graph)
+        adjacency = to_sparse(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet, adopt_refresh
+from repro.graph.sparse import to_sparse
 from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
@@ -113,7 +114,7 @@ class GradMaxSearch(StructuralAttack):
         test oracle) is retargeted in place; otherwise a sparse engine is
         built for this call.
         """
-        adjacency = self._adjacency_of(graph)
+        adjacency = to_sparse(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)

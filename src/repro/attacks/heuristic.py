@@ -34,6 +34,7 @@ from typing import Sequence
 
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
+from repro.graph.sparse import to_sparse
 from repro.oddball.regression import fit_power_law
 from repro.oddball.surrogate import SurrogateEngine, surrogate_loss_from_features
 from repro.utils.logging import get_logger
@@ -81,7 +82,7 @@ class OddBallHeuristic(StructuralAttack):
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         """Greedily move each target's (N, E) point toward the fitted line."""
-        adjacency = self._adjacency_of(graph)
+        adjacency = to_sparse(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)

@@ -12,6 +12,7 @@ from typing import Sequence
 from repro.attacks.base import AttackResult, StructuralAttack, validate_targets
 from repro.attacks.candidates import CandidateSet
 from repro.attacks.constraints import filter_valid_flips_engine
+from repro.graph.sparse import to_sparse
 from repro.oddball.surrogate import SurrogateEngine, surrogate_loss_from_features
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_budget
@@ -57,7 +58,7 @@ class RandomAttack(StructuralAttack):
         engine: "SurrogateEngine | None" = None,
     ) -> AttackResult:
         """Flip uniformly-random valid pairs from the candidate set."""
-        adjacency = self._adjacency_of(graph)
+        adjacency = to_sparse(graph)
         n = adjacency.shape[0]
         targets = validate_targets(targets, n)
         budget = check_budget(budget)

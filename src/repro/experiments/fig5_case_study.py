@@ -80,7 +80,7 @@ def run(
         flips = result.flips()
         adds = sum(1 for u, v in flips if graph.adjacency_view[u, v] == 0.0)
         deletes = len(flips) - adds
-        poisoned = Graph(result.poisoned())
+        poisoned = Graph(result.poisoned().toarray())
         cases.append(
             {
                 "target": node,

@@ -188,7 +188,7 @@ class TransferAttackPipeline:
         penultimate_clean: "np.ndarray | None" = None
         penultimate_poisoned: "np.ndarray | None" = None
         for budget in budgets:
-            poisoned = attack_result.poisoned(budget)
+            poisoned = attack_result.poisoned(budget).toarray()
             embeddings, classifier = self.train_victim(poisoned, labels, train_index)
             probabilities = classifier.predict_proba(embeddings[test_index])
             predictions = (probabilities >= 0.5).astype(np.int64)

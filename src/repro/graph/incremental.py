@@ -89,7 +89,7 @@ class IncrementalEgonetFeatures:
     graph:
         A :class:`~repro.graph.graph.Graph`, dense adjacency array or scipy
         sparse matrix.  Validated through :func:`repro.graph.sparse.to_sparse`
-        (square, symmetric, binary, zero diagonal).
+        (square, symmetric, binary, zero diagonal, sorted rows).
 
     Flips run in Python on every kernel backend: touched rows are
     neighbour sets over the base CSR, and each flip's common-neighbour
@@ -109,8 +109,6 @@ class IncrementalEgonetFeatures:
 
     def __init__(self, graph):
         csr = to_sparse(graph)
-        if not csr.has_sorted_indices:
-            csr.sort_indices()
         self.n = int(csr.shape[0])
         #: Read-only clean-graph CSR: rows not present in ``_rows`` are
         #: exactly this matrix's rows.  May be backed by np.memmap arrays

@@ -24,7 +24,11 @@ from scipy import sparse
 from repro import telemetry as _telemetry
 from repro.graph.graph import Graph
 
+#: CSR entries per block of :func:`content_hash`, bounding its workspace.
+_HASH_BLOCK = 1 << 16
+
 __all__ = [
+    "check_csr",
     "content_hash",
     "egonet_features_sparse",
     "hash_edge_keys",
@@ -102,66 +106,125 @@ def content_hash(adjacency) -> str:
 
     Depends only on the node count and the edge set: a dense array, a CSR
     with sorted or unsorted rows, and a :class:`~repro.store.GraphStore`
-    CSR of one graph all hash alike (see :func:`hash_edge_keys`).  Keys
-    come out of a row-major scan already sorted unless the CSR's rows are
-    not, in which case they are sorted here.  O(m) for a CSR, O(n²) for a
-    dense array.
+    CSR of one graph all hash alike (see :func:`hash_edge_keys`).  The
+    rows of :func:`to_sparse` are sorted, so a row-major scan yields the
+    upper-triangle keys in ascending order; whole rows of about
+    :data:`_HASH_BLOCK` entries are hashed at a time.  O(m).
     """
-    n = int(adjacency.shape[0])
-    if sparse.issparse(adjacency):
-        csr = adjacency.tocsr()
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-        cols = np.asarray(csr.indices, dtype=np.int64)
-        upper = (cols > rows) & (csr.data != 0)
-        keys = rows[upper] * n + cols[upper]
-        if not csr.has_sorted_indices:
-            keys.sort()
-    else:
-        rows, cols = np.nonzero(np.triu(np.asarray(adjacency), k=1))
-        keys = rows.astype(np.int64) * n + cols
-    return hash_edge_keys(n, keys)
+    matrix = to_sparse(adjacency)
+    n = int(matrix.shape[0])
+    indptr, indices = matrix.indptr, matrix.indices
+    digest = hashlib.sha1(f"{n}:".encode())
+    row = 0
+    while row < n:
+        stop = int(np.searchsorted(indptr, indptr[row] + _HASH_BLOCK, side="right")) - 1
+        stop = min(max(stop, row + 1), n)
+        rows = np.repeat(
+            np.arange(row, stop, dtype=np.int64), np.diff(indptr[row:stop + 1])
+        )
+        cols = indices[indptr[row]:indptr[stop]].astype(np.int64)
+        upper = cols > rows
+        digest.update(np.ascontiguousarray(rows[upper] * n + cols[upper], dtype="<i8"))
+        row = stop
+    return digest.hexdigest()
+
+
+def check_csr(
+    indptr: np.ndarray, indices: np.ndarray, data_blocks, where: "str | None" = None
+) -> sparse.csr_matrix:
+    """Check a CSR adjacency's arrays; return its structure, tagged validated.
+
+    The one structural check, run by :func:`to_sparse` and by the
+    store's builder and ``open(verify=True)``.  The checks run in this
+    order, each raising ``ValueError`` (prefixed by ``where`` when given):
+    every value in ``data_blocks`` (the data array, in consecutive blocks)
+    is 1.0; no row stores its own index; every row's indices rise
+    strictly; and every index is a node.  Then symmetry: with binary data
+    and canonical rows, the adjacency is symmetric exactly when its
+    transposed structure (scipy's counting-sort ``tocsc``, which yields
+    sorted rows) equals its structure, so no float copy or ``A != Aᵀ``
+    workspace is built.  Sortedness is checked first so a swapped pair
+    reports its row, not an asymmetry.
+
+    The returned matrix shares ``indptr`` and ``indices``, carries int8
+    ones as its data, and is tagged ``_repro_validated`` and
+    ``has_sorted_indices``, ready for :func:`egonet_features_sparse` and
+    :func:`content_hash`.
+    """
+    prefix = "" if where is None else f"{where}: "
+    n = indptr.size - 1
+    if not all(np.all(block == 1.0) for block in data_blocks):
+        raise ValueError(f"{prefix}adjacency is not binary")
+    structure = sparse.csr_matrix(
+        (np.ones(indices.size, dtype=np.int8), indices, indptr),
+        shape=(n, n), copy=False,
+    )
+    if structure.diagonal().any():
+        raise ValueError(f"{prefix}adjacency has diagonal entries")
+    # every step inside a row must rise; the steps across row starts
+    # are the only ones allowed to fall
+    rising = np.greater(indices[1:], indices[:-1])
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not rising.all():
+        row = int(np.searchsorted(indptr, np.argmin(rising), side="right")) - 1
+        raise ValueError(f"{prefix}row {row} indices are not sorted/unique")
+    del rising
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"{prefix}adjacency has indices outside 0..{n - 1}")
+    structure.has_sorted_indices = True
+    transposed = structure.tocsc()
+    if not (np.array_equal(transposed.indptr, indptr)
+            and np.array_equal(transposed.indices, indices)):
+        raise ValueError(f"{prefix}adjacency is not symmetric")
+    structure._repro_validated = True
+    return structure
 
 
 def to_sparse(graph: "Graph | np.ndarray | sparse.spmatrix") -> sparse.csr_matrix:
-    """Coerce a graph/adjacency into a validated CSR matrix.
+    """Coerce a graph/adjacency into a validated CSR matrix with sorted rows.
 
-    Validation mirrors :func:`repro.utils.validation.check_adjacency`:
-    square, symmetric, binary, zero diagonal.
+    The one way a graph enters the graph, attack, campaign and store
+    layers.  A :class:`Graph`, dense array or scipy matrix is copied to a
+    float64 CSR (the caller's arrays are never modified); stored zeros
+    are dropped, duplicates summed and rows sorted, and the copy must be
+    square and pass :func:`check_csr`.  A :class:`~repro.store.GraphStore`
+    is read through ``adjacency_csr()``.  The result is tagged
+    ``_repro_validated`` with ``has_sorted_indices`` set, and a tagged CSR
+    is returned as-is ("validate once"), so a campaign's CSR or a store's
+    memory-mapped one is never copied again.  Scipy copies and arithmetic
+    drop the tag; only in-place mutation of a tagged matrix could fool it.
 
-    Matrices this function has already validated are tagged and returned
-    as-is on re-entry ("validate once"): an attack campaign threads the
-    same clean CSR through hundreds of jobs, and the O(m) symmetry check
-    per touch-point was a measurable per-job fixed cost.  The tag does not
-    survive scipy copies/arithmetic, so derived matrices are re-validated;
-    only in-place mutation of a validated matrix's ``data`` could fool it.
+    >>> from scipy import sparse
+    >>> unsorted = sparse.csr_matrix(
+    ...     ([1.0, 1.0, 1.0, 1.0], [2, 1, 0, 0], [0, 2, 3, 4]), shape=(3, 3))
+    >>> unsorted.has_sorted_indices
+    False
+    >>> matrix = to_sparse(unsorted)
+    >>> matrix.has_sorted_indices, matrix._repro_validated
+    (True, True)
+    >>> matrix.indices.tolist(), unsorted.indices.tolist()
+    ([1, 2, 0, 0], [2, 1, 0, 0])
+    >>> to_sparse(matrix) is matrix
+    True
     """
     if isinstance(graph, Graph):
         matrix = sparse.csr_matrix(graph.adjacency_view)
     elif hasattr(graph, "adjacency_csr"):
-        # Store-backed graphs (repro.store.GraphStore) and the incremental
-        # feature engine expose their CSR through ``adjacency_csr()``.  A
-        # GraphStore's CSR arrives pre-tagged validated, so for the mmap
-        # path this recursion is zero-copy.
         return to_sparse(graph.adjacency_csr())
     elif sparse.issparse(graph):
         if getattr(graph, "_repro_validated", False) and sparse.isspmatrix_csr(graph):
             return graph
-        matrix = graph.tocsr().astype(np.float64)  # astype copies, so
-        # eliminate_zeros below never mutates the caller's matrix
+        # astype copies data and both index arrays, even at float64
+        matrix = graph.tocsr().astype(np.float64)
     else:
         matrix = sparse.csr_matrix(np.asarray(graph, dtype=np.float64))
-    # CSR matrices may carry stored explicit zeros (e.g. after ``setdiag(0)``
-    # or arithmetic); they are valid zero entries, so drop them before the
-    # binary-values check instead of rejecting the matrix.
     matrix.eliminate_zeros()
+    matrix.sum_duplicates()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"adjacency must be square, got {matrix.shape}")
-    if (matrix != matrix.T).nnz != 0:
-        raise ValueError("adjacency must be symmetric")
-    if matrix.nnz and not np.all(matrix.data == 1.0):
-        raise ValueError("adjacency must be binary")
-    if matrix.diagonal().sum() != 0.0:
-        raise ValueError("adjacency must have a zero diagonal")
+    check_csr(matrix.indptr, matrix.indices, (matrix.data,))
+    matrix.has_sorted_indices = True
     matrix._repro_validated = True
     return matrix
 

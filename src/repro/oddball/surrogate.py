@@ -698,7 +698,9 @@ class EngineSpec(NamedTuple):
         if self.kind == "csr":
             data, indices, indptr, shape = self.payload
             matrix = _sparse.csr_matrix((data, indices, indptr), shape=shape)
-            matrix._repro_validated = True  # by from_graph, at capture
+            # validated (rows sorted) by from_graph, at capture
+            matrix.has_sorted_indices = True
+            matrix._repro_validated = True
             matrix._repro_fingerprint = self.fingerprint
             return matrix
         if self.kind == "store":
@@ -1113,20 +1115,12 @@ class DenseSurrogateEngine(SurrogateEngine):
         ridge: float = DEFAULT_RIDGE,
         weights: "Sequence[float] | None" = None,
     ):
-        if _sparse.issparse(graph):
-            # repro: allow-densify(dense reference engine — densifying is the point)
-            adjacency = graph.toarray()
-        elif hasattr(graph, "adjacency_csr"):
-            # store-backed graphs densify here — the dense reference engine
-            # is for small graphs/tests, so the O(n²) copy is intentional
-            # repro: allow-densify(dense reference engine — densifying is the point)
-            adjacency = graph.adjacency_csr().toarray()
-        elif hasattr(graph, "adjacency_view"):
-            adjacency = np.array(graph.adjacency_view, dtype=np.float64)
-        else:
-            adjacency = np.array(graph, dtype=np.float64, copy=True)
-        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
+        from repro.graph.sparse import to_sparse
+
+        # the dense reference engine is for small graphs and tests, so the
+        # O(n²) copy of the validated graph is intentional
+        # repro: allow-densify(dense reference engine — densifying is the point)
+        adjacency = to_sparse(graph).toarray()
         self._adjacency = adjacency
         self._transient: list[tuple[int, int]] = []
         self._permanent: list[tuple[int, int]] = []
@@ -1352,9 +1346,6 @@ class SparseSurrogateEngine(SurrogateEngine):
         base, delta = self._features.csr_with_delta()
         n = self.n
         pair_keys = rows * n + cols
-        if not base.has_sorted_indices:
-            # repro: allow-mmap-write-safety(unreachable for store CSRs — they arrive pre-sorted with has_sorted_indices set)
-            base.sort_indices()
         if self._kt is not None:
             # Compiled path: one binary search per pair inside the base
             # CSR's rows — no O(m) edge-key array build per call.
@@ -1462,9 +1453,10 @@ class SparseSurrogateEngine(SurrogateEngine):
 
         The compiled kernel adds the numpy reference's nonzero terms in the
         same order, so both paths return bit-identical gradients (asserted
-        by the kernel parity suite); unsorted-index matrices (never
-        produced by the engine's own materialisations) fall back to the
-        reference path, which tolerates them.  While tracing, the scatter
+        by the kernel parity suite).  ``csr`` is the engine's base or
+        folded CSR, whose rows are sorted (the base comes from
+        :func:`~repro.graph.sparse.to_sparse`, and folding keeps them
+        sorted).  While tracing, the scatter
         also counts its Δ-overlay entries (``kernels.scatter_gradient.delta``)
         and, on the compiled path, the CSR entries it walked
         (``kernels.scatter_gradient.entries``).
@@ -1472,7 +1464,7 @@ class SparseSurrogateEngine(SurrogateEngine):
         tracer = _telemetry.active_tracer()
         start_ns = time.perf_counter_ns() if tracer is not None else 0
         entries = None
-        if self._kt is not None and csr.has_sorted_indices:
+        if self._kt is not None:
             gradient, entries = self._kt.scatter_pair_gradient(
                 csr, d_n, d_e, groups, delta=delta
             )

@@ -43,13 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.graph.sparse import hash_edge_keys, merge_novel, sorted_unique
+from repro.graph.sparse import check_csr, hash_edge_keys, merge_novel, sorted_unique
 from repro.store.graphstore import (
     _DATA_BLOCK,
     _DATA_DTYPE,
     MANIFEST_VERSION,
     GraphStore,
-    _check_adjacency,
     _read_blocks,
     index_dtype,
     recipe_hash,
@@ -459,7 +458,7 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
 
     ``indptr.bin`` and ``indices.bin`` are read back with ``np.fromfile``
     and ``data.bin`` is scanned in blocks by the store's adjacency check
-    (:func:`repro.store.graphstore._check_adjacency`, the one
+    (:func:`repro.graph.sparse.check_csr`, the one
     ``GraphStore.open(verify=True)`` runs): binary, zero diagonal, sorted
     rows, symmetric by structure.  A failure raises ``ValueError`` before
     any feature is written.  The check returns an index-only view (int8
@@ -475,7 +474,7 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
     from repro.graph.sparse import egonet_features_sparse
 
     idx_dtype = index_dtype(n, nnz)
-    matrix = _check_adjacency(
+    matrix = check_csr(
         np.fromfile(path / "indptr.bin", dtype=idx_dtype),
         np.fromfile(path / "indices.bin", dtype=idx_dtype),
         _read_blocks(path / "data.bin", _DATA_DTYPE, nnz),

@@ -51,7 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import telemetry as _telemetry
-from repro.graph.sparse import content_hash, egonet_features_sparse
+from repro.graph.sparse import check_csr, content_hash, egonet_features_sparse
 from repro.oddball.detector import OddBall
 
 __all__ = ["GraphStore", "MANIFEST_VERSION", "index_dtype", "recipe_hash"]
@@ -124,56 +124,6 @@ def _read_blocks(file: Path, dtype, count: int):
             )
 
 
-def _check_adjacency(
-    indptr: np.ndarray, indices: np.ndarray, data_blocks, where: str
-) -> sparse.csr_matrix:
-    """Check a stored adjacency; return its structure as a validated CSR.
-
-    The checks run in this order, each raising ``ValueError`` prefixed by
-    ``where``: every value in ``data_blocks`` (the data array, in
-    consecutive blocks) is 1.0; no row stores its own index; every row's
-    indices rise strictly; and every index is a node.  Then symmetry:
-    with binary data and canonical rows, the adjacency is symmetric
-    exactly when its transposed structure (scipy's counting-sort
-    ``tocsc``, which yields sorted rows) equals its structure, so no
-    float copy or ``A != Aᵀ`` workspace is built.  Sortedness is checked
-    first so a swapped pair reports its row, not an asymmetry.
-
-    The returned matrix shares ``indptr`` and ``indices``, carries int8
-    ones as its data, and is tagged ``_repro_validated`` and
-    ``has_sorted_indices``, ready for
-    :func:`~repro.graph.sparse.egonet_features_sparse` and
-    :func:`~repro.graph.sparse.content_hash`.
-    """
-    n = indptr.size - 1
-    if not all(np.all(block == 1.0) for block in data_blocks):
-        raise ValueError(f"{where}: adjacency is not binary")
-    structure = sparse.csr_matrix(
-        (np.ones(indices.size, dtype=np.int8), indices, indptr),
-        shape=(n, n), copy=False,
-    )
-    if structure.diagonal().any():
-        raise ValueError(f"{where}: adjacency has diagonal entries")
-    # every step inside a row must rise; the steps across row starts
-    # are the only ones allowed to fall
-    rising = np.greater(indices[1:], indices[:-1])
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-    if not rising.all():
-        row = int(np.searchsorted(indptr, np.argmin(rising), side="right")) - 1
-        raise ValueError(f"{where}: row {row} indices are not sorted/unique")
-    del rising
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise ValueError(f"{where}: adjacency has indices outside 0..{n - 1}")
-    structure.has_sorted_indices = True
-    transposed = structure.tocsc()
-    if not (np.array_equal(transposed.indptr, indptr)
-            and np.array_equal(transposed.indices, indices)):
-        raise ValueError(f"{where}: adjacency is not symmetric")
-    structure._repro_validated = True
-    return structure
-
-
 class GraphStore:
     """A read-only, memory-mapped CSR graph with manifest metadata.
 
@@ -219,9 +169,10 @@ class GraphStore:
         the manifest addresses, monotone ``indptr``) always run;
         ``verify=True`` additionally re-runs the builder's adjacency check
         (binary, zero diagonal, sorted rows, symmetric by structure; see
-        :func:`_check_adjacency`), recomputes the content hash in O(m) and
-        recomputes the clean ``(N, E)`` features against ``features.bin``
-        — use it after copying a store between machines.
+        :func:`~repro.graph.sparse.check_csr`, the check every validated
+        graph passes), recomputes the content hash in O(m) in row blocks
+        and recomputes the clean ``(N, E)`` features against
+        ``features.bin`` — use it after copying a store between machines.
         """
         path = Path(path)
         manifest_path = path / "manifest.json"
@@ -273,7 +224,7 @@ class GraphStore:
     def _verify_adjacency(self) -> None:
         """Full O(m) re-validation of the adjacency and its features."""
         where = f"store {self.path}"
-        matrix = _check_adjacency(
+        matrix = check_csr(
             np.asarray(self._indptr), np.asarray(self._indices),
             _read_blocks(self.path / "data.bin", self._data.dtype, self.nnz),
             where,

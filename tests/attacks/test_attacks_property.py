@@ -31,7 +31,7 @@ def test_attack_output_is_valid_bounded_poison(factory, n, budget, seed):
 
     flips = result.flips()
     assert len(flips) <= budget
-    poisoned = result.poisoned()
+    poisoned = result.poisoned().toarray()
     original = graph.adjacency
 
     # valid simple graph

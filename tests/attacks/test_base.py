@@ -6,6 +6,7 @@ from scipy import sparse
 
 from repro.attacks.base import AttackResult, apply_flips, validate_targets
 from repro.graph import Graph
+from repro.graph.sparse import check_csr
 
 
 class TestValidateTargets:
@@ -27,7 +28,97 @@ class TestValidateTargets:
             validate_targets([-1], 5)
 
 
+def _unsorted(csr):
+    """``csr`` with every row's indices reversed (same graph)."""
+    indices = csr.indices.copy()
+    for row in range(csr.shape[0]):
+        start, stop = csr.indptr[row], csr.indptr[row + 1]
+        indices[start:stop] = indices[start:stop][::-1]
+    matrix = sparse.csr_matrix(
+        (csr.data.copy(), indices, csr.indptr.copy()), shape=csr.shape
+    )
+    assert not matrix.has_sorted_indices
+    return matrix
+
+
+#: Every input form apply_flips takes: ``(graph, dense adjacency)`` of a
+#: Graph, a dense array, a sorted CSR, an unsorted CSR and a store's
+#: read-only memory-mapped CSR.
+INPUT_FORMS = {
+    "graph": lambda graph, store: (graph, graph.adjacency),
+    "dense": lambda graph, store: (graph.adjacency, graph.adjacency),
+    "sorted-csr": lambda graph, store: (
+        sparse.csr_matrix(graph.adjacency), graph.adjacency),
+    "unsorted-csr": lambda graph, store: (
+        _unsorted(sparse.csr_matrix(graph.adjacency)), graph.adjacency),
+    "store-csr": lambda graph, store: (store.csr(), store.csr().toarray()),
+}
+
+
+def _arrays(form):
+    """Copies of every array a form holds, to prove it untouched."""
+    if isinstance(form, Graph):
+        return [form.adjacency]
+    if sparse.issparse(form):
+        return [np.array(form.data), np.array(form.indices), np.array(form.indptr)]
+    return [np.array(form)]
+
+
+def _flips(dense):
+    """Two deletions and two insertions, some given as (v, u)."""
+    rows, cols = np.nonzero(np.triu(dense, k=1))
+    absent_rows, absent_cols = np.nonzero(np.triu(dense == 0, k=1))
+    return [
+        (int(cols[0]), int(rows[0])),
+        (int(rows[-1]), int(cols[-1])),
+        (int(absent_rows[0]), int(absent_cols[0])),
+        (int(absent_cols[-1]), int(absent_rows[-1])),
+    ]
+
+
 class TestApplyFlips:
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    def test_every_input_form_gives_the_one_validated_csr(
+        self, form, small_er_graph, store
+    ):
+        graph, dense = INPUT_FORMS[form](small_er_graph, store)
+        before = _arrays(graph)
+        flips = _flips(dense)
+        reference = dense.copy()
+        for u, v in flips:
+            reference[u, v] = reference[v, u] = 1.0 - reference[u, v]
+
+        poisoned = apply_flips(graph, flips)
+
+        assert sparse.isspmatrix_csr(poisoned)
+        assert poisoned.dtype == np.float64
+        np.testing.assert_array_equal(poisoned.toarray(), reference)
+        assert poisoned._repro_validated and poisoned.has_sorted_indices
+        check_csr(poisoned.indptr, poisoned.indices, [poisoned.data])  # sorted
+        for kept, now in zip(before, _arrays(graph)):
+            np.testing.assert_array_equal(kept, now)
+        if form == "store-csr":
+            assert not graph.indices.flags.writeable
+
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    def test_bad_pairs_raise_the_same_messages(self, form, small_er_graph, store):
+        graph, dense = INPUT_FORMS[form](small_er_graph, store)
+        n = dense.shape[0]
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) flipped twice"):
+            apply_flips(graph, [(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match=r"diagonal pair \(3, 3\)"):
+            apply_flips(graph, [(3, 3)])
+        with pytest.raises(ValueError, match=rf"pair \(3, {n}\) is outside"):
+            apply_flips(graph, [(n, 3)])
+        with pytest.raises(ValueError, match=r"pair \(-1, 3\) is outside"):
+            apply_flips(graph, [(3, -1)])
+
+    def test_no_flips_copy_the_graph(self, small_er_graph):
+        csr = sparse.csr_matrix(small_er_graph.adjacency)
+        poisoned = apply_flips(csr, [])
+        assert poisoned is not csr
+        np.testing.assert_array_equal(poisoned.toarray(), small_er_graph.adjacency)
+
     def test_add_and_delete(self):
         adjacency = np.zeros((3, 3))
         adjacency[0, 1] = adjacency[1, 0] = 1.0
@@ -72,7 +163,7 @@ class TestAttackResult:
             self._result(small_er_graph).flips(7)
 
     def test_poisoned_adjacency_valid(self, small_er_graph):
-        adjacency = self._result(small_er_graph).poisoned()
+        adjacency = self._result(small_er_graph).poisoned().toarray()
         assert np.array_equal(adjacency, adjacency.T)
 
     def test_overbudget_flips_rejected(self, small_er_graph):
@@ -98,8 +189,8 @@ class TestAttackResult:
 
 
 class TestPoisonedRepresentation:
-    """poisoned() hands back the representation it was given (dense
-    originals stay dense, sparse ones stay CSR), and both score alike."""
+    """poisoned() is a CSR whichever form the original arrived in, and
+    dense and sparse originals give the same graphs and scores."""
 
     FLIPS = {0: [], 1: [(0, 1)], 2: [(0, 1), (2, 3)]}
 
@@ -112,10 +203,6 @@ class TestPoisonedRepresentation:
         csr = sparse.csr_matrix(graph.adjacency)
         return AttackResult(method="test", original=csr, flips_by_budget=self.FLIPS)
 
-    def test_dense_original_stays_dense(self, small_er_graph):
-        poisoned = self._dense_result(small_er_graph).poisoned()
-        assert isinstance(poisoned, np.ndarray)
-
     def test_sparse_original_stays_sparse(self, small_er_graph):
         poisoned = self._sparse_result(small_er_graph).poisoned()
         assert sparse.isspmatrix_csr(poisoned)
@@ -124,7 +211,9 @@ class TestPoisonedRepresentation:
         dense = self._dense_result(small_er_graph)
         csr = self._sparse_result(small_er_graph)
         for budget in dense.budgets:
-            assert np.array_equal(csr.poisoned(budget).toarray(), dense.poisoned(budget))
+            np.testing.assert_array_equal(
+                csr.poisoned(budget).toarray(), dense.poisoned(budget).toarray()
+            )
         targets = [0, 1, 2]
         assert csr.score_decrease(targets) == dense.score_decrease(targets)
 
@@ -185,14 +274,3 @@ class TestSharedPlumbing:
         assert engine._candidates is candidates
         assert np.array_equal(engine.targets, [2, 3])
         assert engine.floor == 2.0
-
-    def test_adjacency_of_keeps_sparse_input_sparse(self, small_er_graph):
-        from repro.attacks.base import StructuralAttack
-
-        csr = sparse.csr_matrix(small_er_graph.adjacency)
-        kept = StructuralAttack._adjacency_of(csr)
-        assert sparse.isspmatrix_csr(kept)
-        assert np.array_equal(kept.toarray(), small_er_graph.adjacency)
-        dense = StructuralAttack._adjacency_of(small_er_graph)
-        assert isinstance(dense, np.ndarray)
-        assert np.array_equal(dense, small_er_graph.adjacency)

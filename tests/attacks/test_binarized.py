@@ -55,7 +55,7 @@ class TestAttackInvariants:
     def test_poisoned_adjacency_valid(self, attack_setup):
         graph, targets = attack_setup
         result = fast_attack().attack(graph, targets, budget=6)
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
         assert np.array_equal(poisoned, poisoned.T)
         assert set(np.unique(poisoned)) <= {0.0, 1.0}
         assert np.diagonal(poisoned).sum() == 0.0
@@ -63,7 +63,7 @@ class TestAttackInvariants:
     def test_no_singletons(self, attack_setup):
         graph, targets = attack_setup
         result = fast_attack().attack(graph, targets, budget=8)
-        degrees = result.poisoned().sum(axis=1)
+        degrees = result.poisoned().toarray().sum(axis=1)
         assert not ((degrees == 0) & (graph.degrees() > 0)).any()
 
     def test_surrogate_non_increasing_in_budget(self, attack_setup):
@@ -76,7 +76,7 @@ class TestAttackInvariants:
     def test_budget_zero_is_clean_graph(self, attack_setup):
         graph, targets = attack_setup
         result = fast_attack().attack(graph, targets, budget=0)
-        np.testing.assert_allclose(result.poisoned(0), graph.adjacency)
+        np.testing.assert_allclose(result.poisoned(0).toarray(), graph.adjacency)
 
 
 class TestAttackQuality:

@@ -77,7 +77,7 @@ class TestGradMaxEquivalence:
         assert from_dense.flips_by_budget == from_sparse.flips_by_budget
         assert sparse.issparse(from_sparse.poisoned())
         np.testing.assert_array_equal(
-            from_sparse.poisoned().toarray(), from_dense.poisoned()
+            from_sparse.poisoned().toarray(), from_dense.poisoned().toarray()
         )
 
     def test_weighted_targets_equivalence(self, graph_and_targets):

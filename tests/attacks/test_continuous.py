@@ -23,7 +23,7 @@ class TestContinuousA:
     def test_poisoned_adjacency_valid(self, attack_setup):
         graph, targets = attack_setup
         result = ContinuousA(max_iter=50).attack(graph, targets, budget=5)
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
         assert np.array_equal(poisoned, poisoned.T)
         assert set(np.unique(poisoned)) <= {0.0, 1.0}
         assert np.diagonal(poisoned).sum() == 0.0
@@ -54,7 +54,7 @@ class TestContinuousA:
     def test_no_singletons(self, attack_setup):
         graph, targets = attack_setup
         result = ContinuousA(max_iter=50).attack(graph, targets, budget=10)
-        degrees = result.poisoned().sum(axis=1)
+        degrees = result.poisoned().toarray().sum(axis=1)
         assert not ((degrees == 0) & (graph.degrees() > 0)).any()
 
 

@@ -30,7 +30,7 @@ class TestGradMaxSearch:
     def test_no_singletons_created(self, attack_setup):
         graph, targets = attack_setup
         result = GradMaxSearch().attack(graph, targets, budget=8)
-        degrees = result.poisoned().sum(axis=1)
+        degrees = result.poisoned().toarray().sum(axis=1)
         before = graph.degrees()
         assert not ((degrees == 0) & (before > 0)).any()
 
@@ -67,7 +67,7 @@ class TestGradMaxSearch:
         graph, targets = attack_setup
         result = GradMaxSearch().attack(graph, targets, budget=0)
         assert result.flips() == []
-        np.testing.assert_allclose(result.poisoned(), graph.adjacency)
+        np.testing.assert_allclose(result.poisoned().toarray(), graph.adjacency)
 
     def test_accepts_adjacency_matrix(self, attack_setup):
         graph, targets = attack_setup

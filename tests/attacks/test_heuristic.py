@@ -15,7 +15,7 @@ class TestOddBallHeuristic:
         targets = OddBall().analyze(small_ba_graph).top_k(3).tolist()
         result = OddBallHeuristic(rng=0).attack(small_ba_graph, targets, budget=6)
         assert len(result.flips()) <= 6
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
         assert np.array_equal(poisoned, poisoned.T)
         assert set(np.unique(poisoned)) <= {0.0, 1.0}
         assert np.diagonal(poisoned).sum() == 0.0

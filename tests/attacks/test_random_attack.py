@@ -10,7 +10,7 @@ class TestRandomAttack:
     def test_budget_and_validity(self, small_er_graph):
         result = RandomAttack(rng=0).attack(small_er_graph, [0, 1], budget=5)
         assert len(result.flips()) <= 5
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
         assert np.array_equal(poisoned, poisoned.T)
         assert set(np.unique(poisoned)) <= {0.0, 1.0}
 
@@ -29,7 +29,7 @@ class TestRandomAttack:
 
     def test_no_singletons(self, small_ba_graph):
         result = RandomAttack(rng=2).attack(small_ba_graph, [0], budget=20)
-        degrees = result.poisoned().sum(axis=1)
+        degrees = result.poisoned().toarray().sum(axis=1)
         assert not ((degrees == 0) & (small_ba_graph.degrees() > 0)).any()
 
     def test_surrogate_recorded_per_budget(self, small_er_graph):

@@ -6,7 +6,9 @@ from scipy import sparse
 
 from repro.graph.features import egonet_features
 from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.graph.sparse import (
+    check_csr,
     content_hash,
     egonet_features_sparse,
     hash_edge_keys,
@@ -43,6 +45,53 @@ class TestToSparse:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             to_sparse(sparse.csr_matrix(np.zeros((2, 3))))
+
+
+class TestSortedRows:
+    """Sorted rows are part of "validated": every CSR the graph and attack
+    layers hand on has ``has_sorted_indices`` set, and really is sorted."""
+
+    @staticmethod
+    def _unsorted(graph):
+        csr = sparse.csr_matrix(graph.adjacency)
+        indices = csr.indices.copy()
+        for row in range(csr.shape[0]):
+            start, stop = csr.indptr[row], csr.indptr[row + 1]
+            indices[start:stop] = indices[start:stop][::-1]
+        matrix = sparse.csr_matrix((csr.data, indices, csr.indptr), shape=csr.shape)
+        assert not matrix.has_sorted_indices
+        return matrix
+
+    @staticmethod
+    def _assert_sorted(matrix):
+        assert matrix.has_sorted_indices
+        check_csr(matrix.indptr, matrix.indices, [matrix.data])
+
+    def test_to_sparse_sorts_a_copy(self, small_er_graph):
+        unsorted = self._unsorted(small_er_graph)
+        indices = unsorted.indices.copy()
+        matrix = to_sparse(unsorted)
+        self._assert_sorted(matrix)
+        np.testing.assert_array_equal(unsorted.indices, indices)
+        np.testing.assert_array_equal(matrix.toarray(), small_er_graph.adjacency)
+
+    def test_apply_flips_output(self, small_er_graph):
+        from repro.attacks import apply_flips
+
+        self._assert_sorted(apply_flips(self._unsorted(small_er_graph), [(0, 1)]))
+
+    def test_folded_csr_after_more_than_64_flips(self, small_er_graph):
+        features = IncrementalEgonetFeatures(self._unsorted(small_er_graph))
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)][:65]
+        for u, v in pairs:
+            features.flip(u, v)
+        folded, delta = features.csr_with_delta()
+        assert delta == []
+        self._assert_sorted(folded)
+        expected = small_er_graph.adjacency.copy()
+        for u, v in pairs:
+            expected[u, v] = expected[v, u] = 1.0 - expected[u, v]
+        np.testing.assert_array_equal(folded.toarray(), expected)
 
 
 class TestSparseFeatures:
@@ -158,6 +207,19 @@ class TestContentHash:
         flipped = dense.copy()
         flipped[u, v] = flipped[v, u] = 0.0
         assert content_hash(flipped) != content_hash(dense)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_content_hash_row_blocks_hash_like_one_key_array(block, monkeypatch):
+    """Rows hashed a block at a time, including rows longer than a block,
+    give the digest of the whole sorted key array."""
+    import repro.graph.sparse as graph_sparse
+
+    dense = barabasi_albert(80, 3, rng=1).adjacency
+    n = dense.shape[0]
+    u, v = np.nonzero(np.triu(dense, k=1))
+    monkeypatch.setattr(graph_sparse, "_HASH_BLOCK", block)
+    assert content_hash(dense) == hash_edge_keys(n, u * n + v)
 
 
 class TestSortedKeyAlgebra:

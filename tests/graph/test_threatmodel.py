@@ -74,4 +74,4 @@ class TestTamperedCollection:
             Environment(truth), result.flips(), budget=3
         )
         observed = Defender(n_nodes=30).collect(attacker)
-        assert observed.adjacency_view.tolist() == result.poisoned().tolist()
+        assert observed.adjacency_view.tolist() == result.poisoned().toarray().tolist()

@@ -63,7 +63,7 @@ class TestPurifiedScores:
         result = BinarizedAttack(iterations=60, lambdas=(0.2, 0.05)).attack(
             g, targets, budget=10
         )
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
 
         before = report.scores[targets].sum()
         after_plain = detector.scores(poisoned)[targets].sum()

@@ -1,10 +1,15 @@
 """Fault injection for the store's adjacency check, at build and at open.
 
 ``build_store`` checks the CSR it wrote before it computes features, with
-the same check ``GraphStore.open(verify=True)`` runs.  Each case wraps
-``_write_csr`` so that it corrupts the files it wrote in one way; the
-build must raise naming the broken property and leave no manifest, and
+the same check ``GraphStore.open(verify=True)`` and ``to_sparse`` run
+(``repro.graph.sparse.check_csr``).  Each case wraps ``_write_csr`` so
+that it corrupts the files it wrote in one way; the build must raise
+naming the broken property and leave no manifest, and
 ``open(verify=True)`` on those same bytes must raise the same message.
+``to_sparse`` on an in-memory copy of the same arrays gives the same
+verdict without the store's prefix, except where it differs by design:
+it sorts and sums its own copy, so a swapped pair is accepted and a
+duplicated entry is a value of 2.
 """
 
 import re
@@ -13,6 +18,9 @@ import shutil
 import numpy as np
 import pytest
 
+from scipy import sparse
+
+from repro.graph.sparse import to_sparse
 from repro.store import GraphStore, build_store
 from repro.store import builder
 from repro.store.graphstore import _DATA_DTYPE, index_dtype
@@ -67,6 +75,14 @@ def _swapped(path, n, nnz):
     return f"row {row} indices are not sorted/unique"
 
 
+def _duplicated(path, n, nnz):
+    # a row's second index repeats its first
+    row = n // 2
+    indptr, indices = _read(path, n, nnz)
+    _rewrite_index(path, n, nnz, indptr[row] + 1, indices[indptr[row]])
+    return f"row {row} indices are not sorted/unique"
+
+
 def _out_of_range(path, n, nnz):
     # the last row's last index becomes n: sorted, but not a node
     _rewrite_index(path, n, nnz, nnz - 1, n)
@@ -76,6 +92,7 @@ def _out_of_range(path, n, nnz):
 FAULTS = {
     "asymmetric": _asymmetric,
     "diagonal": _diagonal,
+    "duplicated-entry": _duplicated,
     "non-binary": _non_binary,
     "out-of-range": _out_of_range,
     "swapped-pair": _swapped,
@@ -87,8 +104,16 @@ def clean(tmp_path_factory):
     return build_store("er", cache_dir=tmp_path_factory.mktemp("clean"), **OPTIONS)
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_build_and_open_reject_the_same_fault(fault, clean, tmp_path, monkeypatch):
+#: What ``to_sparse`` says where it differs from the store: ``None``
+#: accepts the arrays.
+TO_SPARSE = {
+    "duplicated-entry": "adjacency is not binary",
+    "swapped-pair": None,
+}
+
+
+def _build_broken(fault, tmp_path, monkeypatch):
+    """Build with ``fault`` injected; ``(build error, message, store dir)``."""
     write_csr = builder._write_csr
     expected = []
 
@@ -100,8 +125,14 @@ def test_build_and_open_reject_the_same_fault(fault, clean, tmp_path, monkeypatc
     monkeypatch.setattr(builder, "_write_csr", faulty_write_csr)
     with pytest.raises(ValueError) as built:
         build_store("er", cache_dir=tmp_path, **OPTIONS)
-    assert re.search(re.escape(expected[0]), str(built.value))
     (broken,) = tmp_path.iterdir()
+    return built.value, expected[0], broken
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_build_and_open_reject_the_same_fault(fault, clean, tmp_path, monkeypatch):
+    built, expected, broken = _build_broken(fault, tmp_path, monkeypatch)
+    assert re.search(re.escape(expected), str(built))
     assert not (broken / "manifest.json").exists()
 
     # the same CSR bytes under the clean build's manifest and features
@@ -109,7 +140,29 @@ def test_build_and_open_reject_the_same_fault(fault, clean, tmp_path, monkeypatc
         shutil.copy(clean.path / name, broken / name)
     with pytest.raises(ValueError) as opened:
         GraphStore.open(broken, verify=True)
-    assert str(opened.value) == str(built.value)
+    assert str(opened.value) == str(built)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_to_sparse_gives_the_store_verdict(fault, clean, tmp_path, monkeypatch):
+    built, _, broken = _build_broken(fault, tmp_path, monkeypatch)
+    n = clean.number_of_nodes
+    nnz = clean.nnz
+    indptr, indices = _read(broken, n, nnz)
+    data = np.fromfile(broken / "data.bin", dtype=_DATA_DTYPE)
+    arrays = (data, indices, indptr)
+    copies = [array.copy() for array in arrays]
+    matrix = sparse.csr_matrix(arrays, shape=(n, n))
+    expected = TO_SPARSE.get(fault, str(built).removeprefix(f"store {broken}: "))
+    if expected is None:
+        clean_csr = clean.csr()
+        assert (to_sparse(matrix) != clean_csr).nnz == 0
+    else:
+        with pytest.raises(ValueError) as raised:
+            to_sparse(matrix)
+        assert str(raised.value) == expected
+    for array, copy in zip(arrays, copies):
+        np.testing.assert_array_equal(array, copy)
 
 
 def test_clean_store_passes_the_check(clean):

@@ -67,7 +67,7 @@ class TestPathologicalButValidGraphs:
         result = attack.attack(g, [0], budget=3)
         assert len(result.flips()) <= 3
         # node 1 must not be isolated unless it already was
-        poisoned = result.poisoned()
+        poisoned = result.poisoned().toarray()
         assert poisoned.sum(axis=1)[1] >= 1 or poisoned.sum() == 0
 
     def test_attack_with_budget_exceeding_possible_flips(self):
