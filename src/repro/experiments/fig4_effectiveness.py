@@ -31,6 +31,7 @@ from repro.experiments.common import (
     tau_for_budgets,
 )
 from repro.experiments.config import CI, Scale
+from repro.graph.sparse import to_sparse
 from repro.oddball.detector import OddBall
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory
@@ -94,11 +95,13 @@ def run(
     for dataset_name, paper_targets in panels:
         dataset = load_experiment_graph(dataset_name, scale, seeds)
         graph = dataset.graph
-        adjacency = graph.adjacency
+        # validated once: the campaign, every attack result and every τ
+        # re-score hold this CSR instead of re-reading the dense array
+        adjacency = to_sparse(graph)
         n_edges = graph.number_of_edges
         budgets = scale.budgets_for(n_edges)
         n_targets = max(scale.scaled(paper_targets), 3)
-        report = detector.analyze(graph)
+        report = detector.analyze(adjacency)
 
         # Build the whole panel's job grid up front: (repeat × method) jobs
         # against ONE shared engine.  Identical samplings collapse to one
@@ -123,7 +126,7 @@ def run(
         if campaign_checkpoint is not None:
             checkpoint_path = Path(campaign_checkpoint) / f"fig4_{panel_name}.json"
         campaign = build_campaign(
-            graph, checkpoint_path=checkpoint_path,
+            adjacency, checkpoint_path=checkpoint_path,
             compute_ranks=False, workers=workers,
         )
         sweep = campaign.run(unique_jobs.values())

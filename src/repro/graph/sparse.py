@@ -10,7 +10,10 @@ verified bit-for-bit against the dense implementation in the tests, plus
 the canonical graph :func:`content_hash` every checkpoint fingerprint and
 store manifest is derived from, and the sorted-key set algebra
 (:func:`sorted_unique`, :func:`key_positions`, :func:`merge_novel`) that
-the store builder and the candidate sets share.
+the store builder and the candidate sets share.  The symmetry test of
+:func:`check_csr`, :func:`merge_novel` and the triangle term of
+:func:`egonet_features_sparse` run a compiled kernel under the compiled
+backend (:mod:`repro.kernels`); their numpy paths are the reference.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.graph.graph import Graph
+from repro.kernels import kernel_table, resolve_kernels
 
 #: CSR entries per block of :func:`content_hash`, bounding its workspace.
 _HASH_BLOCK = 1 << 16
@@ -93,10 +97,19 @@ def merge_novel(
     """Union of sorted unique ``keys`` with the first ``limit`` novel ``new`` keys.
 
     ``new`` is sorted and unique too; ``limit=None`` admits every novel
-    key, ``limit=0`` none.  Membership and insertion points come from one
-    :func:`key_positions` call, so the union is a single ``np.insert`` with
-    no re-deduplication of ``keys``: O(|keys| + |new| log |keys|).
+    key, ``limit=0`` none, and a negative ``limit`` raises ``ValueError``.
+    ``keys`` is never re-deduplicated.  With the compiled kernel backend
+    (the process default, see :mod:`repro.kernels`) the union is one
+    linear merge walk, ``CompiledKernels.merge_novel``: O(|keys| + |new|).
+    The numpy path, its reference, takes membership and insertion points
+    from one :func:`key_positions` call and writes the union by a single
+    ``np.insert``: O(|keys| + |new| log |keys|).  Both return int64 keys
+    for int64 inputs, equal element for element.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or non-negative, got {limit}")
+    if resolve_kernels() == "compiled":
+        return kernel_table().merge_novel(keys, new, limit)
     positions, novel = key_positions(keys, new)
     return np.insert(keys, positions[novel][:limit], new[novel][:limit])
 
@@ -141,10 +154,15 @@ def check_csr(
     is 1.0; no row stores its own index; every row's indices rise
     strictly; and every index is a node.  Then symmetry: with binary data
     and canonical rows, the adjacency is symmetric exactly when its
-    transposed structure (scipy's counting-sort ``tocsc``, which yields
-    sorted rows) equals its structure, so no float copy or ``A != Aᵀ``
-    workspace is built.  Sortedness is checked first so a swapped pair
-    reports its row, not an asymmetry.
+    transposed structure equals its structure, so no float copy or
+    ``A != Aᵀ`` workspace is built.  With the compiled kernel backend
+    (see :mod:`repro.kernels`) that is one cursor walk over the sorted
+    rows, ``CompiledKernels.is_symmetric``: every upper entry ``(r, c)``
+    must be row ``c``'s next unconsumed lower entry, and no row may keep
+    one unconsumed.  The numpy path, its reference, compares the
+    structure with scipy's counting-sort ``tocsc`` (which yields sorted
+    rows).  Both give the same verdict and message.  Sortedness is
+    checked first so a swapped pair reports its row, not an asymmetry.
 
     The returned matrix shares ``indptr`` and ``indices``, carries int8
     ones as its data, and is tagged ``_repro_validated`` and
@@ -173,9 +191,13 @@ def check_csr(
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise ValueError(f"{prefix}adjacency has indices outside 0..{n - 1}")
     structure.has_sorted_indices = True
-    transposed = structure.tocsc()
-    if not (np.array_equal(transposed.indptr, indptr)
-            and np.array_equal(transposed.indices, indices)):
+    if resolve_kernels() == "compiled":
+        symmetric = kernel_table().is_symmetric(structure)
+    else:
+        transposed = structure.tocsc()
+        symmetric = (np.array_equal(transposed.indptr, indptr)
+                     and np.array_equal(transposed.indices, indices))
+    if not symmetric:
         raise ValueError(f"{prefix}adjacency is not symmetric")
     structure._repro_validated = True
     return structure
@@ -246,8 +268,6 @@ def egonet_features_sparse(adjacency) -> tuple[np.ndarray, np.ndarray]:
     product (the equivalence tests pin this against the dense kernel and
     across kernel backends).
     """
-    from repro.kernels import kernel_table, resolve_kernels
-
     matrix = to_sparse(adjacency)
     # every stored entry of a validated adjacency is a one, so a row sum
     # is the row's entry count; reading it off indptr needs no float

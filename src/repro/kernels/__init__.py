@@ -2,11 +2,15 @@
 
 The sparse engine's hot loops lean on three primitives: batch pair
 membership against a CSR, the candidate-pair gradient scatter, and
-per-node triangle counts.  This package provides a compiled backend for
-them (C built on demand via the system compiler, loaded through cffi ABI
-mode — see :mod:`repro.kernels.capi`) behind a three-valued process
-default (edge flips themselves always run in Python, in
-:class:`~repro.graph.incremental.IncrementalEgonetFeatures`):
+per-node triangle counts.  The cold store build and the structural check
+lean on three more: the sorted edge-key merge
+(:func:`repro.graph.sparse.merge_novel`), the symmetric CSR assembly from
+sorted upper-triangle keys, and the symmetry test of
+:func:`repro.graph.sparse.check_csr`.  This package provides a compiled
+backend for all six (C built on demand via the system compiler, loaded
+through cffi ABI mode — see :mod:`repro.kernels.capi`) behind a
+three-valued process default (edge flips themselves always run in
+Python, in :class:`~repro.graph.incremental.IncrementalEgonetFeatures`):
 
 - ``numpy``    — the pure numpy/Python reference paths, always available;
   they are the parity oracle the compiled kernels are tested against.

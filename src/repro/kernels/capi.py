@@ -50,6 +50,17 @@ long long repro_triangle_counts_i64(const long long *indptr,
     const long long *indices, long long n, long long *out_ptr,
     long long *out_idx, long long cap, long long *tri, long long *mark,
     double *out);
+long long repro_merge_novel(const long long *keys, long long nkeys,
+    const long long *fresh, long long nfresh, long long limit,
+    long long *out);
+long long repro_assemble_csr_i32(const long long *keys, long long m,
+    long long n, long long *cursor, int *indptr, int *indices);
+long long repro_assemble_csr_i64(const long long *keys, long long m,
+    long long n, long long *cursor, long long *indptr, long long *indices);
+long long repro_is_symmetric_i32(const long long *indptr,
+    const int *indices, long long n, long long *cursor);
+long long repro_is_symmetric_i64(const long long *indptr,
+    const long long *indices, long long n, long long *cursor);
 long long repro_scatter_gradient_i32(const long long *indptr,
     const int *indices, const double *data, const double *d_n,
     const double *d_e, const long long *rows, const long long *cols,

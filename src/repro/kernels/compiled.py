@@ -12,10 +12,20 @@ numpy/Python reference implementations exactly:
   credited to its three corners; the wrapper allocates the scratch);
 - ``scatter_pair_gradient`` — the closed-form candidate-pair gradient of
   ``repro.oddball.surrogate._scatter_pair_gradient``, Δ-overlay
-  semantics included, over a precomputed hub grouping of the pairs.
+  semantics included, over a precomputed hub grouping of the pairs;
+- ``merge_novel``       — the sorted-key union of
+  :func:`repro.graph.sparse.merge_novel` (store builder rounds, block
+  candidate refreshes) as one linear merge walk;
+- ``assemble_csr``      — the symmetric CSR of sorted upper-triangle edge
+  keys, the store builder's ``_assemble_csr``, by a two-pass counting
+  fill;
+- ``is_symmetric``      — the symmetry test of
+  :func:`repro.graph.sparse.check_csr` as one cursor walk over the
+  sorted rows, in place of a ``tocsc`` and an array compare.
 
 Edge flips are not here: ``IncrementalEgonetFeatures`` applies them in
-Python on every backend.  Membership and triangle counts are exact, and
+Python on every backend.  Membership, triangle counts, the merged keys,
+the assembled CSR and the symmetry verdict are exact, and
 the gradient kernel adds the reference's nonzero terms in the reference's
 order (see kernels.c; this needs a symmetric CSR), so results are expected
 to be bit-identical to the numpy oracle — the property the parity suites
@@ -196,6 +206,70 @@ class CompiledKernels:
         )
         del keep, inputs, deltas
         return gradient, int(entries)
+
+    def merge_novel(self, keys, new, limit=None) -> np.ndarray:
+        """Compiled twin of :func:`repro.graph.sparse.merge_novel`.
+
+        ``keys`` and ``new`` ascend strictly; the union of ``keys`` with
+        the first ``limit`` novel ``new`` keys (every one for ``None``)
+        comes back as a new int64 array from one merge walk.
+        """
+        keys_ptr, keys = self._in_i64(keys)
+        new_ptr, new = self._in_i64(new)
+        admit = new.size if limit is None else min(int(limit), new.size)
+        out = np.empty(keys.size + admit, dtype=np.int64)
+        size = self._lib.repro_merge_novel(
+            keys_ptr, keys.size, new_ptr, new.size, admit,
+            self._scratch("long long[]", out),
+        )
+        return out[:size]
+
+    def assemble_csr(self, n: int, keys, dtype) -> "tuple[np.ndarray, np.ndarray]":
+        """``(indptr, indices)`` in ``dtype`` of the symmetric CSR of
+        ``n`` nodes whose ascending upper-triangle keys are ``u·n + v``.
+
+        The twin of the store builder's ``_assemble_csr``: row ``r`` is
+        its lower neighbours, then its upper ones, each ascending.
+        ``dtype`` is int32 or int64 (the store's index dtype).  Raises
+        ``ValueError`` unless the keys ascend strictly and each is a pair
+        ``u < v < n``.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in (np.int32, np.int64):
+            raise ValueError(f"assemble_csr writes int32 or int64, not {dtype}")
+        keys_ptr, keys = self._in_i64(keys)
+        ctype = "int[]" if dtype == np.int32 else "long long[]"
+        indptr = np.empty(n + 1, dtype=dtype)
+        indices = np.empty(2 * keys.size, dtype=dtype)
+        cursor = np.empty(n, dtype=np.int64)
+        fn = getattr(self._lib, f"repro_assemble_csr_i{dtype.itemsize * 8}")
+        rc = fn(
+            keys_ptr, keys.size, n, self._scratch("long long[]", cursor),
+            self._scratch(ctype, indptr), self._scratch(ctype, indices),
+        )
+        if rc != 0:
+            raise ValueError(
+                "assemble_csr requires strictly ascending keys u·n + v "
+                "with u < v < n"
+            )
+        return indptr, indices
+
+    def is_symmetric(self, csr) -> bool:
+        """Whether ``csr``'s structure equals its transpose's.
+
+        The rows must already be strictly ascending, without diagonal
+        entries and within ``0..n-1``: :func:`repro.graph.sparse.check_csr`
+        tests that first and then calls this.  One cursor walk over the
+        rows (see kernels.c); the data values are not read.
+        """
+        _require_sorted(csr)
+        n = csr.shape[0]
+        ptr_ptr, idx_ptr, suffix, keep = self._csr_views(csr)
+        cursor = np.empty(n, dtype=np.int64)
+        fn = getattr(self._lib, f"repro_is_symmetric_{suffix}")
+        symmetric = fn(ptr_ptr, idx_ptr, n, self._scratch("long long[]", cursor))
+        del keep
+        return bool(symmetric)
 
     def _scatter_scratch(self, n: int) -> tuple:
         """C views of the scatter kernel's ``(dhead, work, acc)`` scratch for

@@ -11,7 +11,9 @@
  *   - all arrays are C-contiguous; base-CSR arrays (possibly read-only
  *     memory maps) are only ever read — `const` enforces it at compile time;
  *   - membership and triangle counts are integer results, exact in
- *     float64, so they are bit-identical to the numpy reference;
+ *     float64, so they are bit-identical to the numpy reference; the
+ *     store builder's key merge and CSR assembly write integers and the
+ *     symmetry walk returns a verdict, so they are exact too;
  *   - the gradient kernel adds the same nonzero terms in the same order as
  *     the numpy hub-mat-vec reference.  Its push walk reads row c in place
  *     of column c, so it REQUIRES a bitwise-symmetric CSR (A == Aᵀ, which
@@ -120,6 +122,123 @@ DEFINE_PAIR_VALUES(i64, i64)
 
 DEFINE_TRIANGLE_COUNTS(i32, i32)
 DEFINE_TRIANGLE_COUNTS(i64, i64)
+
+/* ------------------------------------------------------------------ */
+/* merge_novel: union of sorted keys with the first novel new keys     */
+/* ------------------------------------------------------------------ */
+
+/* `keys` and `fresh` ascend strictly.  One merge walk copies `keys`,
+ * marks each `fresh` key novel when `keys` lacks it, and writes the
+ * first `limit` novel keys in place, so `out` (nkeys + min(nfresh, limit)
+ * slots) holds the ascending union.  Once `limit` keys are admitted the
+ * rest of `keys` is one memcpy.  Returns the union's length.  The numpy
+ * reference is repro.graph.sparse.merge_novel (searchsorted + insert). */
+i64 repro_merge_novel(const i64 *keys, i64 nkeys, const i64 *fresh,
+                      i64 nfresh, i64 limit, i64 *out) {
+    i64 i = 0, j = 0, o = 0;
+    while (j < nfresh && limit > 0) {
+        if (i < nkeys && keys[i] <= fresh[j]) {
+            if (keys[i] == fresh[j]) j++;
+            out[o++] = keys[i++];
+        } else {
+            out[o++] = fresh[j++];
+            limit--;
+        }
+    }
+    memcpy(out + o, keys + i, (size_t)(nkeys - i) * sizeof(i64));
+    return o + nkeys - i;
+}
+
+/* ------------------------------------------------------------------ */
+/* assemble_csr: symmetric CSR of sorted upper-triangle edge keys      */
+/* ------------------------------------------------------------------ */
+
+/* `keys` are the ascending keys u·n + v (u < v) of an undirected graph.
+ * Row r of its symmetric CSR is r's lower neighbours (keys (u, r)), then
+ * its upper ones (keys (r, v)), each ascending.  A two-pass counting
+ * fill: pass one counts every row's entries into `cursor` and prefix-sums
+ * them into `indptr`, leaving cursor[r] at row r's first slot; pass two
+ * walks the keys again and appends u to row v and v to row u.  Keys
+ * ascend, so the lower entries reach each row in ascending u, and all of
+ * row u's lower keys (w, u), w < u, precede its first upper key (u, v):
+ * each row fills its lower half first.  The row of a key is a cursor that
+ * only moves forward, so there is no division.  `cursor` is n scratch
+ * slots.  Returns 0, or -1 (before anything but the counts is written)
+ * when the keys do not ascend strictly or a key is not a pair u < v < n.
+ * The numpy reference is the store builder's _assemble_csr (the upper
+ * triangle's tocsc, then two position scatters). */
+#define DEFINE_ASSEMBLE_CSR(SUF, IDX)                                     \
+    i64 repro_assemble_csr_##SUF(                                         \
+            const i64 *keys, i64 m, i64 n, i64 *cursor, IDX *indptr,      \
+            IDX *indices) {                                               \
+        i64 u = 0, fill = 0;                                              \
+        for (i64 r = 0; r < n; r++)                                       \
+            cursor[r] = 0;                                                \
+        for (i64 k = 0; k < m; k++) {                                     \
+            i64 key = keys[k];                                            \
+            if (key < 0 || key >= n * n || (k > 0 && key <= keys[k - 1])) \
+                return -1;                                                \
+            while (key >= (u + 1) * n) u++;                               \
+            i64 v = key - u * n;                                          \
+            if (v <= u) return -1;                                        \
+            cursor[u]++;                                                  \
+            cursor[v]++;                                                  \
+        }                                                                 \
+        indptr[0] = 0;                                                    \
+        for (i64 r = 0; r < n; r++) {                                     \
+            i64 count = cursor[r];                                        \
+            cursor[r] = fill;                                             \
+            fill += count;                                                \
+            indptr[r + 1] = (IDX)fill;                                    \
+        }                                                                 \
+        u = 0;                                                            \
+        for (i64 k = 0; k < m; k++) {                                     \
+            while (keys[k] >= (u + 1) * n) u++;                           \
+            i64 v = keys[k] - u * n;                                      \
+            indices[cursor[v]++] = (IDX)u;                                \
+            indices[cursor[u]++] = (IDX)v;                                \
+        }                                                                 \
+        return 0;                                                         \
+    }
+
+DEFINE_ASSEMBLE_CSR(i32, i32)
+DEFINE_ASSEMBLE_CSR(i64, i64)
+
+/* ------------------------------------------------------------------ */
+/* is_symmetric: structural symmetry of a CSR by one cursor walk       */
+/* ------------------------------------------------------------------ */
+
+/* The rows must already be strictly ascending, free of diagonal entries
+ * and within 0..n-1 (repro.graph.sparse.check_csr tests these first).
+ * cursor[c] is row c's next unconsumed entry, starting at its first.
+ * Rows are walked in ascending r, each from its cursor on; every walked
+ * entry (r, c) must find r at row c's cursor, and consumes it.  Every
+ * entry is therefore walked, and has its mirror, or was consumed as the
+ * mirror of a walked one, so a return of 1 means A == Aᵀ.  On a
+ * symmetric CSR row c's lower entries are ascending and are consumed by
+ * the rows r < c in ascending r, so each row's walk starts at its first
+ * upper entry; an unconsumed lower entry (never mirrored) is walked and
+ * fails its own mirror lookup.  Each entry is read at most twice.
+ * `cursor` is n scratch slots.  Returns 1 when the structure equals its
+ * transpose, else 0.  The numpy reference compares the structure with
+ * scipy's tocsc of it. */
+#define DEFINE_IS_SYMMETRIC(SUF, IDX)                                     \
+    i64 repro_is_symmetric_##SUF(                                         \
+            const i64 *indptr, const IDX *indices, i64 n, i64 *cursor) {  \
+        for (i64 r = 0; r < n; r++)                                       \
+            cursor[r] = indptr[r];                                        \
+        for (i64 r = 0; r < n; r++) {                                     \
+            for (i64 p = cursor[r]; p < indptr[r + 1]; p++) {             \
+                i64 c = (i64)indices[p], q = cursor[c];                   \
+                if (q == indptr[c + 1] || (i64)indices[q] != r) return 0; \
+                cursor[c] = q + 1;                                        \
+            }                                                             \
+        }                                                                 \
+        return 1;                                                         \
+    }
+
+DEFINE_IS_SYMMETRIC(i32, i32)
+DEFINE_IS_SYMMETRIC(i64, i64)
 
 /* ------------------------------------------------------------------ */
 /* scatter_gradient: per-pair closed-form gradient over candidates     */

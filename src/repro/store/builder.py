@@ -44,6 +44,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.graph.sparse import check_csr, hash_edge_keys, merge_novel, sorted_unique
+from repro.kernels import kernel_table, resolve_kernels
 from repro.store.graphstore import (
     _DATA_BLOCK,
     _DATA_DTYPE,
@@ -160,10 +161,16 @@ def build_store(
     The store lands in ``<cache_dir>/<name>-<recipe_hash[:12]>``; an
     existing directory with a valid manifest for the same recipe is
     reopened without rebuilding (``force=True`` rebuilds in place).
-    Build memory is O(m) — edge keys, their transpose, the CSR index
-    arrays — independent of ``n²``; the keys are hashed and dropped
-    before the feature pass.  A build whose adjacency fails the store
-    check raises ``ValueError`` and writes no manifest.
+    Build memory is O(m) — the int64 edge keys and the CSR index arrays
+    (plus, on the numpy reference paths, the upper triangle's transpose)
+    — independent of ``n²``; the keys are hashed and dropped before the
+    feature pass.  With the compiled kernel backend (the process default,
+    see :mod:`repro.kernels`) the three linear steps of a cold build are
+    compiled passes: ``merge_novel`` for each sampling round's key merge,
+    ``assemble_csr`` for the CSR and ``is_symmetric`` for the build
+    check's symmetry test; the bytes written are the numpy paths'.  A
+    build whose adjacency fails the store check raises ``ValueError``
+    and writes no manifest.
     """
     recipe = store_recipe(name, scale=scale, seed=seed, chunk_edges=chunk_edges)
     digest = recipe_hash(recipe)
@@ -186,6 +193,11 @@ def build_store(
     with _telemetry.span(
         "store.build", name=recipe["name"], nodes=int(recipe["nodes"])
     ):
+        # Resolving the backend loads the compiled kernels before the
+        # build's large arrays: loaded mid-build, their long-lived objects
+        # would sit above freed blocks on the heap and keep ~30 MB
+        # resident after it.
+        resolve_kernels()
         with _telemetry.span("store.build.edge_keys"):
             keys, planted = _generate_edge_keys(recipe)
             n_edges = int(keys.size)
@@ -404,23 +416,50 @@ def _draw_outside(
 def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
     """Write the symmetric CSR of the edge keys into the store's bin files.
 
-    Returns ``nnz`` (= 2 × edges).  The sorted keys ``u·n + v`` (u < v)
-    are already the upper triangle in CSR order: row ``r`` is the keys in
-    ``[r·n, (r+1)·n)``, found by one ``searchsorted``.  Its transpose
-    (scipy's counting-sort ``tocsc``) lists every node's lower neighbours
-    in ascending order.  Row ``r`` of the symmetric CSR is lower(r)
-    followed by upper(r), so both halves are scattered by position
-    arithmetic into ``indices`` — already sorted *within* each row, the
-    property :meth:`GraphStore.csr` relies on to skip scipy's in-place
-    sort.  Every temporary is in the store's index dtype; the arrays
-    reach disk by buffered ``tofile`` writes, and ``data.bin``, all
-    ones, is written from one fixed block.
+    Returns ``nnz`` (= 2 × edges).  Row ``r`` of the CSR is ``r``'s lower
+    neighbours, then its upper ones, each ascending: sorted *within*
+    each row, the property :meth:`GraphStore.csr` relies on to skip
+    scipy's in-place sort.  With the compiled kernel backend (the process
+    default, see :mod:`repro.kernels`) ``CompiledKernels.assemble_csr``
+    builds it by a two-pass counting fill over the keys; the numpy path
+    is its reference, :func:`_assemble_csr`.  Both write the store's
+    index dtype, byte for byte alike.  The arrays reach disk by buffered
+    ``tofile`` writes, and ``data.bin``, all ones, is written from one
+    fixed block.
+    """
+    nnz = 2 * keys.size
+    idx_dtype = index_dtype(n, nnz)
+    if resolve_kernels() == "compiled":
+        indptr, indices = kernel_table().assemble_csr(n, keys, idx_dtype)
+    else:
+        indptr, indices = _assemble_csr(n, keys, idx_dtype)
+    indptr.tofile(path / "indptr.bin")
+    indices.tofile(path / "indices.bin")
+    del indptr, indices
+
+    ones = np.ones(_DATA_BLOCK, dtype=_DATA_DTYPE)
+    with open(path / "data.bin", "wb") as handle:
+        for start in range(0, nnz, ones.size):
+            ones[: nnz - start].tofile(handle)
+    return int(nnz)
+
+
+def _assemble_csr(
+    n: int, keys: np.ndarray, idx_dtype
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(indptr, indices)`` of the symmetric CSR of sorted upper keys.
+
+    The numpy reference of ``CompiledKernels.assemble_csr``.  The sorted
+    keys ``u·n + v`` (u < v) are already the upper triangle in CSR order:
+    row ``r`` is the keys in ``[r·n, (r+1)·n)``, found by one
+    ``searchsorted``.  Its transpose (scipy's counting-sort ``tocsc``)
+    lists every node's lower neighbours in ascending order, and both
+    halves are scattered by position arithmetic into ``indices``.  Every
+    temporary is in the store's index dtype.
     """
     from scipy import sparse
 
     m = keys.size
-    nnz = 2 * m
-    idx_dtype = index_dtype(n, nnz)
     upper_indptr = np.searchsorted(
         keys, np.arange(n + 1, dtype=np.int64) * n
     ).astype(idx_dtype)
@@ -430,11 +469,10 @@ def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
         (np.ones(m, dtype=np.int8), cols, upper_indptr), shape=(n, n)
     ).tocsc()
     lower_indptr = lower.indptr.astype(idx_dtype, copy=False)
-    (upper_indptr + lower_indptr).tofile(path / "indptr.bin")
 
     # an upper entry k of row r lands after all lower entries of rows ≤ r;
     # a lower entry j of row r after all upper entries of rows < r
-    indices = np.empty(nnz, dtype=idx_dtype)
+    indices = np.empty(2 * m, dtype=idx_dtype)
     for offsets, counts, values in (
         (lower_indptr[1:], np.diff(upper_indptr), cols),
         (upper_indptr[:-1], np.diff(lower_indptr), lower.indices),
@@ -443,14 +481,7 @@ def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
         positions += np.arange(m, dtype=idx_dtype)
         indices[positions] = values
         del positions
-    del cols, lower
-    indices.tofile(path / "indices.bin")
-
-    ones = np.ones(_DATA_BLOCK, dtype=_DATA_DTYPE)
-    with open(path / "data.bin", "wb") as handle:
-        for start in range(0, nnz, ones.size):
-            ones[: nnz - start].tofile(handle)
-    return int(nnz)
+    return upper_indptr + lower_indptr, indices
 
 
 def _write_features(path: Path, n: int, nnz: int) -> None:
@@ -460,7 +491,8 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
     and ``data.bin`` is scanned in blocks by the store's adjacency check
     (:func:`repro.graph.sparse.check_csr`, the one
     ``GraphStore.open(verify=True)`` runs): binary, zero diagonal, sorted
-    rows, symmetric by structure.  A failure raises ``ValueError`` before
+    rows, symmetric by structure (the compiled ``is_symmetric`` walk
+    under the compiled kernels).  A failure raises ``ValueError`` before
     any feature is written.  The check returns an index-only view (int8
     data) tagged validated, which :func:`repro.graph.sparse.
     egonet_features_sparse` scores without a float copy of the graph.

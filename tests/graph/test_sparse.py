@@ -288,3 +288,240 @@ class TestSortedKeyAlgebra:
             np.testing.assert_array_equal(
                 merge_novel(keys, new, limit=limit), np.union1d(keys, fresh[:limit])
             )
+
+
+# --------------------------------------------------------------------- #
+# Kernel backends: the symmetry walk and the key merge
+# --------------------------------------------------------------------- #
+
+
+def _entries(graph):
+    """``(n, rows, cols)`` int64 entry arrays of a graph's validated CSR."""
+    csr = to_sparse(graph)
+    n = csr.shape[0]
+    return n, np.repeat(np.arange(n), np.diff(csr.indptr)), csr.indices.astype(np.int64)
+
+
+def _has(rows, cols, r, c):
+    return bool(np.any((rows == r) & (cols == c)))
+
+
+def _drop(rows, cols, r, c):
+    keep = ~((rows == r) & (cols == c))
+    assert not keep.all()
+    return rows[keep], cols[keep]
+
+
+def _add(rows, cols, r, c):
+    return np.append(rows, r), np.append(cols, c)
+
+
+def _absent(n, rows, cols, rng, row, side):
+    """A column on ``side`` ("above"/"below"/"any") of ``row`` that is no
+    neighbour of ``row`` in either direction."""
+    span = {"above": range(row + 1, n), "below": range(row), "any": range(n)}[side]
+    free = [c for c in span
+            if c != row and not _has(rows, cols, row, c) and not _has(rows, cols, c, row)]
+    return int(rng.choice(free))
+
+
+def _upper(rows, cols, rng):
+    k = int(rng.choice(np.flatnonzero(rows < cols)))
+    return int(rows[k]), int(cols[k])
+
+
+def _mirror_dropped_below(n, rows, cols, rng):
+    r, c = _upper(rows, cols, rng)
+    return _drop(rows, cols, c, r)
+
+
+def _mirror_dropped_above(n, rows, cols, rng):
+    r, c = _upper(rows, cols, rng)
+    return _drop(rows, cols, r, c)
+
+
+def _lone_above(n, rows, cols, rng):
+    row = int(rng.integers(0, n - 1))
+    return _add(rows, cols, row, _absent(n, rows, cols, rng, row, "above"))
+
+
+def _lone_below(n, rows, cols, rng):
+    row = int(rng.integers(1, n))
+    return _add(rows, cols, row, _absent(n, rows, cols, rng, row, "below"))
+
+
+def _moved_within_row(n, rows, cols, rng):
+    k = int(rng.integers(0, rows.size))
+    cols = cols.copy()
+    cols[k] = _absent(n, rows, cols, rng, int(rows[k]), "any")
+    return rows, cols
+
+
+def _first_row_lone(n, rows, cols, rng):
+    return _add(rows, cols, 0, _absent(n, rows, cols, rng, 0, "above"))
+
+
+def _first_row_dropped(n, rows, cols, rng):
+    return _drop(rows, cols, 0, int(cols[rows == 0][0]))
+
+
+def _last_row_lone(n, rows, cols, rng):
+    return _add(rows, cols, n - 1, _absent(n, rows, cols, rng, n - 1, "below"))
+
+
+def _last_row_dropped(n, rows, cols, rng):
+    return _drop(rows, cols, n - 1, int(cols[rows == n - 1][-1]))
+
+
+def _rewired_upper(n, rows, cols, rng):
+    """Upper entries (a, b), (c, d) become (a, d), (c, b): every row and
+    column keeps its entry count, so only the indices disagree."""
+    for _ in range(1000):
+        (a, b), (c, d) = _upper(rows, cols, rng), _upper(rows, cols, rng)
+        if (len({a, b, c, d}) == 4 and a < d and c < b
+                and not _has(rows, cols, a, d) and not _has(rows, cols, c, b)):
+            rows, cols = _drop(rows, cols, a, b)
+            rows, cols = _drop(rows, cols, c, d)
+            rows, cols = _add(rows, cols, a, d)
+            return _add(rows, cols, c, b)
+    raise AssertionError("no rewirable pair of edges")
+
+
+SYMMETRY_FAULTS = {
+    "mirror-dropped-below": _mirror_dropped_below,
+    "mirror-dropped-above": _mirror_dropped_above,
+    "lone-above": _lone_above,
+    "lone-below": _lone_below,
+    "moved-within-row": _moved_within_row,
+    "first-row-lone": _first_row_lone,
+    "first-row-dropped": _first_row_dropped,
+    "last-row-lone": _last_row_lone,
+    "last-row-dropped": _last_row_dropped,
+    "rewired-upper": _rewired_upper,
+}
+
+SYMMETRY_GRAPHS = {
+    "er": lambda: erdos_renyi(60, 0.12, rng=7),
+    "ba": lambda: barabasi_albert(80, 3, rng=11),
+}
+
+ASYMMETRIC = "graph: adjacency is not symmetric"
+
+
+def _csr_arrays(n, rows, cols):
+    """Sorted-row CSR ``(indptr, indices)`` of the entries."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    return indptr, cols[order]
+
+
+def _symmetry_cases():
+    """Case id -> ``(indptr, indices, expected message or None)``."""
+    cases = {
+        "n=1": (np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64), None),
+        "n=0": (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), None),
+        "edgeless": (np.zeros(7, dtype=np.int64), np.empty(0, dtype=np.int64), None),
+        "single-edge": (np.array([0, 1, 2]), np.array([1, 0]), None),
+        "single-arc": (np.array([0, 1, 1]), np.array([1]), ASYMMETRIC),
+    }
+    for name, build in SYMMETRY_GRAPHS.items():
+        n, rows, cols = _entries(build())
+        cases[f"{name}-clean"] = (*_csr_arrays(n, rows, cols), None)
+        for seed, (fault, inject) in enumerate(sorted(SYMMETRY_FAULTS.items())):
+            broken = inject(n, rows, cols, np.random.default_rng(seed))
+            cases[f"{name}-{fault}"] = (*_csr_arrays(n, *broken), ASYMMETRIC)
+    return cases
+
+
+SYMMETRY_CASES = _symmetry_cases()
+
+
+def _verdict(indptr, indices):
+    try:
+        check_csr(indptr, indices, (np.ones(indices.size),), "graph")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSymmetryWalk:
+    """``check_csr``'s symmetry test: the compiled cursor walk against the
+    numpy ``tocsc`` reference, on seeded faults that keep every row
+    sorted, diagonal-free and in range, so only symmetry can fail."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["i32", "i64"])
+    @pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+    def test_both_backends_give_the_same_verdict(self, case, dtype, use_kernels):
+        indptr, indices, expected = SYMMETRY_CASES[case]
+        verdicts = []
+        for kernels in ("numpy", "compiled"):
+            use_kernels(kernels)
+            verdicts.append(_verdict(indptr.astype(dtype), indices.astype(dtype)))
+        assert verdicts == [expected, expected]
+
+    def test_to_sparse_reports_an_asymmetric_graph(self, use_kernels):
+        indptr, indices, _ = SYMMETRY_CASES["ba-lone-below"]
+        n = indptr.size - 1
+        matrix = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        for kernels in ("numpy", "compiled"):
+            use_kernels(kernels)
+            with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+                to_sparse(matrix)
+
+
+MERGE_CASES = {
+    # keys, new, limit
+    "empty-keys": ([], [1, 4, 9], None),
+    "empty-new": ([2, 3], [], None),
+    "both-empty": ([], [], None),
+    "empty-new-limit-0": ([2, 3], [], 0),
+    "limit-0": ([2, 3, 8], [0, 5, 9], 0),
+    "limit-none": ([2, 3, 8], [0, 3, 5, 9, 20], None),
+    "limit-2": ([2, 3, 8], [0, 3, 5, 9, 20], 2),
+    "limit-past-novel": ([2, 3, 8], [0, 3, 5, 9, 20], 10),
+    "limit-equals-novel": ([2, 3, 8], [0, 3, 5, 9, 20], 4),
+    "all-present": ([2, 3, 8, 11], [3, 11], None),
+    "all-present-limit-1": ([2, 3, 8, 11], [2, 3, 8, 11], 1),
+    "all-before": ([10, 11], [1, 2, 3], 2),
+    "all-after": ([1, 2], [5, 6, 7], None),
+    "empty-keys-limit-1": ([], [4, 9], 1),
+}
+
+
+class TestMergeNovelBackends:
+    """``merge_novel``'s compiled merge walk equals its numpy reference."""
+
+    @staticmethod
+    def _both(keys, new, limit, use_kernels):
+        results = []
+        for kernels in ("numpy", "compiled"):
+            use_kernels(kernels)
+            results.append(merge_novel(keys, new, limit=limit))
+        return results
+
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_edge_cases(self, case, use_kernels):
+        keys, new, limit = (
+            np.asarray(values, dtype=np.int64) if isinstance(values, list) else values
+            for values in MERGE_CASES[case]
+        )
+        numpy_result, compiled_result = self._both(keys, new, limit, use_kernels)
+        assert compiled_result.dtype == numpy_result.dtype == np.int64
+        np.testing.assert_array_equal(compiled_result, numpy_result)
+
+    def test_inputs_untouched_and_output_fresh(self, use_kernels):
+        keys = np.array([2, 5, 9], dtype=np.int64)
+        new = np.array([1, 5, 12], dtype=np.int64)
+        for result in self._both(keys, new, None, use_kernels):
+            assert not np.shares_memory(result, keys)
+            np.testing.assert_array_equal(result, [1, 2, 5, 9, 12])
+        np.testing.assert_array_equal(keys, [2, 5, 9])
+        np.testing.assert_array_equal(new, [1, 5, 12])
+
+    def test_negative_limit_raises(self, use_kernels):
+        keys = np.array([2, 5], dtype=np.int64)
+        for kernels in ("numpy", "compiled"):
+            use_kernels(kernels)
+            with pytest.raises(ValueError, match="non-negative"):
+                merge_novel(keys, keys + 1, limit=-1)

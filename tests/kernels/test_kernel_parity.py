@@ -573,9 +573,81 @@ def _scatter_pair_gradient_oracle():
         assert "pull" in _check_scatter(csr, d_n, d_e, rows, cols)
 
 
+def _merge_novel_oracle():
+    """``merge_novel`` against numpy's ``union1d``/``setdiff1d``."""
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        keys = np.unique(rng.integers(0, 500, size=rng.integers(0, 200)))
+        new = np.unique(rng.integers(0, 500, size=rng.integers(0, 200)))
+        limit = int(rng.integers(0, 100))
+        fresh = np.setdiff1d(new, keys, assume_unique=True)
+        got = kernel_table().merge_novel(keys, new)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.union1d(keys, new))
+        assert np.array_equal(
+            kernel_table().merge_novel(keys, new, limit),
+            np.union1d(keys, fresh[:limit]),
+        )
+
+
+def _upper_keys(csr):
+    """Sorted upper-triangle keys ``u·n + v`` of a symmetric CSR."""
+    upper = sparse.triu(csr, k=1).tocoo()
+    return np.sort(upper.row.astype(np.int64) * csr.shape[0] + upper.col)
+
+
+def _assemble_csr_oracle(index_dtype):
+    """``assemble_csr`` against the graph's sorted CSR and the builder's
+    numpy reference."""
+    from repro.store.builder import _assemble_csr
+
+    for case, csr in sorted(_triangle_cases().items()):
+        csr = to_sparse(csr)
+        n, keys = csr.shape[0], _upper_keys(csr)
+        indptr, indices = kernel_table().assemble_csr(n, keys, index_dtype)
+        assert indptr.dtype == indices.dtype == index_dtype, case
+        assert np.array_equal(indptr, csr.indptr), case
+        assert np.array_equal(indices, csr.indices), case
+        ref_indptr, ref_indices = _assemble_csr(n, keys, index_dtype)
+        assert np.array_equal(indptr, ref_indptr), case
+        assert np.array_equal(indices, ref_indices), case
+
+
+def _is_symmetric_oracle(index_dtype):
+    """``is_symmetric`` against the structure-equals-``tocsc`` test, on
+    each graph and on each with one lower entry moved to a free column."""
+    def oracle(csr):
+        transposed = csr.tocsc()
+        return (np.array_equal(transposed.indptr, csr.indptr)
+                and np.array_equal(transposed.indices, csr.indices))
+
+    for case, csr in sorted(_triangle_cases().items()):
+        csr = _with_index_dtype(to_sparse(csr), index_dtype)
+        assert kernel_table().is_symmetric(csr) is oracle(csr) is True, case
+        n = csr.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        for k in np.flatnonzero(csr.indices < rows)[:5]:
+            row = rows[k]
+            taken = set(csr.indices[csr.indptr[row]:csr.indptr[row + 1]].tolist())
+            free = [c for c in range(n) if c != row and c not in taken]
+            if not free:
+                continue
+            broken = csr.copy()
+            broken.indices[k] = free[0]
+            broken.sort_indices()
+            assert kernel_table().is_symmetric(broken) is oracle(broken) is False, case
+
+
 #: Public ``CompiledKernels`` method -> {case id: its check against the
 #: numpy oracle}.  Each kernel's basic oracle check lives here only.
 ORACLE_CHECKS = {
+    "assemble_csr": {
+        dtype.__name__: partial(_assemble_csr_oracle, dtype) for dtype in INDEX_DTYPES
+    },
+    "is_symmetric": {
+        dtype.__name__: partial(_is_symmetric_oracle, dtype) for dtype in INDEX_DTYPES
+    },
+    "merge_novel": {"random": _merge_novel_oracle},
     "pair_values": {
         dtype.__name__: partial(_pair_values_oracle, dtype) for dtype in INDEX_DTYPES
     },

@@ -1,26 +1,29 @@
 """A cold store build's traced memory peak, per stored entry.
 
-The builder holds O(m) index-width arrays: the edge keys, their
-transpose and the CSR index arrays, never a float64 copy of the graph.
-At half of Blogcatalog's full size (~2.1M stored entries) the peak is
-about 18 bytes per entry; a float copy of ``data`` (8 bytes per entry) or
-a dense comparison workspace would push it past the bound.  The 10k-node
-recipe cannot show this: its sampling chunk, not the graph, sets the
-peak.  The compiled triangle kernel is the one that runs in production;
-the numpy path's sparse products set their own, larger peak.
+The builder holds O(m) arrays: the int64 edge keys and the CSR index
+arrays, never a float64 copy of the graph.  At half of Blogcatalog's
+full size (~2.1M stored entries) the peak is about 13.5 bytes per entry
+with the compiled kernels (17.8 when the CSR was assembled through a
+``tocsc`` transpose and position scatters); a float copy of ``data``
+(8 bytes per entry) or a dense comparison workspace would push it past
+the bound.  The 10k-node recipe cannot show this: its sampling chunk,
+not the graph, sets the peak.  The compiled kernels are the ones that
+run in production; the numpy paths' transposes and sparse products set
+their own, larger peak.
 
 ``GraphStore.open(verify=True)`` re-reads the same graph: the structural
-check's transpose and int8 ones, the content hash's row blocks and the
-triangle pass, about 7 bytes per entry; hashing all keys at once (int64
-rows, columns and keys) would push it past its bound.
+check's int8 ones and n-entry cursor, the content hash's row blocks and
+the triangle pass, about 4 bytes per entry (7.1 when the symmetry test
+built a ``tocsc`` transpose, which this bound now rejects); hashing all
+keys at once (int64 rows, columns and keys) would push it past its bound.
 """
 
 import tracemalloc
 
 from repro.store import GraphStore, build_store
 
-BYTES_PER_ENTRY = 24
-VERIFY_BYTES_PER_ENTRY = 12
+BYTES_PER_ENTRY = 18
+VERIFY_BYTES_PER_ENTRY = 6.8
 OPTIONS = dict(scale=0.5, seed=7)
 
 

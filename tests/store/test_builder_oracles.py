@@ -4,8 +4,10 @@
   ``np.searchsorted(cdf, u)`` does, on adversarial draws (every CDF entry,
   every bucket edge, their float neighbours, both ends of ``[0, 1)``) and
   random ones, for every Chung–Lu recipe's α.
-* The transpose-merge CSR writer must write the same three files as the
-  lexsort writer it replaced, kept here as the reference.
+* The CSR writer must write the same three files as the lexsort writer
+  it replaced, kept here as the reference, and the same bytes under both
+  kernel backends (the compiled counting fill and the numpy
+  transpose-merge ``_assemble_csr``).
 """
 
 import numpy as np
@@ -161,3 +163,32 @@ def test_write_csr_matches_lexsort_reference(case, tmp_path):
     assert _write_csr(got_dir, n, keys) == _lexsort_reference(ref_dir, n, keys)
     for name in ("indptr.bin", "indices.bin", "data.bin"):
         assert (got_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(CSR_CASES))
+def test_write_csr_bytes_agree_across_kernels(case, tmp_path, use_kernels):
+    n, keys = CSR_CASES[case]
+    written = {}
+    for kernels in ("numpy", "compiled"):
+        use_kernels(kernels)
+        out = tmp_path / kernels
+        out.mkdir()
+        assert _write_csr(out, n, keys) == 2 * keys.size
+        written[kernels] = [
+            (out / name).read_bytes()
+            for name in ("indptr.bin", "indices.bin", "data.bin")
+        ]
+    assert written["numpy"] == written["compiled"]
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[5, 3], [4, 4], [1 * 6 + 1], [2 * 6 + 0], [36], [-1]],
+    ids=["descending", "repeated", "diagonal", "below-diagonal", "past-n", "negative"],
+)
+def test_assemble_csr_rejects_malformed_keys(keys, use_kernels):
+    from repro.kernels import kernel_table
+
+    use_kernels("compiled")
+    with pytest.raises(ValueError, match="strictly ascending"):
+        kernel_table().assemble_csr(6, np.asarray(keys, dtype=np.int64), np.int32)
