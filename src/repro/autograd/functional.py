@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.ops import concatenate, maximum, where
+from repro.autograd.ops import maximum, where
 from repro.autograd.tensor import Tensor, as_tensor
 
 __all__ = [
@@ -116,11 +116,6 @@ def pairwise_squared_distances(x: Tensor) -> Tensor:
     return (
         squared_norms.reshape(n, 1) - 2.0 * gram + squared_norms.reshape(1, n)
     ).clamp(low=0.0)
-
-
-def concat_features(parts) -> Tensor:
-    """Column-wise concatenation of 2-D feature blocks."""
-    return concatenate(parts, axis=1)
 
 
 def masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:

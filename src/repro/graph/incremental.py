@@ -102,7 +102,7 @@ class IncrementalEgonetFeatures:
     >>> graph = erdos_renyi(30, 0.2, rng=0)
     >>> engine = IncrementalEgonetFeatures(graph)
     >>> engine.flip(0, 1)  # toggle the pair {0, 1}
-    >>> n_ref, e_ref = egonet_features(engine.to_dense())
+    >>> n_ref, e_ref = egonet_features(engine.adjacency_csr().toarray())
     >>> bool(np.array_equal(engine.n_feature, n_ref))
     True
     """
@@ -431,8 +431,3 @@ class IncrementalEgonetFeatures:
             indices[indptr[i] : indptr[i + 1]] = row
         data = np.ones(len(indices), dtype=np.float64)
         return sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
-    def to_dense(self) -> np.ndarray:
-        """Current adjacency densified (testing / small graphs only)."""
-        # repro: allow-densify(explicit escape hatch for tests and small graphs)
-        return self.adjacency_csr().toarray()

@@ -158,7 +158,9 @@ def resolve_kernels(kernels: str = "auto") -> str:
     if kernels == "numpy":
         return "numpy"
     if kernels == "auto":
-        if not toolchain_available():
+        # A loaded table proves the toolchain: skip the PATH scan.
+        loaded = _TABLE is not None and not isinstance(_TABLE, KernelBuildError)
+        if not loaded and not toolchain_available():
             _warn_fallback("no C compiler or cffi on this host")
             return "numpy"
         try:

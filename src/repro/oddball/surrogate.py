@@ -1118,8 +1118,8 @@ class DenseSurrogateEngine(SurrogateEngine):
         from repro.graph.sparse import to_sparse
 
         # the dense reference engine is for small graphs and tests, so the
-        # O(n²) copy of the validated graph is intentional
-        # repro: allow-densify(dense reference engine — densifying is the point)
+        # O(n²) copy of the validated graph is intentional; the no-densify
+        # allowlist in tests/analysis/test_invariants.py excuses it
         adjacency = to_sparse(graph).toarray()
         self._adjacency = adjacency
         self._transient: list[tuple[int, int]] = []

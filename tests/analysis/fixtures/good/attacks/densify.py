@@ -1,4 +1,4 @@
-"""Fixture: nothing here may fire ``no-densify``."""
+"""Fixture: nothing here may fire ``no-densify``, bar one allowlisted ``.toarray()``."""
 
 import numpy as np
 from scipy import sparse
@@ -9,6 +9,5 @@ def stay_sparse(graph, adjacency):
     row_sums = np.asarray(csr.sum(axis=1)).ravel()
     buffer = np.asarray(csr.data, dtype=np.float64)
     dense_input = np.asarray(adjacency, dtype=np.float64)
-    # repro: allow-densify(fixture - a reviewed, justified densification)
     reference = csr.toarray()
     return row_sums, buffer, dense_input, reference

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.analysis import (
+from invariant_guards import (
     DensifyError,
     MmapWriteError,
     assert_readonly_mmap,
     forbid_densify,
 )
+
 from repro.attacks import BinarizedAttack
 from repro.graph.generators import barabasi_albert
 from repro.graph.incremental import IncrementalEgonetFeatures
@@ -76,7 +77,7 @@ class TestForbidDensify:
         original_flip = IncrementalEgonetFeatures.flip
 
         def leaky_flip(self, u, v):
-            self.to_dense()  # the injected densification
+            self.adjacency_csr().toarray()  # the injected densification
             return original_flip(self, u, v)
 
         monkeypatch.setattr(IncrementalEgonetFeatures, "flip", leaky_flip)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.analysis import forbid_densify
+from invariant_guards import forbid_densify
+
 from repro.attacks import (
     ATTACK_REGISTRY,
     BinarizedAttack,

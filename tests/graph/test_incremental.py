@@ -124,7 +124,7 @@ class TestRollback:
         engine.flip(2, 3)
         rebuilt = engine.adjacency_csr()
         assert rebuilt is not flipped_csr
-        np.testing.assert_array_equal(rebuilt.toarray(), engine.to_dense())
+        np.testing.assert_array_equal(rebuilt.toarray(), engine.adjacency_csr().toarray())
 
     def test_rollback_validates_count(self, small_ba_graph):
         engine = IncrementalEgonetFeatures(small_ba_graph)
@@ -281,7 +281,7 @@ class TestMaterialisation:
         dense[0, 1] = dense[1, 0] = 1.0 - dense[0, 1]
         engine.flip(10, 30)
         dense[10, 30] = dense[30, 10] = 1.0 - dense[10, 30]
-        np.testing.assert_array_equal(engine.to_dense(), dense)
+        np.testing.assert_array_equal(engine.adjacency_csr().toarray(), dense)
         rebuilt = engine.adjacency_csr()
         assert sparse.issparse(rebuilt)
         assert rebuilt is engine.adjacency_csr()  # cached until the next flip
@@ -372,7 +372,7 @@ class TestIncrementalCsrFold:
         )
         np.testing.assert_array_equal(np.diff(rebuilt.indptr), loop_degrees)
         np.testing.assert_array_equal(
-            rebuilt.toarray(), engine.to_dense()
+            rebuilt.toarray(), engine.adjacency_csr().toarray()
         )
 
     def test_depth_tracks_flip_stack(self, small_ba_graph):
@@ -413,7 +413,7 @@ class TestLazyNeighbourRows:
         # rollback keeps the (still-correct) override rows
         engine.rollback(2)
         assert set(engine._rows) == {0, 3, 7}
-        ref_n, ref_e = egonet_features(engine.to_dense())
+        ref_n, ref_e = egonet_features(engine.adjacency_csr().toarray())
         np.testing.assert_array_equal(engine.n_feature, ref_n)
         np.testing.assert_array_equal(engine.e_feature, ref_e)
 

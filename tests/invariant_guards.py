@@ -1,16 +1,18 @@
-"""Runtime sanitizer guards: tripwires for the invariants the linter
-checks statically.
+"""Runtime guards: tripwires for the invariants
+``tests/analysis/test_invariants.py`` checks statically.
 
 Static analysis sees the source; these guards see the *execution*.  The
 parity suites run the sparse engine inside :func:`forbid_densify` so a
 dense fallback introduced anywhere in the call graph (including code the
-linter cannot scope, like a dependency) fails loudly instead of silently
-reverting to the O(n²) regime, and map store-backed runs inside
+static checks cannot scope, like a dependency) fails loudly instead of
+silently reverting to the O(n²) regime, and map store-backed runs inside
 :func:`assert_readonly_mmap` so any write through a shared page —
 whether or not numpy would have raised — is detected by checksum.
 
 Both guards are process-global monkeypatches, not thread-safe, and meant
-for tests and debugging sessions only — never library code.
+for tests only.  Test modules import them as ``from invariant_guards
+import ...``: ``tests/`` is on ``sys.path`` because it holds the root
+``conftest.py``.
 """
 
 from __future__ import annotations

@@ -81,6 +81,22 @@ class TestResolution:
         with pytest.raises(ValueError, match="kernels must be one of"):
             resolve_kernels("auto")
 
+    def test_auto_scans_path_only_until_the_table_loads(
+        self, pristine_kernel_state, monkeypatch
+    ):
+        if not compiled_available():
+            pytest.skip("compiled kernel backend unavailable")
+        monkeypatch.setattr(kernels_mod, "_TABLE", None)
+        scans = []
+
+        def counting_probe():
+            scans.append(1)
+            return capi.toolchain_available()
+
+        monkeypatch.setattr(kernels_mod, "toolchain_available", counting_probe)
+        assert [resolve_kernels("auto") for _ in range(5)] == ["compiled"] * 5
+        assert len(scans) == 1
+
 
 class TestDegradedMode:
     def test_auto_without_toolchain_falls_back_with_one_warning(

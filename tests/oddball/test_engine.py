@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from invariant_guards import forbid_densify
+
 from repro import telemetry
-from repro.analysis import forbid_densify
 from repro.attacks.candidates import CandidateSet
 from repro.graph.features import egonet_features
 from repro.graph.generators import barabasi_albert, erdos_renyi

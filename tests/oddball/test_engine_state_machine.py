@@ -341,7 +341,7 @@ def _run(machine) -> None:
 
 
 def _dense(csr) -> np.ndarray:
-    # repro: allow-densify(the test's model of a 64-node graph)
+    # the test's model of a 64-node graph
     return csr.toarray()
 
 

@@ -8,7 +8,8 @@ after-the-fact array comparison."""
 import numpy as np
 import pytest
 
-from repro.analysis import assert_readonly_mmap
+from invariant_guards import assert_readonly_mmap
+
 from repro.attacks import BinarizedAttack, GradMaxSearch
 from repro.graph.incremental import IncrementalEgonetFeatures
 from repro.oddball.surrogate import DenseSurrogateEngine, SurrogateEngine
