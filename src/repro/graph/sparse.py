@@ -260,13 +260,16 @@ def egonet_features_sparse(adjacency) -> tuple[np.ndarray, np.ndarray]:
     each out-degree at ``√(2m)`` however large the hubs are, and each
     triangle is found once, on its lowest-ranked oriented edge, and
     credited to all three corners.  With the compiled kernel backend
-    (the process default, see :mod:`repro.kernels`) that is one C pass
-    over the out-lists; the numpy path forms the same orientation as a
-    CSR ``O`` and reads the corners off two sparse products (see
+    (the process default, see :mod:`repro.kernels`) that is a C
+    orientation pass and a branch-free count over the out-lists, split
+    across threads on graphs of two million stored entries or more (see
+    :meth:`~repro.kernels.compiled.CompiledKernels.triangle_counts`); the
+    numpy path forms the same orientation as a CSR ``O`` and reads the
+    corners off two sparse products (see
     :func:`_oriented_triangle_counts`).  Triangle counts are integers, so
     both paths return features bit-identical to the ``(A @ A) ⊙ A``
     product (the equivalence tests pin this against the dense kernel and
-    across kernel backends).
+    across kernel backends), whatever the thread count.
     """
     matrix = to_sparse(adjacency)
     # every stored entry of a validated adjacency is a one, so a row sum

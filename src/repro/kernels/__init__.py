@@ -10,7 +10,12 @@ sorted upper-triangle keys, and the symmetry test of
 backend for all six (C built on demand via the system compiler, loaded
 through cffi ABI mode — see :mod:`repro.kernels.capi`) behind a
 three-valued process default (edge flips themselves always run in
-Python, in :class:`~repro.graph.incremental.IncrementalEgonetFeatures`):
+Python, in :class:`~repro.graph.incremental.IncrementalEgonetFeatures`).
+Each kernel runs on the calling thread, except the triangle count of a
+graph with two million stored entries or more, which splits across the
+CPUs the process may use and joins its threads before it returns
+(:data:`repro.kernels.compiled.GRAIN`); its integer result does not
+depend on the split.  The backends are:
 
 - ``numpy``    — the pure numpy/Python reference paths, always available;
   they are the parity oracle the compiled kernels are tested against.

@@ -43,13 +43,17 @@ void repro_pair_values_i32(const long long *indptr, const int *indices,
 void repro_pair_values_i64(const long long *indptr, const long long *indices,
     const long long *rows, const long long *cols, long long npairs,
     double *out);
-long long repro_triangle_counts_i32(const long long *indptr,
+long long repro_triangle_orient_i32(const long long *indptr,
     const int *indices, long long n, long long *out_ptr, int *out_idx,
-    long long cap, long long *tri, long long *mark, double *out);
-long long repro_triangle_counts_i64(const long long *indptr,
+    long long cap);
+long long repro_triangle_orient_i64(const long long *indptr,
     const long long *indices, long long n, long long *out_ptr,
-    long long *out_idx, long long cap, long long *tri, long long *mark,
-    double *out);
+    long long *out_idx, long long cap);
+void repro_triangle_share_i32(const long long *out_ptr, const int *out_idx,
+    long long n, long long t, long long T, long long *tri, long long *mark);
+void repro_triangle_share_i64(const long long *out_ptr,
+    const long long *out_idx, long long n, long long t, long long T,
+    long long *tri, long long *mark);
 long long repro_merge_novel(const long long *keys, long long nkeys,
     const long long *fresh, long long nfresh, long long limit,
     long long *out);

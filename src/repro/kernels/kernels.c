@@ -71,20 +71,24 @@ DEFINE_PAIR_VALUES(i64, i64)
  * every edge from the lower to the higher (degree, id) endpoint, so each
  * node's out-degree is at most sqrt(2m).  A triangle whose corners rank
  * u < v < w is then found exactly once: as w in out(u) ∩ out(v), on the
- * oriented edge u→v.  The intersection marks out(u) in `mark` once per u
- * and scans out(v) against it, so no row needs to be sorted.  Each find
- * credits all three corners in `tri`, and out[u] = 2·tri[u] is
- * diag(A^3)[u] — integers, exact in float64.
+ * oriented edge u→v.  Each find credits all three corners, and
+ * 2·tri[u] is diag(A^3)[u] — integers, exact in float64.
  *
- * The caller allocates the scratch: `out_ptr` (n + 1), `out_idx` (`cap`
- * entries, nnz/2 for a symmetric CSR), `tri` and `mark` (n each).
- * Returns 0, or -1 if the out-lists overflow `cap`, which only a
- * non-symmetric CSR can cause. */
-#define DEFINE_TRIANGLE_COUNTS(SUF, IDX)                                  \
-    i64 repro_triangle_counts_##SUF(                                      \
+ * Two passes.  triangle_orient writes the out-lists: `out_ptr` (n + 1)
+ * and `out_idx` (`cap` entries, nnz/2 for a symmetric CSR).  It returns
+ * 0, or -1 if they overflow `cap`, which only a non-symmetric CSR can
+ * cause.  triangle_share counts the triangles found from the nodes
+ * u ≡ t (mod T) into its own `tri` and `mark` (n each, set here), and
+ * only reads the out-lists, so the T shares can run on T threads at once
+ * and their `tri` arrays sum exactly to the whole count.  The
+ * intersection marks out(u) in `mark` once per u and scans out(v)
+ * against it, so no row needs to be sorted.  About one wedge in five
+ * closes a triangle, a pattern no branch predictor learns, so the scan
+ * adds the comparison itself instead of branching on it. */
+#define DEFINE_TRIANGLE_ORIENT(SUF, IDX)                                  \
+    i64 repro_triangle_orient_##SUF(                                      \
             const i64 *indptr, const IDX *indices, i64 n,                 \
-            i64 *out_ptr, IDX *out_idx, i64 cap, i64 *tri, i64 *mark,     \
-            double *out) {                                                \
+            i64 *out_ptr, IDX *out_idx, i64 cap) {                        \
         i64 fill = 0;                                                     \
         out_ptr[0] = 0;                                                   \
         for (i64 u = 0; u < n; u++) {                                     \
@@ -98,10 +102,22 @@ DEFINE_PAIR_VALUES(i64, i64)
                 }                                                         \
             }                                                             \
             out_ptr[u + 1] = fill;                                        \
+        }                                                                 \
+        return 0;                                                         \
+    }
+
+DEFINE_TRIANGLE_ORIENT(i32, i32)
+DEFINE_TRIANGLE_ORIENT(i64, i64)
+
+#define DEFINE_TRIANGLE_SHARE(SUF, IDX)                                   \
+    void repro_triangle_share_##SUF(                                      \
+            const i64 *out_ptr, const IDX *out_idx, i64 n, i64 t, i64 T,  \
+            i64 *tri, i64 *mark) {                                        \
+        for (i64 u = 0; u < n; u++) {                                     \
             tri[u] = 0;                                                   \
             mark[u] = -1;                                                 \
         }                                                                 \
-        for (i64 u = 0; u < n; u++) {                                     \
+        for (i64 u = t; u < n; u += T) {                                  \
             i64 us = out_ptr[u], ue = out_ptr[u + 1];                     \
             for (i64 p = us; p < ue; p++)                                 \
                 mark[(i64)out_idx[p]] = u;                                \
@@ -109,19 +125,18 @@ DEFINE_PAIR_VALUES(i64, i64)
                 i64 v = (i64)out_idx[p], c = 0;                           \
                 for (i64 q = out_ptr[v]; q < out_ptr[v + 1]; q++) {       \
                     i64 w = (i64)out_idx[q];                              \
-                    if (mark[w] == u) { tri[w]++; c++; }                  \
+                    i64 h = mark[w] == u;                                 \
+                    tri[w] += h;                                          \
+                    c += h;                                               \
                 }                                                         \
                 tri[u] += c;                                              \
                 tri[v] += c;                                              \
             }                                                             \
         }                                                                 \
-        for (i64 u = 0; u < n; u++)                                       \
-            out[u] = (double)(2 * tri[u]);                                \
-        return 0;                                                         \
     }
 
-DEFINE_TRIANGLE_COUNTS(i32, i32)
-DEFINE_TRIANGLE_COUNTS(i64, i64)
+DEFINE_TRIANGLE_SHARE(i32, i32)
+DEFINE_TRIANGLE_SHARE(i64, i64)
 
 /* ------------------------------------------------------------------ */
 /* merge_novel: union of sorted keys with the first novel new keys     */

@@ -168,9 +168,11 @@ def build_store(
     see :mod:`repro.kernels`) the three linear steps of a cold build are
     compiled passes: ``merge_novel`` for each sampling round's key merge,
     ``assemble_csr`` for the CSR and ``is_symmetric`` for the build
-    check's symmetry test; the bytes written are the numpy paths'.  A
-    build whose adjacency fails the store check raises ``ValueError``
-    and writes no manifest.
+    check's symmetry test; the feature pass's triangle count is
+    compiled too, and split across threads on a paper-scale graph (see
+    :func:`_write_features`).  The bytes written are the numpy paths',
+    whatever the thread count.  A build whose adjacency fails the store
+    check raises ``ValueError`` and writes no manifest.
     """
     recipe = store_recipe(name, scale=scale, seed=seed, chunk_edges=chunk_edges)
     digest = recipe_hash(recipe)
@@ -301,9 +303,15 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     for every double ``u`` and the table stays O(n).  Every ``cdf[j]``
     with ``j < guide[b]`` is below ``b / K``: a draw ``u`` in bucket
     ``⌊u · K⌋`` has its inverse-CDF node at or after the bucket's entry.
+
+    The table is counted, not searched: ``guide[b]`` is the number of
+    entries below ``b / K``, and since ``cdf[j] · K`` is exact,
+    ``cdf[j] < b / K`` holds exactly when ``⌊cdf[j] · K⌋ + 1 ≤ b``.  So
+    one bincount of ``⌊cdf · K⌋ + 1`` and its running sum give the table.
     """
     buckets = 1 << (8 * cdf.size - 1).bit_length()
-    return np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+    first_bucket = np.floor(cdf * buckets).astype(np.int64) + 1
+    return np.cumsum(np.bincount(first_bucket, minlength=buckets + 2)[:buckets + 1])
 
 
 def _sample_endpoints(
@@ -499,9 +507,12 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
 
     The triangle term of ``E`` is the forward count: edges oriented by
     ``(degree, id)``, so its work is bounded by out-degrees, not by the
-    multi-thousand-degree hubs.  Paying it once at build time and
-    shipping the 2 × n result in the store makes every engine
-    construction an O(n) memmap read.
+    multi-thousand-degree hubs.  Under the compiled kernels it runs on
+    one thread per two million stored entries, up to the CPUs this
+    process may use (two at 88.8k nodes on a 2-CPU host), and every
+    thread has ended when the features are written.  Paying it once at
+    build time and shipping the 2 × n result in the store makes every
+    engine construction an O(n) memmap read.
     """
     from repro.graph.sparse import egonet_features_sparse
 

@@ -9,7 +9,9 @@ without an entry in ``ORACLE_CHECKS`` fails there, by name; the
 """
 
 import inspect
+import threading
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.graph.sparse import (
     egonet_features_sparse,
     to_sparse,
 )
+from repro.kernels import compiled as compiled_kernels
 from repro.kernels import compiled_available, kernel_table
 from repro.kernels.compiled import CompiledKernels
 from repro.attacks import BinarizedAttack
@@ -100,6 +103,9 @@ def _oracle(csr):
     return np.asarray(((csr @ csr).multiply(csr)).sum(axis=1)).ravel()
 
 
+INDEX_DTYPES = (np.int32, np.int64)
+
+
 def _with_index_dtype(csr, dtype):
     csr = csr.copy()
     csr.indices = csr.indices.astype(dtype)
@@ -107,9 +113,54 @@ def _with_index_dtype(csr, dtype):
     return csr
 
 
+@pytest.fixture(params=(1, 2, 3, 7), ids=lambda count: f"{count}-shares")
+def triangle_shares(request, monkeypatch):
+    """Split every compiled triangle count into ``request.param`` shares
+    (fewer when the graph has fewer stored entries); returns the list of
+    share threads each call starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(compiled_kernels, "GRAIN", 1)
+    monkeypatch.setattr(compiled_kernels, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(compiled_kernels, "threading", SimpleNamespace(Thread=Recorded))
+    return started
+
+
+def _shared_triangle_counts(started, csr):
+    """``triangle_counts`` under the ``triangle_shares`` fixture; checks
+    that the call started one thread per share past the first and left
+    none running."""
+    before = threading.active_count()
+    started.clear()
+    counts = kernel_table().triangle_counts(csr)
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started)
+    assert len(started) == compiled_kernels.triangle_shares(csr.nnz) - 1
+    return counts
+
+
 class TestTriangleCountsParity:
     """``triangle_counts`` against the scipy spgemm triangle term, beyond
-    the named cases of its ``ORACLE_CHECKS`` entry."""
+    the named cases of its ``ORACLE_CHECKS`` entry, on 1, 2, 3 and 7
+    shares."""
+
+    @pytest.mark.parametrize("index_dtype", INDEX_DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("case", sorted(_triangle_cases()))
+    def test_share_count_changes_nothing(self, case, index_dtype, triangle_shares):
+        csr = _with_index_dtype(_triangle_cases()[case], index_dtype)
+        assert np.array_equal(
+            _shared_triangle_counts(triangle_shares, csr), _oracle(csr)
+        )
+
+    def test_more_shares_than_nodes(self, triangle_shares):
+        k4 = to_sparse(sparse.csr_matrix(np.ones((4, 4)) - np.eye(4)))
+        counts = _shared_triangle_counts(triangle_shares, k4)
+        assert np.array_equal(counts, np.full(4, 6.0))  # 3 triangles a node
 
     @pytest.mark.parametrize("case", sorted(_triangle_cases()))
     def test_egonet_features_sparse_agrees_across_kernels(self, case, use_kernels):
@@ -140,16 +191,16 @@ class TestTriangleCountsParity:
                               np.full(12, 6.0))
         assert not kernel_table().triangle_counts(cases["petersen"]).any()
 
-    def test_read_only_memmap_store(self, store):
+    def test_read_only_memmap_store(self, store, triangle_shares):
         csr = store.csr()
         assert not csr.indices.flags.writeable  # the mapped store file
         expected = _oracle(store.detached_csr())
-        assert np.array_equal(kernel_table().triangle_counts(csr), expected)
+        assert np.array_equal(_shared_triangle_counts(triangle_shares, csr), expected)
         assert np.array_equal(_oriented_triangle_counts(csr), expected)
         n_feature, e_feature = store.features()
         assert np.array_equal(e_feature, n_feature + 0.5 * expected)
 
-    def test_unsorted_rows_are_counted(self):
+    def test_unsorted_rows_are_counted(self, triangle_shares):
         csr = to_sparse(_graphs()[0]).copy()
         rng = np.random.default_rng(5)
         for row in range(csr.shape[0]):
@@ -157,16 +208,19 @@ class TestTriangleCountsParity:
             csr.indices[lo:hi] = rng.permutation(csr.indices[lo:hi])
         csr.has_sorted_indices = False
         expected = _oracle(to_sparse(_graphs()[0]))
-        assert np.array_equal(kernel_table().triangle_counts(csr), expected)
+        assert np.array_equal(_shared_triangle_counts(triangle_shares, csr), expected)
 
-    def test_non_symmetric_csr_rejected(self):
+    def test_non_symmetric_csr_rejected(self, triangle_shares):
         # every row points at the next two ids: all degrees tie at 2, and
         # 7 of the 10 entries orient forward, past the nnz/2 scratch
         rows = np.repeat(np.arange(5), 2)
         cols = (rows + np.tile([1, 2], 5)) % 5
         csr = sparse.csr_matrix((np.ones(10), (rows, cols)), shape=(5, 5))
+        before = threading.active_count()
         with pytest.raises(ValueError, match="symmetric"):
             kernel_table().triangle_counts(csr)
+        assert triangle_shares == []  # raised before any thread started
+        assert threading.active_count() == before
 
 
 def _compiled_scatter(csr, d_n, d_e, rows, cols, delta=()):
@@ -536,9 +590,6 @@ class TestEngineKernelParity:
         assert results[0].flips_by_budget == results[1].flips_by_budget
         assert results[0].surrogate_by_budget == results[1].surrogate_by_budget
         assert len(results[1].flips()) == 3
-
-
-INDEX_DTYPES = (np.int32, np.int64)
 
 
 def _pair_values_oracle(index_dtype):

@@ -13,9 +13,11 @@ their own, larger peak.
 
 ``GraphStore.open(verify=True)`` re-reads the same graph: the structural
 check's int8 ones and n-entry cursor, the content hash's row blocks and
-the triangle pass, about 4 bytes per entry (7.1 when the symmetry test
+the triangle pass, about 4.2 bytes per entry (7.1 when the symmetry test
 built a ``tocsc`` transpose, which this bound now rejects); hashing all
 keys at once (int64 rows, columns and keys) would push it past its bound.
+The triangle pass runs one share at this size; each further share adds
+16 bytes per node (4.5 bytes per entry with two shares at full size).
 """
 
 import tracemalloc

@@ -18,10 +18,12 @@ from repro.store.builder import (
     _guide_table,
     _sample_endpoints,
     _write_csr,
+    store_recipe,
 )
 from repro.store.graphstore import _DATA_DTYPE, index_dtype
 
 ALPHAS = sorted({r["alpha"] for r in STORE_RECIPES.values() if r.get("alpha")})
+CHUNG_LU = sorted(k for k, r in STORE_RECIPES.items() if r["family"] == "chung_lu")
 SIZES = [64, 1000, 10_000]
 
 
@@ -63,6 +65,23 @@ def test_guide_table_is_power_of_two_and_minimal(n):
     assert buckets >= 8 * n > buckets // 2
     expected = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
     np.testing.assert_array_equal(guide, expected)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0], ids=["floor", "full"])
+@pytest.mark.parametrize("name", CHUNG_LU)
+def test_guide_table_is_its_searchsorted_definition_for_every_recipe(name, scale):
+    # the counted table against its docstring's definition, on the CDF
+    # each Chung-Lu recipe samples, down to the 64-node scale floor
+    recipe = store_recipe(name, scale=scale)
+    n = recipe["nodes"]
+    assert n == 64 if scale < 1 else n >= 1000
+    cdf = _chung_lu_cdf(n, recipe["alpha"])
+    guide = _guide_table(cdf)
+    buckets = guide.size - 1
+    assert buckets == 1 << (8 * n - 1).bit_length()
+    np.testing.assert_array_equal(
+        guide, np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+    )
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
