@@ -1,10 +1,10 @@
-"""AttackCampaign walkthrough: a λ-sweep over 50 targets on one graph.
+"""AttackCampaign walkthrough: a targets × budgets sweep on one graph.
 
 README-level summary
 --------------------
 The paper's experiments never run ONE attack — they sweep grids: many
-targets × many budgets × the λ grid of BinarizedAttack, all against the
-same clean graph.  Run naively, every ``attack()`` call pays the same
+targets × many budgets × several attacks, all against the same clean
+graph.  Run naively, every ``attack()`` call pays the same
 fixed costs again (adjacency validation, the O(n + m) sparse feature
 build, candidate arrays, poisoned-graph materialisation for evaluation).
 
@@ -43,27 +43,25 @@ def main() -> None:
     print(f"sweeping {len(targets)} targets")
 
     # 2. The job grid.  grid_jobs is the paper's sweep shape: per-target
-    #    jobs × budgets × (optionally) a λ grid.  Here: every target gets
-    #    a GradMax job plus one BinarizedAttack job per λ — the λ-sweep
-    #    tells you how the LASSO pressure trades attack strength against
-    #    sparsity on YOUR graph.
-    budget = 6
+    #    jobs × budgets.  Here: every target gets a GradMax and a
+    #    BinarizedAttack job at each of three budgets.
+    budgets = [2, 4, 6]
+    budget = budgets[-1]
     jobs = grid_jobs(
         "gradmaxsearch",
         [[t] for t in targets],
-        budgets=[budget],
+        budgets=budgets,
         candidates="target_incident",
     )
     jobs += grid_jobs(
         "binarizedattack",
         [[t] for t in targets],
-        budgets=[budget],
-        lambdas=[0.3, 0.1, 0.02],        # one job per λ
+        budgets=budgets,
         candidates="target_incident",
         iterations=60,
     )
     print(f"job grid: {len(jobs)} jobs "
-          f"({len(targets)} targets × (1 gradmax + 3 λ))")
+          f"({len(targets)} targets × {len(budgets)} budgets × 2 attacks)")
 
     # 3. Run the whole grid on one shared engine — with a checkpoint, so
     #    an interrupted sweep would resume instead of restarting.
@@ -79,26 +77,27 @@ def main() -> None:
         replay = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         print(f"replay: {replay.resumed_jobs}/{len(replay)} jobs from checkpoint")
 
-    # 4. Per-λ aggregation: mean flips spent and mean AScore decrease.
-    #    Small λ → the LASSO barely bites → budgets get spent; large λ →
-    #    sparse, conservative flip sets.
-    print("\nλ-sweep summary (BinarizedAttack):")
-    print(f"{'lambda':>8} {'mean flips':>11} {'mean tau':>9} {'mean burial':>12}")
-    for lam in (0.3, 0.1, 0.02):
-        outcomes = [
-            o for o in sweep
-            if o.job.attack == "binarizedattack"
-            and dict(o.job.params)["lambdas"] == (lam,)
-        ]
-        flips = np.mean([len(o.flips) for o in outcomes])
-        tau = np.mean([o.score_decrease for o in outcomes])
-        burial = np.mean([
-            shift for o in outcomes for shift in o.rank_shifts.values()
-        ])
-        print(f"{lam:>8} {flips:>11.1f} {tau:>9.1%} {burial:>12.1f}")
+    # 4. Per-budget aggregation: mean flips spent, mean AScore decrease
+    #    and mean rank burial, per attack.
+    print("\nbudget sweep summary:")
+    print(f"{'attack':>16} {'budget':>7} {'mean flips':>11} {'mean tau':>9} "
+          f"{'mean burial':>12}")
+    for attack in ("gradmaxsearch", "binarizedattack"):
+        for b in budgets:
+            outcomes = [
+                o for o in sweep if o.job.attack == attack and o.job.budget == b
+            ]
+            flips = np.mean([len(o.flips) for o in outcomes])
+            tau = np.mean([o.score_decrease for o in outcomes])
+            burial = np.mean([
+                shift for o in outcomes for shift in o.rank_shifts.values()
+            ])
+            print(f"{attack:>16} {b:>7} {flips:>11.1f} {tau:>9.1%} {burial:>12.1f}")
 
-    gradmax = [o for o in sweep if o.job.attack == "gradmaxsearch"]
-    print(f"\ngradmax baseline: mean tau "
+    gradmax = [
+        o for o in sweep if o.job.attack == "gradmaxsearch" and o.job.budget == budget
+    ]
+    print(f"\ngradmax baseline at budget {budget}: mean tau "
           f"{np.mean([o.score_decrease for o in gradmax]):.1%}, "
           f"mean seconds/job {np.mean([o.seconds for o in gradmax]):.4f}")
 

@@ -111,7 +111,7 @@ def main() -> None:
     #      python -m repro.experiments.runner -e fig4 --candidates target_incident
     #      python -m repro.experiments.runner --list
 
-    # 8. Campaigns: batch many (targets × budgets × λ) jobs on ONE graph.
+    # 8. Campaigns: batch many (targets × budgets) jobs on ONE graph.
     #
     #    A bare attack() call rebuilds graph state per run; AttackCampaign
     #    shares one sparse engine across every job (retarget + rollback
@@ -149,7 +149,7 @@ def main() -> None:
         f"parallel campaign (2 workers): {len(parallel_sweep)} jobs, "
         "flips identical to the serial run"
     )
-    #    See examples/campaign.py for the full multi-target λ-sweep
+    #    See examples/campaign.py for the full multi-target budget sweep
     #    walkthrough and --workers / --campaign-checkpoint on the
     #    experiment runner.
 

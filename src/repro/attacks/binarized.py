@@ -9,10 +9,17 @@ variables per candidate pair (upper-triangle entry of the adjacency matrix):
 
 The forward pass therefore evaluates the surrogate loss on a **discrete**
 graph — measuring the true effect of discrete updates — while gradients flow
-to ``Ż`` through a straight-through estimator.  The budget constraint is
-replaced by a LASSO penalty ``λ‖Ż‖₁`` (Eq. 8a) so the objective can be
-optimised well beyond ``B`` steps, and a sweep over ``λ ∈ Λ`` trades attack
-strength against sparsity.
+to ``Ż`` through a straight-through estimator.
+
+The budget enters through a projection, not through Eq. 8a's LASSO
+penalty ``λ‖Ż‖₁``: every step is projected onto the budget set
+``{Ż ∈ [0, 1] : ΣŻ ≤ ℓ}`` (:func:`project_budget`, the projected step of
+PRBCD, Geisler et al., NeurIPS 2021).  The PGD runs at two budget levels,
+``ℓ = ⌈B/2⌉`` and then ``ℓ = B`` (one level when ``B = 1``), and
+``iterations`` is the total step count, split evenly between them.  The
+first level starts from ``Ż = 0`` (the clean graph); the second continues
+from the first level's ``Ż``, which is already feasible for the larger ``ℓ``.
+Each step is ``Ż ← project(Ż − η·g / max|g|, ℓ)``.
 
 Implementation notes
 --------------------
@@ -23,44 +30,39 @@ Implementation notes
   the closed-form straight-through gradient onto the candidate pairs only,
   and rolling the flips back — O(Σ deg + n + |C|) per iteration instead of
   O(n³), which is what makes the attack feasible on sparse 10k+-node
-  graphs.  The whole λ-sweep reuses ONE engine instance; no adjacency is
-  ever rebuilt between iterates.  Scipy-sparse inputs stay sparse
-  end-to-end, including in the :class:`AttackResult`.  The dense autograd
-  oracle the parity suite injects (instead of Eq. 6's
-  ``A = (A0 − ½) ⊙ Z + ½``, which would corrupt the diagonal when ``Z`` is
-  scattered with a zero diagonal, it uses the exactly equivalent
-  off-diagonal form ``A = A0 + (1 − 2·A0) ⊙ F`` with the flip indicator
-  ``F = (1 − Z)/2 ∈ {0, 1}``) selects the same flips.
-* Alg. 1 lines 16–19 ("pick out Ż = min L satisfying ΣZ = −b"): during the
-  optimisation we record every iterate's discrete flip set (validated
-  against the no-singleton rule) together with its surrogate loss; the
-  budget-``b`` answer is the best recorded flip set of size ≤ b, found
-  for every b in one pass over the recorded iterates (best per size, then
-  a running minimum over sizes).  A budget whose best recorded set is
-  empty falls back to the valid pairs among the top-``4b`` ranked by
-  final ``Ż``.  Only the first ``4·b_max`` of that ranking are needed
-  (b_max the largest such budget), so one ``np.partition`` threshold
-  picks them and only they are sorted: O(|C|) instead of a full sort.
-  The greedy validity filter makes each budget's fallback set a prefix of
-  b_max's, so one :meth:`~SurrogateEngine.score_prefixes` pass scores
-  them all; a fallback set is kept only when it beats the empty set.
+  graphs.  Both levels reuse ONE engine instance; no adjacency is ever
+  rebuilt between iterates.  The dense autograd oracle the parity suite
+  injects (instead of Eq. 6's ``A = (A0 − ½) ⊙ Z + ½``, which would
+  corrupt the diagonal when ``Z`` is scattered with a zero diagonal, it
+  uses the exactly equivalent off-diagonal form ``A = A0 + (1 − 2·A0) ⊙ F``
+  with the flip indicator ``F = (1 − Z)/2 ∈ {0, 1}``) selects the same
+  flips.
+* Alg. 1 lines 16–19 ("pick out Ż = min L satisfying ΣZ = −b"): every
+  iterate's discrete flip set (validated against the no-singleton rule)
+  is recorded with its surrogate loss, and so is each level's *rounding*:
+  the valid pairs among the top ``4ℓ`` entries of the level's last ``Ż``,
+  every prefix of which is recorded, scored in one
+  :meth:`~SurrogateEngine.score_prefixes` pass.  The budget-``b`` answer
+  is the best recorded set of size ≤ b, found for every b in one pass
+  over the pool (best per size, then a running minimum over sizes), so
+  the surrogate is non-increasing in b.  The projection keeps an iterate
+  small by construction: ``ΣŻ ≤ ℓ`` leaves at most ``2ℓ`` entries at or
+  above the flip threshold ½.
+* The adversarial gradient is normalised to unit max-magnitude before the
+  projected update.  The raw surrogate's gradient scale varies by orders of
+  magnitude across graphs (it is quadratic in egonet edge counts), so plain
+  PGD with any fixed ``η`` either stalls or saturates everything in one
+  step; normalised, one ``η`` default (0.1) works on every dataset in the
+  paper.
 * ``candidates`` restricts the decision variables to a
   :class:`~repro.attacks.candidates.CandidateSet`: ``Ż`` then has one entry
   per candidate pair instead of n(n−1)/2, shrinking both the optimiser
   state and the per-iteration scatter.  ``None`` means ``full``: every
   upper-triangle pair, in ``np.triu_indices`` order.
-* Candidate solutions recorded during the sweep are re-scored at
-  ``self.floor`` whenever the validity pass trims them, so every entry of
-  the per-budget argmin is measured on the same objective (Alg. 1 lines
-  16–19 compare losses across iterates — mixing floors here silently
-  corrupted the selection when ``floor != 1.0``).
-* The adversarial gradient is normalised to unit max-magnitude before the
-  projected update.  The raw surrogate's gradient scale varies by orders of
-  magnitude across graphs (it is quadratic in egonet edge counts), so plain
-  PGD with any fixed ``η``/``λ`` either stalls or saturates everything in
-  one step.  Normalisation is a per-iteration rescaling of the learning
-  rate — the fixed points and the ``Ż`` ranking dynamics are unchanged —
-  and it makes one ``(η, Λ)`` default work on every dataset in the paper.
+* Recorded sets are re-scored at ``self.floor`` whenever the validity
+  pass trims them, so every entry of the per-budget argmin is measured on
+  the same objective (mixing floors here silently corrupted the selection
+  when ``floor != 1.0``).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
 
-__all__ = ["BinarizedAttack"]
+__all__ = ["BinarizedAttack", "project_budget"]
 
 _log = get_logger("attacks.binarized")
 
@@ -92,8 +94,6 @@ class _Candidate:
 
     flips: tuple[Edge, ...]
     surrogate: float
-    lam: float
-    iteration: int
 
     @property
     def size(self) -> int:
@@ -103,27 +103,21 @@ class _Candidate:
 class BinarizedAttack(StructuralAttack):
     """Gradient-descent attack with binarized decision variables (Alg. 1).
 
+    The PGD projects every step onto ``ΣŻ ≤ ℓ`` at two budget levels ``ℓ``;
+    each level's last ``Ż`` is rounded to its top pairs, and every budget
+    is answered by the best recorded set of at most that size (see the
+    module docstring).
+
     Parameters
     ----------
-    lambdas:
-        The hyper-parameter set Λ; each λ weighs the LASSO penalty standing
-        in for the budget constraint.  With the normalised gradient, λ is
-        directly interpretable: entries whose relative gradient magnitude
-        stays below λ never cross the flip threshold.  The full sweep's
-        iterates form the candidate pool from which per-budget solutions
-        are selected.
     iterations:
-        Inner-loop length T per λ.
+        Total number of PGD steps, split evenly between the two budget
+        levels ``⌈B/2⌉`` and ``B``.
     lr:
-        Projected-gradient-descent learning rate η.
+        Step size η of the normalised projected step (default 0.1).
     floor:
         Log-clamp floor of the surrogate (the forward graph is discrete, so
         the default of 1.0 only guards transient singleton states).
-    init:
-        Initial value of every ``Ż`` entry (0 = start from the clean graph).
-    normalize_gradient:
-        Rescale the adversarial gradient to unit max-magnitude each step
-        (see the module docstring); disable to run textbook Alg. 1 PGD.
     block_size, block_seed:
         Parameters of the ``candidates="block"`` strategy (PRBCD): the
         random block's size cap (default:
@@ -148,29 +142,17 @@ class BinarizedAttack(StructuralAttack):
 
     def __init__(
         self,
-        lambdas: Sequence[float] = (0.3, 0.1, 0.02),
         iterations: int = 200,
-        lr: float = 0.05,
+        lr: float = 0.1,
         floor: float = 1.0,
-        init: float = 0.0,
-        normalize_gradient: bool = True,
         block_size: "int | None" = None,
         block_seed: int = 0,
     ):
-        if not lambdas:
-            raise ValueError("lambda sweep must not be empty")
-        if any(lam < 0 for lam in lambdas):
-            raise ValueError(f"lambdas must be non-negative, got {list(lambdas)}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if not 0.0 <= init <= 1.0:
-            raise ValueError(f"init must lie in [0, 1], got {init}")
-        self.lambdas = tuple(float(lam) for lam in lambdas)
         self.iterations = iterations
         self.lr = lr
         self.floor = floor
-        self.init = init
-        self.normalize_gradient = normalize_gradient
         self.block_size = None if block_size is None else int(block_size)
         self.block_seed = int(block_seed)
 
@@ -198,73 +180,49 @@ class BinarizedAttack(StructuralAttack):
             engine, adjacency, targets, candidate_set,
             floor=self.floor, weights=target_weights,
         )
-        base_loss = engine.current_loss()
+        recorded = [_Candidate(flips=(), surrogate=engine.current_loss())]
 
-        recorded: list[_Candidate] = [
-            _Candidate(flips=(), surrogate=base_loss, lam=0.0, iteration=-1)
-        ]
-        final_zdot: "np.ndarray | None" = None
-
-        for lam in self.lambdas:
-            zdot = np.full(len(rows), self.init, dtype=np.float64)
-            for iteration in range(self.iterations):
+        zdot = np.zeros(len(rows), dtype=np.float64)
+        for level, steps in _schedule(budget, self.iterations):
+            shift = 0.0  # the projection's μ, warm-started step to step
+            for step in range(steps + 1):
                 # Forward on the DISCRETE graph + straight-through backward
                 # (Alg. 1 lines 5-11), delegated to the engine.
                 adversarial, gradient, flip_mask = engine.binarized_step(zdot)
-                # Record the iterate's discrete solution before updating.
                 landed = self._record(
-                    recorded,
-                    engine,
-                    zdot,
-                    flip_mask,
-                    rows,
-                    cols,
-                    adversarial,
-                    lam,
-                    iteration,
-                    budget,
+                    recorded, engine, zdot, flip_mask, rows, cols, adversarial, budget
                 )
-                # Projected update (Alg. 1 line 12).  The LASSO term
-                # contributes its exact subgradient +λ (Ż >= 0 in the box),
-                # added after the optional normalisation so that λ is
-                # calibrated against relative gradient magnitudes.
-                if self.normalize_gradient:
-                    scale = float(np.max(np.abs(gradient)))
-                    if scale > 0.0:
-                        gradient = gradient / scale
-                gradient = gradient + lam
-                # The ×η, subtract and clip steps run in place on that fresh
-                # array, which becomes the new Ż.  (Running the two steps
-                # above in place on the engine's array too measured ~5%
-                # slower on fig4-ci's BinarizedAttack jobs.)
-                gradient *= self.lr
-                zdot = np.clip(
-                    np.subtract(zdot, gradient, out=gradient), 0.0, 1.0, out=gradient
-                )
+                if step == steps:
+                    break  # the level's last iterate is recorded, not stepped
+                # Normalised, budget-projected update (Alg. 1 line 12).  The
+                # engine's gradient may be memoised, so it is never written:
+                # the step is a fresh array, and Ż is subtracted into it.
+                scale = float(np.max(np.abs(gradient)))
+                if scale > 0.0:
+                    update = gradient * (self.lr / scale)
+                    zdot = np.subtract(zdot, update, out=update)
+                zdot, shift = project_budget(zdot, level, shift)
                 # Per-step adaptation: a recorded (validated) iterate counts
-                # as landed flips.  Refresh runs every iteration — an
-                # adaptive_gradient set only reacts to landed flips (and return ``self``
-                # otherwise), while a block set resamples its low-gradient
-                # half each step, PRBCD-style.  Ż migrates along the
-                # refresh's lineage: surviving pairs keep their state,
-                # evicted pairs drop theirs, fresh entries start at ``init``.
+                # as landed flips.  Refresh runs every step — an
+                # adaptive_gradient set only reacts to landed flips (and
+                # returns ``self`` otherwise), while a block set resamples
+                # its low-gradient half each step, PRBCD-style.  Ż migrates
+                # along the refresh's lineage: surviving pairs keep their
+                # state, admitted pairs start at 0.
                 refreshed = candidate_set.refresh(landed or [], engine)
                 if refreshed is not candidate_set:
-                    zdot = adopt_refresh(engine, refreshed, zdot, self.init)
+                    zdot = adopt_refresh(engine, refreshed, zdot, 0.0)
                     candidate_set = refreshed
                     rows, cols = refreshed.rows, refreshed.cols
-            final_zdot = zdot  # never written again: each step makes a new Ż
+            self._round(recorded, engine, zdot, rows, cols, level)
 
-        flips_by_budget, surrogate_by_budget = self._select(
-            recorded, engine, budget, final_zdot, rows, cols
-        )
+        flips_by_budget, surrogate_by_budget = self._select(recorded, budget)
         return AttackResult(
             method=self.name,
             original=adjacency,
             flips_by_budget=flips_by_budget,
             surrogate_by_budget=surrogate_by_budget,
             metadata={
-                "lambdas": list(self.lambdas),
                 "iterations": self.iterations,
                 "lr": self.lr,
                 "candidates_recorded": len(recorded),
@@ -284,21 +242,17 @@ class BinarizedAttack(StructuralAttack):
         rows: np.ndarray,
         cols: np.ndarray,
         adversarial_loss: float,
-        lam: float,
-        iteration: int,
         budget: int,
     ) -> "list[Edge] | None":
         """Validate and store the current iterate's discrete flip set.
 
         Returns the validated flips (the attack's per-step adaptive
         candidate hook treats them as "landed"), or ``None`` when the
-        iterate was skipped.
+        iterate flips nothing valid.
         """
         flipped = np.flatnonzero(flip_mask)
-        if len(flipped) == 0 or len(flipped) > 4 * max(budget, 1):
-            # Empty solutions are pre-seeded; grossly over-budget iterates
-            # cannot win for any b <= budget, skip the bookkeeping cost.
-            return None
+        if len(flipped) == 0:
+            return None  # the empty set is pre-seeded
         # Most-confident-first ordering for the validity pass.
         order = flipped[np.argsort(-zdot_values[flipped], kind="stable")]
         raw_flips = [(int(rows[k]), int(cols[k])) for k in order]
@@ -309,24 +263,35 @@ class BinarizedAttack(StructuralAttack):
             surrogate = adversarial_loss  # forward value still exact
         else:
             # Re-score the trimmed flip set at the SAME floor the forward
-            # pass uses — mixing floors here corrupted the per-budget argmin
-            # whenever ``self.floor != 1.0``.
+            # pass uses.
             surrogate = engine.score_flips(valid_flips)
-        recorded.append(
-            _Candidate(
-                flips=tuple(valid_flips), surrogate=surrogate, lam=lam, iteration=iteration
-            )
-        )
+        recorded.append(_Candidate(flips=tuple(valid_flips), surrogate=surrogate))
         return valid_flips
 
-    def _select(
-        self,
+    @staticmethod
+    def _round(
         recorded: list[_Candidate],
         engine: SurrogateEngine,
-        budget: int,
-        final_zdot: "np.ndarray | None",
+        zdot: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
+        level: int,
+    ) -> None:
+        """Record every prefix of the level's rounding.
+
+        The rounding is the greedy valid subset, of at most ``level``
+        pairs, of the top ``4·level`` positive entries of ``Ż``.
+        """
+        positive = np.flatnonzero(zdot > 0.0)
+        top = positive[_top_k(zdot[positive], 4 * level)]
+        ranked = [(int(rows[k]), int(cols[k])) for k in top]
+        rounded = filter_valid_flips_engine(engine, ranked, limit=level)
+        for size, loss in enumerate(engine.score_prefixes(rounded), start=1):
+            recorded.append(_Candidate(flips=tuple(rounded[:size]), surrogate=loss))
+
+    @staticmethod
+    def _select(
+        recorded: list[_Candidate], budget: int
     ) -> tuple[dict[int, list[Edge]], dict[int, float]]:
         """Per-budget best recorded solution (Alg. 1 lines 16-19)."""
         _telemetry.count("attacks.binarized.recorded", len(recorded) - 1)
@@ -347,30 +312,71 @@ class BinarizedAttack(StructuralAttack):
                 best = candidate
             flips_by_budget[b] = list(best.flips)
             surrogate_by_budget[b] = best.surrogate
-
-        # Fallback: the valid pairs among the top-4b by final Ż, for each
-        # budget whose best recorded set is empty.
-        fallback = [b for b in range(1, budget + 1) if not flips_by_budget[b]]
-        if not fallback or final_zdot is None:
-            return flips_by_budget, surrogate_by_budget
-        positive = np.flatnonzero(final_zdot > 0.0)
-        top = positive[_top_k(final_zdot[positive], 4 * fallback[-1])]
-        ranked = [(int(rows[k]), int(cols[k])) for k in top]
-        chosen = {
-            b: filter_valid_flips_engine(engine, ranked[: 4 * b], limit=b)
-            for b in fallback
-        }
-        # The filter is greedy in rank order, so every budget's set is a
-        # prefix of the largest budget's: score all prefixes at once.
-        losses = engine.score_prefixes(chosen[fallback[-1]])
-        wins = 0
-        for b in fallback:
-            if chosen[b] and losses[len(chosen[b]) - 1] < surrogate_by_budget[b]:
-                flips_by_budget[b] = chosen[b]
-                surrogate_by_budget[b] = losses[len(chosen[b]) - 1]
-                wins += 1
-        _telemetry.count("attacks.binarized.fallback", wins)
         return flips_by_budget, surrogate_by_budget
+
+
+def _schedule(budget: int, iterations: int) -> list[tuple[int, int]]:
+    """``(level, steps)`` per budget level: ``⌈B/2⌉`` then ``B``.
+
+    One level when ``B = 1``, none when ``B = 0``.  The ``iterations``
+    steps are split evenly, the first level taking an odd one.
+    """
+    levels = sorted({-(-budget // 2), budget} - {0})
+    return [
+        (level, iterations // len(levels) + (i < iterations % len(levels)))
+        for i, level in enumerate(levels)
+    ]
+
+
+def project_budget(
+    values: np.ndarray, level: float, guess: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Euclidean projection of ``values`` onto ``{x ∈ [0, 1]^m : Σx ≤ level}``.
+
+    Returns the projection and its shift ``μ ≥ 0``: the projection is
+    ``clip(values − μ, 0, 1)``, with ``μ = 0`` when the plain clip is
+    feasible and otherwise the ``μ > 0`` at which its sum is ``level``.
+    ``guess`` warm-starts the search for ``μ`` (pass the previous step's
+    shift); every guess gives the same projection.
+
+    ``Σ clip(v − μ, 0, 1)`` is piecewise linear and non-increasing in ``μ``,
+    with slope ``−#{μ < v < μ + 1}``.  Newton steps on it, safeguarded by
+    bisection inside a bracket around the root, land on the root as soon
+    as they reach its linear piece.  Once a step lands below the root,
+    later steps read only the entries above it (the rest are 0 at every
+    ``μ`` past it): a warm start near the root reads the full vector once
+    and then only the few entries the projection keeps positive.
+
+    >>> x, mu = project_budget(np.array([0.9, 0.7, 0.2, -0.3]), 1.0)
+    >>> x.round(12).tolist(), round(mu, 12)
+    ([0.6, 0.4, 0.0, 0.0], 0.3)
+    """
+    projected = np.clip(values, 0.0, 1.0)
+    if projected.sum() <= level:
+        return projected, 0.0
+    live = values
+    lo, hi = 0.0, float(values.max())
+    mu = guess if lo < guess < hi else lo
+    while True:
+        above = live[live > mu]
+        inside = above[above < mu + 1.0]
+        excess = above.size - inside.size + float(inside.sum()) - mu * inside.size - level
+        if excess > 0.0:
+            lo, live = mu, above
+        elif excess < 0.0:
+            hi = mu
+        else:
+            break
+        if inside.size:
+            newton = mu + excess / inside.size
+            if newton == mu:
+                break  # a root to within one ulp of μ
+        if not inside.size or not lo < newton <= hi:
+            newton = 0.5 * (lo + hi)
+            if not lo < newton < hi:
+                break  # the bracket is two adjacent floats
+        mu = newton
+    return np.clip(np.subtract(values, mu, out=projected), 0.0, 1.0, out=projected), mu
 
 
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:

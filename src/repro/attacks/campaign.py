@@ -1,7 +1,7 @@
 """AttackCampaign: batched multi-target attack orchestration.
 
 The paper's experiments (Fig. 4/5, Tables I–II) all sweep *many* jobs —
-targets × budgets × λ values × attack methods — over the **same** clean
+targets × budgets × attack methods — over the **same** clean
 graph, yet a bare ``attack()`` call rebuilds everything per job: adjacency
 validation, the O(n + m) neighbour/feature state of
 :class:`~repro.graph.incremental.IncrementalEgonetFeatures`, candidate-pair
@@ -97,7 +97,7 @@ def _constructor_parameters(attack_class) -> frozenset:
     return frozenset(inspect.signature(attack_class.__init__).parameters) - {"self"}
 
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 
 
 def _canonical(value):
@@ -253,38 +253,22 @@ def grid_jobs(
     attack: str,
     targets: Sequence[Sequence[int]],
     budgets: Sequence[int],
-    lambdas: "Sequence[float] | None" = None,
     candidates: "str | None" = None,
     **params,
 ) -> list[AttackJob]:
-    """The paper's sweep shape: targets × budgets (× λ grid) for one attack.
+    """The paper's sweep shape: targets × budgets for one attack.
 
     ``targets`` is a sequence of target *sets* (pass ``[[t] for t in ...]``
-    for single-target sweeps).  With ``lambdas``, one job is emitted per λ
-    (each a single-element ``lambdas`` parameter of BinarizedAttack) — the
-    Fig. 4-style λ-sensitivity sweep.
+    for single-target sweeps); ``params`` go to every job's attack.
     """
     jobs = []
     for target_set in targets:
         for budget in budgets:
-            if lambdas is None:
-                jobs.append(
-                    AttackJob.make(
-                        attack, target_set, budget, candidates=candidates, **params
-                    )
+            jobs.append(
+                AttackJob.make(
+                    attack, target_set, budget, candidates=candidates, **params
                 )
-            else:
-                for lam in lambdas:
-                    jobs.append(
-                        AttackJob.make(
-                            attack,
-                            target_set,
-                            budget,
-                            candidates=candidates,
-                            lambdas=(float(lam),),
-                            **params,
-                        )
-                    )
+            )
     return jobs
 
 
@@ -484,9 +468,9 @@ def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
 class CheckpointStore:
     """One JSONL campaign checkpoint file: a header plus one outcome per line.
 
-    Format (version 3)::
+    Format (version 4)::
 
-        {"version": 3, "fingerprint": ..., "n": ...}
+        {"version": 4, "fingerprint": ..., "n": ...}
         {"job": {...}, "flips_by_budget": {...}, ...}      # one per job
         ...
 
@@ -510,8 +494,11 @@ class CheckpointStore:
     hash per graph, so any backing of the same graph (store, payload CSR,
     dense array) resumes the file and any other graph is refused.  Older
     headers are refused as an unsupported version: version 1 named store
-    graphs by their recipe, and version 2 also hashed the engine backend
-    into the fingerprint.
+    graphs by their recipe, version 2 also hashed the engine backend
+    into the fingerprint, and version 3 holds BinarizedAttack outcomes of
+    the earlier λ-ladder algorithm under the job ids the budget-projected
+    one keeps (a job id omits defaulted parameters), so resuming one
+    would silently return the old algorithm's flips.
     """
 
     def __init__(self, path: "Path | str", fingerprint: str, n: int):

@@ -67,9 +67,8 @@ re-derivation of every pair.
 
 Admission and block sizing share one budget-aware policy
 (:func:`admission_cap`, :func:`default_block_size`): both scale with the
-attack budget, and λ-awareness enters through the ranking itself — the
-engine's ``pair_gradient`` is the λ-regularised surrogate gradient, so a
-sweep's sparsity pressure directly shapes which pairs survive a refresh.
+attack budget, and the ranking is the engine's ``pair_gradient``, the
+surrogate gradient itself.
 
 Candidate pairs are canonical (``u < v``), unique and lexicographically
 sorted, so ``full`` enumerates pairs in exactly the order of
@@ -127,9 +126,7 @@ def admission_cap(budget: "int | None" = None) -> int:
 
     A larger flip budget explores more of the graph, so each refresh may
     admit proportionally more pairs (``8·budget``, floored at
-    :data:`DEFAULT_ADMIT_CAP`).  λ-awareness needs no knob
-    here — ranking uses the engine's λ-regularised ``pair_gradient``, so
-    sparsity pressure already shapes which pairs win the cap.
+    :data:`DEFAULT_ADMIT_CAP`).
     """
     if budget is None:
         return DEFAULT_ADMIT_CAP

@@ -1,7 +1,7 @@
 """build_campaign: the one switch between serial and multi-worker campaigns.
 
 The paper's headline experiments — Fig. 4's effectiveness sweeps, Table I's
-attackability column — are grids of *independent* (target × budget × λ ×
+attackability column — are grids of *independent* (target × budget ×
 attack) jobs.  :class:`~repro.attacks.campaign.AttackCampaign` drains such
 a grid on one core through one shared engine;
 :class:`~repro.attacks.scheduler.SchedulingCampaignExecutor` drains it on

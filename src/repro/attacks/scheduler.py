@@ -1,7 +1,7 @@
 """Multi-worker campaign executor: a shared lease queue with heartbeats.
 
-The paper's experiment grids are *independent* (target × budget × λ ×
-attack) jobs, and they are not uniform in cost: a λ-sweep BinarizedAttack
+The paper's experiment grids are *independent* (target × budget ×
+attack) jobs, and they are not uniform in cost: a BinarizedAttack
 job runs orders of magnitude longer than a budget-2 GradMaxSearch job.
 :class:`SchedulingCampaignExecutor` therefore drains a grid on N worker
 processes through a **shared queue** rather than fixed per-worker slices:
@@ -746,7 +746,7 @@ class SchedulingCampaignExecutor:
     """Drain a campaign's job grid across N worker processes.
 
     Workers lease chunks of jobs that shrink to one job at the tail from a
-    shared :class:`WorkQueue`, so a cost-skewed grid (λ-sweep Binarized
+    shared :class:`WorkQueue`, so a cost-skewed grid (BinarizedAttack jobs
     next to cheap GradMax jobs) keeps every worker busy until the queue is
     dry.  A worker killed mid-chunk (``kill -9`` included) stops
     heartbeating, its lease expires after ``lease_ttl`` seconds and a

@@ -13,7 +13,6 @@ from repro.autograd.tensor import Tensor, as_tensor
 
 __all__ = [
     "binary_cross_entropy_with_logits",
-    "l1_penalty",
     "log_softmax",
     "margin_ranking_loss",
     "mse_loss",
@@ -27,11 +26,6 @@ def mse_loss(prediction, target, reduction: str = "mean") -> Tensor:
     prediction, target = as_tensor(prediction), as_tensor(target)
     squared = (prediction - target) ** 2
     return _reduce(squared, reduction)
-
-
-def l1_penalty(x) -> Tensor:
-    """LASSO penalty ``‖x‖₁`` (Eq. 8a's budget surrogate)."""
-    return as_tensor(x).abs().sum()
 
 
 def log_softmax(logits, axis: int = -1) -> Tensor:

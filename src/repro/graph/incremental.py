@@ -31,7 +31,7 @@ the last ``k`` flips *exactly* (flip → score → unflip costs O(deg) per flip
 and returns the features to bit-identical state).  This is the primitive the
 sparse :class:`~repro.oddball.surrogate.SurrogateEngine` backend builds its
 transient evaluations on: BinarizedAttack's PGD loop applies an iterate's
-flip set, scores it, and rolls it back thousands of times per λ-sweep.  The
+flip set, scores it, and rolls it back thousands of times per run.  The
 materialised CSR is cached per graph *version*, so rolling back to a state
 whose CSR was already built (e.g. the clean graph) costs nothing.
 

@@ -32,7 +32,7 @@ attack builds :class:`SparseSurrogateEngine`: it maintains ``(N, E)`` with
 each discrete iterate by *applying* its flip set (O(deg) per flip),
 scoring from features (O(n)) and *rolling the flips back*, and produces
 the straight-through gradient by scattering the closed-form per-pair
-derivatives onto the candidate set only.  BinarizedAttack's whole λ-sweep
+derivatives onto the candidate set only.  A whole BinarizedAttack run
 runs on one engine instance at O(Σ deg + n + |C|) per PGD iteration, and
 at O(|C|) for an iterate whose flip set repeats one of the last
 :data:`ITERATE_MEMO_SIZE` evaluated at the same graph state.  The
@@ -724,9 +724,9 @@ class SurrogateEngine(abc.ABC):
     * :meth:`push_flip` / :meth:`pop_flips` / :meth:`apply_flip` — transient
       (score-and-rollback) versus permanent graph mutation;
     * :meth:`score_flips` / :meth:`score_prefixes` — transient re-scoring of
-      recorded flip sets, used by the λ-sweep bookkeeping.
+      recorded flip sets, used by BinarizedAttack's read-out.
 
-    One engine instance serves a whole attack run: BinarizedAttack's λ-sweep
+    One engine instance serves a whole attack run: BinarizedAttack's PGD
     rolls each iterate's flips back between steps instead of rebuilding
     adjacencies.  Construct through :meth:`create`, which builds the
     sparse engine, or in a worker process through :meth:`from_spec`,
@@ -904,7 +904,7 @@ class SurrogateEngine(abc.ABC):
         """Reconfigure the engine for a new job on the SAME graph.
 
         This is the campaign primitive: one engine (one incremental feature
-        state, one CSR cache) serves many ``(targets, budget, λ)`` jobs —
+        state, one CSR cache) serves many ``(targets, budget)`` jobs —
         switching jobs costs O(|C| + n) bookkeeping (one pair lookup per
         candidate, and the hub grouping) instead of the O(n + m)
         feature/neighbour rebuild a fresh engine would pay.  The caller is

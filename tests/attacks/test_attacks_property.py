@@ -6,13 +6,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import BinarizedAttack, ContinuousA, GradMaxSearch, RandomAttack
+from repro.attacks.binarized import _schedule
 from repro.graph.generators import barabasi_albert
 from repro.oddball.detector import OddBall
+from repro.oddball.surrogate import SparseSurrogateEngine
 
 ATTACK_FACTORIES = [
     lambda: GradMaxSearch(),
     lambda: ContinuousA(max_iter=25),
-    lambda: BinarizedAttack(iterations=20, lambdas=(0.2,)),
+    lambda: BinarizedAttack(iterations=20),
     lambda: RandomAttack(rng=0),
 ]
 
@@ -45,3 +47,38 @@ def test_attack_output_is_valid_bounded_poison(factory, n, budget, seed):
 
     # no singletons created
     assert not ((poisoned.sum(axis=1) == 0) & (original.sum(axis=1) > 0)).any()
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(15, 35),
+    budget=st.integers(1, 6),
+    iterations=st.integers(1, 30),
+    candidates=st.sampled_from([None, "target_incident", "adaptive_gradient", "block"]),
+    seed=st.integers(0, 5),
+)
+def test_binarized_iterates_stay_within_twice_their_level(
+    n, budget, iterations, candidates, seed
+):
+    """ΣŻ ≤ ℓ after every projected step, so no iterate evaluated at level
+    ℓ flips more than 2ℓ pairs (each flip needs Ż ≥ ½)."""
+    graph = barabasi_albert(n, 2, rng=seed)
+    targets = OddBall().analyze(graph).top_k(2).tolist()
+    iterates = []
+    real_step = SparseSurrogateEngine.binarized_step
+
+    def step(self, zdot):
+        answer = real_step(self, zdot)
+        iterates.append((float(zdot.sum()), int(answer[2].sum())))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseSurrogateEngine, "binarized_step", step)
+        BinarizedAttack(iterations=iterations).attack(
+            graph, targets, budget, candidates=candidates
+        )
+    levels = [level for level, steps in _schedule(budget, iterations) for _ in range(steps + 1)]
+    assert len(iterates) == len(levels)
+    for level, (mass, flips) in zip(levels, iterates):
+        assert mass <= level + 1e-9
+        assert flips <= 2 * level

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import telemetry
-from repro.attacks.binarized import BinarizedAttack, _Candidate, _top_k
+from repro.attacks.binarized import (
+    BinarizedAttack,
+    _Candidate,
+    _schedule,
+    _top_k,
+    project_budget,
+)
 from repro.attacks.constraints import filter_valid_flips_engine
 from repro.attacks.random_attack import RandomAttack
 from repro.oddball.detector import OddBall
@@ -22,27 +28,35 @@ def attack_setup(small_ba_graph):
 
 
 def fast_attack(**overrides):
-    defaults = dict(iterations=40, lambdas=(0.3, 0.05))
+    defaults = dict(iterations=40)
     defaults.update(overrides)
     return BinarizedAttack(**defaults)
 
 
 class TestConstruction:
-    def test_rejects_empty_lambdas(self):
-        with pytest.raises(ValueError):
-            BinarizedAttack(lambdas=())
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            BinarizedAttack(lambdas=(-0.1,))
-
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             BinarizedAttack(iterations=0)
 
-    def test_rejects_bad_init(self):
-        with pytest.raises(ValueError):
-            BinarizedAttack(init=1.5)
+    @pytest.mark.parametrize(
+        "knob", [{"lambdas": (0.1,)}, {"init": 0.5}, {"normalize_gradient": False}]
+    )
+    def test_the_budget_projection_is_the_only_mechanism(self, knob):
+        with pytest.raises(TypeError):
+            BinarizedAttack(**knob)
+
+    @pytest.mark.parametrize(
+        "budget, iterations, expected",
+        [
+            (0, 10, []),
+            (1, 10, [(1, 10)]),
+            (2, 10, [(1, 5), (2, 5)]),
+            (5, 11, [(3, 6), (5, 5)]),
+            (8, 1, [(4, 1), (8, 0)]),
+        ],
+    )
+    def test_schedule_splits_the_steps_over_two_levels(self, budget, iterations, expected):
+        assert _schedule(budget, iterations) == expected
 
 
 class TestAttackInvariants:
@@ -94,23 +108,9 @@ class TestAttackQuality:
     def test_metadata_recorded(self, attack_setup):
         graph, targets = attack_setup
         result = fast_attack().attack(graph, targets, budget=4)
-        assert result.metadata["lambdas"] == [0.3, 0.05]
+        assert result.metadata["iterations"] == 40
+        assert result.metadata["lr"] == 0.1
         assert result.metadata["candidates_recorded"] >= 1
-
-    def test_textbook_pgd_path_runs(self, attack_setup):
-        """normalize_gradient=False exercises the plain Alg. 1 update."""
-        graph, targets = attack_setup
-        result = fast_attack(normalize_gradient=False, lr=1e-3).attack(
-            graph, targets, budget=4
-        )
-        assert result.max_budget == 4
-
-    def test_larger_lambda_means_fewer_flips(self, attack_setup):
-        """LASSO sparsity: a harsh λ yields no more flips than a mild one."""
-        graph, targets = attack_setup
-        harsh = BinarizedAttack(iterations=60, lambdas=(0.9,)).attack(graph, targets, 10)
-        mild = BinarizedAttack(iterations=60, lambdas=(0.01,)).attack(graph, targets, 10)
-        assert len(harsh.flips()) <= len(mild.flips()) + 1
 
 
 class TestFloorConsistency:
@@ -161,34 +161,118 @@ class TestTopK:
         assert _top_k(values, k).tolist() == expected.tolist()
 
 
-def _reference_select(recorded, engine, budget, final_zdot, rows, cols):
-    """The selection as it ran before partial sorting: per budget, a min
-    over every eligible recorded set, then a fallback over a full stable
-    argsort of the final Ż, validated and scored budget by budget."""
-    order = np.argsort(-final_zdot, kind="stable")
+_GUESSES = st.floats(-2.0, 3.0)
+
+
+def _reference_projection(values, level):
+    """The projection onto ``{x ∈ [0, 1]^m : Σx ≤ level}`` by a full sort:
+    ``Σ clip(v − μ, 0, 1)`` is linear between consecutive breakpoints
+    ``{v, v − 1}``, so the root is interpolated on the piece that brackets it."""
+    clipped = np.clip(values, 0.0, 1.0)
+    if clipped.sum() <= level:
+        return clipped
+    points = np.unique(np.concatenate([values, values - 1.0, [0.0]]))
+    points = points[points >= 0.0]
+    sums = np.array([np.clip(values - p, 0.0, 1.0).sum() for p in points])
+    i = int(np.flatnonzero(sums <= level)[0])
+    if sums[i] == level:
+        mu = points[i]
+    else:
+        mu = points[i - 1] + (sums[i - 1] - level) * (points[i] - points[i - 1]) / (
+            sums[i - 1] - sums[i]
+        )
+    return np.clip(values - mu, 0.0, 1.0)
+
+
+_PROJECTED = st.one_of(
+    hnp.arrays(np.float64, _LENGTHS, elements=st.floats(-1.5, 2.5)),
+    # ties, and entries exactly on the clip bounds
+    hnp.arrays(
+        np.float64, _LENGTHS, elements=st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+    ),
+)
+_LEVELS = st.one_of(st.integers(0, 8), st.floats(0.0, 8.0))
+
+
+class TestProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTED, _LEVELS, _GUESSES)
+    def test_equals_the_sort_based_reference(self, values, level, guess):
+        projected, _ = project_budget(values, level, guess)
+        np.testing.assert_allclose(
+            projected, _reference_projection(values, level), rtol=0, atol=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTED, _LEVELS, _GUESSES)
+    def test_result_is_feasible(self, values, level, guess):
+        projected, shift = project_budget(values, level, guess)
+        assert shift >= 0.0
+        assert ((projected >= 0.0) & (projected <= 1.0)).all()
+        assert projected.sum() <= level + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTED, _LEVELS)
+    def test_is_idempotent(self, values, level):
+        once, _ = project_budget(values, level)
+        twice, _ = project_budget(once, level)
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTED, _LEVELS)
+    def test_a_feasible_clip_is_returned_as_is(self, values, level):
+        clipped = np.clip(values, 0.0, 1.0)
+        if clipped.sum() <= level:
+            projected, shift = project_budget(values, level, 0.7)
+            assert shift == 0.0
+            assert projected.tolist() == clipped.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTED, _LEVELS, st.lists(_GUESSES, min_size=2, max_size=4))
+    def test_any_warm_start_gives_the_same_result(self, values, level, guesses):
+        cold, _ = project_budget(values, level)
+        for guess in guesses:
+            warm, _ = project_budget(values, level, guess)
+            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
+
+
+def _reference_round(engine, zdot, rows, cols, level):
+    """A level's rounding with a full stable sort: the valid pairs among
+    the top ``4ℓ`` positive entries of Ż, each prefix scored on its own."""
+    order = [k for k in np.argsort(-zdot, kind="stable")[: 4 * level] if zdot[k] > 0.0]
+    ranked = [(int(rows[k]), int(cols[k])) for k in order]
+    rounded = filter_valid_flips_engine(engine, ranked, limit=level)
+    return [
+        _Candidate(tuple(rounded[:size]), engine.score_flips(rounded[:size]))
+        for size in range(1, len(rounded) + 1)
+    ]
+
+
+def _reference_select(recorded, budget):
+    """Per budget, a min over every eligible recorded set."""
     flips, losses = {}, {}
     for b in range(budget + 1):
         best = min((c for c in recorded if c.size <= b), key=lambda c: (c.surrogate, c.size))
-        chosen, loss = list(best.flips), best.surrogate
-        if not chosen and b > 0:
-            ranked = [
-                (int(rows[k]), int(cols[k])) for k in order[: 4 * b] if final_zdot[k] > 0.0
-            ]
-            fallback = filter_valid_flips_engine(engine, ranked, limit=b)
-            if fallback:
-                fallback_loss = engine.score_flips(fallback)
-                if fallback_loss < best.surrogate:
-                    chosen, loss = fallback, fallback_loss
-        flips[b], losses[b] = chosen, loss
+        flips[b], losses[b] = list(best.flips), best.surrogate
     return flips, losses
 
 
 class _ReferenceCheckedAttack(BinarizedAttack):
-    """Computes the reference selection on the exact inputs of `_select`."""
+    """Checks each rounding and the selection against the references above,
+    on the exact inputs of `_round` and `_select`."""
 
-    def _select(self, recorded, engine, budget, final_zdot, rows, cols):
-        self.reference = _reference_select(recorded, engine, budget, final_zdot, rows, cols)
-        return super()._select(recorded, engine, budget, final_zdot, rows, cols)
+    rounded = 0
+
+    def _round(self, recorded, engine, zdot, rows, cols, level):
+        expected = _reference_round(engine, zdot, rows, cols, level)
+        before = len(recorded)
+        super()._round(recorded, engine, zdot, rows, cols, level)
+        assert recorded[before:] == expected
+        self.rounded += len(expected)
+
+    def _select(self, recorded, budget):
+        self.reference = _reference_select(recorded, budget)
+        return super()._select(recorded, budget)
 
 
 class TestSelection:
@@ -198,22 +282,21 @@ class TestSelection:
     def test_matches_the_full_sort_reference(
         self, attack_setup, kernels, iterations, candidates, use_kernels
     ):
-        """``iterations=1`` records nothing (Ż starts at 0, so the first
-        iterate flips nothing), so every b > 0 takes the top-Ż fallback;
-        40 iterations record sets of several sizes."""
+        """``iterations=1`` takes one step at ℓ = 4 and none at ℓ = 8, so
+        the only iterate evaluated after a step is each level's last, and
+        the rounding answers most budgets; 40 iterations record sets of
+        several sizes."""
         use_kernels(kernels)
         graph, targets = attack_setup
-        attack = _ReferenceCheckedAttack(iterations=iterations, lambdas=(0.3, 0.05))
+        attack = _ReferenceCheckedAttack(iterations=iterations)
         result = attack.attack(graph, targets, budget=8, candidates=candidates)
         flips, losses = attack.reference
         assert result.flips_by_budget == flips
         assert result.surrogate_by_budget == losses
+        assert attack.rounded > 0
         if iterations == 1:
-            assert result.metadata["candidates_recorded"] == 1
-            fallback = [result.flips(b) for b in range(1, 9) if result.flips(b)]
-            assert len(fallback) >= 2
-            for shorter, longer in zip(fallback, fallback[1:]):
-                assert longer[: len(shorter)] == shorter
+            answers = [result.flips(b) for b in range(1, 9) if result.flips(b)]
+            assert len(answers) >= 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -225,15 +308,11 @@ class TestSelection:
     def test_best_recorded_set_is_the_first_minimum(self, iterates):
         """Ties on (surrogate, size) go to the first recorded set, as with
         ``min`` over every eligible set."""
-        recorded = [_Candidate((), 1.5, 0.0, -1)] + [
-            _Candidate(tuple((i, i + j + 1) for j in range(size)), loss, 0.1, i)
+        recorded = [_Candidate((), 1.5)] + [
+            _Candidate(tuple((i, i + j + 1) for j in range(size)), loss)
             for i, (size, loss) in enumerate(iterates)
         ]
-        flips, losses = BinarizedAttack()._select(recorded, None, 6, None, None, None)
-        for b in range(7):
-            best = min((c for c in recorded if c.size <= b), key=lambda c: (c.surrogate, c.size))
-            assert flips[b] == list(best.flips)
-            assert losses[b] == best.surrogate
+        assert BinarizedAttack._select(recorded, 6) == _reference_select(recorded, 6)
 
 
 def _counter(directory, name):
@@ -245,7 +324,7 @@ def _counter(directory, name):
 
 class TestSelectionCounters:
     @pytest.mark.parametrize("iterations", [1, 40])
-    def test_recorded_and_fallback_counts(self, attack_setup, tmp_path, iterations):
+    def test_recorded_count(self, attack_setup, tmp_path, iterations):
         graph, targets = attack_setup
         telemetry.configure(tmp_path / "trace")
         try:
@@ -256,13 +335,7 @@ class TestSelectionCounters:
             telemetry.shutdown()
             tracer_module._RESOLVED = False
         recorded = _counter(tmp_path / "trace", "attacks.binarized.recorded")
-        assert recorded == result.metadata["candidates_recorded"] - 1
-        fallback = _counter(tmp_path / "trace", "attacks.binarized.fallback")
-        if iterations == 1:
-            assert recorded == 0
-            assert fallback == sum(bool(result.flips(b)) for b in range(1, 9)) > 0
-        else:
-            assert recorded > 0
+        assert recorded == result.metadata["candidates_recorded"] - 1 > 0
 
 
 class TestCarriedRefresh:

@@ -60,8 +60,8 @@ def _mixed_jobs(targets):
         candidates="target_incident",
     )
     jobs += grid_jobs(
-        "binarizedattack", [targets[:3]], budgets=[3],
-        lambdas=[0.3, 0.05], candidates="target_incident", iterations=15,
+        "binarizedattack", [targets[:3]], budgets=[2, 3],
+        candidates="target_incident", iterations=30,
     )
     jobs += grid_jobs(
         "continuousa", [targets[:2]], budgets=[2],
@@ -300,7 +300,7 @@ class TestCampaignResume:
         AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         header, *records = checkpoint.read_text().splitlines()
         header = json.loads(header)
-        assert header["version"] == 3
+        assert header["version"] == 4
         header["version"] = 1
         checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ValueError, match="unsupported version 1"):
@@ -325,6 +325,25 @@ class TestCampaignResume:
         checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ValueError, match="unsupported version 2"):
             AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+
+    def test_version_3_binarized_checkpoint_is_unsupported(
+        self, graph_and_targets, tmp_path
+    ):
+        """Version 3 held BinarizedAttack outcomes of the λ-ladder
+        algorithm under the job ids the budget-projected one keeps: a
+        resume would return the old flips, so the file is refused by name."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("binarizedattack", [targets[:2]], budgets=[2], iterations=4)
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        header, *records = checkpoint.read_text().splitlines()
+        header = json.loads(header)
+        assert json.loads(records[0])["job"]["attack"] == "binarizedattack"
+        header["version"] = 3
+        checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ValueError, match="unsupported version 3") as refused:
+            AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert str(checkpoint) in str(refused.value)
 
     def test_duplicate_jobs_rejected(self, graph_and_targets):
         graph, targets = graph_and_targets
@@ -427,8 +446,7 @@ class TestJobSpecs:
     def test_job_roundtrips_with_stable_id(self):
         job = AttackJob.make(
             "binarizedattack", [1, 2], 3,
-            candidates="adaptive_gradient", weights=[1.0, 2.0],
-            lambdas=(0.1,), iterations=20,
+            candidates="adaptive_gradient", weights=[1.0, 2.0], iterations=20,
         )
         back = AttackJob.from_dict(json.loads(json.dumps(job.to_dict())))
         assert back == job
@@ -452,9 +470,9 @@ class TestJobSpecs:
     def test_rejects_params_the_attack_does_not_take(self):
         # caught at job-BUILD time, not mid-campaign
         with pytest.raises(ValueError, match="does not accept"):
-            AttackJob.make("gradmaxsearch", [0], 1, lambdas=(0.1,))
+            AttackJob.make("gradmaxsearch", [0], 1, iterations=5)
         with pytest.raises(ValueError, match="does not accept"):
-            grid_jobs("gradmaxsearch", [[0]], budgets=[1], lambdas=[0.1])
+            grid_jobs("binarizedattack", [[0]], budgets=[1], lambdas=[0.1])
 
     def test_backend_is_neither_a_job_param_nor_a_campaign_option(self, graph_and_targets):
         graph, _ = graph_and_targets
@@ -464,15 +482,12 @@ class TestJobSpecs:
         with pytest.raises(TypeError, match="backend"):
             AttackCampaign(graph, backend="sparse")
 
-    def test_grid_jobs_lambda_sweep(self):
-        jobs = grid_jobs(
-            "binarizedattack", [[0], [1]], budgets=[2, 3],
-            lambdas=[0.3, 0.1], iterations=10,
-        )
-        assert len(jobs) == 2 * 2 * 2
-        lams = {dict(j.params)["lambdas"] for j in jobs}
-        assert lams == {(0.3,), (0.1,)}
-        assert all(dict(j.params)["iterations"] == 10 for j in jobs)
+    def test_grid_jobs_is_targets_by_budgets(self):
+        jobs = grid_jobs("binarizedattack", [[0], [1]], budgets=[2, 3], iterations=10)
+        assert [(j.targets, j.budget) for j in jobs] == [
+            ((0,), 2), ((0,), 3), ((1,), 2), ((1,), 3)
+        ]
+        assert all(dict(j.params) == {"iterations": 10} for j in jobs)
 
 
 class TestAdaptiveCandidates:

@@ -77,8 +77,8 @@ class TestParallelSerialParity:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         jobs += grid_jobs(
-            "binarizedattack", [targets[:3]], budgets=[3],
-            lambdas=[0.3, 0.05], candidates="target_incident", iterations=15,
+            "binarizedattack", [targets[:3]], budgets=[2, 3],
+            candidates="target_incident", iterations=30,
         )
         jobs += grid_jobs("random", [[t] for t in targets[:3]], budgets=[3],
                           candidates="target_incident", rng=5)

@@ -64,14 +64,14 @@ GOLDEN = {
         "57317dcf78fc8e7e297e537c9f277527", "f143d3eec79db524d6be0b83d3a52e08",
         "2c053adfce2c10fc3e7691932965dad9"),
     ("binarizedattack", "adaptive_gradient", 1844): (
-        "c435b09bbee753a4beb39a53c9a0b9e4", "bc02dbb0346013e48c28401e80575ab1",
-        "259262950fe1a49abd72a4e038a6802d"),
+        "c435b09bbee753a4beb39a53c9a0b9e4", "bf3d5fa5a1f63e7a1e2bbe7dec4f8143",
+        "d192cd742fc18377fcb68fb7580a4893"),
     ("binarizedattack", "adaptive_gradient", 113): (
-        "8fb8059c8e8e718af81710de44669396", "c05efa949ef74207aa7707f190ce29af",
-        "c162a267a1539783ce391e724d16102d"),
+        "8fb8059c8e8e718af81710de44669396", "3334905c07611f7e4b0eea88c8f350b9",
+        "f9ec446fc4ccc8979b988454db97fe3c"),
     ("binarizedattack", "adaptive_gradient", 9721): (
-        "57317dcf78fc8e7e297e537c9f277527", "b116d89edc0bde8c0c5df0baf2a8d14d",
-        "60833629df7dcfb7cce47390e5671de0"),
+        "57317dcf78fc8e7e297e537c9f277527", "6a8ef1176fce714f42f54b4ab066e44a",
+        "2c053adfce2c10fc3e7691932965dad9"),
     ("gradmaxsearch-block", "block", 1844): (
         "c43623e07308cf449f25030c4435c4e0", "f81067ba21cdde00e2b6ecc6ccbac228",
         "48e28d261a009e391cb884f0f169d395"),
@@ -87,17 +87,17 @@ GOLDEN = {
 #: (digest of the flips at every budget, digest of the per-budget losses).
 GOLDEN_BINARIZED = {
     ("target_incident", "store-10k", 1844): (
-        "33e766d7c60aa53f4d57c8a402f3fc86", "259262950fe1a49abd72a4e038a6802d"),
+        "72859d77f0f919cd73d6ebb4746b2f5b", "d192cd742fc18377fcb68fb7580a4893"),
     ("target_incident", "store-10k", 113): (
-        "46bcf94ec2fd3551279e8710ad022405", "c162a267a1539783ce391e724d16102d"),
+        "fd7326ab5724eef167f72b2f1a59a51e", "f9ec446fc4ccc8979b988454db97fe3c"),
     ("target_incident", "store-10k", 9721): (
-        "55b374ecec7cc459f073b25037305469", "60833629df7dcfb7cce47390e5671de0"),
+        "6df618d707dc5daaf7976a5df29c9320", "2c053adfce2c10fc3e7691932965dad9"),
     ("full", "er", None): (
-        "0b8c481024efb320768339926fa3b8c9", "ee8642bb742370fe4c563527e51962e2"),
+        "8e404ead77131423303d21faf895c4a1", "7c330081bc27535d6a783ef83d5f74e6"),
     ("full", "ba", None): (
-        "3f511cf47c432784ad1cae9cc5e787ef", "26607733b78cf03ae4baaa53a2f0ae60"),
+        "3553973e172c6566123fa1f723a8fa6c", "f67cea22e6b1822fb2441ea7c9b36120"),
     ("full", "blogcatalog", None): (
-        "81b0e3e1e83ac70491557b5e7576ac48", "defb4f639f00846534b3e7f841f87cba"),
+        "68f7090a94c98c6a4a2634f22765f673", "872a24faf145c68a5b517fa64fe3863a"),
 }
 
 #: ContinuousA on ``full``: graph -> (digest of the flips at every budget,
@@ -188,7 +188,7 @@ def _fig4_case(graph_name: str):
     "case", list(GOLDEN_BINARIZED), ids=lambda case: "-".join(map(str, case))
 )
 def test_binarized_static_strategies_are_pinned(case, kernels, payload, use_kernels):
-    """Store cases run budget 5 with 20 iterations per λ on one target;
+    """Store cases run budget 5 with 20 iterations on one target;
     Fig. 4 cases run the ci preset's attack on three targets sampled with
     ``default_rng(1)``, at the panel's largest budget."""
     use_kernels(kernels)

@@ -533,13 +533,13 @@ class TestSchedulerSerialParity:
         assert scheduled.dead_workers == ()
 
     def test_mixed_cost_grid_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
-        """λ-sweep Binarized jobs next to cheap GradMax jobs — the skew the
+        """Binarized jobs next to cheap GradMax jobs — the skew the
         scheduler exists for — still produce bit-identical outcomes."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         jobs += grid_jobs(
-            "binarizedattack", [targets[:3]], budgets=[3],
-            lambdas=[0.3, 0.05], candidates="target_incident", iterations=15,
+            "binarizedattack", [targets[:3]], budgets=[2, 3],
+            candidates="target_incident", iterations=30,
         )
         serial = AttackCampaign(graph).run(jobs)
         scheduled = SchedulingCampaignExecutor(graph, workers=3).run(jobs)

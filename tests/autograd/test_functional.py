@@ -29,16 +29,6 @@ class TestMSE:
         assert gradcheck(lambda p: F.mse_loss(p, Tensor([1.0, -1.0])), [np.array([0.3, 0.7])])
 
 
-class TestL1Penalty:
-    def test_value(self):
-        assert F.l1_penalty(Tensor([-1.0, 2.0, -3.0])).item() == pytest.approx(6.0)
-
-    def test_gradient_signs(self):
-        x = Tensor([-1.0, 2.0], requires_grad=True)
-        F.l1_penalty(x).backward()
-        np.testing.assert_allclose(x.grad, [-1.0, 1.0])
-
-
 class TestSoftmaxFamily:
     def test_log_softmax_normalises(self):
         logits = Tensor(np.array([[1.0, 2.0, 3.0]]))

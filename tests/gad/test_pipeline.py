@@ -40,7 +40,7 @@ class TestRun:
     @pytest.mark.parametrize("system", ["refex", "gal"])
     def test_end_to_end(self, dataset, system):
         pipeline = _fast_pipeline(system)
-        attack = BinarizedAttack(iterations=30, lambdas=(0.2,))
+        attack = BinarizedAttack(iterations=30)
         outcome = pipeline.run(dataset.graph, attack, budgets=[0, 4], max_targets=5)
         assert outcome.system == system
         assert len(outcome.rows) == 2

@@ -584,7 +584,7 @@ class TestEngineKernelParity:
         results = []
         for kernels in ("numpy", "compiled"):
             use_kernels(kernels)
-            results.append(BinarizedAttack(iterations=10, lambdas=(0.2, 0.05)).attack(
+            results.append(BinarizedAttack(iterations=20).attack(
                 store, targets, 3, candidates="target_incident"
             ))
         assert results[0].flips_by_budget == results[1].flips_by_budget

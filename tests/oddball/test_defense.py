@@ -60,7 +60,7 @@ class TestPurifiedScores:
         detector = OddBall()
         report = detector.analyze(g)
         targets = report.top_k(3).tolist()
-        result = BinarizedAttack(iterations=60, lambdas=(0.2, 0.05)).attack(
+        result = BinarizedAttack(iterations=120).attack(
             g, targets, budget=10
         )
         poisoned = result.poisoned().toarray()

@@ -19,7 +19,7 @@ def tiny_attacks():
     return [
         GradMaxSearch(),
         ContinuousA(max_iter=10),
-        BinarizedAttack(iterations=10, lambdas=(0.2,)),
+        BinarizedAttack(iterations=10),
         RandomAttack(rng=0),
     ]
 
@@ -79,7 +79,7 @@ class TestPathologicalButValidGraphs:
     def test_disconnected_graph_supported(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         targets = [1]
-        result = BinarizedAttack(iterations=10, lambdas=(0.2,)).attack(g, targets, 2)
+        result = BinarizedAttack(iterations=10).attack(g, targets, 2)
         assert np.isfinite(OddBall().scores(result.poisoned())).all()
 
 
