@@ -81,7 +81,7 @@ from repro.oddball.surrogate import SurrogateEngine
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_budget
 
-__all__ = ["BinarizedAttack", "project_budget"]
+__all__ = ["BinarizedAttack", "project_budget", "projected_step"]
 
 _log = get_logger("attacks.binarized")
 
@@ -194,14 +194,8 @@ class BinarizedAttack(StructuralAttack):
                 )
                 if step == steps:
                     break  # the level's last iterate is recorded, not stepped
-                # Normalised, budget-projected update (Alg. 1 line 12).  The
-                # engine's gradient may be memoised, so it is never written:
-                # the step is a fresh array, and Ż is subtracted into it.
-                scale = float(np.max(np.abs(gradient)))
-                if scale > 0.0:
-                    update = gradient * (self.lr / scale)
-                    zdot = np.subtract(zdot, update, out=update)
-                zdot, shift = project_budget(zdot, level, shift)
+                # Normalised, budget-projected update (Alg. 1 line 12).
+                zdot, shift = projected_step(zdot, gradient, self.lr, level, shift)
                 # Per-step adaptation: a recorded (validated) iterate counts
                 # as landed flips.  Refresh runs every step — an
                 # adaptive_gradient set only reacts to landed flips (and
@@ -326,6 +320,29 @@ def _schedule(budget: int, iterations: int) -> list[tuple[int, int]]:
         (level, iterations // len(levels) + (i < iterations % len(levels)))
         for i, level in enumerate(levels)
     ]
+
+
+def projected_step(
+    values: np.ndarray, gradient: np.ndarray, lr: float, level: float, shift: float
+) -> tuple[np.ndarray, float]:
+    """One normalised, budget-projected PGD step: ``project(x − η·g / max|g|)``.
+
+    The step both gradient attacks take.  ``shift`` is the previous step's
+    projection shift μ, and the new one is returned with the new values
+    (see :func:`project_budget`).  A zero gradient leaves ``values`` to the
+    projection alone.  ``gradient`` is never written (an engine may hand
+    out a memoised array): the step is a fresh array, and ``values`` is
+    subtracted into it.
+
+    >>> x, mu = projected_step(np.zeros(3), np.array([-2.0, -1.0, 4.0]), 0.5, 1.0, 0.0)
+    >>> x.tolist(), mu
+    ([0.25, 0.125, 0.0], 0.0)
+    """
+    scale = float(np.max(np.abs(gradient), initial=0.0))
+    if scale > 0.0:
+        update = gradient * (lr / scale)
+        values = np.subtract(values, update, out=update)
+    return project_budget(values, level, shift)
 
 
 def project_budget(

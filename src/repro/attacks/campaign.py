@@ -97,7 +97,7 @@ def _constructor_parameters(attack_class) -> frozenset:
     return frozenset(inspect.signature(attack_class.__init__).parameters) - {"self"}
 
 
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 
 
 def _canonical(value):
@@ -468,9 +468,9 @@ def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
 class CheckpointStore:
     """One JSONL campaign checkpoint file: a header plus one outcome per line.
 
-    Format (version 4)::
+    Format (version 5)::
 
-        {"version": 4, "fingerprint": ..., "n": ...}
+        {"version": 5, "fingerprint": ..., "n": ...}
         {"job": {...}, "flips_by_budget": {...}, ...}      # one per job
         ...
 
@@ -495,10 +495,11 @@ class CheckpointStore:
     dense array) resumes the file and any other graph is refused.  Older
     headers are refused as an unsupported version: version 1 named store
     graphs by their recipe, version 2 also hashed the engine backend
-    into the fingerprint, and version 3 holds BinarizedAttack outcomes of
+    into the fingerprint, version 3 holds BinarizedAttack outcomes of
     the earlier λ-ladder algorithm under the job ids the budget-projected
     one keeps (a job id omits defaulted parameters), so resuming one
-    would silently return the old algorithm's flips.
+    would silently return the old algorithm's flips, and version 4 holds
+    ContinuousA outcomes of the earlier box-clipped step the same way.
     """
 
     def __init__(self, path: "Path | str", fingerprint: str, n: int):

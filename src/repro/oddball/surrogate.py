@@ -62,7 +62,7 @@ import numpy as np
 from scipy import sparse as _sparse
 
 from repro import telemetry as _telemetry
-from repro.autograd.ops import apply_pair_flips, binarize_ste, maximum, symmetric_from_upper
+from repro.autograd.ops import apply_pair_flips, binarize_ste, maximum
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.graph.features import egonet_features_tensor
 from repro.kernels import kernel_table, resolve_kernels, validate_kernels
@@ -987,9 +987,15 @@ class SurrogateEngine(abc.ABC):
         """
 
     @abc.abstractmethod
-    def relaxed_step(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """ContinuousA iterate: loss and gradient at the *fractional* graph
-        whose candidate-pair entries are replaced by ``values``."""
+    def relaxed_step(self, flips: np.ndarray) -> tuple[float, np.ndarray]:
+        """One ContinuousA iterate: ``(loss, ∂loss/∂p)`` at flip fractions ``p``.
+
+        The forward pass evaluates the surrogate on the *fractional* graph
+        ``A + (1 − 2·A) ⊙ p`` over the candidate pairs, ``A`` being the
+        current graph: ``p = 0`` is the current graph and ``p = 1`` flips a
+        pair.  ``flips`` is aligned with the candidate pairs, as
+        :meth:`binarized_step`'s ``Ż`` is.
+        """
 
     @abc.abstractmethod
     def candidate_gradient(self) -> np.ndarray:
@@ -1124,7 +1130,6 @@ class DenseSurrogateEngine(SurrogateEngine):
         self._adjacency = adjacency
         self._transient: list[tuple[int, int]] = []
         self._permanent: list[tuple[int, int]] = []
-        self._frozen: "Tensor | None" = None
         #: The dense reference path has no compiled primitives: evaluation
         #: is always the autograd oracle.
         self.kernels = "numpy"
@@ -1166,27 +1171,22 @@ class DenseSurrogateEngine(SurrogateEngine):
         assert gradient is not None
         return float(adversarial.data), gradient, flip_indicator.data > 0.5
 
-    def relaxed_step(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """ContinuousA iterate: autograd loss/gradient at the fractional graph."""
-        if self._frozen is None:
-            # Non-candidate entries stay frozen at their clean values: the
-            # relaxed variables are scattered ON TOP of the clean graph with
-            # the candidate positions blanked.
-            frozen_base = self._adjacency.copy()
-            frozen_base[self.rows, self.cols] = frozen_base[self.cols, self.rows] = 0.0
-            self._frozen = Tensor(frozen_base)
-        relaxed = Tensor(
-            np.asarray(values, dtype=np.float64),
-            requires_grad=True,
-            name="relaxed_adjacency",
+    def relaxed_step(self, flips: np.ndarray) -> tuple[float, np.ndarray]:
+        """ContinuousA iterate via the full autograd pipeline."""
+        self._refresh_pair_cache()
+        fractions = Tensor(
+            np.asarray(flips, dtype=np.float64), requires_grad=True, name="flips"
         )
-        matrix = self._frozen + symmetric_from_upper(relaxed, self.n, self.rows, self.cols)
+        matrix = apply_pair_flips(
+            self._adjacency, fractions, self.rows, self.cols,
+            direction=self.flip_direction, base_values=self._edge_values,
+        )
         loss = surrogate_loss(
             matrix, self._targets,
             floor=self.floor, ridge=self.ridge, weights=self._weights,
         )
         loss.backward()
-        gradient = relaxed.grad
+        gradient = fractions.grad
         assert gradient is not None
         return float(loss.data), gradient
 
@@ -1223,7 +1223,6 @@ class DenseSurrogateEngine(SurrogateEngine):
         """Toggle ``{u, v}`` transiently (O(1); undone by :meth:`pop_flips`)."""
         self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
         self._transient.append((u, v))
-        self._frozen = None
 
     def pop_flips(self, count: int) -> None:
         """Undo the last ``count`` transient flips exactly (O(1) each)."""
@@ -1234,7 +1233,6 @@ class DenseSurrogateEngine(SurrogateEngine):
         for _ in range(count):
             u, v = self._transient.pop()
             self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
-        self._frozen = None
 
     def apply_flip(self, u: int, v: int) -> None:
         """Toggle ``{u, v}`` permanently (logged for :meth:`restore`)."""
@@ -1242,7 +1240,6 @@ class DenseSurrogateEngine(SurrogateEngine):
             raise RuntimeError("cannot apply a permanent flip with transient flips pending")
         self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
         self._permanent.append((u, v))
-        self._frozen = None
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbour ids of ``u`` in the current graph."""
@@ -1271,27 +1268,13 @@ class DenseSurrogateEngine(SurrogateEngine):
         while len(self._permanent) > token:
             u, v = self._permanent.pop()
             self._adjacency[u, v] = self._adjacency[v, u] = 1.0 - self._adjacency[u, v]
-            self._frozen = None
         self._refresh_pair_cache()
         _telemetry.count("candidates.carried", int(self.rows.size))
-
-    def _on_state_reset(self) -> None:
-        self._frozen = None
 
     def _flip_log(self) -> "list[tuple[int, int]]":
         return [
             (u, v) if u < v else (v, u) for u, v in self._permanent + self._transient
         ]
-
-
-class _DenseWorkspace(NamedTuple):
-    """Cached arrays of the sparse engine's dense relaxed step."""
-
-    upper: np.ndarray  # flat n×n index of each candidate's (u, v) cell
-    lower: np.ndarray  # and of its (v, u) cell
-    two_paths: np.ndarray  # n×n buffers the step's products are written to
-    product: np.ndarray
-    weighted: np.ndarray
 
 
 class SparseSurrogateEngine(SurrogateEngine):
@@ -1382,16 +1365,13 @@ class SparseSurrogateEngine(SurrogateEngine):
         return self._features.flips
 
     def _on_state_reset(self) -> None:
-        # The hub grouping and the dense workspace depend only on the
-        # candidate pairs: computed here once, not on every scatter, and
-        # kept across restore.
+        # The hub grouping depends only on the candidate pairs: computed
+        # here once, not on every scatter, and kept across restore.
         self._groups = _group_pairs(self.rows, self.cols, self.n)
-        self._workspace: "_DenseWorkspace | None" = None
         self._on_graph_reset()
 
     def _on_graph_reset(self) -> None:
         """Drop the caches keyed on the graph as well as the candidates."""
-        self._frozen = None
         # Iterates are keyed on candidate indices and priced with
         # ``flip_direction``; both change only with the candidates or a
         # restore.
@@ -1532,128 +1512,39 @@ class SparseSurrogateEngine(SurrogateEngine):
         # The product is a fresh array, so no caller aliases the memo.
         return loss, pair_gradient * self.flip_direction, flip_mask
 
-    def relaxed_step(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """ContinuousA iterate at the fractional graph: the current graph
-        with each candidate entry replaced by its entry of ``values``.
+    def relaxed_step(self, flips: np.ndarray) -> tuple[float, np.ndarray]:
+        """ContinuousA iterate, evaluated in CSR: the current graph plus the
+        symmetric overlay ``flip_direction · p`` on the support of ``p``.
 
-        When the candidate overlay fills at least half the matrix
-        (``2·|C| ≥ n²/2``, e.g. the ``full`` strategy) the iterate is
-        evaluated on a dense n×n array.  At that fill the overlay's CSR
-        already takes as much memory as the array, and sparse-times-sparse
-        products on it cost several times a BLAS product.  Below it the
-        iterate is evaluated in CSR.
+        Weighted egonet features are read off that matrix M (``N`` its row
+        sums, ``E = N + ½·rowsum((M @ M) ⊙ M)``; the incremental integer
+        features do not apply to a fractional graph), and the pair
+        gradient is scattered over it.  The overlay covers only p's
+        support, the pairs the budget projection keeps positive.
         """
-        return self._relaxed_step(
-            values, dense=4 * self.rows.size >= self.n * self.n
-        )
-
-    def _relaxed_step(
-        self, values: np.ndarray, dense: bool
-    ) -> tuple[float, np.ndarray]:
-        """:meth:`relaxed_step` on the dense-array or the CSR branch."""
-        values = np.asarray(values, dtype=np.float64)
-        rows, cols = self.rows, self.cols
-        frozen = self._frozen_base(dense)
-        # Weighted egonet features: N = row sums, E = N + ½ diag(A³); the
-        # validated binary kernel cannot be used on a fractional matrix.
-        if dense:
-            # The dense reference's frozen + scatter and its op order in
-            # egonet_features_tensor, so the loss is bit-identical to it.
-            # A step overwrites every candidate cell, so the cached frozen
-            # array serves as its matrix, and the products land in cached
-            # buffers: a step allocates no n×n array.
-            space = self._dense_workspace()
-            matrix = frozen
-            cells = matrix.reshape(-1)
-            cells[space.upper] = values
-            cells[space.lower] = values
-            n_feature = matrix.sum(axis=1)
-            two_paths = np.matmul(matrix, matrix, out=space.two_paths)
-            closed = np.multiply(two_paths, matrix, out=space.product)
-            e_feature = n_feature + 0.5 * closed.sum(axis=1)
-        else:
-            overlay = _sparse.coo_matrix(
+        self._refresh_pair_cache()
+        flips = np.asarray(flips, dtype=np.float64)
+        matrix = self._features.adjacency_csr()
+        support = np.flatnonzero(flips)
+        if support.size:
+            rows, cols = self.rows[support], self.cols[support]
+            shift = flips[support] * self.flip_direction[support]
+            matrix = matrix + _sparse.coo_matrix(
                 (
-                    np.concatenate([values, values]),
+                    np.concatenate([shift, shift]),
                     (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
                 ),
                 shape=(self.n, self.n),
             )
-            matrix = (frozen + overlay).tocsr()
-            n_feature = np.asarray(matrix.sum(axis=1)).ravel()
-            two_paths = (matrix @ matrix).multiply(matrix)
-            e_feature = n_feature + 0.5 * np.asarray(two_paths.sum(axis=1)).ravel()
+        n_feature = np.asarray(matrix.sum(axis=1)).ravel()
+        closed = (matrix @ matrix).multiply(matrix)
+        e_feature = n_feature + 0.5 * np.asarray(closed.sum(axis=1)).ravel()
         loss, d_n, d_e = _loss_and_gradients(
             n_feature, e_feature, self._targets,
             self.floor, self.ridge, self._weights,
         )
-        if not dense:
-            return loss, self._scatter(matrix, d_n, d_e, self._groups)
-        # The pair gradient of adjacency_gradient, its common-neighbour
-        # sums read off A² and A·diag(∂L/∂E)·A.  Its terms are summed in
-        # place, in the expression's order, so the bits match it: each
-        # fresh |C|-array costs more than the arithmetic on it.
-        scaled = np.multiply(matrix, d_e, out=space.product)
-        weighted = np.matmul(scaled, matrix, out=space.weighted)
-        gradient = d_n.take(rows)
-        term = d_n.take(cols)
-        gradient += term
-        d_e_rows = d_e.take(rows)
-        gradient += d_e_rows
-        d_e.take(cols, out=term)
-        gradient += term
-        d_e_rows += term
-        d_e_rows *= two_paths.take(space.upper, out=term)
-        gradient += d_e_rows
-        gradient += weighted.take(space.upper, out=term)
-        return loss, gradient
-
-    def _dense_workspace(self) -> "_DenseWorkspace":
-        """The dense relaxed step's candidate cells and n×n product buffers.
-
-        Cached until the candidate set changes (:meth:`_on_state_reset`).
-        """
-        if self._workspace is None:
-            n, rows, cols = self.n, self.rows, self.cols
-            self._workspace = _DenseWorkspace(
-                upper=rows * n + cols,
-                lower=cols * n + rows,
-                two_paths=np.empty((n, n)),
-                product=np.empty((n, n)),
-                weighted=np.empty((n, n)),
-            )
-        return self._workspace
-
-    def _frozen_base(self, dense: bool):
-        """The current graph with the candidate entries blanked, cached.
-
-        A dense array for the dense branch of :meth:`relaxed_step`, else a
-        CSR.  The dense branch writes each iterate's values into the
-        array's candidate cells, which are blank only until its first
-        step.  The cache is dropped with the candidate set
-        (:meth:`_on_state_reset`) and keyed on the feature engine's CSR,
-        which is a new object whenever the graph has changed.
-        """
-        base = self._features.adjacency_csr()
-        cached = self._frozen
-        if cached is not None and cached[0] is base and cached[1] == dense:
-            return cached[2]
-        n, rows, cols = self.n, self.rows, self.cols
-        base_rows = np.repeat(np.arange(n), np.diff(base.indptr))
-        if dense:
-            frozen = np.zeros((n, n))
-            frozen[base_rows, base.indices] = base.data
-            frozen[rows, cols] = frozen[cols, rows] = 0.0
-        else:
-            keys = (
-                np.minimum(base_rows, base.indices) * n
-                + np.maximum(base_rows, base.indices)
-            )
-            frozen = base.copy()
-            frozen.data[np.isin(keys, rows * n + cols)] = 0.0
-            frozen.eliminate_zeros()
-        self._frozen = (base, dense, frozen)
-        return frozen
+        gradient = self._scatter(matrix, d_n, d_e, self._groups)
+        return loss, gradient * self.flip_direction
 
     def candidate_gradient(self) -> np.ndarray:
         """Closed-form gradient scattered onto the candidate pairs only."""
@@ -1725,10 +1616,9 @@ class SparseSurrogateEngine(SurrogateEngine):
         """Roll the flip stack back to ``token`` (O(deg) per undone flip).
 
         The candidate-keyed caches survive: the pair values are fixed up
-        where they no longer describe the graph, and the hub grouping and
-        dense workspace are kept.  A rollback drops the graph-keyed frozen
-        base and iterate memo; the objective memo is keyed on the graph
-        version and stays valid.
+        where they no longer describe the graph, and the hub grouping is
+        kept.  A rollback drops the graph-keyed iterate memo; the
+        objective memo is keyed on the graph version and stays valid.
         """
         depth = self._features.depth
         if not 0 <= token <= depth:

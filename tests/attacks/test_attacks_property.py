@@ -82,3 +82,38 @@ def test_binarized_iterates_stay_within_twice_their_level(
     for level, (mass, flips) in zip(levels, iterates):
         assert mass <= level + 1e-9
         assert flips <= 2 * level
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(15, 35),
+    budget=st.integers(0, 6),
+    max_iter=st.integers(1, 30),
+    candidates=st.sampled_from([None, "target_incident", "adaptive_gradient", "block"]),
+    seed=st.integers(0, 5),
+)
+def test_continuous_iterates_stay_in_the_budget_set(
+    n, budget, max_iter, candidates, seed
+):
+    """Every flip-fraction vector ContinuousA evaluates lies in the
+    budget set {p ∈ [0, 1] : Σp ≤ B}, and its rounding flips at most B
+    pairs."""
+    graph = barabasi_albert(n, 2, rng=seed)
+    targets = OddBall().analyze(graph).top_k(2).tolist()
+    iterates = []
+    real_step = SparseSurrogateEngine.relaxed_step
+
+    def step(self, flips):
+        iterates.append(flips.copy())
+        return real_step(self, flips)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseSurrogateEngine, "relaxed_step", step)
+        result = ContinuousA(max_iter=max_iter).attack(
+            graph, targets, budget, candidates=candidates
+        )
+    assert len(iterates) == result.metadata["iterations"] >= 1
+    for flips in iterates:
+        assert flips.min() >= 0.0 and flips.max() <= 1.0
+        assert flips.sum() <= budget + 1e-9
+    assert len(result.flips()) <= budget

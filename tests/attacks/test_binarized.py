@@ -13,6 +13,7 @@ from repro.attacks.binarized import (
     _schedule,
     _top_k,
     project_budget,
+    projected_step,
 )
 from repro.attacks.constraints import filter_valid_flips_engine
 from repro.attacks.random_attack import RandomAttack
@@ -234,6 +235,21 @@ class TestProjection:
         for guess in guesses:
             warm, _ = project_budget(values, level, guess)
             np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PROJECTED, _PROJECTED, _LEVELS)
+    def test_step_projects_the_normalised_update(self, values, gradient, level):
+        """``projected_step`` is ``project(x − η·g / max|g|)``, and leaves
+        its gradient argument untouched (an engine may memoise it)."""
+        gradient = np.resize(gradient, values.shape)
+        before = gradient.copy()
+        stepped, shift = projected_step(values, gradient, 0.3, level, 0.0)
+        scale = np.max(np.abs(gradient), initial=0.0)
+        update = values - 0.3 * gradient / scale if scale > 0.0 else values
+        expected, expected_shift = project_budget(update, level)
+        np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-12)
+        assert shift == pytest.approx(expected_shift, abs=1e-12)
+        assert gradient.tobytes() == before.tobytes()
 
 
 def _reference_round(engine, zdot, rows, cols, level):

@@ -300,7 +300,7 @@ class TestCampaignResume:
         AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         header, *records = checkpoint.read_text().splitlines()
         header = json.loads(header)
-        assert header["version"] == 4
+        assert header["version"] == 5
         header["version"] = 1
         checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ValueError, match="unsupported version 1"):
@@ -342,6 +342,25 @@ class TestCampaignResume:
         header["version"] = 3
         checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ValueError, match="unsupported version 3") as refused:
+            AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert str(checkpoint) in str(refused.value)
+
+    def test_version_4_continuous_checkpoint_is_unsupported(
+        self, graph_and_targets, tmp_path
+    ):
+        """Version 4 held ContinuousA outcomes of the box-clipped step
+        under the job ids the budget-projected one keeps: a resume would
+        return the old flips, so the file is refused by name."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("continuousa", [targets[:2]], budgets=[2], max_iter=4)
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        header, *records = checkpoint.read_text().splitlines()
+        header = json.loads(header)
+        assert json.loads(records[0])["job"]["attack"] == "continuousa"
+        header["version"] = 4
+        checkpoint.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ValueError, match="unsupported version 4") as refused:
             AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
         assert str(checkpoint) in str(refused.value)
 

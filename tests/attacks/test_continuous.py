@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.attacks.continuous import ContinuousA
+from repro import telemetry
+from repro.attacks.continuous import PATIENCE, ContinuousA
 from repro.oddball.detector import OddBall
+from repro.oddball.surrogate import SparseSurrogateEngine
+from repro.telemetry import tracer as tracer_module
 
 
 @pytest.fixture()
@@ -34,10 +37,12 @@ class TestContinuousA:
         assert result.metadata["fractional_mass"] > 0.0
         assert result.metadata["iterations"] >= 1
 
-    def test_converges_early_with_loose_tol(self, attack_setup):
+    def test_loose_tol_stops_after_one_window(self, attack_setup):
+        """No step beats the first loss by a relative 1e30, so the PGD
+        stops once PATIENCE evaluations past the first make no progress."""
         graph, targets = attack_setup
-        result = ContinuousA(max_iter=500, tol=1e9).attack(graph, targets, budget=2)
-        assert result.metadata["iterations"] <= 3
+        result = ContinuousA(max_iter=500, tol=1e30).attack(graph, targets, budget=2)
+        assert result.metadata["iterations"] == PATIENCE + 1 == 11
 
     def test_flips_ranked_by_relaxed_difference(self, attack_setup):
         """Budget-b flips are a prefix of the full ranked flip list."""
@@ -103,9 +108,10 @@ class TestCandidateRestriction:
 
 
 class TestConvergenceLoop:
-    """Regression: the convergence check compared against the initial ∞
-    sentinel (``inf <= inf`` is true), so the optimisation silently stopped
-    after a single PGD iteration and reported ``final_relaxed_loss = inf``."""
+    """The stop rule: the PGD runs until PATIENCE evaluations in a row fail
+    to beat the best relaxed loss by a relative ``tol`` (an earlier rule on
+    consecutive differences once stopped after a single iteration and
+    reported ``final_relaxed_loss = inf``)."""
 
     def test_runs_more_than_one_iteration(self, small_ba_graph):
         targets = [0, 7]
@@ -113,9 +119,58 @@ class TestConvergenceLoop:
         assert result.metadata["iterations"] > 1
         assert np.isfinite(result.metadata["final_relaxed_loss"])
 
-    def test_tolerance_still_stops_early(self, small_ba_graph):
+    def test_tolerance_stops_after_one_window(self, small_ba_graph):
         targets = [0, 7]
         loose = ContinuousA(max_iter=200, tol=1e30).attack(
             small_ba_graph, targets, budget=3
         )
-        assert loose.metadata["iterations"] == 2  # one real step + the check
+        # the first evaluation sets the best, the next PATIENCE fail to beat it
+        assert loose.metadata["iterations"] == PATIENCE + 1 == 11
+        assert loose.metadata["final_relaxed_loss"] <= loose.surrogate_by_budget[0]
+
+    def test_cap_bounds_the_steps(self, small_ba_graph):
+        result = ContinuousA(max_iter=4, tol=1e30).attack(small_ba_graph, [0, 7], budget=3)
+        assert result.metadata["iterations"] == 4
+
+    @pytest.mark.parametrize("max_iter, tol", [(6, 1e-6), (200, 1e30)], ids=["cap", "patience"])
+    def test_rounds_the_last_evaluated_iterate(self, small_ba_graph, max_iter, tol):
+        """Whichever rule stops the PGD, the read-out rounds the last p
+        evaluated, and ``final_relaxed_loss`` and ``fractional_mass``
+        describe that p (the step cap once rounded a p one step past the
+        last evaluation, which no metadata described)."""
+        evaluated, pairs = [], {}
+        real_step = SparseSurrogateEngine.relaxed_step
+
+        def step(self, flips):
+            loss, gradient = real_step(self, flips)
+            evaluated.append((loss, flips.copy()))
+            pairs.update((pair, k) for k, pair in enumerate(zip(self.rows, self.cols)))
+            return loss, gradient
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SparseSurrogateEngine, "relaxed_step", step)
+            result = ContinuousA(max_iter=max_iter, tol=tol).attack(
+                small_ba_graph, [0, 7], budget=3
+            )
+        loss, last = evaluated[-1]
+        assert len(evaluated) == result.metadata["iterations"] < 200
+        assert result.metadata["final_relaxed_loss"] == loss
+        assert result.metadata["fractional_mass"] == float(last.sum())
+        # the flips are the last p's pairs, ranked by it
+        ranked = [last[pairs[pair]] for pair in result.flips()]
+        assert ranked and min(ranked) > 0.0 and ranked == sorted(ranked, reverse=True)
+
+    def test_steps_are_counted(self, small_ba_graph, tmp_path):
+        telemetry.configure(tmp_path / "trace")
+        try:
+            result = ContinuousA(max_iter=30).attack(small_ba_graph, [0, 7], budget=3)
+        finally:
+            # Closes (flushes) this trace, then lets the next test resolve
+            # $REPRO_TELEMETRY afresh, as the tracing CI lane expects.
+            telemetry.shutdown()
+            tracer_module._RESOLVED = False
+        steps = sum(
+            record["count"] for record in telemetry.load_trace_dir(tmp_path / "trace")
+            if record["kind"] == "counter" and record["name"] == "attacks.continuous.steps"
+        )
+        assert steps == result.metadata["iterations"] > 1

@@ -26,9 +26,9 @@ at every budget and the per-budget surrogate losses, bit for bit.
 
 ContinuousA is pinned on ``full`` on the same three Fig. 4 graphs: its
 flips at every budget, its per-budget losses, and the exact bits of its
-``final_relaxed_loss`` and ``fractional_mass`` metadata.  ``full`` runs the
-sparse engine's dense relaxed step, whose loss and gradient must keep
-the dense oracle's operation order to hold these digests.
+``final_relaxed_loss`` and ``fractional_mass`` metadata.  These pin the
+sparse engine's CSR relaxed step, whose oracle check is only to
+round-off, and the projected step's bits.
 """
 
 import hashlib
@@ -104,12 +104,12 @@ GOLDEN_BINARIZED = {
 #: digest of the per-budget losses, digest of the bits of
 #: ``final_relaxed_loss`` and ``fractional_mass``).
 GOLDEN_CONTINUOUS = {
-    "er": ("672d527dd01e9ac1c565637fee70e6f6", "bd19ae2137004ad4d8a4c0ac2bb3d88c",
-           "e66cba042f944461ef62a885f0603d39"),
-    "ba": ("7bf1779c25de01b86dacd68e3d13a1b7", "49c13c39d6c8c4bb8ec136bb297cd58e",
-           "bc1e37ae0f9759490ef0ea0018186d38"),
-    "blogcatalog": ("35f9f7b52bf77531ccd70d4d1f4e3176", "efee76ffd95b1a440070126ccf8829ff",
-                    "5885b555df41240786b54c3c89cb4589"),
+    "er": ("f5a108742583c13b512bc52559ba8305", "c79cc155d47769b752e0f70d4f3d45de",
+           "26e1711e2952fae60e55e0c009686c41"),
+    "ba": ("bde9bbe1289c93cb7127507e694a9073", "297577e6cad085fcb8865c6c308bb076",
+           "050b968d18c99814ae4ecd6bd86d8627"),
+    "blogcatalog": ("8adb0490c46bee9866cd6985b8004488", "4f2157f1bdd5428b04b5c5653b8ea7f0",
+                    "f4266ba86c66932da108602dd6579902"),
 }
 
 KERNELS = ["numpy", "compiled"]

@@ -82,49 +82,74 @@ def run_drivers(seed: int = 0) -> dict:
     }
 
 
+def _loss_at(job: "dict[int, float]", budget: int) -> float:
+    """A job's surrogate at ``budget``: a job that found fewer flips keeps
+    all of them at every larger budget."""
+    return job[min(budget, max(job))]
+
+
 def _mean_drop(losses: "list[dict[int, float]]", budget: int) -> float:
     """Mean over jobs of the relative surrogate drop from the clean loss."""
-    return float(np.mean([1.0 - job[budget] / job[0] for job in losses]))
+    return float(np.mean([1.0 - _loss_at(job, budget) / job[0] for job in losses]))
+
+
+#: Every claim :func:`evaluate` tallies, in the order it prints them.
+CLAIMS = (
+    "fig4.binarized.not_flat",
+    "fig4.binarized.surrogate_monotone",
+    "fig4.binarized.surrogate_vs_gradmax",
+    "fig4.binarized.tau_vs_gradmax",
+    "fig4.continuousa.tau_nonnegative",
+    "fig4.continuousa.tau_below_gradmax",
+    "fig4.surrogate_below_clean",
+    "table2.p_above_alpha",
+    "fig6.high_above_others",
+    "fig10.robust_le_ols",
+)
 
 
 def evaluate(payloads: dict) -> "dict[str, Tally]":
-    """The claims over the driver payloads; cells are ``(name, budget %)``."""
-    ledger = {
-        name: Tally()
-        for name in (
-            "fig4.binarized.not_flat",
-            "fig4.binarized.surrogate_monotone",
-            "fig4.binarized.tau_vs_gradmax",
-            "fig4.continuousa.tau_nonnegative",
-            "table2.p_above_alpha",
-            "fig6.high_above_others",
-            "fig10.robust_le_ols",
-        )
-    }
+    """The claims over the driver payloads; cells are ``(name, budget %)``,
+    or ``(name, attack, job, budget %)`` for a per-job claim."""
+    ledger = {name: Tally() for name in CLAIMS}
     for panel in payloads["fig4"]["panels"]:
         name, budgets, tau = panel["panel"], panel["budgets"], panel["tau_mean"]
+        surrogates = panel["surrogates"]
         binarized = tau["binarizedattack"]
         ledger["fig4.binarized.not_flat"].check(name, len(set(binarized)) > 1)
-        for job, losses in enumerate(panel["surrogates"]["binarizedattack"]):
+        for job, losses in enumerate(surrogates["binarizedattack"]):
             series = [losses[b] for b in range(len(losses))]
             ledger["fig4.binarized.surrogate_monotone"].check(
                 (name, job),
                 all(later <= earlier for earlier, later in zip(series, series[1:])),
             )
         for i, budget in enumerate(budgets):
-            cell = (name, round(panel["edges_changed_pct"][i], 2))
+            pct = round(panel["edges_changed_pct"][i], 2)
+            cell = (name, pct)
+            for attack, jobs in surrogates.items():
+                for job, losses in enumerate(jobs):
+                    ledger["fig4.surrogate_below_clean"].check(
+                        (name, attack, job, pct), _loss_at(losses, budget) <= losses[0]
+                    )
             ledger["fig4.continuousa.tau_nonnegative"].check(
                 cell, tau["continuousa"][i] >= -BAND
             )
-            drops = [
-                _mean_drop(panel["surrogates"][attack], budget)
+            drops = {
+                attack: _mean_drop(surrogates[attack], budget)
                 for attack in ("binarizedattack", "gradmaxsearch")
-            ]
-            if max(drops) > SATURATED_DROP:
+            }
+            ledger["fig4.binarized.surrogate_vs_gradmax"].check(
+                cell, drops["binarizedattack"] >= drops["gradmaxsearch"] - BAND
+            )
+            if max(drops.values()) > SATURATED_DROP:
                 ledger["fig4.binarized.tau_vs_gradmax"].skipped.append(cell)
+                ledger["fig4.continuousa.tau_below_gradmax"].skipped.append(cell)
             else:
                 ledger["fig4.binarized.tau_vs_gradmax"].check(
                     cell, binarized[i] >= tau["gradmaxsearch"][i] - BAND
+                )
+                ledger["fig4.continuousa.tau_below_gradmax"].check(
+                    cell, tau["continuousa"][i] <= tau["gradmaxsearch"][i] + BAND
                 )
     for dataset, rows in payloads["table2"]["table"].items():
         for row in rows:

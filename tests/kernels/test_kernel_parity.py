@@ -509,8 +509,9 @@ class TestScatterGradientParity:
         assert out.size == 0 and entries == 0
 
     def test_relaxed_step_on_push_walk(self, use_kernels):
-        """The fractional base + overlay matrix is symmetric, so the push
-        walk over it matches the numpy engine bit for bit."""
+        """The base + overlay matrix relaxed_step scatters over is
+        symmetric, so the push walk over it matches the numpy engine bit
+        for bit."""
         for graph in _graphs():
             csr = to_sparse(graph)
             n = csr.shape[0]
@@ -520,23 +521,24 @@ class TestScatterGradientParity:
             for kernels in ("numpy", "compiled"):
                 use_kernels(kernels)
                 engines.append(SurrogateEngine.create(csr, [hub], (rows, cols)))
-            base = engines[0].edge_values
-            values = np.clip(
-                base + np.linspace(-0.4, 0.4, rows.size), 0.0, 1.0
-            )
-            loss_ref, grad_ref = engines[0].relaxed_step(values)
-            loss_fast, grad_fast = engines[1].relaxed_step(values)
+            # flip fractions on half the pairs, as a projected iterate has
+            flips = np.clip(np.linspace(-0.4, 0.4, rows.size), 0.0, 1.0)
+            loss_ref, grad_ref = engines[0].relaxed_step(flips)
+            loss_fast, grad_fast = engines[1].relaxed_step(flips)
             assert loss_ref == loss_fast
             assert np.array_equal(grad_ref, grad_fast)
             # The matrix relaxed_step scatters over, as the engine builds
-            # it on its CSR branch: the frozen base plus the values.
+            # it: the current graph plus the overlay on the support.
+            support = np.flatnonzero(flips)
+            shift = flips[support] * engines[0].flip_direction[support]
             overlay = sparse.coo_matrix(
-                (np.concatenate([values, values]),
-                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                (np.concatenate([shift, shift]),
+                 (np.concatenate([rows[support], cols[support]]),
+                  np.concatenate([cols[support], rows[support]]))),
                 shape=(n, n),
             )
-            frozen = engines[0]._frozen_base(dense=False)
-            matrix = (frozen + overlay).tocsr()
+            matrix = engines[0]._features.adjacency_csr() + overlay
+            assert 0 < support.size < rows.size
             assert matrix.has_sorted_indices
             assert (matrix != matrix.T).nnz == 0
             assert {b for b, _ in _walks(matrix, rows, cols)} == {"push"}
@@ -562,11 +564,9 @@ class TestEngineKernelParity:
             assert np.array_equal(
                 ref.candidate_gradient(), fast.candidate_gradient()
             )
-            values = np.clip(
-                ref.edge_values + 0.25 * np.sign(0.5 - ref.edge_values), 0, 1
-            )
-            loss_ref, grad_ref = ref.relaxed_step(values)
-            loss_fast, grad_fast = fast.relaxed_step(values)
+            flips = np.full(ref.rows.size, 0.25)
+            loss_ref, grad_ref = ref.relaxed_step(flips)
+            loss_fast, grad_fast = fast.relaxed_step(flips)
             assert loss_ref == loss_fast
             assert np.array_equal(grad_ref, grad_fast)
             for u, v in [(0, 1), (3, 9), (5, 12)]:

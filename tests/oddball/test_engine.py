@@ -325,34 +325,45 @@ class TestValidation:
         np.testing.assert_allclose(sparse_grad, dense_grad, rtol=1e-8, atol=1e-9)
 
 
-def _fractional(engine, seed):
-    """Candidate values strictly inside (0, 1), as a PGD iterate has."""
-    return np.random.default_rng(seed).uniform(0.1, 0.9, size=len(engine.rows))
+def _fractional(engine, seed, support=None):
+    """Flip fractions strictly inside (0, 1) on ``support`` random pairs
+    (default: every pair), 0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    size = len(engine.rows)
+    picked = rng.choice(size, size=min(support or size, size), replace=False)
+    flips = np.zeros(size)
+    flips[picked] = rng.uniform(0.1, 0.9, size=picked.size)
+    return flips
 
 
 class TestRelaxedStep:
-    """ContinuousA's ``relaxed_step``: the sparse engine's dense-array and
-    CSR branches against the autograd reference, the frozen-base cache
-    across graph changes, and the gradient against the exact loss."""
+    """ContinuousA's ``relaxed_step``: the sparse engine's CSR evaluation
+    against the autograd oracle, its answers across graph changes, and
+    the gradient against the exact loss."""
 
     @pytest.mark.parametrize("strategy", ["full", "target_incident"])
-    def test_branches_match_dense_reference(self, graph_and_targets, strategy):
+    def test_matches_dense_oracle(self, graph_and_targets, strategy):
+        """On a 200-pair support and with every pair fractional.  The
+        all-pair ``full`` input is ill-conditioned: every degree sits near
+        n/2, so the log-log fit turns one-ulp feature noise into up to
+        ~2e-10 of relative loss, and its 1e-12 agreement holds for this
+        draw, not for every draw."""
         graph, targets = graph_and_targets
         candidate_set = CandidateSet.build(strategy, graph, targets)
         dense = DenseSurrogateEngine(graph, targets, candidate_set)
         sparse_eng = SurrogateEngine.create(graph, targets, candidate_set)
-        values = _fractional(dense, 5)
-        ref_loss, ref_grad = dense.relaxed_step(values)
-        sparse_eng.relaxed_step(values)
-        # `full` fills the matrix, so only it takes the dense-array branch.
-        assert isinstance(sparse_eng._frozen[2], np.ndarray) == (strategy == "full")
-        for fills in (True, False):
-            loss, grad = sparse_eng._relaxed_step(values, dense=fills)
-            if fills:
-                assert loss == ref_loss
-            else:
-                assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for support in (200, None):
+            flips = _fractional(dense, 5, support)
+            ref_loss, ref_grad = dense.relaxed_step(flips)
+            loss, grad = sparse_eng.relaxed_step(flips)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-7, atol=1e-8)
+
+    def test_zero_fractions_are_the_current_graph(self, engine_pair):
+        for engine in engine_pair:
+            engine.apply_flip(int(engine.rows[0]), int(engine.cols[0]))
+            loss, _ = engine.relaxed_step(np.zeros(len(engine.rows)))
+            assert loss == engine.current_loss()
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("strategy", ["full", "target_incident"])
@@ -377,7 +388,7 @@ class TestRelaxedStep:
             assert loss == fresh_loss
             np.testing.assert_array_equal(grad, fresh_grad)
 
-        assert_fresh(targets, candidate_set)  # fills the cache
+        assert_fresh(targets, candidate_set)  # before any graph change
         token = engine.checkpoint()
         pairs = set(zip(engine.rows.tolist(), engine.cols.tolist()))
         flips = [(int(engine.rows[0]), int(engine.cols[0]))]
@@ -385,7 +396,7 @@ class TestRelaxedStep:
             (u, v) for u in range(engine.n) for v in range(u + 1, engine.n)
             if (u, v) not in pairs
         ]
-        flips += outside[:2]  # non-candidate flips change the frozen base
+        flips += outside[:2]  # non-candidate flips change the base graph
         for u, v in flips:
             engine.apply_flip(u, v)
         assert_fresh(targets, candidate_set)
@@ -399,35 +410,43 @@ class TestRelaxedStep:
     @pytest.mark.parametrize("strategy", ["full", "target_incident"])
     def test_gradient_matches_exact_loss(self, graph_and_targets, strategy):
         """Central differences of the exact relaxed loss (the autograd
-        forward on the materialised fractional graph), away from the clamp
-        floor, where the objective is smooth."""
+        forward on the materialised fractional graph A + (1 − 2A) ⊙ p),
+        away from the clamp floor, where the objective is smooth."""
         graph, targets = graph_and_targets
         floor = 0.5
         candidate_set = CandidateSet.build(strategy, graph, targets)
         engine = SurrogateEngine.create(graph, targets, candidate_set, floor=floor)
         rows, cols = engine.rows, engine.cols
-        values = _fractional(engine, 7)
-        frozen = graph.adjacency.copy()
-        frozen[rows, cols] = frozen[cols, rows] = 0.0
+        flips = _fractional(engine, 7, support=100)
+        clean = graph.adjacency[rows, cols]
 
-        def exact_loss(vals):
-            matrix = frozen.copy()
-            matrix[rows, cols] = matrix[cols, rows] = vals
-            return surrogate_loss_numpy(matrix, targets, floor=floor)
+        def fractional_graph(fractions):
+            matrix = graph.adjacency.copy()
+            matrix[rows, cols] = matrix[cols, rows] = (
+                clean + (1.0 - 2.0 * clean) * fractions
+            )
+            return matrix
 
-        matrix = frozen.copy()
-        matrix[rows, cols] = matrix[cols, rows] = values
-        assert matrix.sum(axis=1).min() > floor + 0.1  # E ≥ N: both clear it
-        loss, grad = engine.relaxed_step(values)
-        assert loss == pytest.approx(exact_loss(values), rel=1e-12)
+        def exact_loss(fractions):
+            return surrogate_loss_numpy(fractional_graph(fractions), targets, floor=floor)
+
+        assert fractional_graph(flips).sum(axis=1).min() > floor + 0.1  # E ≥ N: both clear it
+        loss, grad = engine.relaxed_step(flips)
+        assert loss == pytest.approx(exact_loss(flips), rel=1e-12)
         # The loss is a small difference of large egonet terms, so its
         # round-off swamps differences below eps ≈ 1e-3; at 1e-3 the O(eps²)
         # truncation error is ~1e-7 of the gradient scale.
         eps = 1e-3
         scale = np.abs(grad).max()
-        picks = np.random.default_rng(8).choice(len(values), size=10, replace=False)
+        # on the support, and off it, where p = 0 and the gradient is what
+        # moves a pair into the support
+        rng = np.random.default_rng(8)
+        picks = [
+            *rng.choice(np.flatnonzero(flips), size=5, replace=False),
+            *rng.choice(np.flatnonzero(flips == 0.0), size=5, replace=False),
+        ]
         for k in picks:
-            step = np.zeros_like(values)
+            step = np.zeros_like(flips)
             step[k] = eps
-            numeric = (exact_loss(values + step) - exact_loss(values - step)) / (2 * eps)
+            numeric = (exact_loss(flips + step) - exact_loss(flips - step)) / (2 * eps)
             assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-5 * scale)
